@@ -212,7 +212,7 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
         raise ConfigError("group_free requires parameters.rank")
 
     seed = params.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
     if seed_override is not None:
         seed = seed_override
@@ -703,7 +703,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         report = run_scenario(config)
         payload = emit_report(report, args.format)
-    except UnsupportedFormat as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:

@@ -20,11 +20,14 @@ import numpy as np
 
 from .algebra import GnsStructure, TracialAlgebra, gns_structure
 from .errors import ChainViolation
-from .tolerances import SUBSPACE_TOL
+from .tolerances import INVARIANCE_TOL, SUBSPACE_TOL
 from .vndim import (
     HsSubspace,
     central_decomposition,
+    commutant_action,
     hs_subspace,
+    invariance_residual,
+    span_with_spectrum,
     subspace_distance,
     vn_dimension_report,
 )
@@ -52,24 +55,103 @@ def _unit_commutators(Ls: np.ndarray) -> np.ndarray:
     return rows.reshape(D * D, n, D, D)
 
 
-def _generator_mults(gns: GnsStructure, generators: Sequence[np.ndarray]) -> np.ndarray:
-    gens = [np.asarray(X, dtype=complex) for X in generators]
-    if list(map(id, gens)) == list(map(id, gns.algebra.generators)) and \
-            gns.generator_left_mult:
-        return np.array(gns.generator_left_mult)
-    return np.array([gns.left_mult(X) for X in gens])
+def _left_mults(gns: GnsStructure, generators: Sequence[np.ndarray]) -> np.ndarray:
+    """(n, D, D) stack of the L_X of the generators."""
+    Ls = [gns.left_mult(np.asarray(X, dtype=complex)) for X in generators]
+    return np.asarray(Ls, dtype=complex).reshape(-1, gns.dim, gns.dim)
+
+
+def _hermitian_family(units: np.ndarray) -> np.ndarray:
+    """Cocycles of E_pp, E_pq + E_qp and i(E_pq - E_qp), p < q, from unit cocycles."""
+    D = units.shape[-1]
+    units = units.reshape(D, D, *units.shape[1:])
+    rows = []
+    for p in range(D):
+        rows.append(units[p, p])
+        for q in range(p + 1, D):
+            rows.append(units[p, q] + units[q, p])
+            rows.append(1j * (units[p, q] - units[q, p]))
+    return np.array(rows)
+
+
+def commutator_bound(gns: GnsStructure, Ls: np.ndarray, s: np.ndarray, r: int,
+                     kappa: float, cells: int) -> float:
+    """Bound on how far the commutant action moves the span of `cocycle_span`.
+
+    `s` is the spectrum of the spanning family (a `cells` = max(rows, cols)
+    matrix), of which the first r rows are kept.  See `cocycle_span`.
+    """
+    if r == 0:
+        return 0.0
+    R = commutant_action(gns)
+    comm = Ls[None] @ R[:, None] - R[:, None] @ Ls[None]        # (p, j, D, D)
+    comm_norm = np.sqrt((np.linalg.norm(comm, 2, axis=(-2, -1)) ** 2).sum(axis=1))
+    R_norm = np.linalg.norm(R, 2, axis=(-2, -1))
+    s_next = s[r] if r < s.size else 0.0
+    eps_fp = 2.0 * cells * np.finfo(float).eps * s[0]
+    return float(kappa * (comm_norm.max() + (s_next + eps_fp) * R_norm.max()) / s[r - 1])
+
+
+def cocycle_span(gns: GnsStructure, Ls: np.ndarray, hermitian: bool = False) -> HsSubspace:
+    """Span of the cocycle tuples Phi(Y) = ([Y, L_j])_j, with a commutator certificate.
+
+    The spanning family is Phi(Y_m) over the matrix units Y_m (or, with
+    `hermitian`, over E_pp, E_pq + E_qp and i(E_pq - E_qp)): an orthogonal
+    family of operators with norms between 1 and kappa (kappa = 1 for the
+    units, sqrt 2 for the Hermitian family).  Its SVD A = U S V* uses the
+    rank rule of `numerical_span`; each kept row v_k = Phi(Y'_k) has
+    ||Y'_k||_HS <= kappa / s_k.
+
+    Each commutant action generator R = R_p satisfies
+    R Phi(Y) = Phi(RY) + ([L_j, R] Y)_j and Phi(Y) R = Phi(YR) + (Y [L_j, R])_j,
+    and Phi(RY) lies within s_{r+1} ||RY||_HS of the kept span.  So both
+    actions move every basis row at most
+
+        kappa * (max_p (sum_j ||[L_j, R_p]||^2)^(1/2)
+                 + (s_{r+1} + eps_fp) * max_p ||R_p||) / s_r
+
+    from the span (operator norms; s_{r+1} = 0 at full rank).  The computed
+    SVD is the exact SVD of some A + E; with ||E|| taken as max(rows, cols)
+    u s_1 (u the unit roundoff, the noise level numpy's matrix_rank assumes),
+    E enters twice, once in v_k and once in Phi(RY), so eps_fp = 2 ||E||.
+    Rounding in the D x D commutator products, of order D u ||L|| ||R||, is
+    measured rather than bounded.  The bound costs O(n D^4) and is stored as
+    `invariance_residual`, which `vn_dimension_report` gates as usual.
+
+    The eps_fp term makes the bound about 10^2-10^3 times the measured
+    residual, and it grows as 1/s_r: with trace weights of order 1e-10, or two
+    generator eigenvalues within about 1e-5 of each other, it exceeds
+    INVARIANCE_TOL while the span is invariant to rounding.  When the bound
+    fails the gate, the dense `invariance_residual` is measured and stored
+    instead, so such inputs are accepted exactly when the dense certificate
+    accepts them.
+    """
+    n, D = Ls.shape[0], gns.dim
+    if n == 0:
+        return hs_subspace(gns, np.zeros((0,)), n=0)
+    family = _unit_commutators(Ls)
+    kappa = 1.0
+    if hermitian:
+        family, kappa = _hermitian_family(family), np.sqrt(2.0)
+    A = family.reshape(family.shape[0], -1)
+    kept, s = span_with_spectrum(A)
+    r = kept.shape[0]
+    basis = kept.reshape(r, n, D, D)
+    residual = commutator_bound(gns, Ls, s, r, kappa, max(A.shape))
+    if residual > INVARIANCE_TOL:
+        residual = invariance_residual(basis, gns)
+    return HsSubspace(n=n, ambient_dim=n * D * D, basis=basis,
+                      invariance_residual=residual)
 
 
 def compute_H0(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:
     """Image of the cocycle map over all bounded operators on L2.
 
-    Spanned by the images of the D^2 matrix units; carries an invariance
-    certificate under the commutant bimodule action.
+    Spanned by the images of the D^2 matrix units; its invariance under the
+    commutant bimodule action is certified by the commutator bound of
+    `cocycle_span` (kappa = 1).
     """
-    Ls = _generator_mults(gns, generators)
-    if Ls.shape[0] == 0:
-        return hs_subspace(gns, np.zeros((0,)), n=0)
-    return hs_subspace(gns, _unit_commutators(Ls))
+    return cocycle_span(gns, _left_mults(gns, generators))
 
 
 def compute_H1(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:
@@ -78,19 +160,10 @@ def compute_H1(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspac
     Built independently from a Hermitian basis of the operators on L2; in
     finite dimensions every self-adjoint operator is bounded, so this must
     coincide with the bounded-witness space, and tests assert it does.
+    Invariance is certified by the commutator bound of `cocycle_span`
+    (kappa = sqrt 2).
     """
-    Ls = _generator_mults(gns, generators)
-    if Ls.shape[0] == 0:
-        return hs_subspace(gns, np.zeros((0,)), n=0)
-    n, D, _ = Ls.shape
-    units = _unit_commutators(Ls).reshape(D, D, n, D, D)
-    rows = []
-    for p in range(D):
-        rows.append(units[p, p])
-        for q in range(p + 1, D):
-            rows.append(units[p, q] + units[q, p])
-            rows.append(1j * (units[p, q] - units[q, p]))
-    return hs_subspace(gns, np.array(rows))
+    return cocycle_span(gns, _left_mults(gns, generators), hermitian=True)
 
 
 def compute_H2(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:
@@ -149,10 +222,11 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     eff = algebra.effective_algebra()
     gns = gns_structure(eff)
     dec = central_decomposition(eff, gns, seed=seed)
-    gens = eff.generators
+    # the L_X of eff.generators, already built by gns_structure
+    Ls = np.asarray(gns.generator_left_mult, dtype=complex).reshape(-1, gns.dim, gns.dim)
 
-    H0 = compute_H0(gns, gens)
-    H1 = compute_H1(gns, gens)
+    H0 = cocycle_span(gns, Ls)
+    H1 = cocycle_span(gns, Ls, hermitian=True)
     H2 = H0  # the weak-limit space is the bounded-witness space here
     r0 = vn_dimension_report(H0, dec)
     r1 = vn_dimension_report(H1, dec)
@@ -172,10 +246,11 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     closed = float(closed_frac)
     beta0 = float(beta0_frac)
 
+    d01 = subspace_distance(H0, H1)
     distances = {
-        "H0_H1": subspace_distance(H0, H1),
+        "H0_H1": d01,
         "H0_H2": subspace_distance(H0, H2),
-        "H1_H2": subspace_distance(H1, H2),
+        "H1_H2": d01,  # H2 is H0
     }
     agreement = {
         "spaces_coincide": max(distances.values()) <= SUBSPACE_TOL,

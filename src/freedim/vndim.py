@@ -36,11 +36,19 @@ def numerical_span(
         return np.zeros((0, d), dtype=complex)
     if A.ndim == 1:
         A = A[None, :]
+    return span_with_spectrum(A, tol)[0]
+
+
+def span_with_spectrum(A: np.ndarray, tol: float = RANK_TOL):
+    """Kept rows vh[:r] (s > tol * s[0]) of a 2-D array's SVD, and all of s.
+
+    The rank rule of `numerical_span`; the singular values are returned for
+    callers that certify properties of the span from its spectrum.
+    """
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, A.shape[1]), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[:rank]
+        return np.zeros((0, A.shape[1]), dtype=complex), s
+    return vh[: int(np.sum(s > tol * s[0]))], s
 
 
 def to_fraction(x: float, max_denominator: int = 10**6) -> Fraction:
@@ -143,7 +151,12 @@ def central_decomposition(
 
 @dataclass
 class HsSubspace:
-    """An invariant subspace of HS(L2)^n with an orthonormal spanning set."""
+    """An invariant subspace of HS(L2)^n with an orthonormal spanning set.
+
+    `invariance_residual` bounds the distance from R.v and v.R to the span,
+    over the basis rows v and the commutant action generators R: measured by
+    `invariance_residual`, or the commutator bound of `cocycles.cocycle_span`.
+    """
 
     n: int
     ambient_dim: int

@@ -230,6 +230,24 @@ def test_seed_recorded_and_overridden(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 9
 
 
+@pytest.mark.parametrize("seed", [True, False])
+def test_boolean_seed_rejected(tmp_path, capsys, seed):
+    cfg = c2_config()
+    cfg["parameters"] = {"seed": seed}
+    path = write_config(tmp_path, cfg)
+    assert main(["delta", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed")
+
+
+def test_config_error_while_running_exits_two(tmp_path, capsys):
+    cfg = c2_config()
+    cfg["scenario"] = "dual_system"
+    cfg["parameters"] = {"dual": {"type": "mystery"}}
+    path = write_config(tmp_path, cfg)
+    assert main(["dual_system", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown dual type")
+
+
 def test_output_file_written_atomically(tmp_path):
     path = write_config(tmp_path, c2_config())
     target = tmp_path / "out" / "report.json"
@@ -276,6 +294,20 @@ def test_freedim_tol_env_override(tmp_path, monkeypatch):
     assert main(["dual_system", "--config", path]) == 0
     monkeypatch.setenv("FREEDIM_TOL", "1e-30")  # impossible residual gate
     assert main(["dual_system", "--config", path]) == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-1"])
+def test_freedim_tol_rejects_bad_values(tmp_path, monkeypatch, capsys, raw):
+    cfg = c2_config()
+    cfg["scenario"] = "dual_system"
+    cfg["parameters"] = {"dual": {"type": "inner",
+                                  "matrix": mat_pairs(np.diag([1.0, 2.0]))}}
+    path = write_config(tmp_path, cfg)
+    monkeypatch.setenv("FREEDIM_TOL", raw)
+    assert main(["dual_system", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: FREEDIM_TOL")
+    assert "Traceback" not in err
 
 
 def test_emit_report_unknown_format(tmp_path):

@@ -1,9 +1,19 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import freedim as fd
-from conftest import SX, SY, SZ, make_c1m2, make_c2, make_m2
+from conftest import (SX, SY, SZ, embed_c_m2, make_c1m2, make_c2, make_m2,
+                      random_hermitian)
+from freedim.cli import _build_algebra_from_config
+from freedim.cocycles import _unit_commutators, cocycle_span, commutator_bound
+from freedim.tolerances import INVARIANCE_TOL
+from freedim.vndim import invariance_residual, span_with_spectrum
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 from test_vndim import joint_commutator_nullity
 
@@ -105,6 +115,85 @@ def test_h_spaces_invariance_certificates(c1m2):
     for builder in (fd.compute_H0, fd.compute_H1, fd.compute_H2):
         K = builder(gns, c1m2.generators)
         assert K.invariance_residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the commutator invariance certificate against the dense oracle
+# ---------------------------------------------------------------------------
+
+WORKED = sorted(p.stem for p in CONFIG_DIR.glob("delta_*.json")) + ["S3", "C2xS3"]
+
+
+def _worked_algebra(name):
+    if name.startswith("delta_"):
+        section = json.loads((CONFIG_DIR / f"{name}.json").read_text())["algebra"]
+        return _build_algebra_from_config(section).effective_algebra()
+    s3 = fd.symmetric_group(3)
+    table = s3 if name == "S3" else fd.direct_product(fd.cyclic_group(2), s3)
+    return fd.regular_rep_algebra(table)
+
+
+@pytest.mark.parametrize("name", WORKED)
+def test_commutator_bound_dominates_dense_residual(name):
+    alg = _worked_algebra(name)
+    gns = fd.gns_structure(alg)
+    assert gns.dim <= 12
+    for builder in (fd.compute_H0, fd.compute_H1):
+        K = builder(gns, alg.generators)
+        dense = invariance_residual(K.basis, gns)
+        assert K.complex_dim > 0
+        assert K.invariance_residual <= INVARIANCE_TOL
+        assert dense <= INVARIANCE_TOL
+        assert K.invariance_residual >= dense - 1e-13
+
+
+def _c_c_m2(gap):
+    """C (+) C (+) M2 whose first generator has eigenvalues 1 and 1 + gap on C (+) C."""
+    g1 = np.zeros((4, 4), dtype=complex)
+    g1[0, 0], g1[1, 1], g1[2:, 2:] = 1.0, 1.0 + gap, SX
+    g2 = np.zeros((4, 4), dtype=complex)
+    g2[2:, 2:] = SZ
+    return fd.build_algebra([1, 1, 2], [0.25, 0.25, 0.5], [g1, g2])
+
+
+def _c_m2(weight):
+    return fd.build_algebra([1, 2], [weight, 1 - weight],
+                            [embed_c_m2(1.0, SX), embed_c_m2(0.0, SZ)])
+
+
+@pytest.mark.parametrize("alg, expect_bound", [
+    (_c_m2(1e-6), True),      # small trace weight: ||R|| ~ weight^(-1/2)
+    (_c_c_m2(1e-4), True),    # close eigenvalues: s_r ~ gap
+    (_c_c_m2(1e-6), False),   # bound above the gate: the dense value is stored
+], ids=["weight_1e-6", "gap_1e-4", "gap_1e-6"])
+def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
+    gns = fd.gns_structure(alg)
+    dec = fd.central_decomposition(alg, gns)
+    for builder in (fd.compute_H0, fd.compute_H1):
+        K = builder(gns, alg.generators)
+        dense = invariance_residual(K.basis, gns)
+        assert K.invariance_residual <= INVARIANCE_TOL
+        if expect_bound:
+            assert K.invariance_residual >= dense - 1e-13
+            assert K.invariance_residual != dense
+        else:
+            assert K.invariance_residual == dense
+        fd.vn_dimension_report(K, dec)
+
+
+def test_commutator_bound_rejects_non_commuting_operator(m2):
+    # a Hermitian "L" outside the algebra does not commute with the action
+    gns = fd.gns_structure(m2)
+    dec = fd.central_decomposition(m2, gns)
+    Ls = random_hermitian(np.random.default_rng(3), gns.dim)[None]
+    A = _unit_commutators(Ls).reshape(gns.dim ** 2, -1)
+    kept, s = span_with_spectrum(A)
+    assert commutator_bound(gns, Ls, s, kept.shape[0], 1.0, max(A.shape)) > INVARIANCE_TOL
+    for hermitian in (False, True):
+        K = cocycle_span(gns, Ls, hermitian=hermitian)
+        assert K.invariance_residual > INVARIANCE_TOL
+        with pytest.raises(fd.NotInvariant):
+            fd.vn_dimension_report(K, dec)
 
 
 # ---------------------------------------------------------------------------
