@@ -147,12 +147,20 @@ def matrix_to_pairs(mat: np.ndarray) -> list:
 
 
 def _parse_matrix(raw, where: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{where}: expected a square matrix of [re, im] number pairs, got a "
+            "ragged or non-numeric array"
+        ) from None
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(
             f"{where}: expected a square matrix of [re, im] pairs, got shape "
             f"{arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where}: entries must be finite numbers")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -231,6 +239,16 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
     )
 
 
+def _list_of(section: dict, key: str, types: tuple, what: str) -> Optional[list]:
+    """section[key] (None when absent), checked to be a list of `types`."""
+    value = section.get(key)
+    if value is not None and (not isinstance(value, list) or any(
+        isinstance(x, bool) or not isinstance(x, types) for x in value
+    )):
+        raise ConfigError(f"algebra.{key} must be a list of {what}")
+    return value
+
+
 def _build_algebra_from_config(section: dict):
     _check_keys(
         section, {"blocks", "weights", "generators", "labels", "subalgebra_mode"},
@@ -238,15 +256,25 @@ def _build_algebra_from_config(section: dict):
     )
     gens = [
         _parse_matrix(g, f"algebra.generators[{k}]")
-        for k, g in enumerate(section["generators"])
+        for k, g in enumerate(_list_of(section, "generators", (list,), "matrices"))
     ]
     return build_algebra(
-        section["blocks"],
-        section["weights"],
+        _list_of(section, "blocks", (int,), "integers"),
+        _list_of(section, "weights", (int, float), "numbers"),
         gens,
-        labels=section.get("labels"),
+        labels=_list_of(section, "labels", (str,), "strings"),
         subalgebra_mode=bool(section.get("subalgebra_mode", False)),
     )
+
+
+def _group_n(section: dict) -> int:
+    n = section.get("n")
+    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+        raise ConfigError(
+            f"group of kind {section['kind']!r} needs n, a positive integer, "
+            f"got {n!r}"
+        )
+    return n
 
 
 def _build_group_from_config(section: dict) -> tuple[FiniteGroupTable, Optional[list]]:
@@ -256,9 +284,9 @@ def _build_group_from_config(section: dict) -> tuple[FiniteGroupTable, Optional[
     )
     kind = section["kind"]
     if kind == "cyclic":
-        table = cyclic_group(int(section["n"]))
+        table = cyclic_group(_group_n(section))
     elif kind == "symmetric":
-        table = symmetric_group(int(section["n"]))
+        table = symmetric_group(_group_n(section))
     elif kind == "product":
         factors = [_build_group_from_config(f)[0] for f in section["factors"]]
         if len(factors) < 2:

@@ -333,7 +333,7 @@ def vn_dimension_report(
                 )
             block_dims[i, j] = rank
             mult[i, j] = rank // denom
-            total += wfr[i] * wfr[j] * Fraction(mult[i, j], denom)
+            total += wfr[i] * wfr[j] * Fraction(int(mult[i, j]), denom)
     return VnDimensionReport(
         value=float(total), fraction=total, multiplicities=mult, block_dims=block_dims
     )

@@ -21,6 +21,22 @@ def random_hermitian(rng, d):
     return (m + m.conj().T) / 2.0
 
 
+def random_block_algebra(shape, seed):
+    """A generic self-adjoint pair on the given blocks, with random weights."""
+    rng = np.random.default_rng(seed)
+    N = sum(shape)
+    gens = []
+    for _ in range(2):
+        g = np.zeros((N, N), dtype=complex)
+        start = 0
+        for n in shape:
+            g[start:start + n, start:start + n] = random_hermitian(rng, n)
+            start += n
+        gens.append(g)
+    w = rng.uniform(0.5, 1.5, len(shape))
+    return fd.build_algebra(shape, list(w / w.sum()), gens)
+
+
 def make_c2():
     return fd.build_algebra([1, 1], [0.5, 0.5], [np.diag([0.0, 1.0]).astype(complex)])
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import SX, SY, SZ, random_hermitian
+from conftest import SX, SY, SZ, random_block_algebra, random_hermitian
+from freedim.algebra import _identity_gaps, _verify_gns
+from freedim.tolerances import OPERATOR_TOL
+from test_cocycles import WORKED, _worked_algebra
 
 
 def local_tau(x, block_sizes, weights):
@@ -222,3 +225,53 @@ def test_random_hermitian_helper_shape():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 5)
     assert np.abs(h - h.conj().T).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the GNS identity check over the nonzero pattern of L, against dense tensors
+# ---------------------------------------------------------------------------
+
+def dense_identity_gaps(L):
+    """The multiplicativity and commutant defects as dense D^4 tensors."""
+    lhs = np.einsum("pmq,mrs->pqrs", L, L, optimize=True)
+    rhs = np.einsum("prt,qts->pqrs", L, L, optimize=True)
+    mult = np.abs(lhs - rhs).max()
+    R = np.conj(L)
+    lhs = np.einsum("pab,qbc->pqac", R, L, optimize=True)
+    rhs = np.einsum("qab,pbc->pqac", L, R, optimize=True)
+    return mult, np.abs(lhs - rhs).max()
+
+
+@pytest.mark.parametrize("name", WORKED + ["S4", "random2x3", "random4x5"])
+def test_pattern_gaps_match_dense_oracle(name):
+    gns = fd.gns_structure(_worked_algebra(name), check=False)
+    L = gns.basis_left_mult
+    mult, comm = _identity_gaps(L)
+    dense_mult, dense_comm = dense_identity_gaps(L)
+    assert abs(mult - dense_mult) <= 1e-14
+    assert abs(comm - dense_comm) <= 1e-14
+    assert max(mult, comm) <= OPERATOR_TOL
+
+
+@pytest.mark.parametrize("where", ["structural_zero", "nonzero"])
+def test_perturbed_left_mult_fails_identity_check(where):
+    gns = fd.gns_structure(random_block_algebra((2, 3), seed=5), check=False)
+    L = gns.basis_left_mult
+    p = 7
+    zero = (L[p] == 0) & (L[p].T == 0)
+    m, q = np.argwhere(np.triu(zero if where == "structural_zero" else ~zero, 1))[0]
+    # a real symmetric bump keeps L_p Hermitian, so only the product
+    # identities can catch it
+    L[p, m, q] += 1e-6
+    L[p, q, m] += 1e-6
+    assert np.abs(L - L.conj().transpose(0, 2, 1)).max() <= OPERATOR_TOL
+    assert max(dense_identity_gaps(L)) > OPERATOR_TOL
+    assert max(_identity_gaps(L)) > OPERATOR_TOL
+    with pytest.raises(fd.FreedimError, match="multiplicativity|commutant"):
+        _verify_gns(gns)
+
+
+def test_gns_check_scales_to_d100():
+    alg = random_block_algebra((6, 8), seed=1)
+    gns = fd.gns_structure(alg, check=True)
+    assert gns.dim == 100

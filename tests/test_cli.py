@@ -248,6 +248,68 @@ def test_config_error_while_running_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: unknown dual type")
 
 
+def test_tiny_trace_weight_reports_without_overflow(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "delta_direct_sum.json").read_text())
+    cfg["algebra"]["weights"] = [1e-7, 1 - 1e-7]
+    path = write_config(tmp_path, cfg)
+    assert main(["delta", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["results"]["agreement"]["closed_form_matches"]
+
+
+def _hostile_c2(mutate):
+    cfg = c2_config()
+    mutate(cfg["algebra"])
+    return cfg
+
+
+@pytest.mark.parametrize("mutate,code,message", [
+    (lambda a: a.update(weights=[float("nan"), 0.5]), 1,
+     "computation error: WeightError: weights must be positive"),
+    (lambda a: a["generators"][0][1][1].__setitem__(0, float("nan")), 2,
+     "config error: algebra.generators[0]: entries must be finite"),
+    (lambda a: a["generators"][0][1].pop(), 2,
+     "config error: algebra.generators[0]: expected a square matrix"),
+    (lambda a: a["generators"][0][1][1].pop(), 2,
+     "config error: algebra.generators[0]: expected a square matrix"),
+    (lambda a: a.update(weights=["x", 0.5]), 2,
+     "config error: algebra.weights must be a list of numbers"),
+    (lambda a: a.update(blocks=[1.5, 1]), 2,
+     "config error: algebra.blocks must be a list of integers"),
+    (lambda a: a.update(generators=5), 2,
+     "config error: algebra.generators must be a list of matrices"),
+    (lambda a: a.update(labels=5), 2,
+     "config error: algebra.labels must be a list of strings"),
+], ids=["nan_weight", "nan_entry", "ragged_row", "ragged_pair", "str_weight",
+        "float_block", "scalar_generators", "scalar_labels"])
+def test_hostile_numbers_rejected_without_traceback(tmp_path, capsys, mutate,
+                                                    code, message):
+    path = write_config(tmp_path, _hostile_c2(mutate))
+    assert main(["delta", "--config", path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("group", [
+    {"kind": "cyclic"},
+    {"kind": "cyclic", "n": 0},
+    {"kind": "cyclic", "n": "x"},
+    {"kind": "cyclic", "n": 2.0},
+    {"kind": "symmetric", "n": -1},
+    {"kind": "symmetric", "n": True},
+    {"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
+                                    {"kind": "symmetric"}]},
+], ids=["missing", "zero", "string", "float", "negative", "bool", "factor"])
+def test_group_order_parameter_validated(tmp_path, capsys, group):
+    path = write_config(tmp_path, {"scenario": "group_finite", "group": group})
+    assert main(["group_finite", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: group of kind")
+    assert "positive integer" in err
+
+
 def test_output_file_written_atomically(tmp_path):
     path = write_config(tmp_path, c2_config())
     target = tmp_path / "out" / "report.json"

@@ -7,7 +7,7 @@ import pytest
 
 import freedim as fd
 from conftest import (SX, SY, SZ, embed_c_m2, make_c1m2, make_c2, make_m2,
-                      random_hermitian)
+                      random_block_algebra, random_hermitian)
 from freedim.cli import _build_algebra_from_config
 from freedim.cocycles import _unit_commutators, cocycle_span, commutator_bound
 from freedim.tolerances import INVARIANCE_TOL
@@ -125,9 +125,16 @@ WORKED = sorted(p.stem for p in CONFIG_DIR.glob("delta_*.json")) + ["S3", "C2xS3
 
 
 def _worked_algebra(name):
+    """A shipped delta_* config, a group algebra (S3, C2xS3, S4), or a
+    generic pair on random blocks named like "random4x5"."""
     if name.startswith("delta_"):
         section = json.loads((CONFIG_DIR / f"{name}.json").read_text())["algebra"]
         return _build_algebra_from_config(section).effective_algebra()
+    if name.startswith("random"):
+        shape = tuple(int(n) for n in name[len("random"):].split("x"))
+        return random_block_algebra(shape, seed=sum(shape))
+    if name == "S4":
+        return fd.regular_rep_algebra(fd.symmetric_group(4))
     s3 = fd.symmetric_group(3)
     table = s3 if name == "S3" else fd.direct_product(fd.cyclic_group(2), s3)
     return fd.regular_rep_algebra(table)
