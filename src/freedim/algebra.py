@@ -44,6 +44,22 @@ def _diag_weights(block_sizes, trace_weights) -> np.ndarray:
     return w
 
 
+def _flatten(x: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
+    """Concatenate the block entries of x into a vector of length D."""
+    return np.concatenate([x[s:t, s:t].ravel() for s, t in block_offsets(block_sizes)])
+
+
+def _unflatten(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
+    """Block-diagonal matrix whose block entries are the vector v."""
+    N = sum(block_sizes)
+    out = np.zeros((N, N), dtype=complex)
+    pos = 0
+    for (start, stop), n in zip(block_offsets(block_sizes), block_sizes):
+        out[start:stop, start:stop] = v[pos : pos + n * n].reshape(n, n)
+        pos += n * n
+    return out
+
+
 @dataclass
 class TracialAlgebra:
     """A finite multi-matrix *-algebra with a distinguished generating tuple.
@@ -84,20 +100,10 @@ class TracialAlgebra:
 
     def flatten(self, x: np.ndarray) -> np.ndarray:
         """Concatenate the block entries of x into a vector of length D."""
-        parts = [
-            x[start:stop, start:stop].ravel()
-            for (start, stop) in block_offsets(self.block_sizes)
-        ]
-        return np.concatenate(parts)
+        return _flatten(x, self.block_sizes)
 
     def unflatten(self, v: np.ndarray) -> np.ndarray:
-        N = self.matrix_size
-        out = np.zeros((N, N), dtype=complex)
-        pos = 0
-        for (start, stop), n in zip(block_offsets(self.block_sizes), self.block_sizes):
-            out[start:stop, start:stop] = v[pos : pos + n * n].reshape(n, n)
-            pos += n * n
-        return out
+        return _unflatten(v, self.block_sizes)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.matrix_size, dtype=complex)
@@ -119,10 +125,11 @@ class TracialAlgebra:
         return self._effective
 
 
-def _generated_dimension(
+def word_span(
     block_sizes: Sequence[int], generators: Sequence[np.ndarray]
-) -> int:
-    """Dimension of the span of all words in the generators and the identity.
+) -> np.ndarray:
+    """Orthonormal basis (flattened rows) of the span of all words in the
+    generators and the identity.
 
     Iterates right-multiplication by the generators until the span
     stabilizes; the span grows by at least one per round, so D rounds
@@ -131,39 +138,25 @@ def _generated_dimension(
     from .vndim import numerical_span
 
     sizes = tuple(block_sizes)
-    spans = block_offsets(sizes)
-    total = sum(sizes)
     ambient = sum(n * n for n in sizes)
-
-    def flat(x):
-        return np.concatenate([x[s:t, s:t].ravel() for (s, t) in spans])
-
-    def unflat(v):
-        out = np.zeros((total, total), dtype=complex)
-        pos = 0
-        for (s, t), n in zip(spans, sizes):
-            out[s:t, s:t] = v[pos : pos + n * n].reshape(n, n)
-            pos += n * n
-        return out
-
-    seed = [flat(np.eye(total, dtype=complex))] + [flat(g) for g in generators]
+    seed = [_flatten(np.eye(sum(sizes), dtype=complex), sizes)]
+    seed += [_flatten(g, sizes) for g in generators]
     basis = numerical_span(np.array(seed), dim=ambient)
     for _ in range(ambient):
         if not generators:
             break
-        mats = [unflat(row) for row in basis]
-        new_rows = np.array([flat(m @ g) for m in mats for g in generators])
+        mats = [_unflatten(row, sizes) for row in basis]
+        new_rows = np.array([_flatten(m @ g, sizes) for m in mats for g in generators])
         grown = numerical_span(np.vstack([basis, new_rows]), dim=ambient)
         if grown.shape[0] == basis.shape[0]:
-            basis = grown
-            break
+            return grown
         basis = grown
-    return basis.shape[0]
+    return basis
 
 
 def generation_check(algebra: TracialAlgebra) -> tuple[int, bool]:
     """Span dimension of all generator words, and whether it exhausts the algebra."""
-    dim = _generated_dimension(algebra.block_sizes, algebra.generators)
+    dim = word_span(algebra.block_sizes, algebra.generators).shape[0]
     return dim, dim == algebra.dim
 
 
@@ -204,6 +197,8 @@ def build_algebra(
             raise ShapeMismatch(
                 f"generator {k} has shape {g.shape}, expected {(total, total)}"
             )
+        if not np.isfinite(g).all():
+            raise ShapeMismatch(f"generator {k} has non-finite entries")
         off = np.abs(g[~support])
         if off.size and off.max() > SCALAR_TOL:
             raise ShapeMismatch(
@@ -220,7 +215,7 @@ def build_algebra(
         if len(labels) != len(mats):
             raise ShapeMismatch("one label per generator required")
 
-    gen_dim = _generated_dimension(sizes, mats)
+    gen_dim = word_span(sizes, mats).shape[0]
     generates = gen_dim == sum(n * n for n in sizes)
     if not generates and not subalgebra_mode:
         raise NotGenerating(
@@ -253,7 +248,7 @@ class GnsStructure:
     trace_vector: np.ndarray     # (D,) coordinates of 1, unit norm
     p1: np.ndarray               # (D, D) rank-one projection onto the trace vector
     basis_left_mult: np.ndarray  # (D, D, D): left multiplication by each basis element
-    generator_left_mult: tuple[np.ndarray, ...]
+    generator_left_mult: np.ndarray  # (n, D, D): left_mults of the generators
     _wvec: np.ndarray = field(repr=False, default=None)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
@@ -265,6 +260,11 @@ class GnsStructure:
         return np.einsum(
             "mab,bc,qca,a->mq", self.basis, x, self.basis, self._wvec, optimize=True
         )
+
+    def left_mults(self, generators: Sequence[np.ndarray]) -> np.ndarray:
+        """(n, D, D) stack of the left multiplications by the generators."""
+        Ls = [self.left_mult(np.asarray(X, dtype=complex)) for X in generators]
+        return np.asarray(Ls, dtype=complex).reshape(-1, self.dim, self.dim)
 
     def right_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of right multiplication by x; equals J L_{x*} J."""
@@ -352,10 +352,10 @@ def gns_structure(algebra: TracialAlgebra, check: bool = True) -> GnsStructure:
         trace_vector=trace_vector,
         p1=p1,
         basis_left_mult=basis_left_mult,
-        generator_left_mult=(),
+        generator_left_mult=None,
         _wvec=wvec,
     )
-    gns.generator_left_mult = tuple(gns.left_mult(g) for g in algebra.generators)
+    gns.generator_left_mult = gns.left_mults(algebra.generators)
 
     if check:
         _verify_gns(gns)

@@ -9,8 +9,10 @@ config and seed (wall time goes to stderr, never into the report bytes).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,9 +38,11 @@ from .errors import (
     ComputationError,
     ConfigError,
     FreedimError,
+    TooLarge,
     UnsupportedFormat,
 )
 from .groups import (
+    DEFAULT_ORDER_CAP,
     BettiInput,
     FiniteGroupTable,
     betti_delta_formula,
@@ -169,6 +173,8 @@ def _parse_matrix(raw, where: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_keys(d: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -208,8 +214,6 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
         raise ConfigError(f"scenario {scenario!r} does not take a group section")
 
     params = raw.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError("parameters must be an object")
     _check_keys(params, _PARAM_KEYS[scenario], set(), "parameters")
 
     if scenario == "dual_system" and "dual" not in params:
@@ -254,10 +258,10 @@ def _build_algebra_from_config(section: dict):
         section, {"blocks", "weights", "generators", "labels", "subalgebra_mode"},
         {"blocks", "weights", "generators"}, "algebra",
     )
-    gens = [
-        _parse_matrix(g, f"algebra.generators[{k}]")
-        for k, g in enumerate(_list_of(section, "generators", (list,), "matrices"))
-    ]
+    raw_gens = _list_of(section, "generators", (list,), "matrices")
+    if not raw_gens:
+        raise ConfigError("algebra.generators must not be empty")
+    gens = [_parse_matrix(g, f"algebra.generators[{k}]") for k, g in enumerate(raw_gens)]
     return build_algebra(
         _list_of(section, "blocks", (int,), "integers"),
         _list_of(section, "weights", (int, float), "numbers"),
@@ -277,27 +281,53 @@ def _group_n(section: dict) -> int:
     return n
 
 
-def _build_group_from_config(section: dict) -> tuple[FiniteGroupTable, Optional[list]]:
+# Group orders are computed exactly up to this ceiling, far above any cap.
+_ORDER_CEILING = 10**18
+
+
+def _group_order(section: dict) -> int:
+    """Order of the group a section describes, read off without building its
+    table (orders above _ORDER_CEILING come back as _ORDER_CEILING + 1).
+
+    Raises ConfigError for a malformed section.
+    """
     _check_keys(
         section, {"kind", "n", "factors", "mult", "generating_set"}, {"kind"},
         "group",
     )
     kind = section["kind"]
     if kind == "cyclic":
-        table = cyclic_group(_group_n(section))
+        order = _group_n(section)
     elif kind == "symmetric":
-        table = symmetric_group(_group_n(section))
+        order = math.factorial(min(_group_n(section), 20))  # 20! > _ORDER_CEILING
     elif kind == "product":
-        factors = [_build_group_from_config(f)[0] for f in section["factors"]]
+        factors = section.get("factors")
+        if not isinstance(factors, list):
+            raise ConfigError("group.factors must be a list of group objects")
         if len(factors) < 2:
             raise ConfigError("product groups need at least two factors")
-        table = factors[0]
-        for f in factors[1:]:
-            table = direct_product(table, f)
+        order = math.prod(_group_order(f) for f in factors)
     elif kind == "table":
-        table = from_mult_table(section["mult"])
+        if not isinstance(section.get("mult"), list):
+            raise ConfigError("group.mult must be a list of rows")
+        order = len(section["mult"])
     else:
         raise ConfigError(f"unknown group kind {kind!r}")
+    return min(order, _ORDER_CEILING + 1)
+
+
+def _build_group_from_config(section: dict) -> tuple[FiniteGroupTable, Optional[list]]:
+    _group_order(section)  # validates the section
+    kind = section["kind"]
+    if kind == "cyclic":
+        table = cyclic_group(section["n"])
+    elif kind == "symmetric":
+        table = symmetric_group(section["n"])
+    elif kind == "product":
+        factors = [_build_group_from_config(f)[0] for f in section["factors"]]
+        table = functools.reduce(direct_product, factors)
+    else:
+        table = from_mult_table(section["mult"])
     return table, section.get("generating_set")
 
 
@@ -502,6 +532,11 @@ def _run_cutoff(config: ScenarioConfig) -> RunReport:
 
 
 def _run_group_finite(config: ScenarioConfig) -> RunReport:
+    # the table of a group is O(order^2): refuse before building it
+    order = _group_order(config.group)
+    if order > DEFAULT_ORDER_CAP:
+        shown = order if order <= _ORDER_CEILING else "above 10^18"
+        raise TooLarge(f"group order {shown} exceeds the cap {DEFAULT_ORDER_CAP}")
     table, gen_set = _build_group_from_config(config.group)
     algebra = regular_rep_algebra(table, generating_set=gen_set, seed=config.seed)
     rep = delta_report(algebra, seed=config.seed)

@@ -37,11 +37,7 @@ def cocycle_map(
     gns: GnsStructure, generators: Sequence[np.ndarray], Y: np.ndarray
 ) -> np.ndarray:
     """([Y, L_{X_1}], ..., [Y, L_{X_n}]) as an (n, D, D) array."""
-    out = []
-    for X in generators:
-        L = gns.left_mult(np.asarray(X, dtype=complex))
-        out.append(Y @ L - L @ Y)
-    return np.array(out)
+    return np.array([Y @ L - L @ Y for L in gns.left_mults(generators)])
 
 
 def _unit_commutators(Ls: np.ndarray) -> np.ndarray:
@@ -53,12 +49,6 @@ def _unit_commutators(Ls: np.ndarray) -> np.ndarray:
             rows[p, q, :, p, :] += Ls[:, q, :]
             rows[p, q, :, :, q] -= Ls[:, :, p]
     return rows.reshape(D * D, n, D, D)
-
-
-def _left_mults(gns: GnsStructure, generators: Sequence[np.ndarray]) -> np.ndarray:
-    """(n, D, D) stack of the L_X of the generators."""
-    Ls = [gns.left_mult(np.asarray(X, dtype=complex)) for X in generators]
-    return np.asarray(Ls, dtype=complex).reshape(-1, gns.dim, gns.dim)
 
 
 def _hermitian_family(units: np.ndarray) -> np.ndarray:
@@ -151,7 +141,7 @@ def compute_H0(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspac
     commutant bimodule action is certified by the commutator bound of
     `cocycle_span` (kappa = 1).
     """
-    return cocycle_span(gns, _left_mults(gns, generators))
+    return cocycle_span(gns, gns.left_mults(generators))
 
 
 def compute_H1(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:
@@ -163,7 +153,7 @@ def compute_H1(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspac
     Invariance is certified by the commutator bound of `cocycle_span`
     (kappa = sqrt 2).
     """
-    return cocycle_span(gns, _left_mults(gns, generators), hermitian=True)
+    return cocycle_span(gns, gns.left_mults(generators), hermitian=True)
 
 
 def compute_H2(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:
@@ -222,8 +212,7 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     eff = algebra.effective_algebra()
     gns = gns_structure(eff)
     dec = central_decomposition(eff, gns, seed=seed)
-    # the L_X of eff.generators, already built by gns_structure
-    Ls = np.asarray(gns.generator_left_mult, dtype=complex).reshape(-1, gns.dim, gns.dim)
+    Ls = gns.generator_left_mult  # the L_X of eff.generators
 
     H0 = cocycle_span(gns, Ls)
     H1 = cocycle_span(gns, Ls, hermitian=True)

@@ -60,11 +60,8 @@ def inner_spec(
     gns: GnsStructure, generators: Sequence[np.ndarray], B: np.ndarray
 ) -> DerivationSpec:
     """The inner assignment T_j = [B, L_{X_j}] induced by an operator B."""
-    targets = []
-    for X in generators:
-        L = gns.left_mult(np.asarray(X, dtype=complex))
-        targets.append(B @ L - L @ B)
-    return DerivationSpec.from_targets(targets)
+    Ls = gns.left_mults(generators)
+    return DerivationSpec.from_targets([B @ L - L @ B for L in Ls])
 
 
 def _word_system(
@@ -116,7 +113,7 @@ def derivation_well_defined(
     least-squares residual over the evaluated words.  Inconsistency is a
     result, not an error.
     """
-    Ls = [gns.left_mult(np.asarray(X, dtype=complex)) for X in generators]
+    Ls = gns.left_mults(generators)
     targets = spec.resolve(gns, len(Ls))
     vecs, vals = _word_system(gns, Ls, targets)
     K = vecs.shape[0]
@@ -131,6 +128,12 @@ def derivation_well_defined(
     return defect <= WELLDEF_TOL, defect, dhat
 
 
+def _xi(gns: GnsStructure, dhat: np.ndarray) -> np.ndarray:
+    """xi_m = <dhat(e_m), P1>_HS: the conjugate vector of the induced map."""
+    D = gns.dim
+    return np.array([np.vdot(dhat[:, m].reshape(D, D), gns.p1) for m in range(D)])
+
+
 def conjugate_variable(
     gns: GnsStructure,
     spec: DerivationSpec,
@@ -141,13 +144,7 @@ def conjugate_variable(
     if generators is None:
         generators = gns.algebra.generators
     ok, _, dhat = derivation_well_defined(gns, generators, spec)
-    if not ok:
-        return None
-    D = gns.dim
-    xi = np.array([
-        np.vdot(dhat[:, m].reshape(D, D), gns.p1) for m in range(D)
-    ])
-    return xi
+    return _xi(gns, dhat) if ok else None
 
 
 @dataclass
@@ -184,11 +181,7 @@ def fisher_report(algebra: TracialAlgebra, gns: Optional[GnsStructure] = None
         ok, defect, dhat = derivation_well_defined(gns, gens, spec)
         xi_norm_sq = None
         if ok:
-            D = gns.dim
-            xi = np.array([
-                np.vdot(dhat[:, m].reshape(D, D), gns.p1) for m in range(D)
-            ])
-            xi_norm_sq = float(np.linalg.norm(xi) ** 2)
+            xi_norm_sq = float(np.linalg.norm(_xi(gns, dhat)) ** 2)
             total += xi_norm_sq
         else:
             finite = False
@@ -240,14 +233,15 @@ def construct_dual_operator(
     D = gns.dim
     t = gns.trace_vector.astype(complex)
     Y = np.einsum("ijm,j->im", dhat.reshape(D, D, D), t, optimize=True)
-    xi = np.array([np.vdot(dhat[:, m].reshape(D, D), gns.p1) for m in range(D)])
+    xi = _xi(gns, dhat)
 
     targets = spec.resolve(gns, len(generators))
-    Ls = [gns.left_mult(np.asarray(X, dtype=complex)) for X in generators]
     residual_Y1 = float(np.linalg.norm(Y @ t))
     residual_commutators = max(
-        float(np.linalg.norm(Y @ L - L @ Y - T)) for L, T in zip(Ls, targets)
-    ) if Ls else 0.0
+        (float(np.linalg.norm(Y @ L - L @ Y - T))
+         for L, T in zip(gns.left_mults(generators), targets)),
+        default=0.0,
+    )
     residual_adjoint = float(np.linalg.norm(Y.conj().T @ t - xi))
 
     report = DualOperatorReport(

@@ -70,6 +70,13 @@ class CentralDecomposition:
     weight_fractions: tuple[Fraction, ...]
 
 
+def _coordinate_ranges(sizes) -> list[tuple[int, int]]:
+    """(start, stop) ranges of the blocks' GNS coordinates (n_i^2 each)."""
+    from .algebra import block_offsets
+
+    return block_offsets([n * n for n in sizes])
+
+
 def central_decomposition(
     algebra: "TracialAlgebra", gns: "GnsStructure", seed: int = 0
 ) -> CentralDecomposition:
@@ -78,43 +85,26 @@ def central_decomposition(
     The center is computed as the kernel of x -> ([x, X_j])_j inside the
     algebra, split by diagonalizing a random self-adjoint central element
     (deterministic for a fixed seed), and the result is cross-checked
-    against the declared block data.
+    against the declared block data.  Each projection must be, to 1e-10,
+    the 0/1 indicator of its block's GNS coordinates, so that
+    vn_dimension_report compresses by slicing.
     """
-    from .algebra import block_offsets
-    from .wedderburn import commutant_basis, minimal_central_projections
+    from .algebra import _unflatten
+    from .wedderburn import (
+        central_block_size,
+        commutant_basis,
+        minimal_central_projections,
+    )
 
     algebra = gns.algebra
     N = algebra.matrix_size
-    spans = block_offsets(algebra.block_sizes)
+    # the matrix units of the blocks, in GNS coordinate order
+    units = np.array([_unflatten(e, algebra.block_sizes) for e in np.eye(algebra.dim)])
 
-    units = []
-    for (start, stop) in spans:
-        for a in range(start, stop):
-            for b in range(start, stop):
-                E = np.zeros((N, N), dtype=complex)
-                E[a, b] = 1.0
-                units.append(E.ravel())
-    unit_basis = np.array(units)
-
-    center = commutant_basis(list(algebra.generators), within=unit_basis)
-    rng = np.random.default_rng(seed)
-    zs = minimal_central_projections(
-        unit_basis.reshape(-1, N, N), center, rng
-    )
-
-    sizes, weights = [], []
-    for z in zs:
-        compressed = np.array([z @ u.reshape(N, N) for u in unit_basis])
-        block_dim = numerical_span(
-            compressed.reshape(len(unit_basis), -1), dim=N * N
-        ).shape[0]
-        n = int(round(np.sqrt(block_dim)))
-        if n * n != block_dim:
-            raise CenterResolutionError(
-                f"central block dimension {block_dim} is not a perfect square"
-            )
-        sizes.append(n)
-        weights.append(algebra.trace(z).real)
+    center = commutant_basis(list(algebra.generators), within=units.reshape(-1, N * N))
+    zs = minimal_central_projections(units, center, np.random.default_rng(seed))
+    sizes = [central_block_size(z, units) for z in zs]
+    weights = [algebra.trace(z).real for z in zs]
 
     if tuple(sizes) != tuple(algebra.block_sizes) or any(
         abs(w - a) > 1e-8 for w, a in zip(weights, algebra.trace_weights)
@@ -124,7 +114,7 @@ def central_decomposition(
             f"declared data {algebra.block_sizes} / {algebra.trace_weights}"
         )
 
-    projections = np.array([gns.left_mult(z) for z in zs])
+    projections = gns.left_mults(zs)
     D = gns.dim
     total = projections.sum(axis=0)
     if np.abs(total - np.eye(D)).max() > OPERATOR_TOL:
@@ -134,6 +124,13 @@ def central_decomposition(
             expect = projections[i] if i == j else 0.0
             if np.abs(projections[i] @ projections[j] - expect).max() > OPERATOR_TOL:
                 raise CenterResolutionError("central projections are not orthogonal")
+    for Zi, (start, stop) in zip(projections, _coordinate_ranges(sizes)):
+        indicator = np.zeros(D)
+        indicator[start:stop] = 1.0
+        if np.abs(Zi - np.diag(indicator)).max() > 1e-10:
+            raise CenterResolutionError(
+                "central projection is not the indicator of its block's coordinates"
+            )
     for i in range(len(zs)):
         comm = np.einsum("ab,pbc->pac", projections[i], gns.basis_left_mult) - \
             np.einsum("pab,bc->pac", gns.basis_left_mult, projections[i])
@@ -278,16 +275,6 @@ class VnDimensionReport:
     block_dims: np.ndarray       # (b, b) integers dim_C(z_i K z_j)
 
 
-def _projection_support(Z: np.ndarray):
-    """Coordinate support of a 0/1 diagonal projection, or None if not diagonal."""
-    diag = Z.diagonal().real
-    if np.abs(Z - np.diag(Z.diagonal())).max() > 1e-10:
-        return None
-    if not np.all((np.abs(diag) < 1e-10) | (np.abs(diag - 1.0) < 1e-10)):
-        return None
-    return diag > 0.5
-
-
 def vn_dimension_report(
     K: HsSubspace, decomposition: CentralDecomposition
 ) -> VnDimensionReport:
@@ -297,12 +284,13 @@ def vn_dimension_report(
             f"subspace has invariance residual {K.invariance_residual:.3e} "
             f"(threshold {INVARIANCE_TOL:.0e})"
         )
-    Z = decomposition.projections
-    b = Z.shape[0]
     sizes = decomposition.sizes
+    b = len(sizes)
     wfr = decomposition.weight_fractions
     r = K.complex_dim
-    supports = [_projection_support(Zi) for Zi in Z]
+    # central_decomposition certifies each Z_i as the 0/1 indicator of its
+    # block's coordinates, so compressing by Z_i is slicing
+    blocks = [slice(start, stop) for start, stop in _coordinate_ranges(sizes)]
 
     mult = np.zeros((b, b), dtype=int)
     block_dims = np.zeros((b, b), dtype=int)
@@ -312,14 +300,7 @@ def vn_dimension_report(
             if r == 0:
                 rank = 0
             else:
-                if supports[i] is not None and supports[j] is not None:
-                    # exact coordinate projections: compress by slicing
-                    comp = K.basis[:, :, supports[i], :][:, :, :, supports[j]]
-                    comp = comp.reshape(r, -1)
-                else:
-                    comp = np.einsum(
-                        "ab,rnbc,cd->rnad", Z[i], K.basis, Z[j], optimize=True
-                    ).reshape(r, -1)
+                comp = K.basis[:, :, blocks[i], blocks[j]].reshape(r, -1)
                 s = np.linalg.svd(comp, compute_uv=False)
                 # basis rows are unit vectors, so the cutoff is floored at the
                 # ambient scale: an all-noise block must report rank zero

@@ -76,6 +76,19 @@ def _canonical_order(projections: list[np.ndarray]) -> list[np.ndarray]:
     return sorted(projections, key=key)
 
 
+def _random_split(family, rng: np.random.Generator):
+    """Eigenvectors of a random self-adjoint combination of `family`, and the
+    (lo, hi) column ranges of its eigenvalue clusters (gaps over 1e-6 spread)."""
+    k = len(family)
+    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    x = np.einsum("k,kab->ab", coeff, family)
+    x = (x + x.conj().T) / 2.0
+    lam, vec = np.linalg.eigh(x)
+    gap = 1e-6 * max(lam[-1] - lam[0], 1.0)
+    cuts = [0] + [i for i in range(1, len(lam)) if lam[i] - lam[i - 1] > gap]
+    return vec, list(zip(cuts, cuts[1:] + [len(lam)]))
+
+
 def minimal_central_projections(
     algebra_basis: np.ndarray,
     center: np.ndarray,
@@ -89,23 +102,11 @@ def minimal_central_projections(
     center dimension, otherwise the draw is retried.
     """
     b = center.shape[0]
-    N = center.shape[1]
     flat_alg = algebra_basis.reshape(algebra_basis.shape[0], -1)
 
     last_problem = "no attempts made"
     for _ in range(retries):
-        coeff = rng.standard_normal(b) + 1j * rng.standard_normal(b)
-        z = np.einsum("k,kab->ab", coeff, center)
-        z = (z + z.conj().T) / 2.0
-        lam, vec = np.linalg.eigh(z)
-        spread = max(lam[-1] - lam[0], 1.0)
-        gap = 1e-6 * spread
-        clusters, start = [], 0
-        for i in range(1, len(lam)):
-            if lam[i] - lam[i - 1] > gap:
-                clusters.append((start, i))
-                start = i
-        clusters.append((start, len(lam)))
+        vec, clusters = _random_split(center, rng)
         if len(clusters) != b:
             last_problem = f"found {len(clusters)} eigenvalue clusters, expected {b}"
             continue
@@ -138,13 +139,33 @@ class BlockifyResult:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Image of an algebra element in block-diagonal coordinates."""
-        from .algebra import block_offsets
+        return _block_image(x, self.algebra.block_sizes, self.isometries)
 
-        sizes = self.algebra.block_sizes
-        out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
-        for (start, stop), V in zip(block_offsets(sizes), self.isometries):
-            out[start:stop, start:stop] = V.conj().T @ x @ V
-        return out
+
+def _block_image(x: np.ndarray, sizes, isometries) -> np.ndarray:
+    """Block-diagonal matrix with the blocks V_i* x V_i."""
+    from .algebra import block_offsets
+
+    out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    for (start, stop), V in zip(block_offsets(sizes), isometries):
+        out[start:stop, start:stop] = V.conj().T @ x @ V
+    return out
+
+
+def central_block_size(z: np.ndarray, algebra_basis: np.ndarray) -> int:
+    """n with dim_C(z A) = n^2, for a central projection z of the algebra A
+    spanned by the (s, N, N) basis; CenterResolutionError unless a square."""
+    from .vndim import numerical_span
+
+    N = z.shape[0]
+    compressed = np.array([(z @ B).ravel() for B in algebra_basis])
+    block_dim = numerical_span(compressed, dim=N * N).shape[0]
+    n = int(round(np.sqrt(block_dim)))
+    if n * n != block_dim:
+        raise CenterResolutionError(
+            f"central block has dimension {block_dim}, not a perfect square"
+        )
+    return n
 
 
 def blockify(
@@ -184,13 +205,7 @@ def blockify(
 
     sizes, weights, isometries = [], [], []
     for z in zs:
-        compressed = np.array([(z @ B).ravel() for B in alg_basis])
-        block_dim = numerical_span(compressed, dim=N * N).shape[0]
-        n = int(round(np.sqrt(block_dim)))
-        if n * n != block_dim:
-            raise CenterResolutionError(
-                f"central block has dimension {block_dim}, not a perfect square"
-            )
+        n = central_block_size(z, alg_basis)
         alpha = trace_fn(z)
         if abs(alpha.imag) > 1e-10 or alpha.real <= 0:
             raise CenterResolutionError(f"central projection has trace {alpha!r}")
@@ -213,17 +228,11 @@ def blockify(
     total = sum(weights)
     weights = [w / total for w in weights]
 
-    new_total = sum(sizes)
     gen_mats, gen_labels = [], []
     if labels is None:
         labels = [f"X{j + 1}" for j in range(len(generators))]
-    from .algebra import block_offsets
-
-    spans = block_offsets(sizes)
     for g, label in zip(generators, labels):
-        img = np.zeros((new_total, new_total), dtype=complex)
-        for (start, stop), V in zip(spans, isometries):
-            img[start:stop, start:stop] = V.conj().T @ g @ V
+        img = _block_image(g, sizes, isometries)
         img = (img + img.conj().T) / 2.0
         if drop_zero_generators and np.linalg.norm(img) < 1e-12:
             continue
@@ -256,18 +265,7 @@ def _irreducible_isometry(
 
     comp = np.array([W.conj().T @ C @ W for C in commutant])
     for _ in range(CENTER_RETRIES):
-        coeff = rng.standard_normal(len(comp)) + 1j * rng.standard_normal(len(comp))
-        b = np.einsum("k,kab->ab", coeff, comp)
-        b = (b + b.conj().T) / 2.0
-        lam_b, vec_b = np.linalg.eigh(b)
-        spread = max(lam_b[-1] - lam_b[0], 1.0)
-        gap = 1e-6 * spread
-        clusters, start = [], 0
-        for i in range(1, len(lam_b)):
-            if lam_b[i] - lam_b[i - 1] > gap:
-                clusters.append((start, i))
-                start = i
-        clusters.append((start, len(lam_b)))
+        vec_b, clusters = _random_split(comp, rng)
         if len(clusters) == mult and all(hi - lo == n for lo, hi in clusters):
             lo, hi = clusters[0]
             return W @ vec_b[:, lo:hi]
@@ -278,39 +276,10 @@ def _irreducible_isometry(
 
 def blockify_subalgebra(algebra) -> "object":
     """Block form of the subalgebra generated by a non-generating tuple."""
-    from .algebra import block_offsets
-    from .vndim import numerical_span
+    from .algebra import word_span
 
-    sizes = algebra.block_sizes
-    spans = block_offsets(sizes)
-    total = algebra.matrix_size
-
-    def unflat(v):
-        out = np.zeros((total, total), dtype=complex)
-        pos = 0
-        for (s, t), n in zip(spans, sizes):
-            out[s:t, s:t] = v[pos : pos + n * n].reshape(n, n)
-            pos += n * n
-        return out
-
-    seed = [algebra.flatten(algebra.identity())] + [
-        algebra.flatten(g) for g in algebra.generators
-    ]
-    basis = numerical_span(np.array(seed), dim=algebra.dim)
-    for _ in range(algebra.dim):
-        mats = [unflat(row) for row in basis]
-        new_rows = np.array(
-            [algebra.flatten(m @ g) for m in mats for g in algebra.generators]
-        )
-        grown = numerical_span(np.vstack([basis, new_rows]), dim=algebra.dim)
-        if grown.shape[0] == basis.shape[0]:
-            basis = grown
-            break
-        basis = grown
-
-    span_mats = [unflat(row) for row in basis]
     result = blockify(
-        span_mats,
+        [algebra.unflatten(r) for r in word_span(algebra.block_sizes, algebra.generators)],
         commuting_set=list(algebra.generators),
         trace_fn=algebra.trace,
         generators=list(algebra.generators),

@@ -104,6 +104,13 @@ def test_generation_check_scalars():
     assert fd.generation_check(alg) == (1, True)
 
 
+def test_non_finite_generator_entry_rejected():
+    for bad in (np.nan, np.inf):
+        X = np.array([[0.0, 1.0], [1.0, bad]], dtype=complex)
+        with pytest.raises(fd.ShapeMismatch, match="non-finite"):
+            fd.build_algebra([2], [1.0], [X, SZ.copy()])
+
+
 # ---------------------------------------------------------------------------
 # trace representation
 # ---------------------------------------------------------------------------

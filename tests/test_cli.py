@@ -310,6 +310,54 @@ def test_group_order_parameter_validated(tmp_path, capsys, group):
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize("bad", [None, -1, True, float("nan"), [[1, 0]]],
+                         ids=["null", "negative", "true", "nan", "nested_list"])
+def test_non_object_section_rejected(tmp_path, capsys, bad):
+    # every shipped config that takes an algebra or a group section
+    for config_path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(config_path.read_text())
+        key = "algebra" if "algebra" in cfg else "group"
+        if key not in cfg:
+            continue
+        cfg[key] = bad
+        path = write_config(tmp_path, cfg)
+        assert main([cfg["scenario"], "--config", path]) == 2, config_path.name
+        err = capsys.readouterr().err
+        assert err.startswith("config error: "), (config_path.name, err)
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scenario,algebra,parameters", [
+    ("delta", {"blocks": [1], "weights": [1.0]}, {}),
+    ("delta", {"blocks": [1, 1], "weights": [0.5, 0.5], "subalgebra_mode": True},
+     {}),
+    ("dual_system", {"blocks": [1], "weights": [1.0]},
+     {"dual": {"type": "fisher"}}),
+    ("dual_system", {"blocks": [1], "weights": [1.0]},
+     {"dual": {"type": "free_difference_quotient", "slot": 0}}),
+], ids=["delta", "subalgebra_mode", "fisher", "fdq"])
+def test_empty_generators_rejected(tmp_path, capsys, scenario, algebra,
+                                   parameters):
+    cfg = {"scenario": scenario, "algebra": dict(algebra, generators=[]),
+           "parameters": parameters}
+    path = write_config(tmp_path, cfg)
+    assert main([scenario, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: algebra.generators must not be empty\n"
+
+
+def test_group_order_cap_checked_before_construction(tmp_path, capsys):
+    # the multiplication table of S_8 alone would take 40320^2 integers
+    path = write_config(tmp_path, {"scenario": "group_finite",
+                                   "group": {"kind": "symmetric", "n": 8}})
+    start = time.perf_counter()
+    assert main(["group_finite", "--config", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == ("computation error: TooLarge: group order 40320 exceeds "
+                   "the cap 24\n")
+
+
 def test_output_file_written_atomically(tmp_path):
     path = write_config(tmp_path, c2_config())
     target = tmp_path / "out" / "report.json"
