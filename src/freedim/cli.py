@@ -224,7 +224,7 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
         raise ConfigError("group_free requires parameters.rank")
 
     seed = params.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer")
     if seed_override is not None:
         seed = seed_override
@@ -243,13 +243,26 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
     )
 
 
-def _list_of(section: dict, key: str, types: tuple, what: str) -> Optional[list]:
+def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_of(section: dict, key: str, types: tuple, what: str,
+             where: str = "algebra") -> Optional[list]:
     """section[key] (None when absent), checked to be a list of `types`."""
     value = section.get(key)
     if value is not None and (not isinstance(value, list) or any(
         isinstance(x, bool) or not isinstance(x, types) for x in value
     )):
-        raise ConfigError(f"algebra.{key} must be a list of {what}")
+        raise ConfigError(f"{where}.{key} must be a list of {what}")
+    return value
+
+
+def _positive_int(params: dict, key: str, default: int) -> int:
+    value = params.get(key, default)
+    if not _is_int(value) or value <= 0:
+        raise ConfigError(f"parameters.{key} must be a positive integer, got {value!r}")
     return value
 
 
@@ -273,7 +286,7 @@ def _build_algebra_from_config(section: dict):
 
 def _group_n(section: dict) -> int:
     n = section.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise ConfigError(
             f"group of kind {section['kind']!r} needs n, a positive integer, "
             f"got {n!r}"
@@ -389,9 +402,16 @@ def _run_delta(config: ScenarioConfig) -> RunReport:
     )
 
 
+def _dual_matrix(raw, where: str, dim: int) -> np.ndarray:
+    """A D x D matrix on the L2 space of the (effective) algebra."""
+    mat = _parse_matrix(raw, where)
+    if mat.shape != (dim, dim):
+        raise ConfigError(f"{where} must be {dim} x {dim} on this algebra")
+    return mat
+
+
 def _run_dual_system(config: ScenarioConfig) -> RunReport:
-    algebra = _build_algebra_from_config(config.algebra)
-    gns = gns_structure(algebra)
+    gns = gns_structure(_build_algebra_from_config(config.algebra))
     dual = config.parameters["dual"]
     if not isinstance(dual, dict) or "type" not in dual:
         raise ConfigError("parameters.dual must be an object with a 'type'")
@@ -399,7 +419,7 @@ def _run_dual_system(config: ScenarioConfig) -> RunReport:
 
     if kind == "fisher":
         _check_keys(dual, {"type"}, set(), "parameters.dual")
-        rep = fisher_report(algebra, gns)
+        rep = fisher_report(gns)
         return RunReport(
             scenario="dual_system",
             seed=config.seed,
@@ -423,29 +443,30 @@ def _run_dual_system(config: ScenarioConfig) -> RunReport:
 
     if kind == "inner":
         _check_keys(dual, {"type", "matrix"}, {"matrix"}, "parameters.dual")
-        B = _parse_matrix(dual["matrix"], "parameters.dual.matrix")
-        if B.shape != (gns.dim, gns.dim):
-            raise ConfigError(
-                f"dual matrix must be {gns.dim} x {gns.dim} on this algebra"
-            )
-        spec = inner_spec(gns, algebra.generators, B)
+        B = _dual_matrix(dual["matrix"], "parameters.dual.matrix", gns.dim)
+        spec = inner_spec(gns, B)
     elif kind == "free_difference_quotient":
         _check_keys(dual, {"type", "slot"}, {"slot"}, "parameters.dual")
-        spec = DerivationSpec.free_difference_quotient(int(dual["slot"]))
+        slot = dual["slot"]
+        if not _is_int(slot):
+            raise ConfigError(f"parameters.dual.slot must be an integer, got {slot!r}")
+        spec = DerivationSpec.free_difference_quotient(slot)
     elif kind == "explicit":
         _check_keys(dual, {"type", "targets"}, {"targets"}, "parameters.dual")
+        if not isinstance(dual["targets"], list):
+            raise ConfigError("parameters.dual.targets must be a list of matrices")
         spec = DerivationSpec.from_targets([
-            _parse_matrix(t, f"parameters.dual.targets[{k}]")
+            _dual_matrix(t, f"parameters.dual.targets[{k}]", gns.dim)
             for k, t in enumerate(dual["targets"])
         ])
     else:
         raise ConfigError(f"unknown dual type {kind!r}")
 
-    ok, defect, _ = derivation_well_defined(gns, algebra.generators, spec)
-    results = {"mode": kind, "well_defined": ok, "defect": defect}
-    residuals = {"well_definedness_defect": defect}
-    if ok:
-        rep = construct_dual_operator(gns, spec, tol=residual_tol())
+    fit = derivation_well_defined(gns, spec)
+    results = {"mode": kind, "well_defined": fit.well_defined, "defect": fit.defect}
+    residuals = {"well_definedness_defect": fit.defect}
+    if fit.well_defined:
+        rep = construct_dual_operator(gns, fit, tol=residual_tol())
         residuals.update({
             "Y1": rep.residual_Y1,
             "commutators": rep.residual_commutators,
@@ -468,9 +489,12 @@ def _run_dual_system(config: ScenarioConfig) -> RunReport:
 
 def _run_cutoff(config: ScenarioConfig) -> RunReport:
     params = config.parameters
-    grid = [float(r) for r in params["r_grid"]]
-    if not grid or any(r <= 0 for r in grid):
-        raise ConfigError("r_grid must be a nonempty list of positive reals")
+    raw_grid = _list_of(params, "r_grid", (int, float), "numbers", "parameters")
+    grid = [float(r) for r in raw_grid]
+    if not grid or not all(math.isfinite(r) and r > 0 for r in grid):
+        raise ConfigError(
+            "parameters.r_grid must be a nonempty list of finite positive reals"
+        )
     smooth = bool(params.get("smooth", False))
 
     if "A" in params:
@@ -482,8 +506,8 @@ def _run_cutoff(config: ScenarioConfig) -> RunReport:
         if not Xs:
             raise ConfigError("explicit cutoff runs need parameters.X")
     else:
-        dim = int(params.get("dim", 8))
-        n_ops = int(params.get("n_ops", 2))
+        dim = _positive_int(params, "dim", 8)
+        n_ops = _positive_int(params, "n_ops", 2)
         rng = np.random.default_rng(config.seed)
 
         def herm(d):
@@ -561,8 +585,10 @@ def _run_group_finite(config: ScenarioConfig) -> RunReport:
     )
 
 
-def _resolve_images(raw_images, group_section) -> list[int]:
+def _resolve_images(raw_images, group_section, order: int) -> list[int]:
     """Homomorphism images as element indices or 1-based cycle notation."""
+    if not isinstance(raw_images, list):
+        raise ConfigError("parameters.images must be a list")
     out = []
     for im in raw_images:
         if isinstance(im, str):
@@ -576,20 +602,27 @@ def _resolve_images(raw_images, group_section) -> list[int]:
                     permutation_from_cycles(im, degree), degree
                 )
             )
+        elif _is_int(im) and 0 <= im < order:
+            out.append(im)
         else:
-            out.append(int(im))
+            raise ConfigError(
+                f"parameters.images: {im!r} is not an element index below {order}"
+            )
     return out
 
 
 def _run_group_free(config: ScenarioConfig) -> RunReport:
-    rank = int(config.parameters["rank"])
+    rank = config.parameters["rank"]
+    if not _is_int(rank):
+        raise ConfigError(f"parameters.rank must be an integer, got {rank!r}")
     delta = betti_delta_formula(BettiInput.free_group(rank))
     results = {"rank": rank, "delta": delta}
     if "images" in config.parameters:
         if config.group is None:
             raise ConfigError("parameters.images requires a group section")
         table, _ = _build_group_from_config(config.group)
-        images = _resolve_images(config.parameters["images"], config.group)
+        images = _resolve_images(config.parameters["images"], config.group,
+                                 table.order)
         graph = schreier_graph(rank, images, table)
         results["kernel"] = {
             "index": graph.index,
@@ -610,7 +643,10 @@ def _run_group_free(config: ScenarioConfig) -> RunReport:
 
 def _run_counterexample(config: ScenarioConfig) -> RunReport:
     k_values = config.parameters.get("k_values", [1, 2, 3, 4, 5, 10, 100])
-    report = counterexample_report([int(k) for k in k_values])
+    if not (isinstance(k_values, list)
+            and all(_is_int(k) and k > 0 for k in k_values)):
+        raise ConfigError("parameters.k_values must be a list of positive integers")
+    report = counterexample_report(k_values)
     return RunReport(
         scenario="counterexample",
         seed=config.seed,

@@ -56,12 +56,11 @@ class DerivationSpec:
         return tuple(out)
 
 
-def inner_spec(
-    gns: GnsStructure, generators: Sequence[np.ndarray], B: np.ndarray
-) -> DerivationSpec:
+def inner_spec(gns: GnsStructure, B: np.ndarray) -> DerivationSpec:
     """The inner assignment T_j = [B, L_{X_j}] induced by an operator B."""
-    Ls = gns.left_mults(generators)
-    return DerivationSpec.from_targets([B @ L - L @ B for L in Ls])
+    return DerivationSpec.from_targets(
+        [B @ L - L @ B for L in gns.generator_left_mult]
+    )
 
 
 def _word_system(
@@ -101,19 +100,28 @@ def _word_system(
     return np.array(vecs), np.array(vals)
 
 
-def derivation_well_defined(
-    gns: GnsStructure,
-    generators: Sequence[np.ndarray],
-    spec: DerivationSpec,
-) -> tuple[bool, float, np.ndarray]:
+@dataclass
+class DerivationFit:
+    """The least-squares fit of a prescribed derivation over the words.
+
+    `map` is the (D*D, D) matrix of the induced linear map from L2 into HS,
+    `defect` the worst residual over the evaluated words and `targets` the
+    resolved values T_j on the generators.
+    """
+
+    well_defined: bool
+    defect: float
+    map: np.ndarray
+    targets: tuple[np.ndarray, ...]
+
+
+def derivation_well_defined(gns: GnsStructure, spec: DerivationSpec) -> DerivationFit:
     """Decide whether the prescribed derivation descends to the algebra.
 
-    Returns (well_defined, defect, map), where map is the (D*D, D) matrix of
-    the induced linear map from L2 into HS and defect is the worst
-    least-squares residual over the evaluated words.  Inconsistency is a
+    The derivation acts on the generators of gns.  Inconsistency is a
     result, not an error.
     """
-    Ls = gns.left_mults(generators)
+    Ls = gns.generator_left_mult
     targets = spec.resolve(gns, len(Ls))
     vecs, vals = _word_system(gns, Ls, targets)
     K = vecs.shape[0]
@@ -125,7 +133,7 @@ def derivation_well_defined(
     dhat = sol.T                    # (D^2, D)
     resid = dhat @ V - Wm
     defect = float(np.linalg.norm(resid.reshape(D * D, K), axis=0).max())
-    return defect <= WELLDEF_TOL, defect, dhat
+    return DerivationFit(defect <= WELLDEF_TOL, defect, dhat, targets)
 
 
 def _xi(gns: GnsStructure, dhat: np.ndarray) -> np.ndarray:
@@ -134,17 +142,12 @@ def _xi(gns: GnsStructure, dhat: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(dhat[:, m].reshape(D, D), gns.p1) for m in range(D)])
 
 
-def conjugate_variable(
-    gns: GnsStructure,
-    spec: DerivationSpec,
-    generators: Optional[Sequence[np.ndarray]] = None,
-) -> Optional[np.ndarray]:
+def conjugate_variable(gns: GnsStructure, spec: DerivationSpec
+                       ) -> Optional[np.ndarray]:
     """The vector xi with <xi, Q 1> = <P1, dT(Q)>_HS, or None when the
     derivation does not descend."""
-    if generators is None:
-        generators = gns.algebra.generators
-    ok, _, dhat = derivation_well_defined(gns, generators, spec)
-    return _xi(gns, dhat) if ok else None
+    fit = derivation_well_defined(gns, spec)
+    return _xi(gns, fit.map) if fit.well_defined else None
 
 
 @dataclass
@@ -163,36 +166,26 @@ class FisherReport:
     slots: list[FisherSlot]
 
 
-def fisher_report(algebra: TracialAlgebra, gns: Optional[GnsStructure] = None
-                  ) -> FisherReport:
+def fisher_report(gns: GnsStructure) -> FisherReport:
     """Sum of |xi_j|^2 over the distinguished derivations, or +inf.
 
     Infinite whenever some slot's derivation fails to descend (the defect
     records how decisively) or lacks a conjugate vector.
     """
-    if gns is None:
-        gns = gns_structure(algebra)
-    gens = gns.algebra.generators
     slots = []
-    total = 0.0
-    finite = True
-    for j in range(len(gens)):
-        spec = DerivationSpec.free_difference_quotient(j)
-        ok, defect, dhat = derivation_well_defined(gns, gens, spec)
-        xi_norm_sq = None
-        if ok:
-            xi_norm_sq = float(np.linalg.norm(_xi(gns, dhat)) ** 2)
-            total += xi_norm_sq
-        else:
-            finite = False
-        slots.append(FisherSlot(slot=j, well_defined=ok, defect=defect,
-                                xi_norm_sq=xi_norm_sq))
-    return FisherReport(value=total if finite else float("inf"), slots=slots)
+    for j in range(len(gns.generator_left_mult)):
+        fit = derivation_well_defined(gns, DerivationSpec.free_difference_quotient(j))
+        xi_norm_sq = (float(np.linalg.norm(_xi(gns, fit.map)) ** 2)
+                      if fit.well_defined else None)
+        slots.append(FisherSlot(j, fit.well_defined, fit.defect, xi_norm_sq))
+    if not all(s.well_defined for s in slots):
+        return FisherReport(value=float("inf"), slots=slots)
+    return FisherReport(value=sum((s.xi_norm_sq for s in slots), 0.0), slots=slots)
 
 
 def phi_star(algebra: TracialAlgebra) -> float:
     """Free Fisher information of the generating tuple (+inf when undefined)."""
-    return fisher_report(algebra).value
+    return fisher_report(gns_structure(algebra)).value
 
 
 @dataclass
@@ -212,44 +205,33 @@ class DualOperatorReport:
 
 
 def construct_dual_operator(
-    gns: GnsStructure,
-    spec: DerivationSpec,
-    generators: Optional[Sequence[np.ndarray]] = None,
-    tol: float = RESIDUAL_TOL,
+    gns: GnsStructure, fit: DerivationFit, tol: float = RESIDUAL_TOL
 ) -> DualOperatorReport:
-    """Build Y with Y 1 = 0, [Y, L_{X_j}] = T_j and Y* 1 = xi.
+    """Build Y with Y 1 = 0, [Y, L_{X_j}] = T_j and Y* 1 = xi from a fit.
 
     Y acts on the cyclic vector of a polynomial by the derivative of that
     polynomial applied to the trace vector; the report verifies all three
     identities and raises ResidualTooLarge if any exceeds `tol`.
     """
-    if generators is None:
-        generators = gns.algebra.generators
-    ok, defect, dhat = derivation_well_defined(gns, generators, spec)
-    if not ok:
+    if not fit.well_defined:
         raise IllDefined(
-            f"derivation does not descend to the algebra (defect {defect:.3e})"
+            f"derivation does not descend to the algebra (defect {fit.defect:.3e})"
         )
     D = gns.dim
     t = gns.trace_vector.astype(complex)
-    Y = np.einsum("ijm,j->im", dhat.reshape(D, D, D), t, optimize=True)
-    xi = _xi(gns, dhat)
-
-    targets = spec.resolve(gns, len(generators))
-    residual_Y1 = float(np.linalg.norm(Y @ t))
-    residual_commutators = max(
-        (float(np.linalg.norm(Y @ L - L @ Y - T))
-         for L, T in zip(gns.left_mults(generators), targets)),
-        default=0.0,
-    )
-    residual_adjoint = float(np.linalg.norm(Y.conj().T @ t - xi))
+    Y = np.einsum("ijm,j->im", fit.map.reshape(D, D, D), t, optimize=True)
+    xi = _xi(gns, fit.map)
 
     report = DualOperatorReport(
         Y=Y,
         xi=xi,
-        residual_Y1=residual_Y1,
-        residual_commutators=residual_commutators,
-        residual_adjoint=residual_adjoint,
+        residual_Y1=float(np.linalg.norm(Y @ t)),
+        residual_commutators=max(
+            (float(np.linalg.norm(Y @ L - L @ Y - T))
+             for L, T in zip(gns.generator_left_mult, fit.targets)),
+            default=0.0,
+        ),
+        residual_adjoint=float(np.linalg.norm(Y.conj().T @ t - xi)),
     )
     if report.max_residual > tol:
         raise ResidualTooLarge(

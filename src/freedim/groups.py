@@ -138,6 +138,8 @@ def permutation_from_cycles(text: str, degree: int) -> tuple[int, ...]:
         body = body[close + 1 :].strip()
         if not points:
             continue
+        if not all(p.isdecimal() for p in points):
+            raise FreedimError(f"malformed cycle notation {text!r}")
         cycle = [int(p) - 1 for p in points]
         if any(p < 0 or p >= degree for p in cycle) or len(set(cycle)) != len(cycle):
             raise FreedimError(f"cycle {points} invalid for degree {degree}")

@@ -17,7 +17,6 @@ INVARIANCE_TOL = 1e-8     # commutant-action invariance certificates
 WELLDEF_TOL = 1e-8        # derivation well-definedness defect
 RESIDUAL_TOL = 1e-9       # dual-operator residual gate
 SUBSPACE_TOL = 1e-9       # subspace equality distance
-INTEGRALITY_SLACK = 0.1   # multiplicity must sit this close to an integer
 DIAG_SWITCH = 1e-8        # difference quotient switches to the derivative
 CENTER_RETRIES = 5        # random central element retries
 

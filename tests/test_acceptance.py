@@ -115,8 +115,8 @@ def test_criterion_4_dual_round_trip():
         rng = np.random.default_rng(4)
         for _ in range(20):
             B = random_hermitian(rng, D)
-            spec = fd.inner_spec(gns, alg.generators, B)
-            rep = fd.construct_dual_operator(gns, spec)
+            spec = fd.inner_spec(gns, B)
+            rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
             ok &= rep.max_residual <= 1e-9
             # conjugation formula: J B* J acts as the transpose matrix
             ok &= bool(np.linalg.norm(rep.xi - (B - B.T) @ t) <= 1e-10)
@@ -135,7 +135,7 @@ def test_criterion_4_dual_round_trip():
 def test_criterion_5_fisher_degeneracy():
     ok = True
     for alg in (make_c2(), make_m2(), make_c1m2()):
-        rep = fd.fisher_report(alg)
+        rep = fd.fisher_report(fd.gns_structure(alg))
         ok &= rep.value == float("inf")
         ok &= all(
             (not s.well_defined) and s.defect >= 1e-2 for s in rep.slots

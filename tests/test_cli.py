@@ -159,6 +159,76 @@ def test_group_free_cycle_notation_images(tmp_path, capsys):
     assert (kernel["index"], kernel["rank"]) == (2, 3)
 
 
+def _dual_config(blocks, generators, dual, subalgebra_mode=False):
+    algebra = {"blocks": blocks, "weights": [1.0 / len(blocks)] * len(blocks),
+               "generators": [mat_pairs(g) for g in generators]}
+    if subalgebra_mode:
+        algebra["subalgebra_mode"] = True
+    return {"scenario": "dual_system", "algebra": algebra,
+            "parameters": {"dual": dual}}
+
+
+def _run_dual(tmp_path, capsys, cfg):
+    path = write_config(tmp_path, cfg)
+    code = main(["dual_system", "--config", path])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured
+
+
+def test_subalgebra_mode_derivation_acts_on_effective_generators(tmp_path, capsys):
+    # sigma_x generates C (+) C inside M2: the free difference quotient and the
+    # Fisher slot are one derivation of the effective algebra
+    sx = [[0, 1], [1, 0]]
+    reports = []
+    for dual in ({"type": "free_difference_quotient", "slot": 0},
+                 {"type": "fisher"}):
+        cfg = _dual_config([2], [sx], dual, subalgebra_mode=True)
+        code, captured = _run_dual(tmp_path, capsys, cfg)
+        assert code == 0
+        reports.append(json.loads(captured.out)["results"])
+    fdq, fisher = reports
+    assert fdq["defect"] == fisher["slots"][0]["defect"]
+    assert abs(fdq["defect"] - 2 ** -0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("dual", [
+    {"type": "free_difference_quotient", "slot": 0},
+    {"type": "inner", "matrix": mat_pairs([[0, 1], [1, 0]])},
+], ids=["fdq", "inner"])
+def test_subalgebra_mode_dual_on_smaller_effective_algebra(tmp_path, capsys, dual):
+    # diag(1, 1, -1) generates C (+) C inside M3, so D is 2, not 9
+    cfg = _dual_config([3], [np.diag([1.0, 1.0, -1.0])], dual, subalgebra_mode=True)
+    code, captured = _run_dual(tmp_path, capsys, cfg)
+    assert code == 0
+    results = json.loads(captured.out)["results"]
+    assert results["well_defined"] is (dual["type"] == "inner")
+
+
+def test_inner_dual_fits_the_derivation_once(tmp_path, capsys, monkeypatch):
+    import freedim.cli as cli_module
+    import freedim.derivations as derivations_module
+
+    calls = {"derivation_well_defined": 0, "construct_dual_operator": 0}
+
+    def counted(name):
+        original = getattr(derivations_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(derivations_module, name, wrapper)
+        monkeypatch.setattr(cli_module, name, wrapper)
+    code, _ = _run_dual(tmp_path, capsys,
+                        json.loads((CONFIG_DIR / "dual_inner.json").read_text()))
+    assert code == 0
+    assert calls == {"derivation_well_defined": 1, "construct_dual_operator": 1}
+
+
 # ---------------------------------------------------------------------------
 # errors and exit codes
 # ---------------------------------------------------------------------------
@@ -344,6 +414,61 @@ def test_empty_generators_rejected(tmp_path, capsys, scenario, algebra,
     assert main([scenario, "--config", path]) == 2
     err = capsys.readouterr().err
     assert err == "config error: algebra.generators must not be empty\n"
+
+
+def _shipped(name, **parameters):
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg["parameters"].update(parameters)
+    return cfg
+
+
+_FDQ = {"type": "free_difference_quotient"}
+_ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("cfg,code,message", [
+    (_shipped("dual_fisher", dual=dict(_FDQ, slot="a")), 2,
+     "config error: parameters.dual.slot must be an integer"),
+    (_shipped("dual_fisher", dual=dict(_FDQ, slot=True)), 2,
+     "config error: parameters.dual.slot must be an integer"),
+    (_shipped("dual_fisher", dual=dict(_FDQ, slot=1)), 1,
+     "computation error: IllDefined: slot 1 out of range"),
+    (_shipped("dual_fisher", dual={"type": "explicit", "targets": 5}), 2,
+     "config error: parameters.dual.targets must be a list of matrices"),
+    (_shipped("dual_fisher", dual={"type": "explicit", "targets": [_ZERO_4X4]}),
+     2, "config error: parameters.dual.targets[0] must be 2 x 2"),
+    (_shipped("counterexample", k_values=[0]), 2,
+     "config error: parameters.k_values must be a list of positive integers"),
+    (_shipped("counterexample", k_values=["a"]), 2,
+     "config error: parameters.k_values must be a list of positive integers"),
+    (_shipped("counterexample", k_values=5), 2,
+     "config error: parameters.k_values must be a list of positive integers"),
+    (_shipped("cutoff_sweep", r_grid=["x"]), 2,
+     "config error: parameters.r_grid must be a list of numbers"),
+    (_shipped("cutoff_sweep", r_grid=[1.0, float("nan")]), 2,
+     "config error: parameters.r_grid must be a nonempty list of finite"),
+    (_shipped("cutoff_sweep", dim=-1), 2,
+     "config error: parameters.dim must be a positive integer"),
+    (_shipped("cutoff_sweep", n_ops="x"), 2,
+     "config error: parameters.n_ops must be a positive integer"),
+    (_shipped("group_free_kernel", rank="x"), 2,
+     "config error: parameters.rank must be an integer"),
+    (_shipped("group_free_kernel", images=[5, 1]), 2,
+     "config error: parameters.images: 5 is not an element index below 2"),
+    ({"scenario": "group_free", "group": {"kind": "symmetric", "n": 2},
+      "parameters": {"rank": 2, "images": ["(a b)", "(1 2)"]}}, 1,
+     "computation error: FreedimError: malformed cycle notation '(a b)'"),
+], ids=["slot_string", "slot_bool", "slot_out_of_range", "targets_scalar",
+        "targets_shape", "k_zero", "k_string", "k_scalar", "r_grid_string",
+        "r_grid_nan", "dim_negative", "n_ops_string", "rank_string",
+        "image_out_of_range", "image_cycle_letters"])
+def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
+                                                message):
+    path = write_config(tmp_path, cfg)
+    assert main([cfg["scenario"], "--config", path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_group_order_cap_checked_before_construction(tmp_path, capsys):

@@ -18,8 +18,9 @@ def test_inner_specs_are_well_defined(m2):
     rng = np.random.default_rng(0)
     for _ in range(5):
         B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        spec = fd.inner_spec(gns, m2.generators, B)
-        ok, defect, _ = fd.derivation_well_defined(gns, m2.generators, spec)
+        spec = fd.inner_spec(gns, B)
+        fit = fd.derivation_well_defined(gns, spec)
+        ok, defect = fit.well_defined, fit.defect
         assert ok
         assert defect <= 1e-12
 
@@ -32,7 +33,8 @@ def test_two_point_free_difference_quotient_obstructed(c2):
     assert obstruction > 1e-2
 
     spec = fd.DerivationSpec.free_difference_quotient(0)
-    ok, defect, _ = fd.derivation_well_defined(gns, c2.generators, spec)
+    fit = fd.derivation_well_defined(gns, spec)
+    ok, defect = fit.well_defined, fit.defect
     assert not ok
     assert defect >= 1e-2  # decisively obstructed
 
@@ -42,8 +44,9 @@ def test_well_defined_map_reproduces_targets(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(13)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = fd.inner_spec(gns, m2.generators, B)
-    ok, _, dhat = fd.derivation_well_defined(gns, m2.generators, spec)
+    spec = fd.inner_spec(gns, B)
+    fit = fd.derivation_well_defined(gns, spec)
+    ok, dhat = fit.well_defined, fit.map
     assert ok
     t = gns.trace_vector.astype(complex)
     for X, T in zip(m2.generators, spec.targets):
@@ -54,7 +57,8 @@ def test_well_defined_map_reproduces_targets(m2):
 def test_zero_targets_give_zero_map(c2):
     gns = fd.gns_structure(c2)
     spec = fd.DerivationSpec.from_targets([np.zeros((2, 2))])
-    ok, defect, dhat = fd.derivation_well_defined(gns, c2.generators, spec)
+    fit = fd.derivation_well_defined(gns, spec)
+    ok, defect, dhat = fit.well_defined, fit.defect, fit.map
     assert ok
     assert defect <= 1e-14
     assert np.abs(dhat).max() <= 1e-14
@@ -71,7 +75,7 @@ def test_conjugate_inner_hermitian_matches_conjugation_formula(m2):
     t = gns.trace_vector.astype(complex)
     for _ in range(5):
         B = random_hermitian(rng, 4)
-        spec = fd.inner_spec(gns, m2.generators, B)
+        spec = fd.inner_spec(gns, B)
         xi = fd.conjugate_variable(gns, spec)
         formula = (B - B.T) @ t  # J B* J acts as the transpose matrix
         assert np.linalg.norm(xi - formula) <= 1e-10
@@ -83,7 +87,7 @@ def test_conjugate_inner_general_is_adjoint_solution(m2):
     rng = np.random.default_rng(2)
     t = gns.trace_vector.astype(complex)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = fd.inner_spec(gns, m2.generators, B)
+    spec = fd.inner_spec(gns, B)
     xi = fd.conjugate_variable(gns, spec)
     assert np.linalg.norm(xi - (B.conj().T - B.conj()) @ t) <= 1e-10
 
@@ -106,7 +110,7 @@ def test_defining_property_on_word_vectors(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(3)
     B = random_hermitian(rng, 4)
-    spec = fd.inner_spec(gns, m2.generators, B)
+    spec = fd.inner_spec(gns, B)
     xi = fd.conjugate_variable(gns, spec)
     t = gns.trace_vector.astype(complex)
     Ls = [gns.left_mult(X) for X in m2.generators]
@@ -131,7 +135,7 @@ def test_phi_star_infinite_on_test_algebras():
 
 
 def test_phi_star_defects_decisive(m2):
-    rep = fd.fisher_report(m2)
+    rep = fd.fisher_report(fd.gns_structure(m2))
     assert rep.value == float("inf")
     for slot in rep.slots:
         assert not slot.well_defined
@@ -148,7 +152,7 @@ def test_phi_star_single_generator_always_infinite():
 
 def test_phi_star_regular_representation_decisive():
     alg = fd.regular_rep_algebra(fd.symmetric_group(3))
-    rep = fd.fisher_report(alg)
+    rep = fd.fisher_report(fd.gns_structure(alg))
     assert rep.value == float("inf")
     assert all(s.defect >= 1e-2 for s in rep.slots if not s.well_defined)
     assert any(not s.well_defined for s in rep.slots)
@@ -161,7 +165,7 @@ def test_phi_star_regular_representation_decisive():
 def test_dual_operator_zero_target(c2):
     gns = fd.gns_structure(c2)
     spec = fd.DerivationSpec.from_targets([np.zeros((2, 2))])
-    rep = fd.construct_dual_operator(gns, spec)
+    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
     assert np.abs(rep.Y).max() <= 1e-14
     assert rep.max_residual <= 1e-14
 
@@ -173,8 +177,8 @@ def test_dual_operator_recovers_b_when_b_kills_trace_vector(m2):
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     B = B - np.outer(B @ t, t.conj())  # now B annihilates the trace vector
     assert np.linalg.norm(B @ t) <= 1e-12
-    spec = fd.inner_spec(gns, m2.generators, B)
-    rep = fd.construct_dual_operator(gns, spec)
+    spec = fd.inner_spec(gns, B)
+    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
     assert np.linalg.norm(rep.Y - B) <= 1e-10
 
 
@@ -184,8 +188,8 @@ def test_dual_operator_general_inner(m2):
     Ls = [gns.left_mult(X) for X in m2.generators]
     for _ in range(5):
         B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        spec = fd.inner_spec(gns, m2.generators, B)
-        rep = fd.construct_dual_operator(gns, spec)
+        spec = fd.inner_spec(gns, B)
+        rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
         assert rep.max_residual <= 1e-9
         # Y - B commutes with every left multiplication (rank-one correction)
         for L in Ls:
@@ -203,7 +207,7 @@ def test_dual_operator_round_trip(c1m2):
         Y0 = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         Y0 = Y0 - np.outer(Y0 @ t, t.conj())
         spec = fd.DerivationSpec.from_targets([Y0 @ L - L @ Y0 for L in Ls])
-        rep = fd.construct_dual_operator(gns, spec)
+        rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
         for L in Ls:
             assert commutator_norm(rep.Y - Y0, L) <= 1e-9
 
@@ -213,8 +217,8 @@ def test_dual_operator_bilinear_adjoint_identity(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(7)
     B = random_hermitian(rng, 4)
-    spec = fd.inner_spec(gns, m2.generators, B)
-    rep = fd.construct_dual_operator(gns, spec)
+    spec = fd.inner_spec(gns, B)
+    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
     D = gns.dim
     for q in range(D):
         for r in range(D):
@@ -229,8 +233,8 @@ def test_dual_operator_adjoint_equals_conjugate_vector(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(8)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = fd.inner_spec(gns, m2.generators, B)
-    rep = fd.construct_dual_operator(gns, spec)
+    spec = fd.inner_spec(gns, B)
+    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
     xi = fd.conjugate_variable(gns, spec)
     assert np.linalg.norm(rep.Y.conj().T @ gns.trace_vector - xi) <= 1e-10
     assert rep.residual_adjoint <= 1e-10
@@ -240,16 +244,17 @@ def test_dual_operator_ill_defined_raises(c2):
     gns = fd.gns_structure(c2)
     spec = fd.DerivationSpec.free_difference_quotient(0)
     with pytest.raises(fd.IllDefined):
-        fd.construct_dual_operator(gns, spec)
+        fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
 
 
 def test_dual_operator_residual_gate(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(9)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = fd.inner_spec(gns, m2.generators, B)
+    spec = fd.inner_spec(gns, B)
+    fit = fd.derivation_well_defined(gns, spec)
     with pytest.raises(fd.ResidualTooLarge):
-        fd.construct_dual_operator(gns, spec, tol=1e-30)
+        fd.construct_dual_operator(gns, fit, tol=1e-30)
 
 
 # ---------------------------------------------------------------------------
