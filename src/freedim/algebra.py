@@ -11,7 +11,7 @@ product <a, b> = tau(b* a); its completion is a D-dimensional Hilbert space
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .errors import (
     WeightError,
 )
 from .tolerances import OPERATOR_TOL, SCALAR_TOL
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .derivations import WordTree
 
 
 def block_offsets(block_sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -250,6 +253,17 @@ class GnsStructure:
     basis_left_mult: np.ndarray  # (D, D, D): left multiplication by each basis element
     generator_left_mult: np.ndarray  # (n, D, D): left_mults of the generators
     _wvec: np.ndarray = field(repr=False, default=None)
+    _words: Optional[WordTree] = field(repr=False, default=None)
+
+    @property
+    def words(self) -> WordTree:
+        """The word tree of the generators that derivation fits replay
+        (derivations.enumerate_words), enumerated on first use."""
+        if self._words is None:
+            from .derivations import enumerate_words
+
+            self._words = enumerate_words(self)
+        return self._words
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates <x, b_m> of an algebra element in the orthonormal basis."""
@@ -390,6 +404,11 @@ def _max_gap(D: int, plus: tuple, minus: tuple) -> float:
     return float(gap.max(initial=0.0))
 
 
+# Joined pairs formed at once by _identity_gaps; a larger group of first
+# indices is split into consecutive runs that stay under it.
+_PAIR_BUDGET = 1 << 15
+
+
 def _identity_gaps(L: np.ndarray) -> tuple[float, float]:
     """Largest entries of the multiplicativity and commutant defects of L.
 
@@ -403,21 +422,48 @@ def _identity_gaps(L: np.ndarray) -> tuple[float, float]:
     entries of L being finite, is an exact zero, so each summed key equals
     the dense entry up to summation order and each key never reached is an
     exact zero on both sides: the gaps are the dense maxima.
+
+    The keys are processed in runs of consecutive first indices (about
+    _PAIR_BUDGET joined pairs each).  A key's first index is p of the
+    triplet on the left of its term, except for the L_q R_p terms, where it
+    is p of the triplet on the right; each run joins exactly those
+    triplets, so every term of a key lands in the run of its first index
+    and the argument above holds run by run.
     """
     D = L.shape[0]
-    p, m, q = np.nonzero(L)
+    p, m, q = np.nonzero(L)  # p ascending
     v = L[p, m, q]
-    # i's last index meets j's middle index: (L_p L_q), R_p L_q and L_q R_p
-    i, j = _join(q, m)
-    outer = (p[i], p[j], m[i], q[j])
-    # s's middle index meets t's first index: sum_m L_p[m, q] L_m
-    s, t = _join(m, p)
-    mult = _max_gap(D, ((p[s], q[s], m[t], q[t]), v[s] * v[t]), (outer, v[i] * v[j]))
-    comm = _max_gap(
-        D,
-        (outer, np.conj(v[i]) * v[j]),
-        ((p[j], p[i], m[i], q[j]), v[i] * np.conj(v[j])),
-    )
+    # pairs each triplet forms as the left factor (both joins) and as the
+    # right factor of an L_q R_p term
+    per_triplet = (np.bincount(p, minlength=D)[m] + np.bincount(m, minlength=D)[q]
+                   + np.bincount(q, minlength=D)[m])
+    cuts, load = [0], 0
+    for first, pairs in enumerate(np.bincount(p, per_triplet, D)):
+        if load and load + pairs > _PAIR_BUDGET:
+            cuts.append(first)
+            load = 0
+        load += pairs
+    ends = np.searchsorted(p, cuts + [D])
+    mult = comm = 0.0
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        # i's last index meets j's middle index: (L_p L_q), R_p L_q
+        i, j = _join(q[lo:hi], m)
+        i += lo
+        outer = (p[i], p[j], m[i], q[j])
+        # s's middle index meets t's first index: sum_m L_p[m, q] L_m
+        s, t = _join(m[lo:hi], p)
+        s += lo
+        mult = max(mult, _max_gap(
+            D, ((p[s], q[s], m[t], q[t]), v[s] * v[t]), (outer, v[i] * v[j])
+        ))
+        # the same join with p of the right triplet in the run: L_q R_p
+        j2, i2 = _join(m[lo:hi], q)
+        j2 += lo
+        comm = max(comm, _max_gap(
+            D,
+            (outer, np.conj(v[i]) * v[j]),
+            ((p[j2], p[i2], m[i2], q[j2]), v[i2] * np.conj(v[j2])),
+        ))
     return mult, comm
 
 

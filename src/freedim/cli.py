@@ -43,6 +43,7 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
+    TABLE_ORDER_CAP,
     BettiInput,
     FiniteGroupTable,
     betti_delta_formula,
@@ -259,10 +260,12 @@ def _list_of(section: dict, key: str, types: tuple, what: str,
     return value
 
 
-def _positive_int(params: dict, key: str, default: int) -> int:
+def _positive_int(params: dict, key: str, default: int, cap: int) -> int:
     value = params.get(key, default)
     if not _is_int(value) or value <= 0:
         raise ConfigError(f"parameters.{key} must be a positive integer, got {value!r}")
+    if value > cap:
+        raise ConfigError(f"parameters.{key} must be at most {cap}, got {value!r}")
     return value
 
 
@@ -293,6 +296,13 @@ def _group_n(section: dict) -> int:
         )
     return n
 
+
+# Size caps of the random cutoff sweep: its cost is about
+# len(r_grid) * n_ops * dim^3 (0.4 s for 8 radii, 2 operators at dim 256),
+# and a clamp radius past 1e6 only stretches the sampled conditions.
+_CUTOFF_MAX_R = 1e6
+_CUTOFF_MAX_DIM = 256
+_CUTOFF_MAX_OPS = 16
 
 # Group orders are computed exactly up to this ceiling, far above any cap.
 _ORDER_CEILING = 10**18
@@ -327,6 +337,14 @@ def _group_order(section: dict) -> int:
     else:
         raise ConfigError(f"unknown group kind {kind!r}")
     return min(order, _ORDER_CEILING + 1)
+
+
+def _check_order(section: dict, cap: int) -> None:
+    """Refuse a group above `cap` before its multiplication table is built."""
+    order = _group_order(section)
+    if order > cap:
+        shown = order if order <= _ORDER_CEILING else "above 10^18"
+        raise TooLarge(f"group order {shown} exceeds the cap {cap}")
 
 
 def _build_group_from_config(section: dict) -> tuple[FiniteGroupTable, Optional[list]]:
@@ -490,11 +508,15 @@ def _run_dual_system(config: ScenarioConfig) -> RunReport:
 def _run_cutoff(config: ScenarioConfig) -> RunReport:
     params = config.parameters
     raw_grid = _list_of(params, "r_grid", (int, float), "numbers", "parameters")
-    grid = [float(r) for r in raw_grid]
-    if not grid or not all(math.isfinite(r) and r > 0 for r in grid):
+    # compared before float(), which overflows on a JSON integer past 1e308
+    if not raw_grid or not all(r > 0 and (_is_int(r) or math.isfinite(r))
+                               for r in raw_grid):
         raise ConfigError(
             "parameters.r_grid must be a nonempty list of finite positive reals"
         )
+    if max(raw_grid) > _CUTOFF_MAX_R:
+        raise ConfigError(f"parameters.r_grid values must be at most {_CUTOFF_MAX_R:g}")
+    grid = [float(r) for r in raw_grid]
     smooth = bool(params.get("smooth", False))
 
     if "A" in params:
@@ -506,8 +528,8 @@ def _run_cutoff(config: ScenarioConfig) -> RunReport:
         if not Xs:
             raise ConfigError("explicit cutoff runs need parameters.X")
     else:
-        dim = _positive_int(params, "dim", 8)
-        n_ops = _positive_int(params, "n_ops", 2)
+        dim = _positive_int(params, "dim", 8, _CUTOFF_MAX_DIM)
+        n_ops = _positive_int(params, "n_ops", 2, _CUTOFF_MAX_OPS)
         rng = np.random.default_rng(config.seed)
 
         def herm(d):
@@ -556,11 +578,7 @@ def _run_cutoff(config: ScenarioConfig) -> RunReport:
 
 
 def _run_group_finite(config: ScenarioConfig) -> RunReport:
-    # the table of a group is O(order^2): refuse before building it
-    order = _group_order(config.group)
-    if order > DEFAULT_ORDER_CAP:
-        shown = order if order <= _ORDER_CEILING else "above 10^18"
-        raise TooLarge(f"group order {shown} exceeds the cap {DEFAULT_ORDER_CAP}")
+    _check_order(config.group, DEFAULT_ORDER_CAP)
     table, gen_set = _build_group_from_config(config.group)
     algebra = regular_rep_algebra(table, generating_set=gen_set, seed=config.seed)
     rep = delta_report(algebra, seed=config.seed)
@@ -620,6 +638,7 @@ def _run_group_free(config: ScenarioConfig) -> RunReport:
     if "images" in config.parameters:
         if config.group is None:
             raise ConfigError("parameters.images requires a group section")
+        _check_order(config.group, TABLE_ORDER_CAP)
         table, _ = _build_group_from_config(config.group)
         images = _resolve_images(config.parameters["images"], config.group,
                                  table.order)

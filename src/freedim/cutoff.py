@@ -60,7 +60,8 @@ class CutoffFamily:
         if self.smooth:
             tail = self.R + _phi(a - self.R)
         else:
-            tail = self.R + 1.0 - np.exp(self.R - a)
+            # min(., 0): inside [-R, R] the tail is discarded and must not overflow
+            tail = self.R + 1.0 - np.exp(np.minimum(self.R - a, 0.0))
         return np.where(a <= self.R, x, np.sign(x) * tail)
 
     def fprime(self, x) -> np.ndarray:
@@ -69,7 +70,7 @@ class CutoffFamily:
         if self.smooth:
             tail = _phi_prime(a - self.R)
         else:
-            tail = np.exp(self.R - a)
+            tail = np.exp(np.minimum(self.R - a, 0.0))
         return np.where(a <= self.R, 1.0, tail)
 
     def g(self, s, t) -> np.ndarray:

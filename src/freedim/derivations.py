@@ -12,6 +12,7 @@ Y* 1 = xi is assembled column by column on the cyclic basis.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,41 +64,72 @@ def inner_spec(gns: GnsStructure, B: np.ndarray) -> DerivationSpec:
     )
 
 
-def _word_system(
-    gns: GnsStructure, Ls: Sequence[np.ndarray], targets: Sequence[np.ndarray]
-):
-    """All (vector, free-derivative) pairs needed to pin down the derivation.
+@dataclass
+class WordTree:
+    """The words in the generators that pin down a derivation on them.
 
-    Words are enumerated breadth-first; a word is expanded further only if
-    its vector grew the span, and one full round past stabilization is
-    evaluated so that every relation among the retained words is present in
-    the system.
+    Words are enumerated breadth-first from the empty word; a word is
+    expanded further only if its vector grew the span, and one full round
+    past stabilization is evaluated so that every relation among the
+    retained words is present in the system.  An expanded word's children
+    append each generator in turn, and the children of the k-th expanded
+    word (the empty word is the 0-th) are the words 1 + k n .. (k + 1) n.
     """
+
+    vecs: np.ndarray      # (K, D) vectors L_w 1, the empty word first
+    expanded: np.ndarray  # (K,) bool, whether each word was expanded
+
+
+def enumerate_words(gns: GnsStructure) -> WordTree:
+    """The word tree of gns's generators; read it as `gns.words`, which
+    enumerates once per GNS structure."""
     from .vndim import numerical_span
 
     D = gns.dim
     t = gns.trace_vector.astype(complex)
-    vecs = [t]
-    vals = [np.zeros((D, D), dtype=complex)]
-    frontier = [(np.eye(D, dtype=complex), vals[0])]
+    vecs, expanded = [t], [True]
+    frontier = [np.eye(D, dtype=complex)]
     span = numerical_span(np.array([t]), dim=D)
     for _ in range(D + 1):
         new_frontier = []
-        for L_w, val_w in frontier:
-            for L_j, T_j in zip(Ls, targets):
+        for L_w in frontier:
+            for L_j in gns.generator_left_mult:
                 L_new = L_w @ L_j
-                val_new = val_w @ L_j + L_w @ T_j
                 v = L_new @ t
-                vecs.append(v)
-                vals.append(val_new)
                 resid = v - span.T @ (span.conj() @ v)
-                if np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(v)):
+                grows = bool(np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(v)))
+                if grows:
                     span = numerical_span(np.vstack([span, v[None, :]]), dim=D)
-                    new_frontier.append((L_new, val_new))
+                    new_frontier.append(L_new)
+                vecs.append(v)
+                expanded.append(grows)
         if not new_frontier:
             break
         frontier = new_frontier
-    return np.array(vecs), np.array(vals)
+    return WordTree(np.array(vecs), np.array(expanded))
+
+
+def _word_values(gns: GnsStructure, targets: Sequence[np.ndarray]) -> np.ndarray:
+    """(K, D, D) free derivatives of the words of gns.words, in order.
+
+    Replays the tree with d(w X_j) = d(w) L_j + L_w T_j; only the left
+    multiplications of expanded words awaiting their children are kept.
+    """
+    tree = gns.words
+    K, D = tree.vecs.shape
+    vals = np.empty((K, D, D), dtype=complex)
+    vals[0] = 0.0
+    parents = deque([(np.eye(D, dtype=complex), 0)])
+    k = 1
+    while k < K:
+        L_w, w = parents.popleft()
+        for L_j, T_j in zip(gns.generator_left_mult, targets):
+            vals[k] = vals[w] @ L_j
+            vals[k] += L_w @ T_j
+            if tree.expanded[k]:
+                parents.append((L_w @ L_j, k))
+            k += 1
+    return vals
 
 
 @dataclass
@@ -121,18 +153,21 @@ def derivation_well_defined(gns: GnsStructure, spec: DerivationSpec) -> Derivati
     The derivation acts on the generators of gns.  Inconsistency is a
     result, not an error.
     """
-    Ls = gns.generator_left_mult
-    targets = spec.resolve(gns, len(Ls))
-    vecs, vals = _word_system(gns, Ls, targets)
-    K = vecs.shape[0]
-    D = gns.dim
+    targets = spec.resolve(gns, len(gns.generator_left_mult))
+    vecs = gns.words.vecs
+    vals = _word_values(gns, targets)
+    K, D = vecs.shape
 
-    V = vecs.T                      # (D, K)
     Wm = vals.reshape(K, D * D).T   # (D^2, K)
-    sol, *_ = np.linalg.lstsq(V.T, Wm.T, rcond=None)
+    sol, *_ = np.linalg.lstsq(vecs, Wm.T, rcond=None)
     dhat = sol.T                    # (D^2, D)
-    resid = dhat @ V - Wm
-    defect = float(np.linalg.norm(resid.reshape(D * D, K), axis=0).max())
+    resid = dhat @ vecs.T
+    resid -= Wm
+    # column norms summed as np.linalg.norm(resid, axis=0) sums them; the
+    # word values are spent, so their buffer holds the squares
+    sq = np.conjugate(resid, out=vals.reshape(D * D, K))
+    sq *= resid
+    defect = float(np.sqrt(np.add.reduce(sq.real, axis=0)).max())
     return DerivationFit(defect <= WELLDEF_TOL, defect, dhat, targets)
 
 

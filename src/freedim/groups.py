@@ -21,6 +21,10 @@ from .algebra import TracialAlgebra
 from .errors import FreedimError, NotGeneratingSet, TooLarge
 
 DEFAULT_ORDER_CAP = 24
+# Largest order whose multiplication table is built for a Schreier graph:
+# from_mult_table checks associativity on two order^3 index tensors, 76 MB
+# at 168 (PSL(2, 7)) and 6 GB at 720.
+TABLE_ORDER_CAP = 168
 
 Word = tuple[int, ...]  # letters: +k is generator k (1-based), -k its inverse
 

@@ -329,4 +329,6 @@ def subspace_distance(a, b) -> float:
     """Symmetric gap between two subspaces given by orthonormal spanning rows."""
     A = a.flat() if isinstance(a, HsSubspace) else np.asarray(a, dtype=complex)
     B = b.flat() if isinstance(b, HsSubspace) else np.asarray(b, dtype=complex)
-    return max(_rowspace_residual(A, B), _rowspace_residual(B, A))
+    forward = _rowspace_residual(A, B)
+    # the gap of a space to itself is one residual, not two
+    return forward if b is a else max(forward, _rowspace_residual(B, A))

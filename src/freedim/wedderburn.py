@@ -41,17 +41,17 @@ def commutant_basis(
         within = np.eye(N * N, dtype=complex)
     r = within.shape[0]
 
-    rows = []
-    for m in mats:
+    if r == 0:
+        return within.reshape(r, N, N).copy()
+    # column k of block i is [B_k, m_i]: coefficient vectors c with
+    # sum_k c_k [B_k, m] = 0 for every m span the null space
+    stacked = np.empty((len(mats), N * N, r), dtype=complex)
+    for i, m in enumerate(mats):
         for k in range(r):
             B = within[k].reshape(N, N)
-            rows.append((B @ m - m @ B).ravel())
-    if not rows:
-        return within.reshape(r, N, N).copy()
-    constraint = np.array(rows).reshape(len(mats), r, N * N)
-    # coefficient vectors c with sum_k c_k [B_k, m] = 0 for every m
-    stacked = np.concatenate([constraint[i].T for i in range(len(mats))], axis=0)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+            stacked[i, :, k] = (B @ m - m @ B).ravel()
+    # at least N^2 >= r rows, so the thin vh is square
+    _, s, vh = np.linalg.svd(stacked.reshape(-1, r), full_matrices=False)
     if s.size == 0 or s[0] < 1e-12:
         coeffs = np.eye(r, dtype=complex)
     else:

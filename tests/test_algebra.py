@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import freedim as fd
+import freedim.algebra as algebra_module
 from conftest import SX, SY, SZ, random_block_algebra, random_hermitian
 from freedim.algebra import _identity_gaps, _verify_gns
 from freedim.tolerances import OPERATOR_TOL
@@ -249,8 +252,10 @@ def dense_identity_gaps(L):
     return mult, np.abs(lhs - rhs).max()
 
 
-@pytest.mark.parametrize("name", WORKED + ["S4", "random2x3", "random4x5"])
-def test_pattern_gaps_match_dense_oracle(name):
+GAP_CASES = WORKED + ["S4", "random2x3", "random4x5"]
+
+
+def _check_pattern_gaps(name):
     gns = fd.gns_structure(_worked_algebra(name), check=False)
     L = gns.basis_left_mult
     mult, comm = _identity_gaps(L)
@@ -258,6 +263,31 @@ def test_pattern_gaps_match_dense_oracle(name):
     assert abs(mult - dense_mult) <= 1e-14
     assert abs(comm - dense_comm) <= 1e-14
     assert max(mult, comm) <= OPERATOR_TOL
+
+
+@pytest.mark.parametrize("name", GAP_CASES)
+def test_pattern_gaps_match_dense_oracle(name):
+    _check_pattern_gaps(name)
+
+
+@pytest.mark.parametrize("name", GAP_CASES)
+def test_pattern_gaps_match_dense_oracle_one_index_per_run(name, monkeypatch):
+    # a budget of one pair puts every first index in a run of its own
+    monkeypatch.setattr(algebra_module, "_PAIR_BUDGET", 1)
+    _check_pattern_gaps(name)
+
+
+def test_identity_gaps_memory_bounded_at_d64():
+    # all 365 k joined pairs at once (D = 64) peaked at 46 MB
+    L = fd.gns_structure(random_block_algebra((8,), 0), check=False).basis_left_mult
+    tracemalloc.start()
+    try:
+        gaps = _identity_gaps(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(gaps) <= OPERATOR_TOL
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("where", ["structural_zero", "nonzero"])

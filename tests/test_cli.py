@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +452,17 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
      "config error: parameters.dim must be a positive integer"),
     (_shipped("cutoff_sweep", n_ops="x"), 2,
      "config error: parameters.n_ops must be a positive integer"),
+    (_shipped("cutoff_sweep", r_grid=[1, 1e308]), 2,
+     "config error: parameters.r_grid values must be at most 1e+06"),
+    (_shipped("cutoff_sweep", r_grid=[10**400]), 2,
+     "config error: parameters.r_grid values must be at most 1e+06"),
+    (_shipped("cutoff_sweep", dim=257), 2,
+     "config error: parameters.dim must be at most 256, got 257"),
+    (_shipped("cutoff_sweep", n_ops=10**9), 2,
+     "config error: parameters.n_ops must be at most 16, got 1000000000"),
+    ({"scenario": "group_free", "group": {"kind": "symmetric", "n": 9},
+      "parameters": {"rank": 2, "images": [1, 1]}}, 1,
+     "computation error: TooLarge: group order 362880 exceeds the cap 168"),
     (_shipped("group_free_kernel", rank="x"), 2,
      "config error: parameters.rank must be an integer"),
     (_shipped("group_free_kernel", images=[5, 1]), 2,
@@ -460,8 +472,10 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
      "computation error: FreedimError: malformed cycle notation '(a b)'"),
 ], ids=["slot_string", "slot_bool", "slot_out_of_range", "targets_scalar",
         "targets_shape", "k_zero", "k_string", "k_scalar", "r_grid_string",
-        "r_grid_nan", "dim_negative", "n_ops_string", "rank_string",
-        "image_out_of_range", "image_cycle_letters"])
+        "r_grid_nan", "dim_negative", "n_ops_string", "r_grid_huge",
+        "r_grid_huge_int", "dim_above_cap", "n_ops_above_cap",
+        "free_group_order_above_cap", "rank_string", "image_out_of_range",
+        "image_cycle_letters"])
 def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
                                                 message):
     path = write_config(tmp_path, cfg)
@@ -469,6 +483,20 @@ def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+def test_cutoff_radius_at_cap_runs_without_warnings(tmp_path, capsys, smooth):
+    # exp(R - |x|) overflowed inside [-R, R] once R passed about 709
+    cfg = _shipped("cutoff_sweep", r_grid=[1, 1000, 1e6], smooth=smooth)
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cutoff", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    sweep = json.loads(captured.out)["results"]["sweep"]
+    assert [row["hs_error"] for row in sweep[1:]] == [0.0, 0.0]
 
 
 def test_group_order_cap_checked_before_construction(tmp_path, capsys):

@@ -2,11 +2,80 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import make_c1m2, make_c2, make_m2, random_hermitian
+import freedim.derivations as derivations_module
+from conftest import make_c1m2, make_c2, make_m2, random_block_algebra, random_hermitian
+from freedim.derivations import _word_values
+from test_cocycles import WORKED, _worked_algebra
 
 
 def commutator_norm(Y, L):
     return float(np.linalg.norm(Y @ L - L @ Y))
+
+
+def word_system_oracle(gns, Ls, targets):
+    """The word enumeration as one pass per derivation: every product kept,
+    and the span decided again for every set of targets."""
+    from freedim.vndim import numerical_span
+
+    D = gns.dim
+    t = gns.trace_vector.astype(complex)
+    vecs = [t]
+    vals = [np.zeros((D, D), dtype=complex)]
+    frontier = [(np.eye(D, dtype=complex), vals[0])]
+    span = numerical_span(np.array([t]), dim=D)
+    for _ in range(D + 1):
+        new_frontier = []
+        for L_w, val_w in frontier:
+            for L_j, T_j in zip(Ls, targets):
+                L_new = L_w @ L_j
+                val_new = val_w @ L_j + L_w @ T_j
+                v = L_new @ t
+                vecs.append(v)
+                vals.append(val_new)
+                resid = v - span.T @ (span.conj() @ v)
+                if np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(v)):
+                    span = numerical_span(np.vstack([span, v[None, :]]), dim=D)
+                    new_frontier.append((L_new, val_new))
+        if not new_frontier:
+            break
+        frontier = new_frontier
+    return np.array(vecs), np.array(vals)
+
+
+# ---------------------------------------------------------------------------
+# the word tree, replayed per derivation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", WORKED + ["random4x5", "random7"])
+def test_word_tree_replay_matches_oracle(name):
+    gns = fd.gns_structure(_worked_algebra(name))
+    Ls = gns.generator_left_mult
+    rng = np.random.default_rng(1)
+    B = rng.standard_normal((gns.dim,) * 2) + 1j * rng.standard_normal((gns.dim,) * 2)
+    specs = [fd.inner_spec(gns, B)] + [
+        fd.DerivationSpec.free_difference_quotient(j) for j in range(len(Ls))
+    ]
+    for spec in specs:
+        targets = spec.resolve(gns, len(Ls))
+        vecs, vals = word_system_oracle(gns, Ls, targets)
+        assert np.array_equal(gns.words.vecs, vecs)
+        assert np.array_equal(_word_values(gns, targets), vals)
+
+
+def test_fisher_enumerates_words_once(monkeypatch):
+    calls = []
+    original = derivations_module.enumerate_words
+
+    def counted(gns):
+        calls.append(gns)
+        return original(gns)
+
+    monkeypatch.setattr(derivations_module, "enumerate_words", counted)
+    gns = fd.gns_structure(random_block_algebra((2, 3), seed=0))
+    assert len(gns.generator_left_mult) == 2
+    report = fd.fisher_report(gns)
+    assert len(report.slots) == 2
+    assert len(calls) == 1 and calls[0] is gns
 
 
 # ---------------------------------------------------------------------------
