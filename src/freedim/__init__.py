@@ -27,7 +27,6 @@ from .cutoff import (
     commutator_identity_check,
     convergence_sweep,
     cutoff_eval,
-    matrix_function,
     quotient_eval,
     spectral_radius,
 )

@@ -67,7 +67,8 @@ def _unflatten(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
 class TracialAlgebra:
     """A finite multi-matrix *-algebra with a distinguished generating tuple.
 
-    Immutable after construction; safe to share across threads.
+    Not modified after construction, except that `effective_algebra` fills
+    `_effective` on first use of a non-generating tuple.
     """
 
     block_sizes: tuple[int, ...]
@@ -75,8 +76,6 @@ class TracialAlgebra:
     generators: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
     generated_dim: int
-    generates: bool
-    subalgebra_mode: bool = False
     _effective: Optional["TracialAlgebra"] = field(default=None, repr=False)
 
     @property
@@ -87,6 +86,11 @@ class TracialAlgebra:
     def dim(self) -> int:
         """Complex dimension D = sum n_i^2 of the algebra (and of its L2 space)."""
         return sum(n * n for n in self.block_sizes)
+
+    @property
+    def generates(self) -> bool:
+        """Whether the words in the generators span the whole algebra."""
+        return self.generated_dim == self.dim
 
     @property
     def n_generators(self) -> int:
@@ -101,15 +105,8 @@ class TracialAlgebra:
         """<a, b> = tau(b* a)."""
         return self.trace(b.conj().T @ a)
 
-    def flatten(self, x: np.ndarray) -> np.ndarray:
-        """Concatenate the block entries of x into a vector of length D."""
-        return _flatten(x, self.block_sizes)
-
     def unflatten(self, v: np.ndarray) -> np.ndarray:
         return _unflatten(v, self.block_sizes)
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.matrix_size, dtype=complex)
 
     def effective_algebra(self) -> "TracialAlgebra":
         """The algebra actually generated by the tuple.
@@ -188,18 +185,18 @@ def build_algebra(
         raise WeightError(f"weights sum to {sum(weights)!r}, expected 1")
 
     total = sum(sizes)
-    spans = block_offsets(sizes)
-    support = np.zeros((total, total), dtype=bool)
-    for start, stop in spans:
-        support[start:stop, start:stop] = True
-
-    mats = []
-    for k, g in enumerate(generators):
-        g = np.asarray(g, dtype=complex)
+    mats = [np.asarray(g, dtype=complex) for g in generators]
+    # shapes first: the support mask below takes N^2 bytes
+    for k, g in enumerate(mats):
         if g.shape != (total, total):
             raise ShapeMismatch(
                 f"generator {k} has shape {g.shape}, expected {(total, total)}"
             )
+    support = np.zeros((total, total), dtype=bool)
+    for start, stop in block_offsets(sizes):
+        support[start:stop, start:stop] = True
+
+    for k, g in enumerate(mats):
         if not np.isfinite(g).all():
             raise ShapeMismatch(f"generator {k} has non-finite entries")
         off = np.abs(g[~support])
@@ -209,7 +206,6 @@ def build_algebra(
             )
         if np.abs(g - g.conj().T).max() > SCALAR_TOL:
             raise NotSelfAdjoint(f"generator {k} is not self-adjoint")
-        mats.append(g)
 
     if labels is None:
         labels = tuple(f"X{j + 1}" for j in range(len(mats)))
@@ -218,23 +214,20 @@ def build_algebra(
         if len(labels) != len(mats):
             raise ShapeMismatch("one label per generator required")
 
-    gen_dim = word_span(sizes, mats).shape[0]
-    generates = gen_dim == sum(n * n for n in sizes)
-    if not generates and not subalgebra_mode:
-        raise NotGenerating(
-            f"generators span a {gen_dim}-dimensional subalgebra of the "
-            f"{sum(n * n for n in sizes)}-dimensional declared algebra; "
-            "pass subalgebra_mode=True to work inside the generated subalgebra"
-        )
-    return TracialAlgebra(
+    algebra = TracialAlgebra(
         block_sizes=sizes,
         trace_weights=weights,
         generators=tuple(mats),
         labels=labels,
-        generated_dim=gen_dim,
-        generates=generates,
-        subalgebra_mode=subalgebra_mode,
+        generated_dim=word_span(sizes, mats).shape[0],
     )
+    if not algebra.generates and not subalgebra_mode:
+        raise NotGenerating(
+            f"generators span a {algebra.generated_dim}-dimensional subalgebra "
+            f"of the {algebra.dim}-dimensional declared algebra; "
+            "pass subalgebra_mode=True to work inside the generated subalgebra"
+        )
+    return algebra
 
 
 @dataclass
@@ -324,7 +317,7 @@ def _orthonormal_selfadjoint_basis(algebra: TracialAlgebra) -> np.ndarray:
     return np.array(mats)
 
 
-def gns_structure(algebra: TracialAlgebra, check: bool = True) -> GnsStructure:
+def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     """Build the trace representation of the (effective) algebra.
 
     Populates the orthonormal self-adjoint basis, left multiplications, the
@@ -370,9 +363,7 @@ def gns_structure(algebra: TracialAlgebra, check: bool = True) -> GnsStructure:
         _wvec=wvec,
     )
     gns.generator_left_mult = gns.left_mults(algebra.generators)
-
-    if check:
-        _verify_gns(gns)
+    _verify_gns(gns)
     return gns
 
 

@@ -42,7 +42,8 @@ from .errors import (
     UnsupportedFormat,
 )
 from .groups import (
-    DEFAULT_ORDER_CAP,
+    COUNTEREXAMPLE_K_VALUES,
+    ORDER_CAP,
     TABLE_ORDER_CAP,
     BettiInput,
     FiniteGroupTable,
@@ -151,9 +152,18 @@ def matrix_to_pairs(mat: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
+# Largest matrix entry accepted: products of three matrices of size up to 256
+# with such entries stay finite (an entry near 1e308 overflows at the first
+# subtraction).
+_MAX_ENTRY = 1e100
+
+
 def _parse_matrix(raw, where: str) -> np.ndarray:
+    out_of_range = f"{where}: entries must be finite numbers of size at most {_MAX_ENTRY:g}"
     try:
         arr = np.asarray(raw, dtype=float)
+    except OverflowError:  # a JSON integer past 1e308
+        raise ConfigError(out_of_range) from None
     except (TypeError, ValueError):
         raise ConfigError(
             f"{where}: expected a square matrix of [re, im] number pairs, got a "
@@ -164,8 +174,8 @@ def _parse_matrix(raw, where: str) -> np.ndarray:
             f"{where}: expected a square matrix of [re, im] pairs, got shape "
             f"{arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{where}: entries must be finite numbers")
+    if not np.isfinite(arr).all() or np.abs(arr).max(initial=0.0) > _MAX_ENTRY:
+        raise ConfigError(out_of_range)
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -192,7 +202,8 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
         raw = json.loads(raw_bytes)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed, not UTF-8, or an integer past 4300 digits
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -224,10 +235,13 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
     if scenario == "group_free" and "rank" not in params:
         raise ConfigError("group_free requires parameters.rank")
 
+    # numpy's generators take no negative seed
     seed = params.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError("seed must be an integer")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError("--seed must be a non-negative integer")
         seed = seed_override
 
     digest = hashlib.sha256(
@@ -253,7 +267,7 @@ def _list_of(section: dict, key: str, types: tuple, what: str,
              where: str = "algebra") -> Optional[list]:
     """section[key] (None when absent), checked to be a list of `types`."""
     value = section.get(key)
-    if value is not None and (not isinstance(value, list) or any(
+    if key in section and (not isinstance(value, list) or any(
         isinstance(x, bool) or not isinstance(x, types) for x in value
     )):
         raise ConfigError(f"{where}.{key} must be a list of {what}")
@@ -269,7 +283,22 @@ def _positive_int(params: dict, key: str, default: int, cap: int) -> int:
     return value
 
 
-def _build_algebra_from_config(section: dict):
+def _flag(section: dict, key: str, where: str) -> bool:
+    """section[key] as a JSON boolean, False when absent."""
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
+# Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle spans
+# grow about as D^6 (23 s and 711 MB at D = 41); dual_system takes about 6 s
+# and 200 MB at D = 100.
+_DELTA_MAX_DIM = 41
+_DUAL_MAX_DIM = 100
+
+
+def _build_algebra_from_config(section: dict, max_dim: int):
     _check_keys(
         section, {"blocks", "weights", "generators", "labels", "subalgebra_mode"},
         {"blocks", "weights", "generators"}, "algebra",
@@ -278,12 +307,19 @@ def _build_algebra_from_config(section: dict):
     if not raw_gens:
         raise ConfigError("algebra.generators must not be empty")
     gens = [_parse_matrix(g, f"algebra.generators[{k}]") for k, g in enumerate(raw_gens)]
+    blocks = _list_of(section, "blocks", (int,), "integers")
+    if sum(n * n for n in blocks) > max_dim:
+        raise TooLarge(f"algebra dimension sum n_i^2 exceeds the cap {max_dim}")
+    weights = _list_of(section, "weights", (int, float), "numbers")
+    # compared before float(), which overflows on a JSON integer past 1e308
+    if any(abs(w) > sys.float_info.max for w in weights):
+        raise ConfigError("algebra.weights must be finite numbers")
     return build_algebra(
-        _list_of(section, "blocks", (int,), "integers"),
-        _list_of(section, "weights", (int, float), "numbers"),
+        blocks,
+        weights,
         gens,
         labels=_list_of(section, "labels", (str,), "strings"),
-        subalgebra_mode=bool(section.get("subalgebra_mode", False)),
+        subalgebra_mode=_flag(section, "subalgebra_mode", "algebra"),
     )
 
 
@@ -297,10 +333,12 @@ def _group_n(section: dict) -> int:
     return n
 
 
-# Size caps of the random cutoff sweep: its cost is about
-# len(r_grid) * n_ops * dim^3 (0.4 s for 8 radii, 2 operators at dim 256),
-# and a clamp radius past 1e6 only stretches the sampled conditions.
+# Size caps of the cutoff sweep: its cost is about len(r_grid) * n_ops * dim^3
+# (0.4 s for 8 radii, 2 operators at dim 256; 6.7 s for 64 radii at the dim
+# and n_ops caps), and a clamp radius past 1e6 only stretches the sampled
+# conditions.
 _CUTOFF_MAX_R = 1e6
+_CUTOFF_MAX_RADII = 64
 _CUTOFF_MAX_DIM = 256
 _CUTOFF_MAX_OPS = 16
 
@@ -331,9 +369,17 @@ def _group_order(section: dict) -> int:
             raise ConfigError("product groups need at least two factors")
         order = math.prod(_group_order(f) for f in factors)
     elif kind == "table":
-        if not isinstance(section.get("mult"), list):
+        mult = section.get("mult")
+        if not isinstance(mult, list):
             raise ConfigError("group.mult must be a list of rows")
-        order = len(section["mult"])
+        order = len(mult)
+        if not all(isinstance(row, list) and len(row) == order
+                   and all(_is_int(x) and 0 <= x < order for x in row)
+                   for row in mult):
+            raise ConfigError(
+                f"group.mult must be {order} rows of {order} element indices "
+                f"below {order}"
+            )
     else:
         raise ConfigError(f"unknown group kind {kind!r}")
     return min(order, _ORDER_CEILING + 1)
@@ -359,7 +405,15 @@ def _build_group_from_config(section: dict) -> tuple[FiniteGroupTable, Optional[
         table = functools.reduce(direct_product, factors)
     else:
         table = from_mult_table(section["mult"])
-    return table, section.get("generating_set")
+    gen_set = section.get("generating_set")
+    if gen_set is not None and not (isinstance(gen_set, list) and all(
+        _is_int(g) and 0 <= g < table.order for g in gen_set
+    )):
+        raise ConfigError(
+            f"group.generating_set must be a list of element indices below "
+            f"{table.order}"
+        )
+    return table, gen_set
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +456,7 @@ def _delta_results(rep) -> dict:
 
 
 def _run_delta(config: ScenarioConfig) -> RunReport:
-    algebra = _build_algebra_from_config(config.algebra)
+    algebra = _build_algebra_from_config(config.algebra, _DELTA_MAX_DIM)
     rep = delta_report(algebra, seed=config.seed)
     return RunReport(
         scenario="delta",
@@ -429,7 +483,7 @@ def _dual_matrix(raw, where: str, dim: int) -> np.ndarray:
 
 
 def _run_dual_system(config: ScenarioConfig) -> RunReport:
-    gns = gns_structure(_build_algebra_from_config(config.algebra))
+    gns = gns_structure(_build_algebra_from_config(config.algebra, _DUAL_MAX_DIM))
     dual = config.parameters["dual"]
     if not isinstance(dual, dict) or "type" not in dual:
         raise ConfigError("parameters.dual must be an object with a 'type'")
@@ -516,17 +570,21 @@ def _run_cutoff(config: ScenarioConfig) -> RunReport:
         )
     if max(raw_grid) > _CUTOFF_MAX_R:
         raise ConfigError(f"parameters.r_grid values must be at most {_CUTOFF_MAX_R:g}")
+    if len(raw_grid) > _CUTOFF_MAX_RADII:
+        raise ConfigError(
+            f"parameters.r_grid must hold at most {_CUTOFF_MAX_RADII} radii"
+        )
     grid = [float(r) for r in raw_grid]
-    smooth = bool(params.get("smooth", False))
+    smooth = _flag(params, "smooth", "parameters")
 
     if "A" in params:
         A = _parse_matrix(params["A"], "parameters.A")
-        Xs = [
-            _parse_matrix(x, f"parameters.X[{k}]")
-            for k, x in enumerate(params.get("X", []))
-        ]
-        if not Xs:
+        raw_xs = _list_of(params, "X", (list,), "matrices", "parameters")
+        if not raw_xs:
             raise ConfigError("explicit cutoff runs need parameters.X")
+        Xs = [_parse_matrix(x, f"parameters.X[{k}]") for k, x in enumerate(raw_xs)]
+        if any(X.shape != A.shape for X in Xs):
+            raise ConfigError("parameters.X must hold matrices the size of parameters.A")
     else:
         dim = _positive_int(params, "dim", 8, _CUTOFF_MAX_DIM)
         n_ops = _positive_int(params, "n_ops", 2, _CUTOFF_MAX_OPS)
@@ -578,7 +636,7 @@ def _run_cutoff(config: ScenarioConfig) -> RunReport:
 
 
 def _run_group_finite(config: ScenarioConfig) -> RunReport:
-    _check_order(config.group, DEFAULT_ORDER_CAP)
+    _check_order(config.group, ORDER_CAP)
     table, gen_set = _build_group_from_config(config.group)
     algebra = regular_rep_algebra(table, generating_set=gen_set, seed=config.seed)
     rep = delta_report(algebra, seed=config.seed)
@@ -629,10 +687,17 @@ def _resolve_images(raw_images, group_section, order: int) -> list[int]:
     return out
 
 
+# beta1 = rank - 1 is reported as a float, exact up to 2^53 (and a rank past
+# 1e308 would overflow it)
+_FREE_MAX_RANK = 2**53
+
+
 def _run_group_free(config: ScenarioConfig) -> RunReport:
     rank = config.parameters["rank"]
     if not _is_int(rank):
         raise ConfigError(f"parameters.rank must be an integer, got {rank!r}")
+    if rank > _FREE_MAX_RANK:
+        raise ConfigError("parameters.rank must be at most 2^53")
     delta = betti_delta_formula(BettiInput.free_group(rank))
     results = {"rank": rank, "delta": delta}
     if "images" in config.parameters:
@@ -661,7 +726,7 @@ def _run_group_free(config: ScenarioConfig) -> RunReport:
 
 
 def _run_counterexample(config: ScenarioConfig) -> RunReport:
-    k_values = config.parameters.get("k_values", [1, 2, 3, 4, 5, 10, 100])
+    k_values = config.parameters.get("k_values", list(COUNTEREXAMPLE_K_VALUES))
     if not (isinstance(k_values, list)
             and all(_is_int(k) and k > 0 for k in k_values)):
         raise ConfigError("parameters.k_values must be a list of positive integers")

@@ -130,8 +130,7 @@ def cocycle_span(gns: GnsStructure, Ls: np.ndarray, hermitian: bool = False) -> 
     residual = commutator_bound(gns, Ls, s, r, kappa, max(A.shape))
     if residual > INVARIANCE_TOL:
         residual = invariance_residual(basis, gns)
-    return HsSubspace(n=n, ambient_dim=n * D * D, basis=basis,
-                      invariance_residual=residual)
+    return HsSubspace(basis, residual)
 
 
 def compute_H0(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:

@@ -124,13 +124,6 @@ def apply_cutoff(A: np.ndarray, R: float, smooth: bool = False) -> np.ndarray:
     return A + (U * shift) @ U.conj().T
 
 
-def matrix_function(A: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """U f(lam) U* for self-adjoint A."""
-    A = _check_self_adjoint(A, "A")
-    lam, U = np.linalg.eigh(A)
-    return (U * f(lam)) @ U.conj().T
-
-
 def commutator_identity_check(A: np.ndarray, X: np.ndarray, family) -> float:
     """Entrywise residual of [f(A), X] = g(lam_k, lam_l) [A, X] in A's eigenbasis.
 

@@ -20,7 +20,8 @@ import numpy as np
 from .algebra import TracialAlgebra
 from .errors import FreedimError, NotGeneratingSet, TooLarge
 
-DEFAULT_ORDER_CAP = 24
+# Largest group order whose regular representation is decomposed.
+ORDER_CAP = 24
 # Largest order whose multiplication table is built for a Schreier graph:
 # from_mult_table checks associativity on two order^3 index tensors, 76 MB
 # at 168 (PSL(2, 7)) and 6 GB at 720.
@@ -76,7 +77,8 @@ def from_mult_table(
             raise FreedimError(f"element {a} has no two-sided inverse")
         inverse[a] = hits[0]
 
-    # associativity on all triples (vectorized; orders here are <= 24)
+    # associativity on all triples, vectorized: two order^3 index tensors
+    # (TABLE_ORDER_CAP bounds the orders the CLI passes here)
     left = M[M, :]            # [a, b, c] -> M[M[a, b], c]
     right = M[:, M]           # [a, b, c] -> M[a, M[b, c]]
     if not np.array_equal(left, right):
@@ -95,7 +97,7 @@ def from_mult_table(
 def cyclic_group(n: int) -> FiniteGroupTable:
     idx = np.arange(n)
     M = (idx[:, None] + idx[None, :]) % n
-    return from_mult_table(M, names=[str(i) for i in range(n)])
+    return from_mult_table(M)
 
 
 def symmetric_group(n: int) -> FiniteGroupTable:
@@ -205,7 +207,6 @@ def left_regular_matrices(table: FiniteGroupTable) -> np.ndarray:
 def regular_rep_algebra(
     table: FiniteGroupTable,
     generating_set: Optional[Sequence[int]] = None,
-    cap: int = DEFAULT_ORDER_CAP,
     seed: int = 0,
 ) -> TracialAlgebra:
     """The group algebra of G with its canonical trace, in block form.
@@ -217,8 +218,8 @@ def regular_rep_algebra(
     """
     from .wedderburn import blockify
 
-    if table.order > cap:
-        raise TooLarge(f"group order {table.order} exceeds the cap {cap}")
+    if table.order > ORDER_CAP:
+        raise TooLarge(f"group order {table.order} exceeds the cap {ORDER_CAP}")
     if generating_set is None:
         generating_set = minimal_generating_set(table)
     else:
@@ -334,19 +335,14 @@ class SchreierGraph:
 
 
 def schreier_graph(
-    n: int,
-    images: Sequence[int],
-    table: FiniteGroupTable,
-    names: Optional[Sequence[str]] = None,
+    n: int, images: Sequence[int], table: FiniteGroupTable
 ) -> SchreierGraph:
-    """Enumerate the kernel's cosets and extract its free generators."""
+    """Enumerate the kernel's cosets and extract its free generators
+    (named u, v for n = 2 and x1, ..., xn otherwise)."""
     if len(images) != n:
         raise FreedimError(f"{len(images)} images for {n} free generators")
     images = [int(g) for g in images]
-    if names is None:
-        names = tuple(f"x{k + 1}" for k in range(n)) if n != 2 else ("u", "v")
-    else:
-        names = tuple(names)
+    names = tuple(f"x{k + 1}" for k in range(n)) if n != 2 else ("u", "v")
 
     e = table.identity
     order = [e]
@@ -446,7 +442,10 @@ def betti_delta_formula(inp: BettiInput) -> float:
 # the semicontinuity counterexample
 # ---------------------------------------------------------------------------
 
-def counterexample_report(k_values: Sequence[int] = (1, 2, 3, 4, 5, 10, 100)) -> dict:
+COUNTEREXAMPLE_K_VALUES = (1, 2, 3, 4, 5, 10, 100)
+
+
+def counterexample_report(k_values: Sequence[int] = COUNTEREXAMPLE_K_VALUES) -> dict:
     """A generator sequence whose dimension value drops in the limit.
 
     Eight self-adjoint variables over the free group on u, v: the real and
@@ -457,7 +456,7 @@ def counterexample_report(k_values: Sequence[int] = (1, 2, 3, 4, 5, 10, 100)) ->
     converge in operator norm.
     """
     z2 = cyclic_group(2)
-    graph = schreier_graph(2, [1, 1], z2, names=("u", "v"))
+    graph = schreier_graph(2, [1, 1], z2)
 
     per_k_delta = betti_delta_formula(BettiInput.free_group(2))
     limit_delta = betti_delta_formula(BettiInput.free_group(graph.rank))
@@ -477,8 +476,9 @@ def counterexample_report(k_values: Sequence[int] = (1, 2, 3, 4, 5, 10, 100)) ->
             "k": int(k),
             "delta": per_k_delta,
             "generated": "group algebra of the free group on u, v",
-            # u is unitary, so its real and imaginary parts have norm <= 1
-            "shrink_norm_bound": 1.0 / int(k),
+            # u is unitary, so its real and imaginary parts have norm <= 1;
+            # int / int is correctly rounded where 1.0 / k overflows past 1e308
+            "shrink_norm_bound": 1 / int(k),
         }
         for k in k_values
     ]

@@ -26,21 +26,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from .algebra import GnsStructure, TracialAlgebra
 
 
-def numerical_span(
-    vectors, tol: float = RANK_TOL, dim: Optional[int] = None
-) -> np.ndarray:
-    """Orthonormal basis (rows) of the span, with relative SVD cutoff `tol`."""
+def numerical_span(vectors, dim: Optional[int] = None) -> np.ndarray:
+    """Orthonormal basis (rows) of the span, with relative SVD cutoff RANK_TOL."""
     A = np.asarray(vectors, dtype=complex)
     if A.size == 0:
         d = dim if dim is not None else (A.shape[-1] if A.ndim >= 2 else 0)
         return np.zeros((0, d), dtype=complex)
     if A.ndim == 1:
         A = A[None, :]
-    return span_with_spectrum(A, tol)[0]
+    return span_with_spectrum(A)[0]
 
 
-def span_with_spectrum(A: np.ndarray, tol: float = RANK_TOL):
-    """Kept rows vh[:r] (s > tol * s[0]) of a 2-D array's SVD, and all of s.
+def span_with_spectrum(A: np.ndarray):
+    """Kept rows vh[:r] (s > RANK_TOL * s[0]) of a 2-D array's SVD, and all of s.
 
     The rank rule of `numerical_span`; the singular values are returned for
     callers that certify properties of the span from its spectrum.
@@ -48,12 +46,12 @@ def span_with_spectrum(A: np.ndarray, tol: float = RANK_TOL):
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, A.shape[1]), dtype=complex), s
-    return vh[: int(np.sum(s > tol * s[0]))], s
+    return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
 
 
-def to_fraction(x: float, max_denominator: int = 10**6) -> Fraction:
+def to_fraction(x: float) -> Fraction:
     """Exact rational form of a float that is morally a small fraction."""
-    fr = Fraction(x).limit_denominator(max_denominator)
+    fr = Fraction(x).limit_denominator(10**6)
     if abs(float(fr) - x) > 1e-12:
         fr = Fraction(x)
     return fr
@@ -66,7 +64,6 @@ class CentralDecomposition:
     projections: np.ndarray        # (b, D, D): left multiplication by each z_i
     sizes: tuple[int, ...]         # n_i with dim_C(z_i M) = n_i^2
     weights: tuple[float, ...]     # alpha_i = tau(z_i)
-    elements: np.ndarray           # (b, N, N): the z_i as algebra elements
     weight_fractions: tuple[Fraction, ...]
 
 
@@ -141,7 +138,6 @@ def central_decomposition(
         projections=projections,
         sizes=tuple(sizes),
         weights=tuple(weights),
-        elements=np.array(zs),
         weight_fractions=tuple(to_fraction(w) for w in weights),
     )
 
@@ -155,10 +151,16 @@ class HsSubspace:
     `invariance_residual`, or the commutator bound of `cocycles.cocycle_span`.
     """
 
-    n: int
-    ambient_dim: int
     basis: np.ndarray            # (r, n, D, D)
     invariance_residual: float
+
+    @property
+    def n(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def ambient_dim(self) -> int:
+        return int(np.prod(self.basis.shape[1:]))
 
     @property
     def complex_dim(self) -> int:
@@ -207,7 +209,7 @@ def invariance_residual(basis: np.ndarray, gns: "GnsStructure") -> float:
 
 
 def hs_subspace(
-    gns: "GnsStructure", vectors, n: Optional[int] = None, tol: float = RANK_TOL
+    gns: "GnsStructure", vectors, n: Optional[int] = None
 ) -> HsSubspace:
     """Orthonormalize a spanning family of HS tuples and certify invariance."""
     D = gns.dim
@@ -215,23 +217,13 @@ def hs_subspace(
     if A.size == 0:
         if n is None:
             raise ValueError("tuple length required for an empty spanning set")
-        return HsSubspace(
-            n=n, ambient_dim=n * D * D,
-            basis=np.zeros((0, n, D, D), dtype=complex),
-            invariance_residual=0.0,
-        )
+        return HsSubspace(np.zeros((0, n, D, D), dtype=complex), 0.0)
     if A.ndim == 3:
         A = A[None, :, :, :]
     k = A.shape[0]
     n = A.shape[1]
-    flat = numerical_span(A.reshape(k, -1), tol=tol, dim=n * D * D)
-    basis = flat.reshape(-1, n, D, D)
-    return HsSubspace(
-        n=n,
-        ambient_dim=n * D * D,
-        basis=basis,
-        invariance_residual=invariance_residual(basis, gns),
-    )
+    basis = numerical_span(A.reshape(k, -1), dim=n * D * D).reshape(-1, n, D, D)
+    return HsSubspace(basis, invariance_residual(basis, gns))
 
 
 def invariant_closure(gns: "GnsStructure", vectors) -> HsSubspace:
@@ -257,12 +249,7 @@ def invariant_closure(gns: "GnsStructure", vectors) -> HsSubspace:
             break
         flat = grown
     basis = flat.reshape(-1, n, D, D)
-    return HsSubspace(
-        n=n,
-        ambient_dim=n * D * D,
-        basis=basis,
-        invariance_residual=invariance_residual(basis, gns),
-    )
+    return HsSubspace(basis, invariance_residual(basis, gns))
 
 
 @dataclass
@@ -272,7 +259,6 @@ class VnDimensionReport:
     value: float
     fraction: Fraction
     multiplicities: np.ndarray   # (b, b) integers m_ij
-    block_dims: np.ndarray       # (b, b) integers dim_C(z_i K z_j)
 
 
 def vn_dimension_report(
@@ -293,7 +279,6 @@ def vn_dimension_report(
     blocks = [slice(start, stop) for start, stop in _coordinate_ranges(sizes)]
 
     mult = np.zeros((b, b), dtype=int)
-    block_dims = np.zeros((b, b), dtype=int)
     total = Fraction(0)
     for i in range(b):
         for j in range(b):
@@ -312,12 +297,9 @@ def vn_dimension_report(
                     f"block ({i},{j}) has dimension {rank}, "
                     f"not a multiple of {denom}"
                 )
-            block_dims[i, j] = rank
             mult[i, j] = rank // denom
             total += wfr[i] * wfr[j] * Fraction(int(mult[i, j]), denom)
-    return VnDimensionReport(
-        value=float(total), fraction=total, multiplicities=mult, block_dims=block_dims
-    )
+    return VnDimensionReport(value=float(total), fraction=total, multiplicities=mult)
 
 
 def vn_dimension(K: HsSubspace, decomposition: CentralDecomposition) -> float:

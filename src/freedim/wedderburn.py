@@ -93,7 +93,6 @@ def minimal_central_projections(
     algebra_basis: np.ndarray,
     center: np.ndarray,
     rng: np.random.Generator,
-    retries: int = CENTER_RETRIES,
 ) -> list[np.ndarray]:
     """Split the center into its minimal projections.
 
@@ -105,7 +104,7 @@ def minimal_central_projections(
     flat_alg = algebra_basis.reshape(algebra_basis.shape[0], -1)
 
     last_problem = "no attempts made"
-    for _ in range(retries):
+    for _ in range(CENTER_RETRIES):
         vec, clusters = _random_split(center, rng)
         if len(clusters) != b:
             last_problem = f"found {len(clusters)} eigenvalue clusters, expected {b}"
@@ -124,7 +123,7 @@ def minimal_central_projections(
         if ok:
             return _canonical_order(projections)
     raise CenterResolutionError(
-        f"could not separate the central blocks after {retries} attempts: "
+        f"could not separate the central blocks after {CENTER_RETRIES} attempts: "
         + last_problem
     )
 
@@ -134,7 +133,6 @@ class BlockifyResult:
     """A *-isomorphism from a matrix algebra onto its block form."""
 
     algebra: "object"                    # TracialAlgebra
-    projections: list[np.ndarray]        # minimal central projections, N x N
     isometries: list[np.ndarray]         # V_i with pi_i(x) = V_i* x V_i
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -173,8 +171,8 @@ def blockify(
     commuting_set: Sequence[np.ndarray],
     trace_fn: Callable[[np.ndarray], complex],
     generators: Sequence[np.ndarray],
-    labels: Optional[Sequence[str]] = None,
-    rng: Optional[np.random.Generator] = None,
+    labels: Sequence[str],
+    rng: np.random.Generator,
     drop_zero_generators: bool = False,
 ) -> BlockifyResult:
     """Re-express the algebra spanned by `span_mats` as a TracialAlgebra.
@@ -186,8 +184,6 @@ def blockify(
     from .algebra import build_algebra
     from .vndim import numerical_span
 
-    if rng is None:
-        rng = np.random.default_rng(0)
     mats = [np.asarray(m, dtype=complex) for m in span_mats]
     N = mats[0].shape[0]
     flat = numerical_span(np.array([m.ravel() for m in mats]), dim=N * N)
@@ -229,8 +225,6 @@ def blockify(
     weights = [w / total for w in weights]
 
     gen_mats, gen_labels = [], []
-    if labels is None:
-        labels = [f"X{j + 1}" for j in range(len(generators))]
     for g, label in zip(generators, labels):
         img = _block_image(g, sizes, isometries)
         img = (img + img.conj().T) / 2.0
@@ -240,7 +234,7 @@ def blockify(
         gen_labels.append(label)
 
     algebra = build_algebra(sizes, weights, gen_mats, labels=gen_labels)
-    return BlockifyResult(algebra=algebra, projections=zs, isometries=isometries)
+    return BlockifyResult(algebra=algebra, isometries=isometries)
 
 
 def _irreducible_isometry(

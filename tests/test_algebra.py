@@ -57,6 +57,18 @@ def test_shape_mismatch_wrong_size():
         fd.build_algebra([1, 1], [0.5, 0.5], [np.zeros((3, 3), dtype=complex)])
 
 
+def test_shape_checked_before_block_mask():
+    # the N x N block mask of blocks [10**6] would take 931 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(fd.ShapeMismatch, match="shape"):
+            fd.build_algebra([10**6], [1.0], [np.eye(1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_shape_mismatch_off_block_support():
     g = np.array([[0, 1], [1, 0]], dtype=complex)  # crosses the 1+1 block cut
     with pytest.raises(fd.ShapeMismatch):
@@ -256,7 +268,7 @@ GAP_CASES = WORKED + ["S4", "random2x3", "random4x5"]
 
 
 def _check_pattern_gaps(name):
-    gns = fd.gns_structure(_worked_algebra(name), check=False)
+    gns = fd.gns_structure(_worked_algebra(name))
     L = gns.basis_left_mult
     mult, comm = _identity_gaps(L)
     dense_mult, dense_comm = dense_identity_gaps(L)
@@ -279,7 +291,7 @@ def test_pattern_gaps_match_dense_oracle_one_index_per_run(name, monkeypatch):
 
 def test_identity_gaps_memory_bounded_at_d64():
     # all 365 k joined pairs at once (D = 64) peaked at 46 MB
-    L = fd.gns_structure(random_block_algebra((8,), 0), check=False).basis_left_mult
+    L = fd.gns_structure(random_block_algebra((8,), 0)).basis_left_mult
     tracemalloc.start()
     try:
         gaps = _identity_gaps(L)
@@ -292,7 +304,7 @@ def test_identity_gaps_memory_bounded_at_d64():
 
 @pytest.mark.parametrize("where", ["structural_zero", "nonzero"])
 def test_perturbed_left_mult_fails_identity_check(where):
-    gns = fd.gns_structure(random_block_algebra((2, 3), seed=5), check=False)
+    gns = fd.gns_structure(random_block_algebra((2, 3), seed=5))
     L = gns.basis_left_mult
     p = 7
     zero = (L[p] == 0) & (L[p].T == 0)
@@ -310,5 +322,5 @@ def test_perturbed_left_mult_fails_identity_check(where):
 
 def test_gns_check_scales_to_d100():
     alg = random_block_algebra((6, 8), seed=1)
-    gns = fd.gns_structure(alg, check=True)
+    gns = fd.gns_structure(alg)
     assert gns.dim == 100

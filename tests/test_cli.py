@@ -276,6 +276,22 @@ def test_invalid_json(tmp_path):
     assert main(["delta", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"parameters": {"seed": ' + "1" * 5000 + "}}",
+    "[" * 100000 + "]" * 100000,
+    b"{\xff}",
+], ids=["int_past_4300_digits", "nested_100000_deep", "not_utf8"])
+def test_unreadable_json_is_a_config_error(tmp_path, capsys, text):
+    # each raised past the JSONDecodeError handler: ValueError, RecursionError
+    # and UnicodeDecodeError
+    path = tmp_path / "broken.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["counterexample", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config ") and "is not valid JSON" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism and outputs
 # ---------------------------------------------------------------------------
@@ -352,8 +368,26 @@ def _hostile_c2(mutate):
      "config error: algebra.generators must be a list of matrices"),
     (lambda a: a.update(labels=5), 2,
      "config error: algebra.labels must be a list of strings"),
+    (lambda a: a.update(weights=[10**400, 0.5]), 2,
+     "config error: algebra.weights must be finite numbers"),
+    (lambda a: a.update(blocks=None), 2,
+     "config error: algebra.blocks must be a list of integers"),
+    (lambda a: a["generators"][0][1][1].__setitem__(0, 10**400), 2,
+     "config error: algebra.generators[0]: entries must be finite numbers of "
+     "size at most 1e+100"),
+    (lambda a: a["generators"][0][1][1].__setitem__(0, 1e308), 2,
+     "config error: algebra.generators[0]: entries must be finite numbers of "
+     "size at most 1e+100"),
+    (lambda a: a.update(subalgebra_mode="no"), 2,
+     "config error: algebra.subalgebra_mode must be true or false, got 'no'"),
+    (lambda a: a.update(blocks=[7]), 1,
+     "computation error: TooLarge: algebra dimension sum n_i^2 exceeds the cap 41"),
+    (lambda a: a.update(blocks=[10**6]), 1,
+     "computation error: TooLarge: algebra dimension sum n_i^2 exceeds the cap 41"),
 ], ids=["nan_weight", "nan_entry", "ragged_row", "ragged_pair", "str_weight",
-        "float_block", "scalar_generators", "scalar_labels"])
+        "float_block", "scalar_generators", "scalar_labels", "huge_int_weight",
+        "null_blocks", "huge_int_entry", "huge_entry", "string_flag",
+        "dim_above_cap", "huge_block"])
 def test_hostile_numbers_rejected_without_traceback(tmp_path, capsys, mutate,
                                                     code, message):
     path = write_config(tmp_path, _hostile_c2(mutate))
@@ -423,6 +457,21 @@ def _shipped(name, **parameters):
     return cfg
 
 
+def _s3(**group):
+    return {"scenario": "group_finite", "group": dict(kind="symmetric", n=3, **group)}
+
+
+def _table(mult):
+    return {"scenario": "group_finite", "group": {"kind": "table", "mult": mult}}
+
+
+# [1.5] and [True] used to become element 1, and [-1] the last element
+_BAD_GENERATING_SETS = [[99], "ab", {"a": 1}, [[1]], [1.5], [True], [-1]]
+# 1.5 used to be truncated and True read as 1
+_BAD_TABLES = [[[0, "x"], [1, 0]], [[0, 1], [1]], [[0, 1e400], [1, 0]],
+               [[0, 1.5], [1, 0]], [[0, True], [1, 0]], [[0, 10**400], [1, 0]]]
+
+
 _FDQ = {"type": "free_difference_quotient"}
 _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
 
@@ -470,12 +519,38 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
     ({"scenario": "group_free", "group": {"kind": "symmetric", "n": 2},
       "parameters": {"rank": 2, "images": ["(a b)", "(1 2)"]}}, 1,
      "computation error: FreedimError: malformed cycle notation '(a b)'"),
+    *[(_s3(generating_set=bad), 2,
+       "config error: group.generating_set must be a list of element indices "
+       "below 6") for bad in _BAD_GENERATING_SETS],
+    *[(_table(mult), 2, "config error: group.mult must be 2 rows of 2 element "
+       "indices below 2") for mult in _BAD_TABLES],
+    ({"scenario": "dual_system",
+      "algebra": {"blocks": [11], "weights": [1.0],
+                  "generators": [mat_pairs(np.zeros((11, 11)))]},
+      "parameters": {"dual": {"type": "fisher"}}}, 1,
+     "computation error: TooLarge: algebra dimension sum n_i^2 exceeds the cap 100"),
+    (_shipped("cutoff_sweep", smooth="no"), 2,
+     "config error: parameters.smooth must be true or false, got 'no'"),
+    (_shipped("cutoff_sweep", A=mat_pairs(np.eye(2)), X=5), 2,
+     "config error: parameters.X must be a list of matrices"),
+    (_shipped("cutoff_sweep", A=mat_pairs(np.eye(2)), X=[mat_pairs(np.eye(1))]), 2,
+     "config error: parameters.X must hold matrices the size of parameters.A"),
+    (_shipped("cutoff_sweep", r_grid=list(range(1, 66))), 2,
+     "config error: parameters.r_grid must hold at most 64 radii"),
+    (_shipped("cutoff_sweep", seed=-1), 2,
+     "config error: seed must be a non-negative integer"),
+    (_shipped("group_free_kernel", rank=10**400), 2,
+     "config error: parameters.rank must be at most 2^53"),
 ], ids=["slot_string", "slot_bool", "slot_out_of_range", "targets_scalar",
         "targets_shape", "k_zero", "k_string", "k_scalar", "r_grid_string",
         "r_grid_nan", "dim_negative", "n_ops_string", "r_grid_huge",
         "r_grid_huge_int", "dim_above_cap", "n_ops_above_cap",
         "free_group_order_above_cap", "rank_string", "image_out_of_range",
-        "image_cycle_letters"])
+        "image_cycle_letters",
+        *[f"generating_set_{k}" for k in range(len(_BAD_GENERATING_SETS))],
+        *[f"mult_{k}" for k in range(len(_BAD_TABLES))],
+        "dual_dim_above_cap", "smooth_string", "X_scalar", "X_size", "r_grid_long",
+        "seed_negative", "rank_huge"])
 def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
                                                 message):
     path = write_config(tmp_path, cfg)
@@ -483,6 +558,13 @@ def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_negative_seed_flag_rejected(tmp_path, capsys):
+    # numpy's default_rng raised ValueError on it
+    path = write_config(tmp_path, _shipped("cutoff_sweep"))
+    assert main(["cutoff", "--config", path, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be a non-negative integer\n"
 
 
 @pytest.mark.parametrize("smooth", [False, True])

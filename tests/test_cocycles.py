@@ -8,7 +8,7 @@ import pytest
 import freedim as fd
 from conftest import (SX, SY, SZ, embed_c_m2, make_c1m2, make_c2, make_m2,
                       random_block_algebra, random_hermitian)
-from freedim.cli import _build_algebra_from_config
+from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config
 from freedim.cocycles import _unit_commutators, cocycle_span, commutator_bound
 from freedim.tolerances import INVARIANCE_TOL
 from freedim.vndim import invariance_residual, span_with_spectrum
@@ -129,7 +129,7 @@ def _worked_algebra(name):
     generic pair on random blocks named like "random4x5"."""
     if name.startswith("delta_"):
         section = json.loads((CONFIG_DIR / f"{name}.json").read_text())["algebra"]
-        return _build_algebra_from_config(section).effective_algebra()
+        return _build_algebra_from_config(section, _DELTA_MAX_DIM).effective_algebra()
     if name.startswith("random"):
         shape = tuple(int(n) for n in name[len("random"):].split("x"))
         return random_block_algebra(shape, seed=sum(shape))

@@ -72,6 +72,7 @@ def test_regular_rep_trace_is_point_evaluation():
         commuting_set=[lam[g] for g in minimal_generating_set(table)],
         trace_fn=lambda x: x[table.identity, table.identity],
         generators=list(lam),
+        labels=list(table.names),
         rng=np.random.default_rng(0),
     )
     for g in range(table.order):
@@ -83,7 +84,7 @@ def test_regular_rep_trace_is_point_evaluation():
 
 def test_regular_rep_too_large():
     with pytest.raises(fd.TooLarge):
-        fd.regular_rep_algebra(fd.symmetric_group(4), cap=20)
+        fd.regular_rep_algebra(fd.cyclic_group(25))
 
 
 def test_regular_rep_bad_generating_set():
@@ -106,7 +107,7 @@ def test_schreier_rank_mod_two_kernel():
     z2 = fd.cyclic_group(2)
     index, rank, gens = fd.schreier_rank(2, [1, 1], z2)
     assert (index, rank) == (2, 3)
-    graph = fd.schreier_graph(2, [1, 1], z2, names=("u", "v"))
+    graph = fd.schreier_graph(2, [1, 1], z2)
     assert graph.kernel_verified
     rendered = {fd.word_str(w, graph.names) for w in graph.subgroup_generators}
     assert "u^2" in rendered
@@ -233,6 +234,12 @@ def test_counterexample_values():
 def test_counterexample_norm_bound_at_100():
     rep = fd.counterexample_report(k_values=[100])
     assert rep["per_k"][0]["shrink_norm_bound"] == 0.01
+
+
+def test_counterexample_norm_bound_past_float_range():
+    # 1.0 / k raised OverflowError for k past 1e308
+    rep = fd.counterexample_report(k_values=[10**400])
+    assert rep["per_k"][0]["shrink_norm_bound"] == 0.0
 
 
 def test_counterexample_per_k_constant():

@@ -197,9 +197,7 @@ def test_integrality_error_on_forged_subspace(m2):
     rng = np.random.default_rng(6)
     v = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
     v /= np.linalg.norm(v)
-    forged = fd.HsSubspace(
-        n=1, ambient_dim=16, basis=v[None, :, :, :], invariance_residual=0.0
-    )
+    forged = fd.HsSubspace(basis=v[None, :, :, :], invariance_residual=0.0)
     with pytest.raises(fd.IntegralityError):
         fd.vn_dimension(forged, dec)
 
