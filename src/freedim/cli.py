@@ -585,7 +585,13 @@ def _run_cutoff(config: ScenarioConfig) -> RunReport:
         Xs = [_parse_matrix(x, f"parameters.X[{k}]") for k, x in enumerate(raw_xs)]
         if any(X.shape != A.shape for X in Xs):
             raise ConfigError("parameters.X must hold matrices the size of parameters.A")
+        for key in ("dim", "n_ops"):
+            if key in params:
+                raise ConfigError(f"parameters.{key} sizes a random instance and "
+                                  "cannot be given with parameters.A")
     else:
+        if "X" in params:
+            raise ConfigError("parameters.X needs parameters.A")
         dim = _positive_int(params, "dim", 8, _CUTOFF_MAX_DIM)
         n_ops = _positive_int(params, "n_ops", 2, _CUTOFF_MAX_OPS)
         rng = np.random.default_rng(config.seed)

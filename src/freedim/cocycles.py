@@ -55,13 +55,16 @@ def _hermitian_family(units: np.ndarray) -> np.ndarray:
     """Cocycles of E_pp, E_pq + E_qp and i(E_pq - E_qp), p < q, from unit cocycles."""
     D = units.shape[-1]
     units = units.reshape(D, D, *units.shape[1:])
-    rows = []
+    rows = np.empty((D * D, *units.shape[2:]), dtype=complex)
+    k = 0
     for p in range(D):
-        rows.append(units[p, p])
+        rows[k] = units[p, p]
+        k += 1
         for q in range(p + 1, D):
-            rows.append(units[p, q] + units[q, p])
-            rows.append(1j * (units[p, q] - units[q, p]))
-    return np.array(rows)
+            np.add(units[p, q], units[q, p], out=rows[k])
+            rows[k + 1] = 1j * (units[p, q] - units[q, p])
+            k += 2
+    return rows
 
 
 def commutator_bound(gns: GnsStructure, Ls: np.ndarray, s: np.ndarray, r: int,
@@ -210,7 +213,7 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     """
     eff = algebra.effective_algebra()
     gns = gns_structure(eff)
-    dec = central_decomposition(eff, gns, seed=seed)
+    dec = central_decomposition(gns, seed=seed)
     Ls = gns.generator_left_mult  # the L_X of eff.generators
 
     H0 = cocycle_span(gns, Ls)

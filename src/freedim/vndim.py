@@ -15,15 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 import numpy as np
 
+from .algebra import GnsStructure, _unflatten, block_offsets
 from .errors import CenterResolutionError, IntegralityError, NotInvariant
 from .tolerances import INVARIANCE_TOL, OPERATOR_TOL, RANK_TOL
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .algebra import GnsStructure, TracialAlgebra
 
 
 def numerical_span(vectors, dim: Optional[int] = None) -> np.ndarray:
@@ -67,16 +65,7 @@ class CentralDecomposition:
     weight_fractions: tuple[Fraction, ...]
 
 
-def _coordinate_ranges(sizes) -> list[tuple[int, int]]:
-    """(start, stop) ranges of the blocks' GNS coordinates (n_i^2 each)."""
-    from .algebra import block_offsets
-
-    return block_offsets([n * n for n in sizes])
-
-
-def central_decomposition(
-    algebra: "TracialAlgebra", gns: "GnsStructure", seed: int = 0
-) -> CentralDecomposition:
+def central_decomposition(gns: GnsStructure, seed: int = 0) -> CentralDecomposition:
     """Numerically resolve the center and read off block sizes and weights.
 
     The center is computed as the kernel of x -> ([x, X_j])_j inside the
@@ -86,12 +75,8 @@ def central_decomposition(
     the 0/1 indicator of its block's GNS coordinates, so that
     vn_dimension_report compresses by slicing.
     """
-    from .algebra import _unflatten
-    from .wedderburn import (
-        central_block_size,
-        commutant_basis,
-        minimal_central_projections,
-    )
+    from .wedderburn import (central_block_size, commutant_basis,
+                             minimal_central_projections)
 
     algebra = gns.algebra
     N = algebra.matrix_size
@@ -121,7 +106,7 @@ def central_decomposition(
             expect = projections[i] if i == j else 0.0
             if np.abs(projections[i] @ projections[j] - expect).max() > OPERATOR_TOL:
                 raise CenterResolutionError("central projections are not orthogonal")
-    for Zi, (start, stop) in zip(projections, _coordinate_ranges(sizes)):
+    for Zi, (start, stop) in zip(projections, block_offsets([n * n for n in sizes])):
         indicator = np.zeros(D)
         indicator[start:stop] = 1.0
         if np.abs(Zi - np.diag(indicator)).max() > 1e-10:
@@ -170,7 +155,7 @@ class HsSubspace:
         return self.basis.reshape(self.basis.shape[0], self.ambient_dim)
 
 
-def commutant_action(gns: "GnsStructure") -> np.ndarray:
+def commutant_action(gns: GnsStructure) -> np.ndarray:
     """The action generators: conjugated left multiplications, one per basis element."""
     return gns.basis_left_mult.transpose(0, 2, 1)
 
@@ -187,7 +172,7 @@ def _rowspace_residual(rows: np.ndarray, basis_flat: np.ndarray) -> float:
     return float(np.linalg.norm(resid, axis=1).max())
 
 
-def invariance_residual(basis: np.ndarray, gns: "GnsStructure") -> float:
+def invariance_residual(basis: np.ndarray, gns: GnsStructure) -> float:
     """Certificate that the span is stable under the commutant bimodule action."""
     r = basis.shape[0]
     if r == 0:
@@ -209,7 +194,7 @@ def invariance_residual(basis: np.ndarray, gns: "GnsStructure") -> float:
 
 
 def hs_subspace(
-    gns: "GnsStructure", vectors, n: Optional[int] = None
+    gns: GnsStructure, vectors, n: Optional[int] = None
 ) -> HsSubspace:
     """Orthonormalize a spanning family of HS tuples and certify invariance."""
     D = gns.dim
@@ -226,7 +211,7 @@ def hs_subspace(
     return HsSubspace(basis, invariance_residual(basis, gns))
 
 
-def invariant_closure(gns: "GnsStructure", vectors) -> HsSubspace:
+def invariant_closure(gns: GnsStructure, vectors) -> HsSubspace:
     """Smallest invariant subspace containing the given HS tuples."""
     A = np.asarray(vectors, dtype=complex)
     if A.ndim == 3:
@@ -264,41 +249,44 @@ class VnDimensionReport:
 def vn_dimension_report(
     K: HsSubspace, decomposition: CentralDecomposition
 ) -> VnDimensionReport:
-    """Evaluate the trace-weighted dimension of an invariant subspace."""
-    if K.invariance_residual > INVARIANCE_TOL:
-        raise NotInvariant(
-            f"subspace has invariance residual {K.invariance_residual:.3e} "
-            f"(threshold {INVARIANCE_TOL:.0e})"
-        )
+    """Evaluate the trace-weighted dimension of an invariant subspace.
+
+    dim_C(z_i K z_j) is certified as the trace of a projection.  With V the r
+    basis rows and P the 0/1 slice of block pair (i, j) (central_decomposition
+    certifies Z_i as that indicator), mu = ||V P||_HS^2 = tr G, G = V P V*, and
+    G - G^2 = (V P Pi')(V P Pi')*, Pi' the projection off K.  Z_i = Z_i^T =
+    sum_p c_p R_p over the action generators R_p = L_{b_p}^T, with sum |c_p| =
+    sqrt(n_i alpha_i) <= sqrt n_i, and each R_p moves a basis row at most
+    rho = K.invariance_residual off K; so eta = ||G - G^2|| <= r (sqrt n_i +
+    sqrt n_j)^2 rho^2, each eigenvalue of G lies within 2 eta of {0, 1}, and
+    |mu - rank| <= 2 min(r, c) eta, c = n (n_i n_j)^2 the slice size.  The
+    floor 2 r N u (N the ambient size, u the unit roundoff) covers the rows'
+    departure from unit norm and the rounding of the sum.
+    """
+    rho = K.invariance_residual
+    if rho > INVARIANCE_TOL:
+        raise NotInvariant(f"subspace has invariance residual {rho:.3e} "
+                           f"(threshold {INVARIANCE_TOL:.0e})")
     sizes = decomposition.sizes
-    b = len(sizes)
     wfr = decomposition.weight_fractions
     r = K.complex_dim
-    # central_decomposition certifies each Z_i as the 0/1 indicator of its
-    # block's coordinates, so compressing by Z_i is slicing
-    blocks = [slice(start, stop) for start, stop in _coordinate_ranges(sizes)]
+    blocks = [slice(*span) for span in block_offsets([n * n for n in sizes])]
+    mass = (np.abs(K.basis) ** 2).sum(axis=(0, 1))
+    floor = 2.0 * r * K.ambient_dim * np.finfo(float).eps
 
-    mult = np.zeros((b, b), dtype=int)
+    mult = np.zeros((len(sizes), len(sizes)), dtype=int)
     total = Fraction(0)
-    for i in range(b):
-        for j in range(b):
-            if r == 0:
-                rank = 0
-            else:
-                comp = K.basis[:, :, blocks[i], blocks[j]].reshape(r, -1)
-                s = np.linalg.svd(comp, compute_uv=False)
-                # basis rows are unit vectors, so the cutoff is floored at the
-                # ambient scale: an all-noise block must report rank zero
-                cut = RANK_TOL * max(1.0, float(s[0])) if s.size else RANK_TOL
-                rank = int(np.sum(s > cut))
-            denom = sizes[i] * sizes[j]
-            if rank % denom:
-                raise IntegralityError(
-                    f"block ({i},{j}) has dimension {rank}, "
-                    f"not a multiple of {denom}"
-                )
-            mult[i, j] = rank // denom
-            total += wfr[i] * wfr[j] * Fraction(int(mult[i, j]), denom)
+    for i, ni in enumerate(sizes):
+        for j, nj in enumerate(sizes):
+            mu = float(mass[blocks[i], blocks[j]].sum())
+            rank = round(mu)
+            eta = r * (np.sqrt(ni) + np.sqrt(nj)) ** 2 * rho**2
+            bound = 2 * min(r, K.n * (ni * nj) ** 2) * eta + floor
+            if not abs(mu - rank) <= bound < 0.5 or rank % (ni * nj):
+                raise IntegralityError(f"block ({i},{j}) has mass {mu!r}, not a "
+                                       f"certified multiple of {ni * nj}")
+            mult[i, j] = rank // (ni * nj)
+            total += wfr[i] * wfr[j] * Fraction(int(mult[i, j]), ni * nj)
     return VnDimensionReport(value=float(total), fraction=total, multiplicities=mult)
 
 

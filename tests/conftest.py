@@ -37,6 +37,27 @@ def random_block_algebra(shape, seed):
     return fd.build_algebra(shape, list(w / w.sum()), gens)
 
 
+def svd_block_ranks(K, dec):
+    """Reference rule for dim_C(z_i K z_j): the numerical rank of each block
+    slice of the basis rows, with the relative cutoff RANK_TOL floored at the
+    ambient scale, so that an all-noise block has rank zero."""
+    from freedim.algebra import block_offsets
+    from freedim.tolerances import RANK_TOL
+
+    ranges = block_offsets([n * n for n in dec.sizes])
+    r = K.complex_dim
+    ranks = np.zeros((len(ranges), len(ranges)), dtype=int)
+    if r == 0:
+        return ranks
+    for i, (si, ti) in enumerate(ranges):
+        for j, (sj, tj) in enumerate(ranges):
+            comp = K.basis[:, :, si:ti, sj:tj].reshape(r, -1)
+            s = np.linalg.svd(comp, compute_uv=False)
+            cut = RANK_TOL * max(1.0, float(s[0])) if s.size else RANK_TOL
+            ranks[i, j] = int(np.sum(s > cut))
+    return ranks
+
+
 def make_c2():
     return fd.build_algebra([1, 1], [0.5, 0.5], [np.diag([0.0, 1.0]).astype(complex)])
 

@@ -209,7 +209,7 @@ def test_criterion_9_dimension_engine():
     built = 0
     for alg, n in ((make_c2(), 1), (make_m2(), 2)):
         gns = fd.gns_structure(alg)
-        dec = fd.central_decomposition(alg, gns)
+        dec = fd.central_decomposition(gns)
         D = gns.dim
 
         vecs = []

@@ -560,6 +560,34 @@ def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+_CUTOFF_A = {"A": mat_pairs(np.eye(2)), "X": [mat_pairs(np.eye(2))]}
+
+
+@pytest.mark.parametrize("parameters,message", [
+    ({"r_grid": [1, 2], "X": [mat_pairs(np.eye(2))]},
+     "config error: parameters.X needs parameters.A\n"),
+    (dict(_CUTOFF_A, r_grid=[1, 2], dim=8),
+     "config error: parameters.dim sizes a random instance and cannot be given "
+     "with parameters.A\n"),
+    (dict(_CUTOFF_A, r_grid=[1, 2], n_ops=2),
+     "config error: parameters.n_ops sizes a random instance and cannot be given "
+     "with parameters.A\n"),
+], ids=["X_without_A", "dim_with_A", "n_ops_with_A"])
+def test_cutoff_refuses_keys_of_the_path_not_taken(tmp_path, capsys, parameters,
+                                                   message):
+    # these keys used to be dropped: X without A ran a random sweep
+    path = write_config(tmp_path, {"scenario": "cutoff", "parameters": parameters})
+    assert main(["cutoff", "--config", path]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_cutoff_explicit_instance_runs(tmp_path, capsys):
+    path = write_config(tmp_path, {"scenario": "cutoff",
+                                   "parameters": dict(_CUTOFF_A, r_grid=[1, 2])})
+    assert main(["cutoff", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["sweep"]
+
+
 def test_negative_seed_flag_rejected(tmp_path, capsys):
     # numpy's default_rng raised ValueError on it
     path = write_config(tmp_path, _shipped("cutoff_sweep"))

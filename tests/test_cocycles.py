@@ -7,7 +7,7 @@ import pytest
 
 import freedim as fd
 from conftest import (SX, SY, SZ, embed_c_m2, make_c1m2, make_c2, make_m2,
-                      random_block_algebra, random_hermitian)
+                      random_block_algebra, random_hermitian, svd_block_ranks)
 from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config
 from freedim.cocycles import _unit_commutators, cocycle_span, commutator_bound
 from freedim.tolerances import INVARIANCE_TOL
@@ -54,7 +54,7 @@ def test_cocycle_map_off_diagonal_unit(c2):
 
 def test_h0_two_point(c2):
     gns = fd.gns_structure(c2)
-    dec = fd.central_decomposition(c2, gns)
+    dec = fd.central_decomposition(gns)
     H0 = fd.compute_H0(gns, c2.generators)
     assert H0.complex_dim == 2
     assert fd.vn_dimension(H0, dec) == 0.5
@@ -62,7 +62,7 @@ def test_h0_two_point(c2):
 
 def test_h0_m2_pair(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(m2, gns)
+    dec = fd.central_decomposition(gns)
     H0 = fd.compute_H0(gns, m2.generators)
     assert H0.complex_dim == 12
     assert fd.vn_dimension(H0, dec) == 0.75
@@ -79,7 +79,7 @@ def test_h0_rank_nullity_exact():
 
 def test_h0_zero_padding_leaves_dimension(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(m2, gns)
+    dec = fd.central_decomposition(gns)
     base = fd.vn_dimension(fd.compute_H0(gns, m2.generators), dec)
     padded_gens = list(m2.generators) + [np.zeros((2, 2), dtype=complex)]
     padded = fd.vn_dimension(fd.compute_H0(gns, padded_gens), dec)
@@ -103,7 +103,7 @@ def test_h1_empty_generator_tuple(c2):
 def test_h2_equals_h0_values(c2, m2, c1m2):
     for alg in (c2, m2, c1m2):
         gns = fd.gns_structure(alg)
-        dec = fd.central_decomposition(alg, gns)
+        dec = fd.central_decomposition(gns)
         H0 = fd.compute_H0(gns, alg.generators)
         H2 = fd.compute_H2(gns, alg.generators)
         assert fd.subspace_distance(H0, H2) <= 1e-12
@@ -154,6 +154,21 @@ def test_commutator_bound_dominates_dense_residual(name):
         assert K.invariance_residual >= dense - 1e-13
 
 
+@pytest.mark.parametrize("name", ["S3", "C2xS3", "S4", "random1x1x2",
+                                  "random2x3", "random4"])
+def test_block_multiplicities_match_svd_rank_oracle(name):
+    alg = _worked_algebra(name)
+    gns = fd.gns_structure(alg)
+    dec = fd.central_decomposition(gns)
+    sizes = np.array(dec.sizes)
+    for hermitian in (False, True):  # H0, H1
+        K = cocycle_span(gns, gns.generator_left_mult, hermitian=hermitian)
+        rep = fd.vn_dimension_report(K, dec)
+        np.testing.assert_array_equal(
+            rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, dec)
+        )
+
+
 def _c_c_m2(gap):
     """C (+) C (+) M2 whose first generator has eigenvalues 1 and 1 + gap on C (+) C."""
     g1 = np.zeros((4, 4), dtype=complex)
@@ -175,7 +190,7 @@ def _c_m2(weight):
 ], ids=["weight_1e-6", "gap_1e-4", "gap_1e-6"])
 def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
     gns = fd.gns_structure(alg)
-    dec = fd.central_decomposition(alg, gns)
+    dec = fd.central_decomposition(gns)
     for builder in (fd.compute_H0, fd.compute_H1):
         K = builder(gns, alg.generators)
         dense = invariance_residual(K.basis, gns)
@@ -191,7 +206,7 @@ def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
 def test_commutator_bound_rejects_non_commuting_operator(m2):
     # a Hermitian "L" outside the algebra does not commute with the action
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(m2, gns)
+    dec = fd.central_decomposition(gns)
     Ls = random_hermitian(np.random.default_rng(3), gns.dim)[None]
     A = _unit_commutators(Ls).reshape(gns.dim ** 2, -1)
     kept, s = span_with_spectrum(A)

@@ -8,6 +8,9 @@ byte fails here.  The goldens file is only read.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,27 @@ def test_shipped_reports_match_goldens(label, tmp_path, monkeypatch, capsys):
             changed.append(seed)
     capsys.readouterr()
     assert changed == [], f"{label}: report bytes changed for seeds {changed}"
+
+
+def test_s4_report_matches_golden_at_two_blas_threads(tmp_path):
+    # the shipped configs (D <= 6) never depend on BLAS partitioning; S4
+    # (D = 24) does, and its goldens were recorded at 2 BLAS threads
+    config = tmp_path / "s4.json"
+    with open(config, "w") as fh:  # the bytes perfbench/workloads.py writes
+        json.dump({"scenario": "group_finite",
+                   "group": {"kind": "symmetric", "n": 4}}, fh)
+    out = tmp_path / "report.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("FREEDIM_TOL", None)
+    argv = ["group_finite", "--config", str(config), "--seed", "1",
+            "--output", str(out)]
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from freedim.cli import main; "
+                    f"sys.exit(main({argv!r}))"], env=env, check=True,
+                   capture_output=True)
+    digest = hashlib.sha256(config.read_bytes()).hexdigest()[:16]
+    want = GOLDENS["reports"][f"group_finite:{digest}:1"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import invariant_complement
+from conftest import invariant_complement, make_c1m2, make_m2, svd_block_ranks
 
 
 def joint_commutator_nullity(Ls):
@@ -66,7 +66,7 @@ def test_numerical_span_orthonormal_rows():
 
 def test_central_decomposition_two_point(c2):
     gns = fd.gns_structure(c2)
-    dec = fd.central_decomposition(c2, gns)
+    dec = fd.central_decomposition(gns)
     assert dec.sizes == (1, 1)
     np.testing.assert_allclose(dec.weights, [0.5, 0.5], atol=1e-12)
     for z in dec.projections:
@@ -75,7 +75,7 @@ def test_central_decomposition_two_point(c2):
 
 def test_central_decomposition_factor(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(m2, gns)
+    dec = fd.central_decomposition(gns)
     assert dec.sizes == (2,)
     np.testing.assert_allclose(dec.weights, [1.0], atol=1e-12)
     np.testing.assert_allclose(dec.projections[0], np.eye(4), atol=1e-10)
@@ -85,7 +85,7 @@ def test_central_decomposition_s3_regular():
     table = fd.symmetric_group(3)
     alg = fd.regular_rep_algebra(table)
     gns = fd.gns_structure(alg)
-    dec = fd.central_decomposition(alg, gns)
+    dec = fd.central_decomposition(gns)
     assert sorted(dec.sizes) == [1, 1, 2]
     assert abs(sum(dec.weights) - 1.0) < 1e-12
     assert sum(n * n for n in dec.sizes) == 6
@@ -94,7 +94,7 @@ def test_central_decomposition_s3_regular():
 
 def test_recovered_matches_declared(c1m2):
     gns = fd.gns_structure(c1m2)
-    dec = fd.central_decomposition(c1m2, gns)
+    dec = fd.central_decomposition(gns)
     assert dec.sizes == c1m2.block_sizes
     np.testing.assert_allclose(dec.weights, c1m2.trace_weights, atol=1e-9)
 
@@ -122,7 +122,7 @@ def test_center_resolution_error_after_retries(m2):
 
 def test_central_projections_partition_identity(c1m2):
     gns = fd.gns_structure(c1m2)
-    dec = fd.central_decomposition(c1m2, gns)
+    dec = fd.central_decomposition(gns)
     np.testing.assert_allclose(
         dec.projections.sum(axis=0), np.eye(gns.dim), atol=1e-10
     )
@@ -148,7 +148,7 @@ def full_hs_subspace(gns, n):
 def test_normalization_full_hs(c2, m2, n):
     for alg in (c2, m2):
         gns = fd.gns_structure(alg)
-        dec = fd.central_decomposition(alg, gns)
+        dec = fd.central_decomposition(gns)
         K = full_hs_subspace(gns, n)
         value = fd.vn_dimension(K, dec)
         assert value == float(n)  # exact: the weight convention is pinned here
@@ -160,7 +160,7 @@ def test_two_point_commutator_space(c2):
     # oracle: commutators with diag(0,1) are exactly the off-diagonal
     # matrices in the eigenbasis; two 1-dim cross blocks, each weighted 1/4
     gns = fd.gns_structure(c2)
-    dec = fd.central_decomposition(c2, gns)
+    dec = fd.central_decomposition(gns)
     e12 = np.zeros((2, 2), dtype=complex)
     e12[0, 1] = 1.0
     K = fd.hs_subspace(gns, np.array([[e12], [e12.T]]))
@@ -170,7 +170,7 @@ def test_two_point_commutator_space(c2):
 
 def test_m2_pair_commutator_space(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(m2, gns)
+    dec = fd.central_decomposition(gns)
     vecs = all_unit_cocycles(gns, m2.generators)
     K = fd.hs_subspace(gns, vecs)
     # oracle: kernel of the joint commutator map is the 4-dim commutant
@@ -182,7 +182,7 @@ def test_m2_pair_commutator_space(m2):
 
 def test_not_invariant_raises(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(m2, gns)
+    dec = fd.central_decomposition(gns)
     rng = np.random.default_rng(5)
     v = rng.standard_normal((1, 1, 4, 4)) + 1j * rng.standard_normal((1, 1, 4, 4))
     K = fd.hs_subspace(gns, v)
@@ -193,7 +193,7 @@ def test_not_invariant_raises(m2):
 
 def test_integrality_error_on_forged_subspace(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(m2, gns)
+    dec = fd.central_decomposition(gns)
     rng = np.random.default_rng(6)
     v = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
     v /= np.linalg.norm(v)
@@ -202,9 +202,41 @@ def test_integrality_error_on_forged_subspace(m2):
         fd.vn_dimension(forged, dec)
 
 
+def test_split_unit_tuple_is_not_an_integer_block_dimension(c2):
+    # one unit tuple split evenly over the cross coordinates (0, 1) and
+    # (1, 0): each cross block holds half of it, which the per-block SVD rank
+    # read as [[0, 1], [1, 0]] and a dimension of 1/2 for a line
+    gns = fd.gns_structure(c2)
+    dec = fd.central_decomposition(gns)
+    v = np.zeros((1, 1, 2, 2), dtype=complex)
+    v[0, 0, 0, 1] = v[0, 0, 1, 0] = np.sqrt(0.5)
+    forged = fd.HsSubspace(basis=v, invariance_residual=0.0)
+    assert svd_block_ranks(forged, dec).tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(fd.IntegralityError, match=r"block \(0,1\) has mass 0.5"):
+        fd.vn_dimension_report(forged, dec)
+
+
+@pytest.mark.parametrize("make", [make_m2, make_c1m2], ids=["m2", "c1m2"])
+def test_closure_multiplicities_match_svd_rank_oracle(make):
+    gns = fd.gns_structure(make())
+    dec = fd.central_decomposition(gns)
+    sizes = np.array(dec.sizes)
+    rng = np.random.default_rng(11)
+    D = gns.dim
+    for _ in range(6):
+        v = rng.standard_normal((2, 2, D, D)) + 1j * rng.standard_normal((2, 2, D, D))
+        # a sparse seed tuple reaches only some block pairs
+        v[:, :, rng.random((D, D)) < 0.7] = 0.0
+        K = fd.invariant_closure(gns, v)
+        rep = fd.vn_dimension_report(K, dec)
+        np.testing.assert_array_equal(
+            rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, dec)
+        )
+
+
 def test_monotonicity_and_additivity(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(m2, gns)
+    dec = fd.central_decomposition(gns)
     rng = np.random.default_rng(7)
     D = gns.dim
     for _ in range(20):
@@ -227,7 +259,7 @@ def test_monotonicity_and_additivity(m2):
 
 def test_vn_value_matches_fraction(c1m2):
     gns = fd.gns_structure(c1m2)
-    dec = fd.central_decomposition(c1m2, gns)
+    dec = fd.central_decomposition(gns)
     K = full_hs_subspace(gns, 1)
     rep = fd.vn_dimension_report(K, dec)
     assert rep.value == float(rep.fraction)
