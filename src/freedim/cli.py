@@ -17,9 +17,9 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,26 +61,8 @@ from .groups import (
 )
 from .tolerances import residual_tol
 
-SCENARIOS = (
-    "delta",
-    "dual_system",
-    "cutoff",
-    "group_finite",
-    "group_free",
-    "counterexample",
-)
-
 _TOP_KEYS = {"scenario", "algebra", "group", "parameters"}
-_PARAM_KEYS = {
-    "delta": {"seed"},
-    "dual_system": {"seed", "dual"},
-    "cutoff": {"seed", "r_grid", "dim", "n_ops", "A", "X", "smooth"},
-    "group_finite": {"seed"},
-    "group_free": {"rank", "images"},
-    "counterexample": {"k_values"},
-}
-_NEEDS_ALGEBRA = {"delta", "dual_system"}
-_NEEDS_GROUP = {"group_finite"}
+_SECTIONS = {"algebra": "an algebra section", "group": "a group section"}
 
 
 @dataclass
@@ -100,9 +82,8 @@ class RunReport:
     seed: int
     config_hash: str
     results: dict
-    provenance: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-    sweep_rows: Optional[list[tuple[float, float]]] = None
+    provenance: dict
+    residuals: dict
 
     def payload(self) -> dict:
         return {
@@ -210,30 +191,28 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
 
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
+    entry = SCENARIOS[scenario]
     _check_keys(raw, _TOP_KEYS, set(), "config")
     if "scenario" in raw and raw["scenario"] != scenario:
         raise ConfigError(
             f"config is for scenario {raw['scenario']!r}, not {scenario!r}"
         )
 
-    if scenario in _NEEDS_ALGEBRA and "algebra" not in raw:
-        raise ConfigError(f"scenario {scenario!r} requires an algebra section")
-    if scenario in _NEEDS_GROUP and "group" not in raw:
-        raise ConfigError(f"scenario {scenario!r} requires a group section")
-    if scenario not in _NEEDS_ALGEBRA and "algebra" in raw:
-        raise ConfigError(f"scenario {scenario!r} does not take an algebra section")
-    if scenario not in _NEEDS_GROUP | {"group_free"} and "group" in raw:
-        raise ConfigError(f"scenario {scenario!r} does not take a group section")
+    for section in entry.needs:
+        if section not in raw:
+            raise ConfigError(f"scenario {scenario!r} requires {_SECTIONS[section]}")
+    for section, name in _SECTIONS.items():
+        if section in raw and section not in entry.needs and section not in entry.takes:
+            raise ConfigError(f"scenario {scenario!r} does not take {name}")
 
     params = raw.get("parameters", {})
-    _check_keys(params, _PARAM_KEYS[scenario], set(), "parameters")
-
-    if scenario == "dual_system" and "dual" not in params:
-        raise ConfigError("dual_system requires parameters.dual")
-    if scenario == "cutoff" and "r_grid" not in params:
-        raise ConfigError("cutoff requires parameters.r_grid")
-    if scenario == "group_free" and "rank" not in params:
-        raise ConfigError("group_free requires parameters.rank")
+    _check_keys(params, entry.keys, entry.required, "parameters")
+    for section, key in entry.takes.items():
+        if key in params and section not in raw:
+            raise ConfigError(f"parameters.{key} requires {_SECTIONS[section]}")
+        if section in raw and key not in params:
+            raise ConfigError(f"scenario {scenario!r} takes {_SECTIONS[section]} "
+                              f"only with parameters.{key}")
 
     # numpy's generators take no negative seed
     seed = params.get("seed", 0)
@@ -385,23 +364,21 @@ def _group_order(section: dict) -> int:
     return min(order, _ORDER_CEILING + 1)
 
 
-def _check_order(section: dict, cap: int) -> None:
-    """Refuse a group above `cap` before its multiplication table is built."""
+def _build_group_from_config(section: dict,
+                             cap: int) -> tuple[FiniteGroupTable, Optional[list]]:
+    """Validate a group section, refuse an order above `cap` before its
+    multiplication table is built, then build it."""
     order = _group_order(section)
     if order > cap:
         shown = order if order <= _ORDER_CEILING else "above 10^18"
         raise TooLarge(f"group order {shown} exceeds the cap {cap}")
-
-
-def _build_group_from_config(section: dict) -> tuple[FiniteGroupTable, Optional[list]]:
-    _group_order(section)  # validates the section
     kind = section["kind"]
     if kind == "cyclic":
         table = cyclic_group(section["n"])
     elif kind == "symmetric":
         table = symmetric_group(section["n"])
     elif kind == "product":
-        factors = [_build_group_from_config(f)[0] for f in section["factors"]]
+        factors = [_build_group_from_config(f, cap)[0] for f in section["factors"]]
         table = functools.reduce(direct_product, factors)
     else:
         table = from_mult_table(section["mult"])
@@ -455,23 +432,22 @@ def _delta_results(rep) -> dict:
     }
 
 
-def _run_delta(config: ScenarioConfig) -> RunReport:
+# A runner returns (results, provenance, residuals); run_scenario stamps the
+# scenario, seed and config hash onto the report.
+Outcome = tuple[dict, dict, dict]
+
+
+def _run_delta(config: ScenarioConfig) -> Outcome:
     algebra = _build_algebra_from_config(config.algebra, _DELTA_MAX_DIM)
     rep = delta_report(algebra, seed=config.seed)
-    return RunReport(
-        scenario="delta",
-        seed=config.seed,
-        config_hash=config.config_hash,
-        results=_delta_results(rep),
-        provenance={
-            "Delta": "computed (trace-weighted dimension of the weak-limit "
-                     "cocycle space)",
-            "delta_star": "pinned",
-            "delta_blackstar": "pinned",
-            "beta0": "defined as 1 - Delta; closed form is a cross-check",
-        },
-        residuals=rep.distances,
-    )
+    provenance = {
+        "Delta": "computed (trace-weighted dimension of the weak-limit "
+                 "cocycle space)",
+        "delta_star": "pinned",
+        "delta_blackstar": "pinned",
+        "beta0": "defined as 1 - Delta; closed form is a cross-check",
+    }
+    return _delta_results(rep), provenance, rep.distances
 
 
 def _dual_matrix(raw, where: str, dim: int) -> np.ndarray:
@@ -482,7 +458,7 @@ def _dual_matrix(raw, where: str, dim: int) -> np.ndarray:
     return mat
 
 
-def _run_dual_system(config: ScenarioConfig) -> RunReport:
+def _run_dual_system(config: ScenarioConfig) -> Outcome:
     gns = gns_structure(_build_algebra_from_config(config.algebra, _DUAL_MAX_DIM))
     dual = config.parameters["dual"]
     if not isinstance(dual, dict) or "type" not in dual:
@@ -492,26 +468,21 @@ def _run_dual_system(config: ScenarioConfig) -> RunReport:
     if kind == "fisher":
         _check_keys(dual, {"type"}, set(), "parameters.dual")
         rep = fisher_report(gns)
-        return RunReport(
-            scenario="dual_system",
-            seed=config.seed,
-            config_hash=config.config_hash,
-            results={
-                "mode": "fisher",
-                "value": rep.value,
-                "slots": [
-                    {
-                        "slot": s.slot,
-                        "well_defined": s.well_defined,
-                        "defect": s.defect,
-                        "xi_norm_sq": s.xi_norm_sq,
-                    }
-                    for s in rep.slots
-                ],
-            },
-            provenance={"value": "sum of squared conjugate-vector norms, "
-                                 "+inf when a slot fails to descend"},
-        )
+        results = {
+            "mode": "fisher",
+            "value": rep.value,
+            "slots": [
+                {
+                    "slot": s.slot,
+                    "well_defined": s.well_defined,
+                    "defect": s.defect,
+                    "xi_norm_sq": s.xi_norm_sq,
+                }
+                for s in rep.slots
+            ],
+        }
+        return results, {"value": "sum of squared conjugate-vector norms, "
+                                  "+inf when a slot fails to descend"}, {}
 
     if kind == "inner":
         _check_keys(dual, {"type", "matrix"}, {"matrix"}, "parameters.dual")
@@ -548,18 +519,11 @@ def _run_dual_system(config: ScenarioConfig) -> RunReport:
         if config.verbose:
             results["Y"] = matrix_to_pairs(rep.Y)
             results["xi"] = [[float(x.real), float(x.imag)] for x in rep.xi]
-    return RunReport(
-        scenario="dual_system",
-        seed=config.seed,
-        config_hash=config.config_hash,
-        results=results,
-        provenance={"construction": "operator assembled on the cyclic basis "
-                                    "from the induced derivative map"},
-        residuals=residuals,
-    )
+    return results, {"construction": "operator assembled on the cyclic basis "
+                                     "from the induced derivative map"}, residuals
 
 
-def _run_cutoff(config: ScenarioConfig) -> RunReport:
+def _run_cutoff(config: ScenarioConfig) -> Outcome:
     params = config.parameters
     raw_grid = _list_of(params, "r_grid", (int, float), "numbers", "parameters")
     # compared before float(), which overflows on a JSON integer past 1e308
@@ -623,27 +587,20 @@ def _run_cutoff(config: ScenarioConfig) -> RunReport:
             ).max() <= 2.0 + 1e-12
         ),
     }
-    return RunReport(
-        scenario="cutoff",
-        seed=config.seed,
-        config_hash=config.config_hash,
-        results={
-            "spectral_radius": rho,
-            "smooth": smooth,
-            "sweep": [{"R": r, "hs_error": e} for r, e in rows],
-            "zero_beyond_radius": bool(
-                all(e <= 1e-10 for r, e in rows if r >= rho)
-            ),
-            "conditions": conditions,
-        },
-        provenance={"sweep": "computed from the eigendecomposition of A"},
-        sweep_rows=rows,
-    )
+    results = {
+        "spectral_radius": rho,
+        "smooth": smooth,
+        "sweep": [{"R": r, "hs_error": e} for r, e in rows],
+        "zero_beyond_radius": bool(
+            all(e <= 1e-10 for r, e in rows if r >= rho)
+        ),
+        "conditions": conditions,
+    }
+    return results, {"sweep": "computed from the eigendecomposition of A"}, {}
 
 
-def _run_group_finite(config: ScenarioConfig) -> RunReport:
-    _check_order(config.group, ORDER_CAP)
-    table, gen_set = _build_group_from_config(config.group)
+def _run_group_finite(config: ScenarioConfig) -> Outcome:
+    table, gen_set = _build_group_from_config(config.group, ORDER_CAP)
     algebra = regular_rep_algebra(table, generating_set=gen_set, seed=config.seed)
     rep = delta_report(algebra, seed=config.seed)
     formula = betti_delta_formula(BettiInput.finite_group(table.order))
@@ -654,17 +611,11 @@ def _run_group_finite(config: ScenarioConfig) -> RunReport:
         "formula_abs_error": abs(formula - rep.Delta),
         "generators": list(algebra.labels),
     })
-    return RunReport(
-        scenario="group_finite",
-        seed=config.seed,
-        config_hash=config.config_hash,
-        results=results,
-        provenance={
-            "Delta": "computed from the regular representation",
-            "formula_delta": "1 - 1/|G| from the Betti inputs of a finite group",
-        },
-        residuals={"formula_abs_error": abs(formula - rep.Delta)},
-    )
+    provenance = {
+        "Delta": "computed from the regular representation",
+        "formula_delta": "1 - 1/|G| from the Betti inputs of a finite group",
+    }
+    return results, provenance, {"formula_abs_error": abs(formula - rep.Delta)}
 
 
 def _resolve_images(raw_images, group_section, order: int) -> list[int]:
@@ -698,21 +649,23 @@ def _resolve_images(raw_images, group_section, order: int) -> list[int]:
 _FREE_MAX_RANK = 2**53
 
 
-def _run_group_free(config: ScenarioConfig) -> RunReport:
+def _run_group_free(config: ScenarioConfig) -> Outcome:
     rank = config.parameters["rank"]
     if not _is_int(rank):
         raise ConfigError(f"parameters.rank must be an integer, got {rank!r}")
+    if rank < 1:
+        raise ConfigError("parameters.rank must be at least 1")
     if rank > _FREE_MAX_RANK:
         raise ConfigError("parameters.rank must be at most 2^53")
     delta = betti_delta_formula(BettiInput.free_group(rank))
     results = {"rank": rank, "delta": delta}
     if "images" in config.parameters:
-        if config.group is None:
-            raise ConfigError("parameters.images requires a group section")
-        _check_order(config.group, TABLE_ORDER_CAP)
-        table, _ = _build_group_from_config(config.group)
+        table, _ = _build_group_from_config(config.group, TABLE_ORDER_CAP)
         images = _resolve_images(config.parameters["images"], config.group,
                                  table.order)
+        if len(images) != rank:
+            raise ConfigError(f"parameters.images must hold {rank} images, one per "
+                              f"free generator, got {len(images)}")
         graph = schreier_graph(rank, images, table)
         results["kernel"] = {
             "index": graph.index,
@@ -722,117 +675,140 @@ def _run_group_free(config: ScenarioConfig) -> RunReport:
             "kernel_verified": graph.kernel_verified,
             "kernel_delta": betti_delta_formula(BettiInput.free_group(graph.rank)),
         }
-    return RunReport(
-        scenario="group_free",
-        seed=config.seed,
-        config_hash=config.config_hash,
-        results=results,
-        provenance={"delta": "Betti formula for a free group (pinned)"},
-    )
+    return results, {"delta": "Betti formula for a free group (pinned)"}, {}
 
 
-def _run_counterexample(config: ScenarioConfig) -> RunReport:
+def _run_counterexample(config: ScenarioConfig) -> Outcome:
     k_values = config.parameters.get("k_values", list(COUNTEREXAMPLE_K_VALUES))
     if not (isinstance(k_values, list)
             and all(_is_int(k) and k > 0 for k in k_values)):
         raise ConfigError("parameters.k_values must be a list of positive integers")
     report = counterexample_report(k_values)
-    return RunReport(
-        scenario="counterexample",
-        seed=config.seed,
-        config_hash=config.config_hash,
-        results=report,
-        provenance=report["provenance"],
+    return report, report["provenance"], {}
+
+
+# ---------------------------------------------------------------------------
+# text summaries: the lines after the scenario and seed, from (results,
+# residuals)
+# ---------------------------------------------------------------------------
+
+def _delta_text(r: dict, residuals: dict) -> list[str]:
+    return [
+        f"Delta = {r['Delta']!r} ({_clean(r['Delta_fraction'])})",
+        f"beta0 = {r['beta0']!r} ({_clean(r['beta0_fraction'])})",
+        f"dim H0 = {r['dim_H0']!r}, dim H1 = {r['dim_H1']!r}, "
+        f"dim H2 = {r['dim_H2']!r}",
+        f"pinned: delta_star = delta_blackstar = {r['pinned']['delta_star']!r}",
+    ]
+
+
+def _group_finite_text(r: dict, residuals: dict) -> list[str]:
+    return _delta_text(r, residuals) + [
+        f"group order {r['group_order']}: formula value "
+        f"{r['formula_delta']!r}, abs error {r['formula_abs_error']!r}"
+    ]
+
+
+def _dual_system_text(r: dict, residuals: dict) -> list[str]:
+    lines = [f"mode: {r['mode']}"]
+    if r["mode"] == "fisher":
+        lines.append(f"fisher value = {_clean(r['value'])}")
+        for slot in r["slots"]:
+            lines.append(
+                f"  slot {slot['slot']}: well_defined={slot['well_defined']} "
+                f"defect={slot['defect']!r}"
+            )
+    else:
+        lines.append(f"well_defined = {r['well_defined']}")
+        lines.append(f"defect = {r['defect']!r}")
+        for key, val in residuals.items():
+            lines.append(f"residual {key} = {val!r}")
+    return lines
+
+
+def _cutoff_text(r: dict, residuals: dict) -> list[str]:
+    lines = [f"spectral radius = {r['spectral_radius']!r}"]
+    for row in r["sweep"]:
+        lines.append(f"R = {row['R']!r}: hs_error = {row['hs_error']!r}")
+    lines.append(f"zero beyond radius: {r['zero_beyond_radius']}")
+    return lines
+
+
+def _group_free_text(r: dict, residuals: dict) -> list[str]:
+    lines = [f"delta(free group, rank {r['rank']}) = {r['delta']!r}"]
+    if "kernel" in r:
+        k = r["kernel"]
+        lines.append(
+            f"kernel: index {k['index']}, rank {k['rank']}, "
+            f"generators {', '.join(k['generators'])}"
+        )
+        lines.append(f"kernel membership verified: {k['kernel_verified']}")
+    return lines
+
+
+def _counterexample_text(r: dict, residuals: dict) -> list[str]:
+    lines = []
+    for row in r["per_k"]:
+        lines.append(
+            f"k = {row['k']}: delta = {row['delta']!r}, shrinking-coordinate "
+            f"norm bound {row['shrink_norm_bound']!r}"
+        )
+    lim = r["limit"]
+    lines.append(
+        f"limit: kernel index {lim['kernel_index']}, rank "
+        f"{lim['kernel_rank']}, delta = {lim['delta']!r}"
     )
+    lines.append("liminf delta = 2 < 3 = delta(limit)")
+    return lines
 
 
-_RUNNERS = {
-    "delta": _run_delta,
-    "dual_system": _run_dual_system,
-    "cutoff": _run_cutoff,
-    "group_finite": _run_group_finite,
-    "group_free": _run_group_free,
-    "counterexample": _run_counterexample,
+# ---------------------------------------------------------------------------
+# the scenarios
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scenario:
+    """What one scenario accepts, how it runs and what its text report says."""
+
+    needs: tuple                 # sections it requires
+    takes: dict                  # optional section -> the parameter it comes with
+    keys: set                    # parameter keys it accepts
+    required: set                # of which these are required
+    run: Callable[[ScenarioConfig], Outcome]
+    text: Callable[[dict, dict], list[str]]
+
+
+# The one place that knows each scenario; the CLI offers them in this order.
+SCENARIOS = {
+    "delta": Scenario(("algebra",), {}, {"seed"}, set(), _run_delta, _delta_text),
+    "dual_system": Scenario(("algebra",), {}, {"seed", "dual"}, {"dual"},
+                            _run_dual_system, _dual_system_text),
+    "cutoff": Scenario((), {}, {"seed", "r_grid", "dim", "n_ops", "A", "X", "smooth"},
+                       {"r_grid"}, _run_cutoff, _cutoff_text),
+    "group_finite": Scenario(("group",), {}, {"seed"}, set(), _run_group_finite,
+                             _group_finite_text),
+    "group_free": Scenario((), {"group": "images"}, {"rank", "images"}, {"rank"},
+                           _run_group_free, _group_free_text),
+    "counterexample": Scenario((), {}, {"k_values"}, set(), _run_counterexample,
+                               _counterexample_text),
 }
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Dispatch to the owning module and aggregate the results."""
-    runner = _RUNNERS[config.scenario]
     try:
-        return runner(config)
+        results, provenance, residuals = SCENARIOS[config.scenario].run(config)
     except ConfigError:
         raise
     except FreedimError as exc:
         raise ComputationError(f"{type(exc).__name__}: {exc}") from exc
+    return RunReport(config.scenario, config.seed, config.config_hash, results,
+                     provenance, residuals)
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
-
-def _text_lines(report: RunReport) -> list[str]:
-    lines = [f"scenario: {report.scenario}", f"seed: {report.seed}"]
-    r = report.results
-    if report.scenario in ("delta", "group_finite"):
-        lines.append(
-            f"Delta = {r['Delta']!r} ({_clean(r['Delta_fraction'])})"
-        )
-        lines.append(f"beta0 = {r['beta0']!r} ({_clean(r['beta0_fraction'])})")
-        lines.append(
-            f"dim H0 = {r['dim_H0']!r}, dim H1 = {r['dim_H1']!r}, "
-            f"dim H2 = {r['dim_H2']!r}"
-        )
-        lines.append(
-            f"pinned: delta_star = delta_blackstar = {r['pinned']['delta_star']!r}"
-        )
-        if report.scenario == "group_finite":
-            lines.append(
-                f"group order {r['group_order']}: formula value "
-                f"{r['formula_delta']!r}, abs error {r['formula_abs_error']!r}"
-            )
-    elif report.scenario == "dual_system":
-        lines.append(f"mode: {r['mode']}")
-        if r.get("mode") == "fisher":
-            lines.append(f"fisher value = {_clean(r['value'])}")
-            for slot in r["slots"]:
-                lines.append(
-                    f"  slot {slot['slot']}: well_defined={slot['well_defined']} "
-                    f"defect={slot['defect']!r}"
-                )
-        else:
-            lines.append(f"well_defined = {r['well_defined']}")
-            lines.append(f"defect = {r['defect']!r}")
-            for key, val in report.residuals.items():
-                lines.append(f"residual {key} = {val!r}")
-    elif report.scenario == "cutoff":
-        lines.append(f"spectral radius = {r['spectral_radius']!r}")
-        for row in r["sweep"]:
-            lines.append(f"R = {row['R']!r}: hs_error = {row['hs_error']!r}")
-        lines.append(f"zero beyond radius: {r['zero_beyond_radius']}")
-    elif report.scenario == "group_free":
-        lines.append(f"delta(free group, rank {r['rank']}) = {r['delta']!r}")
-        if "kernel" in r:
-            k = r["kernel"]
-            lines.append(
-                f"kernel: index {k['index']}, rank {k['rank']}, "
-                f"generators {', '.join(k['generators'])}"
-            )
-            lines.append(f"kernel membership verified: {k['kernel_verified']}")
-    elif report.scenario == "counterexample":
-        for row in r["per_k"]:
-            lines.append(
-                f"k = {row['k']}: delta = {row['delta']!r}, shrinking-coordinate "
-                f"norm bound {row['shrink_norm_bound']!r}"
-            )
-        lim = r["limit"]
-        lines.append(
-            f"limit: kernel index {lim['kernel_index']}, rank "
-            f"{lim['kernel_rank']}, delta = {lim['delta']!r}"
-        )
-        lines.append("liminf delta = 2 < 3 = delta(limit)")
-    return lines
-
 
 def emit_report(report: RunReport, fmt: str) -> bytes:
     """Serialize a report as json, csv (sweeps only) or a text summary."""
@@ -840,16 +816,19 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
         payload = _clean(report.payload())
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "csv":
-        if report.sweep_rows is None:
+        if "sweep" not in report.results:
             raise UnsupportedFormat(
                 f"csv output is only available for sweep scenarios, "
                 f"not {report.scenario!r}"
             )
         lines = ["R,hs_error"]
-        lines += [f"{r!r},{e!r}" for r, e in report.sweep_rows]
+        lines += [f"{row['R']!r},{row['hs_error']!r}"
+                  for row in report.results["sweep"]]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "text":
-        return ("\n".join(_text_lines(report)) + "\n").encode()
+        lines = [f"scenario: {report.scenario}", f"seed: {report.seed}"]
+        lines += SCENARIOS[report.scenario].text(report.results, report.residuals)
+        return ("\n".join(lines) + "\n").encode()
     raise UnsupportedFormat(f"unknown format {fmt!r}")
 
 

@@ -258,6 +258,66 @@ def test_unknown_parameter_key(tmp_path):
     assert main(["delta", "--config", path]) == 2
 
 
+# The smallest valid config of each scenario, and what each one must have.
+_C2_ALGEBRA = c2_config()["algebra"]
+_C2_GROUP = {"kind": "cyclic", "n": 2}
+_MINIMAL = {
+    "delta": {"algebra": _C2_ALGEBRA},
+    "dual_system": {"algebra": _C2_ALGEBRA,
+                    "parameters": {"dual": {"type": "fisher"}}},
+    "cutoff": {"parameters": {"r_grid": [1.0]}},
+    "group_finite": {"group": _C2_GROUP},
+    "group_free": {"parameters": {"rank": 2}},
+    "counterexample": {},
+}
+_NEEDS = {"delta": "algebra", "dual_system": "algebra", "group_finite": "group"}
+_REQUIRES = {"dual_system": "dual", "cutoff": "r_grid", "group_free": "rank"}
+_ARTICLE = {"algebra": "an algebra", "group": "a group"}
+
+
+def _scenario_table_cases():
+    for scenario, cfg in _MINIMAL.items():
+        needed = _NEEDS.get(scenario)
+        if needed:
+            bad = {k: v for k, v in cfg.items() if k != needed}
+            yield (f"{scenario}-without_{needed}", scenario, bad,
+                   f"scenario {scenario!r} requires {_ARTICLE[needed]} section")
+        key = _REQUIRES.get(scenario)
+        if key:
+            params = {k: v for k, v in cfg["parameters"].items() if k != key}
+            yield (f"{scenario}-without_{key}", scenario,
+                   dict(cfg, parameters=params),
+                   f"parameters: missing required keys [{key!r}]")
+        for section, value in (("algebra", _C2_ALGEBRA), ("group", _C2_GROUP)):
+            if section == needed:
+                continue
+            message = f"scenario {scenario!r} does not take {_ARTICLE[section]} section"
+            if (scenario, section) == ("group_free", "group"):
+                message = ("scenario 'group_free' takes a group section only with "
+                           "parameters.images")
+            yield (f"{scenario}-with_{section}", scenario,
+                   dict(cfg, **{section: value}), message)
+
+
+_TABLE_CASES = list(_scenario_table_cases())
+
+
+@pytest.mark.parametrize("scenario", sorted(_MINIMAL))
+def test_minimal_config_runs(tmp_path, capsys, scenario):
+    path = write_config(tmp_path, _MINIMAL[scenario])
+    assert main([scenario, "--config", path]) == 0
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scenario,cfg,message", [c[1:] for c in _TABLE_CASES],
+                         ids=[c[0] for c in _TABLE_CASES])
+def test_scenario_sections_and_required_parameters(tmp_path, capsys, scenario,
+                                                   cfg, message):
+    path = write_config(tmp_path, cfg)
+    assert main([scenario, "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_module_error_maps_to_exit_one(tmp_path):
     cfg = c2_config()
     cfg["algebra"]["weights"] = [0.5, 0.4]
@@ -541,6 +601,20 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
      "config error: seed must be a non-negative integer"),
     (_shipped("group_free_kernel", rank=10**400), 2,
      "config error: parameters.rank must be at most 2^53"),
+    ({"scenario": "group_free", "parameters": {"rank": 0}}, 2,
+     "config error: parameters.rank must be at least 1\n"),
+    (_shipped("group_free_kernel", rank=-1), 2,
+     "config error: parameters.rank must be at least 1\n"),
+    (_shipped("group_free_kernel", rank=3), 2,
+     "config error: parameters.images must hold 3 images, one per free "
+     "generator, got 2"),
+    (_shipped("group_free_kernel", images=[1, 1, 1]), 2,
+     "config error: parameters.images must hold 2 images, one per free "
+     "generator, got 3"),
+    ({"scenario": "group_free", "group": {"kind": "bogus"},
+      "parameters": {"rank": 2}}, 2,
+     "config error: scenario 'group_free' takes a group section only with "
+     "parameters.images"),
 ], ids=["slot_string", "slot_bool", "slot_out_of_range", "targets_scalar",
         "targets_shape", "k_zero", "k_string", "k_scalar", "r_grid_string",
         "r_grid_nan", "dim_negative", "n_ops_string", "r_grid_huge",
@@ -550,7 +624,8 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
         *[f"generating_set_{k}" for k in range(len(_BAD_GENERATING_SETS))],
         *[f"mult_{k}" for k in range(len(_BAD_TABLES))],
         "dual_dim_above_cap", "smooth_string", "X_scalar", "X_size", "r_grid_long",
-        "seed_negative", "rank_huge"])
+        "seed_negative", "rank_huge", "rank_zero", "rank_negative",
+        "images_too_few", "images_too_many", "group_without_images"])
 def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
                                                 message):
     path = write_config(tmp_path, cfg)
