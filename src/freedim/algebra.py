@@ -326,12 +326,13 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     is a *-homomorphism, conjugated left multiplications commute with left
     multiplications, and the trace vector is cyclic.
 
-    The basis consists of scaled matrix units, so most entries of
-    basis_left_mult are exact zeros (99 % at D = 64), and the two product
-    identities are checked over its nonzero pattern only: a left-out term
-    has an exact-zero factor and a finite other factor, so it is an exact
-    zero, and the gaps equal those of the dense D^4 tensors up to summation
-    order.
+    The basis consists of Hermitian combinations of scaled matrix units, so
+    in each block left multiplication has a closed form, the matrix-unit
+    frame conj(U) (x (x) 1) U^T (see `_unit_map`), in which the two product
+    identities hold exactly.  They are certified by a bound from the
+    distance of basis_left_mult to that frame, in O(D^3) work (see
+    `_frame_gaps`), and generator_left_mult is checked against the frame
+    too.
     """
     algebra = algebra.effective_algebra()
     basis = _orthonormal_selfadjoint_basis(algebra)
@@ -367,105 +368,170 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     return gns
 
 
-def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (i, j) with left[i] == right[j]."""
-    order = np.argsort(right)
-    ranked = right[order]
-    lo = np.searchsorted(ranked, left, side="left")
-    counts = np.searchsorted(ranked, left, side="right") - lo
-    i = np.repeat(np.arange(left.size), counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    j = order[np.repeat(lo, counts) + np.arange(i.size) - starts]
-    return i, j
+def _unit_map(n: int) -> np.ndarray:
+    """The map U of one n x n block from its Hermitian basis to its units.
 
-
-def _max_gap(D: int, plus: tuple, minus: tuple) -> float:
-    """max over 4-index keys of |sum of `plus` terms - sum of `minus` terms|.
-
-    `plus` and `minus` are (indices, values) with indices a tuple of four
-    index arrays; keys that no term reaches are exact zeros on both sides.
+    Row p holds the coordinates of the block's p-th basis element (the order
+    of _orthonormal_selfadjoint_basis) in the scaled units sqrt(n/alpha)
+    e_kl, unit (k, l) at column k n + l: 1 at (k, k); 1/sqrt 2 at (k, l) and
+    (l, k); i/sqrt 2 at (k, l) and -i/sqrt 2 at (l, k).  U is unitary, and
+    left multiplication by a block element x reads conj(U) (x (x) 1) U^T in
+    the basis, since x sqrt(n/alpha) e_kl = sum_j x_jk sqrt(n/alpha) e_jl.
     """
-    keys = np.concatenate(
-        [np.ravel_multi_index(idx, (D, D, D, D)) for idx, _ in (plus, minus)]
-    )
-    vals = np.concatenate([plus[1], -minus[1]])
-    uniq, slot = np.unique(keys, return_inverse=True)
-    gap = np.hypot(np.bincount(slot, vals.real, uniq.size),
-                   np.bincount(slot, vals.imag, uniq.size))
-    return float(gap.max(initial=0.0))
+    U = np.zeros((n * n, n * n), dtype=complex)
+    s = np.sqrt(0.5)
+    row = n
+    for k in range(n):
+        U[k, k * n + k] = 1.0
+        for l in range(k + 1, n):
+            U[row, [k * n + l, l * n + k]] = s
+            U[row + 1, [k * n + l, l * n + k]] = 1j * s, -1j * s
+            row += 2
+    return U
 
 
-# Joined pairs formed at once by _identity_gaps; a larger group of first
-# indices is split into consecutive runs that stay under it.
-_PAIR_BUDGET = 1 << 15
+def _frame_terms(B: np.ndarray, U: np.ndarray, n: int) -> tuple:
+    """Nonzero terms (p, m, q, value) of the frames F_p = conj(U) (b_p (x) 1)
+    U^T of a block's basis elements, each (n^2, 2n, 2, 2) with p leading.
 
-
-def _identity_gaps(L: np.ndarray) -> tuple[float, float]:
-    """Largest entries of the multiplicativity and commutant defects of L.
-
-    With R_p = conj(L_p) these are
-        max |sum_m L_p[m, q] L_m[r, s] - (L_p L_q)[r, s]|   over p, q, r, s,
-        max |(R_p L_q)[a, c] - (L_q R_p)[a, c]|             over p, q, a, c.
-    Dense, both are D^4 tensors built with D^5 flops; here only the
-    products of two nonzero entries of L are formed, from the nonzero
-    triplets (p, m, q) of L joined on their shared index, and equal 4-index
-    keys are summed.  Every term left out has an exact-zero factor and, the
-    entries of L being finite, is an exact zero, so each summed key equals
-    the dense entry up to summation order and each key never reached is an
-    exact zero on both sides: the gaps are the dense maxima.
-
-    The keys are processed in runs of consecutive first indices (about
-    _PAIR_BUDGET joined pairs each).  A key's first index is p of the
-    triplet on the left of its term, except for the L_q R_p terms, where it
-    is p of the triplet on the right; each run joins exactly those
-    triplets, so every term of a key lands in the run of its first index
-    and the argument above holds run by run.
+    B holds the blocks b_p as rows (unit (j, k) at column j n + k).  A term
+    is b_p[j, k] times conj(U[m, a]) U[q, b] for a = (j, l), b = (k, l): at
+    most two units (j, k) per b_p, n values of l and two rows of U per unit.
+    A single nonzero in a row of B or a column of U is padded with a zero.
     """
-    D = L.shape[0]
-    p, m, q = np.nonzero(L)  # p ascending
-    v = L[p, m, q]
-    # pairs each triplet forms as the left factor (both joins) and as the
-    # right factor of an L_q R_p term
-    per_triplet = (np.bincount(p, minlength=D)[m] + np.bincount(m, minlength=D)[q]
-                   + np.bincount(q, minlength=D)[m])
-    cuts, load = [0], 0
-    for first, pairs in enumerate(np.bincount(p, per_triplet, D)):
-        if load and load + pairs > _PAIR_BUDGET:
-            cuts.append(first)
-            load = 0
-        load += pairs
-    ends = np.searchsorted(p, cuts + [D])
+    d = n * n
+    bpos = np.argsort(B == 0, axis=1, kind="stable")[:, :2]
+    upos = np.argsort(U == 0, axis=0, kind="stable")[:2].T        # (d, 2)
+    uval = np.take_along_axis(U, upos.T, 0).T
+    jj, kk = np.divmod(bpos, n)
+    a = (jj[..., None] * n + np.arange(n)).reshape(d, 2 * n)
+    b = (kk[..., None] * n + np.arange(n)).reshape(d, 2 * n)
+    bval = np.repeat(np.take_along_axis(B, bpos, 1), n, axis=1)
+    shape = (d, 2 * n, 2, 2)
+    p = np.broadcast_to(np.arange(d)[:, None, None, None], shape)
+    m = np.broadcast_to(upos[a][..., :, None], shape)
+    q = np.broadcast_to(upos[b][..., None, :], shape)
+    vals = (np.conj(uval[a])[..., :, None] * bval[..., None, None]
+            * uval[b][..., None, :])
+    return p, m, q, vals
+
+
+def _off_block(rows: np.ndarray, S: int, T: int) -> bool:
+    """Whether some L_p in rows has a nonzero entry L_p[m, q] with m or q
+    outside the coordinate range [S, T)."""
+    return bool(rows[:, :S].any() or rows[:, T:].any()
+                or rows[:, S:T, :S].any() or rows[:, S:T, T:].any())
+
+
+# Frame entries compared with L at once, per chunk of basis elements.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _frame_gaps(gns: GnsStructure) -> tuple[list[float], list[float]]:
+    """Compare L and the generators' left multiplications with the
+    matrix-unit frame, block by block.
+
+    Returns, per block, a bound on the multiplicativity and commutant gaps
+    of basis_left_mult restricted to the block, and per generator the
+    largest entry of generator_left_mult minus its frame.  Raises
+    FreedimError if some L_p has a nonzero entry off its block or is not
+    self-adjoint.
+
+    Per block (size n, weight alpha, c = sqrt(n/alpha) >= ||b_p||), the
+    frame of b_p is F_p = conj(U) (b_p (x) 1) U^T, U from _unit_map and b_p
+    the stored block.  An entry of F_p sums at most four products
+    conj(U[m, a]) b_p[j, k] U[q, b], of sizes summing to at most 2c, whose
+    factors are each within a relative 1.5 u (u the unit roundoff) of their
+    exact values; so the computed frame is within eps = 20 u c of the exact
+    one (exact c and U), which satisfies both identities exactly.  Write
+    L = F + Delta over the block, with |Delta| <= delta = g + eps entrywise,
+    g the largest entry of the computed L - F.  Each of the four terms of
+    either defect that is linear in Delta sums Delta entries against a row
+    or column of some F_p or a vector (F_m[r, s])_m: the coordinates of a
+    product of two basis elements, of 2-norm at most c and with at most
+    min(n^2, 8) nonzeros, so the term is at most k c delta with
+    k = min(n, sqrt 8).  The two quadratic terms are at most n^2 delta^2
+    each:
+        multiplicativity gap, commutant gap <= 4 k c delta + 2 n^2 delta^2.
+    A 1 x 1 block satisfies both identities for any value of its one entry
+    (bound 0), and terms across blocks have an exact-zero factor.
+
+    O(D^3) work; the frame is formed for at most _CHUNK_ENTRIES entries of
+    L at a time.
+    """
+    algebra = gns.algebra
+    L = gns.basis_left_mult
+    u = np.finfo(float).eps / 2
+    bounds = []
+    gen_gaps = [0.0] * len(algebra.generators)
+    for (s, t), (S, T), n, alpha in zip(
+        block_offsets(algebra.block_sizes),
+        block_offsets([n * n for n in algebra.block_sizes]),
+        algebra.block_sizes, algebra.trace_weights,
+    ):
+        d = n * n
+        rows = L[S:T]
+        if _off_block(rows, S, T):
+            raise FreedimError("left multiplication failed multiplicativity: "
+                               "a basis element acts outside its block")
+        U = _unit_map(n)
+        for j, X in enumerate(algebra.generators):
+            Lx = gns.generator_left_mult[j]
+            frame = np.conj(U) @ np.kron(X[s:t, s:t], np.eye(n)) @ U.T
+            gap = (float("inf") if Lx[S:T, :S].any() or Lx[S:T, T:].any()
+                   else float(np.abs(Lx[S:T, S:T] - frame).max()))
+            gen_gaps[j] = max(gen_gaps[j], gap)
+
+        if n == 1:
+            bounds.append(0.0)
+            if np.abs(rows.imag).max() > OPERATOR_TOL:
+                raise FreedimError("left multiplication by a self-adjoint "
+                                   "element is not self-adjoint")
+            continue
+        p, m, q, vals = _frame_terms(gns.basis[S:T, s:t, s:t].reshape(d, d), U, n)
+        gap = 0.0
+        step = max(1, _CHUNK_ENTRIES // (d * d))
+        for lo in range(0, d, step):
+            chunk = rows[lo:lo + step, S:T, S:T]
+            if np.abs(chunk - chunk.conj().transpose(0, 2, 1)).max() > OPERATOR_TOL:
+                raise FreedimError("left multiplication by a self-adjoint "
+                                   "element is not self-adjoint")
+            frame = np.zeros(chunk.shape, dtype=complex)
+            hi = lo + len(chunk)
+            np.add.at(frame, (p[lo:hi] - lo, m[lo:hi], q[lo:hi]), vals[lo:hi])
+            gap = max(gap, float(np.abs(chunk - frame).max()))
+        c = np.sqrt(n / alpha)
+        delta = gap + 20 * u * c
+        bounds.append(4 * min(n, np.sqrt(8)) * c * delta + 2 * n * n * delta**2)
+    return bounds, gen_gaps
+
+
+def _block_identity_gaps(Lb: np.ndarray) -> tuple[float, float]:
+    """The multiplicativity and commutant gaps of one block of L, measured:
+    max |sum_m L_p[m, q] L_m - L_p L_q| and max |R_p L_q - L_q R_p| with
+    R_p = conj(L_p), one p at a time."""
     mult = comm = 0.0
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        # i's last index meets j's middle index: (L_p L_q), R_p L_q
-        i, j = _join(q[lo:hi], m)
-        i += lo
-        outer = (p[i], p[j], m[i], q[j])
-        # s's middle index meets t's first index: sum_m L_p[m, q] L_m
-        s, t = _join(m[lo:hi], p)
-        s += lo
-        mult = max(mult, _max_gap(
-            D, ((p[s], q[s], m[t], q[t]), v[s] * v[t]), (outer, v[i] * v[j])
-        ))
-        # the same join with p of the right triplet in the run: L_q R_p
-        j2, i2 = _join(m[lo:hi], q)
-        j2 += lo
-        comm = max(comm, _max_gap(
-            D,
-            (outer, np.conj(v[i]) * v[j]),
-            ((p[j2], p[i2], m[i2], q[j2]), v[i2] * np.conj(v[j2])),
-        ))
+    for Lp in Lb:
+        mult = max(mult, float(np.abs(np.tensordot(Lp.T, Lb, 1) - Lp @ Lb).max()))
+        Rp = np.conj(Lp)
+        comm = max(comm, float(np.abs(Rp @ Lb - Lb @ Rp).max()))
     return mult, comm
 
 
 def _verify_gns(gns: GnsStructure) -> None:
     """Raise FreedimError unless the structural identities hold to OPERATOR_TOL.
 
-    The product identities go through `_identity_gaps`, which visits only
-    the nonzero entries of L; every skipped term is an exact zero because
-    the entries of L are finite (L depends only on the blocks and on the
-    weights, which build_algebra admits only finite and positive), so the
-    check certifies exactly what the dense einsums did.
+    The product identities (left multiplication is multiplicative, and
+    conjugated left multiplications commute with it) hold exactly in the
+    matrix-unit frame; `_frame_gaps` bounds their gaps per block from the
+    distance of L to that frame, and the bound is gated.  The bound grows
+    as c^2 = n/alpha while the gaps are rounding noise of about u c^2, so
+    on a block of weight below about 3e-4 n (n >= 2) the bound can exceed
+    the gate while the gaps do not; only there are the block's gaps
+    measured, with O(n^10) work (1.6-1.9 s for n = 8 on 2 cores), and gated
+    instead, so that an input passes exactly when its measured gaps do.  Each
+    generator's left multiplication must match its frame to OPERATOR_TOL,
+    relative to the generator's largest entry when that exceeds 1.
     """
     D = gns.dim
     basis = gns.basis
@@ -475,20 +541,22 @@ def _verify_gns(gns: GnsStructure) -> None:
     if np.abs(gram - np.eye(D)).max() > OPERATOR_TOL:
         raise FreedimError("trace-representation basis failed orthonormality")
 
-    # self-adjointness of L_b for self-adjoint b
-    if np.abs(L - L.conj().transpose(0, 2, 1)).max() > OPERATOR_TOL:
-        raise FreedimError("left multiplication by a self-adjoint element "
-                           "is not self-adjoint")
-
-    # multiplicativity: L_{b_p b_q} = sum_m L_p[m, q] L_m must equal L_p L_q;
-    # conjugated left multiplications land in the commutant
-    mult_gap, comm_gap = _identity_gaps(L)
-    if mult_gap > OPERATOR_TOL:
-        raise FreedimError("left multiplication failed multiplicativity")
-    if comm_gap > OPERATOR_TOL:
-        raise FreedimError("conjugated left multiplication left the commutant")
+    bounds, gen_gaps = _frame_gaps(gns)
+    sizes = [n * n for n in gns.algebra.block_sizes]
+    for (S, T), bound in zip(block_offsets(sizes), bounds):
+        if bound <= OPERATOR_TOL:
+            continue
+        mult_gap, comm_gap = _block_identity_gaps(L[S:T, S:T, S:T])
+        if mult_gap > OPERATOR_TOL:
+            raise FreedimError("left multiplication failed multiplicativity")
+        if comm_gap > OPERATOR_TOL:
+            raise FreedimError("conjugated left multiplication left the commutant")
+    for j, (gap, X) in enumerate(zip(gen_gaps, gns.algebra.generators)):
+        if not gap <= OPERATOR_TOL * max(1.0, float(np.abs(X).max())):
+            raise FreedimError(f"left multiplication by generator {j} does not "
+                               "match the matrix-unit frame")
 
     # cyclicity: L_{b_p} applied to the trace vector recovers coordinates e_p
-    hats = np.einsum("pmq,q->pm", L, gns.trace_vector, optimize=True)
+    hats = L @ gns.trace_vector
     if np.abs(hats - np.eye(D)).max() > OPERATOR_TOL:
         raise FreedimError("trace vector is not cyclic for the basis")

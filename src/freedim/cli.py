@@ -325,17 +325,33 @@ _CUTOFF_MAX_OPS = 16
 _ORDER_CEILING = 10**18
 
 
-def _group_order(section: dict) -> int:
+# The keys each group kind reads besides "kind"; a product factor takes no
+# generating_set.
+_GROUP_KEYS = {"cyclic": {"n"}, "symmetric": {"n"}, "product": {"factors"},
+               "table": {"mult"}}
+
+
+def _group_order(section: dict, where: str = "group") -> int:
     """Order of the group a section describes, read off without building its
     table (orders above _ORDER_CEILING come back as _ORDER_CEILING + 1).
 
-    Raises ConfigError for a malformed section.
+    Raises ConfigError for a malformed section, or for a key its kind does
+    not read.  `where` names the section in messages; any section but the
+    top-level "group" is a product factor.
     """
     _check_keys(
         section, {"kind", "n", "factors", "mult", "generating_set"}, {"kind"},
-        "group",
+        where,
     )
     kind = section["kind"]
+    if not (isinstance(kind, str) and kind in _GROUP_KEYS):
+        raise ConfigError(f"unknown group kind {kind!r}")
+    factor = where != "group"
+    unread = sorted(set(section) - _GROUP_KEYS[kind]
+                    - ({"kind"} if factor else {"kind", "generating_set"}))
+    if unread:
+        raise ConfigError(f"{where}: keys {unread} are not read for a {kind} group"
+                          + (" inside a product" if factor else ""))
     if kind == "cyclic":
         order = _group_n(section)
     elif kind == "symmetric":
@@ -346,8 +362,9 @@ def _group_order(section: dict) -> int:
             raise ConfigError("group.factors must be a list of group objects")
         if len(factors) < 2:
             raise ConfigError("product groups need at least two factors")
-        order = math.prod(_group_order(f) for f in factors)
-    elif kind == "table":
+        order = math.prod(_group_order(f, f"{where}.factors[{i}]")
+                          for i, f in enumerate(factors))
+    else:
         mult = section.get("mult")
         if not isinstance(mult, list):
             raise ConfigError("group.mult must be a list of rows")
@@ -359,8 +376,6 @@ def _group_order(section: dict) -> int:
                 f"group.mult must be {order} rows of {order} element indices "
                 f"below {order}"
             )
-    else:
-        raise ConfigError(f"unknown group kind {kind!r}")
     return min(order, _ORDER_CEILING + 1)
 
 
@@ -660,7 +675,10 @@ def _run_group_free(config: ScenarioConfig) -> Outcome:
     delta = betti_delta_formula(BettiInput.free_group(rank))
     results = {"rank": rank, "delta": delta}
     if "images" in config.parameters:
-        table, _ = _build_group_from_config(config.group, TABLE_ORDER_CAP)
+        table, gen_set = _build_group_from_config(config.group, TABLE_ORDER_CAP)
+        if gen_set is not None:
+            raise ConfigError("group: keys ['generating_set'] are not read by "
+                              "scenario 'group_free'")
         images = _resolve_images(config.parameters["images"], config.group,
                                  table.order)
         if len(images) != rank:

@@ -82,24 +82,33 @@ class WordTree:
 
 def enumerate_words(gns: GnsStructure) -> WordTree:
     """The word tree of gns's generators; read it as `gns.words`, which
-    enumerates once per GNS structure."""
-    from .vndim import numerical_span
+    enumerates once per GNS structure.
 
+    A word grows the span when its vector leaves the span of the earlier
+    growing words by more than 1e-9 max(1, |v|); the span is kept as an
+    orthonormal basis that gains one row per growing word (Gram-Schmidt
+    with one re-orthogonalization).
+    """
     D = gns.dim
     t = gns.trace_vector.astype(complex)
     vecs, expanded = [t], [True]
     frontier = [np.eye(D, dtype=complex)]
-    span = numerical_span(np.array([t]), dim=D)
+    basis = np.empty((D, D), dtype=complex)  # rows [:r] orthonormal
+    basis[0] = t / np.linalg.norm(t)
+    r = 1
     for _ in range(D + 1):
         new_frontier = []
         for L_w in frontier:
             for L_j in gns.generator_left_mult:
                 L_new = L_w @ L_j
                 v = L_new @ t
-                resid = v - span.T @ (span.conj() @ v)
+                resid = v - basis[:r].T @ (basis[:r].conj() @ v)
                 grows = bool(np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(v)))
                 if grows:
-                    span = numerical_span(np.vstack([span, v[None, :]]), dim=D)
+                    if r < D:  # the span is full at r = D
+                        resid -= basis[:r].T @ (basis[:r].conj() @ resid)
+                        basis[r] = resid / np.linalg.norm(resid)
+                        r += 1
                     new_frontier.append(L_new)
                 vecs.append(v)
                 expanded.append(grows)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import freedim as fd
-import freedim.algebra as algebra_module
 from conftest import SX, SY, SZ, random_block_algebra, random_hermitian
-from freedim.algebra import _identity_gaps, _verify_gns
+from freedim.algebra import _frame_gaps, _verify_gns
 from freedim.tolerances import OPERATOR_TOL
 from test_cocycles import WORKED, _worked_algebra
 
@@ -250,7 +249,7 @@ def test_random_hermitian_helper_shape():
 
 
 # ---------------------------------------------------------------------------
-# the GNS identity check over the nonzero pattern of L, against dense tensors
+# the GNS identity check in the matrix-unit frame, against measured gaps
 # ---------------------------------------------------------------------------
 
 def dense_identity_gaps(L):
@@ -264,17 +263,88 @@ def dense_identity_gaps(L):
     return mult, np.abs(lhs - rhs).max()
 
 
+def _join(left, right):
+    """All index pairs (i, j) with left[i] == right[j]."""
+    order = np.argsort(right)
+    ranked = right[order]
+    lo = np.searchsorted(ranked, left, side="left")
+    counts = np.searchsorted(ranked, left, side="right") - lo
+    i = np.repeat(np.arange(left.size), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    j = order[np.repeat(lo, counts) + np.arange(i.size) - starts]
+    return i, j
+
+
+def _max_gap(D, plus, minus):
+    """max over 4-index keys of |sum of `plus` terms - sum of `minus` terms|;
+    `plus` and `minus` are (four index arrays, values)."""
+    keys = np.concatenate(
+        [np.ravel_multi_index(idx, (D, D, D, D)) for idx, _ in (plus, minus)]
+    )
+    vals = np.concatenate([plus[1], -minus[1]])
+    uniq, slot = np.unique(keys, return_inverse=True)
+    gap = np.hypot(np.bincount(slot, vals.real, uniq.size),
+                   np.bincount(slot, vals.imag, uniq.size))
+    return float(gap.max(initial=0.0))
+
+
+_PAIR_BUDGET = 1 << 15
+
+
+def _identity_gaps(L, budget=_PAIR_BUDGET):
+    """The two gaps measured over the nonzero pattern of L: the products of
+    two nonzero entries, from the nonzero triplets (p, m, q) joined on their
+    shared index, summed per 4-index key, in runs of consecutive first
+    indices that form about `budget` joined pairs each.  Every left-out term
+    has an exact-zero factor, so these are the dense maxima up to summation
+    order, without the D^4 tensors."""
+    D = L.shape[0]
+    p, m, q = np.nonzero(L)  # p ascending
+    v = L[p, m, q]
+    per_triplet = (np.bincount(p, minlength=D)[m] + np.bincount(m, minlength=D)[q]
+                   + np.bincount(q, minlength=D)[m])
+    cuts, load = [0], 0
+    for first, pairs in enumerate(np.bincount(p, per_triplet, D)):
+        if load and load + pairs > budget:
+            cuts.append(first)
+            load = 0
+        load += pairs
+    ends = np.searchsorted(p, cuts + [D])
+    mult = comm = 0.0
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        # i's last index meets j's middle index: (L_p L_q), R_p L_q
+        i, j = _join(q[lo:hi], m)
+        i += lo
+        outer = (p[i], p[j], m[i], q[j])
+        # s's middle index meets t's first index: sum_m L_p[m, q] L_m
+        s, t = _join(m[lo:hi], p)
+        s += lo
+        mult = max(mult, _max_gap(
+            D, ((p[s], q[s], m[t], q[t]), v[s] * v[t]), (outer, v[i] * v[j])
+        ))
+        # the same join with p of the right triplet in the run: L_q R_p
+        j2, i2 = _join(m[lo:hi], q)
+        j2 += lo
+        comm = max(comm, _max_gap(
+            D,
+            (outer, np.conj(v[i]) * v[j]),
+            ((p[j2], p[i2], m[i2], q[j2]), v[i2] * np.conj(v[j2])),
+        ))
+    return mult, comm
+
+
 GAP_CASES = WORKED + ["S4", "random2x3", "random4x5"]
 
 
-def _check_pattern_gaps(name):
+def _check_pattern_gaps(name, budget=_PAIR_BUDGET):
     gns = fd.gns_structure(_worked_algebra(name))
     L = gns.basis_left_mult
-    mult, comm = _identity_gaps(L)
+    mult, comm = _identity_gaps(L, budget)
     dense_mult, dense_comm = dense_identity_gaps(L)
     assert abs(mult - dense_mult) <= 1e-14
     assert abs(comm - dense_comm) <= 1e-14
-    assert max(mult, comm) <= OPERATOR_TOL
+    bound = max(_frame_gaps(gns)[0])
+    assert max(mult, comm, dense_mult, dense_comm) <= bound <= OPERATOR_TOL
 
 
 @pytest.mark.parametrize("name", GAP_CASES)
@@ -283,22 +353,49 @@ def test_pattern_gaps_match_dense_oracle(name):
 
 
 @pytest.mark.parametrize("name", GAP_CASES)
-def test_pattern_gaps_match_dense_oracle_one_index_per_run(name, monkeypatch):
+def test_pattern_gaps_match_dense_oracle_one_index_per_run(name):
     # a budget of one pair puts every first index in a run of its own
-    monkeypatch.setattr(algebra_module, "_PAIR_BUDGET", 1)
-    _check_pattern_gaps(name)
+    _check_pattern_gaps(name, budget=1)
+
+
+@pytest.mark.parametrize("shape", [(8,), (6, 8)])
+def test_frame_bound_dominates_measured_gaps_large(shape):
+    gns = fd.gns_structure(random_block_algebra(shape, seed=0))
+    bounds, gen_gaps = _frame_gaps(gns)
+    assert max(_identity_gaps(gns.basis_left_mult)) <= max(bounds) <= OPERATOR_TOL
+    assert max(gen_gaps) <= OPERATOR_TOL
+
+
+def test_frame_bound_is_per_block():
+    # blocks [1, 2, 3]: 1 x 1 blocks obey both identities for any entry
+    gns = fd.gns_structure(random_block_algebra((1, 2, 3), seed=0))
+    bounds, _ = _frame_gaps(gns)
+    assert bounds[0] == 0.0
+    assert 0.0 < bounds[1] <= OPERATOR_TOL and 0.0 < bounds[2] <= OPERATOR_TOL
+
+
+def test_small_weight_block_falls_back_to_measured_gaps():
+    # the bound grows as n / alpha: at weight 1e-5 on M_2 it exceeds the
+    # gate, the measured gaps (about 3e-11) do not, and the input passes
+    g = np.zeros((3, 3), dtype=complex)
+    g[1:, 1:] = SX
+    h = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    alg = fd.build_algebra([1, 2], [1 - 1e-5, 1e-5], [g, h])
+    gns = fd.gns_structure(alg)
+    assert max(_frame_gaps(gns)[0]) > OPERATOR_TOL
+    assert max(_identity_gaps(gns.basis_left_mult)) <= OPERATOR_TOL
 
 
 def test_identity_gaps_memory_bounded_at_d64():
-    # all 365 k joined pairs at once (D = 64) peaked at 46 MB
-    L = fd.gns_structure(random_block_algebra((8,), 0)).basis_left_mult
+    # the whole GNS check at D = 64; the identity joins alone peaked at
+    # 46 MB when all 365 k joined pairs were formed at once
+    gns = fd.gns_structure(random_block_algebra((8,), 0))
     tracemalloc.start()
     try:
-        gaps = _identity_gaps(L)
+        _verify_gns(gns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(gaps) <= OPERATOR_TOL
     assert peak < 16 * 2**20
 
 
@@ -317,6 +414,14 @@ def test_perturbed_left_mult_fails_identity_check(where):
     assert max(dense_identity_gaps(L)) > OPERATOR_TOL
     assert max(_identity_gaps(L)) > OPERATOR_TOL
     with pytest.raises(fd.FreedimError, match="multiplicativity|commutant"):
+        _verify_gns(gns)
+
+
+def test_perturbed_generator_left_mult_fails_frame_check():
+    gns = fd.gns_structure(random_block_algebra((2, 3), seed=5))
+    _verify_gns(gns)
+    gns.generator_left_mult[1][6, 9] += 1e-6
+    with pytest.raises(fd.FreedimError, match="generator 1 does not match"):
         _verify_gns(gns)
 
 

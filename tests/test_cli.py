@@ -475,6 +475,32 @@ def test_group_order_parameter_validated(tmp_path, capsys, group):
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize("scenario,group,message", [
+    ("group_finite",
+     {"kind": "product", "factors": [{"kind": "cyclic", "n": 2, "generating_set": [0]},
+                                     {"kind": "cyclic", "n": 2}]},
+     "group.factors[0]: keys ['generating_set'] are not read for a cyclic group "
+     "inside a product"),
+    ("group_finite", {"kind": "cyclic", "n": 2, "factors": "junk"},
+     "group: keys ['factors'] are not read for a cyclic group"),
+    ("group_finite", {"kind": "cyclic", "n": 2, "mult": [[9]]},
+     "group: keys ['mult'] are not read for a cyclic group"),
+    ("group_finite", {"kind": "table", "mult": [[0, 1], [1, 0]], "n": "x"},
+     "group: keys ['n'] are not read for a table group"),
+    ("group_free", {"kind": "cyclic", "n": 2, "generating_set": [1]},
+     "group: keys ['generating_set'] are not read by scenario 'group_free'"),
+], ids=["generating_set_in_factor", "factors_on_cyclic", "mult_on_cyclic",
+        "n_on_table", "generating_set_in_group_free"])
+def test_group_keys_not_read_are_refused(tmp_path, capsys, scenario, group, message):
+    cfg = {"scenario": scenario, "group": group}
+    if scenario == "group_free":
+        cfg["parameters"] = {"rank": 2, "images": [1, 1]}
+    path = write_config(tmp_path, cfg)
+    assert main([scenario, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("bad", [None, -1, True, float("nan"), [[1, 0]]],
                          ids=["null", "negative", "true", "nan", "nested_list"])
 def test_non_object_section_rejected(tmp_path, capsys, bad):

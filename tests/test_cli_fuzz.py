@@ -3,7 +3,9 @@
 Each example deletes keys of a shipped config or replaces values in it by
 a value of another JSON type or by a huge, negative or NaN number, and runs
 the config's scenario through `cli.main`.  The contract holds for every
-input: exit 0, 1 or 2, one stderr line, and no exception or warning.
+input: exit 0, 1 or 2, one stderr line, and no exception or warning.  A
+second fuzz inserts group keys into the group sections of group configs,
+product factors included; a key the section's kind does not read exits 2.
 """
 
 import contextlib
@@ -73,3 +75,48 @@ def test_mutated_shipped_configs_keep_the_cli_contract(tmp_path_factory, data):
     assert code in (0, 1, 2)
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+GROUP_CONFIGS = [
+    SHIPPED["group_finite_s3"],
+    SHIPPED["group_free_kernel"],
+    {"scenario": "group_finite",
+     "group": {"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
+                                              {"kind": "symmetric", "n": 3}]}},
+    {"scenario": "group_finite", "group": {"kind": "table", "mult": [[0, 1], [1, 0]]}},
+]
+GROUP_READS = {"cyclic": {"n"}, "symmetric": {"n"}, "product": {"factors"},
+               "table": {"mult"}}
+
+
+def _group_nodes(group, path=("group",)):
+    """Paths of the group section and of the product factors below it."""
+    yield path
+    if group.get("kind") == "product":
+        for i, factor in enumerate(group["factors"]):
+            yield from _group_nodes(factor, path + ("factors", i))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_foreign_group_keys_keep_the_cli_contract(tmp_path_factory, data):
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(GROUP_CONFIGS),
+                                          label="config")))
+    path = data.draw(st.sampled_from(list(_group_nodes(cfg["group"]))), label="node")
+    node = cfg
+    for key in path:
+        node = node[key]
+    key = data.draw(st.sampled_from(["n", "factors", "mult", "generating_set"]),
+                    label="key")
+    node[key] = copy.deepcopy(data.draw(
+        st.sampled_from(HOSTILE + [[0], [[9]], "junk"]), label="value"))
+    config_path = tmp_path_factory.getbasetemp() / "fuzz_group_config.json"
+    config_path.write_text(json.dumps(cfg))
+    code, err = _run(cfg["scenario"], str(config_path))
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    in_factor = len(path) > 1
+    if key not in GROUP_READS[node["kind"]] and (in_factor or key != "generating_set"):
+        assert code == 2 and "are not read" in err, err
+    else:
+        assert code in (0, 1, 2)

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 import freedim as fd
 import freedim.derivations as derivations_module
 from conftest import make_c1m2, make_c2, make_m2, random_block_algebra, random_hermitian
+from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config
 from freedim.derivations import _word_values
-from test_cocycles import WORKED, _worked_algebra
+from test_cocycles import CONFIG_DIR, WORKED, _worked_algebra
 
 
 def commutator_norm(Y, L):
@@ -40,6 +43,67 @@ def word_system_oracle(gns, Ls, targets):
             break
         frontier = new_frontier
     return np.array(vecs), np.array(vals)
+
+
+def svd_word_tree(gns):
+    """The word enumeration with the span re-decided by an SVD
+    (numerical_span) after each growing word: (vecs, expanded)."""
+    from freedim.vndim import numerical_span
+
+    D = gns.dim
+    t = gns.trace_vector.astype(complex)
+    vecs, expanded = [t], [True]
+    frontier = [np.eye(D, dtype=complex)]
+    span = numerical_span(np.array([t]), dim=D)
+    for _ in range(D + 1):
+        new_frontier = []
+        for L_w in frontier:
+            for L_j in gns.generator_left_mult:
+                L_new = L_w @ L_j
+                v = L_new @ t
+                resid = v - span.T @ (span.conj() @ v)
+                grows = bool(np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(v)))
+                if grows:
+                    span = numerical_span(np.vstack([span, v[None, :]]), dim=D)
+                    new_frontier.append(L_new)
+                vecs.append(v)
+                expanded.append(grows)
+        if not new_frontier:
+            break
+        frontier = new_frontier
+    return np.array(vecs), np.array(expanded)
+
+
+def _word_tree_algebra(case):
+    if isinstance(case, str):  # a shipped dual_* config
+        section = json.loads((CONFIG_DIR / f"{case}.json").read_text())["algebra"]
+        return _build_algebra_from_config(section, _DUAL_MAX_DIM)
+    shape, seed = case
+    return random_block_algebra(shape, seed)
+
+
+# the shipped dual configs, the dual-ladder shapes [6], [4, 5], [7], [8]
+# and larger ones up to D = 100
+WORD_TREE_CASES = ["dual_fisher", "dual_inner"] + [
+    (shape, seed)
+    for shape in [(4, 5), (6,), (7,), (8,), (10,), (3, 4, 4), (5, 5, 5, 5)]
+    for seed in range(3)
+]
+
+
+def _case_id(case):
+    if isinstance(case, str):
+        return case
+    shape, seed = case
+    return "x".join(map(str, shape)) + f"-seed{seed}"
+
+
+@pytest.mark.parametrize("case", WORD_TREE_CASES, ids=_case_id)
+def test_word_tree_matches_svd_oracle(case):
+    gns = fd.gns_structure(_word_tree_algebra(case))
+    vecs, expanded = svd_word_tree(gns)
+    assert np.array_equal(gns.words.expanded, expanded)
+    assert np.array_equal(gns.words.vecs, vecs)
 
 
 # ---------------------------------------------------------------------------

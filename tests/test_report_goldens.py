@@ -43,6 +43,15 @@ def test_shipped_reports_match_goldens(label, tmp_path, monkeypatch, capsys):
     assert changed == [], f"{label}: report bytes changed for seeds {changed}"
 
 
+def _two_thread_env():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("FREEDIM_TOL", None)
+    return env
+
+
 def test_s4_report_matches_golden_at_two_blas_threads(tmp_path):
     # the shipped configs (D <= 6) never depend on BLAS partitioning; S4
     # (D = 24) does, and its goldens were recorded at 2 BLAS threads
@@ -51,11 +60,7 @@ def test_s4_report_matches_golden_at_two_blas_threads(tmp_path):
         json.dump({"scenario": "group_finite",
                    "group": {"kind": "symmetric", "n": 4}}, fh)
     out = tmp_path / "report.json"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
-               MKL_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    env.pop("FREEDIM_TOL", None)
+    env = _two_thread_env()
     argv = ["group_finite", "--config", str(config), "--seed", "1",
             "--output", str(out)]
     subprocess.run([sys.executable, "-c",
@@ -65,6 +70,34 @@ def test_s4_report_matches_golden_at_two_blas_threads(tmp_path):
     digest = hashlib.sha256(config.read_bytes()).hexdigest()[:16]
     want = GOLDENS["reports"][f"group_finite:{digest}:1"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_dual_ladder_reports_match_goldens_above_d6(tmp_path, monkeypatch):
+    # the shipped dual configs have D <= 6; the benchmark's dual ladder
+    # (workload seed 1, configs written by perfbench/workloads.py) reaches
+    # D = 36, 41 and 49, whose bytes depend on BLAS partitioning like S4's
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    ops = [op for op in workloads.build("dual_ladder", 1, str(ROOT),
+                                        str(tmp_path)).next_pass()
+           if op.label.split("/")[0] in ("6", "4x5", "7")]
+    assert len(ops) == 6
+    outs = [tmp_path / f"report{k}.json" for k in range(len(ops))]
+    argvs = [[op.scenario, "--config", op.config, "--seed", str(op.seed),
+              "--output", str(out)] for op, out in zip(ops, outs)]
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from freedim.cli import main; "
+                    f"sys.exit(max(main(a) for a in {argvs!r}))"],
+                   env=_two_thread_env(), check=True, capture_output=True)
+    changed = []
+    for op, out in zip(ops, outs):
+        with open(op.config, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+        want = GOLDENS["reports"][f"{op.scenario}:{digest}:{op.seed}"]
+        if hashlib.sha256(out.read_bytes()).hexdigest() != want:
+            changed.append(op.label)
+    assert changed == []
 
 
 # sha256 of `--format <fmt> --seed 0` of each shipped config
