@@ -17,7 +17,6 @@ from .cocycles import (
     cocycle_map,
     compute_H0,
     compute_H1,
-    compute_H2,
     delta_report,
 )
 from .cutoff import (

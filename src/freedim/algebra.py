@@ -243,8 +243,10 @@ class GnsStructure:
     basis: np.ndarray            # (D, N, N) self-adjoint elements
     trace_vector: np.ndarray     # (D,) coordinates of 1, unit norm
     p1: np.ndarray               # (D, D) rank-one projection onto the trace vector
-    basis_left_mult: np.ndarray  # (D, D, D): left multiplication by each basis element
-    generator_left_mult: np.ndarray  # (n, D, D): left_mults of the generators
+    # (D, D, D): left multiplication by each basis element, its matrix-unit
+    # frame (see _frame), zero off the element's block
+    basis_left_mult: np.ndarray
+    generator_left_mult: np.ndarray  # (n, D, D): left_mults (trace formula)
     _wvec: np.ndarray = field(repr=False, default=None)
     _words: Optional[WordTree] = field(repr=False, default=None)
 
@@ -321,31 +323,28 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     """Build the trace representation of the (effective) algebra.
 
     Populates the orthonormal self-adjoint basis, left multiplications, the
-    trace vector and its rank-one projection, and verifies the structural
-    identities: coordinates reproduce the inner product, left multiplication
-    is a *-homomorphism, conjugated left multiplications commute with left
-    multiplications, and the trace vector is cyclic.
-
-    The basis consists of Hermitian combinations of scaled matrix units, so
-    in each block left multiplication has a closed form, the matrix-unit
-    frame conj(U) (x (x) 1) U^T (see `_unit_map`), in which the two product
-    identities hold exactly.  They are certified by a bound from the
-    distance of basis_left_mult to that frame, in O(D^3) work (see
-    `_frame_gaps`), and generator_left_mult is checked against the frame
-    too.
+    trace vector and its rank-one projection.  The basis consists of
+    Hermitian combinations of scaled matrix units, so in each block left
+    multiplication has a closed form, the matrix-unit frame
+    conj(U) (x (x) 1) U^T (see `_frame`): basis_left_mult is built from it
+    block by block, and is a *-homomorphism whose conjugates commute with
+    it up to the rounding bound stated there.  `_verify_gns` ties the frame
+    to the input: the basis is orthonormal, each generator's left
+    multiplication from the trace formula matches its frame, and the trace
+    vector is cyclic.
     """
     algebra = algebra.effective_algebra()
     basis = _orthonormal_selfadjoint_basis(algebra)
     D = algebra.dim
     wvec = _diag_weights(algebra.block_sizes, algebra.trace_weights)
 
-    # L_p[m, q] = tau(b_m b_p b_q) = <b_p b_q, b_m>, contracted pairwise:
-    # for several blocks optimize=True picks one three-operand contraction,
-    # about 100x slower at D = 100
-    basis_left_mult = np.einsum(
-        "mab,pbc,qca,a->pmq", basis, basis, basis, wvec,
-        optimize=["einsum_path", (0, 3), (0, 1), (0, 1)],
-    )
+    # L_p = conj(U) (b_p (x) 1) U^T on the coordinates of b_p's block, zero
+    # off it; one element at a time keeps the work and memory at O(D^3)
+    basis_left_mult = np.zeros((D, D, D), dtype=complex)
+    for (s, t), (S, T), n in _block_ranges(algebra.block_sizes):
+        U = _unit_map(n)
+        for p in range(S, T):
+            basis_left_mult[p, S:T, S:T] = _frame(basis[p, s:t, s:t], U)
     trace_vector = np.einsum("mab,ba,b->m", basis, np.eye(basis.shape[1]), wvec,
                              optimize=True)
     if np.abs(trace_vector.imag).max() > SCALAR_TOL:
@@ -366,6 +365,12 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     gns.generator_left_mult = gns.left_mults(algebra.generators)
     _verify_gns(gns)
     return gns
+
+
+def _block_ranges(block_sizes: Sequence[int]):
+    """Per block: its row range (s, t), its coordinate range (S, T) and its size n."""
+    return zip(block_offsets(block_sizes),
+               block_offsets([n * n for n in block_sizes]), block_sizes)
 
 
 def _unit_map(n: int) -> np.ndarray:
@@ -390,173 +395,62 @@ def _unit_map(n: int) -> np.ndarray:
     return U
 
 
-def _frame_terms(B: np.ndarray, U: np.ndarray, n: int) -> tuple:
-    """Nonzero terms (p, m, q, value) of the frames F_p = conj(U) (b_p (x) 1)
-    U^T of a block's basis elements, each (n^2, 2n, 2, 2) with p leading.
+def _frame(x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Left multiplication by the n x n block element x in the block's
+    Hermitian basis: the matrix-unit frame conj(U) (x (x) 1) U^T, U from
+    `_unit_map(n)`.
 
-    B holds the blocks b_p as rows (unit (j, k) at column j n + k).  A term
-    is b_p[j, k] times conj(U[m, a]) U[q, b] for a = (j, l), b = (k, l): at
-    most two units (j, k) per b_p, n values of l and two rows of U per unit.
-    A single nonzero in a row of B or a column of U is padded with a zero.
+    For the exact frames of the basis elements b_p of a block (size n,
+    weight alpha, c = sqrt(n/alpha) >= ||b_p||), left multiplication is
+    exactly multiplicative, sum_m L_p[m, q] L_m = L_p L_q, and commutes with
+    its conjugates, conj(L_p) L_q = L_q conj(L_p).  The computed frame of a
+    stored b_p is within eps = 20 u c of the exact one entrywise (u the unit
+    roundoff): every term of the two matrix products but at most four
+    products conj(U[m, a]) b_p[j, k] U[q, b] has an exact-zero factor, those
+    four have sizes summing to at most 2c, their factors are each within a
+    relative 1.5 u of their exact values, and forming and summing them adds
+    at most four roundings.  Each term of either identity's gap that is
+    linear in the entry errors sums them against a row or column of some
+    L_p or a vector (L_m[r, s])_m: the coordinates of a product of two basis
+    elements, of 2-norm at most c and with at most min(n^2, 8) nonzeros.
+    The two quadratic terms are at most n^2 eps^2 each.  So on the block
+        multiplicativity gap, commutant gap <= 4 k c eps + 2 n^2 eps^2,
+    k = min(n, sqrt 8), about 230 u n / alpha.  A 1 x 1 block satisfies both
+    identities for any value of its one entry, and terms across blocks
+    have an exact-zero factor.
     """
-    d = n * n
-    bpos = np.argsort(B == 0, axis=1, kind="stable")[:, :2]
-    upos = np.argsort(U == 0, axis=0, kind="stable")[:2].T        # (d, 2)
-    uval = np.take_along_axis(U, upos.T, 0).T
-    jj, kk = np.divmod(bpos, n)
-    a = (jj[..., None] * n + np.arange(n)).reshape(d, 2 * n)
-    b = (kk[..., None] * n + np.arange(n)).reshape(d, 2 * n)
-    bval = np.repeat(np.take_along_axis(B, bpos, 1), n, axis=1)
-    shape = (d, 2 * n, 2, 2)
-    p = np.broadcast_to(np.arange(d)[:, None, None, None], shape)
-    m = np.broadcast_to(upos[a][..., :, None], shape)
-    q = np.broadcast_to(upos[b][..., None, :], shape)
-    vals = (np.conj(uval[a])[..., :, None] * bval[..., None, None]
-            * uval[b][..., None, :])
-    return p, m, q, vals
-
-
-def _off_block(rows: np.ndarray, S: int, T: int) -> bool:
-    """Whether some L_p in rows has a nonzero entry L_p[m, q] with m or q
-    outside the coordinate range [S, T)."""
-    return bool(rows[:, :S].any() or rows[:, T:].any()
-                or rows[:, S:T, :S].any() or rows[:, S:T, T:].any())
-
-
-# Frame entries compared with L at once, per chunk of basis elements.
-_CHUNK_ENTRIES = 1 << 16
-
-
-def _frame_gaps(gns: GnsStructure) -> tuple[list[float], list[float]]:
-    """Compare L and the generators' left multiplications with the
-    matrix-unit frame, block by block.
-
-    Returns, per block, a bound on the multiplicativity and commutant gaps
-    of basis_left_mult restricted to the block, and per generator the
-    largest entry of generator_left_mult minus its frame.  Raises
-    FreedimError if some L_p has a nonzero entry off its block or is not
-    self-adjoint.
-
-    Per block (size n, weight alpha, c = sqrt(n/alpha) >= ||b_p||), the
-    frame of b_p is F_p = conj(U) (b_p (x) 1) U^T, U from _unit_map and b_p
-    the stored block.  An entry of F_p sums at most four products
-    conj(U[m, a]) b_p[j, k] U[q, b], of sizes summing to at most 2c, whose
-    factors are each within a relative 1.5 u (u the unit roundoff) of their
-    exact values; so the computed frame is within eps = 20 u c of the exact
-    one (exact c and U), which satisfies both identities exactly.  Write
-    L = F + Delta over the block, with |Delta| <= delta = g + eps entrywise,
-    g the largest entry of the computed L - F.  Each of the four terms of
-    either defect that is linear in Delta sums Delta entries against a row
-    or column of some F_p or a vector (F_m[r, s])_m: the coordinates of a
-    product of two basis elements, of 2-norm at most c and with at most
-    min(n^2, 8) nonzeros, so the term is at most k c delta with
-    k = min(n, sqrt 8).  The two quadratic terms are at most n^2 delta^2
-    each:
-        multiplicativity gap, commutant gap <= 4 k c delta + 2 n^2 delta^2.
-    A 1 x 1 block satisfies both identities for any value of its one entry
-    (bound 0), and terms across blocks have an exact-zero factor.
-
-    O(D^3) work; the frame is formed for at most _CHUNK_ENTRIES entries of
-    L at a time.
-    """
-    algebra = gns.algebra
-    L = gns.basis_left_mult
-    u = np.finfo(float).eps / 2
-    bounds = []
-    gen_gaps = [0.0] * len(algebra.generators)
-    for (s, t), (S, T), n, alpha in zip(
-        block_offsets(algebra.block_sizes),
-        block_offsets([n * n for n in algebra.block_sizes]),
-        algebra.block_sizes, algebra.trace_weights,
-    ):
-        d = n * n
-        rows = L[S:T]
-        if _off_block(rows, S, T):
-            raise FreedimError("left multiplication failed multiplicativity: "
-                               "a basis element acts outside its block")
-        U = _unit_map(n)
-        for j, X in enumerate(algebra.generators):
-            Lx = gns.generator_left_mult[j]
-            frame = np.conj(U) @ np.kron(X[s:t, s:t], np.eye(n)) @ U.T
-            gap = (float("inf") if Lx[S:T, :S].any() or Lx[S:T, T:].any()
-                   else float(np.abs(Lx[S:T, S:T] - frame).max()))
-            gen_gaps[j] = max(gen_gaps[j], gap)
-
-        if n == 1:
-            bounds.append(0.0)
-            if np.abs(rows.imag).max() > OPERATOR_TOL:
-                raise FreedimError("left multiplication by a self-adjoint "
-                                   "element is not self-adjoint")
-            continue
-        p, m, q, vals = _frame_terms(gns.basis[S:T, s:t, s:t].reshape(d, d), U, n)
-        gap = 0.0
-        step = max(1, _CHUNK_ENTRIES // (d * d))
-        for lo in range(0, d, step):
-            chunk = rows[lo:lo + step, S:T, S:T]
-            if np.abs(chunk - chunk.conj().transpose(0, 2, 1)).max() > OPERATOR_TOL:
-                raise FreedimError("left multiplication by a self-adjoint "
-                                   "element is not self-adjoint")
-            frame = np.zeros(chunk.shape, dtype=complex)
-            hi = lo + len(chunk)
-            np.add.at(frame, (p[lo:hi] - lo, m[lo:hi], q[lo:hi]), vals[lo:hi])
-            gap = max(gap, float(np.abs(chunk - frame).max()))
-        c = np.sqrt(n / alpha)
-        delta = gap + 20 * u * c
-        bounds.append(4 * min(n, np.sqrt(8)) * c * delta + 2 * n * n * delta**2)
-    return bounds, gen_gaps
-
-
-def _block_identity_gaps(Lb: np.ndarray) -> tuple[float, float]:
-    """The multiplicativity and commutant gaps of one block of L, measured:
-    max |sum_m L_p[m, q] L_m - L_p L_q| and max |R_p L_q - L_q R_p| with
-    R_p = conj(L_p), one p at a time."""
-    mult = comm = 0.0
-    for Lp in Lb:
-        mult = max(mult, float(np.abs(np.tensordot(Lp.T, Lb, 1) - Lp @ Lb).max()))
-        Rp = np.conj(Lp)
-        comm = max(comm, float(np.abs(Rp @ Lb - Lb @ Rp).max()))
-    return mult, comm
+    n = x.shape[0]
+    return np.conj(U) @ np.kron(x, np.eye(n)) @ U.T
 
 
 def _verify_gns(gns: GnsStructure) -> None:
-    """Raise FreedimError unless the structural identities hold to OPERATOR_TOL.
+    """Raise FreedimError unless the matrix-unit frame agrees with the input.
 
-    The product identities (left multiplication is multiplicative, and
-    conjugated left multiplications commute with it) hold exactly in the
-    matrix-unit frame; `_frame_gaps` bounds their gaps per block from the
-    distance of L to that frame, and the bound is gated.  The bound grows
-    as c^2 = n/alpha while the gaps are rounding noise of about u c^2, so
-    on a block of weight below about 3e-4 n (n >= 2) the bound can exceed
-    the gate while the gaps do not; only there are the block's gaps
-    measured, with O(n^10) work (1.6-1.9 s for n = 8 on 2 cores), and gated
-    instead, so that an input passes exactly when its measured gaps do.  Each
-    generator's left multiplication must match its frame to OPERATOR_TOL,
-    relative to the generator's largest entry when that exceeds 1.
+    The product identities hold for basis_left_mult by construction (see
+    `_frame`).  What ties the closed form to the algebra is checked here:
+    the basis is orthonormal for tau; each generator's left multiplication,
+    computed from the trace formula, is zero off the blocks and matches the
+    frame of the generator built with the same U, to OPERATOR_TOL relative
+    to the generator's largest entry when that exceeds 1; and the trace
+    vector is cyclic, L_{b_p} applied to it recovering the coordinates e_p.
     """
     D = gns.dim
     basis = gns.basis
-    L = gns.basis_left_mult
 
     gram = np.einsum("qab,mba,b->mq", basis, basis, gns._wvec, optimize=True)
     if np.abs(gram - np.eye(D)).max() > OPERATOR_TOL:
         raise FreedimError("trace-representation basis failed orthonormality")
 
-    bounds, gen_gaps = _frame_gaps(gns)
-    sizes = [n * n for n in gns.algebra.block_sizes]
-    for (S, T), bound in zip(block_offsets(sizes), bounds):
-        if bound <= OPERATOR_TOL:
-            continue
-        mult_gap, comm_gap = _block_identity_gaps(L[S:T, S:T, S:T])
-        if mult_gap > OPERATOR_TOL:
-            raise FreedimError("left multiplication failed multiplicativity")
-        if comm_gap > OPERATOR_TOL:
-            raise FreedimError("conjugated left multiplication left the commutant")
-    for j, (gap, X) in enumerate(zip(gen_gaps, gns.algebra.generators)):
-        if not gap <= OPERATOR_TOL * max(1.0, float(np.abs(X).max())):
-            raise FreedimError(f"left multiplication by generator {j} does not "
-                               "match the matrix-unit frame")
+    generators = gns.algebra.generators
+    for (s, t), (S, T), n in _block_ranges(gns.algebra.block_sizes):
+        U = _unit_map(n)
+        for j, (X, rows) in enumerate(zip(generators, gns.generator_left_mult[:, S:T])):
+            gap = np.abs(rows[:, S:T] - _frame(X[s:t, s:t], U)).max()
+            if (rows[:, :S].any() or rows[:, T:].any()
+                    or not gap <= OPERATOR_TOL * max(1.0, float(np.abs(X).max()))):
+                raise FreedimError(f"left multiplication by generator {j} does not "
+                                   "match the matrix-unit frame")
 
-    # cyclicity: L_{b_p} applied to the trace vector recovers coordinates e_p
-    hats = L @ gns.trace_vector
+    hats = gns.basis_left_mult @ gns.trace_vector
     if np.abs(hats - np.eye(D)).max() > OPERATOR_TOL:
         raise FreedimError("trace vector is not cyclic for the basis")

@@ -638,18 +638,18 @@ def _resolve_images(raw_images, group_section, order: int) -> list[int]:
     if not isinstance(raw_images, list):
         raise ConfigError("parameters.images must be a list")
     out = []
-    for im in raw_images:
+    for k, im in enumerate(raw_images):
         if isinstance(im, str):
             if group_section.get("kind") != "symmetric":
                 raise ConfigError(
                     "cycle-notation images require a symmetric group section"
                 )
             degree = int(group_section["n"])
-            out.append(
-                symmetric_element_index(
-                    permutation_from_cycles(im, degree), degree
-                )
-            )
+            try:
+                perm = permutation_from_cycles(im, degree)
+            except FreedimError as exc:
+                raise ConfigError(f"parameters.images[{k}]: {exc}") from None
+            out.append(symmetric_element_index(perm, degree))
         elif _is_int(im) and 0 <= im < order:
             out.append(im)
         else:

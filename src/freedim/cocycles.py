@@ -158,16 +158,6 @@ def compute_H1(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspac
     return cocycle_span(gns, gns.left_mults(generators), hermitian=True)
 
 
-def compute_H2(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:
-    """Weak-limit cocycle space; in finite dimensions the norm closure of H0.
-
-    Weak and norm convergence agree on a finite-dimensional space and H0 is
-    already closed, so this is H0 itself; the report marks it as the space
-    whose dimension defines the headline quantity.
-    """
-    return compute_H0(gns, generators)
-
-
 @dataclass
 class DeltaReport:
     """Dimension report for a generating self-adjoint tuple.

@@ -5,7 +5,8 @@ import pytest
 
 import freedim as fd
 from conftest import SX, SY, SZ, random_block_algebra, random_hermitian
-from freedim.algebra import _frame_gaps, _verify_gns
+import freedim.algebra as algebra_module
+from freedim.algebra import _verify_gns, block_offsets
 from freedim.tolerances import OPERATOR_TOL
 from test_cocycles import WORKED, _worked_algebra
 
@@ -249,10 +250,18 @@ def test_random_hermitian_helper_shape():
 
 
 # ---------------------------------------------------------------------------
-# the GNS identity check in the matrix-unit frame, against measured gaps
+# the closed-form left multiplications against the trace formula
 # ---------------------------------------------------------------------------
 
-def dense_identity_gaps(L):
+def trace_left_mult(gns):
+    """The oracle L_p[m, q] = tau(b_m b_p b_q) = <b_p b_q, b_m>, contracted
+    pairwise: for several blocks optimize=True picks one three-operand
+    contraction, about 100x slower at D = 100."""
+    return np.einsum("mab,pbc,qca,a->pmq", gns.basis, gns.basis, gns.basis,
+                     gns._wvec, optimize=["einsum_path", (0, 3), (0, 1), (0, 1)])
+
+
+def all_at_once_identity_gaps(L):
     """The multiplicativity and commutant defects as dense D^4 tensors."""
     lhs = np.einsum("pmq,mrs->pqrs", L, L, optimize=True)
     rhs = np.einsum("prt,qts->pqrs", L, L, optimize=True)
@@ -263,158 +272,138 @@ def dense_identity_gaps(L):
     return mult, np.abs(lhs - rhs).max()
 
 
-def _join(left, right):
-    """All index pairs (i, j) with left[i] == right[j]."""
-    order = np.argsort(right)
-    ranked = right[order]
-    lo = np.searchsorted(ranked, left, side="left")
-    counts = np.searchsorted(ranked, left, side="right") - lo
-    i = np.repeat(np.arange(left.size), counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    j = order[np.repeat(lo, counts) + np.arange(i.size) - starts]
-    return i, j
-
-
-def _max_gap(D, plus, minus):
-    """max over 4-index keys of |sum of `plus` terms - sum of `minus` terms|;
-    `plus` and `minus` are (four index arrays, values)."""
-    keys = np.concatenate(
-        [np.ravel_multi_index(idx, (D, D, D, D)) for idx, _ in (plus, minus)]
-    )
-    vals = np.concatenate([plus[1], -minus[1]])
-    uniq, slot = np.unique(keys, return_inverse=True)
-    gap = np.hypot(np.bincount(slot, vals.real, uniq.size),
-                   np.bincount(slot, vals.imag, uniq.size))
-    return float(gap.max(initial=0.0))
-
-
-_PAIR_BUDGET = 1 << 15
-
-
-def _identity_gaps(L, budget=_PAIR_BUDGET):
-    """The two gaps measured over the nonzero pattern of L: the products of
-    two nonzero entries, from the nonzero triplets (p, m, q) joined on their
-    shared index, summed per 4-index key, in runs of consecutive first
-    indices that form about `budget` joined pairs each.  Every left-out term
-    has an exact-zero factor, so these are the dense maxima up to summation
-    order, without the D^4 tensors."""
-    D = L.shape[0]
-    p, m, q = np.nonzero(L)  # p ascending
-    v = L[p, m, q]
-    per_triplet = (np.bincount(p, minlength=D)[m] + np.bincount(m, minlength=D)[q]
-                   + np.bincount(q, minlength=D)[m])
-    cuts, load = [0], 0
-    for first, pairs in enumerate(np.bincount(p, per_triplet, D)):
-        if load and load + pairs > budget:
-            cuts.append(first)
-            load = 0
-        load += pairs
-    ends = np.searchsorted(p, cuts + [D])
+def dense_identity_gaps(L):
+    """max |sum_m L_p[m, q] L_m - L_p L_q| and max |R_p L_q - L_q R_p| with
+    R_p = conj(L_p), dense, one p at a time (D^3 memory)."""
+    flat = L.reshape(len(L), -1)
     mult = comm = 0.0
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        # i's last index meets j's middle index: (L_p L_q), R_p L_q
-        i, j = _join(q[lo:hi], m)
-        i += lo
-        outer = (p[i], p[j], m[i], q[j])
-        # s's middle index meets t's first index: sum_m L_p[m, q] L_m
-        s, t = _join(m[lo:hi], p)
-        s += lo
-        mult = max(mult, _max_gap(
-            D, ((p[s], q[s], m[t], q[t]), v[s] * v[t]), (outer, v[i] * v[j])
-        ))
-        # the same join with p of the right triplet in the run: L_q R_p
-        j2, i2 = _join(m[lo:hi], q)
-        j2 += lo
-        comm = max(comm, _max_gap(
-            D,
-            (outer, np.conj(v[i]) * v[j]),
-            ((p[j2], p[i2], m[i2], q[j2]), v[i2] * np.conj(v[j2])),
-        ))
+    for Lp in L:
+        mult = max(mult, float(np.abs((Lp.T @ flat).reshape(L.shape) - Lp @ L).max()))
+        Rp = np.conj(Lp)
+        comm = max(comm, float(np.abs(Rp @ L - L @ Rp).max()))
     return mult, comm
+
+
+def frame_gap_bound(n, alpha):
+    """The identity-gap bound that `algebra._frame` states for one block:
+    4 k c eps + 2 n^2 eps^2, eps = 20 u c, c = sqrt(n/alpha), k = min(n, sqrt 8);
+    0 for a 1 x 1 block."""
+    if n == 1:
+        return 0.0
+    c = np.sqrt(n / alpha)
+    eps = 20 * np.finfo(float).eps / 2 * c
+    return 4 * min(n, np.sqrt(8)) * c * eps + 2 * n * n * eps**2
+
+
+def check_blocks(gns):
+    """Per block, check L against the trace oracle and return (measured
+    gaps, bound).  L must be exactly zero off its blocks, and within 8 u c of
+    the oracle on them."""
+    L = gns.basis_left_mult
+    oracle = trace_left_mult(gns)
+    alg = gns.algebra
+    out = []
+    for (S, T), n, alpha in zip(block_offsets([n * n for n in alg.block_sizes]),
+                                alg.block_sizes, alg.trace_weights):
+        rows = L[S:T]
+        assert not (rows[:, :S].any() or rows[:, T:].any()
+                    or rows[:, S:T, :S].any() or rows[:, S:T, T:].any())
+        c = np.sqrt(n / alpha)
+        assert np.abs(rows - oracle[S:T]).max() <= 8 * np.finfo(float).eps / 2 * c
+        out.append((dense_identity_gaps(rows[:, S:T, S:T]), frame_gap_bound(n, alpha)))
+    return out
 
 
 GAP_CASES = WORKED + ["S4", "random2x3", "random4x5"]
 
 
-def _check_pattern_gaps(name, budget=_PAIR_BUDGET):
-    gns = fd.gns_structure(_worked_algebra(name))
-    L = gns.basis_left_mult
-    mult, comm = _identity_gaps(L, budget)
-    dense_mult, dense_comm = dense_identity_gaps(L)
-    assert abs(mult - dense_mult) <= 1e-14
-    assert abs(comm - dense_comm) <= 1e-14
-    bound = max(_frame_gaps(gns)[0])
-    assert max(mult, comm, dense_mult, dense_comm) <= bound <= OPERATOR_TOL
-
-
 @pytest.mark.parametrize("name", GAP_CASES)
 def test_pattern_gaps_match_dense_oracle(name):
-    _check_pattern_gaps(name)
+    # the gaps measured block by block over L's block pattern are those of
+    # the whole L, and each block's stay within its stated bound
+    gns = fd.gns_structure(_worked_algebra(name))
+    blocks = check_blocks(gns)
+    for (mult, comm), bound in blocks:
+        assert max(mult, comm) <= bound <= OPERATOR_TOL
+    whole = dense_identity_gaps(gns.basis_left_mult)
+    for k in range(2):
+        assert abs(max(gaps[k] for gaps, _ in blocks) - whole[k]) <= 1e-14
 
 
 @pytest.mark.parametrize("name", GAP_CASES)
 def test_pattern_gaps_match_dense_oracle_one_index_per_run(name):
-    # a budget of one pair puts every first index in a run of its own
-    _check_pattern_gaps(name, budget=1)
+    # dense_identity_gaps takes one first index p per pass, so that D = 64
+    # and 100 fit; on these sizes it agrees with the all-at-once D^4 tensors
+    L = fd.gns_structure(_worked_algebra(name)).basis_left_mult
+    for looped, at_once in zip(dense_identity_gaps(L), all_at_once_identity_gaps(L)):
+        assert abs(looped - at_once) <= 1e-14
 
 
 @pytest.mark.parametrize("shape", [(8,), (6, 8)])
 def test_frame_bound_dominates_measured_gaps_large(shape):
     gns = fd.gns_structure(random_block_algebra(shape, seed=0))
-    bounds, gen_gaps = _frame_gaps(gns)
-    assert max(_identity_gaps(gns.basis_left_mult)) <= max(bounds) <= OPERATOR_TOL
-    assert max(gen_gaps) <= OPERATOR_TOL
+    for (mult, comm), bound in check_blocks(gns):
+        assert max(mult, comm) <= bound <= OPERATOR_TOL
 
 
 def test_frame_bound_is_per_block():
     # blocks [1, 2, 3]: 1 x 1 blocks obey both identities for any entry
     gns = fd.gns_structure(random_block_algebra((1, 2, 3), seed=0))
-    bounds, _ = _frame_gaps(gns)
-    assert bounds[0] == 0.0
-    assert 0.0 < bounds[1] <= OPERATOR_TOL and 0.0 < bounds[2] <= OPERATOR_TOL
+    blocks = check_blocks(gns)
+    assert blocks[0] == ((0.0, 0.0), 0.0)
+    for (mult, comm), bound in blocks[1:]:
+        assert max(mult, comm) <= bound <= OPERATOR_TOL
 
 
-def test_small_weight_block_falls_back_to_measured_gaps():
-    # the bound grows as n / alpha: at weight 1e-5 on M_2 it exceeds the
-    # gate, the measured gaps (about 3e-11) do not, and the input passes
+def test_small_weight_block_gaps_within_bound():
+    # the gaps and their bound grow as n / alpha: at weight 1e-8 on M_2 the
+    # bound exceeds OPERATOR_TOL, so an absolute gate on the gaps could
+    # refuse this valid input; they hold by construction and are not gated
     g = np.zeros((3, 3), dtype=complex)
     g[1:, 1:] = SX
     h = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    alg = fd.build_algebra([1, 2], [1 - 1e-5, 1e-5], [g, h])
-    gns = fd.gns_structure(alg)
-    assert max(_frame_gaps(gns)[0]) > OPERATOR_TOL
-    assert max(_identity_gaps(gns.basis_left_mult)) <= OPERATOR_TOL
+    gns = fd.gns_structure(fd.build_algebra([1, 2], [1 - 1e-8, 1e-8], [g, h]))
+    (_, (gaps, bound)) = check_blocks(gns)
+    assert max(gaps) <= bound
+    assert bound > OPERATOR_TOL
 
 
-def test_identity_gaps_memory_bounded_at_d64():
-    # the whole GNS check at D = 64; the identity joins alone peaked at
-    # 46 MB when all 365 k joined pairs were formed at once
-    gns = fd.gns_structure(random_block_algebra((8,), 0))
+def test_gns_structure_memory_bounded_at_d64():
+    # the whole GNS structure at D = 64: L itself is 4 MB, and building it
+    # one basis element at a time adds little
+    alg = random_block_algebra((8,), 0)
     tracemalloc.start()
     try:
-        _verify_gns(gns)
+        fd.gns_structure(alg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("where", ["structural_zero", "nonzero"])
-def test_perturbed_left_mult_fails_identity_check(where):
-    gns = fd.gns_structure(random_block_algebra((2, 3), seed=5))
-    L = gns.basis_left_mult
-    p = 7
-    zero = (L[p] == 0) & (L[p].T == 0)
-    m, q = np.argwhere(np.triu(zero if where == "structural_zero" else ~zero, 1))[0]
-    # a real symmetric bump keeps L_p Hermitian, so only the product
-    # identities can catch it
-    L[p, m, q] += 1e-6
-    L[p, q, m] += 1e-6
-    assert np.abs(L - L.conj().transpose(0, 2, 1)).max() <= OPERATOR_TOL
-    assert max(dense_identity_gaps(L)) > OPERATOR_TOL
-    assert max(_identity_gaps(L)) > OPERATOR_TOL
-    with pytest.raises(fd.FreedimError, match="multiplicativity|commutant"):
-        _verify_gns(gns)
+def _swap_rows(U):
+    U[[0, 1]] = U[[1, 0]]
+    return U
+
+
+def _scale_row(U):
+    U[1] *= 1 + 1e-6
+    return U
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 2)])
+@pytest.mark.parametrize("wrong", [_swap_rows, np.transpose, _scale_row],
+                         ids=["swap_rows", "transpose", "scale_row"])
+def test_wrong_unit_map_fails_generator_check(monkeypatch, shape, wrong):
+    # L is built from _unit_map unchecked; the generators' left
+    # multiplications from the trace formula are what refuse a wrong one
+    alg = random_block_algebra(shape, seed=5)
+    unit_map = algebra_module._unit_map
+    monkeypatch.setattr(algebra_module, "_unit_map",
+                        lambda n: wrong(unit_map(n)) if n > 1 else unit_map(n))
+    with pytest.raises(fd.FreedimError,
+                       match=r"generator \d+ does not match the matrix-unit frame"):
+        fd.gns_structure(alg)
 
 
 def test_perturbed_generator_left_mult_fails_frame_check():

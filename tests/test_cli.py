@@ -405,6 +405,35 @@ def test_tiny_trace_weight_reports_without_overflow(tmp_path, capsys):
     assert json.loads(captured.out)["results"]["agreement"]["closed_form_matches"]
 
 
+def _small_weight_run(tmp_path, capsys, weight):
+    """The 2 x 2 block of delta_direct_sum at trace weight `weight`."""
+    cfg = json.loads((CONFIG_DIR / "delta_direct_sum.json").read_text())
+    cfg["algebra"]["weights"] = [1 - weight, weight]
+    path = write_config(tmp_path, cfg)
+    code = main(["delta", "--config", path])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    results = json.loads(captured.out)["results"]
+    mult = [[0, 0], [0, 0]]
+    for block in results["blocks"]:
+        mult[block["i"]][block["j"]] = block["multiplicity"]
+    assert mult == [[0, 2], [2, 3]]
+    assert results["agreement"]["closed_form_matches"]
+    return results
+
+
+def test_small_weight_matrix_block_is_accepted(tmp_path, capsys):
+    # the GNS identity gaps grow as n / alpha, so an absolute gate on them
+    # would refuse this valid input
+    results = _small_weight_run(tmp_path, capsys, 1e-6)
+    assert results["Delta_fraction"] == "1599999/800000000000"
+
+
+@pytest.mark.parametrize("weight", [1e-3, 1e-4, 1e-5, 1e-7, 1e-8])
+def test_small_weight_sweep_is_accepted(tmp_path, capsys, weight):
+    _small_weight_run(tmp_path, capsys, weight)
+
+
 def _hostile_c2(mutate):
     cfg = c2_config()
     mutate(cfg["algebra"])
@@ -558,6 +587,14 @@ _BAD_TABLES = [[[0, "x"], [1, 0]], [[0, 1], [1]], [[0, 1e400], [1, 0]],
                [[0, 1.5], [1, 0]], [[0, True], [1, 0]], [[0, 10**400], [1, 0]]]
 
 
+# malformed cycle-notation images on S3, with the reason the CLI prints
+_BAD_CYCLES = [
+    ("(1 2", "malformed cycle notation '(1 2'"),
+    ("x", "malformed cycle notation 'x'"),
+    ("(1 9)", "cycle ['1', '9'] invalid for degree 3"),
+    ("(1 1)", "cycle ['1', '1'] invalid for degree 3"),
+    ("(1 2))", "malformed cycle notation '(1 2))'"),
+]
 _FDQ = {"type": "free_difference_quotient"}
 _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
 
@@ -603,8 +640,12 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
     (_shipped("group_free_kernel", images=[5, 1]), 2,
      "config error: parameters.images: 5 is not an element index below 2"),
     ({"scenario": "group_free", "group": {"kind": "symmetric", "n": 2},
-      "parameters": {"rank": 2, "images": ["(a b)", "(1 2)"]}}, 1,
-     "computation error: FreedimError: malformed cycle notation '(a b)'"),
+      "parameters": {"rank": 2, "images": ["(a b)", "(1 2)"]}}, 2,
+     "config error: parameters.images[0]: malformed cycle notation '(a b)'"),
+    *[({"scenario": "group_free", "group": {"kind": "symmetric", "n": 3},
+        "parameters": {"rank": 2, "images": ["(1 2)", bad]}}, 2,
+       f"config error: parameters.images[1]: {why}")
+      for bad, why in _BAD_CYCLES],
     *[(_s3(generating_set=bad), 2,
        "config error: group.generating_set must be a list of element indices "
        "below 6") for bad in _BAD_GENERATING_SETS],
@@ -646,7 +687,7 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
         "r_grid_nan", "dim_negative", "n_ops_string", "r_grid_huge",
         "r_grid_huge_int", "dim_above_cap", "n_ops_above_cap",
         "free_group_order_above_cap", "rank_string", "image_out_of_range",
-        "image_cycle_letters",
+        "image_cycle_letters", *[f"image_cycle_{k}" for k in range(len(_BAD_CYCLES))],
         *[f"generating_set_{k}" for k in range(len(_BAD_GENERATING_SETS))],
         *[f"mult_{k}" for k in range(len(_BAD_TABLES))],
         "dual_dim_above_cap", "smooth_string", "X_scalar", "X_size", "r_grid_long",

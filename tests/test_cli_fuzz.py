@@ -6,6 +6,8 @@ the config's scenario through `cli.main`.  The contract holds for every
 input: exit 0, 1 or 2, one stderr line, and no exception or warning.  A
 second fuzz inserts group keys into the group sections of group configs,
 product factors included; a key the section's kind does not read exits 2.
+A third writes cycle-notation strings into `parameters.images` on S3: each
+parses, or exits 2 naming the image.
 """
 
 import contextlib
@@ -120,3 +122,29 @@ def test_foreign_group_keys_keep_the_cli_contract(tmp_path_factory, data):
         assert code == 2 and "are not read" in err, err
     else:
         assert code in (0, 1, 2)
+
+
+# malformed cycle notation; the fuzz also draws strings over their alphabet
+BAD_CYCLES = ["(1 2", "x", "(1 9)", "(1 1)", "(1 2))"]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_cycle_images_parse_or_exit_2(tmp_path_factory, data):
+    image = data.draw(st.sampled_from(BAD_CYCLES) | st.text("()1239 ,x", max_size=12),
+                      label="image")
+    k = data.draw(st.integers(0, 1), label="slot")
+    images = ["(1 2)", "(1 2)"]
+    images[k] = image
+    cfg = {"scenario": "group_free", "group": {"kind": "symmetric", "n": 3},
+           "parameters": {"rank": 2, "images": images}}
+    config_path = tmp_path_factory.getbasetemp() / "fuzz_cycle_config.json"
+    config_path.write_text(json.dumps(cfg))
+    code, err = _run("group_free", str(config_path))
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    if image in BAD_CYCLES:
+        assert code == 2, err
+        assert err.startswith(f"config error: parameters.images[{k}]: "), err
+    else:
+        assert code in (0, 2), err

@@ -100,19 +100,9 @@ def test_h1_empty_generator_tuple(c2):
     assert H1.complex_dim == 0
 
 
-def test_h2_equals_h0_values(c2, m2, c1m2):
-    for alg in (c2, m2, c1m2):
-        gns = fd.gns_structure(alg)
-        dec = fd.central_decomposition(gns)
-        H0 = fd.compute_H0(gns, alg.generators)
-        H2 = fd.compute_H2(gns, alg.generators)
-        assert fd.subspace_distance(H0, H2) <= 1e-12
-        assert fd.vn_dimension(H0, dec) == fd.vn_dimension(H2, dec)
-
-
 def test_h_spaces_invariance_certificates(c1m2):
     gns = fd.gns_structure(c1m2)
-    for builder in (fd.compute_H0, fd.compute_H1, fd.compute_H2):
+    for builder in (fd.compute_H0, fd.compute_H1):
         K = builder(gns, c1m2.generators)
         assert K.invariance_residual <= 1e-8
 

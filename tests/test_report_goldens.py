@@ -75,14 +75,13 @@ def test_s4_report_matches_golden_at_two_blas_threads(tmp_path):
 def test_dual_ladder_reports_match_goldens_above_d6(tmp_path, monkeypatch):
     # the shipped dual configs have D <= 6; the benchmark's dual ladder
     # (workload seed 1, configs written by perfbench/workloads.py) reaches
-    # D = 36, 41 and 49, whose bytes depend on BLAS partitioning like S4's
+    # D = 36, 41, 49 and 64, whose bytes depend on BLAS partitioning like S4's
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
-    ops = [op for op in workloads.build("dual_ladder", 1, str(ROOT),
-                                        str(tmp_path)).next_pass()
-           if op.label.split("/")[0] in ("6", "4x5", "7")]
-    assert len(ops) == 6
+    ops = workloads.build("dual_ladder", 1, str(ROOT), str(tmp_path)).next_pass()
+    assert sorted({op.label.split("/")[0] for op in ops}) == ["4x5", "6", "7", "8"]
+    assert len(ops) == 8
     outs = [tmp_path / f"report{k}.json" for k in range(len(ops))]
     argvs = [[op.scenario, "--config", op.config, "--seed", str(op.seed),
               "--output", str(out)] for op, out in zip(ops, outs)]
