@@ -243,9 +243,6 @@ class GnsStructure:
     basis: np.ndarray            # (D, N, N) self-adjoint elements
     trace_vector: np.ndarray     # (D,) coordinates of 1, unit norm
     p1: np.ndarray               # (D, D) rank-one projection onto the trace vector
-    # (D, D, D): left multiplication by each basis element, its matrix-unit
-    # frame (see _frame), zero off the element's block
-    basis_left_mult: np.ndarray
     generator_left_mult: np.ndarray  # (n, D, D): left_mults (trace formula)
     _wvec: np.ndarray = field(repr=False, default=None)
     _words: Optional[WordTree] = field(repr=False, default=None)
@@ -274,6 +271,19 @@ class GnsStructure:
         """(n, D, D) stack of the left multiplications by the generators."""
         Ls = [self.left_mult(np.asarray(X, dtype=complex)) for X in generators]
         return np.asarray(Ls, dtype=complex).reshape(-1, self.dim, self.dim)
+
+    def basis_left_mults(self) -> np.ndarray:
+        """(D, D, D) left multiplications by the basis elements, built anew on
+        each call from the matrix-unit frame: L_p = conj(U) (b_p (x) 1) U^T on
+        the coordinates of b_p's block, zero off it (see `_frame`).  One
+        element at a time keeps the work at O(D^3)."""
+        D = self.dim
+        out = np.zeros((D, D, D), dtype=complex)
+        for (s, t), (S, T), n in _block_ranges(self.algebra.block_sizes):
+            U = _unit_map(n)
+            for p in range(S, T):
+                out[p, S:T, S:T] = _frame(self.basis[p, s:t, s:t], U)
+        return out
 
     def right_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of right multiplication by x; equals J L_{x*} J."""
@@ -322,29 +332,23 @@ def _orthonormal_selfadjoint_basis(algebra: TracialAlgebra) -> np.ndarray:
 def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     """Build the trace representation of the (effective) algebra.
 
-    Populates the orthonormal self-adjoint basis, left multiplications, the
-    trace vector and its rank-one projection.  The basis consists of
-    Hermitian combinations of scaled matrix units, so in each block left
-    multiplication has a closed form, the matrix-unit frame
-    conj(U) (x (x) 1) U^T (see `_frame`): basis_left_mult is built from it
-    block by block, and is a *-homomorphism whose conjugates commute with
-    it up to the rounding bound stated there.  `_verify_gns` ties the frame
-    to the input: the basis is orthonormal, each generator's left
-    multiplication from the trace formula matches its frame, and the trace
-    vector is cyclic.
+    Populates the orthonormal self-adjoint basis, the generators' left
+    multiplications, the trace vector and its rank-one projection.  The
+    basis consists of Hermitian combinations of scaled matrix units, so in
+    each block left multiplication has a closed form, the matrix-unit frame
+    conj(U) (x (x) 1) U^T (see `_frame`).  `GnsStructure.basis_left_mults`
+    builds the basis elements' left multiplications from it on demand; they
+    are multiplicative and commute with their conjugates up to the rounding
+    bound stated there.
+    `_verify_gns` ties the frame to the input: the basis is orthonormal,
+    each generator's left multiplication from the trace formula matches its
+    frame, and the trace vector is cyclic.
     """
     algebra = algebra.effective_algebra()
     basis = _orthonormal_selfadjoint_basis(algebra)
     D = algebra.dim
     wvec = _diag_weights(algebra.block_sizes, algebra.trace_weights)
 
-    # L_p = conj(U) (b_p (x) 1) U^T on the coordinates of b_p's block, zero
-    # off it; one element at a time keeps the work and memory at O(D^3)
-    basis_left_mult = np.zeros((D, D, D), dtype=complex)
-    for (s, t), (S, T), n in _block_ranges(algebra.block_sizes):
-        U = _unit_map(n)
-        for p in range(S, T):
-            basis_left_mult[p, S:T, S:T] = _frame(basis[p, s:t, s:t], U)
     trace_vector = np.einsum("mab,ba,b->m", basis, np.eye(basis.shape[1]), wvec,
                              optimize=True)
     if np.abs(trace_vector.imag).max() > SCALAR_TOL:
@@ -358,7 +362,6 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
         basis=basis,
         trace_vector=trace_vector,
         p1=p1,
-        basis_left_mult=basis_left_mult,
         generator_left_mult=None,
         _wvec=wvec,
     )
@@ -426,7 +429,7 @@ def _frame(x: np.ndarray, U: np.ndarray) -> np.ndarray:
 def _verify_gns(gns: GnsStructure) -> None:
     """Raise FreedimError unless the matrix-unit frame agrees with the input.
 
-    The product identities hold for basis_left_mult by construction (see
+    The product identities hold for `basis_left_mults` by construction (see
     `_frame`).  What ties the closed form to the algebra is checked here:
     the basis is orthonormal for tau; each generator's left multiplication,
     computed from the trace formula, is zero off the blocks and matches the
@@ -451,6 +454,6 @@ def _verify_gns(gns: GnsStructure) -> None:
                 raise FreedimError(f"left multiplication by generator {j} does not "
                                    "match the matrix-unit frame")
 
-    hats = gns.basis_left_mult @ gns.trace_vector
+    hats = gns.basis_left_mults() @ gns.trace_vector
     if np.abs(hats - np.eye(D)).max() > OPERATOR_TOL:
         raise FreedimError("trace vector is not cyclic for the basis")

@@ -59,7 +59,6 @@ from .groups import (
     symmetric_group,
     word_str,
 )
-from .tolerances import residual_tol
 
 _TOP_KEYS = {"scenario", "algebra", "group", "parameters"}
 _SECTIONS = {"algebra": "an algebra section", "group": "a group section"}
@@ -524,7 +523,7 @@ def _run_dual_system(config: ScenarioConfig) -> Outcome:
     results = {"mode": kind, "well_defined": fit.well_defined, "defect": fit.defect}
     residuals = {"well_definedness_defect": fit.defect}
     if fit.well_defined:
-        rep = construct_dual_operator(gns, fit, tol=residual_tol())
+        rep = construct_dual_operator(gns, fit)
         residuals.update({
             "Y1": rep.residual_Y1,
             "commutators": rep.residual_commutators,
@@ -900,7 +899,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
     if args.output:
-        _write_atomic(args.output, payload)
+        try:
+            _write_atomic(args.output, payload)
+        except OSError as exc:
+            print(f"config error: cannot write report to {args.output}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

@@ -124,8 +124,7 @@ def test_criterion_4_dual_round_trip():
             # basis pairs, with Y* built independently from its formula:
             # Y*(Q 1) = -(dT(Q*))* 1 + L_Q xi  (Q* = Q on this basis)
             Z = np.zeros((D, D), dtype=complex)
-            for m in range(D):
-                Lm = gns.basis_left_mult[m]
+            for m, Lm in enumerate(gns.basis_left_mults()):
                 Z[:, m] = -(B @ Lm - Lm @ B).conj().T @ t + Lm @ rep.xi
             ok &= bool(np.abs(Z - rep.Y.conj().T).max() <= 1e-9)
     record(4, "20 seeded inner duals per algebra: residuals <= 1e-9, "

@@ -299,7 +299,7 @@ def check_blocks(gns):
     """Per block, check L against the trace oracle and return (measured
     gaps, bound).  L must be exactly zero off its blocks, and within 8 u c of
     the oracle on them."""
-    L = gns.basis_left_mult
+    L = gns.basis_left_mults()
     oracle = trace_left_mult(gns)
     alg = gns.algebra
     out = []
@@ -325,7 +325,7 @@ def test_pattern_gaps_match_dense_oracle(name):
     blocks = check_blocks(gns)
     for (mult, comm), bound in blocks:
         assert max(mult, comm) <= bound <= OPERATOR_TOL
-    whole = dense_identity_gaps(gns.basis_left_mult)
+    whole = dense_identity_gaps(gns.basis_left_mults())
     for k in range(2):
         assert abs(max(gaps[k] for gaps, _ in blocks) - whole[k]) <= 1e-14
 
@@ -334,7 +334,7 @@ def test_pattern_gaps_match_dense_oracle(name):
 def test_pattern_gaps_match_dense_oracle_one_index_per_run(name):
     # dense_identity_gaps takes one first index p per pass, so that D = 64
     # and 100 fit; on these sizes it agrees with the all-at-once D^4 tensors
-    L = fd.gns_structure(_worked_algebra(name)).basis_left_mult
+    L = fd.gns_structure(_worked_algebra(name)).basis_left_mults()
     for looped, at_once in zip(dense_identity_gaps(L), all_at_once_identity_gaps(L)):
         assert abs(looped - at_once) <= 1e-14
 
@@ -369,8 +369,8 @@ def test_small_weight_block_gaps_within_bound():
 
 
 def test_gns_structure_memory_bounded_at_d64():
-    # the whole GNS structure at D = 64: L itself is 4 MB, and building it
-    # one basis element at a time adds little
+    # the whole GNS structure at D = 64: the cyclicity check builds L, 4 MB,
+    # and building it one basis element at a time adds little
     alg = random_block_algebra((8,), 0)
     tracemalloc.start()
     try:
@@ -379,6 +379,14 @@ def test_gns_structure_memory_bounded_at_d64():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_gns_structure_retains_no_d_cubed_array():
+    # at D = 64 the basis left multiplications alone are 4 MB; the structure
+    # keeps the basis, the trace vector, P1 and the generators' L, not them
+    gns = fd.gns_structure(random_block_algebra((8,), 0))
+    held = sum(v.nbytes for v in vars(gns).values() if isinstance(v, np.ndarray))
+    assert held < 2**20
 
 
 def _swap_rows(U):

@@ -31,8 +31,8 @@ def test_cocycle_map_identity_vanishes(m2):
 def test_cocycle_map_kills_commutant(m2):
     # conjugated left multiplications span the commutant of the action
     gns = fd.gns_structure(m2)
-    for p in range(gns.dim):
-        Y = np.conj(gns.basis_left_mult[p])
+    for Lp in gns.basis_left_mults():
+        Y = np.conj(Lp)
         out = fd.cocycle_map(gns, m2.generators, Y)
         assert np.abs(out).max() < 1e-10
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import invariant_complement, make_c1m2, make_m2, svd_block_ranks
+import freedim.wedderburn as wedderburn
+from conftest import (SX, SZ, embed_c_m2, invariant_complement, make_c1m2, make_c2,
+                      make_m2, random_block_algebra, svd_block_ranks)
+from freedim.algebra import _unflatten, block_offsets
+from freedim.tolerances import OPERATOR_TOL
+from freedim.vndim import to_fraction
 
 
 def joint_commutator_nullity(Ls):
@@ -64,13 +69,76 @@ def test_numerical_span_orthonormal_rows():
 # central decomposition
 # ---------------------------------------------------------------------------
 
+def d_coordinate_center(gns, seed=0):
+    """Oracle: the central projections z_i, resolved as central_decomposition
+    resolves them, checked through their left multiplications Z_i on L2.
+
+    Returns (sizes, weights, Z).  AssertionError unless the sizes (from the
+    SVD rank of z_i A) and the weights are the declared ones, and the Z_i
+    sum to the identity, are orthogonal projections, are each the 0/1
+    indicator of their block's coordinates and commute with every basis
+    element's left multiplication.
+    """
+    alg = gns.algebra
+    N = alg.matrix_size
+    units = np.array([_unflatten(e, alg.block_sizes) for e in np.eye(alg.dim)])
+    center = wedderburn.commutant_basis(list(alg.generators),
+                                        within=units.reshape(-1, N * N))
+    zs = wedderburn.minimal_central_projections(units, center,
+                                                np.random.default_rng(seed))
+    sizes = tuple(wedderburn.central_block_size(z, units) for z in zs)
+    weights = tuple(alg.trace(z).real for z in zs)
+    assert sizes == alg.block_sizes
+    assert all(abs(w - a) <= 1e-8 for w, a in zip(weights, alg.trace_weights))
+
+    Z = gns.left_mults(zs)
+    D = gns.dim
+    assert np.abs(Z.sum(axis=0) - np.eye(D)).max() <= OPERATOR_TOL
+    for i in range(len(zs)):
+        for j in range(len(zs)):
+            expect = Z[i] if i == j else 0.0
+            assert np.abs(Z[i] @ Z[j] - expect).max() <= OPERATOR_TOL
+    for Zi, (start, stop) in zip(Z, block_offsets([n * n for n in sizes])):
+        indicator = np.zeros(D)
+        indicator[start:stop] = 1.0
+        assert np.abs(Zi - np.diag(indicator)).max() <= 1e-10
+    L = gns.basis_left_mults()
+    for Zi in Z:
+        comm = np.einsum("ab,pbc->pac", Zi, L) - np.einsum("pab,bc->pac", L, Zi)
+        assert np.abs(comm).max() <= OPERATOR_TOL
+    return sizes, weights, Z
+
+
+def _s3_regular():
+    return fd.regular_rep_algebra(fd.symmetric_group(3))
+
+
+CENTER_CASES = [("c2", make_c2), ("m2", make_m2), ("c1m2", make_c1m2),
+                ("S3_regular", _s3_regular)] + [
+    (f"random{shape}_{seed}", lambda shape=shape, seed=seed:
+     random_block_algebra(shape, seed))
+    for shape in [(1, 1), (1, 2), (2, 3), (1, 1, 2), (4,)] for seed in range(4)]
+
+
+@pytest.mark.parametrize("build", [b for _, b in CENTER_CASES],
+                         ids=[name for name, _ in CENTER_CASES])
+def test_center_certificate_matches_d_coordinate_oracle(build):
+    gns = fd.gns_structure(build())
+    for seed in range(4):
+        sizes, weights, _ = d_coordinate_center(gns, seed)
+        dec = fd.central_decomposition(gns, seed=seed)
+        assert dec.sizes == sizes
+        assert dec.weights == weights  # bitwise
+        assert dec.weight_fractions == tuple(to_fraction(w) for w in weights)
+
+
 def test_central_decomposition_two_point(c2):
     gns = fd.gns_structure(c2)
     dec = fd.central_decomposition(gns)
     assert dec.sizes == (1, 1)
     np.testing.assert_allclose(dec.weights, [0.5, 0.5], atol=1e-12)
-    for z in dec.projections:
-        assert abs(np.trace(z).real - 1.0) < 1e-9  # rank one on L2
+    for Z in d_coordinate_center(gns)[2]:
+        assert abs(np.trace(Z).real - 1.0) < 1e-9  # rank one on L2
 
 
 def test_central_decomposition_factor(m2):
@@ -78,7 +146,7 @@ def test_central_decomposition_factor(m2):
     dec = fd.central_decomposition(gns)
     assert dec.sizes == (2,)
     np.testing.assert_allclose(dec.weights, [1.0], atol=1e-12)
-    np.testing.assert_allclose(dec.projections[0], np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(d_coordinate_center(gns)[2][0], np.eye(4), atol=1e-10)
 
 
 def test_central_decomposition_s3_regular():
@@ -122,10 +190,50 @@ def test_center_resolution_error_after_retries(m2):
 
 def test_central_projections_partition_identity(c1m2):
     gns = fd.gns_structure(c1m2)
-    dec = fd.central_decomposition(gns)
     np.testing.assert_allclose(
-        dec.projections.sum(axis=0), np.eye(gns.dim), atol=1e-10
+        d_coordinate_center(gns)[2].sum(axis=0), np.eye(gns.dim), atol=1e-10
     )
+
+
+def _swap_first_two(zs):
+    zs[0], zs[1] = zs[1], zs[0]
+    return zs
+
+
+def _bump(row, col):
+    def bump(zs):
+        zs[row] = zs[row].copy()
+        zs[row][row, col] += 1e-9
+        return zs
+    return bump
+
+
+@pytest.mark.parametrize("make,change", [
+    (make_c2, _swap_first_two),        # equal weights: only the blocks differ
+    (make_c1m2, _swap_first_two),
+    (make_c1m2, lambda zs: zs[:1]),    # one projection for two blocks
+    (make_c1m2, _bump(1, 2)),          # inside block 1, off its diagonal
+    (make_c1m2, _bump(0, 1)),          # outside block 0
+], ids=["c2_swap", "c1m2_swap", "c1m2_drop", "bump_inside", "bump_outside"])
+def test_center_certificate_refuses_wrong_projections(monkeypatch, make, change):
+    gns = fd.gns_structure(make())
+    original = wedderburn.minimal_central_projections
+    monkeypatch.setattr(wedderburn, "minimal_central_projections",
+                        lambda *args: change(list(original(*args))))
+    with pytest.raises(fd.CenterResolutionError):
+        fd.central_decomposition(gns)
+
+
+def test_small_weight_block_center_is_accepted():
+    # left multiplications of the weight-1e-12 block have entries of size
+    # sqrt(n / alpha), so an absolute gate on their products with the
+    # central projections refuses this valid input; the certificate against
+    # the declared blocks does not read them
+    alg = fd.build_algebra([1, 2], [1 - 1e-12, 1e-12],
+                           [embed_c_m2(1.0, SX), embed_c_m2(0.0, SZ)])
+    rep = fd.delta_report(alg)
+    np.testing.assert_array_equal(rep.multiplicities, [[0, 2], [2, 3]])
+    assert all(rep.agreement.values())
 
 
 # ---------------------------------------------------------------------------
