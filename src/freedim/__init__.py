@@ -9,7 +9,6 @@ from .algebra import (
     GnsStructure,
     TracialAlgebra,
     build_algebra,
-    generation_check,
     gns_structure,
 )
 from .cocycles import (
@@ -25,18 +24,16 @@ from .cutoff import (
     apply_cutoff,
     commutator_identity_check,
     convergence_sweep,
-    cutoff_eval,
-    quotient_eval,
     spectral_radius,
 )
 from .derivations import (
-    DerivationSpec,
     DualOperatorReport,
     antisymmetrize,
     antisymmetrize_identity_residual,
     conjugate_variable,
     construct_dual_operator,
     derivation_well_defined,
+    fdq_targets,
     fisher_report,
     inner_spec,
     phi_star,
@@ -71,7 +68,6 @@ from .groups import (
     permutation_from_cycles,
     regular_rep_algebra,
     schreier_graph,
-    schreier_rank,
     symmetric_element_index,
     symmetric_group,
     word_str,
@@ -85,7 +81,6 @@ from .vndim import (
     invariant_closure,
     numerical_span,
     subspace_distance,
-    vn_dimension,
     vn_dimension_report,
 )
 

@@ -10,8 +10,9 @@ product <a, b> = tau(b* a); its completion is a D-dimensional Hilbert space
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,9 +24,6 @@ from .errors import (
     WeightError,
 )
 from .tolerances import OPERATOR_TOL, SCALAR_TOL
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .derivations import WordTree
 
 
 def block_offsets(block_sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -65,18 +63,13 @@ def _unflatten(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class TracialAlgebra:
-    """A finite multi-matrix *-algebra with a distinguished generating tuple.
-
-    Not modified after construction, except that `effective_algebra` fills
-    `_effective` on first use of a non-generating tuple.
-    """
+    """A finite multi-matrix *-algebra with a distinguished generating tuple."""
 
     block_sizes: tuple[int, ...]
     trace_weights: tuple[float, ...]
     generators: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
     generated_dim: int
-    _effective: Optional["TracialAlgebra"] = field(default=None, repr=False)
 
     @property
     def matrix_size(self) -> int:
@@ -118,11 +111,9 @@ class TracialAlgebra:
         """
         if self.generates:
             return self
-        if self._effective is None:
-            from .wedderburn import blockify_subalgebra
+        from .wedderburn import blockify_subalgebra
 
-            self._effective = blockify_subalgebra(self)
-        return self._effective
+        return blockify_subalgebra(self)
 
 
 def word_span(
@@ -152,12 +143,6 @@ def word_span(
             return grown
         basis = grown
     return basis
-
-
-def generation_check(algebra: TracialAlgebra) -> tuple[int, bool]:
-    """Span dimension of all generator words, and whether it exhausts the algebra."""
-    dim = word_span(algebra.block_sizes, algebra.generators).shape[0]
-    return dim, dim == algebra.dim
 
 
 def build_algebra(
@@ -214,12 +199,17 @@ def build_algebra(
         if len(labels) != len(mats):
             raise ShapeMismatch("one label per generator required")
 
+    # the generated algebra does not depend on the generators' scale, but
+    # word_span's relative cutoff does: count the span of each nonzero
+    # generator divided (exactly) by the power of two nearest its largest entry
+    peaks = [float(np.abs(g).max()) for g in mats]
+    unit = [g / 2.0 ** round(math.log2(m)) if m else g for g, m in zip(mats, peaks)]
     algebra = TracialAlgebra(
         block_sizes=sizes,
         trace_weights=weights,
         generators=tuple(mats),
         labels=labels,
-        generated_dim=word_span(sizes, mats).shape[0],
+        generated_dim=word_span(sizes, unit).shape[0],
     )
     if not algebra.generates and not subalgebra_mode:
         raise NotGenerating(
@@ -245,17 +235,6 @@ class GnsStructure:
     p1: np.ndarray               # (D, D) rank-one projection onto the trace vector
     generator_left_mult: np.ndarray  # (n, D, D): left_mults (trace formula)
     _wvec: np.ndarray = field(repr=False, default=None)
-    _words: Optional[WordTree] = field(repr=False, default=None)
-
-    @property
-    def words(self) -> WordTree:
-        """The word tree of the generators that derivation fits replay
-        (derivations.enumerate_words), enumerated on first use."""
-        if self._words is None:
-            from .derivations import enumerate_words
-
-            self._words = enumerate_words(self)
-        return self._words
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates <x, b_m> of an algebra element in the orthonormal basis."""

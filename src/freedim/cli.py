@@ -28,9 +28,9 @@ from .algebra import build_algebra, gns_structure
 from .cocycles import delta_report
 from .cutoff import CutoffFamily, convergence_sweep, spectral_radius
 from .derivations import (
-    DerivationSpec,
     construct_dual_operator,
     derivation_well_defined,
+    fdq_targets,
     fisher_report,
     inner_spec,
 )
@@ -501,25 +501,23 @@ def _run_dual_system(config: ScenarioConfig) -> Outcome:
     if kind == "inner":
         _check_keys(dual, {"type", "matrix"}, {"matrix"}, "parameters.dual")
         B = _dual_matrix(dual["matrix"], "parameters.dual.matrix", gns.dim)
-        spec = inner_spec(gns, B)
+        targets = inner_spec(gns, B)
     elif kind == "free_difference_quotient":
         _check_keys(dual, {"type", "slot"}, {"slot"}, "parameters.dual")
         slot = dual["slot"]
         if not _is_int(slot):
             raise ConfigError(f"parameters.dual.slot must be an integer, got {slot!r}")
-        spec = DerivationSpec.free_difference_quotient(slot)
+        targets = fdq_targets(gns, slot)
     elif kind == "explicit":
         _check_keys(dual, {"type", "targets"}, {"targets"}, "parameters.dual")
         if not isinstance(dual["targets"], list):
             raise ConfigError("parameters.dual.targets must be a list of matrices")
-        spec = DerivationSpec.from_targets([
-            _dual_matrix(t, f"parameters.dual.targets[{k}]", gns.dim)
-            for k, t in enumerate(dual["targets"])
-        ])
+        targets = [_dual_matrix(t, f"parameters.dual.targets[{k}]", gns.dim)
+                   for k, t in enumerate(dual["targets"])]
     else:
         raise ConfigError(f"unknown dual type {kind!r}")
 
-    fit = derivation_well_defined(gns, spec)
+    fit = derivation_well_defined(gns, targets)
     results = {"mode": kind, "well_defined": fit.well_defined, "defect": fit.defect}
     residuals = {"well_definedness_defect": fit.defect}
     if fit.well_defined:

@@ -92,16 +92,6 @@ class ScalarFamily:
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def cutoff_eval(R: float, x) -> np.ndarray:
-    """Clamp value f_R(x) of the default family."""
-    return CutoffFamily(R).f(x)
-
-
-def quotient_eval(R: float, s, t) -> np.ndarray:
-    """Difference quotient g_R(s, t) of the default family."""
-    return CutoffFamily(R).g(s, t)
-
-
 def _check_self_adjoint(A: np.ndarray, name: str) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if np.abs(A - A.conj().T).max() > OPERATOR_TOL:

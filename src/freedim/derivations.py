@@ -23,45 +23,20 @@ from .errors import IllDefined, ResidualTooLarge
 from .tolerances import RESIDUAL_TOL, WELLDEF_TOL
 
 
-@dataclass
-class DerivationSpec:
-    """Prescribed values of a derivation on the generators.
-
-    Either an explicit tuple of D x D matrices, or the distinguished
-    assignment placing the trace-vector projection in one slot and zero in
-    the others.
-    """
-
-    targets: Optional[tuple[np.ndarray, ...]] = None
-    fdq_slot: Optional[int] = None
-
-    @classmethod
-    def from_targets(cls, targets: Sequence[np.ndarray]) -> "DerivationSpec":
-        return cls(targets=tuple(np.asarray(t, dtype=complex) for t in targets))
-
-    @classmethod
-    def free_difference_quotient(cls, slot: int) -> "DerivationSpec":
-        return cls(fdq_slot=int(slot))
-
-    def resolve(self, gns: GnsStructure, n: int) -> tuple[np.ndarray, ...]:
-        if self.targets is not None:
-            if len(self.targets) != n:
-                raise IllDefined(
-                    f"{len(self.targets)} target operators for {n} generators"
-                )
-            return self.targets
-        if self.fdq_slot is None or not 0 <= self.fdq_slot < n:
-            raise IllDefined(f"slot {self.fdq_slot} out of range for {n} generators")
-        out = [np.zeros((gns.dim, gns.dim), dtype=complex) for _ in range(n)]
-        out[self.fdq_slot] = gns.p1.astype(complex)
-        return tuple(out)
-
-
-def inner_spec(gns: GnsStructure, B: np.ndarray) -> DerivationSpec:
+def inner_spec(gns: GnsStructure, B: np.ndarray) -> tuple[np.ndarray, ...]:
     """The inner assignment T_j = [B, L_{X_j}] induced by an operator B."""
-    return DerivationSpec.from_targets(
-        [B @ L - L @ B for L in gns.generator_left_mult]
-    )
+    return tuple(B @ L - L @ B for L in gns.generator_left_mult)
+
+
+def fdq_targets(gns: GnsStructure, slot: int) -> tuple[np.ndarray, ...]:
+    """The free difference quotient in `slot`: the trace-vector projection
+    there and zero in the other slots."""
+    n = len(gns.generator_left_mult)
+    if not 0 <= slot < n:
+        raise IllDefined(f"slot {slot} out of range for {n} generators")
+    out = [np.zeros((gns.dim, gns.dim), dtype=complex) for _ in range(n)]
+    out[slot] = gns.p1.astype(complex)
+    return tuple(out)
 
 
 @dataclass
@@ -81,8 +56,7 @@ class WordTree:
 
 
 def enumerate_words(gns: GnsStructure) -> WordTree:
-    """The word tree of gns's generators; read it as `gns.words`, which
-    enumerates once per GNS structure.
+    """The word tree of gns's generators.
 
     A word grows the span when its vector leaves the span of the earlier
     growing words by more than 1e-9 max(1, |v|); the span is kept as an
@@ -118,13 +92,13 @@ def enumerate_words(gns: GnsStructure) -> WordTree:
     return WordTree(np.array(vecs), np.array(expanded))
 
 
-def _word_values(gns: GnsStructure, targets: Sequence[np.ndarray]) -> np.ndarray:
-    """(K, D, D) free derivatives of the words of gns.words, in order.
+def _word_values(gns: GnsStructure, tree: WordTree,
+                 targets: Sequence[np.ndarray]) -> np.ndarray:
+    """(K, D, D) free derivatives of the words of the tree, in order.
 
     Replays the tree with d(w X_j) = d(w) L_j + L_w T_j; only the left
     multiplications of expanded words awaiting their children are kept.
     """
-    tree = gns.words
     K, D = tree.vecs.shape
     vals = np.empty((K, D, D), dtype=complex)
     vals[0] = 0.0
@@ -147,7 +121,7 @@ class DerivationFit:
 
     `map` is the (D*D, D) matrix of the induced linear map from L2 into HS,
     `defect` the worst residual over the evaluated words and `targets` the
-    resolved values T_j on the generators.
+    values T_j on the generators.
     """
 
     well_defined: bool
@@ -156,15 +130,25 @@ class DerivationFit:
     targets: tuple[np.ndarray, ...]
 
 
-def derivation_well_defined(gns: GnsStructure, spec: DerivationSpec) -> DerivationFit:
-    """Decide whether the prescribed derivation descends to the algebra.
+def derivation_well_defined(gns: GnsStructure, targets: Sequence[np.ndarray]
+                            ) -> DerivationFit:
+    """Decide whether the derivation with values `targets` on the generators
+    of gns descends to the algebra.
 
-    The derivation acts on the generators of gns.  Inconsistency is a
-    result, not an error.
+    Inconsistency is a result, not an error.
     """
-    targets = spec.resolve(gns, len(gns.generator_left_mult))
-    vecs = gns.words.vecs
-    vals = _word_values(gns, targets)
+    n = len(gns.generator_left_mult)
+    if len(targets) != n:
+        raise IllDefined(f"{len(targets)} target operators for {n} generators")
+    targets = tuple(np.asarray(t, dtype=complex) for t in targets)
+    return _fit(gns, enumerate_words(gns), targets)
+
+
+def _fit(gns: GnsStructure, tree: WordTree,
+         targets: tuple[np.ndarray, ...]) -> DerivationFit:
+    """The least-squares fit of the derivation over the words of the tree."""
+    vecs = tree.vecs
+    vals = _word_values(gns, tree, targets)
     K, D = vecs.shape
 
     Wm = vals.reshape(K, D * D).T   # (D^2, K)
@@ -186,11 +170,11 @@ def _xi(gns: GnsStructure, dhat: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(dhat[:, m].reshape(D, D), gns.p1) for m in range(D)])
 
 
-def conjugate_variable(gns: GnsStructure, spec: DerivationSpec
+def conjugate_variable(gns: GnsStructure, targets: Sequence[np.ndarray]
                        ) -> Optional[np.ndarray]:
     """The vector xi with <xi, Q 1> = <P1, dT(Q)>_HS, or None when the
     derivation does not descend."""
-    fit = derivation_well_defined(gns, spec)
+    fit = derivation_well_defined(gns, targets)
     return _xi(gns, fit.map) if fit.well_defined else None
 
 
@@ -216,9 +200,10 @@ def fisher_report(gns: GnsStructure) -> FisherReport:
     Infinite whenever some slot's derivation fails to descend (the defect
     records how decisively) or lacks a conjugate vector.
     """
+    tree = enumerate_words(gns)
     slots = []
     for j in range(len(gns.generator_left_mult)):
-        fit = derivation_well_defined(gns, DerivationSpec.free_difference_quotient(j))
+        fit = _fit(gns, tree, fdq_targets(gns, j))
         xi_norm_sq = (float(np.linalg.norm(_xi(gns, fit.map)) ** 2)
                       if fit.well_defined else None)
         slots.append(FisherSlot(j, fit.well_defined, fit.defect, xi_norm_sq))
@@ -248,14 +233,13 @@ class DualOperatorReport:
                    self.residual_adjoint)
 
 
-def construct_dual_operator(
-    gns: GnsStructure, fit: DerivationFit, tol: float = RESIDUAL_TOL
-) -> DualOperatorReport:
+def construct_dual_operator(gns: GnsStructure, fit: DerivationFit
+                            ) -> DualOperatorReport:
     """Build Y with Y 1 = 0, [Y, L_{X_j}] = T_j and Y* 1 = xi from a fit.
 
     Y acts on the cyclic vector of a polynomial by the derivative of that
     polynomial applied to the trace vector; the report verifies all three
-    identities and raises ResidualTooLarge if any exceeds `tol`.
+    identities and raises ResidualTooLarge if any exceeds RESIDUAL_TOL.
     """
     if not fit.well_defined:
         raise IllDefined(
@@ -277,10 +261,9 @@ def construct_dual_operator(
         ),
         residual_adjoint=float(np.linalg.norm(Y.conj().T @ t - xi)),
     )
-    if report.max_residual > tol:
-        raise ResidualTooLarge(
-            f"dual operator residual {report.max_residual:.3e} exceeds {tol:.0e}"
-        )
+    if report.max_residual > RESIDUAL_TOL:
+        raise ResidualTooLarge(f"dual operator residual {report.max_residual:.3e} "
+                               f"exceeds {RESIDUAL_TOL:.0e}")
     return report
 
 

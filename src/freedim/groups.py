@@ -212,9 +212,9 @@ def regular_rep_algebra(
     """The group algebra of G with its canonical trace, in block form.
 
     The block structure is discovered numerically from the left regular
-    representation; the generating tuple consists of (g + g^-1)/2 and
-    (g - g^-1)/(2i) for g in a generating set of G, with exact zeros
-    dropped.
+    representation; the generating tuple consists of (g + g^-1)/2 for g in
+    a generating set of G, and (g - g^-1)/(2i) for those g that are not
+    involutions (it is zero for the others).
     """
     from .wedderburn import blockify
 
@@ -234,12 +234,13 @@ def regular_rep_algebra(
 
     gens, labels = [], []
     for g in generating_set:
-        U = lam[g]
-        Uinv = lam[table.inv(g)]
+        g_inv = table.inv(g)
+        U, Uinv = lam[g], lam[g_inv]
         gens.append((U + Uinv) / 2.0)
         labels.append(f"Re[{table.names[g]}]")
-        gens.append((U - Uinv) / 2.0j)
-        labels.append(f"Im[{table.names[g]}]")
+        if g_inv != g:  # Im[g] is zero for an involution
+            gens.append((U - Uinv) / 2.0j)
+            labels.append(f"Im[{table.names[g]}]")
     if not gens:  # trivial group
         gens = [lam[e]]
         labels = ["Re[e]"]
@@ -252,7 +253,6 @@ def regular_rep_algebra(
         generators=gens,
         labels=labels,
         rng=np.random.default_rng(seed),
-        drop_zero_generators=True,
     )
     return result.algebra
 
@@ -395,14 +395,6 @@ def schreier_graph(
     )
 
 
-def schreier_rank(
-    n: int, images: Sequence[int], table: FiniteGroupTable
-) -> tuple[int, int, tuple[Word, ...]]:
-    """(index, rank, free generators) of the kernel of the homomorphism."""
-    graph = schreier_graph(n, images, table)
-    return graph.index, graph.rank, graph.subgroup_generators
-
-
 # ---------------------------------------------------------------------------
 # Betti inputs and the dimension formula for group algebra generators
 # ---------------------------------------------------------------------------
@@ -426,11 +418,6 @@ class BettiInput:
         if order < 1:
             raise FreedimError("group order must be >= 1")
         return cls(beta0=1.0 / order, beta1=0.0, provenance=f"finite_group({order})")
-
-    @classmethod
-    def user_supplied(cls, beta0: float, beta1: float) -> "BettiInput":
-        return cls(beta0=float(beta0), beta1=float(beta1),
-                   provenance="user_supplied (unvalidated)")
 
 
 def betti_delta_formula(inp: BettiInput) -> float:

@@ -274,11 +274,6 @@ def vn_dimension_report(
     return VnDimensionReport(value=float(total), fraction=total, multiplicities=mult)
 
 
-def vn_dimension(K: HsSubspace, decomposition: CentralDecomposition) -> float:
-    """Trace-weighted dimension of an invariant subspace of HS tuples."""
-    return vn_dimension_report(K, decomposition).value
-
-
 def subspace_distance(a, b) -> float:
     """Symmetric gap between two subspaces given by orthonormal spanning rows."""
     A = a.flat() if isinstance(a, HsSubspace) else np.asarray(a, dtype=complex)

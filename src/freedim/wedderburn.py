@@ -173,7 +173,6 @@ def blockify(
     generators: Sequence[np.ndarray],
     labels: Sequence[str],
     rng: np.random.Generator,
-    drop_zero_generators: bool = False,
 ) -> BlockifyResult:
     """Re-express the algebra spanned by `span_mats` as a TracialAlgebra.
 
@@ -227,10 +226,7 @@ def blockify(
     gen_mats, gen_labels = [], []
     for g, label in zip(generators, labels):
         img = _block_image(g, sizes, isometries)
-        img = (img + img.conj().T) / 2.0
-        if drop_zero_generators and np.linalg.norm(img) < 1e-12:
-            continue
-        gen_mats.append(img)
+        gen_mats.append((img + img.conj().T) / 2.0)
         gen_labels.append(label)
 
     algebra = build_algebra(sizes, weights, gen_mats, labels=gen_labels)

@@ -101,7 +101,7 @@ def test_generation_check_m2_single_pauli():
     assert oracle_dim == 2
 
     alg = fd.build_algebra([2], [1.0], [SX.copy()], subalgebra_mode=True)
-    dim, generates = fd.generation_check(alg)
+    dim, generates = alg.generated_dim, alg.generates
     assert (dim, generates) == (2, False)
 
 
@@ -110,13 +110,21 @@ def test_generation_check_m2_pair(m2):
     words = [np.eye(2, dtype=complex), SX, SZ, SX @ SZ, SZ @ SX, SX @ SX]
     assert np.linalg.matrix_rank(np.array([w.ravel() for w in words])) == 4
 
-    dim, generates = fd.generation_check(m2)
+    dim, generates = m2.generated_dim, m2.generates
     assert (dim, generates) == (4, True)
 
 
 def test_generation_check_scalars():
     alg = fd.build_algebra([1], [1.0], [np.array([[1.0]], dtype=complex)])
-    assert fd.generation_check(alg) == (1, True)
+    assert (alg.generated_dim, alg.generates) == (1, True)
+
+
+def test_generation_check_keeps_generators_as_given():
+    # the span is counted on rescaled copies; the algebra keeps the input
+    X = 1e10 * SX
+    alg = fd.build_algebra([2], [1.0], [X, 1e10 * SZ])
+    assert alg.generates
+    assert np.array_equal(alg.generators[0], X)
 
 
 def test_non_finite_generator_entry_rejected():

@@ -809,6 +809,19 @@ def test_delta_scenario_subalgebra_mode(tmp_path, capsys):
     assert payload["results"]["block_sizes"] == [1, 1]
 
 
+@pytest.mark.parametrize("scale", [1e10, 1e-10])
+def test_generation_check_is_scale_free(tmp_path, capsys, scale):
+    # scaling the generators leaves the algebra they generate unchanged
+    cfg = json.loads((CONFIG_DIR / "delta_direct_sum.json").read_text())
+    cfg["algebra"]["generators"] = [
+        [[[x * scale for x in entry] for entry in row] for row in g]
+        for g in cfg["algebra"]["generators"]
+    ]
+    path = write_config(tmp_path, cfg)
+    assert main(["delta", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["Delta_fraction"] == "7/9"
+
+
 def test_freedim_tol_env_override(tmp_path, monkeypatch, capsys):
     # the residual gate is fixed; an impossible one reaches the exit-1
     # ResidualTooLarge path
@@ -826,9 +839,7 @@ def test_freedim_tol_env_override(tmp_path, monkeypatch, capsys):
     }
     path = write_config(tmp_path, cfg)
     assert main(["dual_system", "--config", path]) == 0
-    original = cli_module.construct_dual_operator
-    monkeypatch.setattr(cli_module, "construct_dual_operator",
-                        lambda gns, fit: original(gns, fit, tol=1e-30))
+    monkeypatch.setattr(fd.derivations, "RESIDUAL_TOL", 1e-30)
     capsys.readouterr()
     assert main(["dual_system", "--config", path]) == 1
     err = capsys.readouterr().err

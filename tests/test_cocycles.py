@@ -57,7 +57,7 @@ def test_h0_two_point(c2):
     dec = fd.central_decomposition(gns)
     H0 = fd.compute_H0(gns, c2.generators)
     assert H0.complex_dim == 2
-    assert fd.vn_dimension(H0, dec) == 0.5
+    assert fd.vn_dimension_report(H0, dec).value == 0.5
 
 
 def test_h0_m2_pair(m2):
@@ -65,7 +65,7 @@ def test_h0_m2_pair(m2):
     dec = fd.central_decomposition(gns)
     H0 = fd.compute_H0(gns, m2.generators)
     assert H0.complex_dim == 12
-    assert fd.vn_dimension(H0, dec) == 0.75
+    assert fd.vn_dimension_report(H0, dec).value == 0.75
 
 
 def test_h0_rank_nullity_exact():
@@ -80,9 +80,9 @@ def test_h0_rank_nullity_exact():
 def test_h0_zero_padding_leaves_dimension(m2):
     gns = fd.gns_structure(m2)
     dec = fd.central_decomposition(gns)
-    base = fd.vn_dimension(fd.compute_H0(gns, m2.generators), dec)
+    base = fd.vn_dimension_report(fd.compute_H0(gns, m2.generators), dec).value
     padded_gens = list(m2.generators) + [np.zeros((2, 2), dtype=complex)]
-    padded = fd.vn_dimension(fd.compute_H0(gns, padded_gens), dec)
+    padded = fd.vn_dimension_report(fd.compute_H0(gns, padded_gens), dec).value
     assert abs(base - padded) <= 1e-12
 
 

@@ -12,20 +12,20 @@ from conftest import random_hermitian
 # ---------------------------------------------------------------------------
 
 def test_clamp_fixes_inner_interval():
-    assert fd.cutoff_eval(1.0, 0.5) == 0.5
+    assert fd.CutoffFamily(1.0).f(0.5) == 0.5
     xs = np.linspace(-1.0, 1.0, 101)
-    np.testing.assert_array_equal(fd.cutoff_eval(1.0, xs), xs)
+    np.testing.assert_array_equal(fd.CutoffFamily(1.0).f(xs), xs)
 
 
 def test_clamp_tail_value():
-    val = fd.cutoff_eval(1.0, 10.0)
+    val = fd.CutoffFamily(1.0).f(10.0)
     assert abs(val - (2.0 - np.exp(-9.0))) <= 1e-15
     assert val <= 2.0  # R + 1
 
 
 def test_quotient_grid_bound():
     s = np.linspace(-20.0, 20.0, 512)
-    G = fd.quotient_eval(1.0, s[:, None], s[None, :])
+    G = fd.CutoffFamily(1.0).g(s[:, None], s[None, :])
     assert np.abs(G).max() <= 1.0 + 1e-12  # 1-Lipschitz profile
 
 

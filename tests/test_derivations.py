@@ -7,7 +7,7 @@ import freedim as fd
 import freedim.derivations as derivations_module
 from conftest import make_c1m2, make_c2, make_m2, random_block_algebra, random_hermitian
 from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config
-from freedim.derivations import _word_values
+from freedim.derivations import _word_values, enumerate_words
 from test_cocycles import CONFIG_DIR, WORKED, _worked_algebra
 
 
@@ -102,8 +102,9 @@ def _case_id(case):
 def test_word_tree_matches_svd_oracle(case):
     gns = fd.gns_structure(_word_tree_algebra(case))
     vecs, expanded = svd_word_tree(gns)
-    assert np.array_equal(gns.words.expanded, expanded)
-    assert np.array_equal(gns.words.vecs, vecs)
+    tree = enumerate_words(gns)
+    assert np.array_equal(tree.expanded, expanded)
+    assert np.array_equal(tree.vecs, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +117,12 @@ def test_word_tree_replay_matches_oracle(name):
     Ls = gns.generator_left_mult
     rng = np.random.default_rng(1)
     B = rng.standard_normal((gns.dim,) * 2) + 1j * rng.standard_normal((gns.dim,) * 2)
-    specs = [fd.inner_spec(gns, B)] + [
-        fd.DerivationSpec.free_difference_quotient(j) for j in range(len(Ls))
-    ]
-    for spec in specs:
-        targets = spec.resolve(gns, len(Ls))
+    tree = enumerate_words(gns)
+    for targets in [fd.inner_spec(gns, B)] + [fd.fdq_targets(gns, j)
+                                              for j in range(len(Ls))]:
         vecs, vals = word_system_oracle(gns, Ls, targets)
-        assert np.array_equal(gns.words.vecs, vecs)
-        assert np.array_equal(_word_values(gns, targets), vals)
+        assert np.array_equal(tree.vecs, vecs)
+        assert np.array_equal(_word_values(gns, tree, targets), vals)
 
 
 def test_fisher_enumerates_words_once(monkeypatch):
@@ -151,8 +150,8 @@ def test_inner_specs_are_well_defined(m2):
     rng = np.random.default_rng(0)
     for _ in range(5):
         B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        spec = fd.inner_spec(gns, B)
-        fit = fd.derivation_well_defined(gns, spec)
+        targets = fd.inner_spec(gns, B)
+        fit = fd.derivation_well_defined(gns, targets)
         ok, defect = fit.well_defined, fit.defect
         assert ok
         assert defect <= 1e-12
@@ -165,8 +164,8 @@ def test_two_point_free_difference_quotient_obstructed(c2):
     obstruction = np.abs(gns.p1 @ Lx + Lx @ gns.p1 - gns.p1).max()
     assert obstruction > 1e-2
 
-    spec = fd.DerivationSpec.free_difference_quotient(0)
-    fit = fd.derivation_well_defined(gns, spec)
+    targets = fd.fdq_targets(gns, 0)
+    fit = fd.derivation_well_defined(gns, targets)
     ok, defect = fit.well_defined, fit.defect
     assert not ok
     assert defect >= 1e-2  # decisively obstructed
@@ -177,20 +176,20 @@ def test_well_defined_map_reproduces_targets(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(13)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = fd.inner_spec(gns, B)
-    fit = fd.derivation_well_defined(gns, spec)
+    targets = fd.inner_spec(gns, B)
+    fit = fd.derivation_well_defined(gns, targets)
     ok, dhat = fit.well_defined, fit.map
     assert ok
     t = gns.trace_vector.astype(complex)
-    for X, T in zip(m2.generators, spec.targets):
+    for X, T in zip(m2.generators, targets):
         xhat = gns.left_mult(X) @ t
         assert np.linalg.norm((dhat @ xhat).reshape(4, 4) - T) <= 1e-10
 
 
 def test_zero_targets_give_zero_map(c2):
     gns = fd.gns_structure(c2)
-    spec = fd.DerivationSpec.from_targets([np.zeros((2, 2))])
-    fit = fd.derivation_well_defined(gns, spec)
+    targets = ([np.zeros((2, 2))])
+    fit = fd.derivation_well_defined(gns, targets)
     ok, defect, dhat = fit.well_defined, fit.defect, fit.map
     assert ok
     assert defect <= 1e-14
@@ -208,8 +207,8 @@ def test_conjugate_inner_hermitian_matches_conjugation_formula(m2):
     t = gns.trace_vector.astype(complex)
     for _ in range(5):
         B = random_hermitian(rng, 4)
-        spec = fd.inner_spec(gns, B)
-        xi = fd.conjugate_variable(gns, spec)
+        targets = fd.inner_spec(gns, B)
+        xi = fd.conjugate_variable(gns, targets)
         formula = (B - B.T) @ t  # J B* J acts as the transpose matrix
         assert np.linalg.norm(xi - formula) <= 1e-10
 
@@ -220,22 +219,22 @@ def test_conjugate_inner_general_is_adjoint_solution(m2):
     rng = np.random.default_rng(2)
     t = gns.trace_vector.astype(complex)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = fd.inner_spec(gns, B)
-    xi = fd.conjugate_variable(gns, spec)
+    targets = fd.inner_spec(gns, B)
+    xi = fd.conjugate_variable(gns, targets)
     assert np.linalg.norm(xi - (B.conj().T - B.conj()) @ t) <= 1e-10
 
 
 def test_conjugate_zero_target(c2):
     gns = fd.gns_structure(c2)
-    spec = fd.DerivationSpec.from_targets([np.zeros((2, 2))])
-    xi = fd.conjugate_variable(gns, spec)
+    targets = ([np.zeros((2, 2))])
+    xi = fd.conjugate_variable(gns, targets)
     assert np.linalg.norm(xi) <= 1e-14
 
 
 def test_conjugate_not_defined_for_obstructed(c2):
     gns = fd.gns_structure(c2)
-    spec = fd.DerivationSpec.free_difference_quotient(0)
-    assert fd.conjugate_variable(gns, spec) is None
+    targets = fd.fdq_targets(gns, 0)
+    assert fd.conjugate_variable(gns, targets) is None
 
 
 def test_defining_property_on_word_vectors(m2):
@@ -243,8 +242,8 @@ def test_defining_property_on_word_vectors(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(3)
     B = random_hermitian(rng, 4)
-    spec = fd.inner_spec(gns, B)
-    xi = fd.conjugate_variable(gns, spec)
+    targets = fd.inner_spec(gns, B)
+    xi = fd.conjugate_variable(gns, targets)
     t = gns.trace_vector.astype(complex)
     Ls = [gns.left_mult(X) for X in m2.generators]
     words = [np.eye(4, dtype=complex)]
@@ -297,8 +296,8 @@ def test_phi_star_regular_representation_decisive():
 
 def test_dual_operator_zero_target(c2):
     gns = fd.gns_structure(c2)
-    spec = fd.DerivationSpec.from_targets([np.zeros((2, 2))])
-    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
+    targets = ([np.zeros((2, 2))])
+    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
     assert np.abs(rep.Y).max() <= 1e-14
     assert rep.max_residual <= 1e-14
 
@@ -310,8 +309,8 @@ def test_dual_operator_recovers_b_when_b_kills_trace_vector(m2):
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     B = B - np.outer(B @ t, t.conj())  # now B annihilates the trace vector
     assert np.linalg.norm(B @ t) <= 1e-12
-    spec = fd.inner_spec(gns, B)
-    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
+    targets = fd.inner_spec(gns, B)
+    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
     assert np.linalg.norm(rep.Y - B) <= 1e-10
 
 
@@ -321,8 +320,8 @@ def test_dual_operator_general_inner(m2):
     Ls = [gns.left_mult(X) for X in m2.generators]
     for _ in range(5):
         B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        spec = fd.inner_spec(gns, B)
-        rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
+        targets = fd.inner_spec(gns, B)
+        rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
         assert rep.max_residual <= 1e-9
         # Y - B commutes with every left multiplication (rank-one correction)
         for L in Ls:
@@ -339,8 +338,8 @@ def test_dual_operator_round_trip(c1m2):
     for _ in range(5):
         Y0 = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         Y0 = Y0 - np.outer(Y0 @ t, t.conj())
-        spec = fd.DerivationSpec.from_targets([Y0 @ L - L @ Y0 for L in Ls])
-        rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
+        targets = ([Y0 @ L - L @ Y0 for L in Ls])
+        rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
         for L in Ls:
             assert commutator_norm(rep.Y - Y0, L) <= 1e-9
 
@@ -350,8 +349,8 @@ def test_dual_operator_bilinear_adjoint_identity(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(7)
     B = random_hermitian(rng, 4)
-    spec = fd.inner_spec(gns, B)
-    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
+    targets = fd.inner_spec(gns, B)
+    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
     D = gns.dim
     for q in range(D):
         for r in range(D):
@@ -366,28 +365,29 @@ def test_dual_operator_adjoint_equals_conjugate_vector(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(8)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = fd.inner_spec(gns, B)
-    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
-    xi = fd.conjugate_variable(gns, spec)
+    targets = fd.inner_spec(gns, B)
+    rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
+    xi = fd.conjugate_variable(gns, targets)
     assert np.linalg.norm(rep.Y.conj().T @ gns.trace_vector - xi) <= 1e-10
     assert rep.residual_adjoint <= 1e-10
 
 
 def test_dual_operator_ill_defined_raises(c2):
     gns = fd.gns_structure(c2)
-    spec = fd.DerivationSpec.free_difference_quotient(0)
+    targets = fd.fdq_targets(gns, 0)
     with pytest.raises(fd.IllDefined):
-        fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, spec))
+        fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
 
 
-def test_dual_operator_residual_gate(m2):
+def test_dual_operator_residual_gate(m2, monkeypatch):
+    monkeypatch.setattr(derivations_module, "RESIDUAL_TOL", 1e-30)
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(9)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = fd.inner_spec(gns, B)
-    fit = fd.derivation_well_defined(gns, spec)
+    targets = fd.inner_spec(gns, B)
+    fit = fd.derivation_well_defined(gns, targets)
     with pytest.raises(fd.ResidualTooLarge):
-        fd.construct_dual_operator(gns, fit, tol=1e-30)
+        fd.construct_dual_operator(gns, fit)
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,9 @@ def test_regular_rep_trivial_group():
 
 def test_schreier_rank_mod_two_kernel():
     z2 = fd.cyclic_group(2)
-    index, rank, gens = fd.schreier_rank(2, [1, 1], z2)
-    assert (index, rank) == (2, 3)
     graph = fd.schreier_graph(2, [1, 1], z2)
+    index, rank = graph.index, graph.rank
+    assert (index, rank) == (2, 3)
     assert graph.kernel_verified
     rendered = {fd.word_str(w, graph.names) for w in graph.subgroup_generators}
     assert "u^2" in rendered
@@ -116,14 +116,16 @@ def test_schreier_rank_mod_two_kernel():
 
 def test_schreier_rank_trivial_images():
     z2 = fd.cyclic_group(2)
-    index, rank, gens = fd.schreier_rank(2, [0, 0], z2)
+    graph = fd.schreier_graph(2, [0, 0], z2)
+    index, rank, gens = graph.index, graph.rank, graph.subgroup_generators
     assert (index, rank) == (1, 2)
     assert set(gens) == {(1,), (2,)}  # the free generators themselves
 
 
 def test_schreier_rank_mod_three():
     z3 = fd.cyclic_group(3)
-    index, rank, _ = fd.schreier_rank(2, [1, 1], z3)
+    graph = fd.schreier_graph(2, [1, 1], z3)
+    index, rank = graph.index, graph.rank
     assert (index, rank) == (3, 4)  # 1 + 3 (2 - 1)
 
 
@@ -172,8 +174,8 @@ def test_cycle_images_match_index_images():
     s3 = fd.symmetric_group(3)
     idx = fd.symmetric_element_index(fd.permutation_from_cycles("(1 2)", 3), 3)
     assert s3.mul(idx, idx) == s3.identity  # a transposition squares to e
-    by_cycles = fd.schreier_rank(2, [idx, idx], s3)
-    assert by_cycles[:2] == (2, 3)  # image has order 2, kernel rank 3
+    by_cycles = fd.schreier_graph(2, [idx, idx], s3)
+    assert (by_cycles.index, by_cycles.rank) == (2, 3)  # image has order 2, kernel rank 3
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +195,6 @@ def test_betti_formula_finite_groups():
 
 def test_betti_formula_trivial_group():
     assert fd.betti_delta_formula(fd.BettiInput.finite_group(1)) == 0.0
-
-
-def test_betti_user_supplied_flagged():
-    inp = fd.BettiInput.user_supplied(0.25, 1.5)
-    assert "unvalidated" in inp.provenance
-    assert abs(fd.betti_delta_formula(inp) - 2.25) <= 1e-15
 
 
 def test_cross_validation_formula_vs_regular_rep():

@@ -5,7 +5,7 @@ configs for op seeds 0..15 (perfbench/record_goldens.py), keyed as
 ``scenario:sha256(config file)[:16]:seed``.  A change that moves any report
 byte fails here.  The goldens file is only read.  The text reports of the
 shipped configs and the csv report of the cutoff sweep are pinned below, at
-seed 0.
+seed 0, as are the JSON reports of two subalgebra-mode inputs.
 """
 
 import hashlib
@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freedim.cli import main
@@ -136,3 +137,58 @@ def test_shipped_text_and_csv_reports_match_goldens(label, fmt, tmp_path,
     capsys.readouterr()
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == TEXT_AND_CSV_GOLDENS[label, fmt]
+
+
+def _mat_pairs(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def _doubled(m):
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2] = m
+    out[2:, 2:] = m
+    return out
+
+
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# subalgebra mode: the doubled Pauli pair generates one M2 inside M2 (+) M2,
+# and diag(1, 1, -1) generates C (+) C inside M3
+SUBALGEBRA_CONFIGS = {
+    "delta_doubled_pauli": {
+        "scenario": "delta",
+        "algebra": {"blocks": [2, 2], "weights": [0.3, 0.7],
+                    "generators": [_mat_pairs(_doubled(_SX)),
+                                   _mat_pairs(_doubled(_SZ))],
+                    "subalgebra_mode": True},
+    },
+    "dual_inner_diag": {
+        "scenario": "dual_system",
+        "algebra": {"blocks": [3], "weights": [1.0],
+                    "generators": [_mat_pairs(np.diag([1.0, 1.0, -1.0]))],
+                    "subalgebra_mode": True},
+        "parameters": {"dual": {"type": "inner",
+                                "matrix": _mat_pairs(_SX)}},
+    },
+}
+
+# sha256 of the `--seed 0` JSON report of each config above
+SUBALGEBRA_GOLDENS = {
+    "delta_doubled_pauli":
+        "aeffbbfa849d5afd7a81200f4a25f42d0d05ab7da618620fd20085a3bf7f1eae",
+    "dual_inner_diag":
+        "224c4718080b9d12f618f27e25eca98202e223a51fa3248356ba7422f6e9bbf6",
+}
+
+
+@pytest.mark.parametrize("label", sorted(SUBALGEBRA_CONFIGS))
+def test_subalgebra_mode_reports_match_goldens(label, tmp_path, capsys):
+    cfg = SUBALGEBRA_CONFIGS[label]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert main([cfg["scenario"], "--config", str(config), "--seed", "0",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUBALGEBRA_GOLDENS[label]

@@ -258,7 +258,7 @@ def test_normalization_full_hs(c2, m2, n):
         gns = fd.gns_structure(alg)
         dec = fd.central_decomposition(gns)
         K = full_hs_subspace(gns, n)
-        value = fd.vn_dimension(K, dec)
+        value = fd.vn_dimension_report(K, dec).value
         assert value == float(n)  # exact: the weight convention is pinned here
         rep = fd.vn_dimension_report(K, dec)
         assert rep.fraction == Fraction(n)
@@ -273,7 +273,7 @@ def test_two_point_commutator_space(c2):
     e12[0, 1] = 1.0
     K = fd.hs_subspace(gns, np.array([[e12], [e12.T]]))
     assert K.complex_dim == 2
-    assert fd.vn_dimension(K, dec) == 0.5
+    assert fd.vn_dimension_report(K, dec).value == 0.5
 
 
 def test_m2_pair_commutator_space(m2):
@@ -285,7 +285,7 @@ def test_m2_pair_commutator_space(m2):
     Ls = [gns.left_mult(X) for X in m2.generators]
     assert joint_commutator_nullity(Ls) == 4
     assert K.complex_dim == 16 - 4
-    assert fd.vn_dimension(K, dec) == 0.75
+    assert fd.vn_dimension_report(K, dec).value == 0.75
 
 
 def test_not_invariant_raises(m2):
@@ -296,7 +296,7 @@ def test_not_invariant_raises(m2):
     K = fd.hs_subspace(gns, v)
     assert K.invariance_residual > 1e-8
     with pytest.raises(fd.NotInvariant):
-        fd.vn_dimension(K, dec)
+        fd.vn_dimension_report(K, dec).value
 
 
 def test_integrality_error_on_forged_subspace(m2):
@@ -307,7 +307,7 @@ def test_integrality_error_on_forged_subspace(m2):
     v /= np.linalg.norm(v)
     forged = fd.HsSubspace(basis=v[None, :, :, :], invariance_residual=0.0)
     with pytest.raises(fd.IntegralityError):
-        fd.vn_dimension(forged, dec)
+        fd.vn_dimension_report(forged, dec).value
 
 
 def test_split_unit_tuple_is_not_an_integer_block_dimension(c2):
@@ -352,8 +352,8 @@ def test_monotonicity_and_additivity(m2):
         w = rng.standard_normal((1, 2, D, D)) + 1j * rng.standard_normal((1, 2, D, D))
         K1 = fd.invariant_closure(gns, v)
         K2 = fd.invariant_closure(gns, np.vstack([v, w]))
-        d1 = fd.vn_dimension(K1, dec)
-        d2 = fd.vn_dimension(K2, dec)
+        d1 = fd.vn_dimension_report(K1, dec).value
+        d2 = fd.vn_dimension_report(K2, dec).value
         assert d1 <= d2 + 1e-9  # monotone under inclusion
 
         # complement of K1 inside K2 is invariant; dimensions add
@@ -361,7 +361,7 @@ def test_monotonicity_and_additivity(m2):
         resid = K1.flat() - coeff @ K2.flat()
         assert np.linalg.norm(resid) < 1e-9  # K1 inside K2
         Kc = invariant_complement(gns, K1, K2, 2)
-        dc = fd.vn_dimension(Kc, dec)
+        dc = fd.vn_dimension_report(Kc, dec).value
         assert abs((d1 + dc) - d2) <= 1e-9
 
 
