@@ -10,6 +10,7 @@ from .algebra import (
     TracialAlgebra,
     build_algebra,
     gns_structure,
+    numerical_span,
 )
 from .cocycles import (
     DeltaReport,
@@ -41,7 +42,6 @@ from .derivations import (
 from .errors import (
     CenterResolutionError,
     ChainViolation,
-    ComputationError,
     ConfigError,
     FreedimError,
     IllDefined,
@@ -79,7 +79,6 @@ from .vndim import (
     central_decomposition,
     hs_subspace,
     invariant_closure,
-    numerical_span,
     subspace_distance,
     vn_dimension_report,
 )

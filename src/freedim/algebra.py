@@ -23,7 +23,37 @@ from .errors import (
     ShapeMismatch,
     WeightError,
 )
-from .tolerances import OPERATOR_TOL, SCALAR_TOL
+from .tolerances import OPERATOR_TOL, RANK_TOL, SCALAR_TOL
+
+
+def numerical_span(vectors) -> np.ndarray:
+    """Orthonormal basis (rows) of the row span of a 2-D array, with relative
+    SVD cutoff RANK_TOL; a (0, cols) array for an empty family."""
+    A = np.asarray(vectors, dtype=complex)
+    if A.size == 0:
+        return np.zeros((0, A.shape[1]), dtype=complex)
+    return span_with_spectrum(A)[0]
+
+
+def span_with_spectrum(A: np.ndarray):
+    """Kept rows vh[:r] (s > RANK_TOL * s[0]) of a 2-D array's SVD, and all of s.
+
+    The rank rule of `numerical_span`; the singular values are returned for
+    callers that certify properties of the span from its spectrum.
+    """
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((0, A.shape[1]), dtype=complex), s
+    return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
+
+
+def unit_scaled(generators: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each nonzero generator divided (exactly) by the power of two nearest its
+    largest entry: the algebra generated does not depend on the scale, but the
+    relative cutoffs of the span and commutant computations do."""
+    peaks = [float(np.abs(g).max()) for g in generators]
+    return [g / 2.0 ** round(math.log2(m)) if m else g
+            for g, m in zip(generators, peaks)]
 
 
 def block_offsets(block_sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -111,6 +141,7 @@ class TracialAlgebra:
         """
         if self.generates:
             return self
+        # wedderburn builds TracialAlgebras, so it imports this module
         from .wedderburn import blockify_subalgebra
 
         return blockify_subalgebra(self)
@@ -126,19 +157,17 @@ def word_span(
     stabilizes; the span grows by at least one per round, so D rounds
     always suffice.
     """
-    from .vndim import numerical_span
-
     sizes = tuple(block_sizes)
     ambient = sum(n * n for n in sizes)
     seed = [_flatten(np.eye(sum(sizes), dtype=complex), sizes)]
     seed += [_flatten(g, sizes) for g in generators]
-    basis = numerical_span(np.array(seed), dim=ambient)
+    basis = numerical_span(np.array(seed))
     for _ in range(ambient):
         if not generators:
             break
         mats = [_unflatten(row, sizes) for row in basis]
         new_rows = np.array([_flatten(m @ g, sizes) for m in mats for g in generators])
-        grown = numerical_span(np.vstack([basis, new_rows]), dim=ambient)
+        grown = numerical_span(np.vstack([basis, new_rows]))
         if grown.shape[0] == basis.shape[0]:
             return grown
         basis = grown
@@ -199,17 +228,12 @@ def build_algebra(
         if len(labels) != len(mats):
             raise ShapeMismatch("one label per generator required")
 
-    # the generated algebra does not depend on the generators' scale, but
-    # word_span's relative cutoff does: count the span of each nonzero
-    # generator divided (exactly) by the power of two nearest its largest entry
-    peaks = [float(np.abs(g).max()) for g in mats]
-    unit = [g / 2.0 ** round(math.log2(m)) if m else g for g, m in zip(mats, peaks)]
     algebra = TracialAlgebra(
         block_sizes=sizes,
         trace_weights=weights,
         generators=tuple(mats),
         labels=labels,
-        generated_dim=word_span(sizes, unit).shape[0],
+        generated_dim=word_span(sizes, unit_scaled(mats)).shape[0],
     )
     if not algebra.generates and not subalgebra_mode:
         raise NotGenerating(

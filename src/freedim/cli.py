@@ -35,7 +35,6 @@ from .derivations import (
     inner_spec,
 )
 from .errors import (
-    ComputationError,
     ConfigError,
     FreedimError,
     TooLarge,
@@ -124,12 +123,6 @@ def _clean(value):
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     return value
-
-
-def matrix_to_pairs(mat: np.ndarray) -> list:
-    """Complex matrix as nested [re, im] pairs."""
-    m = np.asarray(mat, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 # Largest matrix entry accepted: products of three matrices of size up to 256
@@ -529,8 +522,8 @@ def _run_dual_system(config: ScenarioConfig) -> Outcome:
         })
         results["xi_norm"] = float(np.linalg.norm(rep.xi))
         if config.verbose:
-            results["Y"] = matrix_to_pairs(rep.Y)
-            results["xi"] = [[float(x.real), float(x.imag)] for x in rep.xi]
+            results["Y"] = rep.Y
+            results["xi"] = rep.xi
     return results, {"construction": "operator assembled on the cyclic basis "
                                      "from the induced derivative map"}, residuals
 
@@ -811,12 +804,7 @@ SCENARIOS = {
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Dispatch to the owning module and aggregate the results."""
-    try:
-        results, provenance, residuals = SCENARIOS[config.scenario].run(config)
-    except ConfigError:
-        raise
-    except FreedimError as exc:
-        raise ComputationError(f"{type(exc).__name__}: {exc}") from exc
+    results, provenance, residuals = SCENARIOS[config.scenario].run(config)
     return RunReport(config.scenario, config.seed, config.config_hash, results,
                      provenance, residuals)
 
@@ -889,9 +877,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ComputationError as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return 1
     except FreedimError as exc:
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

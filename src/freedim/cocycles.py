@@ -6,8 +6,9 @@ subspaces of HS^n are built from it: the image over all bounded Y (H0), the
 span of the image over self-adjoint Y (H1), and the weak-limit closure of
 the image over Hilbert-Schmidt Y (H2).  In finite dimensions weak and norm
 convergence coincide and all operators are bounded, so the three spaces are
-equal; the module computes each by its own construction and certifies the
-coincidence instead of assuming it.
+equal.  H0 and H1 are computed by their own constructions, and their
+coincidence is certified; H2 is H0, since every operator on L2 is then
+Hilbert-Schmidt and every subspace weakly closed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import GnsStructure, TracialAlgebra, gns_structure
+from .algebra import GnsStructure, TracialAlgebra, gns_structure, span_with_spectrum
 from .errors import ChainViolation
 from .tolerances import INVARIANCE_TOL, SUBSPACE_TOL
 from .vndim import (
@@ -27,7 +28,6 @@ from .vndim import (
     commutant_action,
     hs_subspace,
     invariance_residual,
-    span_with_spectrum,
     subspace_distance,
     vn_dimension_report,
 )
@@ -121,7 +121,7 @@ def cocycle_span(gns: GnsStructure, Ls: np.ndarray, hermitian: bool = False) -> 
     """
     n, D = Ls.shape[0], gns.dim
     if n == 0:
-        return hs_subspace(gns, np.zeros((0,)), n=0)
+        return hs_subspace(gns, np.zeros((0, 0, D, D)))
     family = _unit_commutators(Ls)
     kappa = 1.0
     if hermitian:

@@ -71,7 +71,3 @@ class ConfigError(FreedimError):
 
 class UnsupportedFormat(ConfigError):
     """Requested report format is not available for this scenario."""
-
-
-class ComputationError(FreedimError):
-    """Wrapper for module errors raised while executing a scenario."""

@@ -19,6 +19,7 @@ import numpy as np
 
 from .algebra import TracialAlgebra
 from .errors import FreedimError, NotGeneratingSet, TooLarge
+from .wedderburn import blockify
 
 # Largest group order whose regular representation is decomposed.
 ORDER_CAP = 24
@@ -216,8 +217,6 @@ def regular_rep_algebra(
     a generating set of G, and (g - g^-1)/(2i) for those g that are not
     involutions (it is zero for the others).
     """
-    from .wedderburn import blockify
-
     if table.order > ORDER_CAP:
         raise TooLarge(f"group order {table.order} exceeds the cap {ORDER_CAP}")
     if generating_set is None:

@@ -15,36 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .algebra import GnsStructure, _unflatten, block_offsets
+from .algebra import GnsStructure, _unflatten, block_offsets, numerical_span
 from .errors import CenterResolutionError, IntegralityError, NotInvariant
-from .tolerances import INVARIANCE_TOL, RANK_TOL
-
-
-def numerical_span(vectors, dim: Optional[int] = None) -> np.ndarray:
-    """Orthonormal basis (rows) of the span, with relative SVD cutoff RANK_TOL."""
-    A = np.asarray(vectors, dtype=complex)
-    if A.size == 0:
-        d = dim if dim is not None else (A.shape[-1] if A.ndim >= 2 else 0)
-        return np.zeros((0, d), dtype=complex)
-    if A.ndim == 1:
-        A = A[None, :]
-    return span_with_spectrum(A)[0]
-
-
-def span_with_spectrum(A: np.ndarray):
-    """Kept rows vh[:r] (s > RANK_TOL * s[0]) of a 2-D array's SVD, and all of s.
-
-    The rank rule of `numerical_span`; the singular values are returned for
-    callers that certify properties of the span from its spectrum.
-    """
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, A.shape[1]), dtype=complex), s
-    return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
+from .tolerances import INVARIANCE_TOL
+from .wedderburn import commutant_basis, minimal_central_projections
 
 
 def to_fraction(x: float) -> Fraction:
@@ -77,8 +54,6 @@ def central_decomposition(gns: GnsStructure, seed: int = 0) -> CentralDecomposit
     coordinates in the matrix-unit frame (conj(U) U^T = 1), so
     vn_dimension_report compresses by slicing.
     """
-    from .wedderburn import commutant_basis, minimal_central_projections
-
     algebra = gns.algebra
     N = algebra.matrix_size
     # the matrix units of the blocks, in GNS coordinate order
@@ -176,21 +151,13 @@ def invariance_residual(basis: np.ndarray, gns: GnsStructure) -> float:
     return worst
 
 
-def hs_subspace(
-    gns: GnsStructure, vectors, n: Optional[int] = None
-) -> HsSubspace:
-    """Orthonormalize a spanning family of HS tuples and certify invariance."""
+def hs_subspace(gns: GnsStructure, vectors) -> HsSubspace:
+    """Orthonormal span of a (k, n, D, D) family of HS tuples, certified invariant."""
     D = gns.dim
     A = np.asarray(vectors, dtype=complex)
-    if A.size == 0:
-        if n is None:
-            raise ValueError("tuple length required for an empty spanning set")
-        return HsSubspace(np.zeros((0, n, D, D), dtype=complex), 0.0)
-    if A.ndim == 3:
-        A = A[None, :, :, :]
-    k = A.shape[0]
-    n = A.shape[1]
-    basis = numerical_span(A.reshape(k, -1), dim=n * D * D).reshape(-1, n, D, D)
+    k, n = A.shape[:2]
+    flat = numerical_span(A.reshape(k, n * D * D))
+    basis = flat.reshape(flat.shape[0], n, D, D)
     return HsSubspace(basis, invariance_residual(basis, gns))
 
 
@@ -201,7 +168,7 @@ def invariant_closure(gns: GnsStructure, vectors) -> HsSubspace:
         A = A[None, :, :, :]
     k, n = A.shape[0], A.shape[1]
     D = gns.dim
-    flat = numerical_span(A.reshape(k, -1), dim=n * D * D)
+    flat = numerical_span(A.reshape(k, -1))
     actions = commutant_action(gns)
     for _ in range(n * D * D + 1):
         basis = flat.reshape(-1, n, D, D)
@@ -211,7 +178,7 @@ def invariant_closure(gns: GnsStructure, vectors) -> HsSubspace:
                                   optimize=True).reshape(flat.shape[0], -1))
             rows.append(np.einsum("rnab,bc->rnac", basis, R,
                                   optimize=True).reshape(flat.shape[0], -1))
-        grown = numerical_span(np.vstack(rows), dim=n * D * D)
+        grown = numerical_span(np.vstack(rows))
         if grown.shape[0] == flat.shape[0]:
             flat = grown
             break

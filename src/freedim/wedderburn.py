@@ -10,10 +10,18 @@ validated TracialAlgebra in block-diagonal coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .algebra import (
+    TracialAlgebra,
+    block_offsets,
+    build_algebra,
+    numerical_span,
+    unit_scaled,
+    word_span,
+)
 from .errors import CenterResolutionError, FreedimError
 from .tolerances import CENTER_RETRIES, INVARIANCE_TOL, RANK_TOL
 
@@ -25,20 +33,14 @@ def _project_onto_rows(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
     return basis.T @ (basis.conj() @ v)
 
 
-def commutant_basis(
-    mats: Sequence[np.ndarray], within: Optional[np.ndarray] = None
-) -> np.ndarray:
+def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {x : [x, m] = 0 for all m}, as (s, N, N).
 
-    `within` restricts the search to the row span of the given orthonormal
-    family of flattened matrices; by default all of M_N is searched.
+    The search runs inside the row span of `within`, an orthonormal family of
+    flattened matrices (the identity of size N^2 searches all of M_N).
     """
-    from .vndim import numerical_span
-
     mats = [np.asarray(m, dtype=complex) for m in mats]
     N = mats[0].shape[0]
-    if within is None:
-        within = np.eye(N * N, dtype=complex)
     r = within.shape[0]
 
     if r == 0:
@@ -50,15 +52,16 @@ def commutant_basis(
         for k in range(r):
             B = within[k].reshape(N, N)
             stacked[i, :, k] = (B @ m - m @ B).ravel()
-    # at least N^2 >= r rows, so the thin vh is square
+    # at least N^2 >= r rows, so the thin vh is square; the commutators scale
+    # with the mats, and so does the cutoff below which all of them are zero
     _, s, vh = np.linalg.svd(stacked.reshape(-1, r), full_matrices=False)
-    if s.size == 0 or s[0] < 1e-12:
+    if s.size == 0 or s[0] <= 1e-12 * max(float(np.abs(m).max()) for m in mats):
         coeffs = np.eye(r, dtype=complex)
     else:
         rank = int(np.sum(s > RANK_TOL * s[0]))
         coeffs = vh[rank:].conj()
     flat = coeffs @ within
-    flat = numerical_span(flat, dim=N * N)
+    flat = numerical_span(flat)
     return flat.reshape(-1, N, N)
 
 
@@ -132,7 +135,7 @@ def minimal_central_projections(
 class BlockifyResult:
     """A *-isomorphism from a matrix algebra onto its block form."""
 
-    algebra: "object"                    # TracialAlgebra
+    algebra: TracialAlgebra
     isometries: list[np.ndarray]         # V_i with pi_i(x) = V_i* x V_i
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -142,8 +145,6 @@ class BlockifyResult:
 
 def _block_image(x: np.ndarray, sizes, isometries) -> np.ndarray:
     """Block-diagonal matrix with the blocks V_i* x V_i."""
-    from .algebra import block_offsets
-
     out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
     for (start, stop), V in zip(block_offsets(sizes), isometries):
         out[start:stop, start:stop] = V.conj().T @ x @ V
@@ -153,11 +154,8 @@ def _block_image(x: np.ndarray, sizes, isometries) -> np.ndarray:
 def central_block_size(z: np.ndarray, algebra_basis: np.ndarray) -> int:
     """n with dim_C(z A) = n^2, for a central projection z of the algebra A
     spanned by the (s, N, N) basis; CenterResolutionError unless a square."""
-    from .vndim import numerical_span
-
-    N = z.shape[0]
     compressed = np.array([(z @ B).ravel() for B in algebra_basis])
-    block_dim = numerical_span(compressed, dim=N * N).shape[0]
+    block_dim = numerical_span(compressed).shape[0]
     n = int(round(np.sqrt(block_dim)))
     if n * n != block_dim:
         raise CenterResolutionError(
@@ -180,12 +178,9 @@ def blockify(
     cheaper commutant computation), `trace_fn` the faithful tracial state,
     and `generators` the elements whose images become the generating tuple.
     """
-    from .algebra import build_algebra
-    from .vndim import numerical_span
-
     mats = [np.asarray(m, dtype=complex) for m in span_mats]
     N = mats[0].shape[0]
-    flat = numerical_span(np.array([m.ravel() for m in mats]), dim=N * N)
+    flat = numerical_span(np.array([m.ravel() for m in mats]))
     alg_basis = flat.reshape(-1, N, N)
     alg_dim = alg_basis.shape[0]
 
@@ -196,7 +191,7 @@ def blockify(
     center = commutant_basis(commuting_set, within=flat)
     zs = minimal_central_projections(alg_basis, center, rng)
 
-    commutant = commutant_basis(commuting_set, within=None)
+    commutant = commutant_basis(commuting_set, within=np.eye(N * N, dtype=complex))
 
     sizes, weights, isometries = [], [], []
     for z in zs:
@@ -264,13 +259,13 @@ def _irreducible_isometry(
     )
 
 
-def blockify_subalgebra(algebra) -> "object":
-    """Block form of the subalgebra generated by a non-generating tuple."""
-    from .algebra import word_span
-
+def blockify_subalgebra(algebra: TracialAlgebra) -> TracialAlgebra:
+    """Block form of the subalgebra generated by a non-generating tuple, found
+    from the unit-scaled generators; its generators are the originals' images."""
+    unit = unit_scaled(algebra.generators)
     result = blockify(
-        [algebra.unflatten(r) for r in word_span(algebra.block_sizes, algebra.generators)],
-        commuting_set=list(algebra.generators),
+        [algebra.unflatten(r) for r in word_span(algebra.block_sizes, unit)],
+        commuting_set=unit,
         trace_fn=algebra.trace,
         generators=list(algebra.generators),
         labels=list(algebra.labels),

@@ -78,8 +78,8 @@ def invariant_complement(gns, K_small, K_big, n):
     norms = np.linalg.norm(rows, axis=1)
     rows = rows[norms > 1e-8]
     if rows.shape[0] == 0:
-        return fd.hs_subspace(gns, np.zeros((0,)), n=n)
-    flat = fd.numerical_span(rows, dim=K_big.ambient_dim)
+        return fd.hs_subspace(gns, np.zeros((0, n, gns.dim, gns.dim)))
+    flat = fd.numerical_span(rows)
     return fd.hs_subspace(gns, flat.reshape(-1, n, gns.dim, gns.dim))
 
 

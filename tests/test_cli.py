@@ -809,9 +809,10 @@ def test_delta_scenario_subalgebra_mode(tmp_path, capsys):
     assert payload["results"]["block_sizes"] == [1, 1]
 
 
-@pytest.mark.parametrize("scale", [1e10, 1e-10])
+@pytest.mark.parametrize("scale", [1e10, 1e-10, 1e-30])
 def test_generation_check_is_scale_free(tmp_path, capsys, scale):
-    # scaling the generators leaves the algebra they generate unchanged
+    # scaling the generators leaves the algebra they generate unchanged; at
+    # 1e-30 every commutator is below 1e-12, and the center is still found
     cfg = json.loads((CONFIG_DIR / "delta_direct_sum.json").read_text())
     cfg["algebra"]["generators"] = [
         [[[x * scale for x in entry] for entry in row] for row in g]
@@ -820,6 +821,34 @@ def test_generation_check_is_scale_free(tmp_path, capsys, scale):
     path = write_config(tmp_path, cfg)
     assert main(["delta", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["Delta_fraction"] == "7/9"
+
+
+def _on_both_blocks(x):
+    return np.kron(np.eye(2), x)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10, 1e10])
+@pytest.mark.parametrize("blocks,weights,generators,fraction", [
+    # M_2 on both blocks at once: one 2 x 2 block of weight 1
+    ([2, 2], [0.3, 0.7], [_on_both_blocks([[0, 1], [1, 0]]),
+                          _on_both_blocks([[1, 0], [0, -1]])], "3/4"),
+    # C + C at weights 2/3 and 1/3
+    ([3], [1.0], [np.diag([1.0, 1.0, -1.0])], "4/9"),
+], ids=["doubled_pauli", "diag_11m1"])
+def test_subalgebra_mode_is_scale_free(tmp_path, capsys, blocks, weights,
+                                       generators, fraction, scale):
+    cfg = {
+        "scenario": "delta",
+        "algebra": {
+            "blocks": blocks,
+            "weights": weights,
+            "generators": [mat_pairs(scale * g) for g in generators],
+            "subalgebra_mode": True,
+        },
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["delta", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["Delta_fraction"] == fraction
 
 
 def test_freedim_tol_env_override(tmp_path, monkeypatch, capsys):

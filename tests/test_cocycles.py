@@ -8,10 +8,11 @@ import pytest
 import freedim as fd
 from conftest import (SX, SY, SZ, embed_c_m2, make_c1m2, make_c2, make_m2,
                       random_block_algebra, random_hermitian, svd_block_ranks)
+from freedim.algebra import span_with_spectrum
 from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config
 from freedim.cocycles import _unit_commutators, cocycle_span, commutator_bound
 from freedim.tolerances import INVARIANCE_TOL
-from freedim.vndim import invariance_residual, span_with_spectrum
+from freedim.vndim import invariance_residual
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

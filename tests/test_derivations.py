@@ -25,7 +25,7 @@ def word_system_oracle(gns, Ls, targets):
     vecs = [t]
     vals = [np.zeros((D, D), dtype=complex)]
     frontier = [(np.eye(D, dtype=complex), vals[0])]
-    span = numerical_span(np.array([t]), dim=D)
+    span = numerical_span(np.array([t]))
     for _ in range(D + 1):
         new_frontier = []
         for L_w, val_w in frontier:
@@ -37,7 +37,7 @@ def word_system_oracle(gns, Ls, targets):
                 vals.append(val_new)
                 resid = v - span.T @ (span.conj() @ v)
                 if np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(v)):
-                    span = numerical_span(np.vstack([span, v[None, :]]), dim=D)
+                    span = numerical_span(np.vstack([span, v[None, :]]))
                     new_frontier.append((L_new, val_new))
         if not new_frontier:
             break
@@ -54,7 +54,7 @@ def svd_word_tree(gns):
     t = gns.trace_vector.astype(complex)
     vecs, expanded = [t], [True]
     frontier = [np.eye(D, dtype=complex)]
-    span = numerical_span(np.array([t]), dim=D)
+    span = numerical_span(np.array([t]))
     for _ in range(D + 1):
         new_frontier = []
         for L_w in frontier:
@@ -64,7 +64,7 @@ def svd_word_tree(gns):
                 resid = v - span.T @ (span.conj() @ v)
                 grows = bool(np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(v)))
                 if grows:
-                    span = numerical_span(np.vstack([span, v[None, :]]), dim=D)
+                    span = numerical_span(np.vstack([span, v[None, :]]))
                     new_frontier.append(L_new)
                 vecs.append(v)
                 expanded.append(grows)

@@ -1,8 +1,10 @@
 """Import layering of the package, read from the source with ast.
 
-The algebra layer sits below the derivation, cocycle and CLI layers, and the
-CLI sits on top of everything: no module may import upward, not even lazily
-inside a function or under TYPE_CHECKING.
+The modules follow the pipeline: the algebra layer, its block decomposition,
+the trace-weighted dimension and the layers built on it, the cocycle spaces,
+and the CLI on top.  No module may import upward or sideways, not even
+lazily inside a function or under TYPE_CHECKING; the one exception is the
+algebra's effective algebra, which calls the block decomposition.
 """
 
 import ast
@@ -12,6 +14,18 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freedim"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+# A module imports only modules of strictly lower rank.
+RANK = {
+    "errors": 0, "tolerances": 0,
+    "algebra": 1, "cutoff": 1,
+    "wedderburn": 2,
+    "vndim": 3, "derivations": 3, "groups": 3,
+    "cocycles": 4,
+    "cli": 5,
+}
+# TracialAlgebra.effective_algebra -> wedderburn.blockify_subalgebra
+UPWARD = {("algebra", "wedderburn")}
 
 
 def imported_modules(name: str) -> set[str]:
@@ -46,3 +60,14 @@ def test_algebra_imports_no_higher_layer():
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
 def test_no_module_imports_cli(name):
     assert "cli" not in imported_modules(name)
+
+
+def test_rank_table_covers_every_module():
+    assert set(RANK) == set(MODULES) - {"__init__"}
+
+
+@pytest.mark.parametrize("name", sorted(RANK))
+def test_imports_point_to_lower_ranks(name):
+    not_lower = {m for m in imported_modules(name)
+             if RANK[m] >= RANK[name] and (name, m) not in UPWARD}
+    assert not_lower == set()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
+import freedim.vndim as vndim
 import freedim.wedderburn as wedderburn
 from conftest import (SX, SZ, embed_c_m2, invariant_complement, make_c1m2, make_c2,
                       make_m2, random_block_algebra, svd_block_ranks)
@@ -46,7 +47,7 @@ def test_numerical_span_scaled_pair():
 
 
 def test_numerical_span_empty():
-    basis = fd.numerical_span(np.zeros((0, 5)), dim=5)
+    basis = fd.numerical_span(np.zeros((0, 5)))
     assert basis.shape == (0, 5)
 
 
@@ -217,8 +218,8 @@ def _bump(row, col):
 ], ids=["c2_swap", "c1m2_swap", "c1m2_drop", "bump_inside", "bump_outside"])
 def test_center_certificate_refuses_wrong_projections(monkeypatch, make, change):
     gns = fd.gns_structure(make())
-    original = wedderburn.minimal_central_projections
-    monkeypatch.setattr(wedderburn, "minimal_central_projections",
+    original = vndim.minimal_central_projections
+    monkeypatch.setattr(vndim, "minimal_central_projections",
                         lambda *args: change(list(original(*args))))
     with pytest.raises(fd.CenterResolutionError):
         fd.central_decomposition(gns)
