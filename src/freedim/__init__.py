@@ -14,14 +14,12 @@ from .algebra import (
 )
 from .cocycles import (
     DeltaReport,
-    cocycle_map,
     compute_H0,
     compute_H1,
     delta_report,
 )
 from .cutoff import (
     CutoffFamily,
-    ScalarFamily,
     apply_cutoff,
     commutator_identity_check,
     convergence_sweep,
@@ -29,9 +27,6 @@ from .cutoff import (
 )
 from .derivations import (
     DualOperatorReport,
-    antisymmetrize,
-    antisymmetrize_identity_residual,
-    conjugate_variable,
     construct_dual_operator,
     derivation_well_defined,
     fdq_targets,

@@ -115,18 +115,10 @@ class TracialAlgebra:
         """Whether the words in the generators span the whole algebra."""
         return self.generated_dim == self.dim
 
-    @property
-    def n_generators(self) -> int:
-        return len(self.generators)
-
     def trace(self, x: np.ndarray) -> complex:
         """tau(x) = sum_i alpha_i * tr(x_i) / n_i."""
         w = _diag_weights(self.block_sizes, self.trace_weights)
         return complex(np.sum(np.diag(x) * w))
-
-    def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        """<a, b> = tau(b* a)."""
-        return self.trace(b.conj().T @ a)
 
     def unflatten(self, v: np.ndarray) -> np.ndarray:
         return _unflatten(v, self.block_sizes)
@@ -260,10 +252,6 @@ class GnsStructure:
     generator_left_mult: np.ndarray  # (n, D, D): left_mults (trace formula)
     _wvec: np.ndarray = field(repr=False, default=None)
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates <x, b_m> of an algebra element in the orthonormal basis."""
-        return np.einsum("mab,ba,b->m", self.basis, x, self._wvec, optimize=True)
-
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by x on the trace representation."""
         return np.einsum(
@@ -287,18 +275,6 @@ class GnsStructure:
             for p in range(S, T):
                 out[p, S:T, S:T] = _frame(self.basis[p, s:t, s:t], U)
         return out
-
-    def right_mult(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of right multiplication by x; equals J L_{x*} J."""
-        return self.left_mult(x).T
-
-    def conjugation(self, v: np.ndarray) -> np.ndarray:
-        """The conjugation J: entrywise complex conjugation of coordinates."""
-        return np.conj(v)
-
-    def element(self, v: np.ndarray) -> np.ndarray:
-        """Algebra element with the given coordinates."""
-        return np.einsum("m,mab->ab", v, self.basis)
 
 
 def _orthonormal_selfadjoint_basis(algebra: TracialAlgebra) -> np.ndarray:

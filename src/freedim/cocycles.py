@@ -33,13 +33,6 @@ from .vndim import (
 )
 
 
-def cocycle_map(
-    gns: GnsStructure, generators: Sequence[np.ndarray], Y: np.ndarray
-) -> np.ndarray:
-    """([Y, L_{X_1}], ..., [Y, L_{X_n}]) as an (n, D, D) array."""
-    return np.array([Y @ L - L @ Y for L in gns.left_mults(generators)])
-
-
 def _unit_commutators(Ls: np.ndarray) -> np.ndarray:
     """Cocycle tuples of all matrix units E_pq, as (D*D, n, D, D)."""
     n, D, _ = Ls.shape
@@ -183,23 +176,14 @@ class DeltaReport:
     distances: dict[str, float]
     agreement: dict[str, bool]
 
-    @property
-    def delta_chain(self) -> dict:
-        """The pinned interval: dim H0 <= delta* <= delta# <= Delta, collapsed."""
-        return {
-            "lower_bound": self.dim_H0,
-            "delta_star": self.delta_star,
-            "delta_blackstar": self.delta_blackstar,
-            "upper_bound": self.dim_H2,
-            "status": "pinned",
-        }
-
 
 def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     """Assemble dim H0 = dim H1 = dim H2 = Delta and beta0 = 1 - Delta.
 
     The closed form sum_i alpha_i^2 / n_i^2 for beta0 cross-checks the
-    pipeline; ChainViolation signals dim H0 > dim H2 beyond tolerance.
+    pipeline.  H0 (spanned over the matrix units) and H1 (over a Hermitian
+    basis) are two independent spanning families of one space, so their
+    exact dimensions must be equal; ChainViolation signals that they differ.
     """
     eff = algebra.effective_algebra()
     gns = gns_structure(eff)
@@ -213,9 +197,9 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     r1 = vn_dimension_report(H1, dec)
     r2 = r0
 
-    if r0.value > r2.value + SUBSPACE_TOL:
+    if r0.fraction != r1.fraction:
         raise ChainViolation(
-            f"dim H0 = {r0.value} exceeds dim H2 = {r2.value}"
+            f"dim H0 = {r0.fraction} differs from dim H1 = {r1.fraction}"
         )
 
     delta_frac = r2.fraction

@@ -11,7 +11,7 @@ the commutators match exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,14 +84,6 @@ class CutoffFamily:
         return np.where(close, self.fprime((s + t) / 2.0), quotient)
 
 
-@dataclass
-class ScalarFamily:
-    """An arbitrary scalar function paired with its difference quotient."""
-
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def _check_self_adjoint(A: np.ndarray, name: str) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if np.abs(A - A.conj().T).max() > OPERATOR_TOL:
@@ -117,7 +109,8 @@ def apply_cutoff(A: np.ndarray, R: float, smooth: bool = False) -> np.ndarray:
 def commutator_identity_check(A: np.ndarray, X: np.ndarray, family) -> float:
     """Entrywise residual of [f(A), X] = g(lam_k, lam_l) [A, X] in A's eigenbasis.
 
-    `family` is a CutoffFamily, a ScalarFamily, or a clamp scale R.
+    `family` is a clamp scale R, or any object with `f` and `g`, such as a
+    CutoffFamily.
     """
     if isinstance(family, (int, float)):
         family = CutoffFamily(float(family))

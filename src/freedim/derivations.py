@@ -170,14 +170,6 @@ def _xi(gns: GnsStructure, dhat: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(dhat[:, m].reshape(D, D), gns.p1) for m in range(D)])
 
 
-def conjugate_variable(gns: GnsStructure, targets: Sequence[np.ndarray]
-                       ) -> Optional[np.ndarray]:
-    """The vector xi with <xi, Q 1> = <P1, dT(Q)>_HS, or None when the
-    derivation does not descend."""
-    fit = derivation_well_defined(gns, targets)
-    return _xi(gns, fit.map) if fit.well_defined else None
-
-
 @dataclass
 class FisherSlot:
     """Well-definedness data for one distinguished-derivation slot."""
@@ -265,17 +257,3 @@ def construct_dual_operator(gns: GnsStructure, fit: DerivationFit
         raise ResidualTooLarge(f"dual operator residual {report.max_residual:.3e} "
                                f"exceeds {RESIDUAL_TOL:.0e}")
     return report
-
-
-def antisymmetrize(Y_list: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """(Y - Y*) / 2 for each operator in the list."""
-    return [(np.asarray(Y) - np.asarray(Y).conj().T) / 2.0 for Y in Y_list]
-
-
-def antisymmetrize_identity_residual(Y: np.ndarray, Lx: np.ndarray) -> float:
-    """Deviation in [Ỹ, L_X] = ([Y, L_X] + [Y, L_X]*) / 2 for self-adjoint X."""
-    Yt = (Y - Y.conj().T) / 2.0
-    lhs = Yt @ Lx - Lx @ Yt
-    com = Y @ Lx - Lx @ Y
-    rhs = (com + com.conj().T) / 2.0
-    return float(np.abs(lhs - rhs).max())

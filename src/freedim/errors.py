@@ -40,7 +40,8 @@ class IntegralityError(FreedimError):
 # -- cocycle spaces -----------------------------------------------------------
 
 class ChainViolation(FreedimError):
-    """dim H0 exceeds dim H2; signals a numerical or action-convention bug."""
+    """dim H0 and dim H1, two constructions of one space, differ; signals a
+    numerical or action-convention bug."""
 
 
 # -- dual operators -----------------------------------------------------------

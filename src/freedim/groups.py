@@ -400,23 +400,22 @@ def schreier_graph(
 
 @dataclass
 class BettiInput:
-    """First two L2 Betti numbers of a group, with provenance."""
+    """First two L2 Betti numbers of a group."""
 
     beta0: float
     beta1: float
-    provenance: str
 
     @classmethod
     def free_group(cls, k: int) -> "BettiInput":
         if k < 1:
             raise FreedimError("free-group rank must be >= 1")
-        return cls(beta0=0.0, beta1=float(k - 1), provenance=f"free_group({k})")
+        return cls(beta0=0.0, beta1=float(k - 1))
 
     @classmethod
     def finite_group(cls, order: int) -> "BettiInput":
         if order < 1:
             raise FreedimError("group order must be >= 1")
-        return cls(beta0=1.0 / order, beta1=0.0, provenance=f"finite_group({order})")
+        return cls(beta0=1.0 / order, beta1=0.0)
 
 
 def betti_delta_formula(inp: BettiInput) -> float:

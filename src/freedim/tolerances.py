@@ -1,7 +1,11 @@
 """Central numerical thresholds.
 
-All identity checks in the package use absolute residuals against these
-defaults; matrices are exact complex doubles throughout.
+Most identity checks in the package compare absolute residuals with these
+defaults.  Three are relative: RANK_TOL to the largest singular value, the
+zero cutoff of `wedderburn.commutant_basis` to the largest entry of its
+matrices, and the frame gap of `algebra._verify_gns` (OPERATOR_TOL) to a
+generator's largest entry when that exceeds 1.  Matrices are exact complex
+doubles throughout.
 """
 
 SCALAR_TOL = 1e-12        # scalar identities (weights, traciality)

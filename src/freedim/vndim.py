@@ -168,16 +168,16 @@ def invariant_closure(gns: GnsStructure, vectors) -> HsSubspace:
         A = A[None, :, :, :]
     k, n = A.shape[0], A.shape[1]
     D = gns.dim
-    flat = numerical_span(A.reshape(k, -1))
+    flat = numerical_span(A.reshape(k, n * D * D))
     actions = commutant_action(gns)
     for _ in range(n * D * D + 1):
         basis = flat.reshape(-1, n, D, D)
         rows = [flat]
         for R in actions:
             rows.append(np.einsum("ab,rnbc->rnac", R, basis,
-                                  optimize=True).reshape(flat.shape[0], -1))
+                                  optimize=True).reshape(flat.shape[0], n * D * D))
             rows.append(np.einsum("rnab,bc->rnac", basis, R,
-                                  optimize=True).reshape(flat.shape[0], -1))
+                                  optimize=True).reshape(flat.shape[0], n * D * D))
         grown = numerical_span(np.vstack(rows))
         if grown.shape[0] == flat.shape[0]:
             flat = grown

@@ -138,10 +138,6 @@ class BlockifyResult:
     algebra: TracialAlgebra
     isometries: list[np.ndarray]         # V_i with pi_i(x) = V_i* x V_i
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Image of an algebra element in block-diagonal coordinates."""
-        return _block_image(x, self.algebra.block_sizes, self.isometries)
-
 
 def _block_image(x: np.ndarray, sizes, isometries) -> np.ndarray:
     """Block-diagonal matrix with the blocks V_i* x V_i."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
+from freedim.derivations import _xi, derivation_well_defined
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -56,6 +57,28 @@ def svd_block_ranks(K, dec):
             cut = RANK_TOL * max(1.0, float(s[0])) if s.size else RANK_TOL
             ranks[i, j] = int(np.sum(s > cut))
     return ranks
+
+
+def coords(gns, x):
+    """Coordinates <x, b_m> of an algebra element in the orthonormal basis."""
+    return np.einsum("mab,ba,b->m", gns.basis, x, gns._wvec, optimize=True)
+
+
+def element(gns, v):
+    """Algebra element with the given coordinates."""
+    return np.einsum("m,mab->ab", v, gns.basis)
+
+
+def cocycle_map(gns, generators, Y):
+    """([Y, L_{X_1}], ..., [Y, L_{X_n}]) as an (n, D, D) array."""
+    return np.array([Y @ L - L @ Y for L in gns.left_mults(generators)])
+
+
+def conjugate_variable(gns, targets):
+    """The vector xi with <xi, Q 1> = <P1, dT(Q)>_HS, or None when the
+    derivation does not descend."""
+    fit = derivation_well_defined(gns, targets)
+    return _xi(gns, fit.map) if fit.well_defined else None
 
 
 def make_c2():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import (SX, SY, SZ, embed_c_m2, make_c1m2, make_c2, make_m2,
+from conftest import (SX, SY, SZ, cocycle_map, embed_c_m2, make_c1m2, make_c2, make_m2,
                       random_block_algebra, random_hermitian, svd_block_ranks)
 from freedim.algebra import span_with_spectrum
 from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config
@@ -25,7 +26,7 @@ from test_vndim import joint_commutator_nullity
 
 def test_cocycle_map_identity_vanishes(m2):
     gns = fd.gns_structure(m2)
-    out = fd.cocycle_map(gns, m2.generators, np.eye(gns.dim, dtype=complex))
+    out = cocycle_map(gns, m2.generators, np.eye(gns.dim, dtype=complex))
     assert np.abs(out).max() < 1e-14
 
 
@@ -34,7 +35,7 @@ def test_cocycle_map_kills_commutant(m2):
     gns = fd.gns_structure(m2)
     for Lp in gns.basis_left_mults():
         Y = np.conj(Lp)
-        out = fd.cocycle_map(gns, m2.generators, Y)
+        out = cocycle_map(gns, m2.generators, Y)
         assert np.abs(out).max() < 1e-10
 
 
@@ -43,7 +44,7 @@ def test_cocycle_map_off_diagonal_unit(c2):
     gns = fd.gns_structure(c2)
     Y = np.zeros((2, 2), dtype=complex)
     Y[0, 1] = 1.0
-    out = fd.cocycle_map(gns, c2.generators, Y)
+    out = cocycle_map(gns, c2.generators, Y)
     expected = Y * (1.0 - 0.0)  # lambda_1 - lambda_0 at entry (0, 1)
     np.testing.assert_allclose(out[0], expected, atol=1e-12)
     assert np.linalg.norm(out[0]) > 0.9
@@ -247,6 +248,25 @@ def test_delta_chain_and_pinning(c1m2):
     assert rep.agreement["weak_equals_norm"]
 
 
+def test_chain_violation_when_h0_and_h1_disagree(c1m2, monkeypatch):
+    # H0 and H1 are one space built twice; a perturbed H1 dimension must stop
+    # the report.  delta_report measures H0 first, then H1.
+    measure = fd.vn_dimension_report
+    calls = []
+
+    def perturbed(K, dec):
+        rep = measure(K, dec)
+        calls.append(K)
+        if len(calls) == 2:
+            rep = dataclasses.replace(rep, fraction=rep.fraction + Fraction(1, 9))
+        return rep
+
+    monkeypatch.setattr("freedim.cocycles.vn_dimension_report", perturbed)
+    with pytest.raises(fd.ChainViolation, match="differs from dim H1"):
+        fd.delta_report(c1m2)
+    assert len(calls) == 2
+
+
 def test_generator_independence_same_algebra():
     # different generating tuples (and lengths) of M_2 give the same Delta
     tuples = [
@@ -266,7 +286,7 @@ def test_generator_independence_same_algebra():
 def test_delta_bounds(c2, m2, c1m2):
     for alg in (c2, m2, c1m2):
         rep = fd.delta_report(alg)
-        n = alg.n_generators
+        n = len(alg.generators)
         assert -1e-12 <= rep.Delta <= min(n, 1) + 1e-12
 
 
@@ -308,10 +328,3 @@ def test_delta_report_extreme_weights():
     expected = 1.0 - (0.999**2 + 0.001**2 / 4.0)
     assert abs(rep.Delta - expected) <= 1e-9
     assert rep.agreement["closed_form_matches"]
-
-
-def test_delta_chain_property(c2):
-    rep = fd.delta_report(c2)
-    chain = rep.delta_chain
-    assert chain["status"] == "pinned"
-    assert chain["lower_bound"] <= chain["delta_star"] <= chain["upper_bound"]

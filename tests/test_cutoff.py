@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,7 +106,7 @@ def test_commutator_identity_cubic_polynomial():
     rng = np.random.default_rng(2)
     A = random_hermitian(rng, 6)
     X = random_hermitian(rng, 6)
-    fam = fd.ScalarFamily(f=lambda x: x**3, g=lambda s, t: s * s + s * t + t * t)
+    fam = SimpleNamespace(f=lambda x: x**3, g=lambda s, t: s * s + s * t + t * t)
     assert fd.commutator_identity_check(A, X, fam) <= 1e-9
 
 

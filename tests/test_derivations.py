@@ -5,7 +5,8 @@ import pytest
 
 import freedim as fd
 import freedim.derivations as derivations_module
-from conftest import make_c1m2, make_c2, make_m2, random_block_algebra, random_hermitian
+from conftest import (conjugate_variable, make_c1m2, make_c2, make_m2, random_block_algebra,
+                      random_hermitian)
 from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config
 from freedim.derivations import _word_values, enumerate_words
 from test_cocycles import CONFIG_DIR, WORKED, _worked_algebra
@@ -208,7 +209,7 @@ def test_conjugate_inner_hermitian_matches_conjugation_formula(m2):
     for _ in range(5):
         B = random_hermitian(rng, 4)
         targets = fd.inner_spec(gns, B)
-        xi = fd.conjugate_variable(gns, targets)
+        xi = conjugate_variable(gns, targets)
         formula = (B - B.T) @ t  # J B* J acts as the transpose matrix
         assert np.linalg.norm(xi - formula) <= 1e-10
 
@@ -220,21 +221,21 @@ def test_conjugate_inner_general_is_adjoint_solution(m2):
     t = gns.trace_vector.astype(complex)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     targets = fd.inner_spec(gns, B)
-    xi = fd.conjugate_variable(gns, targets)
+    xi = conjugate_variable(gns, targets)
     assert np.linalg.norm(xi - (B.conj().T - B.conj()) @ t) <= 1e-10
 
 
 def test_conjugate_zero_target(c2):
     gns = fd.gns_structure(c2)
     targets = ([np.zeros((2, 2))])
-    xi = fd.conjugate_variable(gns, targets)
+    xi = conjugate_variable(gns, targets)
     assert np.linalg.norm(xi) <= 1e-14
 
 
 def test_conjugate_not_defined_for_obstructed(c2):
     gns = fd.gns_structure(c2)
     targets = fd.fdq_targets(gns, 0)
-    assert fd.conjugate_variable(gns, targets) is None
+    assert conjugate_variable(gns, targets) is None
 
 
 def test_defining_property_on_word_vectors(m2):
@@ -243,7 +244,7 @@ def test_defining_property_on_word_vectors(m2):
     rng = np.random.default_rng(3)
     B = random_hermitian(rng, 4)
     targets = fd.inner_spec(gns, B)
-    xi = fd.conjugate_variable(gns, targets)
+    xi = conjugate_variable(gns, targets)
     t = gns.trace_vector.astype(complex)
     Ls = [gns.left_mult(X) for X in m2.generators]
     words = [np.eye(4, dtype=complex)]
@@ -367,7 +368,7 @@ def test_dual_operator_adjoint_equals_conjugate_vector(m2):
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     targets = fd.inner_spec(gns, B)
     rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
-    xi = fd.conjugate_variable(gns, targets)
+    xi = conjugate_variable(gns, targets)
     assert np.linalg.norm(rep.Y.conj().T @ gns.trace_vector - xi) <= 1e-10
     assert rep.residual_adjoint <= 1e-10
 
@@ -388,27 +389,6 @@ def test_dual_operator_residual_gate(m2, monkeypatch):
     fit = fd.derivation_well_defined(gns, targets)
     with pytest.raises(fd.ResidualTooLarge):
         fd.construct_dual_operator(gns, fit)
-
-
-# ---------------------------------------------------------------------------
-# anti-symmetrization
-# ---------------------------------------------------------------------------
-
-def test_antisymmetrize_hermitian_and_skew():
-    rng = np.random.default_rng(10)
-    H = random_hermitian(rng, 4)
-    S = 1j * random_hermitian(rng, 4)  # anti-self-adjoint
-    out_h, out_s = fd.antisymmetrize([H, S])
-    assert np.abs(out_h).max() <= 1e-14
-    assert np.linalg.norm(out_s - S) <= 1e-14
-
-
-def test_antisymmetrize_commutator_identity():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        Y = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        Lx = random_hermitian(rng, 5)
-        assert fd.antisymmetrize_identity_residual(Y, Lx) <= 1e-12
 
 
 def test_adjoint_commutator_sign_rule():

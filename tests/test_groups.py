@@ -63,7 +63,7 @@ def test_regular_rep_s3():
 def test_regular_rep_trace_is_point_evaluation():
     # tau(g) = 1 if g = e else 0, reproduced through the block trace
     from freedim.groups import left_regular_matrices, minimal_generating_set
-    from freedim.wedderburn import blockify
+    from freedim.wedderburn import _block_image, blockify
 
     table = fd.symmetric_group(3)
     lam = left_regular_matrices(table)
@@ -76,7 +76,7 @@ def test_regular_rep_trace_is_point_evaluation():
         rng=np.random.default_rng(0),
     )
     for g in range(table.order):
-        img = result.apply(lam[g])
+        img = _block_image(lam[g], result.algebra.block_sizes, result.isometries)
         tau = result.algebra.trace(img)
         expected = 1.0 if g == table.identity else 0.0
         assert abs(tau - expected) <= 1e-9

@@ -1,0 +1,56 @@
+"""Every definition in the package is on the pipeline or its documented API.
+
+A top-level function or class of a `src/freedim` module, or a method of such a
+class, must be used (referenced by name or attribute in the package outside
+its own definition), named in README.md as `name` or `fd.name`, or wrapped by
+the benchmark's tracer.  A definition that only the tests reach belongs in
+the tests.  The tracer is read, never changed, here.
+"""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "freedim"
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+
+
+def _traced() -> set[tuple[str, str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {(m, f) for m, fs in module.FUNCTIONS.items() for f in fs}
+
+
+def _definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def test_every_definition_is_used_named_or_traced():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    references = [
+        (module, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    named = set(re.findall(r"`(?:fd\.)?(\w+)", (ROOT / "README.md").read_text()))
+    traced = _traced()
+
+    unreached = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for d in _definitions(tree):
+            used = any(name == d.name and not (m == module and d.lineno <= line <= d.end_lineno)
+                       for m, name, line in references)
+            if not (used or d.name in named or (module, d.name) in traced):
+                unreached.append(f"{module}.{d.name}")
+    assert unreached == []

@@ -341,6 +341,10 @@ def test_closure_multiplicities_match_svd_rank_oracle(make):
         np.testing.assert_array_equal(
             rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, dec)
         )
+    # as for hs_subspace, an empty family spans the zero subspace
+    K = fd.invariant_closure(gns, np.zeros((0, 2, D, D)))
+    assert K.basis.shape == (0, 2, D, D)
+    assert fd.vn_dimension_report(K, dec).fraction == 0
 
 
 def test_monotonicity_and_additivity(m2):
