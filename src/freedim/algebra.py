@@ -266,14 +266,12 @@ class GnsStructure:
     def basis_left_mults(self) -> np.ndarray:
         """(D, D, D) left multiplications by the basis elements, built anew on
         each call from the matrix-unit frame: L_p = conj(U) (b_p (x) 1) U^T on
-        the coordinates of b_p's block, zero off it (see `_frame`).  One
-        element at a time keeps the work at O(D^3)."""
+        the coordinates of b_p's block, zero off it (see `_frame`), one block
+        at a time in O(n^6) work."""
         D = self.dim
         out = np.zeros((D, D, D), dtype=complex)
         for (s, t), (S, T), n in _block_ranges(self.algebra.block_sizes):
-            U = _unit_map(n)
-            for p in range(S, T):
-                out[p, S:T, S:T] = _frame(self.basis[p, s:t, s:t], U)
+            out[S:T, S:T, S:T] = _frame(self.basis[S:T, s:t, s:t], _unit_map(n))
         return out
 
 
@@ -399,9 +397,10 @@ def _frame(x: np.ndarray, U: np.ndarray) -> np.ndarray:
         multiplicativity gap, commutant gap <= 4 k c eps + 2 n^2 eps^2,
     k = min(n, sqrt 8), about 230 u n / alpha.  A 1 x 1 block satisfies both
     identities for any value of its one entry, and terms across blocks
-    have an exact-zero factor.
+    have an exact-zero factor.  A stack of block elements gives the stack of
+    their frames.
     """
-    n = x.shape[0]
+    n = x.shape[-1]
     return np.conj(U) @ np.kron(x, np.eye(n)) @ U.T
 
 
@@ -414,7 +413,8 @@ def _verify_gns(gns: GnsStructure) -> None:
     computed from the trace formula, is zero off the blocks and matches the
     frame of the generator built with the same U, to OPERATOR_TOL relative
     to the generator's largest entry when that exceeds 1; and the trace
-    vector is cyclic, L_{b_p} applied to it recovering the coordinates e_p.
+    vector is cyclic, L_{b_p} applied to it recovering the coordinates e_p,
+    one frame at a time so that no D x D x D stack is built.
     """
     D = gns.dim
     basis = gns.basis
@@ -432,7 +432,7 @@ def _verify_gns(gns: GnsStructure) -> None:
                     or not gap <= OPERATOR_TOL * max(1.0, float(np.abs(X).max()))):
                 raise FreedimError(f"left multiplication by generator {j} does not "
                                    "match the matrix-unit frame")
-
-    hats = gns.basis_left_mults() @ gns.trace_vector
-    if np.abs(hats - np.eye(D)).max() > OPERATOR_TOL:
-        raise FreedimError("trace vector is not cyclic for the basis")
+        hats = np.array([_frame(b, U) @ gns.trace_vector[S:T]
+                         for b in basis[S:T, s:t, s:t]])
+        if np.abs(hats - np.eye(T - S)).max() > OPERATOR_TOL:
+            raise FreedimError("trace vector is not cyclic for the basis")

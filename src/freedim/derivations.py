@@ -39,80 +39,52 @@ def fdq_targets(gns: GnsStructure, slot: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-@dataclass
-class WordTree:
-    """The words in the generators that pin down a derivation on them.
+def _word_system(gns: GnsStructure, targets: Sequence[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words in the generators that pin down the derivation with values
+    `targets`, in one breadth-first walk from the empty word: their vectors
+    L_w 1, their free derivatives d(w) and whether each word was expanded.
 
-    Words are enumerated breadth-first from the empty word; a word is
-    expanded further only if its vector grew the span, and one full round
-    past stabilization is evaluated so that every relation among the
-    retained words is present in the system.  An expanded word's children
-    append each generator in turn, and the children of the k-th expanded
-    word (the empty word is the 0-th) are the words 1 + k n .. (k + 1) n.
+    Each child w X_j of an expanded word gets L_w L_j, its vector and
+    d(w X_j) = d(w) L_j + L_w T_j together.  A word is expanded only if its
+    vector grew the span, that is left the span of the earlier growing words
+    by more than 1e-9 max(1, |v|); the span is kept as an orthonormal basis
+    that gains one row per growing word (Gram-Schmidt with one
+    re-orthogonalization) and stops growing when full, so at most D words
+    are expanded, the empty word first, and all n children of each are
+    evaluated: one full round past stabilization, so that every relation
+    among the retained words is in the system.  Only the expanded words
+    awaiting their children keep L_w.
     """
-
-    vecs: np.ndarray      # (K, D) vectors L_w 1, the empty word first
-    expanded: np.ndarray  # (K,) bool, whether each word was expanded
-
-
-def enumerate_words(gns: GnsStructure) -> WordTree:
-    """The word tree of gns's generators.
-
-    A word grows the span when its vector leaves the span of the earlier
-    growing words by more than 1e-9 max(1, |v|); the span is kept as an
-    orthonormal basis that gains one row per growing word (Gram-Schmidt
-    with one re-orthogonalization).
-    """
+    Ls = gns.generator_left_mult
     D = gns.dim
     t = gns.trace_vector.astype(complex)
-    vecs, expanded = [t], [True]
-    frontier = [np.eye(D, dtype=complex)]
+    size = 1 + len(Ls) * D
+    vecs = np.empty((size, D), dtype=complex)
+    vals = np.empty((size, D, D), dtype=complex)
+    expanded = np.ones(size, dtype=bool)
+    vecs[0], vals[0] = t, 0.0
     basis = np.empty((D, D), dtype=complex)  # rows [:r] orthonormal
     basis[0] = t / np.linalg.norm(t)
-    r = 1
-    for _ in range(D + 1):
-        new_frontier = []
-        for L_w in frontier:
-            for L_j in gns.generator_left_mult:
-                L_new = L_w @ L_j
-                v = L_new @ t
-                resid = v - basis[:r].T @ (basis[:r].conj() @ v)
-                grows = bool(np.linalg.norm(resid) > 1e-9 * max(1.0, np.linalg.norm(v)))
-                if grows:
-                    if r < D:  # the span is full at r = D
-                        resid -= basis[:r].T @ (basis[:r].conj() @ resid)
-                        basis[r] = resid / np.linalg.norm(resid)
-                        r += 1
-                    new_frontier.append(L_new)
-                vecs.append(v)
-                expanded.append(grows)
-        if not new_frontier:
-            break
-        frontier = new_frontier
-    return WordTree(np.array(vecs), np.array(expanded))
-
-
-def _word_values(gns: GnsStructure, tree: WordTree,
-                 targets: Sequence[np.ndarray]) -> np.ndarray:
-    """(K, D, D) free derivatives of the words of the tree, in order.
-
-    Replays the tree with d(w X_j) = d(w) L_j + L_w T_j; only the left
-    multiplications of expanded words awaiting their children are kept.
-    """
-    K, D = tree.vecs.shape
-    vals = np.empty((K, D, D), dtype=complex)
-    vals[0] = 0.0
+    r, k = 1, 1
     parents = deque([(np.eye(D, dtype=complex), 0)])
-    k = 1
-    while k < K:
+    while parents:
         L_w, w = parents.popleft()
-        for L_j, T_j in zip(gns.generator_left_mult, targets):
+        for L_j, T_j in zip(Ls, targets):
+            L_new = L_w @ L_j
+            v = vecs[k] = L_new @ t
             vals[k] = vals[w] @ L_j
             vals[k] += L_w @ T_j
-            if tree.expanded[k]:
-                parents.append((L_w @ L_j, k))
+            resid = v - basis[:r].T @ (basis[:r].conj() @ v)
+            expanded[k] = r < D and (np.linalg.norm(resid)
+                                     > 1e-9 * max(1.0, np.linalg.norm(v)))
+            if expanded[k]:
+                resid -= basis[:r].T @ (basis[:r].conj() @ resid)
+                basis[r] = resid / np.linalg.norm(resid)
+                r += 1
+                parents.append((L_new, k))
             k += 1
-    return vals
+    return vecs[:k], vals[:k], expanded[:k]
 
 
 @dataclass
@@ -133,7 +105,7 @@ class DerivationFit:
 def derivation_well_defined(gns: GnsStructure, targets: Sequence[np.ndarray]
                             ) -> DerivationFit:
     """Decide whether the derivation with values `targets` on the generators
-    of gns descends to the algebra.
+    of gns descends to the algebra, by a least-squares fit over its words.
 
     Inconsistency is a result, not an error.
     """
@@ -141,14 +113,7 @@ def derivation_well_defined(gns: GnsStructure, targets: Sequence[np.ndarray]
     if len(targets) != n:
         raise IllDefined(f"{len(targets)} target operators for {n} generators")
     targets = tuple(np.asarray(t, dtype=complex) for t in targets)
-    return _fit(gns, enumerate_words(gns), targets)
-
-
-def _fit(gns: GnsStructure, tree: WordTree,
-         targets: tuple[np.ndarray, ...]) -> DerivationFit:
-    """The least-squares fit of the derivation over the words of the tree."""
-    vecs = tree.vecs
-    vals = _word_values(gns, tree, targets)
+    vecs, vals, _ = _word_system(gns, targets)
     K, D = vecs.shape
 
     Wm = vals.reshape(K, D * D).T   # (D^2, K)
@@ -192,10 +157,9 @@ def fisher_report(gns: GnsStructure) -> FisherReport:
     Infinite whenever some slot's derivation fails to descend (the defect
     records how decisively) or lacks a conjugate vector.
     """
-    tree = enumerate_words(gns)
     slots = []
     for j in range(len(gns.generator_left_mult)):
-        fit = _fit(gns, tree, fdq_targets(gns, j))
+        fit = derivation_well_defined(gns, fdq_targets(gns, j))
         xi_norm_sq = (float(np.linalg.norm(_xi(gns, fit.map)) ** 2)
                       if fit.well_defined else None)
         slots.append(FisherSlot(j, fit.well_defined, fit.defect, xi_norm_sq))

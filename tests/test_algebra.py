@@ -377,8 +377,8 @@ def test_small_weight_block_gaps_within_bound():
 
 
 def test_gns_structure_memory_bounded_at_d64():
-    # the whole GNS structure at D = 64: the cyclicity check builds L, 4 MB,
-    # and building it one basis element at a time adds little
+    # the whole GNS structure at D = 64: the cyclicity check takes one
+    # basis element's frame at a time, so the 4 MB stack L is never built
     alg = random_block_algebra((8,), 0)
     tracemalloc.start()
     try:
@@ -386,7 +386,17 @@ def test_gns_structure_memory_bounded_at_d64():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 2, 3)])
+def test_gns_structure_never_builds_basis_left_mults(monkeypatch, shape):
+    def refuse(self):
+        raise AssertionError("gns_structure built the basis left multiplications")
+
+    monkeypatch.setattr(algebra_module.GnsStructure, "basis_left_mults", refuse)
+    gns = fd.gns_structure(random_block_algebra(shape, seed=0))
+    assert gns.dim == sum(n * n for n in shape)
 
 
 def test_gns_structure_retains_no_d_cubed_array():
@@ -434,3 +444,16 @@ def test_gns_check_scales_to_d100():
     alg = random_block_algebra((6, 8), seed=1)
     gns = fd.gns_structure(alg)
     assert gns.dim == 100
+
+
+@pytest.mark.parametrize("name", ["S4", "random4x5"])
+def test_block_frames_equal_element_frames(name):
+    # one `_frame` call on a block's whole stack gives each element's frame
+    # bit for bit
+    gns = fd.gns_structure(_worked_algebra(name))
+    L = gns.basis_left_mults()
+    for (s, t), (S, T), n in algebra_module._block_ranges(gns.algebra.block_sizes):
+        U = algebra_module._unit_map(n)
+        for p in range(S, T):
+            frame = algebra_module._frame(gns.basis[p, s:t, s:t], U)
+            assert np.array_equal(L[p, S:T, S:T], frame)

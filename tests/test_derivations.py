@@ -8,7 +8,7 @@ import freedim.derivations as derivations_module
 from conftest import (conjugate_variable, make_c1m2, make_c2, make_m2, random_block_algebra,
                       random_hermitian)
 from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config
-from freedim.derivations import _word_values, enumerate_words
+from freedim.derivations import _word_system
 from test_cocycles import CONFIG_DIR, WORKED, _worked_algebra
 
 
@@ -103,13 +103,13 @@ def _case_id(case):
 def test_word_tree_matches_svd_oracle(case):
     gns = fd.gns_structure(_word_tree_algebra(case))
     vecs, expanded = svd_word_tree(gns)
-    tree = enumerate_words(gns)
-    assert np.array_equal(tree.expanded, expanded)
-    assert np.array_equal(tree.vecs, vecs)
+    walked, _, walked_expanded = _word_system(gns, fd.fdq_targets(gns, 0))
+    assert np.array_equal(walked_expanded, expanded)
+    assert np.array_equal(walked, vecs)
 
 
 # ---------------------------------------------------------------------------
-# the word tree, replayed per derivation
+# the word walk, one per derivation
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", WORKED + ["random4x5", "random7"])
@@ -118,28 +118,12 @@ def test_word_tree_replay_matches_oracle(name):
     Ls = gns.generator_left_mult
     rng = np.random.default_rng(1)
     B = rng.standard_normal((gns.dim,) * 2) + 1j * rng.standard_normal((gns.dim,) * 2)
-    tree = enumerate_words(gns)
     for targets in [fd.inner_spec(gns, B)] + [fd.fdq_targets(gns, j)
                                               for j in range(len(Ls))]:
         vecs, vals = word_system_oracle(gns, Ls, targets)
-        assert np.array_equal(tree.vecs, vecs)
-        assert np.array_equal(_word_values(gns, tree, targets), vals)
-
-
-def test_fisher_enumerates_words_once(monkeypatch):
-    calls = []
-    original = derivations_module.enumerate_words
-
-    def counted(gns):
-        calls.append(gns)
-        return original(gns)
-
-    monkeypatch.setattr(derivations_module, "enumerate_words", counted)
-    gns = fd.gns_structure(random_block_algebra((2, 3), seed=0))
-    assert len(gns.generator_left_mult) == 2
-    report = fd.fisher_report(gns)
-    assert len(report.slots) == 2
-    assert len(calls) == 1 and calls[0] is gns
+        walked, walked_vals, _ = _word_system(gns, targets)
+        assert np.array_equal(walked, vecs)
+        assert np.array_equal(walked_vals, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 A top-level function or class of a `src/freedim` module, or a method of such a
 class, must be used (referenced by name or attribute in the package outside
-its own definition), named in README.md as `name` or `fd.name`, or wrapped by
-the benchmark's tracer.  A definition that only the tests reach belongs in
-the tests.  The tracer is read, never changed, here.
+its own definition), documented in README.md, or wrapped by the benchmark's
+tracer.  README documents a top-level definition as `name` or `fd.name` only
+if `freedim/__init__.py` exports it, and a method only as `Class.method`, so
+a backticked word used in another sense keeps nothing alive.  A definition
+that only the tests reach belongs in the tests.  The tracer is read, never
+changed, here.
 """
 
 import ast
@@ -25,13 +28,24 @@ def _traced() -> set[tuple[str, str]]:
 
 
 def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level definition and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (item for item in node.body
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
                         if isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def _documented(trees) -> set[str]:
+    """README's backticked names that document an API: a top-level name
+    only if the package exports it, a method only as `Class.method`."""
+    words = {re.sub(r"^fd\.", "", w)
+             for w in re.findall(r"`([\w.]+)", (ROOT / "README.md").read_text())}
+    exported = {alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return {w for w in words if "." in w or w in exported}
 
 
 def test_every_definition_is_used_named_or_traced():
@@ -41,16 +55,16 @@ def test_every_definition_is_used_named_or_traced():
         for module, tree in trees.items() for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
-    named = set(re.findall(r"`(?:fd\.)?(\w+)", (ROOT / "README.md").read_text()))
+    named = _documented(trees)
     traced = _traced()
 
     unreached = []
     for module, tree in trees.items():
         if module == "__init__":
             continue
-        for d in _definitions(tree):
+        for qualname, d in _definitions(tree):
             used = any(name == d.name and not (m == module and d.lineno <= line <= d.end_lineno)
                        for m, name, line in references)
-            if not (used or d.name in named or (module, d.name) in traced):
-                unreached.append(f"{module}.{d.name}")
+            if not (used or qualname in named or (module, d.name) in traced):
+                unreached.append(f"{module}.{qualname}")
     assert unreached == []
