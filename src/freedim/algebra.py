@@ -47,6 +47,18 @@ def span_with_spectrum(A: np.ndarray):
     return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
 
 
+def _rowspace_residual(rows: np.ndarray, basis_flat: np.ndarray) -> float:
+    """Largest distance from a row to the span of the orthonormal basis rows."""
+    if rows.shape[0] == 0:
+        return 0.0
+    if basis_flat.shape[0] == 0:
+        norms = np.linalg.norm(rows, axis=1)
+        return float(norms.max()) if norms.size else 0.0
+    coeff = rows @ basis_flat.conj().T
+    resid = rows - coeff @ basis_flat
+    return float(np.linalg.norm(resid, axis=1).max())
+
+
 def unit_scaled(generators: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Each nonzero generator divided (exactly) by the power of two nearest its
     largest entry: the algebra generated does not depend on the scale, but the
@@ -210,7 +222,7 @@ def build_algebra(
             raise ShapeMismatch(
                 f"generator {k} has entries of size {off.max():.3e} outside the blocks"
             )
-        if np.abs(g - g.conj().T).max() > SCALAR_TOL:
+        if np.abs(g - g.conj().T).max() > SCALAR_TOL * max(1.0, float(np.abs(g).max())):
             raise NotSelfAdjoint(f"generator {k} is not self-adjoint")
 
     if labels is None:

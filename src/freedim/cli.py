@@ -425,10 +425,10 @@ def _delta_results(rep) -> dict:
         "closed_form_beta0": rep.closed_form_beta0,
         "dim_H0": rep.dim_H0,
         "dim_H1": rep.dim_H1,
-        "dim_H2": rep.dim_H2,
+        "dim_H2": rep.Delta,
         "pinned": {
-            "delta_star": rep.delta_star,
-            "delta_blackstar": rep.delta_blackstar,
+            "delta_star": rep.Delta,
+            "delta_blackstar": rep.Delta,
             "status": "pinned, not computed: the dimension chain collapses "
                       "in finite dimensions",
         },

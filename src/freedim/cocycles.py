@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .vndim import (
     HsSubspace,
     central_decomposition,
     commutant_action,
-    hs_subspace,
     invariance_residual,
     subspace_distance,
     vn_dimension_report,
@@ -60,8 +58,8 @@ def _hermitian_family(units: np.ndarray) -> np.ndarray:
     return rows
 
 
-def commutator_bound(gns: GnsStructure, Ls: np.ndarray, s: np.ndarray, r: int,
-                     kappa: float, cells: int) -> float:
+def commutator_bound(gns: GnsStructure, s: np.ndarray, r: int, kappa: float,
+                     cells: int) -> float:
     """Bound on how far the commutant action moves the span of `cocycle_span`.
 
     `s` is the spectrum of the spanning family (a `cells` = max(rows, cols)
@@ -69,6 +67,7 @@ def commutator_bound(gns: GnsStructure, Ls: np.ndarray, s: np.ndarray, r: int,
     """
     if r == 0:
         return 0.0
+    Ls = gns.generator_left_mult
     R = commutant_action(gns)
     comm = Ls[None] @ R[:, None] - R[:, None] @ Ls[None]        # (p, j, D, D)
     comm_norm = np.sqrt((np.linalg.norm(comm, 2, axis=(-2, -1)) ** 2).sum(axis=1))
@@ -78,8 +77,10 @@ def commutator_bound(gns: GnsStructure, Ls: np.ndarray, s: np.ndarray, r: int,
     return float(kappa * (comm_norm.max() + (s_next + eps_fp) * R_norm.max()) / s[r - 1])
 
 
-def cocycle_span(gns: GnsStructure, Ls: np.ndarray, hermitian: bool = False) -> HsSubspace:
+def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
     """Span of the cocycle tuples Phi(Y) = ([Y, L_j])_j, with a commutator certificate.
+
+    L_j are the left multiplications by the generators of `gns`.
 
     The spanning family is Phi(Y_m) over the matrix units Y_m (or, with
     `hermitian`, over E_pp, E_pq + E_qp and i(E_pq - E_qp)): an orthogonal
@@ -112,9 +113,8 @@ def cocycle_span(gns: GnsStructure, Ls: np.ndarray, hermitian: bool = False) -> 
     instead, so such inputs are accepted exactly when the dense certificate
     accepts them.
     """
+    Ls = gns.generator_left_mult
     n, D = Ls.shape[0], gns.dim
-    if n == 0:
-        return hs_subspace(gns, np.zeros((0, 0, D, D)))
     family = _unit_commutators(Ls)
     kappa = 1.0
     if hermitian:
@@ -123,23 +123,23 @@ def cocycle_span(gns: GnsStructure, Ls: np.ndarray, hermitian: bool = False) -> 
     kept, s = span_with_spectrum(A)
     r = kept.shape[0]
     basis = kept.reshape(r, n, D, D)
-    residual = commutator_bound(gns, Ls, s, r, kappa, max(A.shape))
+    residual = commutator_bound(gns, s, r, kappa, max(A.shape))
     if residual > INVARIANCE_TOL:
         residual = invariance_residual(basis, gns)
     return HsSubspace(basis, residual)
 
 
-def compute_H0(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:
+def compute_H0(gns: GnsStructure) -> HsSubspace:
     """Image of the cocycle map over all bounded operators on L2.
 
     Spanned by the images of the D^2 matrix units; its invariance under the
     commutant bimodule action is certified by the commutator bound of
     `cocycle_span` (kappa = 1).
     """
-    return cocycle_span(gns, gns.left_mults(generators))
+    return cocycle_span(gns)
 
 
-def compute_H1(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspace:
+def compute_H1(gns: GnsStructure) -> HsSubspace:
     """Span of the cocycle images of self-adjoint operators.
 
     Built independently from a Hermitian basis of the operators on L2; in
@@ -148,27 +148,23 @@ def compute_H1(gns: GnsStructure, generators: Sequence[np.ndarray]) -> HsSubspac
     Invariance is certified by the commutator bound of `cocycle_span`
     (kappa = sqrt 2).
     """
-    return cocycle_span(gns, gns.left_mults(generators), hermitian=True)
+    return cocycle_span(gns, hermitian=True)
 
 
 @dataclass
 class DeltaReport:
     """Dimension report for a generating self-adjoint tuple.
 
-    delta_star / delta_blackstar are pinned, not computed: the chain
-    dim H0 <= delta* <= delta# <= Delta collapses because its endpoints
-    coincide in finite dimensions.
+    delta*, delta# and dim H2 are not computed: the chain dim H0 <= delta* <=
+    delta# <= Delta collapses because its endpoints coincide in finite
+    dimensions, and H2 is H0.  The CLI report states them, pinned to Delta.
     """
 
     dim_H0: float
     dim_H1: float
-    dim_H2: float
     Delta: float
     beta0: float
     closed_form_beta0: float
-    delta_star: float
-    delta_blackstar: float
-    pinned: bool
     fractions: dict[str, Fraction]
     multiplicities: np.ndarray
     block_sizes: tuple[int, ...]
@@ -184,25 +180,21 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     pipeline.  H0 (spanned over the matrix units) and H1 (over a Hermitian
     basis) are two independent spanning families of one space, so their
     exact dimensions must be equal; ChainViolation signals that they differ.
+    H2 is H0, the weak-limit space being the bounded-witness space here.
     """
-    eff = algebra.effective_algebra()
-    gns = gns_structure(eff)
+    gns = gns_structure(algebra)  # of the effective algebra
     dec = central_decomposition(gns, seed=seed)
-    Ls = gns.generator_left_mult  # the L_X of eff.generators
-
-    H0 = cocycle_span(gns, Ls)
-    H1 = cocycle_span(gns, Ls, hermitian=True)
-    H2 = H0  # the weak-limit space is the bounded-witness space here
+    H0 = compute_H0(gns)
+    H1 = compute_H1(gns)
     r0 = vn_dimension_report(H0, dec)
     r1 = vn_dimension_report(H1, dec)
-    r2 = r0
 
     if r0.fraction != r1.fraction:
         raise ChainViolation(
             f"dim H0 = {r0.fraction} differs from dim H1 = {r1.fraction}"
         )
 
-    delta_frac = r2.fraction
+    delta_frac = r0.fraction
     beta0_frac = 1 - delta_frac
     closed_frac = sum(
         (wf * wf / Fraction(n * n) for wf, n in zip(dec.weight_fractions, dec.sizes)),
@@ -212,36 +204,31 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     beta0 = float(beta0_frac)
 
     d01 = subspace_distance(H0, H1)
-    distances = {
+    distances = {  # H2 is H0
         "H0_H1": d01,
-        "H0_H2": subspace_distance(H0, H2),
-        "H1_H2": d01,  # H2 is H0
+        "H0_H2": subspace_distance(H0, H0),
+        "H1_H2": d01,
     }
     agreement = {
         "spaces_coincide": max(distances.values()) <= SUBSPACE_TOL,
         "closed_form_matches": abs(beta0 - closed) <= SUBSPACE_TOL,
-        "weak_equals_norm": abs(r0.value - r2.value) <= SUBSPACE_TOL,
+        "weak_equals_norm": True,  # H2 is H0
     }
 
     return DeltaReport(
         dim_H0=r0.value,
         dim_H1=r1.value,
-        dim_H2=r2.value,
-        Delta=r2.value,
+        Delta=r0.value,
         beta0=beta0,
         closed_form_beta0=closed,
-        delta_star=r2.value,
-        delta_blackstar=r2.value,
-        pinned=True,
         fractions={
             "dim_H0": r0.fraction,
             "dim_H1": r1.fraction,
-            "dim_H2": r2.fraction,
             "Delta": delta_frac,
             "beta0": beta0_frac,
             "closed_form_beta0": closed_frac,
         },
-        multiplicities=r2.multiplicities,
+        multiplicities=r0.multiplicities,
         block_sizes=dec.sizes,
         weights=dec.weights,
         distances=distances,

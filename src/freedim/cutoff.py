@@ -86,7 +86,7 @@ class CutoffFamily:
 
 def _check_self_adjoint(A: np.ndarray, name: str) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if np.abs(A - A.conj().T).max() > OPERATOR_TOL:
+    if np.abs(A - A.conj().T).max() > OPERATOR_TOL * max(1.0, float(np.abs(A).max())):
         raise NotSelfAdjoint(f"{name} is not self-adjoint")
     return A
 

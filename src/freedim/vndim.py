@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GnsStructure, _unflatten, block_offsets, numerical_span
+from .algebra import (GnsStructure, _rowspace_residual, _unflatten, block_offsets,
+                      numerical_span)
 from .errors import CenterResolutionError, IntegralityError, NotInvariant
 from .tolerances import INVARIANCE_TOL
 from .wedderburn import commutant_basis, minimal_central_projections
@@ -116,18 +117,6 @@ class HsSubspace:
 def commutant_action(gns: GnsStructure) -> np.ndarray:
     """The action generators: conjugated left multiplications, one per basis element."""
     return gns.basis_left_mults().transpose(0, 2, 1)
-
-
-def _rowspace_residual(rows: np.ndarray, basis_flat: np.ndarray) -> float:
-    """Largest distance from a row to the span of the orthonormal basis rows."""
-    if rows.shape[0] == 0:
-        return 0.0
-    if basis_flat.shape[0] == 0:
-        norms = np.linalg.norm(rows, axis=1)
-        return float(norms.max()) if norms.size else 0.0
-    coeff = rows @ basis_flat.conj().T
-    resid = rows - coeff @ basis_flat
-    return float(np.linalg.norm(resid, axis=1).max())
 
 
 def invariance_residual(basis: np.ndarray, gns: GnsStructure) -> float:
@@ -241,10 +230,8 @@ def vn_dimension_report(
     return VnDimensionReport(value=float(total), fraction=total, multiplicities=mult)
 
 
-def subspace_distance(a, b) -> float:
+def subspace_distance(a: HsSubspace, b: HsSubspace) -> float:
     """Symmetric gap between two subspaces given by orthonormal spanning rows."""
-    A = a.flat() if isinstance(a, HsSubspace) else np.asarray(a, dtype=complex)
-    B = b.flat() if isinstance(b, HsSubspace) else np.asarray(b, dtype=complex)
-    forward = _rowspace_residual(A, B)
+    forward = _rowspace_residual(a.flat(), b.flat())
     # the gap of a space to itself is one residual, not two
-    return forward if b is a else max(forward, _rowspace_residual(B, A))
+    return forward if b is a else max(forward, _rowspace_residual(b.flat(), a.flat()))

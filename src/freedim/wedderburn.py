@@ -9,6 +9,7 @@ validated TracialAlgebra in block-diagonal coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .algebra import (
     TracialAlgebra,
+    _rowspace_residual,
     block_offsets,
     build_algebra,
     numerical_span,
@@ -26,13 +28,6 @@ from .errors import CenterResolutionError, FreedimError
 from .tolerances import CENTER_RETRIES, INVARIANCE_TOL, RANK_TOL
 
 
-def _project_onto_rows(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v onto the row space of an orthonormal basis."""
-    if basis.shape[0] == 0:
-        return np.zeros_like(v)
-    return basis.T @ (basis.conj() @ v)
-
-
 def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {x : [x, m] = 0 for all m}, as (s, N, N).
 
@@ -40,7 +35,7 @@ def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarra
     flattened matrices (the identity of size N^2 searches all of M_N).
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    N = mats[0].shape[0]
+    N = math.isqrt(within.shape[1])
     r = within.shape[0]
 
     if r == 0:
@@ -117,7 +112,7 @@ def minimal_central_projections(
         for lo, hi in clusters:
             V = vec[:, lo:hi]
             P = V @ V.conj().T
-            resid = np.linalg.norm(P.ravel() - _project_onto_rows(flat_alg, P.ravel()))
+            resid = _rowspace_residual(P.reshape(1, -1), flat_alg)
             if resid > INVARIANCE_TOL:
                 ok = False
                 last_problem = f"spectral projection left the algebra (residual {resid:.2e})"
@@ -180,8 +175,7 @@ def blockify(
     alg_basis = flat.reshape(-1, N, N)
     alg_dim = alg_basis.shape[0]
 
-    ident = np.eye(N, dtype=complex).ravel()
-    if np.linalg.norm(ident - _project_onto_rows(flat, ident)) > INVARIANCE_TOL:
+    if _rowspace_residual(np.eye(N, dtype=complex).reshape(1, -1), flat) > INVARIANCE_TOL:
         raise FreedimError("the spanned algebra does not contain the identity")
 
     center = commutant_basis(commuting_set, within=flat)

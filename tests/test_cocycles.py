@@ -10,7 +10,7 @@ import freedim as fd
 from conftest import (SX, SY, SZ, cocycle_map, embed_c_m2, make_c1m2, make_c2, make_m2,
                       random_block_algebra, random_hermitian, svd_block_ranks)
 from freedim.algebra import span_with_spectrum
-from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config
+from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config, _delta_results
 from freedim.cocycles import _unit_commutators, cocycle_span, commutator_bound
 from freedim.tolerances import INVARIANCE_TOL
 from freedim.vndim import invariance_residual
@@ -57,7 +57,7 @@ def test_cocycle_map_off_diagonal_unit(c2):
 def test_h0_two_point(c2):
     gns = fd.gns_structure(c2)
     dec = fd.central_decomposition(gns)
-    H0 = fd.compute_H0(gns, c2.generators)
+    H0 = fd.compute_H0(gns)
     assert H0.complex_dim == 2
     assert fd.vn_dimension_report(H0, dec).value == 0.5
 
@@ -65,7 +65,7 @@ def test_h0_two_point(c2):
 def test_h0_m2_pair(m2):
     gns = fd.gns_structure(m2)
     dec = fd.central_decomposition(gns)
-    H0 = fd.compute_H0(gns, m2.generators)
+    H0 = fd.compute_H0(gns)
     assert H0.complex_dim == 12
     assert fd.vn_dimension_report(H0, dec).value == 0.75
 
@@ -73,7 +73,7 @@ def test_h0_m2_pair(m2):
 def test_h0_rank_nullity_exact():
     for alg in (make_c2(), make_m2(), make_c1m2()):
         gns = fd.gns_structure(alg)
-        H0 = fd.compute_H0(gns, alg.generators)
+        H0 = fd.compute_H0(gns)
         Ls = [gns.left_mult(X) for X in alg.generators]
         D = gns.dim
         assert H0.complex_dim == D * D - joint_commutator_nullity(Ls)
@@ -82,30 +82,31 @@ def test_h0_rank_nullity_exact():
 def test_h0_zero_padding_leaves_dimension(m2):
     gns = fd.gns_structure(m2)
     dec = fd.central_decomposition(gns)
-    base = fd.vn_dimension_report(fd.compute_H0(gns, m2.generators), dec).value
+    base = fd.vn_dimension_report(fd.compute_H0(gns), dec).value
     padded_gens = list(m2.generators) + [np.zeros((2, 2), dtype=complex)]
-    padded = fd.vn_dimension_report(fd.compute_H0(gns, padded_gens), dec).value
+    padded_gns = fd.gns_structure(fd.build_algebra([2], [1.0], padded_gens))
+    padded = fd.vn_dimension_report(fd.compute_H0(padded_gns), dec).value
     assert abs(base - padded) <= 1e-12
 
 
 def test_h1_equals_h0(c2, m2):
     for alg in (c2, m2):
         gns = fd.gns_structure(alg)
-        H0 = fd.compute_H0(gns, alg.generators)
-        H1 = fd.compute_H1(gns, alg.generators)
+        H0 = fd.compute_H0(gns)
+        H1 = fd.compute_H1(gns)
         assert fd.subspace_distance(H0, H1) <= 1e-10
 
 
-def test_h1_empty_generator_tuple(c2):
-    gns = fd.gns_structure(c2)
-    H1 = fd.compute_H1(gns, [])
+def test_h1_empty_generator_tuple():
+    gns = fd.gns_structure(fd.build_algebra([1], [1.0], []))
+    H1 = fd.compute_H1(gns)
     assert H1.complex_dim == 0
 
 
 def test_h_spaces_invariance_certificates(c1m2):
     gns = fd.gns_structure(c1m2)
     for builder in (fd.compute_H0, fd.compute_H1):
-        K = builder(gns, c1m2.generators)
+        K = builder(gns)
         assert K.invariance_residual <= 1e-8
 
 
@@ -138,7 +139,7 @@ def test_commutator_bound_dominates_dense_residual(name):
     gns = fd.gns_structure(alg)
     assert gns.dim <= 12
     for builder in (fd.compute_H0, fd.compute_H1):
-        K = builder(gns, alg.generators)
+        K = builder(gns)
         dense = invariance_residual(K.basis, gns)
         assert K.complex_dim > 0
         assert K.invariance_residual <= INVARIANCE_TOL
@@ -154,7 +155,7 @@ def test_block_multiplicities_match_svd_rank_oracle(name):
     dec = fd.central_decomposition(gns)
     sizes = np.array(dec.sizes)
     for hermitian in (False, True):  # H0, H1
-        K = cocycle_span(gns, gns.generator_left_mult, hermitian=hermitian)
+        K = cocycle_span(gns, hermitian=hermitian)
         rep = fd.vn_dimension_report(K, dec)
         np.testing.assert_array_equal(
             rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, dec)
@@ -184,7 +185,7 @@ def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
     gns = fd.gns_structure(alg)
     dec = fd.central_decomposition(gns)
     for builder in (fd.compute_H0, fd.compute_H1):
-        K = builder(gns, alg.generators)
+        K = builder(gns)
         dense = invariance_residual(K.basis, gns)
         assert K.invariance_residual <= INVARIANCE_TOL
         if expect_bound:
@@ -200,11 +201,12 @@ def test_commutator_bound_rejects_non_commuting_operator(m2):
     gns = fd.gns_structure(m2)
     dec = fd.central_decomposition(gns)
     Ls = random_hermitian(np.random.default_rng(3), gns.dim)[None]
+    faulty = dataclasses.replace(gns, generator_left_mult=Ls)
     A = _unit_commutators(Ls).reshape(gns.dim ** 2, -1)
     kept, s = span_with_spectrum(A)
-    assert commutator_bound(gns, Ls, s, kept.shape[0], 1.0, max(A.shape)) > INVARIANCE_TOL
+    assert commutator_bound(faulty, s, kept.shape[0], 1.0, max(A.shape)) > INVARIANCE_TOL
     for hermitian in (False, True):
-        K = cocycle_span(gns, Ls, hermitian=hermitian)
+        K = cocycle_span(faulty, hermitian=hermitian)
         assert K.invariance_residual > INVARIANCE_TOL
         with pytest.raises(fd.NotInvariant):
             fd.vn_dimension_report(K, dec)
@@ -240,9 +242,10 @@ def test_delta_report_direct_sum(c1m2):
 
 def test_delta_chain_and_pinning(c1m2):
     rep = fd.delta_report(c1m2)
-    assert rep.pinned
-    assert rep.delta_star == rep.Delta == rep.delta_blackstar
-    assert rep.dim_H0 <= rep.dim_H2 + 1e-9
+    results = _delta_results(rep)
+    pinned = results["pinned"]
+    assert pinned["delta_star"] == rep.Delta == pinned["delta_blackstar"]
+    assert rep.dim_H0 <= results["dim_H2"] + 1e-9
     assert rep.agreement["spaces_coincide"]
     assert rep.agreement["closed_form_matches"]
     assert rep.agreement["weak_equals_norm"]
@@ -328,3 +331,28 @@ def test_delta_report_extreme_weights():
     expected = 1.0 - (0.999**2 + 0.001**2 / 4.0)
     assert abs(rep.Delta - expected) <= 1e-9
     assert rep.agreement["closed_form_matches"]
+
+
+def test_delta_report_builds_each_space_once(c1m2, monkeypatch):
+    # compute_H0 and compute_H1 are the one path to the cocycle spaces
+    calls = []
+    for name in ("compute_H0", "compute_H1"):
+        builder = getattr(fd, name)
+
+        def counted(gns, _name=name, _builder=builder):
+            calls.append(_name)
+            return _builder(gns)
+
+        monkeypatch.setattr(f"freedim.cocycles.{name}", counted)
+    fd.delta_report(c1m2)
+    assert sorted(calls) == ["compute_H0", "compute_H1"]
+
+
+@pytest.mark.parametrize("sizes", [[1], [2], [1, 2]])
+def test_delta_report_empty_generator_tuple(sizes):
+    # no generators: the algebra generated is C 1, whose cocycle spaces are zero
+    alg = fd.build_algebra(sizes, [1 / len(sizes)] * len(sizes), [],
+                           subalgebra_mode=sizes != [1])
+    rep = fd.delta_report(alg)
+    assert rep.fractions["Delta"] == 0 and rep.fractions["beta0"] == 1
+    assert rep.block_sizes == (1,)

@@ -29,17 +29,22 @@ DELTA_CONFIGS = ["delta_direct_sum", "delta_full_2x2", "delta_two_point"]
 invariance = settings(derandomize=True, max_examples=15, deadline=None, database=None)
 
 
-def _certified(cfg, seed=0):
-    """(exit code, certified fields) of `cfg`'s scenario at `seed`."""
+def _report(cfg, seed=0):
+    """(exit code, results or None) of `cfg`'s scenario at `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "config.json"), Path(tmp, "report.json")
         path.write_text(json.dumps(cfg))
         with contextlib.redirect_stderr(io.StringIO()):
             code = main([cfg["scenario"], "--config", str(path), "--seed", str(seed),
                          "--output", str(out)])
-        if code != 0:
-            return code, None
-        results = json.loads(out.read_text())["results"]
+        return code, json.loads(out.read_text())["results"] if code == 0 else None
+
+
+def _certified(cfg, seed=0):
+    """(exit code, certified fields) of `cfg`'s scenario at `seed`."""
+    code, results = _report(cfg, seed)
+    if code != 0:
+        return code, None
     return code, {
         "Delta_fraction": results["Delta_fraction"],
         "beta0_fraction": results["beta0_fraction"],
@@ -68,14 +73,32 @@ def _generators(cfg):
             for g in cfg["algebra"]["generators"]]
 
 
+def _pairs(mat):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
+
+
 def _with_generators(cfg, mats):
     """`cfg` with generators `mats` and no labels."""
     cfg = json.loads(json.dumps(cfg))
     cfg["algebra"].pop("labels", None)
-    cfg["algebra"]["generators"] = [
-        [[[float(x.real), float(x.imag)] for x in row] for row in g] for g in mats
-    ]
+    cfg["algebra"]["generators"] = [_pairs(g) for g in mats]
     return cfg
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _block_unitary(shape, seed):
+    """A random unitary inside the blocks of `shape`."""
+    rng = np.random.default_rng(seed)
+    U = np.zeros((sum(shape),) * 2, dtype=complex)
+    start = 0
+    for n in shape:
+        U[start:start + n, start:start + n] = _unitary(rng, n)
+        start += n
+    return U
 
 
 def _block_algebra(shape, weights, seed):
@@ -156,24 +179,34 @@ def test_block_reorder(case, seed, data):
 
 @invariance
 @given(case=st.sampled_from([((1, 2, 2), (0.2, 0.3, 0.5)), ((2, 3), (0.35, 0.65))]),
-       seed=st.integers(0, 2), unitary_seed=st.integers(0, 2**31 - 1))
-def test_block_unitary(case, seed, unitary_seed):
+       seed=st.integers(0, 2), unitary_seed=st.integers(0, 2**31 - 1),
+       k=st.integers(0, 8))
+def test_block_unitary(case, seed, unitary_seed, k):
     # generic generators generate the whole direct sum, so one fraction per
-    # shape and weights, whichever instance and unitary
+    # shape and weights, whichever instance, unitary and scale 10^k; the
+    # conjugation leaves an asymmetry of rounding size relative to the
+    # entries (4e-12 at 1e4), which the input check must accept
     shape, weights = case
     cfg = _block_algebra(shape, weights, seed)
-    rng = np.random.default_rng(unitary_seed)
-    U = np.zeros((sum(shape),) * 2, dtype=complex)
-    start = 0
-    for n in shape:
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        U[start:start + n, start:start + n] = q
-        start += n
-    mats = [U @ g @ U.conj().T for g in _generators(cfg)]
-    # the input check refuses asymmetry above an absolute 1e-12, so drop
-    # the rounding-level asymmetry that conjugation leaves
-    mats = [(g + g.conj().T) / 2 for g in mats]
+    U = _block_unitary(shape, unitary_seed)
+    mats = [10.0**k * (U @ g @ U.conj().T) for g in _generators(cfg)]
     _assert_same(_certified(_with_generators(cfg, mats)), _block_fields(shape, weights, 0))
+
+
+@invariance
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(0, 6))
+def test_cutoff_operator_scale(seed, k):
+    # A = c Q diag(lam) Q* swept at radii c R: every verdict of the clamp
+    # sweep is the same for all c, though A's asymmetry grows with c
+    rng = np.random.default_rng(seed)
+    c, Q = 10.0**k, _unitary(rng, 6)
+    A = c * (Q * np.linspace(-1.0, 0.9, 6)) @ Q.conj().T
+    X = rng.standard_normal((6, 6))
+    cfg = {"scenario": "cutoff", "parameters": {
+        "A": _pairs(A), "X": [_pairs(X + X.T)], "r_grid": [c / 4, c / 2, c]}}
+    code, results = _report(cfg)
+    assert code == 0
+    assert results["zero_beyond_radius"] and all(results["conditions"].values())
 
 
 def _s3_table_relabelled(perm):

@@ -2,15 +2,20 @@
 
 `perfbench/tracer.py` wraps each function named in its FUNCTIONS table at
 every module that binds it; a name deleted from the package breaks traced
-benchmark runs.  The tracer is read, never changed, here.
+benchmark runs, and a name that no shipped scenario calls has no time to
+show.  The tracer is read, never changed, here.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -49,3 +54,21 @@ def test_tracer_install_uninstall_restores_bindings():
     finally:
         t.uninstall()
     assert _bindings() == before
+
+
+def test_shipped_configs_call_every_traced_name(tmp_path):
+    from freedim import cli
+
+    tracer = _load_tracer().Tracer().install()
+    try:
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            scenario = json.loads(path.read_text())["scenario"]
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([scenario, "--config", str(path), "--seed", "0",
+                                 "--output", str(tmp_path / "report.json")])
+            assert code == 0, path.name
+    finally:
+        tracer.uninstall()
+    uncalled = {name for name, row in tracer.summary().items() if row["calls"] == 0}
+    # the dense certificates, which no shipped scenario needs
+    assert uncalled <= {"vndim.hs_subspace", "vndim.invariance_residual"}
