@@ -87,19 +87,26 @@ def _diag_weights(block_sizes, trace_weights) -> np.ndarray:
     return w
 
 
+def _block_entries(block_sizes: Sequence[int]) -> np.ndarray:
+    """(2, D) rows and columns of the block entries, in coordinate order."""
+    return np.concatenate([s + np.indices((n, n)).reshape(2, -1)
+                           for (s, _), n in zip(block_offsets(block_sizes), block_sizes)],
+                          axis=1)
+
+
 def _flatten(x: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Concatenate the block entries of x into a vector of length D."""
-    return np.concatenate([x[s:t, s:t].ravel() for s, t in block_offsets(block_sizes)])
+    """Concatenate the block entries of x (or of each matrix of a stack) into
+    a vector of length D."""
+    rows, cols = _block_entries(block_sizes)
+    return x[..., rows, cols]
 
 
 def _unflatten(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Block-diagonal matrix whose block entries are the vector v."""
+    """Block-diagonal matrix (or stack of them) whose block entries are v."""
     N = sum(block_sizes)
-    out = np.zeros((N, N), dtype=complex)
-    pos = 0
-    for (start, stop), n in zip(block_offsets(block_sizes), block_sizes):
-        out[start:stop, start:stop] = v[pos : pos + n * n].reshape(n, n)
-        pos += n * n
+    out = np.zeros((*v.shape[:-1], N, N), dtype=complex)
+    rows, cols = _block_entries(block_sizes)
+    out[..., rows, cols] = v
     return out
 
 
@@ -163,14 +170,14 @@ def word_span(
     """
     sizes = tuple(block_sizes)
     ambient = sum(n * n for n in sizes)
-    seed = [_flatten(np.eye(sum(sizes), dtype=complex), sizes)]
-    seed += [_flatten(g, sizes) for g in generators]
-    basis = numerical_span(np.array(seed))
+    basis = numerical_span(_flatten(np.array([np.eye(sum(sizes)), *generators],
+                                             dtype=complex), sizes))
     for _ in range(ambient):
         if not generators:
             break
-        mats = [_unflatten(row, sizes) for row in basis]
-        new_rows = np.array([_flatten(m @ g, sizes) for m in mats for g in generators])
+        # rows basis-major, then generator-major
+        products = _unflatten(basis, sizes)[:, None] @ np.array(generators)
+        new_rows = _flatten(products, sizes).reshape(-1, ambient)
         grown = numerical_span(np.vstack([basis, new_rows]))
         if grown.shape[0] == basis.shape[0]:
             return grown
@@ -294,28 +301,19 @@ def _orthonormal_selfadjoint_basis(algebra: TracialAlgebra) -> np.ndarray:
     and, for k < l, sqrt(n/(2 alpha)) (e_kl + e_lk) and
     sqrt(n/(2 alpha)) i (e_kl - e_lk).
     """
-    N = algebra.matrix_size
-    mats = []
-    for (start, _), n, alpha in zip(
-        block_offsets(algebra.block_sizes), algebra.block_sizes, algebra.trace_weights
-    ):
-        diag_scale = np.sqrt(n / alpha)
+    out = np.zeros((algebra.dim, algebra.matrix_size, algebra.matrix_size),
+                   dtype=complex)
+    for ((s, _), (S, _), n), alpha in zip(_block_ranges(algebra.block_sizes),
+                                          algebra.trace_weights):
+        d = s + np.arange(n)
+        out[S + np.arange(n), d, d] = np.sqrt(n / alpha)
         pair_scale = np.sqrt(n / (2.0 * alpha))
-        for k in range(n):
-            b = np.zeros((N, N), dtype=complex)
-            b[start + k, start + k] = diag_scale
-            mats.append(b)
-        for k in range(n):
-            for l in range(k + 1, n):
-                b = np.zeros((N, N), dtype=complex)
-                b[start + k, start + l] = pair_scale
-                b[start + l, start + k] = pair_scale
-                mats.append(b)
-                c = np.zeros((N, N), dtype=complex)
-                c[start + k, start + l] = 1j * pair_scale
-                c[start + l, start + k] = -1j * pair_scale
-                mats.append(c)
-    return np.array(mats)
+        k, l = s + np.array(np.triu_indices(n, 1))
+        p = S + n + 2 * np.arange(k.size)        # e_kl + e_lk, then i(e_kl - e_lk)
+        out[p, k, l] = out[p, l, k] = pair_scale
+        out[p + 1, k, l] = 1j * pair_scale
+        out[p + 1, l, k] = -1j * pair_scale
+    return out
 
 
 def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
@@ -413,7 +411,9 @@ def _frame(x: np.ndarray, U: np.ndarray) -> np.ndarray:
     their frames.
     """
     n = x.shape[-1]
-    return np.conj(U) @ np.kron(x, np.eye(n)) @ U.T
+    # x (x) 1 as the one broadcast product that np.kron forms
+    kron = x[..., :, None, :, None] * np.eye(n)[:, None, :]
+    return np.conj(U) @ kron.reshape(*x.shape[:-2], n * n, n * n) @ U.T
 
 
 def _verify_gns(gns: GnsStructure) -> None:

@@ -35,10 +35,9 @@ def _unit_commutators(Ls: np.ndarray) -> np.ndarray:
     """Cocycle tuples of all matrix units E_pq, as (D*D, n, D, D)."""
     n, D, _ = Ls.shape
     rows = np.zeros((D, D, n, D, D), dtype=complex)
-    for p in range(D):
-        for q in range(D):
-            rows[p, q, :, p, :] += Ls[:, q, :]
-            rows[p, q, :, :, q] -= Ls[:, :, p]
+    p, q = np.ogrid[:D, :D]
+    rows[p, q, :, p, :] += Ls.transpose(1, 0, 2)[None]     # E_pq L_j: row p is L_j[q]
+    rows[p, q, :, :, q] -= Ls.transpose(2, 0, 1)[:, None]  # L_j E_pq: column q is L_j[:, p]
     return rows.reshape(D * D, n, D, D)
 
 
@@ -47,14 +46,11 @@ def _hermitian_family(units: np.ndarray) -> np.ndarray:
     D = units.shape[-1]
     units = units.reshape(D, D, *units.shape[1:])
     rows = np.empty((D * D, *units.shape[2:]), dtype=complex)
-    k = 0
     for p in range(D):
+        k = p * (2 * D - p)  # rows of the earlier p: 1 + 2 (D - 1 - p') each
         rows[k] = units[p, p]
-        k += 1
-        for q in range(p + 1, D):
-            np.add(units[p, q], units[q, p], out=rows[k])
-            rows[k + 1] = 1j * (units[p, q] - units[q, p])
-            k += 2
+        np.add(units[p, p + 1:], units[p + 1:, p], out=rows[k + 1:k + 2 * (D - p) - 1:2])
+        rows[k + 2:k + 2 * (D - p):2] = 1j * (units[p, p + 1:] - units[p + 1:, p])
     return rows
 
 

@@ -103,24 +103,18 @@ def cyclic_group(n: int) -> FiniteGroupTable:
 
 def symmetric_group(n: int) -> FiniteGroupTable:
     perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    o = len(perms)
-    M = np.zeros((o, o), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            M[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    P = np.array(perms, dtype=int).reshape(len(perms), n)
+    # (pq)[k] = p[q[k]], ranked by its base-n code (monotone in lexicographic order)
+    code = n ** np.arange(n - 1, -1, -1)
+    M = np.searchsorted(P @ code, P[:, P] @ code)
     return from_mult_table(M, names=["".join(map(str, p)) for p in perms])
 
 
 def direct_product(g: FiniteGroupTable, h: FiniteGroupTable) -> FiniteGroupTable:
-    pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
-    index = {p: i for i, p in enumerate(pairs)}
-    o = len(pairs)
-    M = np.zeros((o, o), dtype=int)
-    for i, (a1, b1) in enumerate(pairs):
-        for j, (a2, b2) in enumerate(pairs):
-            M[i, j] = index[(g.mul(a1, a2), h.mul(b1, b2))]
-    names = [f"({g.names[a]},{h.names[b]})" for a, b in pairs]
+    # element (a, b) has index a * |h| + b
+    a, b = np.divmod(np.arange(g.order * h.order), h.order)
+    M = g.mult[a[:, None], a] * h.order + h.mult[b[:, None], b]
+    names = [f"({g.names[x]},{h.names[y]})" for x, y in zip(a, b)]
     return from_mult_table(M, names=names)
 
 
@@ -199,9 +193,8 @@ def left_regular_matrices(table: FiniteGroupTable) -> np.ndarray:
     """Permutation matrices of left translation on l2(G)."""
     o = table.order
     mats = np.zeros((o, o, o), dtype=complex)
-    for g in range(o):
-        for h in range(o):
-            mats[g, table.mul(g, h), h] = 1.0
+    g = np.arange(o)
+    mats[g[:, None], table.mult, g] = 1.0
     return mats
 
 

@@ -26,9 +26,11 @@ from .wedderburn import commutant_basis, minimal_central_projections
 
 
 def to_fraction(x: float) -> Fraction:
-    """Exact rational form of a float that is morally a small fraction."""
+    """Exact rational form of a float that is morally a small fraction: the
+    nearest fraction with denominator at most 10^6 if within 1e-12 relative
+    to x, else the float's exact binary fraction."""
     fr = Fraction(x).limit_denominator(10**6)
-    if abs(float(fr) - x) > 1e-12:
+    if abs(float(fr) - x) > 1e-12 * abs(x):
         fr = Fraction(x)
     return fr
 
@@ -50,26 +52,23 @@ def central_decomposition(gns: GnsStructure, seed: int = 0) -> CentralDecomposit
     (deterministic for a fixed seed).  The result must be the declared
     blocks: one projection z_i per block, in declared order, each within
     1e-10 entrywise of the identity of block i and zero elsewhere, with
-    tau(z_i) within 1e-8 of the declared weight.  Left multiplication by the
-    identity of block i is exactly the 0/1 indicator of that block's GNS
-    coordinates in the matrix-unit frame (conj(U) U^T = 1), so
-    vn_dimension_report compresses by slicing.
+    tau(z_i) within 1e-8 of the declared weight; the exact weights are
+    `to_fraction` of the declared ones.  Left multiplication by the identity
+    of block i is exactly the 0/1 indicator of that block's GNS coordinates
+    in the matrix-unit frame (conj(U) U^T = 1), so vn_dimension_report
+    compresses by slicing.
     """
     algebra = gns.algebra
     N = algebra.matrix_size
     # the matrix units of the blocks, in GNS coordinate order
-    units = np.array([_unflatten(e, algebra.block_sizes) for e in np.eye(algebra.dim)])
+    units = _unflatten(np.eye(algebra.dim), algebra.block_sizes)
 
     center = commutant_basis(list(algebra.generators), within=units.reshape(-1, N * N))
     zs = minimal_central_projections(units, center, np.random.default_rng(seed))
     weights = [algebra.trace(z).real for z in zs]
 
     sizes = algebra.block_sizes
-    identities = []
-    for start, stop in block_offsets(sizes):
-        e = np.zeros((N, N))
-        e[start:stop, start:stop] = np.eye(stop - start)
-        identities.append(e)
+    identities = [np.diag(ind) for ind in np.repeat(np.eye(len(sizes)), sizes, axis=1)]
     if len(zs) != len(sizes) or any(
         np.abs(z - e).max() > 1e-10 for z, e in zip(zs, identities)
     ) or any(abs(w - a) > 1e-8 for w, a in zip(weights, algebra.trace_weights)):
@@ -82,7 +81,7 @@ def central_decomposition(gns: GnsStructure, seed: int = 0) -> CentralDecomposit
     return CentralDecomposition(
         sizes=sizes,
         weights=tuple(weights),
-        weight_fractions=tuple(to_fraction(w) for w in weights),
+        weight_fractions=tuple(to_fraction(w) for w in algebra.trace_weights),
     )
 
 

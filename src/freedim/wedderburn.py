@@ -42,11 +42,8 @@ def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarra
         return within.reshape(r, N, N).copy()
     # column k of block i is [B_k, m_i]: coefficient vectors c with
     # sum_k c_k [B_k, m] = 0 for every m span the null space
-    stacked = np.empty((len(mats), N * N, r), dtype=complex)
-    for i, m in enumerate(mats):
-        for k in range(r):
-            B = within[k].reshape(N, N)
-            stacked[i, :, k] = (B @ m - m @ B).ravel()
+    Bs = within.reshape(r, N, N)
+    stacked = np.array([(Bs @ m - m @ Bs).reshape(r, N * N).T for m in mats])
     # at least N^2 >= r rows, so the thin vh is square; the commutators scale
     # with the mats, and so does the cutoff below which all of them are zero
     _, s, vh = np.linalg.svd(stacked.reshape(-1, r), full_matrices=False)
@@ -254,7 +251,7 @@ def blockify_subalgebra(algebra: TracialAlgebra) -> TracialAlgebra:
     from the unit-scaled generators; its generators are the originals' images."""
     unit = unit_scaled(algebra.generators)
     result = blockify(
-        [algebra.unflatten(r) for r in word_span(algebra.block_sizes, unit)],
+        algebra.unflatten(word_span(algebra.block_sizes, unit)),
         commuting_set=unit,
         trace_fn=algebra.trace,
         generators=list(algebra.generators),

@@ -6,9 +6,10 @@ import pytest
 import freedim as fd
 from conftest import SX, SY, SZ, coords, element, random_block_algebra, random_hermitian
 import freedim.algebra as algebra_module
-from freedim.algebra import _verify_gns, block_offsets
+from freedim.algebra import (_flatten, _frame, _orthonormal_selfadjoint_basis,
+                             _unflatten, _unit_map, _verify_gns, block_offsets)
 from freedim.tolerances import OPERATOR_TOL
-from test_cocycles import WORKED, _worked_algebra
+from test_cocycles import WORKED, _bitwise_equal, _with_negative_zeros, _worked_algebra
 
 
 def local_tau(x, block_sizes, weights):
@@ -457,3 +458,54 @@ def test_block_frames_equal_element_frames(name):
         for p in range(S, T):
             frame = algebra_module._frame(gns.basis[p, s:t, s:t], U)
             assert np.array_equal(L[p, S:T, S:T], frame)
+
+
+# ---------------------------------------------------------------------------
+# index-built block coordinates against the per-entry loops they replaced
+# ---------------------------------------------------------------------------
+
+def _selfadjoint_basis_loop(sizes, weights):
+    N = sum(sizes)
+    mats = []
+    for (start, _), n, alpha in zip(block_offsets(sizes), sizes, weights):
+        diag_scale, pair_scale = np.sqrt(n / alpha), np.sqrt(n / (2.0 * alpha))
+        for k in range(n):
+            b = np.zeros((N, N), dtype=complex)
+            b[start + k, start + k] = diag_scale
+            mats.append(b)
+        for k in range(n):
+            for l in range(k + 1, n):
+                b = np.zeros((N, N), dtype=complex)
+                b[start + k, start + l] = b[start + l, start + k] = pair_scale
+                c = np.zeros((N, N), dtype=complex)
+                c[start + k, start + l] = 1j * pair_scale
+                c[start + l, start + k] = -1j * pair_scale
+                mats += [b, c]
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3,), (1, 2), (2, 3, 1), (4, 1, 1)])
+def test_block_coordinates_match_reference_loops_bitwise(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    N, D = sum(sizes), sum(n * n for n in sizes)
+    x, v = _with_negative_zeros(rng, (3, N, N)), _with_negative_zeros(rng, (3, D))
+    flat = np.array([np.concatenate([m[s:t, s:t].ravel() for s, t in block_offsets(sizes)])
+                     for m in x])
+    unflat = np.zeros((3, N, N), dtype=complex)
+    pos = 0
+    for (s, t), n in zip(block_offsets(sizes), sizes):
+        unflat[:, s:t, s:t] = v[:, pos:pos + n * n].reshape(3, n, n)
+        pos += n * n
+    assert _bitwise_equal(_flatten(x, sizes), flat)
+    assert _bitwise_equal(_flatten(x[0], sizes), flat[0])
+    assert _bitwise_equal(_unflatten(v, sizes), unflat)
+    assert _bitwise_equal(_unflatten(v[0], sizes), unflat[0])
+    weights = rng.uniform(0.5, 1.5, len(sizes))
+    alg = fd.TracialAlgebra(sizes, tuple(weights / weights.sum()), (), (), D)
+    assert _bitwise_equal(_orthonormal_selfadjoint_basis(alg),
+                          _selfadjoint_basis_loop(sizes, alg.trace_weights))
+    for n in sizes:
+        U, blocks = _unit_map(n), _with_negative_zeros(rng, (2, n, n))
+        want = np.array([np.conj(U) @ np.kron(b, np.eye(n)) @ U.T for b in blocks])
+        assert _bitwise_equal(_frame(blocks, U), want)
+        assert _bitwise_equal(_frame(blocks[0], U), want[0])

@@ -1,6 +1,9 @@
+import importlib.util
 import json
+import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import freedim as fd
 import freedim.cli as cli_module
 from freedim.cli import emit_report, load_config, main, run_scenario
+from freedim.tolerances import WELLDEF_TOL
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -231,6 +235,63 @@ def test_inner_dual_fits_the_derivation_once(tmp_path, capsys, monkeypatch):
     assert calls == {"derivation_well_defined": 1, "construct_dual_operator": 1}
 
 
+def _ladder_config(tmp_path, seed, label):
+    """Path of the config of operation `label` of the dual_ladder benchmark
+    workload at `seed`, written by perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", CONFIG_DIR.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    ops = workloads.build("dual_ladder", seed, str(CONFIG_DIR.parent), str(tmp_path))
+    return next(op.config for op in ops.next_pass() if op.label == label)
+
+
+def _scaled_dual_inner(scale, dual=None):
+    """dual_inner.json with its generators times `scale` (and another dual)."""
+    cfg = json.loads((CONFIG_DIR / "dual_inner.json").read_text())
+    cfg["algebra"]["generators"] = [[[[scale * re, scale * im] for re, im in row]
+                                     for row in g] for g in cfg["algebra"]["generators"]]
+    if dual is not None:
+        cfg["parameters"]["dual"] = dual
+    return cfg
+
+
+def _accepted(code, captured):
+    assert code == 0, captured.err
+    results = json.loads(captured.out)["results"]
+    return results["well_defined"] and results["defect"] <= WELLDEF_TOL
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_dual_ladder_d64_inner_derivation_is_accepted(tmp_path, capsys, seed):
+    # the word fit's defect is 2.2e-8 and 2.4e-8 here, over WELLDEF_TOL; the
+    # Sylvester solve's relative residual is about 2e-15
+    path = _ladder_config(tmp_path, seed, "8/inner")
+    code = main(["dual_system", "--config", path])
+    assert _accepted(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize("scale", [2.0**10, 1e3])
+def test_scaled_inner_derivation_is_accepted(tmp_path, capsys, scale):
+    assert _accepted(*_run_dual(tmp_path, capsys, _scaled_dual_inner(scale)))
+
+
+def test_tiny_scale_free_difference_quotient_is_rejected(tmp_path, capsys):
+    # at 2^-30 the word fit expands no word, so its defect is exactly 0; the
+    # free difference quotient never descends in finite dimensions
+    scale = 2.0**-30
+    code, captured = _run_dual(tmp_path, capsys,
+                               _scaled_dual_inner(scale, {"type": "fisher"}))
+    assert code == 0, captured.err
+    results = json.loads(captured.out)["results"]
+    assert results["value"] == "inf" and results["slots"][0]["well_defined"] is False
+    dual = {"type": "free_difference_quotient", "slot": 0}
+    code, captured = _run_dual(tmp_path, capsys, _scaled_dual_inner(scale, dual))
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["results"]["well_defined"] is False
+
+
 # ---------------------------------------------------------------------------
 # errors and exit codes
 # ---------------------------------------------------------------------------
@@ -433,6 +494,16 @@ def test_small_weight_matrix_block_is_accepted(tmp_path, capsys):
 @pytest.mark.parametrize("weight", [1e-3, 1e-4, 1e-5, 1e-7, 1e-8])
 def test_small_weight_sweep_is_accepted(tmp_path, capsys, weight):
     _small_weight_run(tmp_path, capsys, weight)
+
+
+def test_tiny_weight_fractions_are_the_declared_weights(tmp_path, capsys):
+    # 1e-12 is far from every fraction of denominator <= 10^6 relative to
+    # itself, so it stays exact (as 0 it would give Delta 0), while 1 - 1e-12
+    # is within 1e-12 of 1 relative to itself
+    results = _small_weight_run(tmp_path, capsys, 1e-12)
+    w = Fraction(1e-12)
+    assert Fraction(results["Delta_fraction"]) == 2 * w + Fraction(3, 4) * w * w
+    assert abs(results["Delta"] - 2e-12) <= 1e-15
 
 
 def _hostile_c2(mutate):

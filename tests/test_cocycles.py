@@ -11,9 +11,11 @@ from conftest import (SX, SY, SZ, cocycle_map, embed_c_m2, make_c1m2, make_c2, m
                       random_block_algebra, random_hermitian, svd_block_ranks)
 from freedim.algebra import span_with_spectrum
 from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config, _delta_results
-from freedim.cocycles import _unit_commutators, cocycle_span, commutator_bound
+from freedim.cocycles import (_hermitian_family, _unit_commutators, cocycle_span,
+                              commutator_bound)
 from freedim.tolerances import INVARIANCE_TOL
 from freedim.vndim import invariance_residual
+from freedim.wedderburn import commutant_basis
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -213,6 +215,80 @@ def test_commutator_bound_rejects_non_commuting_operator(m2):
 
 
 # ---------------------------------------------------------------------------
+# index-built families against the per-entry loops they replaced
+# ---------------------------------------------------------------------------
+
+def _with_negative_zeros(rng, shape):
+    """Random complex entries, about a third of the real and of the imaginary
+    parts replaced by -0.0."""
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x.real[rng.random(shape) < 0.3] = -0.0
+    x.imag[rng.random(shape) < 0.3] = -0.0
+    return x
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _unit_commutators_loop(Ls):
+    n, D, _ = Ls.shape
+    rows = np.zeros((D, D, n, D, D), dtype=complex)
+    for p in range(D):
+        for q in range(D):
+            rows[p, q, :, p, :] += Ls[:, q, :]
+            rows[p, q, :, :, q] -= Ls[:, :, p]
+    return rows.reshape(D * D, n, D, D)
+
+
+def _hermitian_family_loop(units):
+    D = units.shape[-1]
+    units = units.reshape(D, D, *units.shape[1:])
+    rows = np.empty((D * D, *units.shape[2:]), dtype=complex)
+    k = 0
+    for p in range(D):
+        rows[k] = units[p, p]
+        k += 1
+        for q in range(p + 1, D):
+            np.add(units[p, q], units[q, p], out=rows[k])
+            rows[k + 1] = 1j * (units[p, q] - units[q, p])
+            k += 2
+    return rows
+
+
+def _commutator_stack_loop(mats, within, N):
+    r = within.shape[0]
+    stacked = np.empty((len(mats), N * N, r), dtype=complex)
+    for i, m in enumerate(mats):
+        for k in range(r):
+            B = within[k].reshape(N, N)
+            stacked[i, :, k] = (B @ m - m @ B).ravel()
+    return stacked.reshape(-1, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("D", [3, 6, 9])
+def test_cocycle_families_match_reference_loops_bitwise(n, D):
+    Ls = _with_negative_zeros(np.random.default_rng(10 * n + D), (n, D, D))
+    units = _unit_commutators(Ls)
+    assert _bitwise_equal(units, _unit_commutators_loop(Ls))
+    assert _bitwise_equal(_hermitian_family(units), _hermitian_family_loop(units))
+
+
+@pytest.mark.parametrize("n, N, r", [(1, 1, 1), (1, 2, 4), (2, 3, 5), (3, 4, 16),
+                                     (2, 24, 576)])
+def test_commutant_stack_matches_reference_loop_bitwise(n, N, r, monkeypatch):
+    # the stack is the matrix commutant_basis hands to its first SVD
+    rng = np.random.default_rng(N * r)
+    mats = [_with_negative_zeros(rng, (N, N)) for _ in range(n)]
+    within = _with_negative_zeros(rng, (r, N * N))
+    seen, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
+    commutant_basis(mats, within)
+    assert _bitwise_equal(seen[0], _commutator_stack_loop(mats, within, N))
+
+
+# ---------------------------------------------------------------------------
 # the dimension report
 # ---------------------------------------------------------------------------
 
@@ -346,6 +422,13 @@ def test_delta_report_builds_each_space_once(c1m2, monkeypatch):
         monkeypatch.setattr(f"freedim.cocycles.{name}", counted)
     fd.delta_report(c1m2)
     assert sorted(calls) == ["compute_H0", "compute_H1"]
+
+
+def test_delta_fraction_does_not_depend_on_the_center_seed():
+    # random weights: the exact weights are the declared ones, not the
+    # numeric tau(z_i), whose last bits depend on the seed
+    alg = random_block_algebra([1, 1, 2], 0)
+    assert len({fd.delta_report(alg, seed=s).fractions["Delta"] for s in range(8)}) == 1
 
 
 @pytest.mark.parametrize("sizes", [[1], [2], [1, 2]])

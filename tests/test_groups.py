@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import freedim as fd
+from freedim.groups import left_regular_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +31,25 @@ def test_direct_product_order():
     v4 = fd.direct_product(fd.cyclic_group(2), fd.cyclic_group(2))
     assert v4.order == 4
     assert all(v4.mul(g, g) == v4.identity for g in range(4))
+
+
+def test_index_built_tables_match_their_definitions():
+    for n in range(5):
+        perms = sorted(itertools.permutations(range(n)))
+        table = fd.symmetric_group(n)
+        assert table.names == tuple("".join(map(str, p)) for p in perms)
+        for (i, p), (j, q) in itertools.product(enumerate(perms), repeat=2):
+            assert perms[table.mul(i, j)] == tuple(p[k] for k in q)
+    g, h = fd.symmetric_group(3), fd.cyclic_group(4)
+    gh = fd.direct_product(g, h)
+    pairs = list(itertools.product(range(g.order), range(h.order)))
+    assert gh.names == tuple(f"({g.names[a]},{h.names[b]})" for a, b in pairs)
+    lam = left_regular_matrices(gh)
+    for (i, (a1, b1)), (j, (a2, b2)) in itertools.product(enumerate(pairs), repeat=2):
+        k = gh.mul(i, j)
+        assert pairs[k] == (g.mul(a1, a2), h.mul(b1, b2))
+        assert lam[i, k, j] == 1.0
+    assert np.array_equal(np.abs(lam).sum(axis=1), np.ones((gh.order, gh.order)))
 
 
 def test_bad_table_rejected():

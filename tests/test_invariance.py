@@ -3,12 +3,15 @@
 Delta is a function of the tracial algebra (M, tau) alone, so every
 certified field of a report (the exact fractions, the block sizes and
 multiplicities, `closed_form_matches` and the exit code) must not move when
-the input changes without changing (M, tau): the seed, the order of the
-generators, a redundant self-adjoint word added to them, the order of the
-blocks, a unitary inside the blocks, the generators' scale, and, for a
-finite group, its presentation by name or by a relabelled table and its
-generating set.  Measured floats (residuals, distances, Delta as a float)
-are not compared.  Each example runs `cli.main` on a rewritten config.
+the input changes without changing (M, tau): the seed (also at random trace
+weights), the order of the generators, a redundant self-adjoint word added
+to them, the order of the blocks, a unitary inside the blocks, the
+generators' scale, and, for a finite group, its presentation by name or by a
+relabelled table and its generating set.  Measured floats (residuals,
+distances, Delta as a float) are not compared.  Each example runs `cli.main`
+on a rewritten config.  Whether a derivation descends is a property of
+(M, tau) too, so `derivation_well_defined`'s verdict must not move with the
+generators' scale.
 """
 
 import contextlib
@@ -19,9 +22,11 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from freedim.cli import main
+from freedim.algebra import gns_structure
+from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config, main
+from freedim.derivations import derivation_well_defined, fdq_targets, inner_spec
 from freedim.groups import closure, symmetric_group
 from test_cli_fuzz import SHIPPED
 
@@ -133,6 +138,14 @@ def test_seed(name, seed):
 
 
 @invariance
+@given(seed=st.integers(1, 2**31 - 1),
+       weights=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3))
+def test_seed_at_random_weights(seed, weights):
+    cfg = _block_algebra((1, 1, 2), tuple(w / sum(weights) for w in weights), 0)
+    _assert_same(_certified(cfg, seed), _certified(cfg))
+
+
+@invariance
 @given(name=st.sampled_from(DELTA_CONFIGS), data=st.data())
 def test_generator_order(name, data):
     mats = _generators(SHIPPED[name])
@@ -157,6 +170,24 @@ def test_redundant_self_adjoint_word(name, data):
 def test_generator_scale_power_of_two(k, name):
     cfg = _with_generators(SHIPPED[name], [g * 2.0**k for g in _generators(SHIPPED[name])])
     _assert_same(_certified(cfg), _shipped(name))
+
+
+@invariance
+@given(k=st.integers(-40, 40))
+@example(k=10)
+@example(k=-30)
+def test_dual_verdict_scale_power_of_two(k):
+    # inner derivations descend and free difference quotients never do, at
+    # every scale; construct_dual_operator's absolute residual gate is not
+    # asserted here
+    cfg = SHIPPED["dual_inner"]
+    gns = gns_structure(_build_algebra_from_config(
+        _with_generators(cfg, [g * 2.0**k for g in _generators(cfg)])["algebra"],
+        _DUAL_MAX_DIM))
+    B = np.array([[complex(*x) for x in row] for row in cfg["parameters"]["dual"]["matrix"]])
+    assert derivation_well_defined(gns, inner_spec(gns, B)).well_defined
+    for slot in range(len(gns.generator_left_mult)):
+        assert not derivation_well_defined(gns, fdq_targets(gns, slot)).well_defined
 
 
 @invariance
