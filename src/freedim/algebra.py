@@ -271,15 +271,13 @@ class GnsStructure:
     generator_left_mult: np.ndarray  # (n, D, D): left_mults (trace formula)
     _wvec: np.ndarray = field(repr=False, default=None)
 
-    def left_mult(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by x on the trace representation."""
-        return np.einsum(
-            "mab,bc,qca,a->mq", self.basis, x, self.basis, self._wvec, optimize=True
-        )
-
     def left_mults(self, generators: Sequence[np.ndarray]) -> np.ndarray:
-        """(n, D, D) stack of the left multiplications by the generators."""
-        Ls = [self.left_mult(np.asarray(X, dtype=complex)) for X in generators]
+        """(n, D, D) stack of the left multiplications by the generators, all
+        of one shape and so contracted along one path."""
+        xs = [np.asarray(X, dtype=complex) for X in generators]
+        spec, b, w = "mab,bc,qca,a->mq", self.basis, self._wvec
+        path = xs and np.einsum_path(spec, b, xs[0], b, w, optimize=True)[0]
+        Ls = [np.einsum(spec, b, x, b, w, optimize=path) for x in xs]
         return np.asarray(Ls, dtype=complex).reshape(-1, self.dim, self.dim)
 
     def basis_left_mults(self) -> np.ndarray:
@@ -336,8 +334,8 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     D = algebra.dim
     wvec = _diag_weights(algebra.block_sizes, algebra.trace_weights)
 
-    trace_vector = np.einsum("mab,ba,b->m", basis, np.eye(basis.shape[1]), wvec,
-                             optimize=True)
+    # one nonzero term per coordinate at most, so no summation order matters
+    trace_vector = np.einsum("maa,a->m", basis, wvec)
     if np.abs(trace_vector.imag).max() > SCALAR_TOL:
         raise FreedimError("trace vector acquired an imaginary part")
     trace_vector = trace_vector.real
@@ -416,6 +414,12 @@ def _frame(x: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.conj(U) @ kron.reshape(*x.shape[:-2], n * n, n * n) @ U.T
 
 
+def _gram(basis: np.ndarray, wvec: np.ndarray) -> np.ndarray:
+    """gram[m, q] = tau(b_m b_q) = sum_ab b_m[b, a] b_q[a, b] w[b], one matrix product."""
+    D = basis.shape[0]
+    return (basis * wvec[:, None]).reshape(D, -1) @ basis.transpose(0, 2, 1).reshape(D, -1).T
+
+
 def _verify_gns(gns: GnsStructure) -> None:
     """Raise FreedimError unless the matrix-unit frame agrees with the input.
 
@@ -431,8 +435,7 @@ def _verify_gns(gns: GnsStructure) -> None:
     D = gns.dim
     basis = gns.basis
 
-    gram = np.einsum("qab,mba,b->mq", basis, basis, gns._wvec, optimize=True)
-    if np.abs(gram - np.eye(D)).max() > OPERATOR_TOL:
+    if np.abs(_gram(basis, gns._wvec) - np.eye(D)).max() > OPERATOR_TOL:
         raise FreedimError("trace-representation basis failed orthonormality")
 
     generators = gns.algebra.generators

@@ -263,7 +263,7 @@ def _flag(section: dict, key: str, where: str) -> bool:
 
 
 # Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle spans
-# grow about as D^6 (23 s and 711 MB at D = 41); dual_system on one 10 x 10
+# grow about as D^6 (20 s and 698 MB at D = 41); dual_system on one 10 x 10
 # block (D = 100) takes 1.3 s and 150 MB (inner) to 2.3 s and 170 MB (fisher),
 # as process peak RSS.
 _DELTA_MAX_DIM = 41
@@ -849,21 +849,24 @@ def _write_atomic(path: str, payload: bytes) -> None:
         raise
 
 
+# Built once per process; parse_args keeps no state between calls.
+_PARSER = argparse.ArgumentParser(
+    prog="freedim",
+    description="dimension workbench for finite tracial matrix algebras",
+)
+_PARSER.add_argument("scenario", choices=SCENARIOS)
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--format", default="json", choices=("json", "csv", "text"))
+_PARSER.add_argument("--seed", type=int, default=None,
+                     help="override the config seed")
+_PARSER.add_argument("--verbose", action="store_true",
+                     help="include matrices in dual-system reports")
+_PARSER.add_argument("--output", default=None,
+                     help="write the report to this file (atomically)")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="freedim",
-        description="dimension workbench for finite tracial matrix algebras",
-    )
-    parser.add_argument("scenario", choices=SCENARIOS)
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--format", default="json", choices=("json", "csv", "text"))
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--verbose", action="store_true",
-                        help="include matrices in dual-system reports")
-    parser.add_argument("--output", default=None,
-                        help="write the report to this file (atomically)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     start = time.perf_counter()
     try:

@@ -1,10 +1,11 @@
 """Central numerical thresholds.
 
-Most identity checks in the package compare absolute residuals with these
-defaults.  Three are relative: RANK_TOL to the largest singular value, the
-zero cutoff of `wedderburn.commutant_basis` to the largest entry of its
-matrices, and the frame gap of `algebra._verify_gns` (OPERATOR_TOL) to a
-generator's largest entry when that exceeds 1.  Matrices are exact complex
+Most identity checks compare absolute residuals with these defaults.  The
+relative ones: RANK_TOL to the largest singular value, the zero cutoff of
+`wedderburn.commutant_basis` to its matrices' largest entry, OPERATOR_TOL's
+frame gap in `algebra._verify_gns` to a generator's largest entry above 1,
+the WELLDEF_TOL verdict and the commutator gate of RESIDUAL_TOL to ||T||,
+and RESIDUAL_TOL's other two gates to ||Y||.  Matrices are exact complex
 doubles throughout.
 """
 

@@ -117,7 +117,7 @@ def test_criterion_4_dual_round_trip():
             B = random_hermitian(rng, D)
             targets = fd.inner_spec(gns, B)
             rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
-            ok &= rep.max_residual <= 1e-9
+            ok &= max(rep.residual_Y1, rep.residual_commutators, rep.residual_adjoint) <= 1e-9
             # conjugation formula: J B* J acts as the transpose matrix
             ok &= bool(np.linalg.norm(rep.xi - (B - B.T) @ t) <= 1e-10)
             # bilinear adjoint identity <Y Q 1, R 1> = <Q 1, Y* R 1> over all

@@ -22,6 +22,11 @@ def local_tau(x, block_sizes, weights):
     return out
 
 
+def left_mult(gns, x):
+    """Left multiplication by one algebra element on the trace representation."""
+    return gns.left_mults([x])[0]
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 # ---------------------------------------------------------------------------
@@ -160,8 +165,8 @@ def test_gns_left_mult_two_point(c2):
             expected[m, q] = local_tau(
                 gns.basis[m] @ X @ gns.basis[q], c2.block_sizes, c2.trace_weights
             )
-    np.testing.assert_allclose(gns.left_mult(X), expected, atol=1e-12)
-    np.testing.assert_allclose(gns.left_mult(X), np.diag([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(left_mult(gns, X), expected, atol=1e-12)
+    np.testing.assert_allclose(left_mult(gns, X), np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_conjugation_fixes_trace_vector(c2, m2, c1m2):
@@ -192,7 +197,7 @@ def test_gns_cyclicity(m2, c1m2):
             coeff = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
             a = element(gns, coeff)
             np.testing.assert_allclose(
-                gns.left_mult(a) @ gns.trace_vector, coords(gns, a), atol=1e-10
+                left_mult(gns, a) @ gns.trace_vector, coords(gns, a), atol=1e-10
             )
 
 
@@ -202,7 +207,7 @@ def test_right_mult_is_right_multiplication(m2):
     D = gns.dim
     for a_idx in range(D):
         a = gns.basis[a_idx]
-        R = gns.left_mult(a).T
+        R = left_mult(gns, a).T
         for x_idx in range(D):
             direct = coords(gns, gns.basis[x_idx] @ a)
             np.testing.assert_allclose(R[:, x_idx], direct, atol=1e-10)
@@ -218,10 +223,10 @@ def test_left_mult_is_star_homomorphism(m2, c1m2):
             b = element(gns, rng.standard_normal(alg.dim)
                              + 1j * rng.standard_normal(alg.dim))
             np.testing.assert_allclose(
-                gns.left_mult(a @ b), gns.left_mult(a) @ gns.left_mult(b), atol=1e-10
+                left_mult(gns, a @ b), left_mult(gns, a) @ left_mult(gns, b), atol=1e-10
             )
             np.testing.assert_allclose(
-                gns.left_mult(a.conj().T), gns.left_mult(a).conj().T, atol=1e-10
+                left_mult(gns, a.conj().T), left_mult(gns, a).conj().T, atol=1e-10
             )
 
 
@@ -509,3 +514,48 @@ def test_block_coordinates_match_reference_loops_bitwise(sizes):
         want = np.array([np.conj(U) @ np.kron(b, np.eye(n)) @ U.T for b in blocks])
         assert _bitwise_equal(_frame(blocks, U), want)
         assert _bitwise_equal(_frame(blocks[0], U), want[0])
+
+
+# ---------------------------------------------------------------------------
+# contractions without a per-call path search against the searched einsums
+# ---------------------------------------------------------------------------
+
+BITWISE_SHAPES = [(1,), (2,), (5,), (10,), (1, 1, 2, 3, 3), (1, 2, 3, 4), (4, 5), (6, 8)]
+
+
+def _bare_gns(sizes, seed):
+    """The trace representation of `sizes` at random weights, without generators."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, len(sizes))
+    alg = fd.TracialAlgebra(sizes, tuple(weights / weights.sum()), (), (),
+                            sum(n * n for n in sizes))
+    return fd.gns_structure(alg), rng
+
+
+@pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
+def test_trace_vector_matches_searched_einsum_bitwise(sizes):
+    for seed in range(5):
+        gns, _ = _bare_gns(sizes, seed)
+        searched = np.einsum("mab,ba,b->m", gns.basis, np.eye(gns.basis.shape[1]),
+                             gns._wvec, optimize=True)
+        assert _bitwise_equal(gns.trace_vector, searched.real)
+
+
+@pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
+def test_left_mults_share_one_path_bitwise(sizes):
+    # one path for the stack against one search per element, on elements
+    # with -0.0 entries
+    gns, rng = _bare_gns(sizes, 11)
+    N = sum(sizes)
+    xs = [_with_negative_zeros(rng, (N, N)) for _ in range(3)]
+    searched = np.array([np.einsum("mab,bc,qca,a->mq", gns.basis, x, gns.basis, gns._wvec,
+                                   optimize=True) for x in xs])
+    assert _bitwise_equal(gns.left_mults(xs), searched)
+    assert gns.left_mults([]).shape == (0, gns.dim, gns.dim)
+
+
+@pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
+def test_gram_matches_searched_einsum(sizes):
+    gns, _ = _bare_gns(sizes, 3)
+    searched = np.einsum("qab,mba,b->mq", gns.basis, gns.basis, gns._wvec, optimize=True)
+    assert np.abs(algebra_module._gram(gns.basis, gns._wvec) - searched).max() <= 1e-15

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -272,9 +274,19 @@ def test_dual_ladder_d64_inner_derivation_is_accepted(tmp_path, capsys, seed):
     assert _accepted(code, capsys.readouterr())
 
 
-@pytest.mark.parametrize("scale", [2.0**10, 1e3])
+@pytest.mark.parametrize("scale", [2.0**10, 1e3, 2.0**30, 2.0**40, 1e10])
 def test_scaled_inner_derivation_is_accepted(tmp_path, capsys, scale):
+    # from 2^30 on the commutator residuals (1.5e-6 to 1.3e-3) are about
+    # 2e-16 of ||T||; the dual operator's gate is relative to the data
     assert _accepted(*_run_dual(tmp_path, capsys, _scaled_dual_inner(scale)))
+
+
+def test_tiny_scale_inner_dual_operator_is_refused(tmp_path, capsys):
+    # at 2^-40 the Sylvester verdict accepts T, but the word fit's Y misses
+    # the commutators by 0.37 ||T|| (1.8e-12, under an absolute 1e-9)
+    code, captured = _run_dual(tmp_path, capsys, _scaled_dual_inner(2.0**-40))
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("computation error: ResidualTooLarge")
 
 
 def test_tiny_scale_free_difference_quotient_is_rejected(tmp_path, capsys):
@@ -969,3 +981,66 @@ def test_shipped_configs_run(config_path, capsys):
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert elapsed < 10.0
+
+
+# ---------------------------------------------------------------------------
+# one parser per process; no contraction path searched per call
+# ---------------------------------------------------------------------------
+
+def _alone(argv):
+    """Exit code, stdout and stderr of one `main(argv)` in a fresh process."""
+    src = str(CONFIG_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import sys; from freedim.cli import main; "
+                           f"sys.exit(main({argv!r}))"], env=env, capture_output=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_reuse_matches_calls_run_alone(capsysbinary):
+    inner, s3 = str(CONFIG_DIR / "dual_inner.json"), str(CONFIG_DIR / "group_finite_s3.json")
+    calls = [
+        ["dual_system", "--config", inner, "--verbose"],
+        ["dual_system", "--config", inner],
+        ["delta", "--config", str(CONFIG_DIR / "delta_full_2x2.json"), "--format", "text"],
+        ["group_finite", "--config", s3, "--seed", "3"],
+        ["no_such_scenario", "--config", s3],
+        ["group_finite"],
+        ["group_finite", "--config", s3],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsysbinary.readouterr()
+        alone_code, alone_out, alone_err = _alone(argv)
+        assert (code, out) == (alone_code, alone_out), argv
+        if code == 2:
+            assert err == alone_err and err.startswith(b"usage: freedim")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsysbinary.readouterr().out.startswith(b"usage: freedim")
+
+
+def test_dual_inner_searches_one_contraction_path(monkeypatch, capsys):
+    # the generators' left multiplications share one searched path; every
+    # other contraction is given its path or needs none
+    searches, paths = [], []
+    einsum, einsum_path = np.einsum, np.einsum_path
+
+    def spied_einsum(*operands, **kwargs):
+        paths.append(kwargs.get("optimize", False))
+        return einsum(*operands, **kwargs)
+
+    def spied_einsum_path(*operands, **kwargs):
+        searches.append(sys._getframe(1).f_code.co_name)
+        return einsum_path(*operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spied_einsum)
+    monkeypatch.setattr(np, "einsum_path", spied_einsum_path)
+    assert main(["dual_system", "--config", str(CONFIG_DIR / "dual_inner.json")]) == 0
+    capsys.readouterr()
+    assert searches == ["left_mults"]
+    assert paths and all(p is False or isinstance(p, list) for p in paths)

@@ -76,7 +76,7 @@ def test_h0_rank_nullity_exact():
     for alg in (make_c2(), make_m2(), make_c1m2()):
         gns = fd.gns_structure(alg)
         H0 = fd.compute_H0(gns)
-        Ls = [gns.left_mult(X) for X in alg.generators]
+        Ls = gns.left_mults(alg.generators)
         D = gns.dim
         assert H0.complex_dim == D * D - joint_commutator_nullity(Ls)
 

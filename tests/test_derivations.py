@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from conftest import (conjugate_variable, make_c1m2, make_c2, make_m2, random_bl
                       random_hermitian)
 from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config
 from freedim.derivations import _word_system
-from test_cocycles import CONFIG_DIR, WORKED, _worked_algebra
+from test_algebra import BITWISE_SHAPES, _bare_gns
+from test_cocycles import CONFIG_DIR, WORKED, _bitwise_equal, _with_negative_zeros, _worked_algebra
 
 
 def commutator_norm(Y, L):
@@ -145,7 +147,7 @@ def test_inner_specs_are_well_defined(m2):
 def test_two_point_free_difference_quotient_obstructed(c2):
     gns = fd.gns_structure(c2)
     # oracle: X^2 = X would force P1 L_X + L_X P1 = P1, which fails
-    Lx = gns.left_mult(c2.generators[0])
+    Lx = gns.left_mults(c2.generators)[0]
     obstruction = np.abs(gns.p1 @ Lx + Lx @ gns.p1 - gns.p1).max()
     assert obstruction > 1e-2
 
@@ -166,8 +168,8 @@ def test_well_defined_map_reproduces_targets(m2):
     ok, dhat = fit.well_defined, fit.map
     assert ok
     t = gns.trace_vector.astype(complex)
-    for X, T in zip(m2.generators, targets):
-        xhat = gns.left_mult(X) @ t
+    for L, T in zip(gns.left_mults(m2.generators), targets):
+        xhat = L @ t
         assert np.linalg.norm((dhat @ xhat).reshape(4, 4) - T) <= 1e-10
 
 
@@ -230,7 +232,7 @@ def test_defining_property_on_word_vectors(m2):
     targets = fd.inner_spec(gns, B)
     xi = conjugate_variable(gns, targets)
     t = gns.trace_vector.astype(complex)
-    Ls = [gns.left_mult(X) for X in m2.generators]
+    Ls = gns.left_mults(m2.generators)
     words = [np.eye(4, dtype=complex)]
     for L in Ls:
         words += [L, L @ L]
@@ -284,7 +286,7 @@ def test_dual_operator_zero_target(c2):
     targets = ([np.zeros((2, 2))])
     rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
     assert np.abs(rep.Y).max() <= 1e-14
-    assert rep.max_residual <= 1e-14
+    assert max(rep.residual_Y1, rep.residual_commutators, rep.residual_adjoint) <= 1e-14
 
 
 def test_dual_operator_recovers_b_when_b_kills_trace_vector(m2):
@@ -302,12 +304,12 @@ def test_dual_operator_recovers_b_when_b_kills_trace_vector(m2):
 def test_dual_operator_general_inner(m2):
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(5)
-    Ls = [gns.left_mult(X) for X in m2.generators]
+    Ls = gns.left_mults(m2.generators)
     for _ in range(5):
         B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         targets = fd.inner_spec(gns, B)
         rep = fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, targets))
-        assert rep.max_residual <= 1e-9
+        assert max(rep.residual_Y1, rep.residual_commutators, rep.residual_adjoint) <= 1e-9
         # Y - B commutes with every left multiplication (rank-one correction)
         for L in Ls:
             assert commutator_norm(rep.Y - B, L) <= 1e-9
@@ -319,7 +321,7 @@ def test_dual_operator_round_trip(c1m2):
     rng = np.random.default_rng(6)
     t = gns.trace_vector.astype(complex)
     D = gns.dim
-    Ls = [gns.left_mult(X) for X in c1m2.generators]
+    Ls = gns.left_mults(c1m2.generators)
     for _ in range(5):
         Y0 = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         Y0 = Y0 - np.outer(Y0 @ t, t.conj())
@@ -384,3 +386,63 @@ def test_adjoint_commutator_sign_rule():
         lhs = Y.conj().T @ Lx - Lx @ Y.conj().T
         rhs = -(Y @ Lx - Lx @ Y).conj().T
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# operands built without a per-call path search or np.kron, against the forms
+# they replaced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
+def test_dual_operator_matches_searched_einsum_bitwise(sizes, monkeypatch):
+    # a random map with -0.0 entries; the gate is lifted so that Y is returned
+    monkeypatch.setattr(derivations_module, "RESIDUAL_TOL", 1e300)
+    gns, rng = _bare_gns(sizes, 5)
+    D = gns.dim
+    fit = derivations_module.DerivationFit(True, 0.0, _with_negative_zeros(rng, (D * D, D)), ())
+    searched = np.einsum("ijm,j->im", fit.map.reshape(D, D, D),
+                         gns.trace_vector.astype(complex), optimize=True)
+    assert _bitwise_equal(fd.construct_dual_operator(gns, fit).Y, searched)
+
+
+def _sylvester_residual_kron(gns, targets):
+    """`derivations._sylvester_residual` as it was, its operators from np.kron
+    one generator at a time."""
+    norm = float(np.sqrt(sum(np.vdot(Tj, Tj).real for Tj in targets)))
+    if norm == 0.0:
+        return 0.0
+    blocks = [(s, t, S, T, n, derivations_module._unit_map(n))
+              for (s, t), (S, T), n in derivations_module._block_ranges(gns.algebra.block_sizes)]
+    sq = 0.0
+    for s_i, t_i, S_i, T_i, n_i, U_i in blocks:
+        for s_k, t_k, S_k, T_k, n_k, U_k in blocks:
+            phi = np.vstack([np.kron(np.eye(n_i), X[s_k:t_k, s_k:t_k].T)
+                             - np.kron(X[s_i:t_i, s_i:t_i], np.eye(n_k))
+                             for X in gns.algebra.generators])
+            rhs = np.vstack([(U_i.T @ Tj[S_i:T_i, S_k:T_k] @ np.conj(U_k))
+                             .reshape(n_i, n_i, n_k, n_k).transpose(0, 2, 1, 3)
+                             .reshape(n_i * n_k, -1) for Tj in targets])
+            z = np.linalg.lstsq(phi, rhs, rcond=None)[0]
+            sq += float(np.linalg.norm(phi @ z - rhs)) ** 2
+    return float(np.sqrt(sq)) / norm
+
+
+@pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
+def test_sylvester_operands_match_kron_bitwise(sizes, monkeypatch):
+    # every (operator, right-hand side) pair handed to lstsq, on generators
+    # and targets with -0.0 entries
+    rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
+    N, D = sum(sizes), sum(n * n for n in sizes)
+    gns = SimpleNamespace(algebra=SimpleNamespace(
+        block_sizes=sizes, generators=tuple(_with_negative_zeros(rng, (3, N, N)))))
+    targets = tuple(_with_negative_zeros(rng, (3, D, D)))
+    seen, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda a, b, **kw: seen.append((a, b)) or lstsq(a, b, **kw))
+    relative = derivations_module._sylvester_residual(gns, targets)
+    operands = seen[:]
+    seen.clear()
+    assert relative == _sylvester_residual_kron(gns, targets)
+    assert len(operands) == len(seen) == len(sizes) ** 2
+    for (phi, rhs), (phi_kron, rhs_kron) in zip(operands, seen):
+        assert _bitwise_equal(phi, phi_kron) and _bitwise_equal(rhs, rhs_kron)

@@ -26,7 +26,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from freedim.algebra import gns_structure
 from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config, main
-from freedim.derivations import derivation_well_defined, fdq_targets, inner_spec
+from freedim.derivations import (construct_dual_operator, derivation_well_defined,
+                                 fdq_targets, inner_spec)
+from freedim.errors import ResidualTooLarge
+from freedim.tolerances import RESIDUAL_TOL
 from freedim.groups import closure, symmetric_group
 from test_cli_fuzz import SHIPPED
 
@@ -176,16 +179,25 @@ def test_generator_scale_power_of_two(k, name):
 @given(k=st.integers(-40, 40))
 @example(k=10)
 @example(k=-30)
+@example(k=-40)
 def test_dual_verdict_scale_power_of_two(k):
     # inner derivations descend and free difference quotients never do, at
-    # every scale; construct_dual_operator's absolute residual gate is not
-    # asserted here
+    # every scale; the dual operator built from the inner derivation's fit is
+    # refused or meets its commutator gate relative to ||T||, so a Y whose
+    # commutators miss T (as at 2^-32 and below) is never returned
     cfg = SHIPPED["dual_inner"]
     gns = gns_structure(_build_algebra_from_config(
         _with_generators(cfg, [g * 2.0**k for g in _generators(cfg)])["algebra"],
         _DUAL_MAX_DIM))
     B = np.array([[complex(*x) for x in row] for row in cfg["parameters"]["dual"]["matrix"]])
-    assert derivation_well_defined(gns, inner_spec(gns, B)).well_defined
+    fit = derivation_well_defined(gns, inner_spec(gns, B))
+    assert fit.well_defined
+    try:
+        dual = construct_dual_operator(gns, fit)
+    except ResidualTooLarge:
+        pass
+    else:
+        assert dual.residual_commutators <= RESIDUAL_TOL * np.linalg.norm(fit.targets)
     for slot in range(len(gns.generator_left_mult)):
         assert not derivation_well_defined(gns, fdq_targets(gns, slot)).well_defined
 

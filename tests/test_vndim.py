@@ -25,7 +25,7 @@ def joint_commutator_nullity(Ls):
 
 def all_unit_cocycles(gns, generators):
     """Test-side construction of {([Y, L_j])_j : Y matrix unit}."""
-    Ls = [gns.left_mult(X) for X in generators]
+    Ls = gns.left_mults(generators)
     D = gns.dim
     out = []
     for p in range(D):
@@ -284,7 +284,7 @@ def test_m2_pair_commutator_space(m2):
     vecs = all_unit_cocycles(gns, m2.generators)
     K = fd.hs_subspace(gns, vecs)
     # oracle: kernel of the joint commutator map is the 4-dim commutant
-    Ls = [gns.left_mult(X) for X in m2.generators]
+    Ls = gns.left_mults(m2.generators)
     assert joint_commutator_nullity(Ls) == 4
     assert K.complex_dim == 16 - 4
     assert fd.vn_dimension_report(K, dec).value == 0.75
