@@ -165,16 +165,14 @@ def word_span(
     generators and the identity.
 
     Iterates right-multiplication by the generators until the span
-    stabilizes; the span grows by at least one per round, so D rounds
-    always suffice.
+    stabilizes or fills the algebra; the span grows by at least one per
+    round, so D rounds always suffice.
     """
     sizes = tuple(block_sizes)
     ambient = sum(n * n for n in sizes)
     basis = numerical_span(_flatten(np.array([np.eye(sum(sizes)), *generators],
                                              dtype=complex), sizes))
-    for _ in range(ambient):
-        if not generators:
-            break
+    while generators and basis.shape[0] < ambient:
         # rows basis-major, then generator-major
         products = _unflatten(basis, sizes)[:, None] @ np.array(generators)
         new_rows = _flatten(products, sizes).reshape(-1, ambient)
@@ -280,37 +278,44 @@ class GnsStructure:
         Ls = [np.einsum(spec, b, x, b, w, optimize=path) for x in xs]
         return np.asarray(Ls, dtype=complex).reshape(-1, self.dim, self.dim)
 
-    def basis_left_mults(self) -> np.ndarray:
-        """(D, D, D) left multiplications by the basis elements, built anew on
-        each call from the matrix-unit frame: L_p = conj(U) (b_p (x) 1) U^T on
-        the coordinates of b_p's block, zero off it (see `_frame`), one block
-        at a time in O(n^6) work."""
-        D = self.dim
-        out = np.zeros((D, D, D), dtype=complex)
-        for (s, t), (S, T), n in _block_ranges(self.algebra.block_sizes):
-            out[S:T, S:T, S:T] = _frame(self.basis[S:T, s:t, s:t], _unit_map(n))
-        return out
+    def blocks(self) -> list[tuple[int, int, int, int, int, np.ndarray]]:
+        """Per block: its row range (s, t), its coordinate range (S, T), its
+        size n and its unit map U (see `_unit_map`), built anew on each call."""
+        return [(s, t, S, T, n, _unit_map(n))
+                for (s, t), (S, T), n in _block_ranges(self.algebra.block_sizes)]
+
+    def commutant_actions(self) -> list[tuple[int, int, np.ndarray]]:
+        """Per block: its coordinate range (S, T) and the (n^2, n^2, n^2) stack
+        of its basis elements' commutant action generators R_p = L_{b_p}^T
+        there, from the frame (see `_frame`) anew on each call in O(n^6)
+        work; each R_p is exactly zero off its block."""
+        return [(S, T, _frame(self.basis[S:T, s:t, s:t], U).transpose(0, 2, 1))
+                for s, t, S, T, _, U in self.blocks()]
+
+
+def _block_basis(n: int, alpha: float) -> np.ndarray:
+    """The (n^2, n, n) Hermitian basis of an n x n block of weight alpha,
+    orthonormal for tau: sqrt(n/alpha) e_kk for each k, then for k < l in order
+    sqrt(n/(2 alpha)) (e_kl + e_lk) and sqrt(n/(2 alpha)) i (e_kl - e_lk)."""
+    out = np.zeros((n * n, n, n), dtype=complex)
+    d = np.arange(n)
+    out[d, d, d] = np.sqrt(n / alpha)
+    pair_scale = np.sqrt(n / (2.0 * alpha))
+    k, l = np.triu_indices(n, 1)
+    p = n + 2 * np.arange(k.size)
+    out[p, k, l] = out[p, l, k] = pair_scale
+    out[p + 1, k, l] = 1j * pair_scale
+    out[p + 1, l, k] = -1j * pair_scale
+    return out
 
 
 def _orthonormal_selfadjoint_basis(algebra: TracialAlgebra) -> np.ndarray:
-    """Hermitian combinations of scaled matrix units, orthonormal for tau.
-
-    Per block of size n and weight alpha: sqrt(n/alpha) e_kk on the diagonal
-    and, for k < l, sqrt(n/(2 alpha)) (e_kl + e_lk) and
-    sqrt(n/(2 alpha)) i (e_kl - e_lk).
-    """
+    """Each block's `_block_basis`, in block order on the block's rows."""
     out = np.zeros((algebra.dim, algebra.matrix_size, algebra.matrix_size),
                    dtype=complex)
-    for ((s, _), (S, _), n), alpha in zip(_block_ranges(algebra.block_sizes),
+    for ((s, t), (S, T), n), alpha in zip(_block_ranges(algebra.block_sizes),
                                           algebra.trace_weights):
-        d = s + np.arange(n)
-        out[S + np.arange(n), d, d] = np.sqrt(n / alpha)
-        pair_scale = np.sqrt(n / (2.0 * alpha))
-        k, l = s + np.array(np.triu_indices(n, 1))
-        p = S + n + 2 * np.arange(k.size)        # e_kl + e_lk, then i(e_kl - e_lk)
-        out[p, k, l] = out[p, l, k] = pair_scale
-        out[p + 1, k, l] = 1j * pair_scale
-        out[p + 1, l, k] = -1j * pair_scale
+        out[S:T, s:t, s:t] = _block_basis(n, alpha)
     return out
 
 
@@ -321,10 +326,10 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     multiplications, the trace vector and its rank-one projection.  The
     basis consists of Hermitian combinations of scaled matrix units, so in
     each block left multiplication has a closed form, the matrix-unit frame
-    conj(U) (x (x) 1) U^T (see `_frame`).  `GnsStructure.basis_left_mults`
-    builds the basis elements' left multiplications from it on demand; they
-    are multiplicative and commute with their conjugates up to the rounding
-    bound stated there.
+    conj(U) (x (x) 1) U^T (see `_frame`).  `GnsStructure.commutant_actions`
+    builds the basis elements' left multiplications from it on demand, block
+    by block; they are multiplicative and commute with their conjugates up
+    to the rounding bound stated there.
     `_verify_gns` ties the frame to the input: the basis is orthonormal,
     each generator's left multiplication from the trace formula matches its
     frame, and the trace vector is cyclic.
@@ -364,23 +369,14 @@ def _block_ranges(block_sizes: Sequence[int]):
 def _unit_map(n: int) -> np.ndarray:
     """The map U of one n x n block from its Hermitian basis to its units.
 
-    Row p holds the coordinates of the block's p-th basis element (the order
-    of _orthonormal_selfadjoint_basis) in the scaled units sqrt(n/alpha)
-    e_kl, unit (k, l) at column k n + l: 1 at (k, k); 1/sqrt 2 at (k, l) and
-    (l, k); i/sqrt 2 at (k, l) and -i/sqrt 2 at (l, k).  U is unitary, and
-    left multiplication by a block element x reads conj(U) (x (x) 1) U^T in
-    the basis, since x sqrt(n/alpha) e_kl = sum_j x_jk sqrt(n/alpha) e_jl.
+    Row p holds the coordinates of the block's p-th basis element in the
+    scaled units sqrt(n/alpha) e_kl, unit (k, l) at column k n + l: the
+    rows of `_block_basis(n, n)`, whose scales are exactly 1 and sqrt(1/2).
+    U is unitary, and left multiplication by a block element x reads
+    conj(U) (x (x) 1) U^T in the basis, since x sqrt(n/alpha) e_kl =
+    sum_j x_jk sqrt(n/alpha) e_jl.
     """
-    U = np.zeros((n * n, n * n), dtype=complex)
-    s = np.sqrt(0.5)
-    row = n
-    for k in range(n):
-        U[k, k * n + k] = 1.0
-        for l in range(k + 1, n):
-            U[row, [k * n + l, l * n + k]] = s
-            U[row + 1, [k * n + l, l * n + k]] = 1j * s, -1j * s
-            row += 2
-    return U
+    return _block_basis(n, n).reshape(n * n, n * n)
 
 
 def _frame(x: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -423,14 +419,15 @@ def _gram(basis: np.ndarray, wvec: np.ndarray) -> np.ndarray:
 def _verify_gns(gns: GnsStructure) -> None:
     """Raise FreedimError unless the matrix-unit frame agrees with the input.
 
-    The product identities hold for `basis_left_mults` by construction (see
-    `_frame`).  What ties the closed form to the algebra is checked here:
-    the basis is orthonormal for tau; each generator's left multiplication,
-    computed from the trace formula, is zero off the blocks and matches the
-    frame of the generator built with the same U, to OPERATOR_TOL relative
-    to the generator's largest entry when that exceeds 1; and the trace
-    vector is cyclic, L_{b_p} applied to it recovering the coordinates e_p,
-    one frame at a time so that no D x D x D stack is built.
+    The product identities hold for the basis elements' frames by
+    construction (see `_frame`).  What ties the closed form to the algebra
+    is checked here: the basis is orthonormal for tau; each generator's
+    left multiplication, computed from the trace formula, is zero off the
+    blocks and matches the frame of the generator built with the same U,
+    to OPERATOR_TOL relative to the generator's largest entry when that
+    exceeds 1; and the trace vector is cyclic, L_{b_p} applied to it
+    recovering the coordinates e_p, computed as conj(U) vec(b_p V) with
+    V = U^T 1 as an n x n matrix of units, so that no frame is built.
     """
     D = gns.dim
     basis = gns.basis
@@ -439,15 +436,14 @@ def _verify_gns(gns: GnsStructure) -> None:
         raise FreedimError("trace-representation basis failed orthonormality")
 
     generators = gns.algebra.generators
-    for (s, t), (S, T), n in _block_ranges(gns.algebra.block_sizes):
-        U = _unit_map(n)
+    for s, t, S, T, n, U in gns.blocks():
         for j, (X, rows) in enumerate(zip(generators, gns.generator_left_mult[:, S:T])):
             gap = np.abs(rows[:, S:T] - _frame(X[s:t, s:t], U)).max()
             if (rows[:, :S].any() or rows[:, T:].any()
                     or not gap <= OPERATOR_TOL * max(1.0, float(np.abs(X).max()))):
                 raise FreedimError(f"left multiplication by generator {j} does not "
                                    "match the matrix-unit frame")
-        hats = np.array([_frame(b, U) @ gns.trace_vector[S:T]
-                         for b in basis[S:T, s:t, s:t]])
+        units = (U.T @ gns.trace_vector[S:T]).reshape(n, n)
+        hats = (basis[S:T, s:t, s:t] @ units).reshape(T - S, T - S) @ np.conj(U).T
         if np.abs(hats - np.eye(T - S)).max() > OPERATOR_TOL:
             raise FreedimError("trace vector is not cyclic for the basis")

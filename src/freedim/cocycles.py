@@ -24,7 +24,6 @@ from .tolerances import INVARIANCE_TOL, SUBSPACE_TOL
 from .vndim import (
     HsSubspace,
     central_decomposition,
-    commutant_action,
     invariance_residual,
     subspace_distance,
     vn_dimension_report,
@@ -63,14 +62,17 @@ def commutator_bound(gns: GnsStructure, s: np.ndarray, r: int, kappa: float,
     """
     if r == 0:
         return 0.0
-    Ls = gns.generator_left_mult
-    R = commutant_action(gns)
-    comm = Ls[None] @ R[:, None] - R[:, None] @ Ls[None]        # (p, j, D, D)
-    comm_norm = np.sqrt((np.linalg.norm(comm, 2, axis=(-2, -1)) ** 2).sum(axis=1))
-    R_norm = np.linalg.norm(R, 2, axis=(-2, -1))
+    comm_max = R_max = 0.0
+    # R_p is zero off its block and L_j block-diagonal (see _verify_gns): so is [L_j, R_p]
+    for S, T, R in gns.commutant_actions():
+        Ls = gns.generator_left_mult[:, S:T, S:T]
+        comm = Ls[None] @ R[:, None] - R[:, None] @ Ls[None]    # (p, j, n^2, n^2)
+        comm_norm = np.sqrt((np.linalg.norm(comm, 2, axis=(-2, -1)) ** 2).sum(axis=1))
+        comm_max = max(comm_max, comm_norm.max())
+        R_max = max(R_max, np.linalg.norm(R, 2, axis=(-2, -1)).max())
     s_next = s[r] if r < s.size else 0.0
     eps_fp = 2.0 * cells * np.finfo(float).eps * s[0]
-    return float(kappa * (comm_norm.max() + (s_next + eps_fp) * R_norm.max()) / s[r - 1])
+    return float(kappa * (comm_max + (s_next + eps_fp) * R_max) / s[r - 1])
 
 
 def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
@@ -97,9 +99,9 @@ def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
     SVD is the exact SVD of some A + E; with ||E|| taken as max(rows, cols)
     u s_1 (u the unit roundoff, the noise level numpy's matrix_rank assumes),
     E enters twice, once in v_k and once in Phi(RY), so eps_fp = 2 ||E||.
-    Rounding in the D x D commutator products, of order D u ||L|| ||R||, is
-    measured rather than bounded.  The bound costs O(n D^4) and is stored as
-    `invariance_residual`, which `vn_dimension_report` gates as usual.
+    Rounding in the commutator products, each formed on R_p's block, is
+    measured rather than bounded.  The bound costs at most O(n D^4) and is
+    stored as `invariance_residual`, which `vn_dimension_report` gates.
 
     The eps_fp term makes the bound about 10^2-10^3 times the measured
     residual, and it grows as 1/s_r: with trace weights of order 1e-10, or two

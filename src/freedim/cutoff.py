@@ -10,6 +10,7 @@ the commutators match exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,6 +92,15 @@ def _check_self_adjoint(A: np.ndarray, name: str) -> np.ndarray:
     return A
 
 
+def _clamp(A: np.ndarray, lam: np.ndarray, U: np.ndarray, R: float,
+           smooth: bool) -> np.ndarray:
+    """f_R(A) from A's eigendecomposition A = U diag(lam) U*."""
+    shift = CutoffFamily(R, smooth=smooth).f(lam) - lam
+    if not np.any(shift):
+        return A.copy()
+    return A + (U * shift) @ U.conj().T
+
+
 def apply_cutoff(A: np.ndarray, R: float, smooth: bool = False) -> np.ndarray:
     """f_R(A) through the eigendecomposition of a self-adjoint matrix.
 
@@ -98,21 +108,16 @@ def apply_cutoff(A: np.ndarray, R: float, smooth: bool = False) -> np.ndarray:
     whenever the whole spectrum sits inside [-R, R].
     """
     A = _check_self_adjoint(A, "A")
-    lam, U = np.linalg.eigh(A)
-    family = CutoffFamily(R, smooth=smooth)
-    shift = family.f(lam) - lam
-    if not np.any(shift):
-        return A.copy()
-    return A + (U * shift) @ U.conj().T
+    return _clamp(A, *np.linalg.eigh(A), R, smooth)
 
 
 def commutator_identity_check(A: np.ndarray, X: np.ndarray, family) -> float:
     """Entrywise residual of [f(A), X] = g(lam_k, lam_l) [A, X] in A's eigenbasis.
 
-    `family` is a clamp scale R, or any object with `f` and `g`, such as a
-    CutoffFamily.
+    `family` is a real clamp scale R (any `numbers.Real`), or any object
+    with `f` and `g`, such as a CutoffFamily.
     """
-    if isinstance(family, (int, float)):
+    if isinstance(family, numbers.Real):
         family = CutoffFamily(float(family))
     A = _check_self_adjoint(A, "A")
     X = _check_self_adjoint(X, "X")
@@ -140,13 +145,15 @@ def convergence_sweep(
 
     T_j = [A, X_j] and T_j^(R) = [f_R(A), X_j]; the error vanishes exactly
     once R reaches the spectral radius of A and never increases with R.
+    Every radius clamps one eigendecomposition of A.
     """
     A = _check_self_adjoint(A, "A")
+    lam, U = np.linalg.eigh(A)
     Xs = [np.asarray(X, dtype=complex) for X in X_tuple]
     T = [A @ X - X @ A for X in Xs]
     out = []
     for R in R_grid:
-        AR = apply_cutoff(A, float(R), smooth=smooth)
+        AR = _clamp(A, lam, U, float(R), smooth)
         err_sq = 0.0
         for X, Tj in zip(Xs, T):
             diff = AR @ X - X @ AR - Tj

@@ -113,9 +113,14 @@ class HsSubspace:
         return self.basis.reshape(self.basis.shape[0], self.ambient_dim)
 
 
-def commutant_action(gns: GnsStructure) -> np.ndarray:
-    """The action generators: conjugated left multiplications, one per basis element."""
-    return gns.basis_left_mults().transpose(0, 2, 1)
+def _block_action(R: np.ndarray, S: int, T: int, basis: np.ndarray) -> np.ndarray:
+    """(p, 2, r, n, D, D): R_p v and v R_p for each action generator R_p of
+    one block (coordinates S:T, where R_p lives) and each basis tuple v."""
+    out = np.zeros((R.shape[0], 2, *basis.shape), dtype=complex)
+    out[:, 0, ..., S:T, :] = np.einsum("pab,rnbc->prnac", R, basis[..., S:T, :],
+                                       optimize=True)
+    out[:, 1, ..., S:T] = np.einsum("rnab,pbc->prnac", basis[..., S:T], R, optimize=True)
+    return out
 
 
 def invariance_residual(basis: np.ndarray, gns: GnsStructure) -> float:
@@ -124,18 +129,13 @@ def invariance_residual(basis: np.ndarray, gns: GnsStructure) -> float:
     if r == 0:
         return 0.0
     flat = basis.reshape(r, -1)
-    actions = commutant_action(gns)
     worst = 0.0
     # batched over action generators to keep the projections in large GEMMs
     chunk = max(1, int(2**23 // max(1, 2 * r * flat.shape[1])))
-    for lo in range(0, actions.shape[0], chunk):
-        R = actions[lo : lo + chunk]
-        left = np.einsum("pab,rnbc->prnac", R, basis, optimize=True)
-        right = np.einsum("rnab,pbc->prnac", basis, R, optimize=True)
-        rows = np.concatenate(
-            [left.reshape(-1, flat.shape[1]), right.reshape(-1, flat.shape[1])]
-        )
-        worst = max(worst, _rowspace_residual(rows, flat))
+    for S, T, R in gns.commutant_actions():
+        for lo in range(0, R.shape[0], chunk):
+            rows = _block_action(R[lo:lo + chunk], S, T, basis).reshape(-1, flat.shape[1])
+            worst = max(worst, _rowspace_residual(rows, flat))
     return worst
 
 
@@ -157,20 +157,15 @@ def invariant_closure(gns: GnsStructure, vectors) -> HsSubspace:
     k, n = A.shape[0], A.shape[1]
     D = gns.dim
     flat = numerical_span(A.reshape(k, n * D * D))
-    actions = commutant_action(gns)
+    actions = gns.commutant_actions()
     for _ in range(n * D * D + 1):
         basis = flat.reshape(-1, n, D, D)
-        rows = [flat]
-        for R in actions:
-            rows.append(np.einsum("ab,rnbc->rnac", R, basis,
-                                  optimize=True).reshape(flat.shape[0], n * D * D))
-            rows.append(np.einsum("rnab,bc->rnac", basis, R,
-                                  optimize=True).reshape(flat.shape[0], n * D * D))
-        grown = numerical_span(np.vstack(rows))
-        if grown.shape[0] == flat.shape[0]:
-            flat = grown
+        # rows generator-major, R_p v before v R_p
+        rows = [flat] + [_block_action(R, S, T, basis).reshape(-1, n * D * D)
+                         for S, T, R in actions]
+        r, flat = flat.shape[0], numerical_span(np.vstack(rows))
+        if flat.shape[0] == r:
             break
-        flat = grown
     basis = flat.reshape(-1, n, D, D)
     return HsSubspace(basis, invariance_residual(basis, gns))
 

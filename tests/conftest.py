@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
+from freedim.algebra import _block_ranges, _frame, _unit_map
 from freedim.derivations import _xi, derivation_well_defined
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,6 +68,18 @@ def coords(gns, x):
 def element(gns, v):
     """Algebra element with the given coordinates."""
     return np.einsum("m,mab->ab", v, gns.basis)
+
+
+def basis_left_mults(gns):
+    """(D, D, D) left multiplications by the basis elements, from the
+    matrix-unit frame and zero off each element's block: the dense stack
+    that the package no longer builds (`GnsStructure.commutant_actions`
+    gives it block by block, transposed)."""
+    D = gns.dim
+    out = np.zeros((D, D, D), dtype=complex)
+    for (s, t), (S, T), n in _block_ranges(gns.algebra.block_sizes):
+        out[S:T, S:T, S:T] = _frame(gns.basis[S:T, s:t, s:t], _unit_map(n))
+    return out
 
 
 def cocycle_map(gns, generators, Y):

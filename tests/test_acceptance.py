@@ -11,8 +11,8 @@ import numpy as np
 
 import freedim as fd
 from freedim.cli import main as cli_main
-from conftest import SX, SY, SZ, conjugate_variable, embed_c_m2, invariant_complement, \
-    make_c1m2, make_c2, make_m2, random_hermitian
+from conftest import SX, SY, SZ, basis_left_mults, conjugate_variable, embed_c_m2, \
+    invariant_complement, make_c1m2, make_c2, make_m2, random_hermitian
 
 
 def record(number: int, description: str, ok: bool):
@@ -124,7 +124,7 @@ def test_criterion_4_dual_round_trip():
             # basis pairs, with Y* built independently from its formula:
             # Y*(Q 1) = -(dT(Q*))* 1 + L_Q xi  (Q* = Q on this basis)
             Z = np.zeros((D, D), dtype=complex)
-            for m, Lm in enumerate(gns.basis_left_mults()):
+            for m, Lm in enumerate(basis_left_mults(gns)):
                 Z[:, m] = -(B @ Lm - Lm @ B).conj().T @ t + Lm @ rep.xi
             ok &= bool(np.abs(Z - rep.Y.conj().T).max() <= 1e-9)
     record(4, "20 seeded inner duals per algebra: residuals <= 1e-9, "

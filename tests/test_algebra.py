@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import SX, SY, SZ, coords, element, random_block_algebra, random_hermitian
+from conftest import (SX, SY, SZ, basis_left_mults, coords, element, random_block_algebra,
+                      random_hermitian)
 import freedim.algebra as algebra_module
 from freedim.algebra import (_flatten, _frame, _orthonormal_selfadjoint_basis,
                              _unflatten, _unit_map, _verify_gns, block_offsets)
@@ -313,7 +314,7 @@ def check_blocks(gns):
     """Per block, check L against the trace oracle and return (measured
     gaps, bound).  L must be exactly zero off its blocks, and within 8 u c of
     the oracle on them."""
-    L = gns.basis_left_mults()
+    L = basis_left_mults(gns)
     oracle = trace_left_mult(gns)
     alg = gns.algebra
     out = []
@@ -339,7 +340,7 @@ def test_pattern_gaps_match_dense_oracle(name):
     blocks = check_blocks(gns)
     for (mult, comm), bound in blocks:
         assert max(mult, comm) <= bound <= OPERATOR_TOL
-    whole = dense_identity_gaps(gns.basis_left_mults())
+    whole = dense_identity_gaps(basis_left_mults(gns))
     for k in range(2):
         assert abs(max(gaps[k] for gaps, _ in blocks) - whole[k]) <= 1e-14
 
@@ -348,7 +349,7 @@ def test_pattern_gaps_match_dense_oracle(name):
 def test_pattern_gaps_match_dense_oracle_one_index_per_run(name):
     # dense_identity_gaps takes one first index p per pass, so that D = 64
     # and 100 fit; on these sizes it agrees with the all-at-once D^4 tensors
-    L = fd.gns_structure(_worked_algebra(name)).basis_left_mults()
+    L = basis_left_mults(fd.gns_structure(_worked_algebra(name)))
     for looped, at_once in zip(dense_identity_gaps(L), all_at_once_identity_gaps(L)):
         assert abs(looped - at_once) <= 1e-14
 
@@ -383,8 +384,8 @@ def test_small_weight_block_gaps_within_bound():
 
 
 def test_gns_structure_memory_bounded_at_d64():
-    # the whole GNS structure at D = 64: the cyclicity check takes one
-    # basis element's frame at a time, so the 4 MB stack L is never built
+    # the whole GNS structure at D = 64: the cyclicity check applies the
+    # frame in closed form, so neither the 4 MB stack L nor a frame is built
     alg = random_block_algebra((8,), 0)
     tracemalloc.start()
     try:
@@ -395,14 +396,20 @@ def test_gns_structure_memory_bounded_at_d64():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("shape", [(8,), (1, 2, 3)])
+@pytest.mark.parametrize("shape", [(1, 1, 2, 3, 3), (1, 2, 3)])
 def test_gns_structure_never_builds_basis_left_mults(monkeypatch, shape):
-    def refuse(self):
-        raise AssertionError("gns_structure built the basis left multiplications")
-
-    monkeypatch.setattr(algebra_module.GnsStructure, "basis_left_mults", refuse)
-    gns = fd.gns_structure(random_block_algebra(shape, seed=0))
-    assert gns.dim == sum(n * n for n in shape)
+    # a whole delta report, S4's block shape first, allocates no D x D x D
+    # array: the commutant acts one block at a time
+    shapes = []
+    for name in ("zeros", "empty"):
+        def record(shape, *args, _alloc=getattr(np, name), **kwargs):
+            shapes.append(tuple(np.atleast_1d(shape)))
+            return _alloc(shape, *args, **kwargs)
+        monkeypatch.setattr(np, name, record)
+    report = fd.delta_report(random_block_algebra(shape, seed=0))
+    D = sum(n * n for n in shape)
+    assert report.block_sizes == shape and shapes
+    assert (D, D, D) not in shapes
 
 
 def test_gns_structure_retains_no_d_cubed_array():
@@ -446,6 +453,19 @@ def test_perturbed_generator_left_mult_fails_frame_check():
         _verify_gns(gns)
 
 
+def test_closed_form_cyclicity_check_matches_frames_and_refuses():
+    # the check applies each basis element's frame to the trace vector
+    # without building it; a trace vector off by 1e-6 in one coordinate fails
+    gns = fd.gns_structure(random_block_algebra((1, 2, 3), seed=5))
+    for (s, t), (S, T), n in algebra_module._block_ranges(gns.algebra.block_sizes):
+        U = _unit_map(n)
+        hats = [_frame(b, U) @ gns.trace_vector[S:T] for b in gns.basis[S:T, s:t, s:t]]
+        assert np.abs(np.array(hats) - np.eye(T - S)).max() <= 1e-13
+    gns.trace_vector[1] *= 1 + 1e-6
+    with pytest.raises(fd.FreedimError, match="trace vector is not cyclic"):
+        _verify_gns(gns)
+
+
 def test_gns_check_scales_to_d100():
     alg = random_block_algebra((6, 8), seed=1)
     gns = fd.gns_structure(alg)
@@ -457,7 +477,7 @@ def test_block_frames_equal_element_frames(name):
     # one `_frame` call on a block's whole stack gives each element's frame
     # bit for bit
     gns = fd.gns_structure(_worked_algebra(name))
-    L = gns.basis_left_mults()
+    L = basis_left_mults(gns)
     for (s, t), (S, T), n in algebra_module._block_ranges(gns.algebra.block_sizes):
         U = algebra_module._unit_map(n)
         for p in range(S, T):
@@ -514,6 +534,75 @@ def test_block_coordinates_match_reference_loops_bitwise(sizes):
         want = np.array([np.conj(U) @ np.kron(b, np.eye(n)) @ U.T for b in blocks])
         assert _bitwise_equal(_frame(blocks, U), want)
         assert _bitwise_equal(_frame(blocks[0], U), want[0])
+
+
+def _unit_map_loop(n):
+    U = np.zeros((n * n, n * n), dtype=complex)
+    s = np.sqrt(0.5)
+    row = n
+    for k in range(n):
+        U[k, k * n + k] = 1.0
+        for l in range(k + 1, n):
+            U[row, [k * n + l, l * n + k]] = s
+            U[row + 1, [k * n + l, l * n + k]] = 1j * s, -1j * s
+            row += 2
+    return U
+
+
+def test_unit_map_matches_reference_loop_bitwise():
+    for n in range(1, 16):
+        assert _bitwise_equal(_unit_map(n), _unit_map_loop(n))
+
+
+def _word_span_loop(block_sizes, generators):
+    """`word_span` as it was: one more round of products past a full span."""
+    sizes = tuple(block_sizes)
+    ambient = sum(n * n for n in sizes)
+    span = algebra_module.numerical_span
+    basis = span(_flatten(np.array([np.eye(sum(sizes)), *generators], dtype=complex), sizes))
+    for _ in range(ambient):
+        if not generators:
+            break
+        products = _unflatten(basis, sizes)[:, None] @ np.array(generators)
+        grown = span(np.vstack([basis, _flatten(products, sizes).reshape(-1, ambient)]))
+        if grown.shape[0] == basis.shape[0]:
+            return grown
+        basis = grown
+    return basis
+
+
+def _doubled(*mats):
+    """Each 2 x 2 matrix twice, as the generator of M2 inside M2 (+) M2."""
+    out = []
+    for m in mats:
+        g = np.zeros((4, 4), dtype=complex)
+        g[:2, :2] = g[2:, 2:] = m
+        out.append(g)
+    return out
+
+
+WORD_SPAN_CASES = [((2,), [SX, SZ]), ((1, 1), [np.diag([0.0, 1.0])]), ((2,), [SX]),
+                   ((2, 2), _doubled(SX, SZ)), ((2,), [])] + [
+    (shape, list(random_block_algebra(shape, seed).generators))
+    for seed, shape in enumerate([(1,), (1, 2), (3,), (1, 2, 3), (3, 3), (2, 2, 1)])]
+
+
+@pytest.mark.parametrize("sizes, gens", WORD_SPAN_CASES)
+def test_word_span_stops_at_full_span(sizes, gens, monkeypatch):
+    # a full span is returned without the round that would confirm it; a
+    # span short of the algebra, which blockify reads, is unchanged bit for bit
+    calls, span = [], algebra_module.numerical_span
+    monkeypatch.setattr(algebra_module, "numerical_span",
+                        lambda a: calls.append(len(a)) or span(a))
+    gens = algebra_module.unit_scaled([np.asarray(g, dtype=complex) for g in gens])
+    got, got_calls = algebra_module.word_span(sizes, gens), len(calls)
+    want, want_calls = _word_span_loop(sizes, gens), len(calls) - got_calls
+    full = sum(n * n for n in sizes)
+    assert got.shape[0] == want.shape[0]
+    if got.shape[0] == full and gens:
+        assert got_calls == want_calls - 1
+    else:
+        assert got_calls == want_calls and _bitwise_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import (SX, SY, SZ, cocycle_map, embed_c_m2, make_c1m2, make_c2, make_m2,
-                      random_block_algebra, random_hermitian, svd_block_ranks)
-from freedim.algebra import span_with_spectrum
+from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2, make_c1m2,
+                      make_c2, make_m2, random_block_algebra, random_hermitian,
+                      svd_block_ranks)
+from freedim.algebra import _rowspace_residual, span_with_spectrum
 from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config, _delta_results
 from freedim.cocycles import (_hermitian_family, _unit_commutators, cocycle_span,
                               commutator_bound)
@@ -35,7 +36,7 @@ def test_cocycle_map_identity_vanishes(m2):
 def test_cocycle_map_kills_commutant(m2):
     # conjugated left multiplications span the commutant of the action
     gns = fd.gns_structure(m2)
-    for Lp in gns.basis_left_mults():
+    for Lp in basis_left_mults(gns):
         Y = np.conj(Lp)
         out = cocycle_map(gns, m2.generators, Y)
         assert np.abs(out).max() < 1e-10
@@ -196,6 +197,76 @@ def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
         else:
             assert K.invariance_residual == dense
         fd.vn_dimension_report(K, dec)
+
+
+# ---------------------------------------------------------------------------
+# the per-block commutant action against the dense D x D x D stack
+# ---------------------------------------------------------------------------
+
+def _dense_actions(gns):
+    """The action generators R_p = L_{b_p}^T as one dense (D, D, D) stack."""
+    return basis_left_mults(gns).transpose(0, 2, 1)
+
+
+def _dense_commutator_maxima(gns):
+    """max_p (sum_j ||[L_j, R_p]||^2)^(1/2) and max_p ||R_p|| over the dense stack."""
+    R, Ls = _dense_actions(gns), gns.generator_left_mult
+    comm = Ls[None] @ R[:, None] - R[:, None] @ Ls[None]
+    comm_norm = np.sqrt((np.linalg.norm(comm, 2, axis=(-2, -1)) ** 2).sum(axis=1))
+    return comm_norm.max(), np.linalg.norm(R, 2, axis=(-2, -1)).max()
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3, 3),
+                                   (4, 5), (1, 2, 6), (3, 4, 4)], ids=str)
+def test_per_block_commutator_maxima_match_dense_oracle(shape):
+    # up to D = 41; with s = (1, 2^60), r = 1 and no rounding term the bound
+    # is the commutator maximum plus 2^60 times the largest ||R_p||
+    gns = fd.gns_structure(random_block_algebra(shape, seed=sum(shape)))
+    comm = commutator_bound(gns, np.array([1.0]), 1, 1.0, 0)
+    R_max = (commutator_bound(gns, np.array([1.0, 2.0**60]), 1, 1.0, 0) - comm) / 2.0**60
+    dense_comm, dense_R = _dense_commutator_maxima(gns)
+    tol = 4 * gns.dim * np.finfo(float).eps / 2 * dense_R
+    assert abs(comm - dense_comm) <= tol
+    assert abs(R_max - dense_R) <= tol
+
+
+def _dense_invariance_residual(basis, gns):
+    R, flat = _dense_actions(gns), basis.reshape(len(basis), -1)
+    moved = [np.einsum("pab,rnbc->prnac", R, basis, optimize=True),
+             np.einsum("rnab,pbc->prnac", basis, R, optimize=True)]
+    return _rowspace_residual(np.concatenate([m.reshape(-1, flat.shape[1]) for m in moved]),
+                              flat)
+
+
+def _dense_invariant_closure(gns, vectors):
+    n, D = vectors.shape[1], gns.dim
+    flat = fd.numerical_span(vectors.reshape(len(vectors), -1))
+    while True:
+        basis = flat.reshape(-1, n, D, D)
+        rows = [flat]
+        for R in _dense_actions(gns):
+            rows += [np.einsum("ab,rnbc->rnac", R, basis).reshape(len(flat), -1),
+                     np.einsum("rnab,bc->rnac", basis, R).reshape(len(flat), -1)]
+        grown = fd.numerical_span(np.vstack(rows))
+        if grown.shape[0] == flat.shape[0]:
+            return grown
+        flat = grown
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 1, 2), (2, 2), (1, 2, 3)], ids=str)
+def test_per_block_invariance_matches_dense_oracle(shape):
+    gns = fd.gns_structure(random_block_algebra(shape, seed=3))
+    rng = np.random.default_rng(3)
+    D = gns.dim
+    random = fd.hs_subspace(gns, rng.standard_normal((3, 2, D, D)))
+    for K in (fd.compute_H0(gns), random):  # invariant, then not
+        dense = _dense_invariance_residual(K.basis, gns)
+        assert abs(invariance_residual(K.basis, gns) - dense) <= 1e-13
+    seed = np.zeros((1, 1, D, D), dtype=complex)
+    seed[0, 0, 0, -1] = 1.0  # first block to last
+    closure, dense = fd.invariant_closure(gns, seed), _dense_invariant_closure(gns, seed)
+    assert closure.flat().shape == dense.shape
+    assert _rowspace_residual(dense, closure.flat()) <= 1e-12
 
 
 def test_commutator_bound_rejects_non_commuting_operator(m2):

@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 import freedim as fd
 from conftest import random_hermitian
+from freedim.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +114,15 @@ def test_commutator_identity_cubic_polynomial():
     assert fd.commutator_identity_check(A, X, fam) <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [np.int64(2), np.float32(2.0), Fraction(3, 2), 2, 2.0],
+                         ids=["int64", "float32", "Fraction", "int", "float"])
+def test_commutator_identity_accepts_any_real_scale(scale):
+    rng = np.random.default_rng(7)
+    A, X = random_hermitian(rng, 6), random_hermitian(rng, 6)
+    want = fd.commutator_identity_check(A, X, fd.CutoffFamily(float(scale)))
+    assert fd.commutator_identity_check(A, X, scale) == want
+
+
 def test_commutator_identity_degenerate_spectrum():
     rng = np.random.default_rng(3)
     Q = np.linalg.qr(rng.standard_normal((6, 6))
@@ -172,3 +185,50 @@ def test_sweep_errors_non_increasing():
     errs = [e for _, e in rows]
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-12
+
+
+def _sweep_by_apply_cutoff(A, X_tuple, R_grid, smooth=False):
+    """`convergence_sweep` as it was: one `apply_cutoff`, so one validation
+    and one eigendecomposition of A, per radius."""
+    A = np.asarray(A, dtype=complex)
+    Xs = [np.asarray(X, dtype=complex) for X in X_tuple]
+    T = [A @ X - X @ A for X in Xs]
+    out = []
+    for R in R_grid:
+        AR = fd.apply_cutoff(A, float(R), smooth=smooth)
+        err_sq = 0.0
+        for X, Tj in zip(Xs, T):
+            diff = AR @ X - X @ AR - Tj
+            err_sq += float(np.linalg.norm(diff) ** 2)
+        out.append((float(R), float(np.sqrt(err_sq))))
+    return out
+
+
+def _explicit_pair():
+    # a fixed pair whose spectrum the grid straddles
+    A = np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 0.5]])
+    return A, [np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 1.0]])]
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
+@pytest.mark.parametrize("case", ["random", "explicit"])
+def test_sweep_matches_per_radius_cutoff_bitwise(case, smooth):
+    if case == "random":
+        rng = np.random.default_rng(8)
+        A, X = random_hermitian(rng, 8), [random_hermitian(rng, 8) for _ in range(2)]
+        grid = list(range(1, 9))
+    else:
+        (A, X), grid = _explicit_pair(), [0.5, 1.0, 2.5, 3.5, 4.0]
+    got = fd.convergence_sweep(A, X, grid, smooth=smooth)
+    want = _sweep_by_apply_cutoff(A, X, grid, smooth=smooth)
+    assert [(R, e.hex()) for R, e in got] == [(R, e.hex()) for R, e in want]
+
+
+def test_sweep_diagonalizes_once(monkeypatch, capsys):
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
+                        or eigh(a, *args, **kw))
+    config = Path(__file__).resolve().parents[1] / "configs" / "cutoff_sweep.json"
+    assert main(["cutoff", "--config", str(config)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["sweep"]) == 8
+    assert calls == [(8, 8)]

@@ -8,6 +8,7 @@ import freedim as fd
 import freedim.derivations as derivations_module
 from conftest import (conjugate_variable, make_c1m2, make_c2, make_m2, random_block_algebra,
                       random_hermitian)
+from freedim.algebra import GnsStructure, _block_ranges, _unit_map
 from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config
 from freedim.derivations import _word_system
 from test_algebra import BITWISE_SHAPES, _bare_gns
@@ -411,8 +412,8 @@ def _sylvester_residual_kron(gns, targets):
     norm = float(np.sqrt(sum(np.vdot(Tj, Tj).real for Tj in targets)))
     if norm == 0.0:
         return 0.0
-    blocks = [(s, t, S, T, n, derivations_module._unit_map(n))
-              for (s, t), (S, T), n in derivations_module._block_ranges(gns.algebra.block_sizes)]
+    blocks = [(s, t, S, T, n, _unit_map(n))
+              for (s, t), (S, T), n in _block_ranges(gns.algebra.block_sizes)]
     sq = 0.0
     for s_i, t_i, S_i, T_i, n_i, U_i in blocks:
         for s_k, t_k, S_k, T_k, n_k, U_k in blocks:
@@ -433,8 +434,9 @@ def test_sylvester_operands_match_kron_bitwise(sizes, monkeypatch):
     # and targets with -0.0 entries
     rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
     N, D = sum(sizes), sum(n * n for n in sizes)
-    gns = SimpleNamespace(algebra=SimpleNamespace(
-        block_sizes=sizes, generators=tuple(_with_negative_zeros(rng, (3, N, N)))))
+    # the solve reads only the blocks and the generators of the structure
+    gns = GnsStructure(SimpleNamespace(block_sizes=sizes, generators=tuple(
+        _with_negative_zeros(rng, (3, N, N)))), D, None, None, None, None)
     targets = tuple(_with_negative_zeros(rng, (3, D, D)))
     seen, lstsq = [], np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",

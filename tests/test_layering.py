@@ -71,3 +71,18 @@ def test_imports_point_to_lower_ranks(name):
     not_lower = {m for m in imported_modules(name)
              if RANK[m] >= RANK[name] and (name, m) not in UPWARD}
     assert not_lower == set()
+
+
+# The matrix-unit frame: the block basis, its unit map, the frames and the
+# block ranges.  Other modules reach it through GnsStructure's block accessors.
+FRAME_HELPERS = {"_block_basis", "_unit_map", "_frame", "_block_ranges"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "algebra"])
+def test_frame_helpers_stay_in_algebra(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))}
+    assert names & FRAME_HELPERS == set()

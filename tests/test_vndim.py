@@ -6,8 +6,8 @@ import pytest
 import freedim as fd
 import freedim.vndim as vndim
 import freedim.wedderburn as wedderburn
-from conftest import (SX, SZ, embed_c_m2, invariant_complement, make_c1m2, make_c2,
-                      make_m2, random_block_algebra, svd_block_ranks)
+from conftest import (SX, SZ, basis_left_mults, embed_c_m2, invariant_complement, make_c1m2,
+                      make_c2, make_m2, random_block_algebra, svd_block_ranks)
 from freedim.algebra import _unflatten, block_offsets
 from freedim.tolerances import OPERATOR_TOL
 from freedim.vndim import to_fraction
@@ -103,7 +103,7 @@ def d_coordinate_center(gns, seed=0):
         indicator = np.zeros(D)
         indicator[start:stop] = 1.0
         assert np.abs(Zi - np.diag(indicator)).max() <= 1e-10
-    L = gns.basis_left_mults()
+    L = basis_left_mults(gns)
     for Zi in Z:
         comm = np.einsum("ab,pbc->pac", Zi, L) - np.einsum("pab,bc->pac", L, Zi)
         assert np.abs(comm).max() <= OPERATOR_TOL
