@@ -10,6 +10,7 @@ product <a, b> = tau(b* a); its completion is a D-dimensional Hilbert space
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -87,17 +88,21 @@ def _diag_weights(block_sizes, trace_weights) -> np.ndarray:
     return w
 
 
-def _block_entries(block_sizes: Sequence[int]) -> np.ndarray:
-    """(2, D) rows and columns of the block entries, in coordinate order."""
-    return np.concatenate([s + np.indices((n, n)).reshape(2, -1)
-                           for (s, _), n in zip(block_offsets(block_sizes), block_sizes)],
-                          axis=1)
+@functools.lru_cache(maxsize=None)
+def _block_entries(block_sizes: tuple[int, ...]) -> np.ndarray:
+    """(2, D) rows and columns of the block entries, in coordinate order;
+    built once per block shape, read-only."""
+    out = np.concatenate([s + np.indices((n, n)).reshape(2, -1)
+                          for (s, _), n in zip(block_offsets(block_sizes), block_sizes)],
+                         axis=1)
+    out.flags.writeable = False
+    return out
 
 
 def _flatten(x: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     """Concatenate the block entries of x (or of each matrix of a stack) into
     a vector of length D."""
-    rows, cols = _block_entries(block_sizes)
+    rows, cols = _block_entries(tuple(block_sizes))
     return x[..., rows, cols]
 
 
@@ -105,7 +110,7 @@ def _unflatten(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     """Block-diagonal matrix (or stack of them) whose block entries are v."""
     N = sum(block_sizes)
     out = np.zeros((*v.shape[:-1], N, N), dtype=complex)
-    rows, cols = _block_entries(block_sizes)
+    rows, cols = _block_entries(tuple(block_sizes))
     out[..., rows, cols] = v
     return out
 
@@ -268,44 +273,64 @@ class GnsStructure:
     p1: np.ndarray               # (D, D) rank-one projection onto the trace vector
     generator_left_mult: np.ndarray  # (n, D, D): left_mults (trace formula)
     _wvec: np.ndarray = field(repr=False, default=None)
+    # per block: row range (s, t), coordinate range (S, T), size n, unit map U
+    blocks: list[tuple[int, int, int, int, int, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.blocks = [(s, t, S, T, n, _unit_map(n))
+                       for (s, t), (S, T), n in _block_ranges(self.algebra.block_sizes)]
 
     def left_mults(self, generators: Sequence[np.ndarray]) -> np.ndarray:
         """(n, D, D) stack of the left multiplications by the generators, all
-        of one shape and so contracted along one path."""
+        of one shape and so contracted along one path, searched once per shape."""
         xs = [np.asarray(X, dtype=complex) for X in generators]
         spec, b, w = "mab,bc,qca,a->mq", self.basis, self._wvec
-        path = xs and np.einsum_path(spec, b, xs[0], b, w, optimize=True)[0]
+        path = xs and _contraction_path(spec, b.shape, xs[0].shape, b.shape, w.shape)
         Ls = [np.einsum(spec, b, x, b, w, optimize=path) for x in xs]
         return np.asarray(Ls, dtype=complex).reshape(-1, self.dim, self.dim)
 
-    def blocks(self) -> list[tuple[int, int, int, int, int, np.ndarray]]:
-        """Per block: its row range (s, t), its coordinate range (S, T), its
-        size n and its unit map U (see `_unit_map`), built anew on each call."""
-        return [(s, t, S, T, n, _unit_map(n))
-                for (s, t), (S, T), n in _block_ranges(self.algebra.block_sizes)]
-
+    @functools.cached_property
     def commutant_actions(self) -> list[tuple[int, int, np.ndarray]]:
         """Per block: its coordinate range (S, T) and the (n^2, n^2, n^2) stack
         of its basis elements' commutant action generators R_p = L_{b_p}^T
-        there, from the frame (see `_frame`) anew on each call in O(n^6)
-        work; each R_p is exactly zero off its block."""
+        there, from the frame (see `_frame`) in O(n^6) work, once per
+        structure; each R_p is exactly zero off its block."""
         return [(S, T, _frame(self.basis[S:T, s:t, s:t], U).transpose(0, 2, 1))
-                for s, t, S, T, _, U in self.blocks()]
+                for s, t, S, T, _, U in self.blocks]
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_path(spec: str, *shapes: tuple[int, ...]) -> list:
+    """np.einsum's greedy path for operands of these shapes; the search reads
+    only the shapes, so it runs once per shape in a process."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(spec, *operands, optimize=True)[0]
 
 
 def _block_basis(n: int, alpha: float) -> np.ndarray:
     """The (n^2, n, n) Hermitian basis of an n x n block of weight alpha,
     orthonormal for tau: sqrt(n/alpha) e_kk for each k, then for k < l in order
     sqrt(n/(2 alpha)) (e_kl + e_lk) and sqrt(n/(2 alpha)) i (e_kl - e_lk)."""
-    out = np.zeros((n * n, n, n), dtype=complex)
-    d = np.arange(n)
-    out[d, d, d] = np.sqrt(n / alpha)
     pair_scale = np.sqrt(n / (2.0 * alpha))
+    values = np.array([0.0, np.sqrt(n / alpha), pair_scale, 1j * pair_scale,
+                       -1j * pair_scale], dtype=complex)
+    return values[_basis_pattern(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_pattern(n: int) -> np.ndarray:
+    """Which value of `_block_basis` each entry holds: 0 for zero, 1 for the
+    diagonal units, 2 for the real pairs, 3 and 4 for the i and -i entries
+    of the imaginary pairs.  Built once per size, read-only."""
+    out = np.zeros((n * n, n, n), dtype=np.int8)
+    d = np.arange(n)
+    out[d, d, d] = 1
     k, l = np.triu_indices(n, 1)
     p = n + 2 * np.arange(k.size)
-    out[p, k, l] = out[p, l, k] = pair_scale
-    out[p + 1, k, l] = 1j * pair_scale
-    out[p + 1, l, k] = -1j * pair_scale
+    out[p, k, l] = out[p, l, k] = 2
+    out[p + 1, k, l] = 3
+    out[p + 1, l, k] = 4
+    out.flags.writeable = False
     return out
 
 
@@ -327,9 +352,9 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     basis consists of Hermitian combinations of scaled matrix units, so in
     each block left multiplication has a closed form, the matrix-unit frame
     conj(U) (x (x) 1) U^T (see `_frame`).  `GnsStructure.commutant_actions`
-    builds the basis elements' left multiplications from it on demand, block
-    by block; they are multiplicative and commute with their conjugates up
-    to the rounding bound stated there.
+    builds the basis elements' left multiplications from it block by block,
+    the first time they are asked for; they are multiplicative and commute
+    with their conjugates up to the rounding bound stated there.
     `_verify_gns` ties the frame to the input: the basis is orthonormal,
     each generator's left multiplication from the trace formula matches its
     frame, and the trace vector is cyclic.
@@ -435,14 +460,16 @@ def _verify_gns(gns: GnsStructure) -> None:
     if np.abs(_gram(basis, gns._wvec) - np.eye(D)).max() > OPERATOR_TOL:
         raise FreedimError("trace-representation basis failed orthonormality")
 
-    generators = gns.algebra.generators
-    for s, t, S, T, n, U in gns.blocks():
-        for j, (X, rows) in enumerate(zip(generators, gns.generator_left_mult[:, S:T])):
-            gap = np.abs(rows[:, S:T] - _frame(X[s:t, s:t], U)).max()
-            if (rows[:, :S].any() or rows[:, T:].any()
-                    or not gap <= OPERATOR_TOL * max(1.0, float(np.abs(X).max()))):
-                raise FreedimError(f"left multiplication by generator {j} does not "
-                                   "match the matrix-unit frame")
+    Ls = gns.generator_left_mult
+    X = np.asarray(gns.algebra.generators, dtype=complex).reshape(len(Ls), *basis.shape[1:])
+    tol = OPERATOR_TOL * np.maximum(1.0, np.abs(X).max(axis=(1, 2), initial=0.0))
+    for s, t, S, T, n, U in gns.blocks:
+        rows = Ls[:, S:T]
+        gaps = np.abs(rows[:, :, S:T] - _frame(X[:, s:t, s:t], U)).max(axis=(1, 2), initial=0.0)
+        wrong = rows[:, :, :S].any(axis=(1, 2)) | rows[:, :, T:].any(axis=(1, 2)) | ~(gaps <= tol)
+        if wrong.any():
+            raise FreedimError(f"left multiplication by generator {wrong.argmax()} does "
+                               "not match the matrix-unit frame")
         units = (U.T @ gns.trace_vector[S:T]).reshape(n, n)
         hats = (basis[S:T, s:t, s:t] @ units).reshape(T - S, T - S) @ np.conj(U).T
         if np.abs(hats - np.eye(T - S)).max() > OPERATOR_TOL:

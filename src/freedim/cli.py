@@ -103,8 +103,9 @@ class RunReport:
 
 def _clean(value):
     """JSON-safe copy: fractions as 'p/q', non-finite floats as strings."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    # the common leaves first, and Fraction's slow isinstance check last
+    if type(value) in (str, int, bool, type(None)):
+        return value
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
@@ -114,14 +115,16 @@ def _clean(value):
         return f
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        return _clean(value.tolist())
     if isinstance(value, dict):
         return {str(k): _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _clean(value.tolist())
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
     return value
 
 

@@ -58,18 +58,20 @@ def commutator_bound(gns: GnsStructure, s: np.ndarray, r: int, kappa: float,
     """Bound on how far the commutant action moves the span of `cocycle_span`.
 
     `s` is the spectrum of the spanning family (a `cells` = max(rows, cols)
-    matrix), of which the first r rows are kept.  See `cocycle_span`.
+    matrix), of which the first r rows are kept.  See `cocycle_span`.  No
+    norm here takes an SVD: the commutators are measured in Frobenius norm,
+    and max_p ||R_p|| is max_i sqrt(n_i / alpha_i) in closed form.
     """
     if r == 0:
         return 0.0
-    comm_max = R_max = 0.0
+    comm_max = 0.0
     # R_p is zero off its block and L_j block-diagonal (see _verify_gns): so is [L_j, R_p]
-    for S, T, R in gns.commutant_actions():
+    for S, T, R in gns.commutant_actions:
         Ls = gns.generator_left_mult[:, S:T, S:T]
         comm = Ls[None] @ R[:, None] - R[:, None] @ Ls[None]    # (p, j, n^2, n^2)
-        comm_norm = np.sqrt((np.linalg.norm(comm, 2, axis=(-2, -1)) ** 2).sum(axis=1))
-        comm_max = max(comm_max, comm_norm.max())
-        R_max = max(R_max, np.linalg.norm(R, 2, axis=(-2, -1)).max())
+        comm_max = max(comm_max, np.linalg.norm(comm.reshape(len(R), -1), axis=1).max())
+    alg = gns.algebra
+    R_max = max(np.sqrt(n / a) for n, a in zip(alg.block_sizes, alg.trace_weights))
     s_next = s[r] if r < s.size else 0.0
     eps_fp = 2.0 * cells * np.finfo(float).eps * s[0]
     return float(kappa * (comm_max + (s_next + eps_fp) * R_max) / s[r - 1])
@@ -92,10 +94,15 @@ def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
     and Phi(RY) lies within s_{r+1} ||RY||_HS of the kept span.  So both
     actions move every basis row at most
 
-        kappa * (max_p (sum_j ||[L_j, R_p]||^2)^(1/2)
+        kappa * (max_p (sum_j ||[L_j, R_p]||_F^2)^(1/2)
                  + (s_{r+1} + eps_fp) * max_p ||R_p||) / s_r
 
-    from the span (operator norms; s_{r+1} = 0 at full rank).  The computed
+    from the span (s_{r+1} = 0 at full rank).  The commutator term is a
+    Frobenius norm, which is at least the operator norm the argument needs.
+    R_p = L_{b_p}^T has the operator norm of b_p, which is its largest
+    entry: sqrt(n/alpha) for the diagonal units of a block of size n and
+    weight alpha and sqrt(n/(2 alpha)) for the pairs (see `_block_basis`),
+    so max_p ||R_p|| = max_i sqrt(n_i/alpha_i) exactly.  The computed
     SVD is the exact SVD of some A + E; with ||E|| taken as max(rows, cols)
     u s_1 (u the unit roundoff, the noise level numpy's matrix_rank assumes),
     E enters twice, once in v_k and once in Phi(RY), so eps_fp = 2 ||E||.

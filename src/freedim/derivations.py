@@ -106,7 +106,7 @@ class DerivationFit:
 def _sylvester_residual(gns: GnsStructure, targets: Sequence[np.ndarray]) -> float:
     """dist(T, {([Y, L_j])_j : Y}) / ||T||, Frobenius norms (0 for T = 0).
 
-    In the matrix-unit frame W = (+)_i conj(U_i), U_i from `gns.blocks()`,
+    In the matrix-unit frame W = (+)_i conj(U_i), U_i from `gns.blocks`,
     L_j = W ((+)_i X_j^(i) (x) 1) W*, so block (i, k) of W* T_j W, that is
     U_i^T T_j[S_i:T_i, S_k:T_k] conj(U_k), holds n_i n_k right-hand sides of
     phi_ik(z) = (z X_j^(k) - X_j^(i) z)_j on n_i x n_k matrices z: one lstsq
@@ -120,7 +120,7 @@ def _sylvester_residual(gns: GnsStructure, targets: Sequence[np.ndarray]) -> flo
     norm = float(np.sqrt(sum(np.vdot(Tj, Tj).real for Tj in targets)))
     if norm == 0.0:
         return 0.0
-    blocks = gns.blocks()
+    blocks = gns.blocks
     sq = 0.0
     for s_i, t_i, S_i, T_i, n_i, U_i in blocks:
         for s_k, t_k, S_k, T_k, n_k, U_k in blocks:

@@ -13,6 +13,7 @@ pinned by the normalization dim(full HS^n) = n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,7 +104,7 @@ class HsSubspace:
 
     @property
     def ambient_dim(self) -> int:
-        return int(np.prod(self.basis.shape[1:]))
+        return math.prod(self.basis.shape[1:])
 
     @property
     def complex_dim(self) -> int:
@@ -117,9 +118,10 @@ def _block_action(R: np.ndarray, S: int, T: int, basis: np.ndarray) -> np.ndarra
     """(p, 2, r, n, D, D): R_p v and v R_p for each action generator R_p of
     one block (coordinates S:T, where R_p lives) and each basis tuple v."""
     out = np.zeros((R.shape[0], 2, *basis.shape), dtype=complex)
-    out[:, 0, ..., S:T, :] = np.einsum("pab,rnbc->prnac", R, basis[..., S:T, :],
-                                       optimize=True)
-    out[:, 1, ..., S:T] = np.einsum("rnab,pbc->prnac", basis[..., S:T], R, optimize=True)
+    # the one contraction numpy's path search finds for two operands
+    pair = ["einsum_path", (0, 1)]
+    out[:, 0, ..., S:T, :] = np.einsum("pab,rnbc->prnac", R, basis[..., S:T, :], optimize=pair)
+    out[:, 1, ..., S:T] = np.einsum("rnab,pbc->prnac", basis[..., S:T], R, optimize=pair)
     return out
 
 
@@ -132,7 +134,7 @@ def invariance_residual(basis: np.ndarray, gns: GnsStructure) -> float:
     worst = 0.0
     # batched over action generators to keep the projections in large GEMMs
     chunk = max(1, int(2**23 // max(1, 2 * r * flat.shape[1])))
-    for S, T, R in gns.commutant_actions():
+    for S, T, R in gns.commutant_actions:
         for lo in range(0, R.shape[0], chunk):
             rows = _block_action(R[lo:lo + chunk], S, T, basis).reshape(-1, flat.shape[1])
             worst = max(worst, _rowspace_residual(rows, flat))
@@ -157,7 +159,7 @@ def invariant_closure(gns: GnsStructure, vectors) -> HsSubspace:
     k, n = A.shape[0], A.shape[1]
     D = gns.dim
     flat = numerical_span(A.reshape(k, n * D * D))
-    actions = gns.commutant_actions()
+    actions = gns.commutant_actions
     for _ in range(n * D * D + 1):
         basis = flat.reshape(-1, n, D, D)
         # rows generator-major, R_p v before v R_p
@@ -209,18 +211,21 @@ def vn_dimension_report(
     floor = 2.0 * r * K.ambient_dim * np.finfo(float).eps
 
     mult = np.zeros((len(sizes), len(sizes)), dtype=int)
-    total = Fraction(0)
     for i, ni in enumerate(sizes):
         for j, nj in enumerate(sizes):
             mu = float(mass[blocks[i], blocks[j]].sum())
             rank = round(mu)
-            eta = r * (np.sqrt(ni) + np.sqrt(nj)) ** 2 * rho**2
+            eta = r * (math.sqrt(ni) + math.sqrt(nj)) ** 2 * rho**2
             bound = 2 * min(r, K.n * (ni * nj) ** 2) * eta + floor
             if not abs(mu - rank) <= bound < 0.5 or rank % (ni * nj):
                 raise IntegralityError(f"block ({i},{j}) has mass {mu!r}, not a "
                                        f"certified multiple of {ni * nj}")
             mult[i, j] = rank // (ni * nj)
-            total += wfr[i] * wfr[j] * Fraction(int(mult[i, j]), ni * nj)
+    # sum_ij m_ij u_i u_j, u_i = alpha_i / n_i, exactly over one denominator of the u_i
+    den = math.lcm(*(w.denominator * n for w, n in zip(wfr, sizes)))
+    u = [w.numerator * (den // (w.denominator * n)) for w, n in zip(wfr, sizes)]
+    total = Fraction(sum(int(m) * ui * uj for ui, row in zip(u, mult) for uj, m in zip(u, row)),
+                     den * den)
     return VnDimensionReport(value=float(total), fraction=total, multiplicities=mult)
 
 

@@ -643,6 +643,19 @@ def test_left_mults_share_one_path_bitwise(sizes):
     assert gns.left_mults([]).shape == (0, gns.dim, gns.dim)
 
 
+@pytest.mark.parametrize("sizes", [(1, 2), (1, 1), (2, 2)], ids=str)
+def test_second_structure_of_a_shape_searches_no_path(monkeypatch, sizes):
+    # the left multiplications' path depends on the operand shapes only
+    searches, einsum_path = [], np.einsum_path
+    monkeypatch.setattr(np, "einsum_path",
+                        lambda *a, **kw: searches.append(1) or einsum_path(*a, **kw))
+    first = fd.gns_structure(random_block_algebra(sizes, seed=1))
+    searches.clear()
+    second = fd.gns_structure(random_block_algebra(sizes, seed=2))
+    assert searches == []
+    assert first.generator_left_mult.shape == second.generator_left_mult.shape
+
+
 @pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
 def test_gram_matches_searched_einsum(sizes):
     gns, _ = _bare_gns(sizes, 3)

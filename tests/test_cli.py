@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
+import freedim.algebra as algebra_module
 import freedim.cli as cli_module
 from freedim.cli import emit_report, load_config, main, run_scenario
 from freedim.tolerances import WELLDEF_TOL
@@ -1025,8 +1026,9 @@ def test_parser_reuse_matches_calls_run_alone(capsysbinary):
 
 
 def test_dual_inner_searches_one_contraction_path(monkeypatch, capsys):
-    # the generators' left multiplications share one searched path; every
-    # other contraction is given its path or needs none
+    # the generators' left multiplications share one path, searched once per
+    # operand shape in a process; every other contraction is given its path
+    # or needs none
     searches, paths = [], []
     einsum, einsum_path = np.einsum, np.einsum_path
 
@@ -1040,7 +1042,9 @@ def test_dual_inner_searches_one_contraction_path(monkeypatch, capsys):
 
     monkeypatch.setattr(np, "einsum", spied_einsum)
     monkeypatch.setattr(np, "einsum_path", spied_einsum_path)
-    assert main(["dual_system", "--config", str(CONFIG_DIR / "dual_inner.json")]) == 0
+    algebra_module._contraction_path.cache_clear()
+    for _ in range(2):
+        assert main(["dual_system", "--config", str(CONFIG_DIR / "dual_inner.json")]) == 0
     capsys.readouterr()
-    assert searches == ["left_mults"]
+    assert searches == ["_contraction_path"]
     assert paths and all(p is False or isinstance(p, list) for p in paths)

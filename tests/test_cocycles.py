@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,11 +9,12 @@ import numpy as np
 import pytest
 
 import freedim as fd
+import freedim.cocycles as cocycles_module
 from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2, make_c1m2,
                       make_c2, make_m2, random_block_algebra, random_hermitian,
                       svd_block_ranks)
 from freedim.algebra import _rowspace_residual, span_with_spectrum
-from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config, _delta_results
+from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config, _delta_results, main
 from freedim.cocycles import (_hermitian_family, _unit_commutators, cocycle_span,
                               commutator_bound)
 from freedim.tolerances import INVARIANCE_TOL
@@ -136,11 +139,11 @@ def _worked_algebra(name):
     return fd.regular_rep_algebra(table)
 
 
-@pytest.mark.parametrize("name", WORKED)
+@pytest.mark.parametrize("name", WORKED + ["random2x3", "random1x1x3", "random1x2x2"])
 def test_commutator_bound_dominates_dense_residual(name):
     alg = _worked_algebra(name)
     gns = fd.gns_structure(alg)
-    assert gns.dim <= 12
+    assert gns.dim <= 13
     for builder in (fd.compute_H0, fd.compute_H1):
         K = builder(gns)
         dense = invariance_residual(K.basis, gns)
@@ -197,6 +200,76 @@ def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
         else:
             assert K.invariance_residual == dense
         fd.vn_dimension_report(K, dec)
+
+
+def _spans_on_dense_fallback(monkeypatch, alg):
+    """How many of H0 and H1 stored the dense residual in place of the bound."""
+    calls, dense = [], cocycles_module.invariance_residual
+    monkeypatch.setattr(cocycles_module, "invariance_residual",
+                        lambda basis, gns: calls.append(1) or dense(basis, gns))
+    fd.delta_report(alg)
+    return len(calls)
+
+
+def _d11(weight):
+    return fd.build_algebra([1, 1], [weight, 1 - weight], [np.diag([1.0, 2.0]).astype(complex)])
+
+
+# the weights at which each input leaves the bound for the dense certificate:
+# the bound grows as ||R_p|| = sqrt(n / alpha) while the dense residual stays
+# at rounding level
+@pytest.mark.parametrize("make, weight, expect_bound",
+                         [(_c_m2, 10.0 ** -k, k <= 10) for k in range(6, 14)]
+                         + [(_d11, 10.0 ** -k, True) for k in range(6, 14)],
+                         ids=[f"c_m2_1e-{k}" for k in range(6, 14)]
+                         + [f"d11_1e-{k}" for k in range(6, 14)])
+def test_small_weight_ladder_keeps_its_certificate_path(monkeypatch, make, weight,
+                                                        expect_bound):
+    assert _spans_on_dense_fallback(monkeypatch, make(weight)) == (0 if expect_bound else 2)
+
+
+def test_s4_bounds_stay_far_below_the_gate(monkeypatch):
+    # the group_s4 benchmark input is certified by the bound alone, with
+    # two orders of magnitude to spare
+    gns = fd.gns_structure(_worked_algebra("S4"))
+
+    def dense(basis, gns):
+        raise AssertionError("S4 took the dense fallback")
+    monkeypatch.setattr(cocycles_module, "invariance_residual", dense)
+    for builder in (fd.compute_H0, fd.compute_H1):
+        assert 0.0 < builder(gns).invariance_residual <= 1e-10
+
+
+def test_commutator_bound_takes_no_svd(monkeypatch, capsys):
+    # ||R_p|| has a closed form and the commutators are measured in
+    # Frobenius norm, so the bound factors nothing; the spans' SVDs do
+    callers = []
+    for module in (np.linalg, np.linalg._linalg):  # norm(., 2) calls the latter's svd
+        svd = module.svd
+
+        def spied(*args, _svd=svd, **kwargs):
+            callers.append([f.f_code.co_name for f, _ in traceback.walk_stack(None)])
+            return _svd(*args, **kwargs)
+        monkeypatch.setattr(module, "svd", spied)
+    assert main(["delta", "--config", str(CONFIG_DIR / "delta_full_2x2.json")]) == 0
+    capsys.readouterr()
+    assert any("cocycle_span" in names for names in callers)
+    assert not any("commutator_bound" in names for names in callers)
+
+
+def test_dense_fallback_searches_no_einsum_path(monkeypatch):
+    # the per-block action is a two-operand contraction, given its one path
+    optimize = []
+    einsum = np.einsum
+
+    def spied(*operands, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "freedim.vndim":
+            optimize.append(kwargs.get("optimize", False))
+        return einsum(*operands, **kwargs)
+    monkeypatch.setattr(np, "einsum", spied)
+    for alg in (_c_m2(1e-11), _c_c_m2(1e-6)):
+        assert _spans_on_dense_fallback(monkeypatch, alg) == 2
+    assert optimize and all(isinstance(p, list) for p in optimize)
 
 
 # ---------------------------------------------------------------------------

@@ -192,3 +192,25 @@ def test_subalgebra_mode_reports_match_goldens(label, tmp_path, capsys):
                  "--output", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SUBALGEBRA_GOLDENS[label]
+
+
+# sha256 of the `--verbose --seed 0` JSON report, which prints Y and xi
+VERBOSE_DUAL_GOLDENS = {
+    "dual_inner":
+        "5a4ec60973e127dac689889bf75f104230e50a9e4fce344fdbd3a600b6019fdd",
+    "dual_inner_diag":
+        "500cbe5cfc55a616c6cbe7941d407f3c5b9cdb3db90bbc4910e8aa361cb13a35",
+}
+
+
+@pytest.mark.parametrize("label", sorted(VERBOSE_DUAL_GOLDENS))
+def test_verbose_dual_reports_match_goldens(label, tmp_path, capsys):
+    config = ROOT / "configs" / f"{label}.json"
+    if label in SUBALGEBRA_CONFIGS:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SUBALGEBRA_CONFIGS[label]))
+    out = tmp_path / "report.json"
+    assert main(["dual_system", "--config", str(config), "--seed", "0", "--verbose",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERBOSE_DUAL_GOLDENS[label]

@@ -7,7 +7,8 @@ import freedim as fd
 import freedim.vndim as vndim
 import freedim.wedderburn as wedderburn
 from conftest import (SX, SZ, basis_left_mults, embed_c_m2, invariant_complement, make_c1m2,
-                      make_c2, make_m2, random_block_algebra, svd_block_ranks)
+                      make_c2, make_m2, random_block_algebra, random_hermitian,
+                      svd_block_ranks)
 from freedim.algebra import _unflatten, block_offsets
 from freedim.tolerances import OPERATOR_TOL
 from freedim.vndim import to_fraction
@@ -377,6 +378,27 @@ def test_vn_value_matches_fraction(c1m2):
     K = full_hs_subspace(gns, 1)
     rep = fd.vn_dimension_report(K, dec)
     assert rep.value == float(rep.fraction)
+
+
+@pytest.mark.parametrize("sizes, weights", [
+    ((1, 2), (0.4, 0.6)), ((1, 1, 2), (1e-12, 0.3, 0.7 - 1e-12)),
+    ((2, 3), (1e-7, 1 - 1e-7)), ((1, 1, 1), (0.1, 0.2, 0.7)),
+], ids=str)
+def test_vn_fraction_matches_pairwise_sum(sizes, weights):
+    # one exact sum over a common denominator against the per-pair Fraction loop
+    rng = np.random.default_rng(len(sizes))
+    gens = [np.zeros((sum(sizes),) * 2, dtype=complex) for _ in range(2)]
+    for (s, t), n in zip(block_offsets(sizes), sizes):
+        for g in gens:
+            g[s:t, s:t] = random_hermitian(rng, n)
+    gns = fd.gns_structure(fd.build_algebra(sizes, weights, gens))
+    dec = fd.central_decomposition(gns)
+    for K in (fd.compute_H0(gns), full_hs_subspace(gns, 2)):
+        rep = fd.vn_dimension_report(K, dec)
+        wfr = dec.weight_fractions
+        want = sum((wfr[i] * wfr[j] * Fraction(int(rep.multiplicities[i, j]), ni * nj)
+                    for i, ni in enumerate(sizes) for j, nj in enumerate(sizes)), Fraction(0))
+        assert rep.fraction == want and rep.value == float(want)
 
 
 def test_subspace_distance_detects_difference(c2):
