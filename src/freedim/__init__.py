@@ -77,5 +77,6 @@ from .vndim import (
     subspace_distance,
     vn_dimension_report,
 )
+from .wedderburn import blockify_subalgebra
 
 __all__ = [name for name in dir() if not name.startswith("_")]

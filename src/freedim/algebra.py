@@ -117,13 +117,12 @@ def _unflatten(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class TracialAlgebra:
-    """A finite multi-matrix *-algebra with a distinguished generating tuple."""
+    """A finite multi-matrix *-algebra generated by a distinguished tuple."""
 
     block_sizes: tuple[int, ...]
     trace_weights: tuple[float, ...]
     generators: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
-    generated_dim: int
 
     @property
     def matrix_size(self) -> int:
@@ -134,33 +133,10 @@ class TracialAlgebra:
         """Complex dimension D = sum n_i^2 of the algebra (and of its L2 space)."""
         return sum(n * n for n in self.block_sizes)
 
-    @property
-    def generates(self) -> bool:
-        """Whether the words in the generators span the whole algebra."""
-        return self.generated_dim == self.dim
-
     def trace(self, x: np.ndarray) -> complex:
         """tau(x) = sum_i alpha_i * tr(x_i) / n_i."""
         w = _diag_weights(self.block_sizes, self.trace_weights)
         return complex(np.sum(np.diag(x) * w))
-
-    def unflatten(self, v: np.ndarray) -> np.ndarray:
-        return _unflatten(v, self.block_sizes)
-
-    def effective_algebra(self) -> "TracialAlgebra":
-        """The algebra actually generated by the tuple.
-
-        Equal to self when the tuple generates; in subalgebra mode the
-        generated *-subalgebra is re-expressed in its own block form (same
-        trace), and that re-expression is what every representation-level
-        computation operates on.
-        """
-        if self.generates:
-            return self
-        # wedderburn builds TracialAlgebras, so it imports this module
-        from .wedderburn import blockify_subalgebra
-
-        return blockify_subalgebra(self)
 
 
 def word_span(
@@ -188,19 +164,10 @@ def word_span(
     return basis
 
 
-def build_algebra(
-    block_sizes: Sequence[int],
-    trace_weights: Sequence[float],
-    generators: Sequence[np.ndarray],
-    labels: Optional[Sequence[str]] = None,
-    subalgebra_mode: bool = False,
-) -> TracialAlgebra:
-    """Validate the block data and the generating tuple, and package them.
-
-    Raises WeightError / ShapeMismatch / NotSelfAdjoint on malformed input,
-    and NotGenerating when the tuple fails to generate and subalgebra mode
-    was not requested.
-    """
+def _validated(block_sizes: Sequence[int], trace_weights: Sequence[float],
+               generators: Sequence[np.ndarray], labels: Optional[Sequence[str]]):
+    """The declared block sizes, weights, generators and labels as tuples,
+    checked; WeightError / ShapeMismatch / NotSelfAdjoint on malformed input."""
     sizes = tuple(int(n) for n in block_sizes)
     weights = tuple(float(w) for w in trace_weights)
     if len(sizes) == 0 or any(n <= 0 for n in sizes):
@@ -213,7 +180,7 @@ def build_algebra(
         raise WeightError(f"weights sum to {sum(weights)!r}, expected 1")
 
     total = sum(sizes)
-    mats = [np.asarray(g, dtype=complex) for g in generators]
+    mats = tuple(np.asarray(g, dtype=complex) for g in generators)
     # shapes first: the support mask below takes N^2 bytes
     for k, g in enumerate(mats):
         if g.shape != (total, total):
@@ -241,21 +208,31 @@ def build_algebra(
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(mats):
             raise ShapeMismatch("one label per generator required")
+    return sizes, weights, mats, labels
 
-    algebra = TracialAlgebra(
-        block_sizes=sizes,
-        trace_weights=weights,
-        generators=tuple(mats),
-        labels=labels,
-        generated_dim=word_span(sizes, unit_scaled(mats)).shape[0],
-    )
-    if not algebra.generates and not subalgebra_mode:
+
+def build_algebra(
+    block_sizes: Sequence[int],
+    trace_weights: Sequence[float],
+    generators: Sequence[np.ndarray],
+    labels: Optional[Sequence[str]] = None,
+) -> TracialAlgebra:
+    """Validate the block data and the generating tuple, and package them.
+
+    Raises WeightError / ShapeMismatch / NotSelfAdjoint on malformed input,
+    and NotGenerating when the tuple does not generate the declared algebra
+    (`wedderburn.blockify_subalgebra` builds the algebra it does generate).
+    """
+    sizes, weights, mats, labels = _validated(block_sizes, trace_weights, generators, labels)
+    generated = word_span(sizes, unit_scaled(mats)).shape[0]
+    dim = sum(n * n for n in sizes)
+    if generated != dim:
         raise NotGenerating(
-            f"generators span a {algebra.generated_dim}-dimensional subalgebra "
-            f"of the {algebra.dim}-dimensional declared algebra; "
-            "pass subalgebra_mode=True to work inside the generated subalgebra"
+            f"generators span a {generated}-dimensional subalgebra of the "
+            f"{dim}-dimensional declared algebra; set algebra.subalgebra_mode, or "
+            "call blockify_subalgebra, to work inside the generated subalgebra"
         )
-    return algebra
+    return TracialAlgebra(sizes, weights, mats, labels)
 
 
 @dataclass
@@ -345,7 +322,7 @@ def _orthonormal_selfadjoint_basis(algebra: TracialAlgebra) -> np.ndarray:
 
 
 def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
-    """Build the trace representation of the (effective) algebra.
+    """Build the trace representation of the algebra.
 
     Populates the orthonormal self-adjoint basis, the generators' left
     multiplications, the trace vector and its rank-one projection.  The
@@ -359,7 +336,6 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     each generator's left multiplication from the trace formula matches its
     frame, and the trace vector is cyclic.
     """
-    algebra = algebra.effective_algebra()
     basis = _orthonormal_selfadjoint_basis(algebra)
     D = algebra.dim
     wvec = _diag_weights(algebra.block_sizes, algebra.trace_weights)

@@ -58,6 +58,8 @@ from .groups import (
     symmetric_group,
     word_str,
 )
+from .tolerances import CLAMP_SLACK, OPERATOR_TOL
+from .wedderburn import blockify_subalgebra
 
 _TOP_KEYS = {"scenario", "algebra", "group", "parameters"}
 _SECTIONS = {"algebra": "an algebra section", "group": "a group section"}
@@ -289,13 +291,10 @@ def _build_algebra_from_config(section: dict, max_dim: int):
     # compared before float(), which overflows on a JSON integer past 1e308
     if any(abs(w) > sys.float_info.max for w in weights):
         raise ConfigError("algebra.weights must be finite numbers")
-    return build_algebra(
-        blocks,
-        weights,
-        gens,
-        labels=_list_of(section, "labels", (str,), "strings"),
-        subalgebra_mode=_flag(section, "subalgebra_mode", "algebra"),
-    )
+    labels = _list_of(section, "labels", (str,), "strings")
+    build = (blockify_subalgebra if _flag(section, "subalgebra_mode", "algebra")
+             else build_algebra)
+    return build(blocks, weights, gens, labels=labels)
 
 
 def _group_n(section: dict) -> int:
@@ -462,7 +461,7 @@ def _run_delta(config: ScenarioConfig) -> Outcome:
 
 
 def _dual_matrix(raw, where: str, dim: int) -> np.ndarray:
-    """A D x D matrix on the L2 space of the (effective) algebra."""
+    """A D x D matrix on the L2 space of the algebra."""
     mat = _parse_matrix(raw, where)
     if mat.shape != (dim, dim):
         raise ConfigError(f"{where} must be {dim} x {dim} on this algebra")
@@ -475,6 +474,7 @@ def _run_dual_system(config: ScenarioConfig) -> Outcome:
     if not isinstance(dual, dict) or "type" not in dual:
         raise ConfigError("parameters.dual must be an object with a 'type'")
     kind = dual["type"]
+    n = len(gns.generator_left_mult)
 
     if kind == "fisher":
         _check_keys(dual, {"type"}, set(), "parameters.dual")
@@ -504,11 +504,17 @@ def _run_dual_system(config: ScenarioConfig) -> Outcome:
         slot = dual["slot"]
         if not _is_int(slot):
             raise ConfigError(f"parameters.dual.slot must be an integer, got {slot!r}")
+        if not 0 <= slot < n:
+            raise ConfigError(f"parameters.dual.slot must be a generator index below {n}, "
+                              f"got {slot}")
         targets = fdq_targets(gns, slot)
     elif kind == "explicit":
         _check_keys(dual, {"type", "targets"}, {"targets"}, "parameters.dual")
         if not isinstance(dual["targets"], list):
             raise ConfigError("parameters.dual.targets must be a list of matrices")
+        if len(dual["targets"]) != n:
+            raise ConfigError(f"parameters.dual.targets must hold {n} matrices, one per "
+                              f"generator, got {len(dual['targets'])}")
         targets = [_dual_matrix(t, f"parameters.dual.targets[{k}]", gns.dim)
                    for k, t in enumerate(dual["targets"])]
     else:
@@ -587,13 +593,13 @@ def _run_cutoff(config: ScenarioConfig) -> Outcome:
         ),
         "bounded_by_R_plus_1": bool(
             np.abs(family.f(np.linspace(-10 * family.R, 10 * family.R, 201))).max()
-            <= family.R + 1.0 + 1e-12
+            <= family.R + 1.0 + CLAMP_SLACK
         ),
         "quotient_bounded_by_2": bool(
             np.abs(
                 family.g(*np.meshgrid(np.linspace(-5 * family.R, 5 * family.R, 101),
                                       np.linspace(-5 * family.R, 5 * family.R, 101)))
-            ).max() <= 2.0 + 1e-12
+            ).max() <= 2.0 + CLAMP_SLACK
         ),
     }
     results = {
@@ -601,7 +607,7 @@ def _run_cutoff(config: ScenarioConfig) -> Outcome:
         "smooth": smooth,
         "sweep": [{"R": r, "hs_error": e} for r, e in rows],
         "zero_beyond_radius": bool(
-            all(e <= 1e-10 for r, e in rows if r >= rho)
+            all(e <= OPERATOR_TOL for r, e in rows if r >= rho)
         ),
         "conditions": conditions,
     }

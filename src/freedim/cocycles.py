@@ -187,7 +187,7 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     exact dimensions must be equal; ChainViolation signals that they differ.
     H2 is H0, the weak-limit space being the bounded-witness space here.
     """
-    gns = gns_structure(algebra)  # of the effective algebra
+    gns = gns_structure(algebra)
     dec = central_decomposition(gns, seed=seed)
     H0 = compute_H0(gns)
     H1 = compute_H1(gns)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import GnsStructure, TracialAlgebra, gns_structure
 from .errors import IllDefined, ResidualTooLarge
-from .tolerances import RESIDUAL_TOL, WELLDEF_TOL
+from .tolerances import RESIDUAL_TOL, WELLDEF_TOL, WORD_GROWTH_TOL
 
 
 def inner_spec(gns: GnsStructure, B: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -41,18 +41,18 @@ def fdq_targets(gns: GnsStructure, slot: int) -> tuple[np.ndarray, ...]:
 
 
 def _word_system(gns: GnsStructure, targets: Sequence[np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The words in the generators that pin down the derivation with values
     `targets`, in one breadth-first walk from the empty word: their vectors
-    L_w 1, their free derivatives d(w) and whether each word was expanded.
+    L_w 1 and their free derivatives d(w).
 
     Each child w X_j of an expanded word gets L_w L_j, its vector and
     d(w X_j) = d(w) L_j + L_w T_j together.  A word is expanded only if its
     vector grew the span, that is left the span of the earlier growing words
-    by more than 1e-9 max(1, |v|); the span is kept as an orthonormal basis
-    that gains one row per growing word (Gram-Schmidt with one
-    re-orthogonalization) and stops growing when full, so at most D words
-    are expanded, the empty word first, and all n children of each are
+    by more than WORD_GROWTH_TOL max(1, |v|); the span is kept as an
+    orthonormal basis that gains one row per growing word (Gram-Schmidt with
+    one re-orthogonalization) and stops growing when full, so at most D
+    words are expanded, the empty word first, and all n children of each are
     evaluated: one full round past stabilization, so that every relation
     among the retained words is in the system.  Only the expanded words
     awaiting their children keep L_w.
@@ -63,7 +63,6 @@ def _word_system(gns: GnsStructure, targets: Sequence[np.ndarray]
     size = 1 + len(Ls) * D
     vecs = np.empty((size, D), dtype=complex)
     vals = np.empty((size, D, D), dtype=complex)
-    expanded = np.ones(size, dtype=bool)
     vecs[0], vals[0] = t, 0.0
     basis = np.empty((D, D), dtype=complex)  # rows [:r] orthonormal
     basis[0] = t / np.linalg.norm(t)
@@ -77,15 +76,14 @@ def _word_system(gns: GnsStructure, targets: Sequence[np.ndarray]
             vals[k] = vals[w] @ L_j
             vals[k] += L_w @ T_j
             resid = v - basis[:r].T @ (basis[:r].conj() @ v)
-            expanded[k] = r < D and (np.linalg.norm(resid)
-                                     > 1e-9 * max(1.0, np.linalg.norm(v)))
-            if expanded[k]:
+            if r < D and (np.linalg.norm(resid)
+                          > WORD_GROWTH_TOL * max(1.0, np.linalg.norm(v))):
                 resid -= basis[:r].T @ (basis[:r].conj() @ resid)
                 basis[r] = resid / np.linalg.norm(resid)
                 r += 1
                 parents.append((L_new, k))
             k += 1
-    return vecs[:k], vals[:k], expanded[:k]
+    return vecs[:k], vals[:k]
 
 
 @dataclass
@@ -150,7 +148,7 @@ def derivation_well_defined(gns: GnsStructure, targets: Sequence[np.ndarray]
     if len(targets) != n:
         raise IllDefined(f"{len(targets)} target operators for {n} generators")
     targets = tuple(np.asarray(t, dtype=complex) for t in targets)
-    vecs, vals, _ = _word_system(gns, targets)
+    vecs, vals = _word_system(gns, targets)
     K, D = vecs.shape
 
     Wm = vals.reshape(K, D * D).T   # (D^2, K)

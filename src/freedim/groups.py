@@ -340,36 +340,28 @@ def schreier_graph(
     order = [e]
     pos = {e: 0}
     transversal: list[Word] = [()]
-    tree_edges: set[tuple[int, int]] = set()
-    head = 0
-    while head < len(order):
-        v = order[head]
+    rows: list[list[int]] = []
+    gens: list[Word] = []
+    # one breadth-first walk: a target reached by a non-tree edge of head i
+    # already has its transversal word, so the edge's generator is emitted
+    # in (i, k) order as it is found
+    for i, v in enumerate(order):
+        row = []
         for k in range(n):
             w = table.mul(v, images[k])
             if w not in pos:
                 pos[w] = len(order)
                 order.append(w)
-                transversal.append(reduce_word(transversal[head] + (k + 1,)))
-                tree_edges.add((head, k))
-        head += 1
+                transversal.append(reduce_word(transversal[i] + (k + 1,)))
+            else:
+                gens.append(reduce_word(
+                    transversal[i] + (k + 1,) + word_inverse(transversal[pos[w]])
+                ))
+            row.append(pos[w])
+        rows.append(row)
 
     m = len(order)
-    edges = np.zeros((m, n), dtype=int)
-    for i, v in enumerate(order):
-        for k in range(n):
-            edges[i, k] = pos[table.mul(v, images[k])]
-
-    gens: list[Word] = []
-    for i in range(m):
-        for k in range(n):
-            if (i, k) in tree_edges:
-                continue
-            target = edges[i, k]
-            word = reduce_word(
-                transversal[i] + (k + 1,) + word_inverse(transversal[target])
-            )
-            gens.append(word)
-
+    edges = np.array(rows, dtype=int).reshape(m, n)
     verified = all(evaluate_word(w, images, table) == e for w in gens)
     expected = 1 + m * (n - 1)
     if len(gens) != expected:

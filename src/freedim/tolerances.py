@@ -1,12 +1,13 @@
 """Central numerical thresholds.
 
 Most identity checks compare absolute residuals with these defaults.  The
-relative ones: RANK_TOL to the largest singular value, the zero cutoff of
-`wedderburn.commutant_basis` to its matrices' largest entry, OPERATOR_TOL's
-frame gap in `algebra._verify_gns` to a generator's largest entry above 1,
-the WELLDEF_TOL verdict and the commutator gate of RESIDUAL_TOL to ||T||,
-and RESIDUAL_TOL's other two gates to ||Y||.  Matrices are exact complex
-doubles throughout.
+relative ones: RANK_TOL to the largest singular value, COMMUTANT_ZERO_TOL
+to the largest entry of the commuting matrices, OPERATOR_TOL's frame gap in
+`algebra._verify_gns` to a generator's largest entry above 1, the
+WELLDEF_TOL verdict and the commutator gate of RESIDUAL_TOL to ||T||,
+RESIDUAL_TOL's other two gates to ||Y||, WORD_GROWTH_TOL to max(1, |v|),
+CLUSTER_GAP to max(1, eigenvalue spread) and FRACTION_TOL to the float
+read.  Matrices are exact complex doubles throughout.
 """
 
 SCALAR_TOL = 1e-12        # scalar identities (weights, traciality)
@@ -18,4 +19,11 @@ RESIDUAL_TOL = 1e-9       # dual-operator residual gate
 SUBSPACE_TOL = 1e-9       # subspace equality distance
 DIAG_SWITCH = 1e-8        # difference quotient switches to the derivative
 CENTER_RETRIES = 5        # random central element retries
-
+WORD_GROWTH_TOL = 1e-9    # a word's vector grows the derivation fit's span
+COMMUTANT_ZERO_TOL = 1e-12  # every commutator counts as zero (commutant search)
+CLUSTER_GAP = 1e-6        # eigenvalue gap between clusters of a random split
+SUPPORT_TOL = 1e-6        # diagonal entries of a projection that fix block order
+PROJECTION_TRACE_TOL = 1e-10  # imaginary part of the trace of a central projection
+CENTER_WEIGHT_TOL = 1e-8  # tau(z_i) of a recovered block against its declared weight
+FRACTION_TOL = 1e-12      # a float read as a nearby fraction of denominator <= 10^6
+CLAMP_SLACK = 1e-12       # the clamp's sampled bounds |f_R| <= R + 1 and |g_R| <= 2

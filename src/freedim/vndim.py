@@ -22,16 +22,16 @@ import numpy as np
 from .algebra import (GnsStructure, _rowspace_residual, _unflatten, block_offsets,
                       numerical_span)
 from .errors import CenterResolutionError, IntegralityError, NotInvariant
-from .tolerances import INVARIANCE_TOL
+from .tolerances import CENTER_WEIGHT_TOL, FRACTION_TOL, INVARIANCE_TOL, OPERATOR_TOL
 from .wedderburn import commutant_basis, minimal_central_projections
 
 
 def to_fraction(x: float) -> Fraction:
     """Exact rational form of a float that is morally a small fraction: the
-    nearest fraction with denominator at most 10^6 if within 1e-12 relative
-    to x, else the float's exact binary fraction."""
+    nearest fraction with denominator at most 10^6 if within FRACTION_TOL
+    relative to x, else the float's exact binary fraction."""
     fr = Fraction(x).limit_denominator(10**6)
-    if abs(float(fr) - x) > 1e-12 * abs(x):
+    if abs(float(fr) - x) > FRACTION_TOL * abs(x):
         fr = Fraction(x)
     return fr
 
@@ -52,12 +52,12 @@ def central_decomposition(gns: GnsStructure, seed: int = 0) -> CentralDecomposit
     algebra and split by diagonalizing a random self-adjoint central element
     (deterministic for a fixed seed).  The result must be the declared
     blocks: one projection z_i per block, in declared order, each within
-    1e-10 entrywise of the identity of block i and zero elsewhere, with
-    tau(z_i) within 1e-8 of the declared weight; the exact weights are
-    `to_fraction` of the declared ones.  Left multiplication by the identity
-    of block i is exactly the 0/1 indicator of that block's GNS coordinates
-    in the matrix-unit frame (conj(U) U^T = 1), so vn_dimension_report
-    compresses by slicing.
+    OPERATOR_TOL entrywise of the identity of block i and zero elsewhere,
+    with tau(z_i) within CENTER_WEIGHT_TOL of the declared weight; the exact
+    weights are `to_fraction` of the declared ones.  Left multiplication by
+    the identity of block i is exactly the 0/1 indicator of that block's GNS
+    coordinates in the matrix-unit frame (conj(U) U^T = 1), so
+    vn_dimension_report compresses by slicing.
     """
     algebra = gns.algebra
     N = algebra.matrix_size
@@ -71,8 +71,9 @@ def central_decomposition(gns: GnsStructure, seed: int = 0) -> CentralDecomposit
     sizes = algebra.block_sizes
     identities = [np.diag(ind) for ind in np.repeat(np.eye(len(sizes)), sizes, axis=1)]
     if len(zs) != len(sizes) or any(
-        np.abs(z - e).max() > 1e-10 for z, e in zip(zs, identities)
-    ) or any(abs(w - a) > 1e-8 for w, a in zip(weights, algebra.trace_weights)):
+        np.abs(z - e).max() > OPERATOR_TOL for z, e in zip(zs, identities)
+    ) or any(abs(w - a) > CENTER_WEIGHT_TOL
+             for w, a in zip(weights, algebra.trace_weights)):
         raise CenterResolutionError(
             f"recovered {len(zs)} central projections with weights {weights}, "
             f"not the identities of the declared blocks {sizes} with weights "

@@ -11,21 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (
-    TracialAlgebra,
-    _rowspace_residual,
-    block_offsets,
-    build_algebra,
-    numerical_span,
-    unit_scaled,
-    word_span,
-)
+from .algebra import (TracialAlgebra, _diag_weights, _rowspace_residual, _unflatten,
+                      _validated, block_offsets, build_algebra, numerical_span, unit_scaled,
+                      word_span)
 from .errors import CenterResolutionError, FreedimError
-from .tolerances import CENTER_RETRIES, INVARIANCE_TOL, RANK_TOL
+from .tolerances import (CENTER_RETRIES, CLUSTER_GAP, COMMUTANT_ZERO_TOL, INVARIANCE_TOL,
+                         PROJECTION_TRACE_TOL, RANK_TOL, SUPPORT_TOL)
 
 
 def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarray:
@@ -47,7 +42,7 @@ def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarra
     # at least N^2 >= r rows, so the thin vh is square; the commutators scale
     # with the mats, and so does the cutoff below which all of them are zero
     _, s, vh = np.linalg.svd(stacked.reshape(-1, r), full_matrices=False)
-    if s.size == 0 or s[0] <= 1e-12 * max(float(np.abs(m).max()) for m in mats):
+    if s.size == 0 or s[0] <= COMMUTANT_ZERO_TOL * max(float(np.abs(m).max()) for m in mats):
         coeffs = np.eye(r, dtype=complex)
     else:
         rank = int(np.sum(s > RANK_TOL * s[0]))
@@ -62,7 +57,7 @@ def _canonical_order(projections: list[np.ndarray]) -> list[np.ndarray]:
 
     def key(p):
         diag = p.diagonal().real
-        sig = np.flatnonzero(diag > 1e-6)
+        sig = np.flatnonzero(diag > SUPPORT_TOL)
         first = int(sig[0]) if sig.size else p.shape[0]
         rank = int(round(np.trace(p).real))
         entries = np.round(p, 6)
@@ -73,13 +68,14 @@ def _canonical_order(projections: list[np.ndarray]) -> list[np.ndarray]:
 
 def _random_split(family, rng: np.random.Generator):
     """Eigenvectors of a random self-adjoint combination of `family`, and the
-    (lo, hi) column ranges of its eigenvalue clusters (gaps over 1e-6 spread)."""
+    (lo, hi) column ranges of its eigenvalue clusters (gaps over CLUSTER_GAP
+    times the spread, at least 1)."""
     k = len(family)
     coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     x = np.einsum("k,kab->ab", coeff, family)
     x = (x + x.conj().T) / 2.0
     lam, vec = np.linalg.eigh(x)
-    gap = 1e-6 * max(lam[-1] - lam[0], 1.0)
+    gap = CLUSTER_GAP * max(lam[-1] - lam[0], 1.0)
     cuts = [0] + [i for i in range(1, len(lam)) if lam[i] - lam[i - 1] > gap]
     return vec, list(zip(cuts, cuts[1:] + [len(lam)]))
 
@@ -184,7 +180,7 @@ def blockify(
     for z in zs:
         n = central_block_size(z, alg_basis)
         alpha = trace_fn(z)
-        if abs(alpha.imag) > 1e-10 or alpha.real <= 0:
+        if abs(alpha.imag) > PROJECTION_TRACE_TOL or alpha.real <= 0:
             raise CenterResolutionError(f"central projection has trace {alpha!r}")
         V = _irreducible_isometry(z, commutant, n, rng)
         for g in commuting_set:
@@ -246,16 +242,21 @@ def _irreducible_isometry(
     )
 
 
-def blockify_subalgebra(algebra: TracialAlgebra) -> TracialAlgebra:
-    """Block form of the subalgebra generated by a non-generating tuple, found
-    from the unit-scaled generators; its generators are the originals' images."""
-    unit = unit_scaled(algebra.generators)
-    result = blockify(
-        algebra.unflatten(word_span(algebra.block_sizes, unit)),
-        commuting_set=unit,
-        trace_fn=algebra.trace,
-        generators=list(algebra.generators),
-        labels=list(algebra.labels),
-        rng=np.random.default_rng(0),
-    )
-    return result.algebra
+def blockify_subalgebra(block_sizes: Sequence[int], trace_weights: Sequence[float],
+                        generators: Sequence[np.ndarray],
+                        labels: Optional[Sequence[str]] = None) -> TracialAlgebra:
+    """The algebra that the tuple generates inside the declared blocks, with
+    the declared trace: the declared algebra when the tuple generates it,
+    else the block form of the generated *-subalgebra, found from the
+    unit-scaled generators, whose generators are the originals' images.
+    Validates as `build_algebra` does."""
+    sizes, weights, mats, labels = _validated(block_sizes, trace_weights, generators, labels)
+    unit = unit_scaled(mats)
+    span = word_span(sizes, unit)
+    if span.shape[0] == sum(n * n for n in sizes):
+        return TracialAlgebra(sizes, weights, mats, labels)
+    w = _diag_weights(sizes, weights)
+    return blockify(_unflatten(span, sizes), commuting_set=unit,
+                    trace_fn=lambda z: complex(np.sum(np.diag(z) * w)),
+                    generators=mats, labels=labels,
+                    rng=np.random.default_rng(0)).algebra

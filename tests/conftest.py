@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from freedim.algebra import _block_ranges, _frame, _unit_map
+from freedim.algebra import _block_ranges, _frame, _unit_map, unit_scaled, word_span
 from freedim.derivations import _xi, derivation_well_defined
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -58,6 +58,18 @@ def svd_block_ranks(K, dec):
             cut = RANK_TOL * max(1.0, float(s[0])) if s.size else RANK_TOL
             ranks[i, j] = int(np.sum(s > cut))
     return ranks
+
+
+def generated_dim(block_sizes, generators):
+    """Dimension of the span of the words in the generators, counted as
+    `build_algebra` and `blockify_subalgebra` count it."""
+    mats = [np.asarray(g, dtype=complex) for g in generators]
+    return word_span(tuple(block_sizes), unit_scaled(mats)).shape[0]
+
+
+def generates(alg):
+    """Whether the words in the algebra's generators span all of it."""
+    return generated_dim(alg.block_sizes, alg.generators) == alg.dim
 
 
 def coords(gns, x):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import (SX, SY, SZ, basis_left_mults, coords, element, random_block_algebra,
-                      random_hermitian)
+from conftest import (SX, SY, SZ, basis_left_mults, coords, element, generated_dim,
+                      generates, random_block_algebra, random_hermitian)
 import freedim.algebra as algebra_module
+import freedim.wedderburn as wedderburn_module
 from freedim.algebra import (_flatten, _frame, _orthonormal_selfadjoint_basis,
                              _unflatten, _unit_map, _verify_gns, block_offsets)
 from freedim.tolerances import OPERATOR_TOL
@@ -34,13 +35,13 @@ def left_mult(gns, x):
 
 def test_two_point_algebra_valid(c2):
     assert c2.dim == 2
-    assert c2.generates
+    assert generates(c2)
     assert c2.matrix_size == 2
 
 
 def test_full_matrix_algebra_valid(m2):
     assert m2.dim == 4
-    assert m2.generates
+    assert generates(m2)
 
 
 def test_weight_error_sum():
@@ -88,13 +89,24 @@ def test_not_generating_without_flag():
 
 
 def test_subalgebra_mode_effective_algebra():
-    sub = fd.build_algebra([2], [1.0], [SX.copy()], subalgebra_mode=True)
-    assert not sub.generates
-    assert sub.generated_dim == 2
-    eff = sub.effective_algebra()
+    assert generated_dim([2], [SX]) == 2    # so SX does not generate M_2
+    eff = fd.blockify_subalgebra([2], [1.0], [SX.copy()])
     assert eff.block_sizes == (1, 1)
-    assert eff.generates
+    assert generates(eff)
     np.testing.assert_allclose(eff.trace_weights, [0.5, 0.5], atol=1e-12)
+
+
+def test_gns_structure_never_calls_blockify(monkeypatch):
+    # the generated subalgebra is formed once, where it is declared; the
+    # trace representation takes the algebra as it is
+    alg = fd.blockify_subalgebra([2, 2], [0.3, 0.7], _doubled(SX, SZ))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gns_structure called blockify")
+
+    monkeypatch.setattr(wedderburn_module, "blockify", refuse)
+    gns = fd.gns_structure(alg)
+    assert gns.algebra is alg and alg.block_sizes == (2,) and gns.dim == 4
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +119,10 @@ def test_generation_check_m2_single_pauli():
     oracle_dim = np.linalg.matrix_rank(np.array([w.ravel() for w in words]))
     assert oracle_dim == 2
 
-    alg = fd.build_algebra([2], [1.0], [SX.copy()], subalgebra_mode=True)
-    dim, generates = alg.generated_dim, alg.generates
-    assert (dim, generates) == (2, False)
+    dim = generated_dim([2], [SX.copy()])
+    assert (dim, dim == 4) == (2, False)
+    with pytest.raises(fd.NotGenerating, match="a 2-dimensional subalgebra"):
+        fd.build_algebra([2], [1.0], [SX.copy()])
 
 
 def test_generation_check_m2_pair(m2):
@@ -117,20 +130,20 @@ def test_generation_check_m2_pair(m2):
     words = [np.eye(2, dtype=complex), SX, SZ, SX @ SZ, SZ @ SX, SX @ SX]
     assert np.linalg.matrix_rank(np.array([w.ravel() for w in words])) == 4
 
-    dim, generates = m2.generated_dim, m2.generates
-    assert (dim, generates) == (4, True)
+    dim = generated_dim(m2.block_sizes, m2.generators)
+    assert (dim, generates(m2)) == (4, True)
 
 
 def test_generation_check_scalars():
     alg = fd.build_algebra([1], [1.0], [np.array([[1.0]], dtype=complex)])
-    assert (alg.generated_dim, alg.generates) == (1, True)
+    assert (generated_dim(alg.block_sizes, alg.generators), generates(alg)) == (1, True)
 
 
 def test_generation_check_keeps_generators_as_given():
     # the span is counted on rescaled copies; the algebra keeps the input
     X = 1e10 * SX
     alg = fd.build_algebra([2], [1.0], [X, 1e10 * SZ])
-    assert alg.generates
+    assert generates(alg)
     assert np.array_equal(alg.generators[0], X)
 
 
@@ -255,7 +268,7 @@ def test_coordinates_reproduce_inner_product(c1m2):
 
 def test_pauli_pair_with_y_also_generates():
     alg = fd.build_algebra([2], [1.0], [SX.copy(), SY.copy(), SZ.copy()])
-    assert alg.generates
+    assert generates(alg)
 
 
 def test_random_hermitian_helper_shape():
@@ -526,7 +539,7 @@ def test_block_coordinates_match_reference_loops_bitwise(sizes):
     assert _bitwise_equal(_unflatten(v, sizes), unflat)
     assert _bitwise_equal(_unflatten(v[0], sizes), unflat[0])
     weights = rng.uniform(0.5, 1.5, len(sizes))
-    alg = fd.TracialAlgebra(sizes, tuple(weights / weights.sum()), (), (), D)
+    alg = fd.TracialAlgebra(sizes, tuple(weights / weights.sum()), (), ())
     assert _bitwise_equal(_orthonormal_selfadjoint_basis(alg),
                           _selfadjoint_basis_loop(sizes, alg.trace_weights))
     for n in sizes:
@@ -616,8 +629,7 @@ def _bare_gns(sizes, seed):
     """The trace representation of `sizes` at random weights, without generators."""
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, len(sizes))
-    alg = fd.TracialAlgebra(sizes, tuple(weights / weights.sum()), (), (),
-                            sum(n * n for n in sizes))
+    alg = fd.TracialAlgebra(sizes, tuple(weights / weights.sum()), (), ())
     return fd.gns_structure(alg), rng
 
 

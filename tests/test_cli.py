@@ -689,8 +689,18 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
      "config error: parameters.dual.slot must be an integer"),
     (_shipped("dual_fisher", dual=dict(_FDQ, slot=True)), 2,
      "config error: parameters.dual.slot must be an integer"),
-    (_shipped("dual_fisher", dual=dict(_FDQ, slot=1)), 1,
-     "computation error: IllDefined: slot 1 out of range"),
+    (_shipped("dual_fisher", dual=dict(_FDQ, slot=1)), 2,
+     "config error: parameters.dual.slot must be a generator index below 1, got 1\n"),
+    (_shipped("dual_inner", dual=dict(_FDQ, slot=7)), 2,
+     "config error: parameters.dual.slot must be a generator index below 2, got 7\n"),
+    (_shipped("dual_inner", dual=dict(_FDQ, slot=-1)), 2,
+     "config error: parameters.dual.slot must be a generator index below 2, got -1\n"),
+    (_shipped("dual_inner", dual={"type": "explicit", "targets": []}), 2,
+     "config error: parameters.dual.targets must hold 2 matrices, one per "
+     "generator, got 0\n"),
+    (_shipped("dual_inner", dual={"type": "explicit", "targets": [_ZERO_4X4] * 3}), 2,
+     "config error: parameters.dual.targets must hold 2 matrices, one per "
+     "generator, got 3\n"),
     (_shipped("dual_fisher", dual={"type": "explicit", "targets": 5}), 2,
      "config error: parameters.dual.targets must be a list of matrices"),
     (_shipped("dual_fisher", dual={"type": "explicit", "targets": [_ZERO_4X4]}),
@@ -767,7 +777,8 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
       "parameters": {"rank": 2}}, 2,
      "config error: scenario 'group_free' takes a group section only with "
      "parameters.images"),
-], ids=["slot_string", "slot_bool", "slot_out_of_range", "targets_scalar",
+], ids=["slot_string", "slot_bool", "slot_out_of_range", "slot_seven", "slot_negative",
+        "targets_empty", "targets_too_many", "targets_scalar",
         "targets_shape", "k_zero", "k_string", "k_scalar", "r_grid_string",
         "r_grid_nan", "dim_negative", "n_ops_string", "r_grid_huge",
         "r_grid_huge_int", "dim_above_cap", "n_ops_above_cap",
@@ -933,6 +944,46 @@ def test_subalgebra_mode_is_scale_free(tmp_path, capsys, blocks, weights,
     path = write_config(tmp_path, cfg)
     assert main(["delta", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["Delta_fraction"] == fraction
+
+
+def test_subalgebra_mode_counts_the_span_once(tmp_path, capsys, monkeypatch):
+    # the generation check and the subalgebra's span are one word_span call
+    # on the declared blocks; the second is build_algebra's on the block form
+    import freedim.wedderburn as wedderburn_module
+
+    seen, span = [], algebra_module.word_span
+    for module in (algebra_module, wedderburn_module):
+        monkeypatch.setattr(module, "word_span",
+                            lambda sizes, gens: seen.append(tuple(sizes)) or span(sizes, gens))
+    cfg = {"scenario": "delta", "algebra": {
+        "blocks": [2, 2], "weights": [0.3, 0.7], "subalgebra_mode": True,
+        "generators": [mat_pairs(_on_both_blocks(m)) for m in ([[0, 1], [1, 0]],
+                                                               [[1, 0], [0, -1]])]}}
+    assert main(["delta", "--config", write_config(tmp_path, cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["Delta_fraction"] == "3/4"
+    assert seen == [(2, 2), (2,)]
+
+
+@pytest.mark.parametrize("name", ["delta_full_2x2", "dual_inner"])
+def test_subalgebra_mode_on_a_generating_tuple_changes_no_report_byte(tmp_path, capsys,
+                                                                       name):
+    # a tuple that generates is its own subalgebra: only config_hash moves
+    plain = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    flagged = json.loads(json.dumps(plain))
+    flagged["algebra"]["subalgebra_mode"] = True
+    reports = {}
+    for label, cfg in (("plain", plain), ("flagged", flagged)):
+        path = write_config(tmp_path, cfg, name=f"{label}.json")
+        for fmt in ("json", "text"):
+            assert main([cfg["scenario"], "--config", path, "--verbose",
+                         "--format", fmt]) == 0
+            reports[label, fmt] = capsys.readouterr().out
+    hashes = {label: json.loads(reports[label, "json"])["config_hash"]
+              for label in ("plain", "flagged")}
+    assert hashes["plain"] != hashes["flagged"]
+    for fmt in ("json", "text"):
+        flagged_out = reports["flagged", fmt].replace(hashes["flagged"], hashes["plain"])
+        assert flagged_out == reports["plain", fmt]
 
 
 def test_freedim_tol_env_override(tmp_path, monkeypatch, capsys):

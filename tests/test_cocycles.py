@@ -10,9 +10,9 @@ import pytest
 
 import freedim as fd
 import freedim.cocycles as cocycles_module
-from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2, make_c1m2,
-                      make_c2, make_m2, random_block_algebra, random_hermitian,
-                      svd_block_ranks)
+from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2,
+                      generated_dim, make_c1m2, make_c2, make_m2, random_block_algebra,
+                      random_hermitian, svd_block_ranks)
 from freedim.algebra import _rowspace_residual, span_with_spectrum
 from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config, _delta_results, main
 from freedim.cocycles import (_hermitian_family, _unit_commutators, cocycle_span,
@@ -128,7 +128,7 @@ def _worked_algebra(name):
     generic pair on random blocks named like "random4x5"."""
     if name.startswith("delta_"):
         section = json.loads((CONFIG_DIR / f"{name}.json").read_text())["algebra"]
-        return _build_algebra_from_config(section, _DELTA_MAX_DIM).effective_algebra()
+        return _build_algebra_from_config(section, _DELTA_MAX_DIM)
     if name.startswith("random"):
         shape = tuple(int(n) for n in name[len("random"):].split("x"))
         return random_block_algebra(shape, seed=sum(shape))
@@ -515,7 +515,7 @@ def test_delta_bounds(c2, m2, c1m2):
 
 def test_subalgebra_mode_delta():
     # a non-generating tuple works through its generated subalgebra
-    sub = fd.build_algebra([2], [1.0], [SX.copy()], subalgebra_mode=True)
+    sub = fd.blockify_subalgebra([2], [1.0], [SX.copy()])
     rep = fd.delta_report(sub)
     assert abs(rep.Delta - 0.5) <= 1e-9  # effective algebra is C^2, w = (1/2, 1/2)
 
@@ -529,14 +529,11 @@ def test_subalgebra_mode_with_multiplicity():
         out[2:, 2:] = m
         return out
 
-    sub = fd.build_algebra(
-        [2, 2], [0.3, 0.7], [dbl(SX), dbl(SZ)], subalgebra_mode=True
-    )
-    assert sub.generated_dim == 4
-    eff = sub.effective_algebra()
+    assert generated_dim([2, 2], [dbl(SX), dbl(SZ)]) == 4
+    eff = fd.blockify_subalgebra([2, 2], [0.3, 0.7], [dbl(SX), dbl(SZ)])
     assert eff.block_sizes == (2,)
     np.testing.assert_allclose(eff.trace_weights, [1.0], atol=1e-12)
-    rep = fd.delta_report(sub)
+    rep = fd.delta_report(eff)
     assert rep.fractions["Delta"] == Fraction(3, 4)
 
 
@@ -578,8 +575,8 @@ def test_delta_fraction_does_not_depend_on_the_center_seed():
 @pytest.mark.parametrize("sizes", [[1], [2], [1, 2]])
 def test_delta_report_empty_generator_tuple(sizes):
     # no generators: the algebra generated is C 1, whose cocycle spaces are zero
-    alg = fd.build_algebra(sizes, [1 / len(sizes)] * len(sizes), [],
-                           subalgebra_mode=sizes != [1])
+    build = fd.blockify_subalgebra if sizes != [1] else fd.build_algebra
+    alg = build(sizes, [1 / len(sizes)] * len(sizes), [])
     rep = fd.delta_report(alg)
     assert rep.fractions["Delta"] == 0 and rep.fractions["beta0"] == 1
     assert rep.block_sizes == (1,)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
+from conftest import generates
 from freedim.groups import left_regular_matrices
 
 
@@ -79,7 +80,7 @@ def test_regular_rep_s3():
     np.testing.assert_allclose(sorted(alg.trace_weights), [1 / 6, 1 / 6, 2 / 3],
                                atol=1e-9)
     assert sum(n * n for n in alg.block_sizes) == 6
-    assert alg.generates
+    assert generates(alg)
 
 
 def test_regular_rep_trace_is_point_evaluation():
@@ -179,6 +180,46 @@ def test_schreier_generators_reduce():
     graph = fd.schreier_graph(2, [1, 1], z2)
     for w in graph.subgroup_generators:
         assert reduce_word(w) == w
+
+
+def _schreier_three_passes(n, images, table):
+    """`schreier_graph` as it was: the BFS, then the edge table, then the
+    non-tree edges through a set of tree edges."""
+    from freedim.groups import reduce_word, word_inverse
+
+    order, pos, transversal = [table.identity], {table.identity: 0}, [()]
+    tree_edges, head = set(), 0
+    while head < len(order):
+        for k in range(n):
+            w = table.mul(order[head], images[k])
+            if w not in pos:
+                pos[w] = len(order)
+                order.append(w)
+                transversal.append(reduce_word(transversal[head] + (k + 1,)))
+                tree_edges.add((head, k))
+        head += 1
+    edges = np.zeros((len(order), n), dtype=int)
+    for i, v in enumerate(order):
+        for k in range(n):
+            edges[i, k] = pos[table.mul(v, images[k])]
+    gens = tuple(reduce_word(transversal[i] + (k + 1,) + word_inverse(transversal[edges[i, k]]))
+                 for i in range(len(order)) for k in range(n) if (i, k) not in tree_edges)
+    return tuple(order), edges, tuple(transversal), gens
+
+
+def test_schreier_graph_matches_three_pass_reference():
+    rng = np.random.default_rng(3)
+    tables = [fd.cyclic_group(1), fd.cyclic_group(5), fd.symmetric_group(3),
+              fd.symmetric_group(4), fd.direct_product(fd.cyclic_group(2), fd.cyclic_group(4))]
+    for table in tables:
+        for n in (1, 2, 3):
+            for _ in range(4):
+                images = [int(rng.integers(table.order)) for _ in range(n)]
+                graph = fd.schreier_graph(n, images, table)
+                cosets, edges, transversal, gens = _schreier_three_passes(n, images, table)
+                assert graph.cosets == cosets and graph.transversal == transversal
+                assert graph.edges.dtype == edges.dtype and np.array_equal(graph.edges, edges)
+                assert graph.subgroup_generators == gens and graph.kernel_verified
 
 
 def test_permutation_cycle_parsing():

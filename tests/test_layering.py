@@ -3,8 +3,7 @@
 The modules follow the pipeline: the algebra layer, its block decomposition,
 the trace-weighted dimension and the layers built on it, the cocycle spaces,
 and the CLI on top.  No module may import upward or sideways, not even
-lazily inside a function or under TYPE_CHECKING; the one exception is the
-algebra's effective algebra, which calls the block decomposition.
+lazily inside a function or under TYPE_CHECKING.
 """
 
 import ast
@@ -24,8 +23,7 @@ RANK = {
     "cocycles": 4,
     "cli": 5,
 }
-# TracialAlgebra.effective_algebra -> wedderburn.blockify_subalgebra
-UPWARD = {("algebra", "wedderburn")}
+UPWARD: set[tuple[str, str]] = set()
 
 
 def imported_modules(name: str) -> set[str]:
