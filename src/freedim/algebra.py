@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,14 +115,25 @@ def _unflatten(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     return out
 
 
+_GENERATED = object()  # the token of the two constructors that check generation
+
+
 @dataclass
 class TracialAlgebra:
-    """A finite multi-matrix *-algebra generated by a distinguished tuple."""
+    """A finite multi-matrix *-algebra generated by a distinguished tuple,
+    built only by `build_algebra` or `wedderburn.blockify_subalgebra`, which
+    validate the data and check that the tuple generates the algebra."""
 
     block_sizes: tuple[int, ...]
     trace_weights: tuple[float, ...]
     generators: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
+    checked: InitVar[object] = None
+
+    def __post_init__(self, checked) -> None:
+        if checked is not _GENERATED:
+            raise TypeError("a TracialAlgebra is built by build_algebra or "
+                            "blockify_subalgebra, which check that its tuple generates it")
 
     @property
     def matrix_size(self) -> int:
@@ -232,7 +243,7 @@ def build_algebra(
             f"{dim}-dimensional declared algebra; set algebra.subalgebra_mode, or "
             "call blockify_subalgebra, to work inside the generated subalgebra"
         )
-    return TracialAlgebra(sizes, weights, mats, labels)
+    return TracialAlgebra(sizes, weights, mats, labels, _GENERATED)
 
 
 @dataclass

@@ -26,4 +26,7 @@ SUPPORT_TOL = 1e-6        # diagonal entries of a projection that fix block orde
 PROJECTION_TRACE_TOL = 1e-10  # imaginary part of the trace of a central projection
 CENTER_WEIGHT_TOL = 1e-8  # tau(z_i) of a recovered block against its declared weight
 FRACTION_TOL = 1e-12      # a float read as a nearby fraction of denominator <= 10^6
+FRACTION_DENOMINATOR = 10**6  # largest denominator of that fraction
+PROJECTION_DIGITS = 6     # decimals of a projection's entries in the block-order key
+PROJECTION_SPLIT = 0.5    # eigenvalues of a projection above it count as 1
 CLAMP_SLACK = 1e-12       # the clamp's sampled bounds |f_R| <= R + 1 and |g_R| <= 2

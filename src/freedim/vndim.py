@@ -22,7 +22,8 @@ import numpy as np
 from .algebra import (GnsStructure, _rowspace_residual, _unflatten, block_offsets,
                       numerical_span)
 from .errors import CenterResolutionError, IntegralityError, NotInvariant
-from .tolerances import CENTER_WEIGHT_TOL, FRACTION_TOL, INVARIANCE_TOL, OPERATOR_TOL
+from .tolerances import (CENTER_WEIGHT_TOL, FRACTION_DENOMINATOR, FRACTION_TOL, INVARIANCE_TOL,
+                         OPERATOR_TOL)
 from .wedderburn import commutant_basis, minimal_central_projections
 
 
@@ -30,7 +31,7 @@ def to_fraction(x: float) -> Fraction:
     """Exact rational form of a float that is morally a small fraction: the
     nearest fraction with denominator at most 10^6 if within FRACTION_TOL
     relative to x, else the float's exact binary fraction."""
-    fr = Fraction(x).limit_denominator(10**6)
+    fr = Fraction(x).limit_denominator(FRACTION_DENOMINATOR)
     if abs(float(fr) - x) > FRACTION_TOL * abs(x):
         fr = Fraction(x)
     return fr

@@ -15,12 +15,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (TracialAlgebra, _diag_weights, _rowspace_residual, _unflatten,
-                      _validated, block_offsets, build_algebra, numerical_span, unit_scaled,
-                      word_span)
+from .algebra import (_GENERATED, TracialAlgebra, _diag_weights, _rowspace_residual,
+                      _unflatten, _validated, block_offsets, build_algebra, numerical_span,
+                      unit_scaled, word_span)
 from .errors import CenterResolutionError, FreedimError
 from .tolerances import (CENTER_RETRIES, CLUSTER_GAP, COMMUTANT_ZERO_TOL, INVARIANCE_TOL,
-                         PROJECTION_TRACE_TOL, RANK_TOL, SUPPORT_TOL)
+                         PROJECTION_DIGITS, PROJECTION_SPLIT, PROJECTION_TRACE_TOL, RANK_TOL,
+                         SUPPORT_TOL)
 
 
 def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarray:
@@ -60,7 +61,7 @@ def _canonical_order(projections: list[np.ndarray]) -> list[np.ndarray]:
         sig = np.flatnonzero(diag > SUPPORT_TOL)
         first = int(sig[0]) if sig.size else p.shape[0]
         rank = int(round(np.trace(p).real))
-        entries = np.round(p, 6)
+        entries = np.round(p, PROJECTION_DIGITS)
         return (first, rank, tuple(entries.real.ravel()), tuple(entries.imag.ravel()))
 
     return sorted(projections, key=key)
@@ -221,7 +222,7 @@ def _irreducible_isometry(
     an irreducible module for the block.
     """
     lam, vec = np.linalg.eigh(z)
-    W = vec[:, lam > 0.5]
+    W = vec[:, lam > PROJECTION_SPLIT]
     r = W.shape[1]
     if r % n != 0:
         raise CenterResolutionError(
@@ -254,7 +255,7 @@ def blockify_subalgebra(block_sizes: Sequence[int], trace_weights: Sequence[floa
     unit = unit_scaled(mats)
     span = word_span(sizes, unit)
     if span.shape[0] == sum(n * n for n in sizes):
-        return TracialAlgebra(sizes, weights, mats, labels)
+        return TracialAlgebra(sizes, weights, mats, labels, _GENERATED)
     w = _diag_weights(sizes, weights)
     return blockify(_unflatten(span, sizes), commuting_set=unit,
                     trace_fn=lambda z: complex(np.sum(np.diag(z) * w)),

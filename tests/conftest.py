@@ -1,3 +1,7 @@
+import contextlib
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,15 @@ def embed_c_m2(c, m):
 def random_hermitian(rng, d):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (m + m.conj().T) / 2.0
+
+
+def section_algebra(section):
+    """build_algebra on a config's algebra section (matrices of [re, im] pairs),
+    read as the CLI reads it."""
+    gens = [np.asarray(g, dtype=float) for g in section["generators"]]
+    return fd.build_algebra(section["blocks"], section["weights"],
+                            [g[:, :, 0] + 1j * g[:, :, 1] for g in gens],
+                            labels=section.get("labels"))
 
 
 def random_block_algebra(shape, seed):
@@ -144,3 +157,53 @@ def m2():
 @pytest.fixture
 def c1m2():
     return make_c1m2()
+
+
+# The numerical builders that the CLI calls.  A config error raised after the
+# first of them is a check that ran after numerical work had started.
+NUMERICAL_BUILDERS = ("build_algebra", "blockify_subalgebra", "gns_structure", "cyclic_group",
+                      "symmetric_group", "direct_product", "from_mult_table",
+                      "regular_rep_algebra", "convergence_sweep", "schreier_graph",
+                      "counterexample_report")
+# the one check that waits: a subalgebra-mode dual's matrices are D x D for
+# the D of the algebra that blockify_subalgebra builds
+_SUBALGEBRA_SHAPE = re.compile(r"parameters\.dual\.(matrix|targets\[\d+\]) must be "
+                               r"\d+ x \d+ on this algebra$")
+
+
+@contextlib.contextmanager
+def late_config_errors():
+    """Spy on `freedim.cli`: yields a list that collects (builders called,
+    message) for each ConfigError raised inside `cli.main` after a call into
+    one of NUMERICAL_BUILDERS, but for the subalgebra-mode shape check."""
+    import freedim.cli as cli
+    from freedim.errors import ConfigError
+
+    calls, late = [], []
+    load_config, init = cli.load_config, ConfigError.__init__
+
+    def fresh_load(*args, **kwargs):
+        calls.clear()
+        return load_config(*args, **kwargs)
+
+    def spied(name, builder):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return builder(*args, **kwargs)
+        return wrapper
+
+    def spied_init(self, *args):
+        init(self, *args)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not cli.main.__code__:
+            frame = frame.f_back
+        waits = calls == ["blockify_subalgebra"] and _SUBALGEBRA_SHAPE.match(str(self))
+        if frame is not None and calls and not waits:
+            late.append((tuple(calls), str(self)))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_config", fresh_load)
+        patch.setattr(ConfigError, "__init__", spied_init)
+        for name in NUMERICAL_BUILDERS:
+            patch.setattr(cli, name, spied(name, getattr(cli, name)))
+        yield late

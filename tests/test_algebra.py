@@ -1,11 +1,12 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import (SX, SY, SZ, basis_left_mults, coords, element, generated_dim,
-                      generates, random_block_algebra, random_hermitian)
+from conftest import (SX, SY, SZ, basis_left_mults, coords, element, embed_c_m2,
+                      generated_dim, generates, random_block_algebra, random_hermitian)
 import freedim.algebra as algebra_module
 import freedim.wedderburn as wedderburn_module
 from freedim.algebra import (_flatten, _frame, _orthonormal_selfadjoint_basis,
@@ -145,6 +146,33 @@ def test_generation_check_keeps_generators_as_given():
     alg = fd.build_algebra([2], [1.0], [X, 1e10 * SZ])
     assert generates(alg)
     assert np.array_equal(alg.generators[0], X)
+
+
+def test_tracial_algebra_is_built_only_through_the_validated_path():
+    # sigma_x alone generates C (+) C, not M_2; this construction used to
+    # succeed, and gns_structure and the dual path accepted the algebra
+    with pytest.raises(TypeError, match="build_algebra or blockify_subalgebra"):
+        fd.TracialAlgebra((2,), (1.0,), (SX.copy(),), ("X1",))
+    alg = fd.build_algebra([2], [1.0], [SX.copy(), SZ.copy()])
+    with pytest.raises(TypeError):
+        dataclasses.replace(alg, generators=(SX.copy(),))
+    assert fd.blockify_subalgebra([2], [1.0], [SX.copy()]).block_sizes == (1, 1)
+
+
+@pytest.mark.parametrize("build", [fd.build_algebra, fd.blockify_subalgebra],
+                         ids=["build_algebra", "blockify_subalgebra"])
+def test_generating_tuple_is_spanned_once(monkeypatch, build):
+    # the generation check and the construction share one word_span
+    calls, span = [], algebra_module.word_span
+
+    def spied(sizes, gens):
+        calls.append(tuple(sizes))
+        return span(sizes, gens)
+
+    for module in (algebra_module, wedderburn_module):
+        monkeypatch.setattr(module, "word_span", spied)
+    alg = build([1, 2], [0.4, 0.6], [embed_c_m2(1.0, SX), embed_c_m2(-1.0, SZ)])
+    assert (alg.block_sizes, calls) == ((1, 2), [(1, 2)])
 
 
 def test_non_finite_generator_entry_rejected():
@@ -538,8 +566,7 @@ def test_block_coordinates_match_reference_loops_bitwise(sizes):
     assert _bitwise_equal(_flatten(x[0], sizes), flat[0])
     assert _bitwise_equal(_unflatten(v, sizes), unflat)
     assert _bitwise_equal(_unflatten(v[0], sizes), unflat[0])
-    weights = rng.uniform(0.5, 1.5, len(sizes))
-    alg = fd.TracialAlgebra(sizes, tuple(weights / weights.sum()), (), ())
+    alg = random_block_algebra(sizes, seed=sum(sizes))
     assert _bitwise_equal(_orthonormal_selfadjoint_basis(alg),
                           _selfadjoint_basis_loop(sizes, alg.trace_weights))
     for n in sizes:
@@ -626,11 +653,10 @@ BITWISE_SHAPES = [(1,), (2,), (5,), (10,), (1, 1, 2, 3, 3), (1, 2, 3, 4), (4, 5)
 
 
 def _bare_gns(sizes, seed):
-    """The trace representation of `sizes` at random weights, without generators."""
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.5, 1.5, len(sizes))
-    alg = fd.TracialAlgebra(sizes, tuple(weights / weights.sum()), (), ())
-    return fd.gns_structure(alg), rng
+    """The trace representation of a generic pair on `sizes` at random
+    weights (no check here reads the generators), and a generator seeded
+    with `seed`."""
+    return fd.gns_structure(random_block_algebra(sizes, seed)), np.random.default_rng(seed)
 
 
 @pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)

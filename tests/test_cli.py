@@ -12,12 +12,22 @@ import numpy as np
 import pytest
 
 import freedim as fd
+from conftest import late_config_errors
 import freedim.algebra as algebra_module
 import freedim.cli as cli_module
 from freedim.cli import emit_report, load_config, main, run_scenario
 from freedim.tolerances import WELLDEF_TOL
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture(autouse=True)
+def no_config_error_after_numerical_work():
+    """Every test here runs under the spy: no ConfigError that `main` raises
+    comes after its first call into a numerical builder."""
+    with late_config_errors() as late:
+        yield
+    assert late == []
 
 
 def mat_pairs(rows):

@@ -12,9 +12,9 @@ import freedim as fd
 import freedim.cocycles as cocycles_module
 from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2,
                       generated_dim, make_c1m2, make_c2, make_m2, random_block_algebra,
-                      random_hermitian, svd_block_ranks)
+                      random_hermitian, section_algebra, svd_block_ranks)
 from freedim.algebra import _rowspace_residual, span_with_spectrum
-from freedim.cli import _DELTA_MAX_DIM, _build_algebra_from_config, _delta_results, main
+from freedim.cli import _delta_results, main
 from freedim.cocycles import (_hermitian_family, _unit_commutators, cocycle_span,
                               commutator_bound)
 from freedim.tolerances import INVARIANCE_TOL
@@ -128,7 +128,7 @@ def _worked_algebra(name):
     generic pair on random blocks named like "random4x5"."""
     if name.startswith("delta_"):
         section = json.loads((CONFIG_DIR / f"{name}.json").read_text())["algebra"]
-        return _build_algebra_from_config(section, _DELTA_MAX_DIM)
+        return section_algebra(section)
     if name.startswith("random"):
         shape = tuple(int(n) for n in name[len("random"):].split("x"))
         return random_block_algebra(shape, seed=sum(shape))

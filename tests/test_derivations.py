@@ -7,9 +7,8 @@ import pytest
 import freedim as fd
 import freedim.derivations as derivations_module
 from conftest import (conjugate_variable, make_c1m2, make_c2, make_m2, random_block_algebra,
-                      random_hermitian)
+                      random_hermitian, section_algebra)
 from freedim.algebra import GnsStructure, _block_ranges, _unit_map
-from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config
 from freedim.derivations import _word_system
 from test_algebra import BITWISE_SHAPES, _bare_gns
 from test_cocycles import CONFIG_DIR, WORKED, _bitwise_equal, _with_negative_zeros, _worked_algebra
@@ -81,7 +80,7 @@ def svd_word_tree(gns):
 def _word_tree_algebra(case):
     if isinstance(case, str):  # a shipped dual_* config
         section = json.loads((CONFIG_DIR / f"{case}.json").read_text())["algebra"]
-        return _build_algebra_from_config(section, _DUAL_MAX_DIM)
+        return section_algebra(section)
     shape, seed = case
     return random_block_algebra(shape, seed)
 

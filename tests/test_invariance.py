@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import section_algebra
 from freedim.algebra import gns_structure
-from freedim.cli import _DUAL_MAX_DIM, _build_algebra_from_config, main
+from freedim.cli import main
 from freedim.derivations import (construct_dual_operator, derivation_well_defined,
                                  fdq_targets, inner_spec)
 from freedim.errors import ResidualTooLarge
@@ -186,9 +187,8 @@ def test_dual_verdict_scale_power_of_two(k):
     # refused or meets its commutator gate relative to ||T||, so a Y whose
     # commutators miss T (as at 2^-32 and below) is never returned
     cfg = SHIPPED["dual_inner"]
-    gns = gns_structure(_build_algebra_from_config(
-        _with_generators(cfg, [g * 2.0**k for g in _generators(cfg)])["algebra"],
-        _DUAL_MAX_DIM))
+    gns = gns_structure(section_algebra(
+        _with_generators(cfg, [g * 2.0**k for g in _generators(cfg)])["algebra"]))
     B = np.array([[complex(*x) for x in row] for row in cfg["parameters"]["dual"]["matrix"]])
     fit = derivation_well_defined(gns, inner_spec(gns, B))
     assert fit.well_defined
