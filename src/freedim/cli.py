@@ -13,14 +13,13 @@ import functools
 import hashlib
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,7 +68,7 @@ _SECTIONS = {"algebra": "an algebra section", "group": "a group section"}
 @dataclass
 class ScenarioConfig:
     scenario: str
-    values: dict                 # checked values by key path (_walk)
+    values: dict                 # what its scenario's check returns
     seed: int
     verbose: bool
     config_hash: str
@@ -157,8 +156,8 @@ def _parse_matrix(raw, where: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# config validation: one table of checks per scenario, which load_config runs
-# before any numerical work
+# config validation: load_config runs every check of a scenario before any
+# numerical work
 # ---------------------------------------------------------------------------
 
 def _check_keys(d: dict, allowed: set, required: set, where: str) -> None:
@@ -214,9 +213,14 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
                               f"only with parameters.{key}")
 
     # numpy's generators take no negative seed
-    if seed_override is not None and seed_override < 0:
-        raise ConfigError("--seed must be a non-negative integer")
-    values = _walk(raw, entry.table)
+    seed = params.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError("--seed must be a non-negative integer")
+        seed = seed_override
+    values = entry.check(raw, params)
 
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
@@ -224,7 +228,7 @@ def load_config(path: str, scenario: str, seed_override: Optional[int],
     return ScenarioConfig(
         scenario=scenario,
         values=values,
-        seed=values.get("parameters.seed", 0) if seed_override is None else seed_override,
+        seed=seed,
         verbose=verbose,
         config_hash=digest,
     )
@@ -235,79 +239,32 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _entries(*types) -> Callable:
-    """Kind test: a JSON list whose entries are of `types`, and not booleans."""
-    return lambda v: isinstance(v, list) and all(
-        isinstance(x, types) and not isinstance(x, bool) for x in v)
+def _list_of(section: dict, key: str, types: tuple, what: str,
+             where: str = "algebra") -> Optional[list]:
+    """section[key] (None when absent), checked to be a list of `types`."""
+    value = section.get(key)
+    if key in section and (not isinstance(value, list) or any(
+        isinstance(x, bool) or not isinstance(x, types) for x in value
+    )):
+        raise ConfigError(f"{where}.{key} must be a list of {what}")
+    return value
 
 
-# kind: (test, refusal).  A matrix is what _parse_matrix accepts; it names
-# what is wrong with the rest.
-_KINDS = {
-    "integer": (_is_int, "{path} must be an integer, got {value!r}"),
-    "flag": (lambda v: isinstance(v, bool), "{path} must be true or false, got {value!r}"),
-    "numbers": (_entries(int, float), "{path} must be a list of numbers"),
-    "integers": (_entries(int), "{path} must be a list of integers"),
-    "dimension": (_entries(int), "{path} must be a list of integers"),  # of blocks
-    "strings": (_entries(str), "{path} must be a list of strings"),
-    "matrices": (_entries(list), "{path} must be a list of matrices"),
-    "list": (lambda v: isinstance(v, list), "{path} must be a list"),
-    "matrix": (lambda v: True, ""),
-    "dual": (lambda v: isinstance(v, dict) and "type" in v,
-             "{path} must be an object with a 'type'"),
-}
-# What a Key's bounds bound, by kind (the value itself for the others): each
-# entry, the length, or D = sum n_i^2 of the blocks.
-_MEASURES = {"numbers": tuple, "integers": tuple, "list": lambda v: (len(v),),
-             "matrices": lambda v: (len(v),), "dimension": lambda v: (sum(n * n for n in v),)}
+def _positive_int(params: dict, key: str, default: int, cap: int) -> int:
+    value = params.get(key, default)
+    if not _is_int(value) or value <= 0:
+        raise ConfigError(f"parameters.{key} must be a positive integer, got {value!r}")
+    if value > cap:
+        raise ConfigError(f"parameters.{key} must be at most {cap}, got {value!r}")
+    return value
 
 
-class Key(NamedTuple):
-    """A check of the value at a dotted key path; an absent key is skipped.
-
-    The first Key of a path tests the value's kind and parses matrices.
-    Every Key then requires each measure of the value for its kind to be
-    finite and above `low`, and at most `cap` in size.  `message`, or else
-    the kind's refusal, formatted with the path, value and cap, is raised
-    as `error`.
-    """
-
-    path: str
-    kind: str
-    message: str = ""
-    low: Optional[float] = None
-    cap: Optional[float] = None
-    error: type = ConfigError
-
-
-def _walk(raw: dict, table: tuple) -> dict:
-    """Run a scenario's checks in order; the checked values by key path.  A
-    named check (a function) reads the config and the values before it."""
-    values = {}
-    for check in table:
-        if not isinstance(check, Key):
-            check(raw, values)
-            continue
-        test, refusal = _KINDS[check.kind]
-        message = check.message or refusal
-        if check.path not in values:
-            try:
-                value = functools.reduce(operator.getitem, check.path.split("."), raw)
-            except (KeyError, TypeError):  # absent, or below a value that is no object
-                continue
-            if not test(value):
-                raise ConfigError(message.format(path=check.path, value=value))
-            if check.kind == "matrix":
-                value = _parse_matrix(value, check.path)
-            elif check.kind == "matrices":
-                value = [_parse_matrix(m, f"{check.path}[{k}]") for k, m in enumerate(value)]
-            values[check.path] = value
-        value = values[check.path]
-        sizes = _MEASURES.get(check.kind, lambda v: (v,))(value)
-        if (check.low is not None and not all(check.low < x < math.inf for x in sizes)
-                or check.cap is not None and any(abs(x) > check.cap for x in sizes)):
-            raise check.error(message.format(path=check.path, value=value, cap=check.cap))
-    return values
+def _flag(section: dict, key: str, where: str) -> bool:
+    """section[key] as a JSON boolean, False when absent."""
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
 
 
 # Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle spans
@@ -318,24 +275,27 @@ _DELTA_MAX_DIM = 41
 _DUAL_MAX_DIM = 100
 
 
-def _algebra_table(max_dim: int) -> tuple:
-    """The checks of an algebra section; D above `max_dim` is TooLarge."""
-    return (
-        lambda raw, values: _check_keys(raw["algebra"], {"blocks", "weights", "generators",
-                                                         "labels", "subalgebra_mode"},
-                                        {"blocks", "weights", "generators"}, "algebra"),
-        Key("algebra.generators", "matrices"),
-        Key("algebra.generators", "matrices", "{path} must not be empty", low=0),
-        Key("algebra.blocks", "integers"),
-        Key("algebra.blocks", "dimension", "algebra dimension sum n_i^2 exceeds the cap {cap}",
-            cap=max_dim, error=TooLarge),
-        Key("algebra.weights", "numbers"),
-        # compared before float(), which overflows on a JSON integer past 1e308
-        Key("algebra.weights", "numbers", "{path} must be finite numbers",
-            cap=sys.float_info.max),
-        Key("algebra.labels", "strings"),
-        Key("algebra.subalgebra_mode", "flag"),
-    )
+_ALGEBRA_KEYS = {"blocks", "weights", "generators", "labels", "subalgebra_mode"}
+
+
+def _check_algebra(raw: dict, params: dict, max_dim: int) -> dict:
+    """The algebra section's values by key; D above `max_dim` is TooLarge."""
+    section = raw["algebra"]
+    _check_keys(section, _ALGEBRA_KEYS, {"blocks", "weights", "generators"}, "algebra")
+    raw_gens = _list_of(section, "generators", (list,), "matrices")
+    if not raw_gens:
+        raise ConfigError("algebra.generators must not be empty")
+    gens = [_parse_matrix(g, f"algebra.generators[{k}]") for k, g in enumerate(raw_gens)]
+    blocks = _list_of(section, "blocks", (int,), "integers")
+    if sum(n * n for n in blocks) > max_dim:
+        raise TooLarge(f"algebra dimension sum n_i^2 exceeds the cap {max_dim}")
+    weights = _list_of(section, "weights", (int, float), "numbers")
+    # compared before float(), which overflows on a JSON integer past 1e308
+    if any(abs(w) > sys.float_info.max for w in weights):
+        raise ConfigError("algebra.weights must be finite numbers")
+    return {"blocks": blocks, "weights": weights, "generators": gens,
+            "labels": _list_of(section, "labels", (str,), "strings"),
+            "subalgebra_mode": _flag(section, "subalgebra_mode", "algebra")}
 
 
 # The keys each dual type reads besides "type".
@@ -343,42 +303,48 @@ _DUAL_KEYS = {"fisher": set(), "inner": {"matrix"}, "free_difference_quotient": 
               "explicit": {"targets"}}
 
 
-def _dual_type(raw: dict, values: dict) -> None:
-    kind = values["parameters.dual"]["type"]
+def _check_dual_system(raw: dict, params: dict) -> dict:
+    """The algebra and the dual, whose matrices are D x D for D = sum n_i^2;
+    in subalgebra mode D is the generated algebra's, so the runner checks
+    their shapes once blockify_subalgebra has built it."""
+    values = _check_algebra(raw, params, _DUAL_MAX_DIM)
+    dual = params["dual"]
+    if not isinstance(dual, dict) or "type" not in dual:
+        raise ConfigError("parameters.dual must be an object with a 'type'")
+    kind = values["dual"] = dual["type"]
     if not (isinstance(kind, str) and kind in _DUAL_KEYS):
         raise ConfigError(f"unknown dual type {kind!r}")
-    _check_keys(values["parameters.dual"], {"type", *_DUAL_KEYS[kind]}, _DUAL_KEYS[kind],
-                "parameters.dual")
+    _check_keys(dual, {"type", *_DUAL_KEYS[kind]}, _DUAL_KEYS[kind], "parameters.dual")
+    n = len(values["generators"])
+    if kind == "inner":  # matrices: (where, matrix), checked D x D by _dual_shapes
+        values["matrices"] = [("parameters.dual.matrix",
+                               _parse_matrix(dual["matrix"], "parameters.dual.matrix"))]
+    elif kind == "free_difference_quotient":
+        slot = values["slot"] = dual["slot"]
+        if not _is_int(slot):
+            raise ConfigError(f"parameters.dual.slot must be an integer, got {slot!r}")
+        if not 0 <= slot < n:
+            raise ConfigError(f"parameters.dual.slot must be a generator index below {n}, "
+                              f"got {slot}")
+    elif kind == "explicit":
+        if not isinstance(dual["targets"], list):
+            raise ConfigError("parameters.dual.targets must be a list of matrices")
+        if len(dual["targets"]) != n:
+            raise ConfigError(f"parameters.dual.targets must hold {n} matrices, one per "
+                              f"generator, got {len(dual['targets'])}")
+        values["matrices"] = [(f"parameters.dual.targets[{k}]",
+                               _parse_matrix(t, f"parameters.dual.targets[{k}]"))
+                              for k, t in enumerate(dual["targets"])]
+    if not values["subalgebra_mode"]:
+        _dual_shapes(values, sum(b * b for b in values["blocks"]))
+    return values
 
 
 def _dual_shapes(values: dict, dim: int) -> None:
-    """The dual's matrix or targets are D x D on an algebra of dimension `dim`."""
-    explicit = "parameters.dual.targets" in values
-    for k, mat in enumerate(values.get("parameters.dual.targets",
-                                       [values.get("parameters.dual.matrix")])):
-        where = f"parameters.dual.targets[{k}]" if explicit else "parameters.dual.matrix"
-        if mat is not None and mat.shape != (dim, dim):
+    """The dual's matrices are D x D on an algebra of dimension `dim`."""
+    for where, mat in values.get("matrices", ()):
+        if mat.shape != (dim, dim):
             raise ConfigError(f"{where} must be {dim} x {dim} on this algebra")
-
-
-def _dual_sizes(raw: dict, values: dict) -> None:
-    """slot and targets against the number of generators, and the matrices
-    against D x D: D = sum n_i^2, but in subalgebra mode the generated
-    algebra's, which the runner checks once that algebra is built."""
-    n = len(values["algebra.generators"])
-    slot = values.get("parameters.dual.slot")
-    if slot is not None and not 0 <= slot < n:
-        raise ConfigError(f"parameters.dual.slot must be a generator index below {n}, "
-                          f"got {slot}")
-    targets = values.get("parameters.dual.targets")
-    if targets is not None:
-        if len(targets) != n:
-            raise ConfigError(f"parameters.dual.targets must hold {n} matrices, one per "
-                              f"generator, got {len(targets)}")
-        values["parameters.dual.targets"] = [
-            _parse_matrix(t, f"parameters.dual.targets[{k}]") for k, t in enumerate(targets)]
-    if not values.get("algebra.subalgebra_mode"):
-        _dual_shapes(values, sum(b * b for b in values["algebra.blocks"]))
 
 
 # Size caps of the cutoff sweep: its cost is about len(r_grid) * n_ops * dim^3
@@ -389,34 +355,41 @@ _CUTOFF_MAX_R = 1e6
 _CUTOFF_MAX_RADII = 64
 _CUTOFF_MAX_DIM = 256
 _CUTOFF_MAX_OPS = 16
-_RADII = "{path} must be a nonempty list of finite positive reals"
 
 
-def _x_needs_a(raw: dict, values: dict) -> None:
-    if "X" in raw["parameters"] and "A" not in raw["parameters"]:
-        raise ConfigError("parameters.X needs parameters.A")
-
-
-def _explicit_instance(raw: dict, values: dict) -> None:
-    """An explicit A comes with matrices X of its size, and without the sizes
-    of a random instance."""
-    if "parameters.A" not in values:
-        return
-    if not values.get("parameters.X"):
+def _check_cutoff(raw: dict, params: dict) -> dict:
+    """The radii, and either an explicit A with matrices X of its size or
+    the sizes of a seeded random instance."""
+    grid = _list_of(params, "r_grid", (int, float), "numbers", "parameters")
+    # compared before float(), which overflows on a JSON integer past 1e308
+    if not grid or not all(r > 0 and (_is_int(r) or math.isfinite(r)) for r in grid):
+        raise ConfigError(
+            "parameters.r_grid must be a nonempty list of finite positive reals"
+        )
+    if max(grid) > _CUTOFF_MAX_R:
+        raise ConfigError(f"parameters.r_grid values must be at most {_CUTOFF_MAX_R:g}")
+    if len(grid) > _CUTOFF_MAX_RADII:
+        raise ConfigError(f"parameters.r_grid must hold at most {_CUTOFF_MAX_RADII} radii")
+    values = {"r_grid": [float(r) for r in grid],
+              "smooth": _flag(params, "smooth", "parameters")}
+    if "A" not in params:
+        if "X" in params:
+            raise ConfigError("parameters.X needs parameters.A")
+        values["dim"] = _positive_int(params, "dim", 8, _CUTOFF_MAX_DIM)
+        values["n_ops"] = _positive_int(params, "n_ops", 2, _CUTOFF_MAX_OPS)
+        return values
+    A = values["A"] = _parse_matrix(params["A"], "parameters.A")
+    raw_xs = _list_of(params, "X", (list,), "matrices", "parameters")
+    if not raw_xs:
         raise ConfigError("explicit cutoff runs need parameters.X")
-    if any(X.shape != values["parameters.A"].shape for X in values["parameters.X"]):
+    Xs = values["X"] = [_parse_matrix(x, f"parameters.X[{k}]") for k, x in enumerate(raw_xs)]
+    if any(X.shape != A.shape for X in Xs):
         raise ConfigError("parameters.X must hold matrices the size of parameters.A")
     for key in ("dim", "n_ops"):
-        if key in raw["parameters"]:
+        if key in params:
             raise ConfigError(f"parameters.{key} sizes a random instance and "
                               "cannot be given with parameters.A")
-
-
-def _instance_size(key: str, cap: int) -> tuple:
-    return (Key(f"parameters.{key}", "integer",
-                "{path} must be a positive integer, got {value!r}", low=0),
-            Key(f"parameters.{key}", "integer", "{path} must be at most {cap}, got {value!r}",
-                cap=cap))
+    return values
 
 
 # Group orders are computed exactly up to this ceiling, far above any cap.
@@ -479,13 +452,10 @@ def _group_order(section: dict, where: str = "group") -> int:
     return min(order, _ORDER_CEILING + 1)
 
 
-def _group(raw: dict, values: dict, cap: int, scenario: str = "group_finite") -> None:
-    """The group section, if any: its order at most `cap` (TooLarge, before a
-    table is built) and its generating_set, which only group_finite reads."""
-    if "group" not in raw:
-        return
-    section = values["group"] = raw["group"]
-    order = values["group.order"] = _group_order(section)
+def _check_group(section: dict, cap: int) -> dict:
+    """A group section of order at most `cap` (TooLarge, before any table is
+    built), and its generating_set against that order."""
+    order = _group_order(section)
     if order > cap:
         shown = order if order <= _ORDER_CEILING else "above 10^18"
         raise TooLarge(f"group order {shown} exceeds the cap {cap}")
@@ -493,17 +463,33 @@ def _group(raw: dict, values: dict, cap: int, scenario: str = "group_finite") ->
     if gen_set is not None and not (isinstance(gen_set, list) and all(
             _is_int(g) and 0 <= g < order for g in gen_set)):
         raise ConfigError(f"group.generating_set must be a list of element indices below {order}")
-    if gen_set is not None and scenario != "group_finite":
-        raise ConfigError(f"group: keys ['generating_set'] are not read by scenario {scenario!r}")
+    return {"group": section, "order": order, "generating_set": gen_set}
 
 
-def _kernel_images(raw: dict, values: dict) -> None:
-    """Images as element indices or 1-based cycle notation, one per free generator."""
-    if "parameters.images" not in values:
-        return
-    section, order, rank = values["group"], values["group.order"], values["parameters.rank"]
-    images = []
-    for k, im in enumerate(values["parameters.images"]):
+# beta1 = rank - 1 is reported as a float, exact up to 2^53 (and a rank past
+# 1e308 would overflow it)
+_FREE_MAX_RANK = 2**53
+
+
+def _check_group_free(raw: dict, params: dict) -> dict:
+    """The rank, and with images a group section and one image per free
+    generator: an element index or 1-based cycle notation."""
+    rank = params["rank"]
+    if not _is_int(rank):
+        raise ConfigError(f"parameters.rank must be an integer, got {rank!r}")
+    if rank < 1:
+        raise ConfigError("parameters.rank must be at least 1")
+    if rank > _FREE_MAX_RANK:
+        raise ConfigError("parameters.rank must be at most 2^53")
+    if "images" not in params:
+        return {"rank": rank}
+    section = raw["group"]
+    values = dict(_check_group(section, TABLE_ORDER_CAP), rank=rank, images=[])
+    if values["generating_set"] is not None:
+        raise ConfigError("group: keys ['generating_set'] are not read by scenario 'group_free'")
+    if not isinstance(params["images"], list):
+        raise ConfigError("parameters.images must be a list")
+    for k, im in enumerate(params["images"]):
         if isinstance(im, str) and section["kind"] != "symmetric":
             raise ConfigError("cycle-notation images require a symmetric group section")
         if isinstance(im, str):
@@ -512,26 +498,21 @@ def _kernel_images(raw: dict, values: dict) -> None:
                                              section["n"])
             except FreedimError as exc:
                 raise ConfigError(f"parameters.images[{k}]: {exc}") from None
-        elif not (_is_int(im) and 0 <= im < order):
-            raise ConfigError(f"parameters.images: {im!r} is not an element index below {order}")
-        images.append(im)
-    if len(images) != rank:
+        elif not (_is_int(im) and 0 <= im < values["order"]):
+            raise ConfigError(f"parameters.images: {im!r} is not an element index below "
+                              f"{values['order']}")
+        values["images"].append(im)
+    if len(values["images"]) != rank:
         raise ConfigError(f"parameters.images must hold {rank} images, one per free generator, "
-                          f"got {len(images)}")
-    values["parameters.images"] = images
+                          f"got {len(values['images'])}")
+    return values
 
 
-# beta1 = rank - 1 is reported as a float, exact up to 2^53 (and a rank past
-# 1e308 would overflow it)
-_FREE_MAX_RANK = 2**53
-
-
-def _check_format(scenario: str, fmt: str) -> None:
-    if fmt not in ("json", "csv", "text"):
-        raise UnsupportedFormat(f"unknown format {fmt!r}")
-    if fmt == "csv" and scenario != "cutoff":  # the one sweep scenario
-        raise UnsupportedFormat(f"csv output is only available for sweep scenarios, "
-                                f"not {scenario!r}")
+def _check_counterexample(raw: dict, params: dict) -> dict:
+    k_values = params.get("k_values", list(COUNTEREXAMPLE_K_VALUES))
+    if not (isinstance(k_values, list) and all(_is_int(k) and k > 0 for k in k_values)):
+        raise ConfigError("parameters.k_values must be a list of positive integers")
+    return {"k_values": k_values}
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +561,9 @@ Outcome = tuple[dict, dict, dict]
 
 def _algebra(values: dict):
     """The config's algebra, or in subalgebra mode the one its tuple generates."""
-    build = blockify_subalgebra if values.get("algebra.subalgebra_mode") else build_algebra
-    return build(values["algebra.blocks"], values["algebra.weights"],
-                 values["algebra.generators"], labels=values.get("algebra.labels"))
+    build = blockify_subalgebra if values["subalgebra_mode"] else build_algebra
+    return build(values["blocks"], values["weights"], values["generators"],
+                 labels=values["labels"])
 
 
 def _group_table(section: dict) -> FiniteGroupTable:
@@ -610,10 +591,10 @@ def _run_delta(config: ScenarioConfig) -> Outcome:
 def _run_dual_system(config: ScenarioConfig) -> Outcome:
     values = config.values
     algebra = _algebra(values)
-    if values.get("algebra.subalgebra_mode"):
+    if values["subalgebra_mode"]:
         _dual_shapes(values, algebra.dim)
     gns = gns_structure(algebra)
-    kind = values["parameters.dual"]["type"]
+    kind = values["dual"]
 
     if kind == "fisher":
         rep = fisher_report(gns)
@@ -634,11 +615,11 @@ def _run_dual_system(config: ScenarioConfig) -> Outcome:
                                   "+inf when a slot fails to descend"}, {}
 
     if kind == "inner":
-        targets = inner_spec(gns, values["parameters.dual.matrix"])
+        targets = inner_spec(gns, values["matrices"][0][1])
     elif kind == "free_difference_quotient":
-        targets = fdq_targets(gns, values["parameters.dual.slot"])
+        targets = fdq_targets(gns, values["slot"])
     else:
-        targets = values["parameters.dual.targets"]
+        targets = [mat for _, mat in values["matrices"]]
 
     fit = derivation_well_defined(gns, targets)
     results = {"mode": kind, "well_defined": fit.well_defined, "defect": fit.defect}
@@ -660,10 +641,9 @@ def _run_dual_system(config: ScenarioConfig) -> Outcome:
 
 def _run_cutoff(config: ScenarioConfig) -> Outcome:
     values = config.values
-    grid = [float(r) for r in values["parameters.r_grid"]]
-    smooth = values.get("parameters.smooth", False)
-    if "parameters.A" in values:
-        A, Xs = values["parameters.A"], values["parameters.X"]
+    grid, smooth = values["r_grid"], values["smooth"]
+    if "A" in values:
+        A, Xs = values["A"], values["X"]
     else:
         rng = np.random.default_rng(config.seed)
 
@@ -671,9 +651,8 @@ def _run_cutoff(config: ScenarioConfig) -> Outcome:
             m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             return (m + m.conj().T) / 2.0
 
-        dim = values.get("parameters.dim", 8)
-        A = herm(dim)
-        Xs = [herm(dim) for _ in range(values.get("parameters.n_ops", 2))]
+        A = herm(values["dim"])
+        Xs = [herm(values["dim"]) for _ in range(values["n_ops"])]
 
     rows = convergence_sweep(A, Xs, grid, smooth=smooth)
     rho = spectral_radius(A)
@@ -708,12 +687,12 @@ def _run_cutoff(config: ScenarioConfig) -> Outcome:
 
 
 def _run_group_finite(config: ScenarioConfig) -> Outcome:
-    group = config.values["group"]
-    algebra = regular_rep_algebra(_group_table(group),
-                                  generating_set=group.get("generating_set"),
+    values = config.values
+    algebra = regular_rep_algebra(_group_table(values["group"]),
+                                  generating_set=values["generating_set"],
                                   seed=config.seed)
     rep = delta_report(algebra, seed=config.seed)
-    order = config.values["group.order"]
+    order = values["order"]
     formula = betti_delta_formula(BettiInput.finite_group(order))
     results = _delta_results(rep)
     results.update({
@@ -730,12 +709,12 @@ def _run_group_finite(config: ScenarioConfig) -> Outcome:
 
 
 def _run_group_free(config: ScenarioConfig) -> Outcome:
-    rank = config.values["parameters.rank"]
+    values = config.values
+    rank = values["rank"]
     delta = betti_delta_formula(BettiInput.free_group(rank))
     results = {"rank": rank, "delta": delta}
-    if "parameters.images" in config.values:
-        graph = schreier_graph(rank, config.values["parameters.images"],
-                               _group_table(config.values["group"]))
+    if "images" in values:
+        graph = schreier_graph(rank, values["images"], _group_table(values["group"]))
         results["kernel"] = {
             "index": graph.index,
             "rank": graph.rank,
@@ -748,8 +727,7 @@ def _run_group_free(config: ScenarioConfig) -> Outcome:
 
 
 def _run_counterexample(config: ScenarioConfig) -> Outcome:
-    report = counterexample_report(
-        config.values.get("parameters.k_values", list(COUNTEREXAMPLE_K_VALUES)))
+    report = counterexample_report(config.values["k_values"])
     return report, report["provenance"], {}
 
 
@@ -834,69 +812,35 @@ def _counterexample_text(r: dict, residuals: dict) -> list[str]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """What one scenario accepts, how it runs and what its text report says."""
+    """What one scenario accepts, how it checks and runs, and what its text
+    report says."""
 
     needs: tuple                 # sections it requires
     takes: dict                  # optional section -> the parameter it comes with
+    keys: set                    # parameter keys it accepts
     required: set                # parameter keys it requires
-    table: tuple                 # its checks, in the order _walk runs them
+    check: Callable[[dict, dict], dict]  # (config, parameters) -> checked values
     run: Callable[[ScenarioConfig], Outcome]
     text: Callable[[dict, dict], list[str]]
+    sweeps: bool = False         # whether its report has a csv form
 
-    @property
-    def keys(self) -> set:
-        """The parameter keys it accepts: those its table checks."""
-        return {check.path.split(".")[1] for check in self.table
-                if isinstance(check, Key) and check.path.startswith("parameters.")}
-
-
-_SEED = Key("parameters.seed", "integer", "seed must be a non-negative integer", low=-1)
 
 # The one place that knows each scenario; the CLI offers them in this order.
 SCENARIOS = {
-    "delta": Scenario(("algebra",), {}, set(), (_SEED, *_algebra_table(_DELTA_MAX_DIM)),
+    "delta": Scenario(("algebra",), {}, {"seed"}, set(),
+                      functools.partial(_check_algebra, max_dim=_DELTA_MAX_DIM),
                       _run_delta, _delta_text),
-    "dual_system": Scenario(("algebra",), {}, {"dual"}, (
-        _SEED, *_algebra_table(_DUAL_MAX_DIM),
-        Key("parameters.dual", "dual"),
-        _dual_type,
-        Key("parameters.dual.matrix", "matrix"),
-        Key("parameters.dual.slot", "integer"),
-        Key("parameters.dual.targets", "list", "{path} must be a list of matrices"),
-        _dual_sizes,
-    ), _run_dual_system, _dual_system_text),
-    "cutoff": Scenario((), {}, {"r_grid"}, (
-        _SEED,
-        Key("parameters.r_grid", "numbers"),
-        Key("parameters.r_grid", "list", _RADII, low=0),
-        Key("parameters.r_grid", "numbers", _RADII, low=0),
-        Key("parameters.r_grid", "numbers", "{path} values must be at most {cap:g}",
-            cap=_CUTOFF_MAX_R),
-        Key("parameters.r_grid", "list", "{path} must hold at most {cap} radii",
-            cap=_CUTOFF_MAX_RADII),
-        Key("parameters.smooth", "flag"),
-        _x_needs_a,
-        Key("parameters.A", "matrix"),
-        Key("parameters.X", "matrices"),
-        _explicit_instance,
-        *_instance_size("dim", _CUTOFF_MAX_DIM),
-        *_instance_size("n_ops", _CUTOFF_MAX_OPS),
-    ), _run_cutoff, _cutoff_text),
-    "group_finite": Scenario(("group",), {}, set(),
-                             (_SEED, functools.partial(_group, cap=ORDER_CAP)),
+    "dual_system": Scenario(("algebra",), {}, {"seed", "dual"}, {"dual"},
+                            _check_dual_system, _run_dual_system, _dual_system_text),
+    "cutoff": Scenario((), {}, {"seed", "r_grid", "dim", "n_ops", "A", "X", "smooth"},
+                       {"r_grid"}, _check_cutoff, _run_cutoff, _cutoff_text, sweeps=True),
+    "group_finite": Scenario(("group",), {}, {"seed"}, set(),
+                             lambda raw, params: _check_group(raw["group"], ORDER_CAP),
                              _run_group_finite, _group_finite_text),
-    "group_free": Scenario((), {"group": "images"}, {"rank"}, (
-        Key("parameters.rank", "integer"),
-        Key("parameters.rank", "integer", "{path} must be at least 1", low=0),
-        Key("parameters.rank", "integer", "{path} must be at most 2^53", cap=_FREE_MAX_RANK),
-        functools.partial(_group, cap=TABLE_ORDER_CAP, scenario="group_free"),
-        Key("parameters.images", "list"),
-        _kernel_images,
-    ), _run_group_free, _group_free_text),
-    "counterexample": Scenario((), {}, set(), (
-        Key("parameters.k_values", "integers", "{path} must be a list of positive integers",
-            low=0),
-    ), _run_counterexample, _counterexample_text),
+    "group_free": Scenario((), {"group": "images"}, {"rank", "images"}, {"rank"},
+                           _check_group_free, _run_group_free, _group_free_text),
+    "counterexample": Scenario((), {}, {"k_values"}, set(), _check_counterexample,
+                               _run_counterexample, _counterexample_text),
 }
 
 
@@ -911,20 +855,33 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 # emission
 # ---------------------------------------------------------------------------
 
+def _check_format(scenario: str, fmt: str) -> None:
+    """Refuse csv for a scenario without a sweep before it runs."""
+    if fmt == "csv" and not SCENARIOS[scenario].sweeps:
+        raise UnsupportedFormat(f"csv output is only available for sweep scenarios, "
+                                f"not {scenario!r}")
+
+
 def emit_report(report: RunReport, fmt: str) -> bytes:
     """Serialize a report as json, csv (sweeps only) or a text summary."""
-    _check_format(report.scenario, fmt)
     if fmt == "json":
         payload = _clean(report.payload())
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "csv":
+        if "sweep" not in report.results:
+            raise UnsupportedFormat(
+                f"csv output is only available for sweep scenarios, "
+                f"not {report.scenario!r}"
+            )
         lines = ["R,hs_error"]
         lines += [f"{row['R']!r},{row['hs_error']!r}"
                   for row in report.results["sweep"]]
         return ("\n".join(lines) + "\n").encode()
-    lines = [f"scenario: {report.scenario}", f"seed: {report.seed}"]
-    lines += SCENARIOS[report.scenario].text(report.results, report.residuals)
-    return ("\n".join(lines) + "\n").encode()
+    if fmt == "text":
+        lines = [f"scenario: {report.scenario}", f"seed: {report.seed}"]
+        lines += SCENARIOS[report.scenario].text(report.results, report.residuals)
+        return ("\n".join(lines) + "\n").encode()
+    raise UnsupportedFormat(f"unknown format {fmt!r}")
 
 
 def _write_atomic(path: str, payload: bytes) -> None:

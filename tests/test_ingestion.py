@@ -4,14 +4,13 @@ An ast guard, read from the source as `tests/test_tolerances.py` reads it:
 a `raise ConfigError` (or of its subclass UnsupportedFormat) anywhere but in
 the functions that read and check a config is a check that a runner could
 make after numerical work has started.  README's config anatomy and its
-per-scenario bullets are checked against the scenario tables, in the manner
-of `tests/test_surface.py`, and the spy of `conftest.late_config_errors` is
-shown to see a late config error.
+per-scenario bullets are checked against the keys each scenario reads and
+its caps, in the manner of `tests/test_surface.py`, and the spy of
+`conftest.late_config_errors` is shown to see a late config error.
 """
 
 import ast
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -23,11 +22,13 @@ from conftest import late_config_errors
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "freedim"
 
-# The ingestion code: load_config, the checks it runs, the parsing helpers
-# they call, and the output-format check main makes before any run.
-INGESTION = {"load_config", "_check_keys", "_parse_matrix", "_walk", "_dual_type",
-             "_dual_shapes", "_dual_sizes", "_x_needs_a", "_explicit_instance",
-             "_group_order", "_group", "_kernel_images", "_check_format"}
+# The ingestion code: load_config, the checks it runs and the parsing
+# helpers they call; the csv check main makes before any run; and
+# emit_report, whose format refusals serve library callers.
+INGESTION = {"load_config", "_check_keys", "_parse_matrix", "_list_of", "_positive_int",
+             "_flag", "_check_algebra", "_check_dual_system", "_dual_shapes",
+             "_check_cutoff", "_group_order", "_check_group", "_check_group_free",
+             "_check_counterexample", "_check_format", "emit_report"}
 CONFIG_ERRORS = {"ConfigError", "UnsupportedFormat"}
 
 
@@ -73,7 +74,7 @@ def test_spy_sees_a_late_config_error(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# README's config anatomy against the tables
+# README's config anatomy against the scenarios
 # ---------------------------------------------------------------------------
 
 def _anatomy() -> str:
@@ -101,21 +102,36 @@ def _spelled(cap) -> str:
 
 
 KEYS = [(scenario, key) for scenario, entry in cli.SCENARIOS.items()
-        for key in entry.table if isinstance(key, cli.Key)]
+        for key in sorted(entry.keys | (cli._ALGEBRA_KEYS if "algebra" in entry.needs else set()))]
+
+# The caps each scenario's check applies.
+CAPS = {"delta": [cli._DELTA_MAX_DIM], "dual_system": [cli._DUAL_MAX_DIM],
+        "cutoff": [cli._CUTOFF_MAX_R, cli._CUTOFF_MAX_RADII, cli._CUTOFF_MAX_DIM,
+                   cli._CUTOFF_MAX_OPS],
+        "group_finite": [cli.ORDER_CAP], "group_free": [cli._FREE_MAX_RANK, cli.TABLE_ORDER_CAP],
+        "counterexample": []}
 
 
-@pytest.mark.parametrize("scenario,key", KEYS,
-                         ids=[f"{s}-{k.path}-{i}" for i, (s, k) in enumerate(KEYS)])
-def test_readme_anatomy_names_each_key_and_cap(scenario, key):
+@pytest.mark.parametrize("scenario,key", KEYS, ids=[f"{s}-{k}" for s, k in KEYS])
+def test_readme_anatomy_names_each_key(scenario, key):
     anatomy = _anatomy()
-    section, leaf = key.path.split(".")[0], key.path.split(".")[-1]
-    if section == "algebra" or leaf == "seed":
+    if key in cli._ALGEBRA_KEYS or key == "seed":
         # the jsonc block, and the seed's own bullet
-        assert leaf in _named(anatomy)
+        assert key in _named(anatomy)
     else:
         own = [b for b in _bullets(anatomy) if b.startswith(f"- `{scenario}`")]
-        assert any(leaf in _named(b) for b in own), (scenario, leaf)
-    if key.cap is not None and key.cap != sys.float_info.max:  # "finite", not a cap
-        cap = re.compile(rf"(?<![\w.^]){re.escape(_spelled(key.cap))}(?![\w.^])")
-        assert any(f"`{scenario}`" in b and cap.search(b) for b in _bullets(anatomy)), \
-            (scenario, key.path, key.cap)
+        assert any(key in _named(b) for b in own), (scenario, key)
+
+
+CAPPED = [(scenario, cap) for scenario, caps in CAPS.items() for cap in caps]
+
+
+@pytest.mark.parametrize("scenario,cap", CAPPED, ids=[f"{s}-{c}" for s, c in CAPPED])
+def test_readme_anatomy_states_each_cap(scenario, cap):
+    spelled = re.compile(rf"(?<![\w.^]){re.escape(_spelled(cap))}(?![\w.^])")
+    assert any(f"`{scenario}`" in b and spelled.search(b) for b in _bullets(_anatomy())), \
+        (scenario, cap)
+
+
+def test_caps_cover_the_scenarios():
+    assert set(CAPS) == set(cli.SCENARIOS)
