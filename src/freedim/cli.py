@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .algebra import build_algebra, gns_structure
+from .algebra import _validated, build_algebra, gns_structure
 from .cocycles import delta_report
 from .cutoff import CutoffFamily, convergence_sweep, spectral_radius
 from .derivations import (
@@ -37,8 +37,10 @@ from .derivations import (
 from .errors import (
     ConfigError,
     FreedimError,
+    ShapeMismatch,
     TooLarge,
     UnsupportedFormat,
+    WeightError,
 )
 from .groups import (
     COUNTEREXAMPLE_K_VALUES,
@@ -293,9 +295,14 @@ def _check_algebra(raw: dict, params: dict, max_dim: int) -> dict:
     # compared before float(), which overflows on a JSON integer past 1e308
     if any(abs(w) > sys.float_info.max for w in weights):
         raise ConfigError("algebra.weights must be finite numbers")
-    return {"blocks": blocks, "weights": weights, "generators": gens,
-            "labels": _list_of(section, "labels", (str,), "strings"),
-            "subalgebra_mode": _flag(section, "subalgebra_mode", "algebra")}
+    values = {"blocks": blocks, "weights": weights, "generators": gens,
+              "labels": _list_of(section, "labels", (str,), "strings"),
+              "subalgebra_mode": _flag(section, "subalgebra_mode", "algebra")}
+    try:  # the declared structure, as build_algebra and blockify_subalgebra check it
+        _validated(blocks, weights, gens, values["labels"])
+    except (ShapeMismatch, WeightError) as exc:
+        raise ConfigError(str(exc)) from None
+    return values
 
 
 # The keys each dual type reads besides "type".
@@ -460,7 +467,7 @@ def _check_group(section: dict, cap: int) -> dict:
         shown = order if order <= _ORDER_CEILING else "above 10^18"
         raise TooLarge(f"group order {shown} exceeds the cap {cap}")
     gen_set = section.get("generating_set")
-    if gen_set is not None and not (isinstance(gen_set, list) and all(
+    if "generating_set" in section and not (isinstance(gen_set, list) and all(
             _is_int(g) and 0 <= g < order for g in gen_set)):
         raise ConfigError(f"group.generating_set must be a list of element indices below {order}")
     return {"group": section, "order": order, "generating_set": gen_set}
@@ -485,7 +492,7 @@ def _check_group_free(raw: dict, params: dict) -> dict:
         return {"rank": rank}
     section = raw["group"]
     values = dict(_check_group(section, TABLE_ORDER_CAP), rank=rank, images=[])
-    if values["generating_set"] is not None:
+    if "generating_set" in section:
         raise ConfigError("group: keys ['generating_set'] are not read by scenario 'group_free'")
     if not isinstance(params["images"], list):
         raise ConfigError("parameters.images must be a list")
@@ -520,6 +527,8 @@ def _check_counterexample(raw: dict, params: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _delta_results(rep) -> dict:
+    """The report of a DeltaReport: each float is float() of its fraction,
+    beta0 is 1 - Delta, and dim H0..H2, delta* and delta# are Delta (H2 is H0)."""
     blocks = []
     b = len(rep.block_sizes)
     for i in range(b):
@@ -531,26 +540,27 @@ def _delta_results(rep) -> dict:
                 "size_j": rep.block_sizes[j],
                 "multiplicity": int(rep.multiplicities[i, j]),
             })
+    delta = float(rep.Delta)
     return {
-        "Delta": rep.Delta,
-        "Delta_fraction": rep.fractions["Delta"],
-        "beta0": rep.beta0,
-        "beta0_fraction": rep.fractions["beta0"],
-        "closed_form_beta0": rep.closed_form_beta0,
-        "dim_H0": rep.dim_H0,
-        "dim_H1": rep.dim_H1,
-        "dim_H2": rep.Delta,
+        "Delta": delta,
+        "Delta_fraction": rep.Delta,
+        "beta0": float(1 - rep.Delta),
+        "beta0_fraction": 1 - rep.Delta,
+        "closed_form_beta0": float(rep.closed_form_beta0),
+        "dim_H0": delta,
+        "dim_H1": delta,
+        "dim_H2": delta,
         "pinned": {
-            "delta_star": rep.Delta,
-            "delta_blackstar": rep.Delta,
+            "delta_star": delta,
+            "delta_blackstar": delta,
             "status": "pinned, not computed: the dimension chain collapses "
                       "in finite dimensions",
         },
         "blocks": blocks,
         "block_sizes": list(rep.block_sizes),
         "weights": list(rep.weights),
-        "agreement": rep.agreement,
-        "subspace_distances": rep.distances,
+        "agreement": dict(rep.agreement, weak_equals_norm=True),
+        "subspace_distances": dict(rep.distances, H1_H2=rep.distances["H0_H1"]),
     }
 
 
@@ -585,7 +595,8 @@ def _run_delta(config: ScenarioConfig) -> Outcome:
         "delta_blackstar": "pinned",
         "beta0": "defined as 1 - Delta; closed form is a cross-check",
     }
-    return _delta_results(rep), provenance, rep.distances
+    results = _delta_results(rep)
+    return results, provenance, results["subspace_distances"]
 
 
 def _run_dual_system(config: ScenarioConfig) -> Outcome:
@@ -698,14 +709,14 @@ def _run_group_finite(config: ScenarioConfig) -> Outcome:
     results.update({
         "group_order": order,
         "formula_delta": formula,
-        "formula_abs_error": abs(formula - rep.Delta),
+        "formula_abs_error": abs(formula - results["Delta"]),
         "generators": list(algebra.labels),
     })
     provenance = {
         "Delta": "computed from the regular representation",
         "formula_delta": "1 - 1/|G| from the Betti inputs of a finite group",
     }
-    return results, provenance, {"formula_abs_error": abs(formula - rep.Delta)}
+    return results, provenance, {"formula_abs_error": results["formula_abs_error"]}
 
 
 def _run_group_free(config: ScenarioConfig) -> Outcome:

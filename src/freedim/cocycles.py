@@ -158,19 +158,15 @@ def compute_H1(gns: GnsStructure) -> HsSubspace:
 
 @dataclass
 class DeltaReport:
-    """Dimension report for a generating self-adjoint tuple.
+    """Dimension report for a generating self-adjoint tuple, with exact Delta.
 
-    delta*, delta# and dim H2 are not computed: the chain dim H0 <= delta* <=
-    delta# <= Delta collapses because its endpoints coincide in finite
-    dimensions, and H2 is H0.  The CLI report states them, pinned to Delta.
+    The chain dim H0 <= delta* <= delta# <= Delta collapses because its
+    endpoints coincide in finite dimensions, and H2 is H0: the CLI report
+    derives those values, beta0 = 1 - Delta and every float from Delta.
     """
 
-    dim_H0: float
-    dim_H1: float
-    Delta: float
-    beta0: float
-    closed_form_beta0: float
-    fractions: dict[str, Fraction]
+    Delta: Fraction
+    closed_form_beta0: Fraction
     multiplicities: np.ndarray
     block_sizes: tuple[int, ...]
     weights: tuple[float, ...]
@@ -199,40 +195,21 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
             f"dim H0 = {r0.fraction} differs from dim H1 = {r1.fraction}"
         )
 
-    delta_frac = r0.fraction
-    beta0_frac = 1 - delta_frac
-    closed_frac = sum(
+    closed = sum(
         (wf * wf / Fraction(n * n) for wf, n in zip(dec.weight_fractions, dec.sizes)),
         Fraction(0),
     )
-    closed = float(closed_frac)
-    beta0 = float(beta0_frac)
-
-    d01 = subspace_distance(H0, H1)
     distances = {  # H2 is H0
-        "H0_H1": d01,
+        "H0_H1": subspace_distance(H0, H1),
         "H0_H2": subspace_distance(H0, H0),
-        "H1_H2": d01,
     }
     agreement = {
         "spaces_coincide": max(distances.values()) <= SUBSPACE_TOL,
-        "closed_form_matches": abs(beta0 - closed) <= SUBSPACE_TOL,
-        "weak_equals_norm": True,  # H2 is H0
+        "closed_form_matches": abs(float(1 - r0.fraction) - float(closed)) <= SUBSPACE_TOL,
     }
-
     return DeltaReport(
-        dim_H0=r0.value,
-        dim_H1=r1.value,
-        Delta=r0.value,
-        beta0=beta0,
+        Delta=r0.fraction,
         closed_form_beta0=closed,
-        fractions={
-            "dim_H0": r0.fraction,
-            "dim_H1": r1.fraction,
-            "Delta": delta_frac,
-            "beta0": beta0_frac,
-            "closed_form_beta0": closed_frac,
-        },
         multiplicities=r0.multiplicities,
         block_sizes=dec.sizes,
         weights=dec.weights,

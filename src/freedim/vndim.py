@@ -176,9 +176,8 @@ def invariant_closure(gns: GnsStructure, vectors) -> HsSubspace:
 
 @dataclass
 class VnDimensionReport:
-    """Dimension value with its exact rational form and per-block multiplicities."""
+    """Exact dimension and per-block multiplicities."""
 
-    value: float
     fraction: Fraction
     multiplicities: np.ndarray   # (b, b) integers m_ij
 
@@ -228,7 +227,7 @@ def vn_dimension_report(
     u = [w.numerator * (den // (w.denominator * n)) for w, n in zip(wfr, sizes)]
     total = Fraction(sum(int(m) * ui * uj for ui, row in zip(u, mult) for uj, m in zip(u, row)),
                      den * den)
-    return VnDimensionReport(value=float(total), fraction=total, multiplicities=mult)
+    return VnDimensionReport(fraction=total, multiplicities=mult)
 
 
 def subspace_distance(a: HsSubspace, b: HsSubspace) -> float:

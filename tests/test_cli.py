@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import late_config_errors
+from conftest import late_config_errors, random_block_algebra
 import freedim.algebra as algebra_module
 import freedim.cli as cli_module
 from freedim.cli import emit_report, load_config, main, run_scenario
@@ -147,6 +147,41 @@ def test_group_finite_cross_check(tmp_path, capsys):
     assert payload["results"]["group_order"] == 6
     assert abs(payload["results"]["Delta"] - 5 / 6) <= 1e-9
     assert payload["results"]["formula_abs_error"] <= 1e-9
+
+
+def _assert_derived_fields(results):
+    """The fields `_delta_results` derives equal their sources: each float is
+    float() of its fraction, and every pinned field is Delta."""
+    delta = results["Delta"]
+    assert delta == float(Fraction(results["Delta_fraction"]))
+    assert results["beta0"] == float(Fraction(results["beta0_fraction"]))
+    pinned = results["pinned"]
+    assert (results["dim_H0"] == results["dim_H1"] == results["dim_H2"]
+            == pinned["delta_star"] == pinned["delta_blackstar"] == delta)
+    distances = results["subspace_distances"]
+    assert distances["H1_H2"] == distances["H0_H1"]
+    assert results["agreement"]["weak_equals_norm"] is True
+
+
+_S3_CONFIG = str(CONFIG_DIR / "group_finite_s3.json")
+
+
+@pytest.mark.parametrize("argv", [
+    *[["delta", "--config", str(CONFIG_DIR / f"{name}.json")]
+      for name in ("delta_direct_sum", "delta_full_2x2", "delta_two_point")],
+    ["group_finite", "--config", _S3_CONFIG],
+    *[["group_finite", "--config", _S3_CONFIG, "--seed", str(seed)] for seed in range(4)],
+], ids=["delta_direct_sum", "delta_full_2x2", "delta_two_point", "group_finite_s3",
+        *[f"s3_seed_{seed}" for seed in range(4)]])
+def test_derived_report_fields_equal_their_sources(capsys, argv):
+    assert main(argv) == 0
+    _assert_derived_fields(json.loads(capsys.readouterr().out)["results"])
+
+
+@pytest.mark.parametrize("shape", [[1, 2], [1, 1, 2]], ids=str)
+def test_derived_fields_of_random_block_algebras(shape):
+    rep = fd.delta_report(random_block_algebra(shape, 0))
+    _assert_derived_fields(cli_module._delta_results(rep))
 
 
 def test_group_free_with_kernel(tmp_path, capsys):
@@ -403,11 +438,13 @@ def test_scenario_sections_and_required_parameters(tmp_path, capsys, scenario,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_module_error_maps_to_exit_one(tmp_path):
+def test_module_error_maps_to_exit_one(tmp_path, capsys):
     cfg = c2_config()
-    cfg["algebra"]["weights"] = [0.5, 0.4]
+    # sigma_x generates C (+) C, not the declared M_2
+    cfg["algebra"].update(blocks=[2], weights=[1.0], generators=[mat_pairs([[0, 1], [1, 0]])])
     path = write_config(tmp_path, cfg)
     assert main(["delta", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("computation error: NotGenerating: ")
 
 
 def test_csv_unsupported_for_delta(tmp_path):
@@ -536,8 +573,8 @@ def _hostile_c2(mutate):
 
 
 @pytest.mark.parametrize("mutate,code,message", [
-    (lambda a: a.update(weights=[float("nan"), 0.5]), 1,
-     "computation error: WeightError: weights must be positive"),
+    (lambda a: a.update(weights=[float("nan"), 0.5]), 2,
+     "config error: weights must be positive, got (nan, 0.5)"),
     (lambda a: a["generators"][0][1][1].__setitem__(0, float("nan")), 2,
      "config error: algebra.generators[0]: entries must be finite"),
     (lambda a: a["generators"][0][1].pop(), 2,
@@ -568,10 +605,25 @@ def _hostile_c2(mutate):
      "computation error: TooLarge: algebra dimension sum n_i^2 exceeds the cap 41"),
     (lambda a: a.update(blocks=[10**6]), 1,
      "computation error: TooLarge: algebra dimension sum n_i^2 exceeds the cap 41"),
+    # the declared structure, refused before build_algebra checks it again
+    (lambda a: a.update(blocks=[]), 2,
+     "config error: block sizes must be positive integers, got ()"),
+    (lambda a: a.update(weights=[1.0]), 2, "config error: 1 weights for 2 blocks"),
+    (lambda a: a.update(weights=[0, 1.0]), 2,
+     "config error: weights must be positive, got (0.0, 1.0)"),
+    (lambda a: a.update(weights=[0.5, 0.4]), 2,
+     "config error: weights sum to 0.9, expected 1"),
+    (lambda a: a["generators"].append(mat_pairs(np.eye(3))), 2,
+     "config error: generator 1 has shape (3, 3), expected (2, 2)"),
+    (lambda a: a["generators"].append(mat_pairs([[0, 1], [1, 0]])), 2,
+     "config error: generator 1 has entries of size 1.000e+00 outside the blocks"),
+    (lambda a: a.update(labels=["X", "Y"]), 2,
+     "config error: one label per generator required"),
 ], ids=["nan_weight", "nan_entry", "ragged_row", "ragged_pair", "str_weight",
         "float_block", "scalar_generators", "scalar_labels", "huge_int_weight",
         "null_blocks", "huge_int_entry", "huge_entry", "string_flag",
-        "dim_above_cap", "huge_block"])
+        "dim_above_cap", "huge_block", "no_blocks", "weights_too_few", "zero_weight",
+        "weights_off_one", "generator_size", "generator_off_blocks", "label_count"])
 def test_hostile_numbers_rejected_without_traceback(tmp_path, capsys, mutate,
                                                     code, message):
     path = write_config(tmp_path, _hostile_c2(mutate))
@@ -675,8 +727,9 @@ def _table(mult):
     return {"scenario": "group_finite", "group": {"kind": "table", "mult": mult}}
 
 
-# [1.5] and [True] used to become element 1, and [-1] the last element
-_BAD_GENERATING_SETS = [[99], "ab", {"a": 1}, [[1]], [1.5], [True], [-1]]
+# [1.5] and [True] used to become element 1, [-1] the last element, and
+# null the default generating set
+_BAD_GENERATING_SETS = [[99], "ab", {"a": 1}, [[1]], [1.5], [True], [-1], None]
 # 1.5 used to be truncated and True read as 1
 _BAD_TABLES = [[[0, "x"], [1, 0]], [[0, 1], [1]], [[0, 1e400], [1, 0]],
                [[0, 1.5], [1, 0]], [[0, True], [1, 0]], [[0, 10**400], [1, 0]]]
@@ -787,6 +840,9 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
       "parameters": {"rank": 2}}, 2,
      "config error: scenario 'group_free' takes a group section only with "
      "parameters.images"),
+    ({"scenario": "group_free", "group": {"kind": "cyclic", "n": 2, "generating_set": None},
+      "parameters": {"rank": 2, "images": [1, 1]}}, 2,
+     "config error: group.generating_set must be a list of element indices below 2"),
 ], ids=["slot_string", "slot_bool", "slot_out_of_range", "slot_seven", "slot_negative",
         "targets_empty", "targets_too_many", "targets_scalar",
         "targets_shape", "k_zero", "k_string", "k_scalar", "r_grid_string",
@@ -798,7 +854,8 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
         *[f"mult_{k}" for k in range(len(_BAD_TABLES))],
         "dual_dim_above_cap", "smooth_string", "X_scalar", "X_size", "r_grid_long",
         "seed_negative", "rank_huge", "rank_zero", "rank_negative",
-        "images_too_few", "images_too_many", "group_without_images"])
+        "images_too_few", "images_too_many", "group_without_images",
+        "group_free_null_generating_set"])
 def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
                                                 message):
     path = write_config(tmp_path, cfg)

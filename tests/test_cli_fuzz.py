@@ -9,7 +9,9 @@ reads, whether or not the config holds it.  The contract holds for every
 input: exit 0, 1 or 2, one stderr line, no exception or warning, and no
 config error after numerical work has started.  A second fuzz inserts group
 keys into the group sections of group configs, product factors included; a
-key the section's kind does not read exits 2.  A third writes
+key the section's kind does not read exits 2.  A third breaks the declared
+structure of algebra configs (block count, weights, generator size, label
+count), which exits 2.  A fourth writes
 cycle-notation strings into `parameters.images` on S3: each parses, or
 exits 2 naming the image.
 """
@@ -107,6 +109,42 @@ def test_mutated_shipped_configs_keep_the_cli_contract(tmp_path_factory, data):
     assert code in (0, 1, 2)
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+def _sized_zero(section):
+    """A zero matrix one row and column larger than the declared blocks."""
+    N = sum(section["blocks"]) + 1
+    return [[[0, 0]] * N] * N
+
+
+# algebra sections of the right JSON types whose declared structure
+# algebra._validated refuses: each exits 2 before any numerical work
+STRUCTURE_FAULTS = {
+    "no_blocks": lambda a: a.update(blocks=[]),
+    "weights_too_many": lambda a: a["weights"].append(0.5),
+    "nan_weight": lambda a: a["weights"].__setitem__(0, float("nan")),
+    "zero_weight": lambda a: a["weights"].__setitem__(0, 0),
+    "weights_doubled": lambda a: a.update(weights=[2 * w for w in a["weights"]]),
+    "generator_size": lambda a: a["generators"].__setitem__(0, _sized_zero(a)),
+    "label_count": lambda a: a.update(labels=["X"] * (len(a["generators"]) + 1)),
+}
+ALGEBRA_CONFIGS = sorted(name for name, cfg in SHIPPED.items() if "algebra" in cfg)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_algebra_structure_faults_exit_2(tmp_path_factory, data):
+    cfg = json.loads(json.dumps(SHIPPED[data.draw(st.sampled_from(ALGEBRA_CONFIGS),
+                                                  label="config")]))
+    faults = data.draw(st.lists(st.sampled_from(sorted(STRUCTURE_FAULTS)), min_size=1,
+                                max_size=2, unique=True), label="faults")
+    for fault in faults:
+        STRUCTURE_FAULTS[fault](cfg["algebra"])
+    path = tmp_path_factory.getbasetemp() / "fuzz_structure_config.json"
+    path.write_text(json.dumps(cfg))
+    code, err = _run(cfg["scenario"], str(path))
+    assert code == 2 and err.startswith("config error: "), err
+    assert len(err.strip().splitlines()) == 1, err
 
 
 GROUP_CONFIGS = [

@@ -65,7 +65,7 @@ def test_h0_two_point(c2):
     dec = fd.central_decomposition(gns)
     H0 = fd.compute_H0(gns)
     assert H0.complex_dim == 2
-    assert fd.vn_dimension_report(H0, dec).value == 0.5
+    assert fd.vn_dimension_report(H0, dec).fraction == Fraction(1, 2)
 
 
 def test_h0_m2_pair(m2):
@@ -73,7 +73,7 @@ def test_h0_m2_pair(m2):
     dec = fd.central_decomposition(gns)
     H0 = fd.compute_H0(gns)
     assert H0.complex_dim == 12
-    assert fd.vn_dimension_report(H0, dec).value == 0.75
+    assert fd.vn_dimension_report(H0, dec).fraction == Fraction(3, 4)
 
 
 def test_h0_rank_nullity_exact():
@@ -88,11 +88,11 @@ def test_h0_rank_nullity_exact():
 def test_h0_zero_padding_leaves_dimension(m2):
     gns = fd.gns_structure(m2)
     dec = fd.central_decomposition(gns)
-    base = fd.vn_dimension_report(fd.compute_H0(gns), dec).value
+    base = fd.vn_dimension_report(fd.compute_H0(gns), dec).fraction
     padded_gens = list(m2.generators) + [np.zeros((2, 2), dtype=complex)]
     padded_gns = fd.gns_structure(fd.build_algebra([2], [1.0], padded_gens))
-    padded = fd.vn_dimension_report(fd.compute_H0(padded_gns), dec).value
-    assert abs(base - padded) <= 1e-12
+    padded = fd.vn_dimension_report(fd.compute_H0(padded_gns), dec).fraction
+    assert base == padded
 
 
 def test_h1_equals_h0(c2, m2):
@@ -438,37 +438,34 @@ def test_commutant_stack_matches_reference_loop_bitwise(n, N, r, monkeypatch):
 
 def test_delta_report_two_point(c2):
     rep = fd.delta_report(c2)
-    assert abs(rep.Delta - 0.5) <= 1e-9
-    assert abs(rep.beta0 - 0.5) <= 1e-9
-    assert rep.fractions["Delta"] == Fraction(1, 2)
-    assert abs(rep.closed_form_beta0 - 0.5) <= 1e-12  # (1/2)^2 + (1/2)^2
+    assert rep.Delta == Fraction(1, 2)
+    assert _delta_results(rep)["beta0_fraction"] == Fraction(1, 2)
+    assert rep.closed_form_beta0 == Fraction(1, 2)  # (1/2)^2 + (1/2)^2
 
 
 def test_delta_report_m2(m2):
     rep = fd.delta_report(m2)
-    assert abs(rep.Delta - 0.75) <= 1e-9
-    assert abs(rep.beta0 - 0.25) <= 1e-9
-    assert abs(rep.closed_form_beta0 - 0.25) <= 1e-12  # 1 / 2^2
+    assert rep.Delta == Fraction(3, 4)
+    assert _delta_results(rep)["beta0_fraction"] == Fraction(1, 4)
+    assert rep.closed_form_beta0 == Fraction(1, 4)  # 1 / 2^2
 
 
 def test_delta_report_direct_sum(c1m2):
     rep = fd.delta_report(c1m2)
-    assert abs(rep.Delta - 7 / 9) <= 1e-9
-    assert rep.fractions["Delta"] == Fraction(7, 9)
+    assert rep.Delta == Fraction(7, 9)
     # closed form (1/3)^2 + (2/3)^2 / 4 = 2/9
-    assert abs(rep.closed_form_beta0 - 2 / 9) <= 1e-12
-    assert rep.fractions["closed_form_beta0"] == Fraction(2, 9)
+    assert rep.closed_form_beta0 == Fraction(2, 9)
 
 
 def test_delta_chain_and_pinning(c1m2):
     rep = fd.delta_report(c1m2)
     results = _delta_results(rep)
     pinned = results["pinned"]
-    assert pinned["delta_star"] == rep.Delta == pinned["delta_blackstar"]
-    assert rep.dim_H0 <= results["dim_H2"] + 1e-9
+    assert pinned["delta_star"] == float(rep.Delta) == pinned["delta_blackstar"]
+    assert results["dim_H0"] <= results["dim_H2"] + 1e-9
     assert rep.agreement["spaces_coincide"]
     assert rep.agreement["closed_form_matches"]
-    assert rep.agreement["weak_equals_norm"]
+    assert results["agreement"]["weak_equals_norm"]
 
 
 def test_chain_violation_when_h0_and_h1_disagree(c1m2, monkeypatch):
@@ -534,7 +531,7 @@ def test_subalgebra_mode_with_multiplicity():
     assert eff.block_sizes == (2,)
     np.testing.assert_allclose(eff.trace_weights, [1.0], atol=1e-12)
     rep = fd.delta_report(eff)
-    assert rep.fractions["Delta"] == Fraction(3, 4)
+    assert rep.Delta == Fraction(3, 4)
 
 
 def test_delta_report_extreme_weights():
@@ -569,7 +566,7 @@ def test_delta_fraction_does_not_depend_on_the_center_seed():
     # random weights: the exact weights are the declared ones, not the
     # numeric tau(z_i), whose last bits depend on the seed
     alg = random_block_algebra([1, 1, 2], 0)
-    assert len({fd.delta_report(alg, seed=s).fractions["Delta"] for s in range(8)}) == 1
+    assert len({fd.delta_report(alg, seed=s).Delta for s in range(8)}) == 1
 
 
 @pytest.mark.parametrize("sizes", [[1], [2], [1, 2]])
@@ -578,5 +575,5 @@ def test_delta_report_empty_generator_tuple(sizes):
     build = fd.blockify_subalgebra if sizes != [1] else fd.build_algebra
     alg = build(sizes, [1 / len(sizes)] * len(sizes), [])
     rep = fd.delta_report(alg)
-    assert rep.fractions["Delta"] == 0 and rep.fractions["beta0"] == 1
+    assert rep.Delta == 0 and _delta_results(rep)["beta0_fraction"] == 1
     assert rep.block_sizes == (1,)

@@ -261,10 +261,8 @@ def test_normalization_full_hs(c2, m2, n):
         gns = fd.gns_structure(alg)
         dec = fd.central_decomposition(gns)
         K = full_hs_subspace(gns, n)
-        value = fd.vn_dimension_report(K, dec).value
-        assert value == float(n)  # exact: the weight convention is pinned here
         rep = fd.vn_dimension_report(K, dec)
-        assert rep.fraction == Fraction(n)
+        assert rep.fraction == Fraction(n)  # exact: the weight convention is pinned here
 
 
 def test_two_point_commutator_space(c2):
@@ -276,7 +274,7 @@ def test_two_point_commutator_space(c2):
     e12[0, 1] = 1.0
     K = fd.hs_subspace(gns, np.array([[e12], [e12.T]]))
     assert K.complex_dim == 2
-    assert fd.vn_dimension_report(K, dec).value == 0.5
+    assert fd.vn_dimension_report(K, dec).fraction == Fraction(1, 2)
 
 
 def test_m2_pair_commutator_space(m2):
@@ -288,7 +286,7 @@ def test_m2_pair_commutator_space(m2):
     Ls = gns.left_mults(m2.generators)
     assert joint_commutator_nullity(Ls) == 4
     assert K.complex_dim == 16 - 4
-    assert fd.vn_dimension_report(K, dec).value == 0.75
+    assert fd.vn_dimension_report(K, dec).fraction == Fraction(3, 4)
 
 
 def test_not_invariant_raises(m2):
@@ -299,7 +297,7 @@ def test_not_invariant_raises(m2):
     K = fd.hs_subspace(gns, v)
     assert K.invariance_residual > 1e-8
     with pytest.raises(fd.NotInvariant):
-        fd.vn_dimension_report(K, dec).value
+        fd.vn_dimension_report(K, dec)
 
 
 def test_integrality_error_on_forged_subspace(m2):
@@ -310,7 +308,7 @@ def test_integrality_error_on_forged_subspace(m2):
     v /= np.linalg.norm(v)
     forged = fd.HsSubspace(basis=v[None, :, :, :], invariance_residual=0.0)
     with pytest.raises(fd.IntegralityError):
-        fd.vn_dimension_report(forged, dec).value
+        fd.vn_dimension_report(forged, dec)
 
 
 def test_split_unit_tuple_is_not_an_integer_block_dimension(c2):
@@ -359,17 +357,17 @@ def test_monotonicity_and_additivity(m2):
         w = rng.standard_normal((1, 2, D, D)) + 1j * rng.standard_normal((1, 2, D, D))
         K1 = fd.invariant_closure(gns, v)
         K2 = fd.invariant_closure(gns, np.vstack([v, w]))
-        d1 = fd.vn_dimension_report(K1, dec).value
-        d2 = fd.vn_dimension_report(K2, dec).value
-        assert d1 <= d2 + 1e-9  # monotone under inclusion
+        d1 = fd.vn_dimension_report(K1, dec).fraction
+        d2 = fd.vn_dimension_report(K2, dec).fraction
+        assert d1 <= d2  # monotone under inclusion
 
         # complement of K1 inside K2 is invariant; dimensions add
         coeff = K1.flat() @ K2.flat().conj().T
         resid = K1.flat() - coeff @ K2.flat()
         assert np.linalg.norm(resid) < 1e-9  # K1 inside K2
         Kc = invariant_complement(gns, K1, K2, 2)
-        dc = fd.vn_dimension_report(Kc, dec).value
-        assert abs((d1 + dc) - d2) <= 1e-9
+        dc = fd.vn_dimension_report(Kc, dec).fraction
+        assert d1 + dc == d2
 
 
 def test_vn_value_matches_fraction(c1m2):
@@ -377,7 +375,8 @@ def test_vn_value_matches_fraction(c1m2):
     dec = fd.central_decomposition(gns)
     K = full_hs_subspace(gns, 1)
     rep = fd.vn_dimension_report(K, dec)
-    assert rep.value == float(rep.fraction)
+    # the value is its exact fraction; a report's float copy is float() of it
+    assert type(rep.fraction) is Fraction and float(rep.fraction) == 1.0
 
 
 @pytest.mark.parametrize("sizes, weights", [
@@ -398,7 +397,7 @@ def test_vn_fraction_matches_pairwise_sum(sizes, weights):
         wfr = dec.weight_fractions
         want = sum((wfr[i] * wfr[j] * Fraction(int(rep.multiplicities[i, j]), ni * nj)
                     for i, ni in enumerate(sizes) for j, nj in enumerate(sizes)), Fraction(0))
-        assert rep.fraction == want and rep.value == float(want)
+        assert type(rep.fraction) is Fraction and rep.fraction == want
 
 
 def test_subspace_distance_detects_difference(c2):
