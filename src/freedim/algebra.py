@@ -53,8 +53,7 @@ def _rowspace_residual(rows: np.ndarray, basis_flat: np.ndarray) -> float:
     if rows.shape[0] == 0:
         return 0.0
     if basis_flat.shape[0] == 0:
-        norms = np.linalg.norm(rows, axis=1)
-        return float(norms.max()) if norms.size else 0.0
+        return float(np.linalg.norm(rows, axis=1).max())
     coeff = rows @ basis_flat.conj().T
     resid = rows - coeff @ basis_flat
     return float(np.linalg.norm(resid, axis=1).max())
@@ -351,11 +350,9 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     D = algebra.dim
     wvec = _diag_weights(algebra.block_sizes, algebra.trace_weights)
 
-    # one nonzero term per coordinate at most, so no summation order matters
-    trace_vector = np.einsum("maa,a->m", basis, wvec)
-    if np.abs(trace_vector.imag).max() > SCALAR_TOL:
-        raise FreedimError("trace vector acquired an imaginary part")
-    trace_vector = trace_vector.real
+    # one nonzero term per coordinate at most, so no summation order matters;
+    # _block_basis puts only real values on the diagonal, so the imaginary part is 0
+    trace_vector = np.einsum("maa,a->m", basis, wvec).real
     p1 = np.outer(trace_vector, trace_vector)
 
     gns = GnsStructure(

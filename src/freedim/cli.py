@@ -270,9 +270,9 @@ def _flag(section: dict, key: str, where: str) -> bool:
 
 
 # Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle spans
-# grow about as D^6 (20 s and 698 MB at D = 41); dual_system on one 10 x 10
-# block (D = 100) takes 1.3 s and 150 MB (inner) to 2.3 s and 170 MB (fisher),
-# as process peak RSS.
+# grow about as D^6 (12 s and 699 MB at D = 41); dual_system on one 10 x 10
+# block (D = 100) takes 1.0 s and 150 MB (inner) to 1.8 s and 157 MB (fisher),
+# as process peak RSS (2 vCPU, 2 OpenBLAS threads).
 _DELTA_MAX_DIM = 41
 _DUAL_MAX_DIM = 100
 
@@ -875,15 +875,11 @@ def _check_format(scenario: str, fmt: str) -> None:
 
 def emit_report(report: RunReport, fmt: str) -> bytes:
     """Serialize a report as json, csv (sweeps only) or a text summary."""
+    _check_format(report.scenario, fmt)
     if fmt == "json":
         payload = _clean(report.payload())
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "csv":
-        if "sweep" not in report.results:
-            raise UnsupportedFormat(
-                f"csv output is only available for sweep scenarios, "
-                f"not {report.scenario!r}"
-            )
         lines = ["R,hs_error"]
         lines += [f"{row['R']!r},{row['hs_error']!r}"
                   for row in report.results["sweep"]]

@@ -238,7 +238,7 @@ def regular_rep_algebra(
         labels = ["Re[e]"]
 
     commuting = [lam[g] for g in generating_set] or [lam[e]]
-    result = blockify(
+    return blockify(
         span_mats=list(lam),
         commuting_set=commuting,
         trace_fn=lambda x: x[e, e],
@@ -246,7 +246,6 @@ def regular_rep_algebra(
         labels=labels,
         rng=np.random.default_rng(seed),
     )
-    return result.algebra
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ validated TracialAlgebra in block-diagonal coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -95,37 +94,21 @@ def minimal_central_projections(
     b = center.shape[0]
     flat_alg = algebra_basis.reshape(algebra_basis.shape[0], -1)
 
-    last_problem = "no attempts made"
     for _ in range(CENTER_RETRIES):
         vec, clusters = _random_split(center, rng)
         if len(clusters) != b:
-            last_problem = f"found {len(clusters)} eigenvalue clusters, expected {b}"
+            problem = f"found {len(clusters)} eigenvalue clusters, expected {b}"
             continue
-        projections = []
-        ok = True
-        for lo, hi in clusters:
-            V = vec[:, lo:hi]
-            P = V @ V.conj().T
-            resid = _rowspace_residual(P.reshape(1, -1), flat_alg)
-            if resid > INVARIANCE_TOL:
-                ok = False
-                last_problem = f"spectral projection left the algebra (residual {resid:.2e})"
-                break
-            projections.append(P)
-        if ok:
+        projections = [vec[:, lo:hi] @ vec[:, lo:hi].conj().T for lo, hi in clusters]
+        resids = [_rowspace_residual(P.reshape(1, -1), flat_alg) for P in projections]
+        left = [r for r in resids if r > INVARIANCE_TOL]
+        if not left:
             return _canonical_order(projections)
+        problem = f"spectral projection left the algebra (residual {left[0]:.2e})"
     raise CenterResolutionError(
         f"could not separate the central blocks after {CENTER_RETRIES} attempts: "
-        + last_problem
+        + problem
     )
-
-
-@dataclass
-class BlockifyResult:
-    """A *-isomorphism from a matrix algebra onto its block form."""
-
-    algebra: TracialAlgebra
-    isometries: list[np.ndarray]         # V_i with pi_i(x) = V_i* x V_i
 
 
 def _block_image(x: np.ndarray, sizes, isometries) -> np.ndarray:
@@ -156,7 +139,7 @@ def blockify(
     generators: Sequence[np.ndarray],
     labels: Sequence[str],
     rng: np.random.Generator,
-) -> BlockifyResult:
+) -> TracialAlgebra:
     """Re-express the algebra spanned by `span_mats` as a TracialAlgebra.
 
     `commuting_set` is any family generating the same algebra (used for the
@@ -202,14 +185,9 @@ def blockify(
     total = sum(weights)
     weights = [w / total for w in weights]
 
-    gen_mats, gen_labels = [], []
-    for g, label in zip(generators, labels):
-        img = _block_image(g, sizes, isometries)
-        gen_mats.append((img + img.conj().T) / 2.0)
-        gen_labels.append(label)
-
-    algebra = build_algebra(sizes, weights, gen_mats, labels=gen_labels)
-    return BlockifyResult(algebra=algebra, isometries=isometries)
+    images = [_block_image(g, sizes, isometries) for g in generators]
+    return build_algebra(sizes, weights, [(x + x.conj().T) / 2.0 for x in images],
+                         labels=labels)
 
 
 def _irreducible_isometry(
@@ -260,4 +238,4 @@ def blockify_subalgebra(block_sizes: Sequence[int], trace_weights: Sequence[floa
     return blockify(_unflatten(span, sizes), commuting_set=unit,
                     trace_fn=lambda z: complex(np.sum(np.diag(z) * w)),
                     generators=mats, labels=labels,
-                    rng=np.random.default_rng(0)).algebra
+                    rng=np.random.default_rng(0))

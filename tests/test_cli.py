@@ -1086,6 +1086,23 @@ def test_emit_report_unknown_format(tmp_path):
         emit_report(report, "yaml")
 
 
+def test_emit_report_refuses_csv_as_main_does(tmp_path, capsys):
+    # a library caller that skips main's check gets main's refusal, word for word
+    path = write_config(tmp_path, c2_config())
+    report = run_scenario(load_config(path, "delta", None, False))
+    with pytest.raises(fd.UnsupportedFormat) as info:
+        emit_report(report, "csv")
+    message = "csv output is only available for sweep scenarios, not 'delta'"
+    assert str(info.value) == message
+    assert main(["delta", "--config", path, "--format", "csv"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+    path = write_config(tmp_path, {"scenario": "cutoff", "parameters": {"r_grid": [1, 2]}})
+    report = run_scenario(load_config(path, "cutoff", None, False))
+    lines = emit_report(report, "csv").decode().splitlines()
+    assert lines[0] == "R,hs_error" and [ln.split(",")[0] for ln in lines[1:]] == ["1.0", "2.0"]
+
+
 # ---------------------------------------------------------------------------
 # every shipped example config runs clean and fast
 # ---------------------------------------------------------------------------

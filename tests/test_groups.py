@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import freedim as fd
 from conftest import generates
-from freedim.groups import left_regular_matrices
+from freedim.groups import left_regular_matrices, minimal_generating_set
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +85,13 @@ def test_regular_rep_s3():
 
 
 def test_regular_rep_trace_is_point_evaluation():
-    # tau(g) = 1 if g = e else 0, reproduced through the block trace
-    from freedim.groups import left_regular_matrices, minimal_generating_set
-    from freedim.wedderburn import _block_image, blockify
+    # tau(g) = 1 if g = e else 0, reproduced through the block trace: the
+    # generators are the block images of Re lambda(g), and tau(lambda(g)) is real
+    from freedim.wedderburn import blockify
 
     table = fd.symmetric_group(3)
     lam = left_regular_matrices(table)
-    result = blockify(
+    alg = blockify(
         span_mats=list(lam),
         commuting_set=[lam[g] for g in minimal_generating_set(table)],
         trace_fn=lambda x: x[table.identity, table.identity],
@@ -99,8 +100,7 @@ def test_regular_rep_trace_is_point_evaluation():
         rng=np.random.default_rng(0),
     )
     for g in range(table.order):
-        img = _block_image(lam[g], result.algebra.block_sizes, result.isometries)
-        tau = result.algebra.trace(img)
+        tau = alg.trace(alg.generators[g])
         expected = 1.0 if g == table.identity else 0.0
         assert abs(tau - expected) <= 1e-9
 
@@ -260,19 +260,64 @@ def test_betti_formula_trivial_group():
     assert fd.betti_delta_formula(fd.BettiInput.finite_group(1)) == 0.0
 
 
+def quaternion_group() -> fd.FiniteGroupTable:
+    """Q8 = {+-1, +-i, +-j, +-k} from the product table of its 2 x 2 matrices."""
+    one, i = np.eye(2), np.diag([1j, -1j])
+    j = np.array([[0, 1], [-1, 0]], dtype=complex)
+    units = [s * u for u in (one, i, j, i @ j) for s in (1, -1)]
+    mult = [[next(c for c, w in enumerate(units) if np.allclose(u @ v, w)) for v in units]
+            for u in units]
+    return fd.from_mult_table(mult)
+
+
+def diagonal_orbits(table, generators) -> int:
+    """Orbits of (a, b) -> (ga, gb) on G x G for g in `generators`, by union-find."""
+    o = table.order
+    parent = list(range(o * o))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in generators:
+        for a in range(o):
+            for b in range(o):
+                parent[root(a * o + b)] = root(table.mul(g, a) * o + table.mul(g, b))
+    return len({root(x) for x in range(o * o)})
+
+
+def conjugacy_classes(table) -> int:
+    o = table.order
+    return len({frozenset(table.mul(table.mul(g, a), table.inv(g)) for g in range(o))
+                for a in range(o)})
+
+
 def test_cross_validation_formula_vs_regular_rep():
-    groups = {
-        "Z2": fd.cyclic_group(2),
-        "Z3": fd.cyclic_group(3),
-        "Z4": fd.cyclic_group(4),
+    # the exact certificate of the paper's finite-group value: Delta = 1 - 1/|G|,
+    # Schur's multiplicities n_i n_k - [i = k], one block per conjugacy class,
+    # and 1 - Delta counted as orbits of the generators on G x G
+    groups = {f"Z{n}": fd.cyclic_group(n) for n in range(1, 9)}
+    groups.update({
         "V4": fd.direct_product(fd.cyclic_group(2), fd.cyclic_group(2)),
         "S3": fd.symmetric_group(3),
-    }
+        "C2xS3": fd.direct_product(fd.cyclic_group(2), fd.symmetric_group(3)),
+        "Q8": quaternion_group(),
+        "S4": fd.symmetric_group(4),
+    })
     for name, table in groups.items():
-        alg = fd.regular_rep_algebra(table)
-        delta = fd.delta_report(alg).Delta
-        formula = fd.betti_delta_formula(fd.BettiInput.finite_group(table.order))
-        assert abs(delta - formula) <= 1e-9, name
+        o = table.order
+        rep = fd.delta_report(fd.regular_rep_algebra(table))
+        formula = fd.betti_delta_formula(fd.BettiInput.finite_group(o))
+        n = np.array(rep.block_sizes)
+        assert rep.Delta == 1 - Fraction(1, o), name
+        assert Fraction(formula).limit_denominator(o) == rep.Delta, name
+        np.testing.assert_array_equal(rep.multiplicities, np.outer(n, n) - np.eye(len(n)),
+                                      err_msg=name)
+        assert len(n) == conjugacy_classes(table) and int(n @ n) == o, name
+        orbits = diagonal_orbits(table, minimal_generating_set(table))
+        assert 1 - rep.Delta == Fraction(orbits, o * o), name
 
 
 # ---------------------------------------------------------------------------

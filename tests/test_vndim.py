@@ -191,6 +191,60 @@ def test_center_resolution_error_after_retries(m2):
         minimal_central_projections(np.array(units), center, ZeroRng())
 
 
+def _diagonal_units(N):
+    units = np.zeros((N, N, N), dtype=complex)
+    units[np.arange(N), np.arange(N), np.arange(N)] = 1.0
+    return units
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+# Eigenvectors whose 1-column clusters leave the diagonal algebra of M_4 at
+# columns 0 and 1 (residual sin(0.2) / sqrt 2 = 1.40e-01) and at columns 2
+# and 3 (residual 1 / sqrt 2 = 7.07e-01).
+_TILTED = np.block([[_rotation(0.1), np.zeros((2, 2))],
+                    [np.zeros((2, 2)), _rotation(np.pi / 4)]]).astype(complex)
+_SINGLETONS = [(0, 1), (1, 2), (2, 3), (3, 4)]
+_LEFT = "spectral projection left the algebra (residual 1.40e-01)"
+_FOUND = "found 2 eigenvalue clusters, expected 4"
+
+
+@pytest.mark.parametrize("draws,problem", [
+    ([(np.eye(4), [(0, 2), (2, 4)])] * 5, _FOUND),
+    ([(_TILTED, _SINGLETONS)] * 5, _LEFT),
+    ([(np.eye(4), [(0, 2), (2, 4)])] * 4 + [(_TILTED, _SINGLETONS)], _LEFT),
+    ([(_TILTED, _SINGLETONS)] * 4 + [(np.eye(4), [(0, 2), (2, 4)])], _FOUND),
+], ids=["wrong_count", "off_algebra", "last_off_algebra", "last_wrong_count"])
+def test_central_projection_failures_name_the_last_draw(monkeypatch, draws, problem):
+    # every retry draws once from the rng; the message names the last draw's
+    # problem, and for a projection off the algebra its first failing residual
+    seen = []
+
+    def split(family, rng):
+        seen.append(rng)
+        return draws[len(seen) - 1]
+
+    monkeypatch.setattr(wedderburn, "_random_split", split)
+    units = _diagonal_units(4)
+    rng = np.random.default_rng(0)
+    with pytest.raises(fd.CenterResolutionError) as info:
+        wedderburn.minimal_central_projections(units, units, rng)
+    assert str(info.value) == ("could not separate the central blocks after 5 attempts: "
+                               + problem)
+    assert seen == [rng] * 5
+
+
+def test_central_projections_pass_on_the_first_good_draw(monkeypatch):
+    draws = [(np.eye(4), [(0, 2), (2, 4)]), (np.eye(4), _SINGLETONS)]
+    monkeypatch.setattr(wedderburn, "_random_split", lambda family, rng: draws.pop(0))
+    units = _diagonal_units(4)
+    zs = wedderburn.minimal_central_projections(units, units, np.random.default_rng(0))
+    np.testing.assert_array_equal(np.array(zs), units)
+    assert draws == []
+
+
 def test_central_projections_partition_identity(c1m2):
     gns = fd.gns_structure(c1m2)
     np.testing.assert_allclose(
