@@ -68,7 +68,6 @@ from .groups import (
     word_str,
 )
 from .vndim import (
-    CentralDecomposition,
     HsSubspace,
     VnDimensionReport,
     central_decomposition,

@@ -76,29 +76,6 @@ class ScenarioConfig:
     config_hash: str
 
 
-@dataclass
-class RunReport:
-    scenario: str
-    seed: int
-    config_hash: str
-    results: dict
-    provenance: dict
-    residuals: dict
-
-    def payload(self) -> dict:
-        return {
-            "schema": 1,
-            "tool": "freedim",
-            "tool_version": __version__,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "results": self.results,
-            "provenance": self.provenance,
-            "residuals": self.residuals,
-        }
-
-
 # ---------------------------------------------------------------------------
 # value serialization
 # ---------------------------------------------------------------------------
@@ -855,11 +832,13 @@ SCENARIOS = {
 }
 
 
-def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Dispatch to the owning module and aggregate the results."""
+def run_scenario(config: ScenarioConfig) -> dict:
+    """Dispatch to the owning module and return the schema-1 report."""
     results, provenance, residuals = SCENARIOS[config.scenario].run(config)
-    return RunReport(config.scenario, config.seed, config.config_hash, results,
-                     provenance, residuals)
+    return {"schema": 1, "tool": "freedim", "tool_version": __version__,
+            "scenario": config.scenario, "seed": config.seed,
+            "config_hash": config.config_hash, "results": results,
+            "provenance": provenance, "residuals": residuals}
 
 
 # ---------------------------------------------------------------------------
@@ -873,20 +852,20 @@ def _check_format(scenario: str, fmt: str) -> None:
                                 f"not {scenario!r}")
 
 
-def emit_report(report: RunReport, fmt: str) -> bytes:
+def emit_report(report: dict, fmt: str) -> bytes:
     """Serialize a report as json, csv (sweeps only) or a text summary."""
-    _check_format(report.scenario, fmt)
+    scenario = report["scenario"]
+    _check_format(scenario, fmt)
     if fmt == "json":
-        payload = _clean(report.payload())
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps(_clean(report), sort_keys=True, indent=2) + "\n").encode()
     if fmt == "csv":
         lines = ["R,hs_error"]
         lines += [f"{row['R']!r},{row['hs_error']!r}"
-                  for row in report.results["sweep"]]
+                  for row in report["results"]["sweep"]]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "text":
-        lines = [f"scenario: {report.scenario}", f"seed: {report.seed}"]
-        lines += SCENARIOS[report.scenario].text(report.results, report.residuals)
+        lines = [f"scenario: {scenario}", f"seed: {report['seed']}"]
+        lines += SCENARIOS[scenario].text(report["results"], report["residuals"])
         return ("\n".join(lines) + "\n").encode()
     raise UnsupportedFormat(f"unknown format {fmt!r}")
 

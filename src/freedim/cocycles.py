@@ -26,6 +26,7 @@ from .vndim import (
     central_decomposition,
     invariance_residual,
     subspace_distance,
+    to_fraction,
     vn_dimension_report,
 )
 
@@ -184,11 +185,11 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     H2 is H0, the weak-limit space being the bounded-witness space here.
     """
     gns = gns_structure(algebra)
-    dec = central_decomposition(gns, seed=seed)
+    weights = central_decomposition(gns, seed=seed)
     H0 = compute_H0(gns)
     H1 = compute_H1(gns)
-    r0 = vn_dimension_report(H0, dec)
-    r1 = vn_dimension_report(H1, dec)
+    r0 = vn_dimension_report(H0, algebra)
+    r1 = vn_dimension_report(H1, algebra)
 
     if r0.fraction != r1.fraction:
         raise ChainViolation(
@@ -196,7 +197,8 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
         )
 
     closed = sum(
-        (wf * wf / Fraction(n * n) for wf, n in zip(dec.weight_fractions, dec.sizes)),
+        (to_fraction(w) ** 2 / (n * n)
+         for w, n in zip(algebra.trace_weights, algebra.block_sizes)),
         Fraction(0),
     )
     distances = {  # H2 is H0
@@ -211,8 +213,8 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
         Delta=r0.fraction,
         closed_form_beta0=closed,
         multiplicities=r0.multiplicities,
-        block_sizes=dec.sizes,
-        weights=dec.weights,
+        block_sizes=algebra.block_sizes,
+        weights=weights,
         distances=distances,
         agreement=agreement,
     )

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (GnsStructure, _rowspace_residual, _unflatten, block_offsets,
-                      numerical_span)
+from .algebra import (GnsStructure, TracialAlgebra, _rowspace_residual, _unflatten,
+                      block_offsets, numerical_span)
 from .errors import CenterResolutionError, IntegralityError, NotInvariant
 from .tolerances import (CENTER_WEIGHT_TOL, FRACTION_DENOMINATOR, FRACTION_TOL, INVARIANCE_TOL,
                          OPERATOR_TOL)
@@ -37,28 +37,18 @@ def to_fraction(x: float) -> Fraction:
     return fr
 
 
-@dataclass
-class CentralDecomposition:
-    """Block sizes and trace weights of the algebra's minimal central projections."""
-
-    sizes: tuple[int, ...]         # n_i with dim_C(z_i M) = n_i^2
-    weights: tuple[float, ...]     # alpha_i = tau(z_i)
-    weight_fractions: tuple[Fraction, ...]
-
-
-def central_decomposition(gns: GnsStructure, seed: int = 0) -> CentralDecomposition:
-    """Numerically resolve the center, certify it and read off the weights.
+def central_decomposition(gns: GnsStructure, seed: int = 0) -> tuple[float, ...]:
+    """Numerically resolve the center, certify it and return the measured
+    weights tau(z_i) of its minimal projections, in declared block order.
 
     The center is computed as the kernel of x -> ([x, X_j])_j inside the
     algebra and split by diagonalizing a random self-adjoint central element
     (deterministic for a fixed seed).  The result must be the declared
     blocks: one projection z_i per block, in declared order, each within
     OPERATOR_TOL entrywise of the identity of block i and zero elsewhere,
-    with tau(z_i) within CENTER_WEIGHT_TOL of the declared weight; the exact
-    weights are `to_fraction` of the declared ones.  Left multiplication by
-    the identity of block i is exactly the 0/1 indicator of that block's GNS
-    coordinates in the matrix-unit frame (conj(U) U^T = 1), so
-    vn_dimension_report compresses by slicing.
+    with tau(z_i) within CENTER_WEIGHT_TOL of the declared weight.  So the
+    declared sizes and weights, which vn_dimension_report reads from the
+    algebra, are certified.
     """
     algebra = gns.algebra
     N = algebra.matrix_size
@@ -80,12 +70,7 @@ def central_decomposition(gns: GnsStructure, seed: int = 0) -> CentralDecomposit
             f"not the identities of the declared blocks {sizes} with weights "
             f"{algebra.trace_weights}"
         )
-
-    return CentralDecomposition(
-        sizes=sizes,
-        weights=tuple(weights),
-        weight_fractions=tuple(to_fraction(w) for w in algebra.trace_weights),
-    )
+    return tuple(weights)
 
 
 @dataclass
@@ -182,10 +167,10 @@ class VnDimensionReport:
     multiplicities: np.ndarray   # (b, b) integers m_ij
 
 
-def vn_dimension_report(
-    K: HsSubspace, decomposition: CentralDecomposition
-) -> VnDimensionReport:
-    """Evaluate the trace-weighted dimension of an invariant subspace.
+def vn_dimension_report(K: HsSubspace, algebra: TracialAlgebra) -> VnDimensionReport:
+    """Evaluate the trace-weighted dimension of an invariant subspace over
+    the algebra's declared blocks, with the exact weights `to_fraction` of
+    its declared ones.
 
     dim_C(z_i K z_j) is certified as the trace of a projection.  With V the r
     basis rows and P the 0/1 slice of block pair (i, j) (Z_i, the left
@@ -204,8 +189,8 @@ def vn_dimension_report(
     if rho > INVARIANCE_TOL:
         raise NotInvariant(f"subspace has invariance residual {rho:.3e} "
                            f"(threshold {INVARIANCE_TOL:.0e})")
-    sizes = decomposition.sizes
-    wfr = decomposition.weight_fractions
+    sizes = algebra.block_sizes
+    wfr = [to_fraction(w) for w in algebra.trace_weights]
     r = K.complex_dim
     blocks = [slice(*span) for span in block_offsets([n * n for n in sizes])]
     mass = (np.abs(K.basis) ** 2).sum(axis=(0, 1))

@@ -52,14 +52,14 @@ def random_block_algebra(shape, seed):
     return fd.build_algebra(shape, list(w / w.sum()), gens)
 
 
-def svd_block_ranks(K, dec):
+def svd_block_ranks(K, algebra):
     """Reference rule for dim_C(z_i K z_j): the numerical rank of each block
     slice of the basis rows, with the relative cutoff RANK_TOL floored at the
     ambient scale, so that an all-noise block has rank zero."""
     from freedim.algebra import block_offsets
     from freedim.tolerances import RANK_TOL
 
-    ranges = block_offsets([n * n for n in dec.sizes])
+    ranges = block_offsets([n * n for n in algebra.block_sizes])
     r = K.complex_dim
     ranks = np.zeros((len(ranges), len(ranges)), dtype=int)
     if r == 0:

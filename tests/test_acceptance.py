@@ -205,7 +205,6 @@ def test_criterion_9_dimension_engine():
     built = 0
     for alg, n in ((make_c2(), 1), (make_m2(), 2)):
         gns = fd.gns_structure(alg)
-        dec = fd.central_decomposition(gns)
         D = gns.dim
 
         vecs = []
@@ -216,7 +215,7 @@ def test_criterion_9_dimension_engine():
                     tup[slot, p, q] = 1.0
                     vecs.append(tup)
         full = fd.hs_subspace(gns, np.array(vecs))
-        ok &= fd.vn_dimension_report(full, dec).fraction == n  # exact normalization
+        ok &= fd.vn_dimension_report(full, gns.algebra).fraction == n  # exact normalization
 
         rng = np.random.default_rng(9)
         for _ in range(17):
@@ -226,11 +225,11 @@ def test_criterion_9_dimension_engine():
                 + 1j * rng.standard_normal((1, n, D, D))
             K1 = fd.invariant_closure(gns, v)
             K2 = fd.invariant_closure(gns, np.vstack([v, w]))
-            r1 = fd.vn_dimension_report(K1, dec)
-            r2 = fd.vn_dimension_report(K2, dec)
+            r1 = fd.vn_dimension_report(K1, gns.algebra)
+            r2 = fd.vn_dimension_report(K2, gns.algebra)
             ok &= r1.fraction <= r2.fraction
             Kc = invariant_complement(gns, K1, K2, n)
-            rc = fd.vn_dimension_report(Kc, dec)
+            rc = fd.vn_dimension_report(Kc, gns.algebra)
             ok &= r1.fraction + rc.fraction == r2.fraction
             for r in (r1, r2, rc):
                 ok &= type(r.fraction) is Fraction  # exact values

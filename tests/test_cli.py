@@ -88,7 +88,7 @@ def test_cutoff_csv_zero_beyond_radius(tmp_path, capsys):
     rows = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
     config = load_config(path, "cutoff", None, False)
     report = run_scenario(config)
-    rho = report.results["spectral_radius"]
+    rho = report["results"]["spectral_radius"]
     for R, err in rows:
         if R >= rho:
             assert err <= 1e-10
@@ -137,6 +137,24 @@ def test_fisher_mode_inf_serialized(tmp_path, capsys):
     assert payload["results"]["value"] == "inf"
     assert payload["results"]["slots"][0]["well_defined"] is False
     assert payload["results"]["slots"][0]["defect"] >= 1e-2
+
+
+@pytest.mark.parametrize("name", ["dual_fisher", "delta_direct_sum"])
+def test_fisher_slots_match_single_slot_runs(tmp_path, name):
+    # each fisher slot is the free difference quotient run on that slot, bit for bit
+    algebra = json.loads((CONFIG_DIR / f"{name}.json").read_text())["algebra"]
+
+    def results(dual):
+        cfg = {"scenario": "dual_system", "algebra": algebra, "parameters": {"dual": dual}}
+        path = write_config(tmp_path, cfg)
+        return run_scenario(load_config(path, "dual_system", None, False))["results"]
+
+    slots = results({"type": "fisher"})["slots"]
+    assert [s["slot"] for s in slots] == list(range(len(algebra["generators"])))
+    for s in slots:
+        single = results({"type": "free_difference_quotient", "slot": s["slot"]})
+        assert single["well_defined"] is s["well_defined"]
+        assert float(single["defect"]).hex() == float(s["defect"]).hex()
 
 
 def test_group_finite_cross_check(tmp_path, capsys):

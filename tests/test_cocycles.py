@@ -62,18 +62,16 @@ def test_cocycle_map_off_diagonal_unit(c2):
 
 def test_h0_two_point(c2):
     gns = fd.gns_structure(c2)
-    dec = fd.central_decomposition(gns)
     H0 = fd.compute_H0(gns)
     assert H0.complex_dim == 2
-    assert fd.vn_dimension_report(H0, dec).fraction == Fraction(1, 2)
+    assert fd.vn_dimension_report(H0, gns.algebra).fraction == Fraction(1, 2)
 
 
 def test_h0_m2_pair(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(gns)
     H0 = fd.compute_H0(gns)
     assert H0.complex_dim == 12
-    assert fd.vn_dimension_report(H0, dec).fraction == Fraction(3, 4)
+    assert fd.vn_dimension_report(H0, gns.algebra).fraction == Fraction(3, 4)
 
 
 def test_h0_rank_nullity_exact():
@@ -87,11 +85,10 @@ def test_h0_rank_nullity_exact():
 
 def test_h0_zero_padding_leaves_dimension(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(gns)
-    base = fd.vn_dimension_report(fd.compute_H0(gns), dec).fraction
+    base = fd.vn_dimension_report(fd.compute_H0(gns), m2).fraction
     padded_gens = list(m2.generators) + [np.zeros((2, 2), dtype=complex)]
     padded_gns = fd.gns_structure(fd.build_algebra([2], [1.0], padded_gens))
-    padded = fd.vn_dimension_report(fd.compute_H0(padded_gns), dec).fraction
+    padded = fd.vn_dimension_report(fd.compute_H0(padded_gns), m2).fraction
     assert base == padded
 
 
@@ -158,13 +155,12 @@ def test_commutator_bound_dominates_dense_residual(name):
 def test_block_multiplicities_match_svd_rank_oracle(name):
     alg = _worked_algebra(name)
     gns = fd.gns_structure(alg)
-    dec = fd.central_decomposition(gns)
-    sizes = np.array(dec.sizes)
+    sizes = np.array(gns.algebra.block_sizes)
     for hermitian in (False, True):  # H0, H1
         K = cocycle_span(gns, hermitian=hermitian)
-        rep = fd.vn_dimension_report(K, dec)
+        rep = fd.vn_dimension_report(K, gns.algebra)
         np.testing.assert_array_equal(
-            rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, dec)
+            rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, gns.algebra)
         )
 
 
@@ -189,7 +185,7 @@ def _c_m2(weight):
 ], ids=["weight_1e-6", "gap_1e-4", "gap_1e-6"])
 def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
     gns = fd.gns_structure(alg)
-    dec = fd.central_decomposition(gns)
+    fd.central_decomposition(gns)  # the center certificate holds here too
     for builder in (fd.compute_H0, fd.compute_H1):
         K = builder(gns)
         dense = invariance_residual(K.basis, gns)
@@ -199,7 +195,7 @@ def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
             assert K.invariance_residual != dense
         else:
             assert K.invariance_residual == dense
-        fd.vn_dimension_report(K, dec)
+        fd.vn_dimension_report(K, gns.algebra)
 
 
 def _spans_on_dense_fallback(monkeypatch, alg):
@@ -345,7 +341,6 @@ def test_per_block_invariance_matches_dense_oracle(shape):
 def test_commutator_bound_rejects_non_commuting_operator(m2):
     # a Hermitian "L" outside the algebra does not commute with the action
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(gns)
     Ls = random_hermitian(np.random.default_rng(3), gns.dim)[None]
     faulty = dataclasses.replace(gns, generator_left_mult=Ls)
     A = _unit_commutators(Ls).reshape(gns.dim ** 2, -1)
@@ -355,7 +350,7 @@ def test_commutator_bound_rejects_non_commuting_operator(m2):
         K = cocycle_span(faulty, hermitian=hermitian)
         assert K.invariance_residual > INVARIANCE_TOL
         with pytest.raises(fd.NotInvariant):
-            fd.vn_dimension_report(K, dec)
+            fd.vn_dimension_report(K, gns.algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +452,17 @@ def test_delta_report_direct_sum(c1m2):
     assert rep.closed_form_beta0 == Fraction(2, 9)
 
 
+@pytest.mark.parametrize("name", ["delta_direct_sum", "delta_full_2x2", "delta_two_point",
+                                  "S3"])
+def test_dimension_report_of_h0_on_the_algebra_is_delta_report(name):
+    # vn_dimension_report reads the declared blocks and exact weights from the algebra
+    alg = _worked_algebra(name)
+    rep = fd.vn_dimension_report(fd.compute_H0(fd.gns_structure(alg)), alg)
+    delta = fd.delta_report(alg)
+    assert rep.fraction == delta.Delta
+    np.testing.assert_array_equal(rep.multiplicities, delta.multiplicities)
+
+
 def test_delta_chain_and_pinning(c1m2):
     rep = fd.delta_report(c1m2)
     results = _delta_results(rep)
@@ -474,8 +480,8 @@ def test_chain_violation_when_h0_and_h1_disagree(c1m2, monkeypatch):
     measure = fd.vn_dimension_report
     calls = []
 
-    def perturbed(K, dec):
-        rep = measure(K, dec)
+    def perturbed(K, algebra):
+        rep = measure(K, algebra)
         calls.append(K)
         if len(calls) == 2:
             rep = dataclasses.replace(rep, fraction=rep.fraction + Fraction(1, 9))

@@ -127,47 +127,46 @@ CENTER_CASES = [("c2", make_c2), ("m2", make_m2), ("c1m2", make_c1m2),
 def test_center_certificate_matches_d_coordinate_oracle(build):
     gns = fd.gns_structure(build())
     for seed in range(4):
-        sizes, weights, _ = d_coordinate_center(gns, seed)
-        dec = fd.central_decomposition(gns, seed=seed)
-        assert dec.sizes == sizes
-        assert dec.weights == weights  # bitwise
-        declared = gns.algebra.trace_weights
-        assert dec.weight_fractions == tuple(to_fraction(w) for w in declared)
+        _, weights, _ = d_coordinate_center(gns, seed)
+        assert fd.central_decomposition(gns, seed=seed) == weights  # bitwise
 
 
 def test_central_decomposition_two_point(c2):
     gns = fd.gns_structure(c2)
-    dec = fd.central_decomposition(gns)
-    assert dec.sizes == (1, 1)
-    np.testing.assert_allclose(dec.weights, [0.5, 0.5], atol=1e-12)
-    for Z in d_coordinate_center(gns)[2]:
+    weights = fd.central_decomposition(gns)
+    sizes, _, Zs = d_coordinate_center(gns)
+    assert sizes == (1, 1)
+    np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
+    for Z in Zs:
         assert abs(np.trace(Z).real - 1.0) < 1e-9  # rank one on L2
 
 
 def test_central_decomposition_factor(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(gns)
-    assert dec.sizes == (2,)
-    np.testing.assert_allclose(dec.weights, [1.0], atol=1e-12)
-    np.testing.assert_allclose(d_coordinate_center(gns)[2][0], np.eye(4), atol=1e-10)
+    weights = fd.central_decomposition(gns)
+    sizes, _, Zs = d_coordinate_center(gns)
+    assert sizes == (2,)
+    np.testing.assert_allclose(weights, [1.0], atol=1e-12)
+    np.testing.assert_allclose(Zs[0], np.eye(4), atol=1e-10)
 
 
 def test_central_decomposition_s3_regular():
     table = fd.symmetric_group(3)
     alg = fd.regular_rep_algebra(table)
     gns = fd.gns_structure(alg)
-    dec = fd.central_decomposition(gns)
-    assert sorted(dec.sizes) == [1, 1, 2]
-    assert abs(sum(dec.weights) - 1.0) < 1e-12
-    assert sum(n * n for n in dec.sizes) == 6
-    np.testing.assert_allclose(sorted(dec.weights), [1 / 6, 1 / 6, 2 / 3], atol=1e-9)
+    weights = fd.central_decomposition(gns)
+    sizes = d_coordinate_center(gns)[0]
+    assert sorted(sizes) == [1, 1, 2]
+    assert abs(sum(weights) - 1.0) < 1e-12
+    assert sum(n * n for n in sizes) == 6
+    np.testing.assert_allclose(sorted(weights), [1 / 6, 1 / 6, 2 / 3], atol=1e-9)
 
 
 def test_recovered_matches_declared(c1m2):
     gns = fd.gns_structure(c1m2)
-    dec = fd.central_decomposition(gns)
-    assert dec.sizes == c1m2.block_sizes
-    np.testing.assert_allclose(dec.weights, c1m2.trace_weights, atol=1e-9)
+    weights = fd.central_decomposition(gns)
+    assert d_coordinate_center(gns)[0] == c1m2.block_sizes
+    np.testing.assert_allclose(weights, c1m2.trace_weights, atol=1e-9)
 
 
 def test_center_resolution_error_after_retries(m2):
@@ -313,9 +312,8 @@ def full_hs_subspace(gns, n):
 def test_normalization_full_hs(c2, m2, n):
     for alg in (c2, m2):
         gns = fd.gns_structure(alg)
-        dec = fd.central_decomposition(gns)
         K = full_hs_subspace(gns, n)
-        rep = fd.vn_dimension_report(K, dec)
+        rep = fd.vn_dimension_report(K, gns.algebra)
         assert rep.fraction == Fraction(n)  # exact: the weight convention is pinned here
 
 
@@ -323,46 +321,42 @@ def test_two_point_commutator_space(c2):
     # oracle: commutators with diag(0,1) are exactly the off-diagonal
     # matrices in the eigenbasis; two 1-dim cross blocks, each weighted 1/4
     gns = fd.gns_structure(c2)
-    dec = fd.central_decomposition(gns)
     e12 = np.zeros((2, 2), dtype=complex)
     e12[0, 1] = 1.0
     K = fd.hs_subspace(gns, np.array([[e12], [e12.T]]))
     assert K.complex_dim == 2
-    assert fd.vn_dimension_report(K, dec).fraction == Fraction(1, 2)
+    assert fd.vn_dimension_report(K, gns.algebra).fraction == Fraction(1, 2)
 
 
 def test_m2_pair_commutator_space(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(gns)
     vecs = all_unit_cocycles(gns, m2.generators)
     K = fd.hs_subspace(gns, vecs)
     # oracle: kernel of the joint commutator map is the 4-dim commutant
     Ls = gns.left_mults(m2.generators)
     assert joint_commutator_nullity(Ls) == 4
     assert K.complex_dim == 16 - 4
-    assert fd.vn_dimension_report(K, dec).fraction == Fraction(3, 4)
+    assert fd.vn_dimension_report(K, gns.algebra).fraction == Fraction(3, 4)
 
 
 def test_not_invariant_raises(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(gns)
     rng = np.random.default_rng(5)
     v = rng.standard_normal((1, 1, 4, 4)) + 1j * rng.standard_normal((1, 1, 4, 4))
     K = fd.hs_subspace(gns, v)
     assert K.invariance_residual > 1e-8
     with pytest.raises(fd.NotInvariant):
-        fd.vn_dimension_report(K, dec)
+        fd.vn_dimension_report(K, gns.algebra)
 
 
 def test_integrality_error_on_forged_subspace(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(gns)
     rng = np.random.default_rng(6)
     v = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
     v /= np.linalg.norm(v)
     forged = fd.HsSubspace(basis=v[None, :, :, :], invariance_residual=0.0)
     with pytest.raises(fd.IntegralityError):
-        fd.vn_dimension_report(forged, dec)
+        fd.vn_dimension_report(forged, gns.algebra)
 
 
 def test_split_unit_tuple_is_not_an_integer_block_dimension(c2):
@@ -370,20 +364,18 @@ def test_split_unit_tuple_is_not_an_integer_block_dimension(c2):
     # (1, 0): each cross block holds half of it, which the per-block SVD rank
     # read as [[0, 1], [1, 0]] and a dimension of 1/2 for a line
     gns = fd.gns_structure(c2)
-    dec = fd.central_decomposition(gns)
     v = np.zeros((1, 1, 2, 2), dtype=complex)
     v[0, 0, 0, 1] = v[0, 0, 1, 0] = np.sqrt(0.5)
     forged = fd.HsSubspace(basis=v, invariance_residual=0.0)
-    assert svd_block_ranks(forged, dec).tolist() == [[0, 1], [1, 0]]
+    assert svd_block_ranks(forged, gns.algebra).tolist() == [[0, 1], [1, 0]]
     with pytest.raises(fd.IntegralityError, match=r"block \(0,1\) has mass 0.5"):
-        fd.vn_dimension_report(forged, dec)
+        fd.vn_dimension_report(forged, gns.algebra)
 
 
 @pytest.mark.parametrize("make", [make_m2, make_c1m2], ids=["m2", "c1m2"])
 def test_closure_multiplicities_match_svd_rank_oracle(make):
     gns = fd.gns_structure(make())
-    dec = fd.central_decomposition(gns)
-    sizes = np.array(dec.sizes)
+    sizes = np.array(gns.algebra.block_sizes)
     rng = np.random.default_rng(11)
     D = gns.dim
     for _ in range(6):
@@ -391,19 +383,18 @@ def test_closure_multiplicities_match_svd_rank_oracle(make):
         # a sparse seed tuple reaches only some block pairs
         v[:, :, rng.random((D, D)) < 0.7] = 0.0
         K = fd.invariant_closure(gns, v)
-        rep = fd.vn_dimension_report(K, dec)
+        rep = fd.vn_dimension_report(K, gns.algebra)
         np.testing.assert_array_equal(
-            rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, dec)
+            rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, gns.algebra)
         )
     # as for hs_subspace, an empty family spans the zero subspace
     K = fd.invariant_closure(gns, np.zeros((0, 2, D, D)))
     assert K.basis.shape == (0, 2, D, D)
-    assert fd.vn_dimension_report(K, dec).fraction == 0
+    assert fd.vn_dimension_report(K, gns.algebra).fraction == 0
 
 
 def test_monotonicity_and_additivity(m2):
     gns = fd.gns_structure(m2)
-    dec = fd.central_decomposition(gns)
     rng = np.random.default_rng(7)
     D = gns.dim
     for _ in range(20):
@@ -411,8 +402,8 @@ def test_monotonicity_and_additivity(m2):
         w = rng.standard_normal((1, 2, D, D)) + 1j * rng.standard_normal((1, 2, D, D))
         K1 = fd.invariant_closure(gns, v)
         K2 = fd.invariant_closure(gns, np.vstack([v, w]))
-        d1 = fd.vn_dimension_report(K1, dec).fraction
-        d2 = fd.vn_dimension_report(K2, dec).fraction
+        d1 = fd.vn_dimension_report(K1, gns.algebra).fraction
+        d2 = fd.vn_dimension_report(K2, gns.algebra).fraction
         assert d1 <= d2  # monotone under inclusion
 
         # complement of K1 inside K2 is invariant; dimensions add
@@ -420,15 +411,14 @@ def test_monotonicity_and_additivity(m2):
         resid = K1.flat() - coeff @ K2.flat()
         assert np.linalg.norm(resid) < 1e-9  # K1 inside K2
         Kc = invariant_complement(gns, K1, K2, 2)
-        dc = fd.vn_dimension_report(Kc, dec).fraction
+        dc = fd.vn_dimension_report(Kc, gns.algebra).fraction
         assert d1 + dc == d2
 
 
 def test_vn_value_matches_fraction(c1m2):
     gns = fd.gns_structure(c1m2)
-    dec = fd.central_decomposition(gns)
     K = full_hs_subspace(gns, 1)
-    rep = fd.vn_dimension_report(K, dec)
+    rep = fd.vn_dimension_report(K, gns.algebra)
     # the value is its exact fraction; a report's float copy is float() of it
     assert type(rep.fraction) is Fraction and float(rep.fraction) == 1.0
 
@@ -445,10 +435,9 @@ def test_vn_fraction_matches_pairwise_sum(sizes, weights):
         for g in gens:
             g[s:t, s:t] = random_hermitian(rng, n)
     gns = fd.gns_structure(fd.build_algebra(sizes, weights, gens))
-    dec = fd.central_decomposition(gns)
+    wfr = [to_fraction(w) for w in gns.algebra.trace_weights]
     for K in (fd.compute_H0(gns), full_hs_subspace(gns, 2)):
-        rep = fd.vn_dimension_report(K, dec)
-        wfr = dec.weight_fractions
+        rep = fd.vn_dimension_report(K, gns.algebra)
         want = sum((wfr[i] * wfr[j] * Fraction(int(rep.multiplicities[i, j]), ni * nj)
                     for i, ni in enumerate(sizes) for j, nj in enumerate(sizes)), Fraction(0))
         assert type(rep.fraction) is Fraction and rep.fraction == want
