@@ -30,10 +30,7 @@ from .tolerances import OPERATOR_TOL, RANK_TOL, SCALAR_TOL
 def numerical_span(vectors) -> np.ndarray:
     """Orthonormal basis (rows) of the row span of a 2-D array, with relative
     SVD cutoff RANK_TOL; a (0, cols) array for an empty family."""
-    A = np.asarray(vectors, dtype=complex)
-    if A.size == 0:
-        return np.zeros((0, A.shape[1]), dtype=complex)
-    return span_with_spectrum(A)[0]
+    return span_with_spectrum(np.asarray(vectors, dtype=complex))[0]
 
 
 def span_with_spectrum(A: np.ndarray):
@@ -50,13 +47,9 @@ def span_with_spectrum(A: np.ndarray):
 
 def _rowspace_residual(rows: np.ndarray, basis_flat: np.ndarray) -> float:
     """Largest distance from a row to the span of the orthonormal basis rows."""
-    if rows.shape[0] == 0:
-        return 0.0
-    if basis_flat.shape[0] == 0:
-        return float(np.linalg.norm(rows, axis=1).max())
     coeff = rows @ basis_flat.conj().T
     resid = rows - coeff @ basis_flat
-    return float(np.linalg.norm(resid, axis=1).max())
+    return float(np.linalg.norm(resid, axis=1).max(initial=0.0))
 
 
 def unit_scaled(generators: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -257,7 +250,6 @@ class GnsStructure:
     dim: int
     basis: np.ndarray            # (D, N, N) self-adjoint elements
     trace_vector: np.ndarray     # (D,) coordinates of 1, unit norm
-    p1: np.ndarray               # (D, D) rank-one projection onto the trace vector
     generator_left_mult: np.ndarray  # (n, D, D): left_mults (trace formula)
     _wvec: np.ndarray = field(repr=False, default=None)
     # per block: row range (s, t), coordinate range (S, T), size n, unit map U
@@ -335,7 +327,7 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     """Build the trace representation of the algebra.
 
     Populates the orthonormal self-adjoint basis, the generators' left
-    multiplications, the trace vector and its rank-one projection.  The
+    multiplications and the trace vector.  The
     basis consists of Hermitian combinations of scaled matrix units, so in
     each block left multiplication has a closed form, the matrix-unit frame
     conj(U) (x (x) 1) U^T (see `_frame`).  `GnsStructure.commutant_actions`
@@ -353,14 +345,12 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     # one nonzero term per coordinate at most, so no summation order matters;
     # _block_basis puts only real values on the diagonal, so the imaginary part is 0
     trace_vector = np.einsum("maa,a->m", basis, wvec).real
-    p1 = np.outer(trace_vector, trace_vector)
 
     gns = GnsStructure(
         algebra=algebra,
         dim=D,
         basis=basis,
         trace_vector=trace_vector,
-        p1=p1,
         generator_left_mult=None,
         _wvec=wvec,
     )

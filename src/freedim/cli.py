@@ -48,6 +48,7 @@ from .groups import (
     TABLE_ORDER_CAP,
     BettiInput,
     FiniteGroupTable,
+    _group_axioms,
     betti_delta_formula,
     counterexample_report,
     cyclic_group,
@@ -438,11 +439,18 @@ def _group_order(section: dict, where: str = "group") -> int:
 
 def _check_group(section: dict, cap: int) -> dict:
     """A group section of order at most `cap` (TooLarge, before any table is
-    built), and its generating_set against that order."""
+    built) whose tables are groups, and its generating_set against that order."""
     order = _group_order(section)
     if order > cap:
         shown = order if order <= _ORDER_CEILING else "above 10^18"
         raise TooLarge(f"group order {shown} exceeds the cap {cap}")
+    for factor in section.get("factors", ()):  # the factors' tables; each passed _group_order
+        _check_group(factor, cap)
+    if section["kind"] == "table":  # order^3 work, so after the cap
+        try:
+            _group_axioms(section["mult"])
+        except FreedimError as exc:
+            raise ConfigError(str(exc)) from None
     gen_set = section.get("generating_set")
     if "generating_set" in section and not (isinstance(gen_set, list) and all(
             _is_int(g) and 0 <= g < order for g in gen_set)):
@@ -503,18 +511,18 @@ def _check_counterexample(raw: dict, params: dict) -> dict:
 # scenario execution
 # ---------------------------------------------------------------------------
 
-def _delta_results(rep) -> dict:
+def _delta_results(rep, block_sizes: tuple[int, ...]) -> dict:
     """The report of a DeltaReport: each float is float() of its fraction,
     beta0 is 1 - Delta, and dim H0..H2, delta* and delta# are Delta (H2 is H0)."""
     blocks = []
-    b = len(rep.block_sizes)
+    b = len(block_sizes)
     for i in range(b):
         for j in range(b):
             blocks.append({
                 "i": i,
                 "j": j,
-                "size_i": rep.block_sizes[i],
-                "size_j": rep.block_sizes[j],
+                "size_i": block_sizes[i],
+                "size_j": block_sizes[j],
                 "multiplicity": int(rep.multiplicities[i, j]),
             })
     delta = float(rep.Delta)
@@ -534,7 +542,7 @@ def _delta_results(rep) -> dict:
                       "in finite dimensions",
         },
         "blocks": blocks,
-        "block_sizes": list(rep.block_sizes),
+        "block_sizes": list(block_sizes),
         "weights": list(rep.weights),
         "agreement": dict(rep.agreement, weak_equals_norm=True),
         "subspace_distances": dict(rep.distances, H1_H2=rep.distances["H0_H1"]),
@@ -564,7 +572,8 @@ def _group_table(section: dict) -> FiniteGroupTable:
 
 
 def _run_delta(config: ScenarioConfig) -> Outcome:
-    rep = delta_report(_algebra(config.values), seed=config.seed)
+    algebra = _algebra(config.values)
+    rep = delta_report(algebra, seed=config.seed)
     provenance = {
         "Delta": "computed (trace-weighted dimension of the weak-limit "
                  "cocycle space)",
@@ -572,7 +581,7 @@ def _run_delta(config: ScenarioConfig) -> Outcome:
         "delta_blackstar": "pinned",
         "beta0": "defined as 1 - Delta; closed form is a cross-check",
     }
-    results = _delta_results(rep)
+    results = _delta_results(rep, algebra.block_sizes)
     return results, provenance, results["subspace_distances"]
 
 
@@ -682,7 +691,7 @@ def _run_group_finite(config: ScenarioConfig) -> Outcome:
     rep = delta_report(algebra, seed=config.seed)
     order = values["order"]
     formula = betti_delta_formula(BettiInput.finite_group(order))
-    results = _delta_results(rep)
+    results = _delta_results(rep, algebra.block_sizes)
     results.update({
         "group_order": order,
         "formula_delta": formula,

@@ -169,7 +169,6 @@ class DeltaReport:
     Delta: Fraction
     closed_form_beta0: Fraction
     multiplicities: np.ndarray
-    block_sizes: tuple[int, ...]
     weights: tuple[float, ...]
     distances: dict[str, float]
     agreement: dict[str, bool]
@@ -213,7 +212,6 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
         Delta=r0.fraction,
         closed_form_beta0=closed,
         multiplicities=r0.multiplicities,
-        block_sizes=algebra.block_sizes,
         weights=weights,
         distances=distances,
         agreement=agreement,

@@ -36,7 +36,7 @@ def fdq_targets(gns: GnsStructure, slot: int) -> tuple[np.ndarray, ...]:
     if not 0 <= slot < n:
         raise IllDefined(f"slot {slot} out of range for {n} generators")
     out = [np.zeros((gns.dim, gns.dim), dtype=complex) for _ in range(n)]
-    out[slot] = gns.p1.astype(complex)
+    out[slot] = np.outer(gns.trace_vector, gns.trace_vector).astype(complex)
     return tuple(out)
 
 
@@ -169,8 +169,8 @@ def derivation_well_defined(gns: GnsStructure, targets: Sequence[np.ndarray]
 
 def _xi(gns: GnsStructure, dhat: np.ndarray) -> np.ndarray:
     """xi_m = <dhat(e_m), P1>_HS: the conjugate vector of the induced map."""
-    D = gns.dim
-    return np.array([np.vdot(dhat[:, m].reshape(D, D), gns.p1) for m in range(D)])
+    p1 = np.outer(gns.trace_vector, gns.trace_vector)  # P1, onto the trace vector
+    return np.array([np.vdot(dhat[:, m].reshape(p1.shape), p1) for m in range(gns.dim)])
 
 
 @dataclass

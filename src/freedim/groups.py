@@ -52,10 +52,9 @@ class FiniteGroupTable:
         return int(self.inverse[a])
 
 
-def from_mult_table(
-    mult, names: Optional[Sequence[str]] = None
-) -> FiniteGroupTable:
-    """Validate a multiplication table (identity, inverses, associativity)."""
+def _group_axioms(mult) -> tuple[np.ndarray, int, np.ndarray]:
+    """A multiplication table as an index array, its identity and its inverse
+    map; FreedimError unless it is a group's (identity, inverses, associativity)."""
     M = np.asarray(mult, dtype=int)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise FreedimError(f"multiplication table has shape {M.shape}")
@@ -84,7 +83,15 @@ def from_mult_table(
     right = M[:, M]           # [a, b, c] -> M[a, M[b, c]]
     if not np.array_equal(left, right):
         raise FreedimError("multiplication table is not associative")
+    return M, identity, inverse
 
+
+def from_mult_table(
+    mult, names: Optional[Sequence[str]] = None
+) -> FiniteGroupTable:
+    """Validate a multiplication table (identity, inverses, associativity)."""
+    M, identity, inverse = _group_axioms(mult)
+    o = M.shape[0]
     if names is None:
         names = tuple(str(i) for i in range(o))
     else:
@@ -252,19 +259,6 @@ def regular_rep_algebra(
 # free words and coset graphs
 # ---------------------------------------------------------------------------
 
-def reduce_word(word: Sequence[int]) -> Word:
-    """Freely reduce a word (cancel adjacent inverse letter pairs)."""
-    out: list[int] = []
-    for letter in word:
-        if letter == 0:
-            raise FreedimError("0 is not a valid letter")
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(int(letter))
-    return tuple(out)
-
-
 def word_inverse(word: Sequence[int]) -> Word:
     return tuple(-letter for letter in reversed(word))
 
@@ -329,7 +323,12 @@ def schreier_graph(
     n: int, images: Sequence[int], table: FiniteGroupTable
 ) -> SchreierGraph:
     """Enumerate the kernel's cosets and extract its free generators
-    (named u, v for n = 2 and x1, ..., xn otherwise)."""
+    (named u, v for n = 2 and x1, ..., xn otherwise).
+
+    Words are concatenated, and come out freely reduced: transversal words
+    are positive, so the generator t_i x_k t_j^-1 of a non-tree edge (i, k)
+    could cancel only if t_j ended in x_k; then j's parent p would satisfy
+    p img_k = j = i img_k, so p = i and (i, k) would be the tree edge to j."""
     if len(images) != n:
         raise FreedimError(f"{len(images)} images for {n} free generators")
     images = [int(g) for g in images]
@@ -351,11 +350,9 @@ def schreier_graph(
             if w not in pos:
                 pos[w] = len(order)
                 order.append(w)
-                transversal.append(reduce_word(transversal[i] + (k + 1,)))
+                transversal.append(transversal[i] + (k + 1,))
             else:
-                gens.append(reduce_word(
-                    transversal[i] + (k + 1,) + word_inverse(transversal[pos[w]])
-                ))
+                gens.append(transversal[i] + (k + 1,) + word_inverse(transversal[pos[w]]))
             row.append(pos[w])
         rows.append(row)
 

@@ -194,7 +194,8 @@ def test_gns_trace_vector_and_p1_two_point(c2):
     )
     np.testing.assert_allclose(gns.trace_vector, expected.real, atol=1e-12)
     np.testing.assert_allclose(gns.trace_vector, [1 / np.sqrt(2)] * 2, atol=1e-12)
-    np.testing.assert_allclose(gns.p1, np.full((2, 2), 0.5), atol=1e-12)
+    # the rank-one projection onto the trace vector, as fdq_targets builds it
+    np.testing.assert_allclose(fd.fdq_targets(gns, 0)[0], np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_gns_left_mult_two_point(c2):
@@ -447,15 +448,16 @@ def test_gns_structure_never_builds_basis_left_mults(monkeypatch, shape):
             shapes.append(tuple(np.atleast_1d(shape)))
             return _alloc(shape, *args, **kwargs)
         monkeypatch.setattr(np, name, record)
-    report = fd.delta_report(random_block_algebra(shape, seed=0))
+    alg = random_block_algebra(shape, seed=0)
+    fd.delta_report(alg)
     D = sum(n * n for n in shape)
-    assert report.block_sizes == shape and shapes
+    assert alg.block_sizes == shape and shapes
     assert (D, D, D) not in shapes
 
 
 def test_gns_structure_retains_no_d_cubed_array():
     # at D = 64 the basis left multiplications alone are 4 MB; the structure
-    # keeps the basis, the trace vector, P1 and the generators' L, not them
+    # keeps the basis, the trace vector and the generators' L, not them
     gns = fd.gns_structure(random_block_algebra((8,), 0))
     held = sum(v.nbytes for v in vars(gns).values() if isinstance(v, np.ndarray))
     assert held < 2**20

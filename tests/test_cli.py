@@ -198,8 +198,8 @@ def test_derived_report_fields_equal_their_sources(capsys, argv):
 
 @pytest.mark.parametrize("shape", [[1, 2], [1, 1, 2]], ids=str)
 def test_derived_fields_of_random_block_algebras(shape):
-    rep = fd.delta_report(random_block_algebra(shape, 0))
-    _assert_derived_fields(cli_module._delta_results(rep))
+    alg = random_block_algebra(shape, 0)
+    _assert_derived_fields(cli_module._delta_results(fd.delta_report(alg), alg.block_sizes))
 
 
 def test_group_free_with_kernel(tmp_path, capsys):
@@ -229,6 +229,42 @@ def test_group_free_cycle_notation_images(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     kernel = payload["results"]["kernel"]
     assert (kernel["index"], kernel["rank"]) == (2, 3)
+
+
+def _report(tmp_path, capsys, cfg, *flags):
+    path = write_config(tmp_path, cfg)
+    assert main([cfg["scenario"], "--config", path, *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_group_finite_product_matches_its_table(tmp_path, capsys):
+    # C2 x S3 as a product section and as the table direct_product builds:
+    # one table, so one report but for the generator labels, which name elements
+    c2, s3 = {"kind": "cyclic", "n": 2}, {"kind": "symmetric", "n": 3}
+    mult = fd.direct_product(fd.cyclic_group(2), fd.symmetric_group(3)).mult.tolist()
+    product = _report(tmp_path, capsys, {"scenario": "group_finite", "group": {
+        "kind": "product", "factors": [c2, s3]}}, "--seed", "3")
+    table = _report(tmp_path, capsys, _table(mult), "--seed", "3")
+    assert product["results"].pop("generators") != table["results"].pop("generators")
+    assert product["results"] == table["results"]
+    assert product["results"]["group_order"] == 12
+    assert product["residuals"] == table["residuals"]
+
+
+def test_dual_explicit_inner_targets_match_the_inner_run(tmp_path, capsys):
+    # T_j = [B, L_j] given as explicit targets is the inner run on B, bit for bit
+    inner = json.loads((CONFIG_DIR / "dual_inner.json").read_text())
+    values = load_config(str(CONFIG_DIR / "dual_inner.json"), "dual_system", None,
+                         False).values
+    gns = fd.gns_structure(cli_module._algebra(values))
+    targets = fd.inner_spec(gns, values["matrices"][0][1])
+    explicit = dict(inner, parameters=dict(inner["parameters"], dual={
+        "type": "explicit", "targets": [mat_pairs(T) for T in targets]}))
+    want, got = _report(tmp_path, capsys, inner), _report(tmp_path, capsys, explicit)
+    assert got["results"]["mode"] == "explicit" and want["results"]["well_defined"]
+    for key in ("well_defined", "defect", "xi_norm"):
+        assert got["results"][key] == want["results"][key], key
+    assert got["residuals"] == want["residuals"]
 
 
 def _dual_config(blocks, generators, dual, subalgebra_mode=False):
@@ -753,6 +789,25 @@ _BAD_TABLES = [[[0, "x"], [1, 0]], [[0, 1], [1]], [[0, 1e400], [1, 0]],
                [[0, 1.5], [1, 0]], [[0, True], [1, 0]], [[0, 10**400], [1, 0]]]
 
 
+# tables of the right shape that are no group's, with from_mult_table's reason;
+# a table section holding one is refused at the top level, as a product
+# factor and in group_free
+_NON_GROUP_TABLES = [
+    ([[0, 1], [0, 1]], "multiplication table has no identity element"),
+    ([[0, 1], [1, 1]], "element 1 has no two-sided inverse"),
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+     "multiplication table is not associative"),
+]
+
+
+def _table_sections(mult):
+    return [_table(mult),
+            {"scenario": "group_finite", "group": {"kind": "product", "factors": [
+                {"kind": "cyclic", "n": 2}, {"kind": "table", "mult": mult}]}},
+            {"scenario": "group_free", "group": {"kind": "table", "mult": mult},
+             "parameters": {"rank": 2, "images": [1, 1]}}]
+
+
 # malformed cycle-notation images on S3, with the reason the CLI prints
 _BAD_CYCLES = [
     ("(1 2", "malformed cycle notation '(1 2'"),
@@ -827,6 +882,23 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
        "below 6") for bad in _BAD_GENERATING_SETS],
     *[(_table(mult), 2, "config error: group.mult must be 2 rows of 2 element "
        "indices below 2") for mult in _BAD_TABLES],
+    *[(cfg, 2, f"config error: {why}\n")
+      for mult, why in _NON_GROUP_TABLES for cfg in _table_sections(mult)],
+    (_table([]), 2, "config error: multiplication table has shape (0,)\n"),
+    # the cap comes before the order^3 axiom check
+    (_table([[0] * 25] * 25), 1,
+     "computation error: TooLarge: group order 25 exceeds the cap 24\n"),
+    (_shipped("cutoff_sweep", A=mat_pairs(np.eye(2))), 2,
+     "config error: explicit cutoff runs need parameters.X\n"),
+    ({"scenario": "group_finite", "group": {"kind": "product", "factors": {"kind": "cyclic"}}},
+     2, "config error: group.factors must be a list of group objects\n"),
+    ({"scenario": "group_finite", "group": {"kind": "product",
+                                            "factors": [{"kind": "cyclic", "n": 2}]}},
+     2, "config error: product groups need at least two factors\n"),
+    (_shipped("group_free_kernel", images=5), 2,
+     "config error: parameters.images must be a list\n"),
+    (_shipped("group_free_kernel", images=["(1 2)", 1]), 2,
+     "config error: cycle-notation images require a symmetric group section\n"),
     ({"scenario": "dual_system",
       "algebra": {"blocks": [11], "weights": [1.0],
                   "generators": [mat_pairs(np.zeros((11, 11)))]},
@@ -870,6 +942,10 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
         "image_cycle_letters", *[f"image_cycle_{k}" for k in range(len(_BAD_CYCLES))],
         *[f"generating_set_{k}" for k in range(len(_BAD_GENERATING_SETS))],
         *[f"mult_{k}" for k in range(len(_BAD_TABLES))],
+        *[f"{kind}_{where}" for kind in ("no_identity", "no_inverse", "not_associative")
+          for where in ("top", "factor", "group_free")],
+        "empty_table", "non_group_table_above_cap", "A_without_X", "factors_scalar",
+        "one_factor", "images_scalar", "cycle_images_on_cyclic",
         "dual_dim_above_cap", "smooth_string", "X_scalar", "X_size", "r_grid_long",
         "seed_negative", "rank_huge", "rank_zero", "rank_negative",
         "images_too_few", "images_too_many", "group_without_images",

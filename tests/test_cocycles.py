@@ -434,14 +434,14 @@ def test_commutant_stack_matches_reference_loop_bitwise(n, N, r, monkeypatch):
 def test_delta_report_two_point(c2):
     rep = fd.delta_report(c2)
     assert rep.Delta == Fraction(1, 2)
-    assert _delta_results(rep)["beta0_fraction"] == Fraction(1, 2)
+    assert _delta_results(rep, c2.block_sizes)["beta0_fraction"] == Fraction(1, 2)
     assert rep.closed_form_beta0 == Fraction(1, 2)  # (1/2)^2 + (1/2)^2
 
 
 def test_delta_report_m2(m2):
     rep = fd.delta_report(m2)
     assert rep.Delta == Fraction(3, 4)
-    assert _delta_results(rep)["beta0_fraction"] == Fraction(1, 4)
+    assert _delta_results(rep, m2.block_sizes)["beta0_fraction"] == Fraction(1, 4)
     assert rep.closed_form_beta0 == Fraction(1, 4)  # 1 / 2^2
 
 
@@ -465,7 +465,7 @@ def test_dimension_report_of_h0_on_the_algebra_is_delta_report(name):
 
 def test_delta_chain_and_pinning(c1m2):
     rep = fd.delta_report(c1m2)
-    results = _delta_results(rep)
+    results = _delta_results(rep, c1m2.block_sizes)
     pinned = results["pinned"]
     assert pinned["delta_star"] == float(rep.Delta) == pinned["delta_blackstar"]
     assert results["dim_H0"] <= results["dim_H2"] + 1e-9
@@ -581,5 +581,5 @@ def test_delta_report_empty_generator_tuple(sizes):
     build = fd.blockify_subalgebra if sizes != [1] else fd.build_algebra
     alg = build(sizes, [1 / len(sizes)] * len(sizes), [])
     rep = fd.delta_report(alg)
-    assert rep.Delta == 0 and _delta_results(rep)["beta0_fraction"] == 1
-    assert rep.block_sizes == (1,)
+    assert rep.Delta == 0 and _delta_results(rep, alg.block_sizes)["beta0_fraction"] == 1
+    assert alg.block_sizes == (1,)

@@ -149,7 +149,8 @@ def test_two_point_free_difference_quotient_obstructed(c2):
     gns = fd.gns_structure(c2)
     # oracle: X^2 = X would force P1 L_X + L_X P1 = P1, which fails
     Lx = gns.left_mults(c2.generators)[0]
-    obstruction = np.abs(gns.p1 @ Lx + Lx @ gns.p1 - gns.p1).max()
+    p1 = np.outer(gns.trace_vector, gns.trace_vector)
+    obstruction = np.abs(p1 @ Lx + Lx @ p1 - p1).max()
     assert obstruction > 1e-2
 
     targets = fd.fdq_targets(gns, 0)
@@ -241,7 +242,7 @@ def test_defining_property_on_word_vectors(m2):
     for LQ in words:
         lhs = np.vdot(LQ @ t, xi)            # <xi, Q 1>
         value = B @ LQ - LQ @ B              # dT(Q) for the inner derivation
-        rhs = np.vdot(value, gns.p1)         # <P1, dT(Q)>_HS
+        rhs = np.vdot(value, np.outer(t, t))  # <P1, dT(Q)>_HS
         assert abs(lhs - rhs) <= 1e-10
 
 
@@ -436,7 +437,7 @@ def test_sylvester_operands_match_kron_bitwise(sizes, monkeypatch):
     N, D = sum(sizes), sum(n * n for n in sizes)
     # the solve reads only the blocks and the generators of the structure
     gns = GnsStructure(SimpleNamespace(block_sizes=sizes, generators=tuple(
-        _with_negative_zeros(rng, (3, N, N)))), D, None, None, None, None)
+        _with_negative_zeros(rng, (3, N, N)))), D, None, None, None)
     targets = tuple(_with_negative_zeros(rng, (3, D, D)))
     seen, lstsq = [], np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",

@@ -173,9 +173,19 @@ def test_schreier_nielsen_formula_random_homs():
         assert graph.kernel_verified
 
 
-def test_schreier_generators_reduce():
-    from freedim.groups import reduce_word
+def reduce_word(word):
+    """Freely reduce a word (cancel adjacent inverse letter pairs): the oracle
+    for the words `schreier_graph` builds by concatenation alone."""
+    out = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
 
+
+def test_schreier_generators_reduce():
     z2 = fd.cyclic_group(2)
     graph = fd.schreier_graph(2, [1, 1], z2)
     for w in graph.subgroup_generators:
@@ -185,7 +195,7 @@ def test_schreier_generators_reduce():
 def _schreier_three_passes(n, images, table):
     """`schreier_graph` as it was: the BFS, then the edge table, then the
     non-tree edges through a set of tree edges."""
-    from freedim.groups import reduce_word, word_inverse
+    from freedim.groups import word_inverse
 
     order, pos, transversal = [table.identity], {table.identity: 0}, [()]
     tree_edges, head = set(), 0
@@ -308,9 +318,10 @@ def test_cross_validation_formula_vs_regular_rep():
     })
     for name, table in groups.items():
         o = table.order
-        rep = fd.delta_report(fd.regular_rep_algebra(table))
+        alg = fd.regular_rep_algebra(table)
+        rep = fd.delta_report(alg)
         formula = fd.betti_delta_formula(fd.BettiInput.finite_group(o))
-        n = np.array(rep.block_sizes)
+        n = np.array(alg.block_sizes)
         assert rep.Delta == 1 - Fraction(1, o), name
         assert Fraction(formula).limit_denominator(o) == rep.Delta, name
         np.testing.assert_array_equal(rep.multiplicities, np.outer(n, n) - np.eye(len(n)),
