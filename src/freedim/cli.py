@@ -49,11 +49,11 @@ from .groups import (
     BettiInput,
     FiniteGroupTable,
     _group_axioms,
+    _known_group,
     betti_delta_formula,
     counterexample_report,
     cyclic_group,
     direct_product,
-    from_mult_table,
     permutation_from_cycles,
     regular_rep_algebra,
     schreier_graph,
@@ -439,23 +439,25 @@ def _group_order(section: dict, where: str = "group") -> int:
 
 def _check_group(section: dict, cap: int) -> dict:
     """A group section of order at most `cap` (TooLarge, before any table is
-    built) whose tables are groups, and its generating_set against that order."""
+    built) whose tables are groups, and its generating_set against that order;
+    a product keeps its factors' values, a table its mult, identity and inverse."""
     order = _group_order(section)
     if order > cap:
         shown = order if order <= _ORDER_CEILING else "above 10^18"
         raise TooLarge(f"group order {shown} exceeds the cap {cap}")
-    for factor in section.get("factors", ()):  # the factors' tables; each passed _group_order
-        _check_group(factor, cap)
+    values = {"group": section, "order": order}
+    if section["kind"] == "product":  # each factor passed _group_order
+        values["factors"] = [_check_group(factor, cap) for factor in section["factors"]]
     if section["kind"] == "table":  # order^3 work, so after the cap
         try:
-            _group_axioms(section["mult"])
+            values["axioms"] = _group_axioms(section["mult"])
         except FreedimError as exc:
             raise ConfigError(str(exc)) from None
     gen_set = section.get("generating_set")
     if "generating_set" in section and not (isinstance(gen_set, list) and all(
             _is_int(g) and 0 <= g < order for g in gen_set)):
         raise ConfigError(f"group.generating_set must be a list of element indices below {order}")
-    return {"group": section, "order": order, "generating_set": gen_set}
+    return dict(values, generating_set=gen_set)
 
 
 # beta1 = rank - 1 is reported as a float, exact up to 2^53 (and a rank past
@@ -561,14 +563,14 @@ def _algebra(values: dict):
                  labels=values["labels"])
 
 
-def _group_table(section: dict) -> FiniteGroupTable:
-    """The multiplication table of a checked group section."""
-    kind = section["kind"]
+def _group_table(values: dict) -> FiniteGroupTable:
+    """The multiplication table of a group section, from _check_group's values."""
+    kind = values["group"]["kind"]
     if kind == "product":
-        return functools.reduce(direct_product, map(_group_table, section["factors"]))
+        return functools.reduce(direct_product, map(_group_table, values["factors"]))
     if kind == "table":
-        return from_mult_table(section["mult"])
-    return (cyclic_group if kind == "cyclic" else symmetric_group)(section["n"])
+        return _known_group(*values["axioms"])
+    return (cyclic_group if kind == "cyclic" else symmetric_group)(values["group"]["n"])
 
 
 def _run_delta(config: ScenarioConfig) -> Outcome:
@@ -685,7 +687,7 @@ def _run_cutoff(config: ScenarioConfig) -> Outcome:
 
 def _run_group_finite(config: ScenarioConfig) -> Outcome:
     values = config.values
-    algebra = regular_rep_algebra(_group_table(values["group"]),
+    algebra = regular_rep_algebra(_group_table(values),
                                   generating_set=values["generating_set"],
                                   seed=config.seed)
     rep = delta_report(algebra, seed=config.seed)
@@ -711,7 +713,7 @@ def _run_group_free(config: ScenarioConfig) -> Outcome:
     delta = betti_delta_formula(BettiInput.free_group(rank))
     results = {"rank": rank, "delta": delta}
     if "images" in values:
-        graph = schreier_graph(rank, values["images"], _group_table(values["group"]))
+        graph = schreier_graph(rank, values["images"], _group_table(values))
         results["kernel"] = {
             "index": graph.index,
             "rank": graph.rank,

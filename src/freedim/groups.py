@@ -23,9 +23,9 @@ from .wedderburn import blockify
 
 # Largest group order whose regular representation is decomposed.
 ORDER_CAP = 24
-# Largest order whose multiplication table is built for a Schreier graph:
-# from_mult_table checks associativity on two order^3 index tensors, 76 MB
-# at 168 (PSL(2, 7)) and 6 GB at 720.
+# Largest order whose multiplication table is built for a Schreier graph.  The
+# associativity pass (two order^3 index tensors, 76 MB at 168 = |PSL(2, 7)|, 6 GB
+# at 720) runs once, at ingestion, and only for `table` sections and from_mult_table.
 TABLE_ORDER_CAP = 168
 
 Word = tuple[int, ...]  # letters: +k is generator k (1-based), -k its inverse
@@ -86,43 +86,40 @@ def _group_axioms(mult) -> tuple[np.ndarray, int, np.ndarray]:
     return M, identity, inverse
 
 
-def from_mult_table(
-    mult, names: Optional[Sequence[str]] = None
-) -> FiniteGroupTable:
-    """Validate a multiplication table (identity, inverses, associativity)."""
-    M, identity, inverse = _group_axioms(mult)
-    o = M.shape[0]
-    if names is None:
-        names = tuple(str(i) for i in range(o))
-    else:
-        names = tuple(str(s) for s in names)
-        if len(names) != o:
-            raise FreedimError("one name per element required")
-    return FiniteGroupTable(order=o, mult=M, inverse=inverse,
-                            identity=identity, names=names)
+def from_mult_table(mult) -> FiniteGroupTable:
+    """Validate a table from outside the program: identity, inverses, and the order^3
+    associativity pass (76 MB at 168) that only this and a `table` section's ingestion run."""
+    return _known_group(*_group_axioms(mult))
+
+
+def _known_group(mult, identity: int, inverse, names=None) -> FiniteGroupTable:
+    """The table of a group whose identity and inverse map are known, unchecked."""
+    names = tuple(map(str, range(len(mult)))) if names is None else tuple(names)
+    return FiniteGroupTable(len(mult), mult, inverse, identity, names)
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:
     idx = np.arange(n)
-    M = (idx[:, None] + idx[None, :]) % n
-    return from_mult_table(M)
+    return _known_group((idx[:, None] + idx[None, :]) % n, 0, -idx % n)
 
 
 def symmetric_group(n: int) -> FiniteGroupTable:
     perms = sorted(itertools.permutations(range(n)))
     P = np.array(perms, dtype=int).reshape(len(perms), n)
-    # (pq)[k] = p[q[k]], ranked by its base-n code (monotone in lexicographic order)
+    # (pq)[k] = p[q[k]], ranked by its base-n code (monotone in lexicographic
+    # order, so the identity is element 0 and p^-1 is where row p holds 0)
     code = n ** np.arange(n - 1, -1, -1)
     M = np.searchsorted(P @ code, P[:, P] @ code)
-    return from_mult_table(M, names=["".join(map(str, p)) for p in perms])
+    return _known_group(M, 0, np.nonzero(M == 0)[1], ["".join(map(str, p)) for p in perms])
 
 
 def direct_product(g: FiniteGroupTable, h: FiniteGroupTable) -> FiniteGroupTable:
-    # element (a, b) has index a * |h| + b
+    # element (a, b) has index a * |h| + b; identity and inverses componentwise
     a, b = np.divmod(np.arange(g.order * h.order), h.order)
     M = g.mult[a[:, None], a] * h.order + h.mult[b[:, None], b]
     names = [f"({g.names[x]},{h.names[y]})" for x, y in zip(a, b)]
-    return from_mult_table(M, names=names)
+    return _known_group(M, g.identity * h.order + h.identity,
+                        g.inverse[a] * h.order + h.inverse[b], names)
 
 
 def permutation_from_cycles(text: str, degree: int) -> tuple[int, ...]:

@@ -162,7 +162,7 @@ def c1m2():
 # The numerical builders that the CLI calls.  A config error raised after the
 # first of them is a check that ran after numerical work had started.
 NUMERICAL_BUILDERS = ("build_algebra", "blockify_subalgebra", "gns_structure", "cyclic_group",
-                      "symmetric_group", "direct_product", "from_mult_table",
+                      "symmetric_group", "direct_product", "_known_group",
                       "regular_rep_algebra", "convergence_sweep", "schreier_graph",
                       "counterexample_report")
 # the one check that waits: a subalgebra-mode dual's matrices are D x D for

@@ -808,6 +808,38 @@ def _table_sections(mult):
              "parameters": {"rank": 2, "images": [1, 1]}}]
 
 
+def test_axiom_pass_runs_once_per_table_section(tmp_path, monkeypatch):
+    # the order^3 check runs once per `table` section, at ingestion, and never
+    # for a table that cyclic_group, symmetric_group or direct_product builds
+    import freedim.groups as groups_module
+    axioms, seen = groups_module._group_axioms, []
+
+    def spied(mult):
+        seen.append(len(mult))
+        return axioms(mult)
+
+    for module in (groups_module, cli_module):
+        monkeypatch.setattr(module, "_group_axioms", spied)
+    z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    table = {"kind": "table", "mult": z3}
+    c2, s3 = {"kind": "cyclic", "n": 2}, {"kind": "symmetric", "n": 3}
+    cases = [(cfg, 1) for cfg in _table_sections(z3)] + [
+        ({"scenario": "group_finite", "group": {"kind": "product",
+                                                "factors": [table, c2, table]}}, 2),
+        ({"scenario": "group_finite", "group": c2}, 0),
+        ({"scenario": "group_finite", "group": s3}, 0),
+        ({"scenario": "group_finite", "group": {"kind": "product", "factors": [c2, s3]}}, 0),
+        ({"scenario": "group_free", "group": {"kind": "product", "factors": [s3, c2, c2]},
+          "parameters": {"rank": 2, "images": [1, 2]}}, 0),
+        ({"scenario": "group_free", "group": {"kind": "symmetric", "n": 5},
+          "parameters": {"rank": 2, "images": ["(1 2)", "(1 2 3 4 5)"]}}, 0),
+    ]
+    for cfg, calls in cases:
+        seen.clear()
+        assert main([cfg["scenario"], "--config", write_config(tmp_path, cfg)]) == 0
+        assert len(seen) == calls, cfg
+
+
 # malformed cycle-notation images on S3, with the reason the CLI prints
 _BAD_CYCLES = [
     ("(1 2", "malformed cycle notation '(1 2'"),

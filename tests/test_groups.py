@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -52,6 +53,38 @@ def test_index_built_tables_match_their_definitions():
         assert pairs[k] == (g.mul(a1, a2), h.mul(b1, b2))
         assert lam[i, k, j] == 1.0
     assert np.array_equal(np.abs(lam).sum(axis=1), np.ones((gh.order, gh.order)))
+
+
+def _assert_is_its_checked_table(t):
+    # the identity and inverses a builder knows are the ones the axiom pass finds
+    checked = fd.from_mult_table(t.mult)
+    assert (t.order, t.identity, type(t.identity)) == (
+        checked.order, checked.identity, type(checked.identity))
+    for field in ("mult", "inverse"):
+        got, want = getattr(t, field), getattr(checked, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+
+def test_built_tables_match_the_axiom_pass():
+    cyclic = [fd.cyclic_group(n) for n in range(1, 169)]
+    symmetric = [fd.symmetric_group(n) for n in range(1, 6)]
+    for t in cyclic + symmetric:
+        _assert_is_its_checked_table(t)
+    for n, t in enumerate(symmetric, start=1):
+        assert t.names == tuple("".join(map(str, p))
+                                for p in sorted(itertools.permutations(range(n))))
+    factors = cyclic[:8] + [cyclic[11], cyclic[167]] + symmetric
+    for g, h in itertools.product(factors, repeat=2):
+        if g.order * h.order <= 168:
+            _assert_is_its_checked_table(fd.direct_product(g, h))
+    # a checked table whose identity is not element 0, as a product factor
+    shift = (np.arange(4) + 1) % 4
+    z4 = np.empty((4, 4), dtype=int)
+    z4[shift[:, None], shift] = shift[cyclic[3].mult]
+    assert fd.from_mult_table(z4).identity == 1
+    _assert_is_its_checked_table(functools.reduce(
+        fd.direct_product, [cyclic[1], fd.from_mult_table(z4), symmetric[2]]))
+    _assert_is_its_checked_table(fd.direct_product(fd.from_mult_table(z4), cyclic[2]))
 
 
 def test_bad_table_rejected():
