@@ -248,9 +248,9 @@ def _flag(section: dict, key: str, where: str) -> bool:
 
 
 # Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle spans
-# grow about as D^6 (12 s and 699 MB at D = 41); dual_system on one 10 x 10
-# block (D = 100) takes 1.0 s and 150 MB (inner) to 1.8 s and 157 MB (fisher),
-# as process peak RSS (2 vCPU, 2 OpenBLAS threads).
+# grow about as D^6 (12 s and 699 MB at D = 41 for 2 generators, more for each
+# further one); dual_system on one 10 x 10 block (D = 100) takes 1.0 s and 150 MB
+# (inner) to 1.8 s and 157 MB (fisher), as peak RSS (2 vCPU, 2 OpenBLAS threads).
 _DELTA_MAX_DIM = 41
 _DUAL_MAX_DIM = 100
 

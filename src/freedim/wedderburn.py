@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import (_GENERATED, TracialAlgebra, _diag_weights, _rowspace_residual,
                       _unflatten, _validated, block_offsets, build_algebra, numerical_span,
                       unit_scaled, word_span)
-from .errors import CenterResolutionError, FreedimError
+from .errors import CenterResolutionError
 from .tolerances import (CENTER_RETRIES, CLUSTER_GAP, COMMUTANT_ZERO_TOL, INVARIANCE_TOL,
                          PROJECTION_DIGITS, PROJECTION_SPLIT, PROJECTION_TRACE_TOL, RANK_TOL,
                          SUPPORT_TOL)
@@ -26,15 +26,13 @@ from .tolerances import (CENTER_RETRIES, CLUSTER_GAP, COMMUTANT_ZERO_TOL, INVARI
 def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {x : [x, m] = 0 for all m}, as (s, N, N).
 
-    The search runs inside the row span of `within`, an orthonormal family of
-    flattened matrices (the identity of size N^2 searches all of M_N).
+    The search runs inside the row span of `within`, a nonempty orthonormal
+    family of flattened matrices (the identity of size N^2 searches all of
+    M_N): every caller searches an algebra, which holds the identity, or M_N.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     N = math.isqrt(within.shape[1])
     r = within.shape[0]
-
-    if r == 0:
-        return within.reshape(r, N, N).copy()
     # column k of block i is [B_k, m_i]: coefficient vectors c with
     # sum_k c_k [B_k, m] = 0 for every m span the null space
     Bs = within.reshape(r, N, N)
@@ -47,9 +45,7 @@ def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarra
     else:
         rank = int(np.sum(s > RANK_TOL * s[0]))
         coeffs = vh[rank:].conj()
-    flat = coeffs @ within
-    flat = numerical_span(flat)
-    return flat.reshape(-1, N, N)
+    return numerical_span(coeffs @ within).reshape(-1, N, N)
 
 
 def _canonical_order(projections: list[np.ndarray]) -> list[np.ndarray]:
@@ -145,15 +141,14 @@ def blockify(
     `commuting_set` is any family generating the same algebra (used for the
     cheaper commutant computation), `trace_fn` the faithful tracial state,
     and `generators` the elements whose images become the generating tuple.
+    The span must hold the identity, and both callers put it there exactly:
+    lambda(e) among the regular representation, the seed of `word_span`.
     """
     mats = [np.asarray(m, dtype=complex) for m in span_mats]
     N = mats[0].shape[0]
     flat = numerical_span(np.array([m.ravel() for m in mats]))
     alg_basis = flat.reshape(-1, N, N)
     alg_dim = alg_basis.shape[0]
-
-    if _rowspace_residual(np.eye(N, dtype=complex).reshape(1, -1), flat) > INVARIANCE_TOL:
-        raise FreedimError("the spanned algebra does not contain the identity")
 
     center = commutant_basis(commuting_set, within=flat)
     zs = minimal_central_projections(alg_basis, center, rng)

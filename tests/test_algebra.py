@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -426,8 +428,8 @@ def test_small_weight_block_gaps_within_bound():
 
 
 def test_gns_structure_memory_bounded_at_d64():
-    # the whole GNS structure at D = 64: the cyclicity check applies the
-    # frame in closed form, so neither the 4 MB stack L nor a frame is built
+    # the whole GNS structure at D = 64: neither the 4 MB stack L of the
+    # basis elements' left multiplications nor one of their frames is built
     alg = random_block_algebra((8,), 0)
     tracemalloc.start()
     try:
@@ -496,17 +498,69 @@ def test_perturbed_generator_left_mult_fails_frame_check():
         _verify_gns(gns)
 
 
-def test_closed_form_cyclicity_check_matches_frames_and_refuses():
-    # the check applies each basis element's frame to the trace vector
-    # without building it; a trace vector off by 1e-6 in one coordinate fails
+U_ROUND = np.finfo(float).eps / 2
+
+
+def tau_gram(gns):
+    """tau(b_m b_q), summed as sum_ab (b_m[b, a] w[b]) b_q[a, b]: the
+    evaluation whose distance from the identity `_verify_gns` bounds by 10 u.
+    Weighting first keeps it finite at the smallest admitted weights."""
+    D = gns.dim
+    return ((gns.basis * gns._wvec[:, None]).reshape(D, -1)
+            @ gns.basis.transpose(0, 2, 1).reshape(D, -1).T)
+
+
+def cyclicity_gap(gns):
+    """max |L_{b_p} xi - e_p| over the basis elements, with L_{b_p} xi
+    computed without a frame as conj(U) vec(b_p V), V = U^T xi as an n x n
+    matrix of units: the evaluation that `_verify_gns` bounds by 12 u."""
+    gaps = [0.0]
+    for s, t, S, T, n, U in gns.blocks:
+        V = (U.T @ gns.trace_vector[S:T]).reshape(n, n)
+        hats = (gns.basis[S:T, s:t, s:t] @ V).reshape(T - S, T - S) @ np.conj(U).T
+        gaps.append(np.abs(hats - np.eye(T - S)).max())
+    return max(gaps)
+
+
+def smallest_admitted_weight(n):
+    """The least double alpha for which sqrt(n / alpha) is finite."""
+    alpha = n / sys.float_info.max
+    while math.isinf(n / alpha):
+        alpha = math.nextafter(alpha, 1.0)
+    while not math.isinf(n / math.nextafter(alpha, 0.0)):
+        alpha = math.nextafter(alpha, 0.0)
+    return alpha
+
+
+def test_frames_and_closed_form_recover_coordinates_from_trace_vector():
+    # each basis element's frame applied to the trace vector gives its
+    # coordinates e_p, and so does the closed form that builds no frame
     gns = fd.gns_structure(random_block_algebra((1, 2, 3), seed=5))
     for (s, t), (S, T), n in algebra_module._block_ranges(gns.algebra.block_sizes):
         U = _unit_map(n)
         hats = [_frame(b, U) @ gns.trace_vector[S:T] for b in gns.basis[S:T, s:t, s:t]]
         assert np.abs(np.array(hats) - np.eye(T - S)).max() <= 1e-13
-    gns.trace_vector[1] *= 1 + 1e-6
-    with pytest.raises(fd.FreedimError, match="trace vector is not cyclic"):
-        _verify_gns(gns)
+    assert cyclicity_gap(gns) <= 12 * U_ROUND
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 3), (3, 1), (1, 1, 2, 3, 3)], ids=str)
+@pytest.mark.parametrize("alpha", [1e-3, 1e-8, 1e-16, 1e-100, 1e-300, None],
+                         ids=["1e-3", "1e-8", "1e-16", "1e-100", "1e-300", "smallest"])
+def test_orthonormality_and_cyclicity_within_bound_down_to_smallest_weight(shape, alpha):
+    # the last block at weight alpha, the others at random weights summing
+    # to 1 - alpha; just below the smallest admitted weight the scale
+    # sqrt(n / alpha) overflows, and _validated refuses it
+    n = shape[-1]
+    alpha = smallest_admitted_weight(n) if alpha is None else alpha
+    rest = np.random.default_rng(len(shape)).uniform(0.5, 1.5, len(shape) - 1)
+    rest /= rest.sum()
+    gens = random_block_algebra(shape, seed=0).generators
+    gns = fd.gns_structure(fd.build_algebra(shape, [*rest * (1 - alpha), alpha], gens))
+    assert np.abs(tau_gram(gns) - np.eye(gns.dim)).max() <= 10 * U_ROUND
+    assert cyclicity_gap(gns) <= 12 * U_ROUND
+    below = math.nextafter(smallest_admitted_weight(n), 0.0)
+    with pytest.raises(fd.WeightError, match=rf"block {len(shape) - 1} \(size {n}\)"):
+        fd.build_algebra(shape, [*rest * (1 - below), below], gens)
 
 
 def test_gns_check_scales_to_d100():
@@ -698,6 +752,11 @@ def test_second_structure_of_a_shape_searches_no_path(monkeypatch, sizes):
 
 @pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
 def test_gram_matches_searched_einsum(sizes):
-    gns, _ = _bare_gns(sizes, 3)
-    searched = np.einsum("qab,mba,b->mq", gns.basis, gns.basis, gns._wvec, optimize=True)
-    assert np.abs(algebra_module._gram(gns.basis, gns._wvec) - searched).max() <= 1e-15
+    # at random weights the Gram matrix is within the 10 u of the identity
+    # that `_verify_gns` states, and so is the searched contraction
+    for seed in range(3):
+        gns, _ = _bare_gns(sizes, seed)
+        gram = tau_gram(gns)
+        searched = np.einsum("qab,mba,b->mq", gns.basis, gns.basis, gns._wvec, optimize=True)
+        assert np.abs(gram - searched).max() <= 1e-15
+        assert np.abs(gram - np.eye(gns.dim)).max() <= 10 * U_ROUND

@@ -773,6 +773,13 @@ def _shipped(name, **parameters):
     return cfg
 
 
+def _direct_sum_at_weight(weight, **scenario):
+    """delta_direct_sum with its 2 x 2 block at trace weight `weight`."""
+    cfg = json.loads((CONFIG_DIR / "delta_direct_sum.json").read_text())
+    cfg["algebra"]["weights"] = [1 - weight, weight]
+    return dict(cfg, **scenario)
+
+
 def _s3(**group):
     return {"scenario": "group_finite", "group": dict(kind="symmetric", n=3, **group)}
 
@@ -965,6 +972,11 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
     ({"scenario": "group_free", "group": {"kind": "cyclic", "n": 2, "generating_set": None},
       "parameters": {"rank": 2, "images": [1, 1]}}, 2,
      "config error: group.generating_set must be a list of element indices below 2"),
+    *[(_direct_sum_at_weight(1e-310, **scenario), 2,
+       "config error: weight 1e-310 of block 1 (size 2) is too small: "
+       "sqrt(2 / 1e-310) overflows\n")
+      for scenario in ({}, {"scenario": "dual_system",
+                            "parameters": {"dual": {"type": "fisher"}}})],
 ], ids=["slot_string", "slot_bool", "slot_out_of_range", "slot_seven", "slot_negative",
         "targets_empty", "targets_too_many", "targets_scalar",
         "targets_shape", "k_zero", "k_string", "k_scalar", "r_grid_string",
@@ -981,7 +993,8 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
         "dual_dim_above_cap", "smooth_string", "X_scalar", "X_size", "r_grid_long",
         "seed_negative", "rank_huge", "rank_zero", "rank_negative",
         "images_too_few", "images_too_many", "group_without_images",
-        "group_free_null_generating_set"])
+        "group_free_null_generating_set", "weight_overflow_delta",
+        "weight_overflow_fisher"])
 def test_parameters_validated_without_traceback(tmp_path, capsys, cfg, code,
                                                 message):
     path = write_config(tmp_path, cfg)
@@ -1243,6 +1256,20 @@ def test_shipped_configs_run(config_path, capsys):
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert elapsed < 10.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config_path,fmt", [
+    (path, fmt) for path in sorted(CONFIG_DIR.glob("*.json"))
+    for fmt in ("json", "text", "csv")
+    if fmt != "csv" or cli_module.SCENARIOS[json.loads(path.read_text())["scenario"]].sweeps
+], ids=lambda v: getattr(v, "name", v))
+def test_shipped_configs_run_without_warnings(config_path, fmt, capsys):
+    # a numpy warning (overflow, invalid value) raises here instead of
+    # reaching stderr next to a report
+    scenario = json.loads(config_path.read_text())["scenario"]
+    assert main([scenario, "--config", str(config_path), "--format", fmt]) == 0
+    assert capsys.readouterr().err.startswith(f"freedim {scenario}: completed in ")
 
 
 # ---------------------------------------------------------------------------

@@ -250,19 +250,33 @@ def _schreier_three_passes(n, images, table):
     return tuple(order), edges, tuple(transversal), gens
 
 
-def test_schreier_graph_matches_three_pass_reference():
+def _drawn_homs():
+    """(n, images, table): four random homomorphisms from each free group
+    of rank 1, 2 and 3 onto each of five tables."""
     rng = np.random.default_rng(3)
     tables = [fd.cyclic_group(1), fd.cyclic_group(5), fd.symmetric_group(3),
               fd.symmetric_group(4), fd.direct_product(fd.cyclic_group(2), fd.cyclic_group(4))]
     for table in tables:
         for n in (1, 2, 3):
             for _ in range(4):
-                images = [int(rng.integers(table.order)) for _ in range(n)]
-                graph = fd.schreier_graph(n, images, table)
-                cosets, edges, transversal, gens = _schreier_three_passes(n, images, table)
-                assert graph.cosets == cosets and graph.transversal == transversal
-                assert graph.edges.dtype == edges.dtype and np.array_equal(graph.edges, edges)
-                assert graph.subgroup_generators == gens and graph.kernel_verified
+                yield n, [int(rng.integers(table.order)) for _ in range(n)], table
+
+
+def test_schreier_graph_matches_three_pass_reference():
+    for n, images, table in _drawn_homs():
+        graph = fd.schreier_graph(n, images, table)
+        cosets, edges, transversal, gens = _schreier_three_passes(n, images, table)
+        assert graph.cosets == cosets and graph.transversal == transversal
+        assert graph.edges.dtype == edges.dtype and np.array_equal(graph.edges, edges)
+        assert graph.subgroup_generators == gens and graph.kernel_verified
+
+
+def test_schreier_graph_emits_the_rank_formula_count():
+    # of the m n edges the walk scans, the m - 1 tree edges emit nothing
+    # and every other edge emits one generator
+    for n, images, table in _drawn_homs():
+        graph = fd.schreier_graph(n, images, table)
+        assert len(graph.subgroup_generators) == 1 + len(graph.cosets) * (n - 1)
 
 
 def test_permutation_cycle_parsing():
