@@ -31,7 +31,13 @@ def inner_spec(gns: GnsStructure, B: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def fdq_targets(gns: GnsStructure, slot: int) -> tuple[np.ndarray, ...]:
     """The free difference quotient in `slot`: the trace-vector projection
-    there and zero in the other slots."""
+    P1 there and zero in the other slots.
+
+    It never descends, by a margin: each [Y, L_j] has trace 0 on every
+    diagonal block of L2 (L_j maps each to itself), where P1 has trace
+    alpha_i, and ||P1|| = 1, so `_sylvester_residual` is at least
+    sqrt(sum_i alpha_i^2 / n_i^2) >= 1/sqrt(D) (Cauchy-Schwarz), far
+    above WELLDEF_TOL."""
     n = len(gns.generator_left_mult)
     if not 0 <= slot < n:
         raise IllDefined(f"slot {slot} out of range for {n} generators")

@@ -85,6 +85,17 @@ def generates(alg):
     return generated_dim(alg.block_sizes, alg.generators) == alg.dim
 
 
+def evaluate_word(word, images, table):
+    """Image of a free word under the homomorphism sending generator k to
+    images[k-1]: the oracle for the kernel membership that `schreier_graph`
+    states for its generators."""
+    out = table.identity
+    for letter in word:
+        g = images[abs(letter) - 1]
+        out = table.mul(out, table.inv(g) if letter < 0 else g)
+    return out
+
+
 def coords(gns, x):
     """Coordinates <x, b_m> of an algebra element in the orthonormal basis."""
     return np.einsum("mab,ba,b->m", gns.basis, x, gns._wvec, optimize=True)

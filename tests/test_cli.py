@@ -528,6 +528,21 @@ def test_unreadable_json_is_a_config_error(tmp_path, capsys, text):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda d: d / "missing.json", "config error: cannot read config {path}: "),
+    (lambda d: d, "config error: cannot read config {path}: "),
+    (lambda d: d / "list.json", "config error: config must be a JSON object\n"),
+], ids=["missing_path", "directory", "json_list"])
+def test_config_that_is_not_a_json_object_file_is_refused(tmp_path, capsys, make,
+                                                          message):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    path = str(make(tmp_path))
+    assert main(["counterexample", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path)) and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # determinism and outputs
 # ---------------------------------------------------------------------------

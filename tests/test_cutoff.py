@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import freedim as fd
 from conftest import random_hermitian
 from freedim.cli import main
+from freedim.tolerances import CLAMP_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,36 @@ def test_family_conditions_random_scale(R, smooth):
     grid = np.linspace(-8 * R, 8 * R, 81)
     G = fam.g(grid[:, None], grid[None, :])
     assert np.abs(G).max() <= 2.0 + 1e-12  # condition 3
+
+
+def _sampled_conditions(fam):
+    """The three conditions on the grids the `cutoff` report once sampled at
+    R = max(r_grid): 101 points of [-R, R], 201 of [-10R, 10R] and a 101 x 101
+    quotient grid over [-5R, 5R]."""
+    R = fam.R
+    sample = np.linspace(-R, R, 101)
+    inside = sample[np.abs(sample) <= R]
+    axis = np.linspace(-5 * R, 5 * R, 101)
+    return {
+        "fixes_inner_interval": bool(np.array_equal(fam.f(inside), inside)),
+        "bounded_by_R_plus_1": bool(np.abs(fam.f(np.linspace(-10 * R, 10 * R, 201))).max()
+                                    <= R + 1.0 + CLAMP_SLACK),
+        "quotient_bounded_by_2": bool(np.abs(fam.g(*np.meshgrid(axis, axis))).max()
+                                      <= 2.0 + CLAMP_SLACK),
+    }
+
+
+_ADMITTED_RADII = sorted({*np.geomspace(5e-324, 1e6, 1000).tolist(),
+                          5e-324, 1e-310, 1e-300, 1e-9, 1e-8, 0.5, 1.0, 8.0, 1e6})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
+def test_family_conditions_at_every_admitted_radius(smooth):
+    # the `cutoff` report states these conditions; CutoffFamily proves them
+    for R in _ADMITTED_RADII:
+        conditions = _sampled_conditions(fd.CutoffFamily(R, smooth=smooth))
+        assert all(conditions.values()), (R, conditions)
 
 
 def test_smooth_profile_is_continuous_at_the_knee():
@@ -222,6 +253,23 @@ def test_sweep_matches_per_radius_cutoff_bitwise(case, smooth):
     got = fd.convergence_sweep(A, X, grid, smooth=smooth)
     want = _sweep_by_apply_cutoff(A, X, grid, smooth=smooth)
     assert [(R, e.hex()) for R, e in got] == [(R, e.hex()) for R, e in want]
+
+
+@pytest.mark.filterwarnings("error")
+def test_smooth_clamp_at_subnormal_radius_runs_without_overflow_warning(tmp_path, capsys):
+    # exp(-1/u) at a subnormal excess u: -1/u overflows to -inf and exp gives
+    # the exact 0, which numpy used to report on stderr
+    A, X = np.diag([2e-310, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    rows = fd.convergence_sweep(A, [X], [1e-310], smooth=True)
+    assert rows[0][0] == 1e-310 and rows[0][1] > 0.0
+    pairs = [[[[float(x), 0.0] for x in row] for row in M] for M in (A, X)]
+    config = tmp_path / "cutoff.json"
+    config.write_text(json.dumps({"scenario": "cutoff", "parameters": {
+        "r_grid": [1e-310], "smooth": True, "A": pairs[0], "X": [pairs[1]]}}))
+    assert main(["cutoff", "--config", str(config)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"]["sweep"] == [{"R": 1e-310, "hs_error": rows[0][1]}]
+    assert err.startswith("freedim cutoff: completed in ") and len(err.splitlines()) == 1
 
 
 def test_sweep_diagonalizes_once(monkeypatch, capsys):

@@ -279,6 +279,35 @@ def test_phi_star_regular_representation_decisive():
     assert any(not s.well_defined for s in rep.slots)
 
 
+def _fisher_margin_algebras():
+    """(id, algebra): the shipped dual configs, the perfbench dual ladder's
+    shapes (D = 36, 41, 49, 64) and random block algebras."""
+    for name in ("dual_fisher", "dual_inner"):
+        with open(CONFIG_DIR / f"{name}.json") as fh:
+            yield name, section_algebra(json.load(fh)["algebra"])
+    for shape in ((6,), (4, 5), (7,), (8,)):
+        yield f"ladder{shape}", random_block_algebra(shape, 0)
+    for shape in ((1, 2), (2, 3), (1, 1, 2), (3,)):
+        for seed in range(3):
+            yield f"random{shape}-{seed}", random_block_algebra(shape, seed)
+
+
+_FISHER_MARGIN = list(_fisher_margin_algebras())
+
+
+@pytest.mark.parametrize("alg", [a for _, a in _FISHER_MARGIN],
+                         ids=[i for i, _ in _FISHER_MARGIN])
+def test_free_difference_quotient_misses_by_the_trace_bound(alg):
+    # fdq_targets: P1 has trace alpha_i on the diagonal block i, every
+    # commutator trace 0, so the relative residual is at least this bound
+    gns = fd.gns_structure(alg)
+    bound = np.sqrt(sum((a / n) ** 2 for a, n in zip(alg.trace_weights, alg.block_sizes)))
+    assert bound >= 1.0 / np.sqrt(gns.dim) * (1 - 1e-12)
+    for j in range(len(alg.generators)):
+        residual = derivations_module._sylvester_residual(gns, fd.fdq_targets(gns, j))
+        assert residual >= bound * (1 - 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # dual operator construction
 # ---------------------------------------------------------------------------

@@ -77,3 +77,21 @@ def test_named_thresholds_at_their_call_sites(module, function, constant):
     assert constant in {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     assert [node.value for node in ast.walk(body) if isinstance(node, ast.Constant)
             and type(node.value) is float] == []
+
+
+def _read_names(path: Path) -> set[str]:
+    """Every name a module loads, bare or as an attribute."""
+    tree = ast.parse(path.read_text())
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_tolerance_is_read():
+    # a named threshold that no module or other test reads gates nothing
+    tests = Path(__file__).resolve().parent
+    readers = [p for p in [*PACKAGE.glob("*.py"), *tests.glob("*.py")]
+               if p.name not in ("tolerances.py", Path(__file__).name)]
+    read = set().union(*map(_read_names, readers))
+    constants = [name for name in vars(tolerances) if name.isupper()]
+    assert constants and sorted(set(constants) - read) == []
