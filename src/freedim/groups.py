@@ -141,8 +141,6 @@ def permutation_from_cycles(text: str, degree: int) -> tuple[int, ...]:
         close = body.index(")")
         points = body[1:close].replace(",", " ").split()
         body = body[close + 1 :].strip()
-        if not points:
-            continue
         if not all(p.isdecimal() for p in points):
             raise FreedimError(f"malformed cycle notation {text!r}")
         cycle = [int(p) - 1 for p in points]

@@ -231,6 +231,15 @@ def test_group_free_cycle_notation_images(tmp_path, capsys):
     assert (kernel["index"], kernel["rank"]) == (2, 3)
 
 
+def test_group_free_cycle_notation_skips_empty_cycles(tmp_path, capsys):
+    def results(image):
+        cfg = {"scenario": "group_free", "group": {"kind": "symmetric", "n": 3},
+               "parameters": {"rank": 2, "images": [image, "(1 2 3)"]}}
+        return _report(tmp_path, capsys, cfg)["results"]
+
+    assert results("()(1 2)") == results("(1 2)")
+
+
 def _report(tmp_path, capsys, cfg, *flags):
     path = write_config(tmp_path, cfg)
     assert main([cfg["scenario"], "--config", path, *flags]) == 0
@@ -909,10 +918,8 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
      "config error: parameters.dim must be a positive integer"),
     (_shipped("cutoff_sweep", n_ops="x"), 2,
      "config error: parameters.n_ops must be a positive integer"),
-    (_shipped("cutoff_sweep", r_grid=[1, 1e308]), 2,
-     "config error: parameters.r_grid values must be at most 1e+06"),
     (_shipped("cutoff_sweep", r_grid=[10**400]), 2,
-     "config error: parameters.r_grid values must be at most 1e+06"),
+     "config error: parameters.r_grid must be a nonempty list of finite positive reals\n"),
     (_shipped("cutoff_sweep", dim=257), 2,
      "config error: parameters.dim must be at most 256, got 257"),
     (_shipped("cutoff_sweep", n_ops=10**9), 2,
@@ -927,6 +934,9 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
     ({"scenario": "group_free", "group": {"kind": "symmetric", "n": 2},
       "parameters": {"rank": 2, "images": ["(a b)", "(1 2)"]}}, 2,
      "config error: parameters.images[0]: malformed cycle notation '(a b)'"),
+    ({"scenario": "group_free", "group": {"kind": "symmetric", "n": 3},
+      "parameters": {"rank": 2, "images": ["(1 2)x", "(1 2)"]}}, 2,
+     "config error: parameters.images[0]: malformed cycle notation '(1 2)x'\n"),
     *[({"scenario": "group_free", "group": {"kind": "symmetric", "n": 3},
         "parameters": {"rank": 2, "images": ["(1 2)", bad]}}, 2,
        f"config error: parameters.images[1]: {why}")
@@ -995,10 +1005,11 @@ _ZERO_4X4 = mat_pairs(np.zeros((4, 4)))
 ], ids=["slot_string", "slot_bool", "slot_out_of_range", "slot_seven", "slot_negative",
         "targets_empty", "targets_too_many", "targets_scalar",
         "targets_shape", "k_zero", "k_string", "k_scalar", "r_grid_string",
-        "r_grid_nan", "dim_negative", "n_ops_string", "r_grid_huge",
+        "r_grid_nan", "dim_negative", "n_ops_string",
         "r_grid_huge_int", "dim_above_cap", "n_ops_above_cap",
         "free_group_order_above_cap", "rank_string", "image_out_of_range",
-        "image_cycle_letters", *[f"image_cycle_{k}" for k in range(len(_BAD_CYCLES))],
+        "image_cycle_letters", "image_cycle_trailing_text",
+        *[f"image_cycle_{k}" for k in range(len(_BAD_CYCLES))],
         *[f"generating_set_{k}" for k in range(len(_BAD_GENERATING_SETS))],
         *[f"mult_{k}" for k in range(len(_BAD_TABLES))],
         *[f"{kind}_{where}" for kind in ("no_identity", "no_inverse", "not_associative")
@@ -1066,6 +1077,31 @@ def test_cutoff_radius_at_cap_runs_without_warnings(tmp_path, capsys, smooth):
     assert len(captured.err.strip().splitlines()) == 1
     sweep = json.loads(captured.out)["results"]["sweep"]
     assert [row["hs_error"] for row in sweep[1:]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("r_grid", [[1e7], [1, 1e308], [sys.float_info.max]],
+                         ids=["r_grid_huge", "r_grid_1e308", "r_grid_max"])
+def test_cutoff_admits_every_finite_radius(tmp_path, capsys, r_grid, fmt):
+    # the sweep's cost does not depend on R, and at or past the spectral
+    # radius (5.66 on this instance) the clamp passes the spectrum through
+    path = write_config(tmp_path, _shipped("cutoff_sweep", r_grid=r_grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cutoff", "--config", path, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("freedim cutoff: completed in ")
+    assert len(captured.err.splitlines()) == 1
+    if fmt == "json":
+        rows = [(row["R"], row["hs_error"])
+                for row in json.loads(captured.out)["results"]["sweep"]]
+    elif fmt == "csv":
+        rows = [tuple(map(float, line.split(","))) for line in captured.out.splitlines()[1:]]
+    else:
+        rows = [(float(line.split()[2].rstrip(":")), float(line.split()[-1]))
+                for line in captured.out.splitlines() if line.startswith("R = ")]
+    assert [R for R, _ in rows] == [float(r) for r in r_grid]
+    assert all(hs_error == 0.0 for R, hs_error in rows if R > 1)
 
 
 def test_group_order_cap_checked_before_construction(tmp_path, capsys):

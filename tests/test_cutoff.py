@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -67,8 +68,10 @@ def _sampled_conditions(fam):
     }
 
 
-_ADMITTED_RADII = sorted({*np.geomspace(5e-324, 1e6, 1000).tolist(),
-                          5e-324, 1e-310, 1e-300, 1e-9, 1e-8, 0.5, 1.0, 8.0, 1e6})
+# up to 1e300: the [-10R, 10R] grid overflows past about 1.8e307
+_ADMITTED_RADII = sorted({*np.geomspace(5e-324, 1e300, 1000).tolist(),
+                          5e-324, 1e-310, 1e-300, 1e-9, 1e-8, 0.5, 1.0, 8.0, 1e6, 1e7,
+                          1e300})
 
 
 @pytest.mark.filterwarnings("error")
@@ -191,6 +194,21 @@ def test_sweep_zero_beyond_spectral_radius():
 def test_sweep_zero_input():
     rows = fd.convergence_sweep(np.zeros((4, 4)), [np.eye(4)], [1.0, 2.0])
     assert all(err == 0.0 for _, err in rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
+def test_sweep_at_the_largest_radius(smooth):
+    # R + 1 rounds to R and R - |lam| stays finite, so nothing overflows
+    rng = np.random.default_rng(4)
+    A = _with_radius(rng, 8, 5.0)
+    X = [random_hermitian(rng, 8)]
+    grid = [1.0, 8.0, 1e300, sys.float_info.max]
+    rows = fd.convergence_sweep(A, X, grid, smooth=smooth)
+    radius = fd.spectral_radius(A)
+    assert [R for R, _ in rows] == grid
+    assert rows[0][1] > 0.0
+    assert all(err == 0.0 for R, err in rows if R >= radius)
 
 
 def test_sweep_threshold_scales_with_dilation():

@@ -244,6 +244,69 @@ def test_central_projections_pass_on_the_first_good_draw(monkeypatch):
     assert draws == []
 
 
+def _resolution_error(call, *args):
+    with pytest.raises(fd.CenterResolutionError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_central_block_size_refuses_a_non_square_dimension():
+    # the identity compresses the diagonal algebra of M_2 to dimension 2
+    assert (_resolution_error(wedderburn.central_block_size, np.eye(2), _diagonal_units(2))
+            == "central block has dimension 2, not a perfect square")
+
+
+def test_irreducible_isometry_refuses_a_range_off_the_block_size():
+    assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(3),
+                              _diagonal_units(3), 2, np.random.default_rng(0))
+            == "central range has dimension 3, not a multiple of block size 2")
+
+
+def test_irreducible_isometry_fails_without_a_splitting_commutant():
+    # a commutant of scalars leaves range(z) one eigenvalue cluster at every draw
+    assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(4),
+                              np.eye(4)[None], 2, np.random.default_rng(0))
+            == "could not isolate an irreducible subspace of dimension 2")
+
+
+_C2_GENERATOR = np.diag([0.0, 1.0]).astype(complex)
+
+
+def _blockify_c2(trace_fn=lambda z: complex(np.trace(z))):
+    """blockify on the diagonal algebra of M_2, generated by diag(0, 1)."""
+    return wedderburn.blockify(_diagonal_units(2), [_C2_GENERATOR], trace_fn,
+                               [_C2_GENERATOR], ["X1"], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("trace,shown", [(complex(0.5, 1.0), "(0.5+1j)"), (0j, "0j")],
+                         ids=["not_real", "not_positive"])
+def test_blockify_refuses_a_central_projection_off_the_trace(trace, shown):
+    assert (_resolution_error(_blockify_c2, lambda z: trace)
+            == f"central projection has trace {shown}")
+
+
+def test_blockify_refuses_a_subspace_the_generators_move(monkeypatch):
+    # (e_1 + e_2) / sqrt 2 is moved by diag(0, 1) with residual 1/2
+    tilted = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
+    monkeypatch.setattr(wedderburn, "_irreducible_isometry", lambda z, c, n, rng: tilted)
+    assert (_resolution_error(_blockify_c2)
+            == "extracted subspace is not invariant (residual 5.00e-01)")
+
+
+def test_blockify_refuses_block_sizes_off_the_algebra_dimension(monkeypatch):
+    # a split that finds one of the two central blocks
+    monkeypatch.setattr(wedderburn, "minimal_central_projections",
+                        lambda basis, center, rng: [np.diag([1.0, 0.0]).astype(complex)])
+    assert (_resolution_error(_blockify_c2)
+            == "block sizes [1] are inconsistent with algebra dimension 2")
+
+
+def test_blockify_of_the_diagonal_algebra():
+    # the inputs the tests above break: unbroken, they give C^2 at equal weights
+    alg = _blockify_c2()
+    assert (alg.block_sizes, alg.trace_weights) == ((1, 1), (0.5, 0.5))
+
+
 def test_central_projections_partition_identity(c1m2):
     gns = fd.gns_structure(c1m2)
     np.testing.assert_allclose(
