@@ -245,8 +245,8 @@ def _flag(section: dict, key: str, where: str) -> bool:
 
 # Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle spans
 # grow about as D^6 (12 s and 699 MB at D = 41 for 2 generators, more for each
-# further one); dual_system on one 10 x 10 block (D = 100) takes 1.0 s and 150 MB
-# (inner) to 1.8 s and 157 MB (fisher), as peak RSS (2 vCPU, 2 OpenBLAS threads).
+# further one); dual_system on one 10 x 10 block (D = 100) takes 0.8 s and 146 MB
+# (inner) to 1.5 s and 153 MB (fisher), as peak RSS (2 vCPU, 2 OpenBLAS threads).
 _DELTA_MAX_DIM = 41
 _DUAL_MAX_DIM = 100
 
@@ -329,8 +329,8 @@ def _dual_shapes(values: dict, dim: int) -> None:
 
 
 # Size caps of the cutoff sweep: its cost is about len(r_grid) * n_ops * dim^3
-# (0.4 s for 8 radii, 2 operators at dim 256; 6.7 s for 64 radii at the dim
-# and n_ops caps).
+# (0.07 s and 51 MB for 8 radii, 2 operators at dim 256; 1.8 s and 79 MB for 64
+# radii at the dim and n_ops caps; peak RSS, 2 vCPU, 2 OpenBLAS threads).
 _CUTOFF_MAX_RADII = 64
 _CUTOFF_MAX_DIM = 256
 _CUTOFF_MAX_OPS = 16

@@ -181,7 +181,8 @@ def _xi(gns: GnsStructure, dhat: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FisherSlot:
-    """Well-definedness data for one distinguished-derivation slot."""
+    """Well-definedness data for one distinguished-derivation slot; no slot
+    descends (`fdq_targets`), so none has a conjugate vector: `xi_norm_sq` is None."""
 
     slot: int
     well_defined: bool
@@ -198,20 +199,17 @@ class FisherReport:
 def _fisher_slot(gns: GnsStructure, j: int) -> FisherSlot:
     """Slot j's verdict; its fit's (D^2, D) map is released on return."""
     fit = derivation_well_defined(gns, fdq_targets(gns, j))
-    xi_norm_sq = float(np.linalg.norm(_xi(gns, fit.map)) ** 2) if fit.well_defined else None
-    return FisherSlot(j, fit.well_defined, fit.defect, xi_norm_sq)
+    return FisherSlot(j, fit.well_defined, fit.defect, None)
 
 
 def fisher_report(gns: GnsStructure) -> FisherReport:
-    """Sum of |xi_j|^2 over the distinguished derivations, or +inf.
-
-    Infinite whenever some slot's derivation fails to descend (the defect
-    records how decisively) or lacks a conjugate vector.
+    """Sum of |xi_j|^2 over the distinguished derivations, +inf when some
+    slot fails to descend (its defect records how decisively).  Every slot
+    fails, as `fdq_targets` bounds its residual below by 1/sqrt(D) >>
+    WELLDEF_TOL, so the value is +inf, or 0.0, the empty sum, for no generators.
     """
     slots = [_fisher_slot(gns, j) for j in range(len(gns.generator_left_mult))]
-    if not all(s.well_defined for s in slots):
-        return FisherReport(value=float("inf"), slots=slots)
-    return FisherReport(value=sum((s.xi_norm_sq for s in slots), 0.0), slots=slots)
+    return FisherReport(float("inf") if slots else 0.0, slots)
 
 
 def phi_star(algebra: TracialAlgebra) -> float:

@@ -57,7 +57,7 @@ class ResidualTooLarge(FreedimError):
 # -- group tools --------------------------------------------------------------
 
 class TooLarge(FreedimError):
-    """Group order exceeds the configured cap."""
+    """A group order or an algebra dimension D exceeds its configured cap."""
 
 
 class NotGeneratingSet(FreedimError):

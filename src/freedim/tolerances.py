@@ -23,7 +23,6 @@ WORD_GROWTH_TOL = 1e-9    # a word's vector grows the derivation fit's span
 COMMUTANT_ZERO_TOL = 1e-12  # every commutator counts as zero (commutant search)
 CLUSTER_GAP = 1e-6        # eigenvalue gap between clusters of a random split
 SUPPORT_TOL = 1e-6        # diagonal entries of a projection that fix block order
-PROJECTION_TRACE_TOL = 1e-10  # imaginary part of the trace of a central projection
 CENTER_WEIGHT_TOL = 1e-8  # tau(z_i) of a recovered block against its declared weight
 FRACTION_TOL = 1e-12      # a float read as a nearby fraction of denominator <= 10^6
 FRACTION_DENOMINATOR = 10**6  # largest denominator of that fraction

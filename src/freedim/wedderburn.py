@@ -19,8 +19,7 @@ from .algebra import (_GENERATED, TracialAlgebra, _diag_weights, _rowspace_resid
                       unit_scaled, word_span)
 from .errors import CenterResolutionError
 from .tolerances import (CENTER_RETRIES, CLUSTER_GAP, COMMUTANT_ZERO_TOL, INVARIANCE_TOL,
-                         PROJECTION_DIGITS, PROJECTION_SPLIT, PROJECTION_TRACE_TOL, RANK_TOL,
-                         SUPPORT_TOL)
+                         PROJECTION_DIGITS, PROJECTION_SPLIT, RANK_TOL, SUPPORT_TOL)
 
 
 def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarray:
@@ -143,6 +142,9 @@ def blockify(
     and `generators` the elements whose images become the generating tuple.
     The span must hold the identity, and both callers put it there exactly:
     lambda(e) among the regular representation, the seed of `word_span`.
+    A block's weight is the real part of tau(z): both traces are faithful
+    (x[e, e], and the diagonal sum over positive weights), so tau(z) > 0 and
+    its imaginary part is rounding.
     """
     mats = [np.asarray(m, dtype=complex) for m in span_mats]
     N = mats[0].shape[0]
@@ -158,9 +160,6 @@ def blockify(
     sizes, weights, isometries = [], [], []
     for z in zs:
         n = central_block_size(z, alg_basis)
-        alpha = trace_fn(z)
-        if abs(alpha.imag) > PROJECTION_TRACE_TOL or alpha.real <= 0:
-            raise CenterResolutionError(f"central projection has trace {alpha!r}")
         V = _irreducible_isometry(z, commutant, n, rng)
         for g in commuting_set:
             resid = np.linalg.norm(g @ V - V @ (V.conj().T @ g @ V))
@@ -169,7 +168,7 @@ def blockify(
                     f"extracted subspace is not invariant (residual {resid:.2e})"
                 )
         sizes.append(n)
-        weights.append(alpha.real)
+        weights.append(trace_fn(z).real)
         isometries.append(V)
 
     if sum(n * n for n in sizes) != alg_dim:

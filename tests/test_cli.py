@@ -424,6 +424,12 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["delta", "--config", path]) == 2
 
 
+def test_load_config_refuses_an_unknown_scenario():
+    # main's argument parser offers only known scenarios; library callers may pass any
+    with pytest.raises(fd.ConfigError, match="^unknown scenario 'nope'$"):
+        load_config(str(CONFIG_DIR / "delta_two_point.json"), "nope", None, False)
+
+
 def test_scenario_mismatch_rejected(tmp_path):
     path = write_config(tmp_path, {"scenario": "counterexample"})
     assert main(["delta", "--config", path]) == 2

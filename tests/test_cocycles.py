@@ -338,6 +338,14 @@ def test_per_block_invariance_matches_dense_oracle(shape):
     assert _rowspace_residual(dense, closure.flat()) <= 1e-12
 
 
+def test_invariant_closure_reads_one_tuple_as_a_family_of_one(m2):
+    gns = fd.gns_structure(m2)
+    T = np.random.default_rng(5).standard_normal((2, gns.dim, gns.dim))
+    one, family = fd.invariant_closure(gns, T), fd.invariant_closure(gns, T[None])
+    assert np.array_equal(one.basis, family.basis)
+    assert one.invariance_residual == family.invariance_residual
+
+
 def test_commutator_bound_rejects_non_commuting_operator(m2):
     # a Hermitian "L" outside the algebra does not commute with the action
     gns = fd.gns_structure(m2)

@@ -279,6 +279,20 @@ def test_phi_star_regular_representation_decisive():
     assert any(not s.well_defined for s in rep.slots)
 
 
+def test_fisher_of_the_empty_tuple_is_the_empty_sum():
+    # C is the one algebra the empty tuple generates; it has no slot to fail
+    rep = fd.fisher_report(fd.gns_structure(fd.build_algebra([1], [1.0], [])))
+    assert (rep.value, rep.slots) == (0.0, [])
+
+
+def test_derivation_guards_refuse_a_wrong_slot_or_target_count(m2):
+    gns = fd.gns_structure(m2)
+    with pytest.raises(fd.IllDefined, match="^slot 2 out of range for 2 generators$"):
+        fd.fdq_targets(gns, 2)
+    with pytest.raises(fd.IllDefined, match="^1 target operators for 2 generators$"):
+        fd.derivation_well_defined(gns, [np.zeros((gns.dim, gns.dim))])
+
+
 def _fisher_margin_algebras():
     """(id, algebra): the shipped dual configs, the perfbench dual ladder's
     shapes (D = 36, 41, 49, 64) and random block algebras."""

@@ -92,6 +92,34 @@ def test_bad_table_rejected():
         fd.from_mult_table([[0, 1], [1, 1]])  # not a latin square / no inverse
 
 
+def _all_zero_table():
+    """Order 2 with every product 0: no element generates it."""
+    return fd.FiniteGroupTable(2, np.zeros((2, 2), dtype=int), np.zeros(2, dtype=int), 0,
+                               ("a", "b"))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: fd.from_mult_table([[0, 2], [1, 0]]), "multiplication table entries out of range"),
+    (lambda: fd.symmetric_element_index((0, 0, 1), 3),
+     "(0, 0, 1) is not a permutation of 3 points"),
+    (lambda: fd.schreier_graph(2, [1], fd.cyclic_group(2)), "1 images for 2 free generators"),
+    (lambda: fd.BettiInput.free_group(0), "free-group rank must be >= 1"),
+    (lambda: fd.BettiInput.finite_group(0), "group order must be >= 1"),
+    (lambda: minimal_generating_set(_all_zero_table()),
+     "group has no generating set (corrupt table)"),
+], ids=["table_entry", "not_a_permutation", "image_count", "free_rank", "group_order",
+        "corrupt_table"])
+def test_library_guards_refuse_malformed_input(call, message):
+    # the CLI checks each of these at ingestion; library callers reach the guard
+    with pytest.raises(fd.FreedimError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_empty_word_renders_as_one():
+    assert fd.word_str((), ("u", "v")) == "1"
+
+
 # ---------------------------------------------------------------------------
 # regular representations
 # ---------------------------------------------------------------------------

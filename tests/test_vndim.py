@@ -278,13 +278,6 @@ def _blockify_c2(trace_fn=lambda z: complex(np.trace(z))):
                                [_C2_GENERATOR], ["X1"], np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("trace,shown", [(complex(0.5, 1.0), "(0.5+1j)"), (0j, "0j")],
-                         ids=["not_real", "not_positive"])
-def test_blockify_refuses_a_central_projection_off_the_trace(trace, shown):
-    assert (_resolution_error(_blockify_c2, lambda z: trace)
-            == f"central projection has trace {shown}")
-
-
 def test_blockify_refuses_a_subspace_the_generators_move(monkeypatch):
     # (e_1 + e_2) / sqrt 2 is moved by diag(0, 1) with residual 1/2
     tilted = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
