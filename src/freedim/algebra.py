@@ -246,16 +246,14 @@ def build_algebra(
 class GnsStructure:
     """Orthonormal coordinates for the trace representation of an algebra.
 
-    The basis consists of self-adjoint algebra elements, so the conjugation
-    a -> a* acts on coordinates as entrywise complex conjugation.
+    The basis (`_orthonormal_selfadjoint_basis`) consists of self-adjoint
+    algebra elements, so the conjugation a -> a* acts on coordinates as
+    entrywise complex conjugation.
     """
 
     algebra: TracialAlgebra
-    dim: int
-    basis: np.ndarray            # (D, N, N) self-adjoint elements
     trace_vector: np.ndarray     # (D,) coordinates of 1, unit norm
-    generator_left_mult: np.ndarray  # (n, D, D): left_mults (trace formula)
-    _wvec: np.ndarray = field(repr=False, default=None)
+    generator_left_mult: np.ndarray  # (n, D, D), from the trace formula
     # per block: row range (s, t), coordinate range (S, T), size n, unit map U
     blocks: list[tuple[int, int, int, int, int, np.ndarray]] = field(init=False, repr=False)
 
@@ -263,14 +261,9 @@ class GnsStructure:
         self.blocks = [(s, t, S, T, n, _unit_map(n))
                        for (s, t), (S, T), n in _block_ranges(self.algebra.block_sizes)]
 
-    def left_mults(self, generators: Sequence[np.ndarray]) -> np.ndarray:
-        """(n, D, D) stack of the left multiplications by the generators, all
-        of one shape and so contracted along one path, searched once per shape."""
-        xs = [np.asarray(X, dtype=complex) for X in generators]
-        spec, b, w = "mab,bc,qca,a->mq", self.basis, self._wvec
-        path = xs and _contraction_path(spec, b.shape, xs[0].shape, b.shape, w.shape)
-        Ls = [np.einsum(spec, b, x, b, w, optimize=path) for x in xs]
-        return np.asarray(Ls, dtype=complex).reshape(-1, self.dim, self.dim)
+    @property
+    def dim(self) -> int:
+        return self.algebra.dim
 
     @functools.cached_property
     def commutant_actions(self) -> list[tuple[int, int, np.ndarray]]:
@@ -278,8 +271,8 @@ class GnsStructure:
         of its basis elements' commutant action generators R_p = L_{b_p}^T
         there, from the frame (see `_frame`) in O(n^6) work, once per
         structure; each R_p is exactly zero off its block."""
-        return [(S, T, _frame(self.basis[S:T, s:t, s:t], U).transpose(0, 2, 1))
-                for s, t, S, T, _, U in self.blocks]
+        return [(S, T, _frame(_block_basis(n, alpha), U).transpose(0, 2, 1))
+                for (_, _, S, T, n, U), alpha in zip(self.blocks, self.algebra.trace_weights)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,9 +323,10 @@ def _orthonormal_selfadjoint_basis(algebra: TracialAlgebra) -> np.ndarray:
 def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     """Build the trace representation of the algebra.
 
-    Populates the orthonormal self-adjoint basis, the generators' left
-    multiplications and the trace vector.  The
-    basis consists of Hermitian combinations of scaled matrix units, so in
+    Forms the generators' left multiplications and the trace vector from
+    the dense (D, N, N) orthonormal self-adjoint basis, which lives only
+    here: the structure does not keep it.  The basis consists of
+    Hermitian combinations of scaled matrix units, so in
     each block left multiplication has a closed form, the matrix-unit frame
     conj(U) (x (x) 1) U^T (see `_frame`).  `GnsStructure.commutant_actions`
     builds the basis elements' left multiplications from it block by block,
@@ -342,22 +336,19 @@ def gns_structure(algebra: TracialAlgebra) -> GnsStructure:
     multiplication from the trace formula matches its frame.
     """
     basis = _orthonormal_selfadjoint_basis(algebra)
-    D = algebra.dim
     wvec = _diag_weights(algebra.block_sizes, algebra.trace_weights)
 
     # one nonzero term per coordinate at most, so no summation order matters;
     # _block_basis puts only real values on the diagonal, so the imaginary part is 0
     trace_vector = np.einsum("maa,a->m", basis, wvec).real
 
-    gns = GnsStructure(
-        algebra=algebra,
-        dim=D,
-        basis=basis,
-        trace_vector=trace_vector,
-        generator_left_mult=None,
-        _wvec=wvec,
-    )
-    gns.generator_left_mult = gns.left_mults(algebra.generators)
+    # L_X[m, q] = tau(b_m X b_q); every generator has one shape, so one path
+    # serves them all, searched once per shape
+    spec, xs = "mab,bc,qca,a->mq", algebra.generators
+    path = xs and _contraction_path(spec, basis.shape, xs[0].shape, basis.shape, wvec.shape)
+    Ls = np.asarray([np.einsum(spec, basis, x, basis, wvec, optimize=path) for x in xs],
+                    dtype=complex).reshape(-1, algebra.dim, algebra.dim)
+    gns = GnsStructure(algebra=algebra, trace_vector=trace_vector, generator_left_mult=Ls)
     _verify_gns(gns)
     return gns
 
@@ -429,7 +420,8 @@ def _verify_gns(gns: GnsStructure) -> None:
     12 u of e_p: c fl(c w) or 2 sqrt(1/2) fl(p fl(c w)), three roundings.
     """
     Ls = gns.generator_left_mult
-    X = np.asarray(gns.algebra.generators, dtype=complex).reshape(len(Ls), *gns.basis.shape[1:])
+    N = gns.algebra.matrix_size
+    X = np.asarray(gns.algebra.generators, dtype=complex).reshape(len(Ls), N, N)
     tol = OPERATOR_TOL * np.maximum(1.0, np.abs(X).max(axis=(1, 2), initial=0.0))
     for s, t, S, T, _, U in gns.blocks:
         rows = Ls[:, S:T]

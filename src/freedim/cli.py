@@ -18,7 +18,6 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,8 +81,12 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def _clean(value):
-    """JSON-safe copy: fractions as 'p/q', non-finite floats as strings."""
-    # the common leaves first, and Fraction's slow isinstance check last
+    """JSON-safe copy: fractions as 'p/q', non-finite floats as strings.
+
+    A report's leaves are str, int, bool, None, floats, complex numbers,
+    arrays and Fractions, so a leaf that reaches the end is a Fraction.
+    """
+    # the common leaves first
     if type(value) in (str, int, bool, type(None)):
         return value
     if isinstance(value, (np.floating, float)):
@@ -99,9 +102,7 @@ def _clean(value):
         return _clean(value.tolist())
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
+    return f"{value.numerator}/{value.denominator}"
 
 
 # Largest matrix entry accepted: products of three matrices of size up to 256

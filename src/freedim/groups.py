@@ -243,7 +243,7 @@ def regular_rep_algebra(
     return blockify(
         span_mats=list(lam),
         commuting_set=commuting,
-        trace_fn=lambda x: x[e, e],
+        trace_diag=np.eye(table.order)[e],
         generators=gens,
         labels=labels,
         rng=np.random.default_rng(seed),
@@ -288,8 +288,6 @@ class SchreierGraph:
 
     n: int
     cosets: tuple[int, ...]                 # image-subgroup elements, BFS order
-    edges: np.ndarray                       # (index, n) coset transition table
-    transversal: tuple[Word, ...]           # coset representative words
     subgroup_generators: tuple[Word, ...]   # reduced free words
     names: tuple[str, ...]
 
@@ -325,13 +323,11 @@ def schreier_graph(
     order = [e]
     pos = {e: 0}
     transversal: list[Word] = [()]
-    rows: list[list[int]] = []
     gens: list[Word] = []
     # one breadth-first walk: a target reached by a non-tree edge of head i
     # already has its transversal word, so the edge's generator is emitted
     # in (i, k) order as it is found
     for i, v in enumerate(order):
-        row = []
         for k in range(n):
             w = table.mul(v, images[k])
             if w not in pos:
@@ -340,19 +336,7 @@ def schreier_graph(
                 transversal.append(transversal[i] + (k + 1,))
             else:
                 gens.append(transversal[i] + (k + 1,) + word_inverse(transversal[pos[w]]))
-            row.append(pos[w])
-        rows.append(row)
-
-    m = len(order)
-    edges = np.array(rows, dtype=int).reshape(m, n)
-    return SchreierGraph(
-        n=n,
-        cosets=tuple(order),
-        edges=edges,
-        transversal=tuple(transversal),
-        subgroup_generators=tuple(gens),
-        names=names,
-    )
+    return SchreierGraph(n=n, cosets=tuple(order), subgroup_generators=tuple(gens), names=names)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ validated TracialAlgebra in block-diagonal coordinates.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def central_block_size(z: np.ndarray, algebra_basis: np.ndarray) -> int:
 def blockify(
     span_mats: Sequence[np.ndarray],
     commuting_set: Sequence[np.ndarray],
-    trace_fn: Callable[[np.ndarray], complex],
+    trace_diag: np.ndarray,
     generators: Sequence[np.ndarray],
     labels: Sequence[str],
     rng: np.random.Generator,
@@ -138,13 +138,14 @@ def blockify(
     """Re-express the algebra spanned by `span_mats` as a TracialAlgebra.
 
     `commuting_set` is any family generating the same algebra (used for the
-    cheaper commutant computation), `trace_fn` the faithful tracial state,
-    and `generators` the elements whose images become the generating tuple.
+    cheaper commutant computation), `trace_diag` the diagonal weights w of
+    the faithful tracial state tau(x) = sum_a x[a, a] w[a], and `generators`
+    the elements whose images become the generating tuple.
     The span must hold the identity, and both callers put it there exactly:
     lambda(e) among the regular representation, the seed of `word_span`.
     A block's weight is the real part of tau(z): both traces are faithful
-    (x[e, e], and the diagonal sum over positive weights), so tau(z) > 0 and
-    its imaginary part is rounding.
+    (w the indicator of e, and the positive `_diag_weights`), so tau(z) > 0
+    and its imaginary part is rounding.
     """
     mats = [np.asarray(m, dtype=complex) for m in span_mats]
     N = mats[0].shape[0]
@@ -168,7 +169,7 @@ def blockify(
                     f"extracted subspace is not invariant (residual {resid:.2e})"
                 )
         sizes.append(n)
-        weights.append(trace_fn(z).real)
+        weights.append(float(np.sum(np.diag(z) * trace_diag).real))
         isometries.append(V)
 
     if sum(n * n for n in sizes) != alg_dim:
@@ -228,8 +229,6 @@ def blockify_subalgebra(block_sizes: Sequence[int], trace_weights: Sequence[floa
     span = word_span(sizes, unit)
     if span.shape[0] == sum(n * n for n in sizes):
         return TracialAlgebra(sizes, weights, mats, labels, _GENERATED)
-    w = _diag_weights(sizes, weights)
     return blockify(_unflatten(span, sizes), commuting_set=unit,
-                    trace_fn=lambda z: complex(np.sum(np.diag(z) * w)),
-                    generators=mats, labels=labels,
+                    trace_diag=_diag_weights(sizes, weights), generators=mats, labels=labels,
                     rng=np.random.default_rng(0))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from freedim.algebra import _block_ranges, _frame, _unit_map, unit_scaled, word_span
+from freedim.algebra import (_block_ranges, _diag_weights, _frame, _orthonormal_selfadjoint_basis,
+                             _unit_map, unit_scaled, word_span)
 from freedim.derivations import _xi, derivation_well_defined
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,14 +97,34 @@ def evaluate_word(word, images, table):
     return out
 
 
+def dense_basis(gns):
+    """The (D, N, N) orthonormal self-adjoint basis b_m, which `gns_structure`
+    builds and does not keep."""
+    return _orthonormal_selfadjoint_basis(gns.algebra)
+
+
+def diag_weights(gns):
+    """w with tau(x) = sum_a x[a, a] w[a]."""
+    return _diag_weights(gns.algebra.block_sizes, gns.algebra.trace_weights)
+
+
+def left_mults(gns, xs):
+    """(n, D, D) left multiplications by the elements, from the trace formula
+    L_x[m, q] = tau(b_m x b_q), one searched contraction per element."""
+    b, w = dense_basis(gns), diag_weights(gns)
+    Ls = [np.einsum("mab,bc,qca,a->mq", b, np.asarray(x, dtype=complex), b, w, optimize=True)
+          for x in xs]
+    return np.asarray(Ls, dtype=complex).reshape(-1, gns.dim, gns.dim)
+
+
 def coords(gns, x):
     """Coordinates <x, b_m> of an algebra element in the orthonormal basis."""
-    return np.einsum("mab,ba,b->m", gns.basis, x, gns._wvec, optimize=True)
+    return np.einsum("mab,ba,b->m", dense_basis(gns), x, diag_weights(gns), optimize=True)
 
 
 def element(gns, v):
     """Algebra element with the given coordinates."""
-    return np.einsum("m,mab->ab", v, gns.basis)
+    return np.einsum("m,mab->ab", v, dense_basis(gns))
 
 
 def basis_left_mults(gns):
@@ -111,16 +132,16 @@ def basis_left_mults(gns):
     matrix-unit frame and zero off each element's block: the dense stack
     that the package no longer builds (`GnsStructure.commutant_actions`
     gives it block by block, transposed)."""
-    D = gns.dim
+    D, basis = gns.dim, dense_basis(gns)
     out = np.zeros((D, D, D), dtype=complex)
     for (s, t), (S, T), n in _block_ranges(gns.algebra.block_sizes):
-        out[S:T, S:T, S:T] = _frame(gns.basis[S:T, s:t, s:t], _unit_map(n))
+        out[S:T, S:T, S:T] = _frame(basis[S:T, s:t, s:t], _unit_map(n))
     return out
 
 
 def cocycle_map(gns, generators, Y):
     """([Y, L_{X_1}], ..., [Y, L_{X_n}]) as an (n, D, D) array."""
-    return np.array([Y @ L - L @ Y for L in gns.left_mults(generators)])
+    return np.array([Y @ L - L @ Y for L in left_mults(gns, generators)])
 
 
 def conjugate_variable(gns, targets):

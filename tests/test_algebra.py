@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import (SX, SY, SZ, basis_left_mults, coords, element, embed_c_m2,
-                      generated_dim, generates, random_block_algebra, random_hermitian)
+from conftest import (SX, SY, SZ, basis_left_mults, coords, dense_basis, diag_weights, element,
+                      embed_c_m2, generated_dim, generates, left_mults, random_block_algebra,
+                      random_hermitian)
 import freedim.algebra as algebra_module
 import freedim.wedderburn as wedderburn_module
 from freedim.algebra import (_flatten, _frame, _orthonormal_selfadjoint_basis,
@@ -29,7 +30,7 @@ def local_tau(x, block_sizes, weights):
 
 def left_mult(gns, x):
     """Left multiplication by one algebra element on the trace representation."""
-    return gns.left_mults([x])[0]
+    return left_mults(gns, [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,7 @@ def test_gns_trace_vector_and_p1_two_point(c2):
     gns = fd.gns_structure(c2)
     # oracle: direct inner products <1, b_m> = tau(b_m) with a local tau
     expected = np.array(
-        [local_tau(b, c2.block_sizes, c2.trace_weights) for b in gns.basis]
+        [local_tau(b, c2.block_sizes, c2.trace_weights) for b in dense_basis(gns)]
     )
     np.testing.assert_allclose(gns.trace_vector, expected.real, atol=1e-12)
     np.testing.assert_allclose(gns.trace_vector, [1 / np.sqrt(2)] * 2, atol=1e-12)
@@ -202,13 +203,13 @@ def test_gns_trace_vector_and_p1_two_point(c2):
 
 def test_gns_left_mult_two_point(c2):
     gns = fd.gns_structure(c2)
-    X = c2.generators[0]
+    X, basis = c2.generators[0], dense_basis(gns)
     # oracle: multiply basis elements by X and re-expand with the local trace
     expected = np.zeros((2, 2), dtype=complex)
     for m in range(2):
         for q in range(2):
             expected[m, q] = local_tau(
-                gns.basis[m] @ X @ gns.basis[q], c2.block_sizes, c2.trace_weights
+                basis[m] @ X @ basis[q], c2.block_sizes, c2.trace_weights
             )
     np.testing.assert_allclose(left_mult(gns, X), expected, atol=1e-12)
     np.testing.assert_allclose(left_mult(gns, X), np.diag([0.0, 1.0]), atol=1e-12)
@@ -249,12 +250,12 @@ def test_gns_cyclicity(m2, c1m2):
 def test_right_mult_is_right_multiplication(m2):
     # <J L_{a*} J x_hat, y_hat> = <(x a)_hat, y_hat> on all basis pairs
     gns = fd.gns_structure(m2)
-    D = gns.dim
+    D, basis = gns.dim, dense_basis(gns)
     for a_idx in range(D):
-        a = gns.basis[a_idx]
+        a = basis[a_idx]
         R = left_mult(gns, a).T
         for x_idx in range(D):
-            direct = coords(gns, gns.basis[x_idx] @ a)
+            direct = coords(gns, basis[x_idx] @ a)
             np.testing.assert_allclose(R[:, x_idx], direct, atol=1e-10)
 
 
@@ -276,11 +277,11 @@ def test_left_mult_is_star_homomorphism(m2, c1m2):
 
 
 def test_traciality_on_basis_pairs(c1m2):
-    gns = fd.gns_structure(c1m2)
+    basis = dense_basis(fd.gns_structure(c1m2))
     for p in range(c1m2.dim):
         for q in range(c1m2.dim):
-            ab = c1m2.trace(gns.basis[p] @ gns.basis[q])
-            ba = c1m2.trace(gns.basis[q] @ gns.basis[p])
+            ab = c1m2.trace(basis[p] @ basis[q])
+            ba = c1m2.trace(basis[q] @ basis[p])
             assert abs(ab - ba) <= 1e-12
 
 
@@ -316,8 +317,9 @@ def trace_left_mult(gns):
     """The oracle L_p[m, q] = tau(b_m b_p b_q) = <b_p b_q, b_m>, contracted
     pairwise: for several blocks optimize=True picks one three-operand
     contraction, about 100x slower at D = 100."""
-    return np.einsum("mab,pbc,qca,a->pmq", gns.basis, gns.basis, gns.basis,
-                     gns._wvec, optimize=["einsum_path", (0, 3), (0, 1), (0, 1)])
+    b = dense_basis(gns)
+    return np.einsum("mab,pbc,qca,a->pmq", b, b, b, diag_weights(gns),
+                     optimize=["einsum_path", (0, 3), (0, 1), (0, 1)])
 
 
 def all_at_once_identity_gaps(L):
@@ -459,7 +461,7 @@ def test_gns_structure_never_builds_basis_left_mults(monkeypatch, shape):
 
 def test_gns_structure_retains_no_d_cubed_array():
     # at D = 64 the basis left multiplications alone are 4 MB; the structure
-    # keeps the basis, the trace vector and the generators' L, not them
+    # keeps the trace vector and the generators' L, not them
     gns = fd.gns_structure(random_block_algebra((8,), 0))
     held = sum(v.nbytes for v in vars(gns).values() if isinstance(v, np.ndarray))
     assert held < 2**20
@@ -505,19 +507,18 @@ def tau_gram(gns):
     """tau(b_m b_q), summed as sum_ab (b_m[b, a] w[b]) b_q[a, b]: the
     evaluation whose distance from the identity `_verify_gns` bounds by 10 u.
     Weighting first keeps it finite at the smallest admitted weights."""
-    D = gns.dim
-    return ((gns.basis * gns._wvec[:, None]).reshape(D, -1)
-            @ gns.basis.transpose(0, 2, 1).reshape(D, -1).T)
+    D, b = gns.dim, dense_basis(gns)
+    return (b * diag_weights(gns)[:, None]).reshape(D, -1) @ b.transpose(0, 2, 1).reshape(D, -1).T
 
 
 def cyclicity_gap(gns):
     """max |L_{b_p} xi - e_p| over the basis elements, with L_{b_p} xi
     computed without a frame as conj(U) vec(b_p V), V = U^T xi as an n x n
     matrix of units: the evaluation that `_verify_gns` bounds by 12 u."""
-    gaps = [0.0]
+    gaps, basis = [0.0], dense_basis(gns)
     for s, t, S, T, n, U in gns.blocks:
         V = (U.T @ gns.trace_vector[S:T]).reshape(n, n)
-        hats = (gns.basis[S:T, s:t, s:t] @ V).reshape(T - S, T - S) @ np.conj(U).T
+        hats = (basis[S:T, s:t, s:t] @ V).reshape(T - S, T - S) @ np.conj(U).T
         gaps.append(np.abs(hats - np.eye(T - S)).max())
     return max(gaps)
 
@@ -536,9 +537,10 @@ def test_frames_and_closed_form_recover_coordinates_from_trace_vector():
     # each basis element's frame applied to the trace vector gives its
     # coordinates e_p, and so does the closed form that builds no frame
     gns = fd.gns_structure(random_block_algebra((1, 2, 3), seed=5))
+    basis = dense_basis(gns)
     for (s, t), (S, T), n in algebra_module._block_ranges(gns.algebra.block_sizes):
         U = _unit_map(n)
-        hats = [_frame(b, U) @ gns.trace_vector[S:T] for b in gns.basis[S:T, s:t, s:t]]
+        hats = [_frame(b, U) @ gns.trace_vector[S:T] for b in basis[S:T, s:t, s:t]]
         assert np.abs(np.array(hats) - np.eye(T - S)).max() <= 1e-13
     assert cyclicity_gap(gns) <= 12 * U_ROUND
 
@@ -574,11 +576,11 @@ def test_block_frames_equal_element_frames(name):
     # one `_frame` call on a block's whole stack gives each element's frame
     # bit for bit
     gns = fd.gns_structure(_worked_algebra(name))
-    L = basis_left_mults(gns)
+    L, basis = basis_left_mults(gns), dense_basis(gns)
     for (s, t), (S, T), n in algebra_module._block_ranges(gns.algebra.block_sizes):
         U = algebra_module._unit_map(n)
         for p in range(S, T):
-            frame = algebra_module._frame(gns.basis[p, s:t, s:t], U)
+            frame = algebra_module._frame(basis[p, s:t, s:t], U)
             assert np.array_equal(L[p, S:T, S:T], frame)
 
 
@@ -719,22 +721,38 @@ def _bare_gns(sizes, seed):
 def test_trace_vector_matches_searched_einsum_bitwise(sizes):
     for seed in range(5):
         gns, _ = _bare_gns(sizes, seed)
-        searched = np.einsum("mab,ba,b->m", gns.basis, np.eye(gns.basis.shape[1]),
-                             gns._wvec, optimize=True)
+        basis = dense_basis(gns)
+        searched = np.einsum("mab,ba,b->m", basis, np.eye(basis.shape[1]), diag_weights(gns),
+                             optimize=True)
         assert _bitwise_equal(gns.trace_vector, searched.real)
+
+
+def _selfadjoint_with_negative_zeros(rng, sizes):
+    """A self-adjoint matrix on the blocks `sizes` with -0.0 among the real
+    and imaginary parts of its entries, on the blocks and off them."""
+    N = sum(sizes)
+    x = _with_negative_zeros(rng, (N, N))
+    upper = np.triu_indices(N, 1)
+    x.T[upper] = x[upper].conj()
+    x.imag[np.diag_indices(N)] = -0.0
+    off = np.ones((N, N), dtype=bool)
+    for s, t in block_offsets(sizes):
+        off[s:t, s:t] = False
+    x.real[off] = x.imag[off] = -0.0
+    return x
 
 
 @pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
 def test_left_mults_share_one_path_bitwise(sizes):
-    # one path for the stack against one search per element, on elements
-    # with -0.0 entries
-    gns, rng = _bare_gns(sizes, 11)
-    N = sum(sizes)
-    xs = [_with_negative_zeros(rng, (N, N)) for _ in range(3)]
-    searched = np.array([np.einsum("mab,bc,qca,a->mq", gns.basis, x, gns.basis, gns._wvec,
-                                   optimize=True) for x in xs])
-    assert _bitwise_equal(gns.left_mults(xs), searched)
-    assert gns.left_mults([]).shape == (0, gns.dim, gns.dim)
+    # the generators' left multiplications, contracted along one path, are
+    # one search per element, on generators with -0.0 entries
+    rng = np.random.default_rng(11)
+    xs = [_selfadjoint_with_negative_zeros(rng, sizes) for _ in range(3)]
+    w = rng.uniform(0.5, 1.5, len(sizes))
+    gns = fd.gns_structure(fd.build_algebra(sizes, list(w / w.sum()), xs))
+    assert _bitwise_equal(gns.generator_left_mult, left_mults(gns, xs))
+    empty = fd.gns_structure(fd.build_algebra([1], [1.0], []))
+    assert empty.generator_left_mult.shape == (0, 1, 1)
 
 
 @pytest.mark.parametrize("sizes", [(1, 2), (1, 1), (2, 2)], ids=str)
@@ -757,6 +775,48 @@ def test_gram_matches_searched_einsum(sizes):
     for seed in range(3):
         gns, _ = _bare_gns(sizes, seed)
         gram = tau_gram(gns)
-        searched = np.einsum("qab,mba,b->mq", gns.basis, gns.basis, gns._wvec, optimize=True)
+        basis = dense_basis(gns)
+        searched = np.einsum("qab,mba,b->mq", basis, basis, diag_weights(gns), optimize=True)
         assert np.abs(gram - searched).max() <= 1e-15
         assert np.abs(gram - np.eye(gns.dim)).max() <= 10 * U_ROUND
+
+
+# ---------------------------------------------------------------------------
+# the structure without its dense basis against the dense-basis references
+# ---------------------------------------------------------------------------
+
+ONES20 = "random" + "x".join(["1"] * 20)
+# the shipped shapes, S4's block form, and 20 blocks of size 1
+STRUCTURE_CASES = WORKED + ["S4", ONES20]
+
+
+def _case_id(name):
+    return "ones20" if name == ONES20 else name
+
+
+@pytest.mark.parametrize("name", STRUCTURE_CASES, ids=_case_id)
+def test_commutant_actions_are_the_dense_basis_frames_bitwise(name):
+    # each block's basis built alone frames as the block's slice of the dense basis
+    gns = fd.gns_structure(_worked_algebra(name))
+    basis = dense_basis(gns)
+    want = [(S, T, _frame(basis[S:T, s:t, s:t], U).transpose(0, 2, 1))
+            for s, t, S, T, _, U in gns.blocks]
+    got = gns.commutant_actions
+    assert [(S, T) for S, T, _ in got] == [(S, T) for S, T, _ in want]
+    assert all(_bitwise_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+
+
+@pytest.mark.parametrize("name", STRUCTURE_CASES, ids=_case_id)
+def test_generator_left_mult_is_the_trace_formula_bitwise(name):
+    gns = fd.gns_structure(_worked_algebra(name))
+    assert _bitwise_equal(gns.generator_left_mult, left_mults(gns, gns.algebra.generators))
+
+
+@pytest.mark.parametrize("name", STRUCTURE_CASES, ids=_case_id)
+def test_gns_structure_keeps_no_dense_basis(name):
+    # the one array of three axes it keeps is the generators' (n, D, D) stack;
+    # the dense (D, N, N) basis lives only inside gns_structure
+    gns = fd.gns_structure(_worked_algebra(name))
+    gns.commutant_actions
+    held = {k: v.shape for k, v in vars(gns).items() if isinstance(v, np.ndarray) and v.ndim >= 3}
+    assert held == {"generator_left_mult": (len(gns.algebra.generators), gns.dim, gns.dim)}

@@ -11,7 +11,7 @@ import pytest
 import freedim as fd
 import freedim.cocycles as cocycles_module
 from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2,
-                      generated_dim, make_c1m2, make_c2, make_m2, random_block_algebra,
+                      generated_dim, left_mults, make_c1m2, make_c2, make_m2, random_block_algebra,
                       random_hermitian, section_algebra, svd_block_ranks)
 from freedim.algebra import _rowspace_residual, span_with_spectrum
 from freedim.cli import _delta_results, main
@@ -78,7 +78,7 @@ def test_h0_rank_nullity_exact():
     for alg in (make_c2(), make_m2(), make_c1m2()):
         gns = fd.gns_structure(alg)
         H0 = fd.compute_H0(gns)
-        Ls = gns.left_mults(alg.generators)
+        Ls = left_mults(gns, alg.generators)
         D = gns.dim
         assert H0.complex_dim == D * D - joint_commutator_nullity(Ls)
 

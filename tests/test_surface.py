@@ -68,3 +68,29 @@ def test_every_definition_is_used_named_or_traced():
             if not (used or qualname in named or (module, d.name) in traced):
                 unreached.append(f"{module}.{qualname}")
     assert unreached == []
+
+
+# A class whose instances reach a report through `dataclasses.asdict`: its
+# fields are read by name there, not as attributes.
+_AS_DICT = {"FisherSlot"}
+
+
+def _fields(tree: ast.Module):
+    """(class, field) of each dataclass field that is not an InitVar."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield from ((node.name, item.target.id) for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not ast.unparse(item.annotation).startswith("InitVar"))
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is a result the package computes and keeps
+    # for no caller; its own class's methods count as readers
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for tree in trees for cls, name in _fields(tree)
+              if cls not in _AS_DICT and name not in read]
+    assert unread == []

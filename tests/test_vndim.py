@@ -6,8 +6,8 @@ import pytest
 import freedim as fd
 import freedim.vndim as vndim
 import freedim.wedderburn as wedderburn
-from conftest import (SX, SZ, basis_left_mults, embed_c_m2, invariant_complement, make_c1m2,
-                      make_c2, make_m2, random_block_algebra, random_hermitian,
+from conftest import (SX, SZ, basis_left_mults, embed_c_m2, invariant_complement, left_mults,
+                      make_c1m2, make_c2, make_m2, random_block_algebra, random_hermitian,
                       svd_block_ranks)
 from freedim.algebra import _unflatten, block_offsets
 from freedim.tolerances import OPERATOR_TOL
@@ -26,7 +26,7 @@ def joint_commutator_nullity(Ls):
 
 def all_unit_cocycles(gns, generators):
     """Test-side construction of {([Y, L_j])_j : Y matrix unit}."""
-    Ls = gns.left_mults(generators)
+    Ls = left_mults(gns, generators)
     D = gns.dim
     out = []
     for p in range(D):
@@ -93,7 +93,7 @@ def d_coordinate_center(gns, seed=0):
     assert sizes == alg.block_sizes
     assert all(abs(w - a) <= 1e-8 for w, a in zip(weights, alg.trace_weights))
 
-    Z = gns.left_mults(zs)
+    Z = left_mults(gns, zs)
     D = gns.dim
     assert np.abs(Z.sum(axis=0) - np.eye(D)).max() <= OPERATOR_TOL
     for i in range(len(zs)):
@@ -272,9 +272,9 @@ def test_irreducible_isometry_fails_without_a_splitting_commutant():
 _C2_GENERATOR = np.diag([0.0, 1.0]).astype(complex)
 
 
-def _blockify_c2(trace_fn=lambda z: complex(np.trace(z))):
+def _blockify_c2():
     """blockify on the diagonal algebra of M_2, generated by diag(0, 1)."""
-    return wedderburn.blockify(_diagonal_units(2), [_C2_GENERATOR], trace_fn,
+    return wedderburn.blockify(_diagonal_units(2), [_C2_GENERATOR], np.ones(2),
                                [_C2_GENERATOR], ["X1"], np.random.default_rng(0))
 
 
@@ -389,7 +389,7 @@ def test_m2_pair_commutator_space(m2):
     vecs = all_unit_cocycles(gns, m2.generators)
     K = fd.hs_subspace(gns, vecs)
     # oracle: kernel of the joint commutator map is the 4-dim commutant
-    Ls = gns.left_mults(m2.generators)
+    Ls = left_mults(gns, m2.generators)
     assert joint_commutator_nullity(Ls) == 4
     assert K.complex_dim == 16 - 4
     assert fd.vn_dimension_report(K, gns.algebra).fraction == Fraction(3, 4)
