@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .derivations import (
     inner_spec,
 )
 from .errors import (
+    ChainViolation,
     ConfigError,
     FreedimError,
     ShapeMismatch,
@@ -50,6 +52,7 @@ from .groups import (
     _group_axioms,
     _known_group,
     betti_delta_formula,
+    class_count,
     counterexample_report,
     cyclic_group,
     direct_product,
@@ -244,8 +247,8 @@ def _flag(section: dict, key: str, where: str) -> bool:
     return value
 
 
-# Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle spans
-# grow about as D^6 (12 s and 699 MB at D = 41 for 2 generators, more for each
+# Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle span
+# grows about as D^6 (4.4 s and 584 MB at D = 41 for 2 generators, more for each
 # further one); dual_system on one 10 x 10 block (D = 100) takes 0.8 s and 146 MB
 # (inner) to 1.5 s and 153 MB (fisher), as peak RSS (2 vCPU, 2 OpenBLAS threads).
 _DELTA_MAX_DIM = 41
@@ -540,7 +543,7 @@ def _delta_results(rep, block_sizes: tuple[int, ...]) -> dict:
         "block_sizes": list(block_sizes),
         "weights": list(rep.weights),
         "agreement": dict(rep.agreement, weak_equals_norm=True),
-        "subspace_distances": dict(rep.distances, H1_H2=rep.distances["H0_H1"]),
+        "subspace_distances": dict(rep.distances),
     }
 
 
@@ -653,11 +656,22 @@ def _run_cutoff(config: ScenarioConfig) -> Outcome:
 
 def _run_group_finite(config: ScenarioConfig) -> Outcome:
     values = config.values
-    algebra = regular_rep_algebra(_group_table(values),
-                                  generating_set=values["generating_set"],
+    table = _group_table(values)
+    algebra = regular_rep_algebra(table, generating_set=values["generating_set"],
                                   seed=config.seed)
     rep = delta_report(algebra, seed=config.seed)
     order = values["order"]
+    # exact checks: one block per irreducible representation, so one per
+    # conjugacy class; and the certified multiplicities m give Delta =
+    # sum_ik m_ik n_i n_k / |G|^2 = 1 - 1/|G| at the canonical weights n_i^2/|G|
+    sizes = np.array(algebra.block_sizes)
+    classes = class_count(table)
+    if len(sizes) != classes:
+        raise ChainViolation(f"{len(sizes)} blocks for a group with {classes} "
+                             f"conjugacy classes")
+    exact = Fraction(int(sizes @ rep.multiplicities @ sizes), order * order)
+    if exact != 1 - Fraction(1, order):
+        raise ChainViolation(f"Delta = {exact} at the weights n_i^2/|G|, not 1 - 1/{order}")
     formula = betti_delta_formula(BettiInput.finite_group(order))
     results = _delta_results(rep, algebra.block_sizes)
     results.update({

@@ -4,11 +4,11 @@ For a self-adjoint tuple X_1..X_n, the map Y -> ([Y, L_{X_1}], ..., [Y, L_{X_n}]
 sends an operator on L2 to a tuple of Hilbert-Schmidt operators.  Three
 subspaces of HS^n are built from it: the image over all bounded Y (H0), the
 span of the image over self-adjoint Y (H1), and the weak-limit closure of
-the image over Hilbert-Schmidt Y (H2).  In finite dimensions weak and norm
-convergence coincide and all operators are bounded, so the three spaces are
-equal.  H0 and H1 are computed by their own constructions, and their
-coincidence is certified; H2 is H0, since every operator on L2 is then
-Hilbert-Schmidt and every subspace weakly closed.
+the image over Hilbert-Schmidt Y (H2).  In finite dimensions the three are
+one space, so `delta_report` builds H0 alone: H1 is H0, since the Hermitian
+family spans the matrix units over C, and H2 is H0, since every operator on
+L2 is Hilbert-Schmidt and every subspace weakly closed.  `compute_H1` builds
+the Hermitian span on its own, as library API and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -148,11 +148,12 @@ def compute_H0(gns: GnsStructure) -> HsSubspace:
 def compute_H1(gns: GnsStructure) -> HsSubspace:
     """Span of the cocycle images of self-adjoint operators.
 
-    Built independently from a Hermitian basis of the operators on L2; in
-    finite dimensions every self-adjoint operator is bounded, so this must
-    coincide with the bounded-witness space, and tests assert it does.
-    Invariance is certified by the commutator bound of `cocycle_span`
-    (kappa = sqrt 2).
+    Built on its own from a Hermitian basis of the operators on L2.  That
+    basis is an invertible transform of the matrix units (E_pq = (H - iK)/2
+    and E_qp = (H + iK)/2 for H = E_pq + E_qp, K = i(E_pq - E_qp)), so over
+    C this is the span `compute_H0` builds, and `delta_report` does not call
+    it; the tests compare the two.  Invariance is certified by the
+    commutator bound of `cocycle_span` (kappa = sqrt 2).
     """
     return cocycle_span(gns, hermitian=True)
 
@@ -162,8 +163,10 @@ class DeltaReport:
     """Dimension report for a generating self-adjoint tuple, with exact Delta.
 
     The chain dim H0 <= delta* <= delta# <= Delta collapses because its
-    endpoints coincide in finite dimensions, and H2 is H0: the CLI report
-    derives those values, beta0 = 1 - Delta and every float from Delta.
+    endpoints coincide in finite dimensions, and H1 and H2 are H0: the CLI
+    report derives those values, beta0 = 1 - Delta and every float from
+    Delta.  The three distances are H0's measured self-gap, printed once per
+    pair of spaces.
     """
 
     Delta: Fraction
@@ -177,22 +180,34 @@ class DeltaReport:
 def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     """Assemble dim H0 = dim H1 = dim H2 = Delta and beta0 = 1 - Delta.
 
-    The closed form sum_i alpha_i^2 / n_i^2 for beta0 cross-checks the
-    pipeline.  H0 (spanned over the matrix units) and H1 (over a Hermitian
-    basis) are two independent spanning families of one space, so their
-    exact dimensions must be equal; ChainViolation signals that they differ.
-    H2 is H0, the weak-limit space being the bounded-witness space here.
+    One span is built, H0.  H1 is H0 by theorem: the Hermitian family E_pp,
+    E_pq + E_qp, i(E_pq - E_qp) is an invertible transform of the matrix
+    units (see `compute_H1`), so both families have one complex span and
+    one cocycle image.  H2 is H0, since every operator on the
+    finite-dimensional L2 is Hilbert-Schmidt and every subspace weakly
+    closed.  The measured distance is subspace_distance(H0, H0), the gap of
+    H0's computed basis to its own span, and each pair of spaces prints it.
+
+    The second witness is exact.  The algebra is the one its tuple generates
+    (the TracialAlgebra constructors check it), the direct sum of the
+    pairwise inequivalent blocks M_{n_i}.  The kernel of the cocycle map is
+    the commutant of the left action, the right multiplications, which meets
+    block pair (i, k) in dimension delta_ik n_i^2 of n_i^2 n_k^2; so by
+    Schur the certified multiplicities are m_ik = n_i n_k - delta_ik, and
+    ChainViolation signals that H0's differ.  The closed form
+    sum_i alpha_i^2 / n_i^2 for beta0 cross-checks the pipeline.
     """
     gns = gns_structure(algebra)
     weights = central_decomposition(gns, seed=seed)
     H0 = compute_H0(gns)
-    H1 = compute_H1(gns)
     r0 = vn_dimension_report(H0, algebra)
-    r1 = vn_dimension_report(H1, algebra)
 
-    if r0.fraction != r1.fraction:
+    sizes = np.array(algebra.block_sizes)
+    schur = np.outer(sizes, sizes) - np.eye(len(sizes), dtype=int)
+    if not np.array_equal(r0.multiplicities, schur):
         raise ChainViolation(
-            f"dim H0 = {r0.fraction} differs from dim H1 = {r1.fraction}"
+            f"H0 has multiplicities {r0.multiplicities.tolist()}, not the "
+            f"Schur values {schur.tolist()} of blocks {list(algebra.block_sizes)}"
         )
 
     closed = sum(
@@ -200,12 +215,10 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
          for w, n in zip(algebra.trace_weights, algebra.block_sizes)),
         Fraction(0),
     )
-    distances = {  # H2 is H0
-        "H0_H1": subspace_distance(H0, H1),
-        "H0_H2": subspace_distance(H0, H0),
-    }
+    gap = subspace_distance(H0, H0)
+    distances = {"H0_H1": gap, "H0_H2": gap, "H1_H2": gap}  # H1 and H2 are H0
     agreement = {
-        "spaces_coincide": max(distances.values()) <= SUBSPACE_TOL,
+        "spaces_coincide": gap <= SUBSPACE_TOL,
         "closed_form_matches": abs(float(1 - r0.fraction) - float(closed)) <= SUBSPACE_TOL,
     }
     return DeltaReport(

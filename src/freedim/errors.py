@@ -40,8 +40,9 @@ class IntegralityError(FreedimError):
 # -- cocycle spaces -----------------------------------------------------------
 
 class ChainViolation(FreedimError):
-    """dim H0 and dim H1, two constructions of one space, differ; signals a
-    numerical or action-convention bug."""
+    """The certified block multiplicities of H0 are not the Schur values
+    n_i n_k - delta_ik of the generated algebra, or a group's Delta or block
+    count is not its exact value; signals a numerical or action-convention bug."""
 
 
 # -- dual operators -----------------------------------------------------------

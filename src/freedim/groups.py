@@ -191,6 +191,13 @@ def minimal_generating_set(table: FiniteGroupTable) -> list[int]:
     raise FreedimError("group has no generating set (corrupt table)")
 
 
+def class_count(table: FiniteGroupTable) -> int:
+    """Number of conjugacy classes, by Burnside's lemma for the conjugation
+    action: the commuting pairs (g, h), counted in one walk of the table,
+    over |G|."""
+    return int(np.count_nonzero(table.mult == table.mult.T)) // table.order
+
+
 def left_regular_matrices(table: FiniteGroupTable) -> np.ndarray:
     """Permutation matrices of left translation on l2(G)."""
     o = table.order

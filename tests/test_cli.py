@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -1393,3 +1394,34 @@ def test_dual_inner_searches_one_contraction_path(monkeypatch, capsys):
     capsys.readouterr()
     assert searches == ["_contraction_path"]
     assert paths and all(p is False or isinstance(p, list) for p in paths)
+
+
+# group_finite's exact checks, each tripped by a monkeypatched input on S3
+# (blocks 1, 1, 2; three conjugacy classes; Delta = 5/6)
+def _group_finite_s3_error(capsys):
+    assert main(["group_finite", "--config", str(CONFIG_DIR / "group_finite_s3.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_group_finite_checks_its_block_count_against_the_classes(monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "class_count", lambda table: 4)
+    assert _group_finite_s3_error(capsys).startswith(
+        "computation error: ChainViolation: 3 blocks for a group with 4 conjugacy classes")
+
+
+def test_group_finite_checks_delta_exactly(monkeypatch, capsys):
+    # a multiplicity moved after delta_report's own Schur check
+    report = cli_module.delta_report
+
+    def perturbed(algebra, seed=0):
+        rep = report(algebra, seed=seed)
+        mult = rep.multiplicities.copy()
+        mult[0, 0] += 1
+        return dataclasses.replace(rep, multiplicities=mult)
+
+    monkeypatch.setattr(cli_module, "delta_report", perturbed)
+    assert _group_finite_s3_error(capsys).startswith(
+        "computation error: ChainViolation: Delta = 31/36 at the weights n_i^2/|G|, "
+        "not 1 - 1/6")

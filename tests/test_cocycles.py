@@ -17,7 +17,7 @@ from freedim.algebra import _rowspace_residual, span_with_spectrum
 from freedim.cli import _delta_results, main
 from freedim.cocycles import (_hermitian_family, _unit_commutators, cocycle_span,
                               commutator_bound)
-from freedim.tolerances import INVARIANCE_TOL
+from freedim.tolerances import INVARIANCE_TOL, SUBSPACE_TOL
 from freedim.vndim import invariance_residual
 from freedim.wedderburn import commutant_basis
 
@@ -136,6 +136,21 @@ def _worked_algebra(name):
     return fd.regular_rep_algebra(table)
 
 
+# delta_report builds H0 alone, H1 being H0 by theorem; the Hermitian span
+# stays as the cross-check: every shipped delta and group_finite algebra
+# (group_finite_s3 is S3), S4, and random pairs up to D = 25
+@pytest.mark.parametrize("name", WORKED + ["S4", "random3x4", "random5", "random1x2x2x4",
+                                           "random1x1x2x3x3"])
+def test_hermitian_span_is_h0(name):
+    alg = _worked_algebra(name)
+    gns = fd.gns_structure(alg)
+    H0, H1 = fd.compute_H0(gns), fd.compute_H1(gns)
+    r0, r1 = fd.vn_dimension_report(H0, alg), fd.vn_dimension_report(H1, alg)
+    assert r1.fraction == r0.fraction
+    np.testing.assert_array_equal(r1.multiplicities, r0.multiplicities)
+    assert fd.subspace_distance(H0, H1) <= SUBSPACE_TOL
+
+
 @pytest.mark.parametrize("name", WORKED + ["random2x3", "random1x1x3", "random1x2x2"])
 def test_commutator_bound_dominates_dense_residual(name):
     alg = _worked_algebra(name)
@@ -199,7 +214,8 @@ def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
 
 
 def _spans_on_dense_fallback(monkeypatch, alg):
-    """How many of H0 and H1 stored the dense residual in place of the bound."""
+    """Whether delta_report's one span, H0, stored the dense residual in
+    place of the bound (1) or not (0)."""
     calls, dense = [], cocycles_module.invariance_residual
     monkeypatch.setattr(cocycles_module, "invariance_residual",
                         lambda basis, gns: calls.append(1) or dense(basis, gns))
@@ -221,7 +237,7 @@ def _d11(weight):
                          + [f"d11_1e-{k}" for k in range(6, 14)])
 def test_small_weight_ladder_keeps_its_certificate_path(monkeypatch, make, weight,
                                                         expect_bound):
-    assert _spans_on_dense_fallback(monkeypatch, make(weight)) == (0 if expect_bound else 2)
+    assert _spans_on_dense_fallback(monkeypatch, make(weight)) == (0 if expect_bound else 1)
 
 
 def test_s4_bounds_stay_far_below_the_gate(monkeypatch):
@@ -264,7 +280,7 @@ def test_dense_fallback_searches_no_einsum_path(monkeypatch):
         return einsum(*operands, **kwargs)
     monkeypatch.setattr(np, "einsum", spied)
     for alg in (_c_m2(1e-11), _c_c_m2(1e-6)):
-        assert _spans_on_dense_fallback(monkeypatch, alg) == 2
+        assert _spans_on_dense_fallback(monkeypatch, alg) == 1
     assert optimize and all(isinstance(p, list) for p in optimize)
 
 
@@ -482,23 +498,37 @@ def test_delta_chain_and_pinning(c1m2):
     assert results["agreement"]["weak_equals_norm"]
 
 
-def test_chain_violation_when_h0_and_h1_disagree(c1m2, monkeypatch):
-    # H0 and H1 are one space built twice; a perturbed H1 dimension must stop
-    # the report.  delta_report measures H0 first, then H1.
+def _perturb_multiplicities(monkeypatch):
+    """Make delta_report's dimension report of H0 add 1 to m_01, or to m_00
+    on one block, leaving the fraction as measured."""
     measure = fd.vn_dimension_report
-    calls = []
 
     def perturbed(K, algebra):
         rep = measure(K, algebra)
-        calls.append(K)
-        if len(calls) == 2:
-            rep = dataclasses.replace(rep, fraction=rep.fraction + Fraction(1, 9))
-        return rep
+        mult = rep.multiplicities.copy()
+        mult[0, -1] += 1
+        return dataclasses.replace(rep, multiplicities=mult)
 
     monkeypatch.setattr("freedim.cocycles.vn_dimension_report", perturbed)
-    with pytest.raises(fd.ChainViolation, match="differs from dim H1"):
+
+
+def test_chain_violation_when_multiplicities_are_not_schur(c1m2, monkeypatch):
+    # the tuple generates C (+) M2, whose multiplicities are n_i n_k - delta_ik
+    # by Schur: a perturbed certified multiplicity must stop the report
+    assert fd.delta_report(c1m2).multiplicities.tolist() == [[0, 2], [2, 3]]
+    _perturb_multiplicities(monkeypatch)
+    with pytest.raises(fd.ChainViolation, match="not the Schur values"):
         fd.delta_report(c1m2)
-    assert len(calls) == 2
+
+
+def test_cli_chain_violation_is_one_stderr_line(monkeypatch, capsys):
+    _perturb_multiplicities(monkeypatch)
+    assert main(["delta", "--config", str(CONFIG_DIR / "delta_full_2x2.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("computation error: ChainViolation: H0 has multiplicities")
+    assert "not the Schur values" in captured.err
+    assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
 def test_generator_independence_same_algebra():
@@ -562,7 +592,7 @@ def test_delta_report_extreme_weights():
 
 
 def test_delta_report_builds_each_space_once(c1m2, monkeypatch):
-    # compute_H0 and compute_H1 are the one path to the cocycle spaces
+    # H1 and H2 are H0, so compute_H0 is the one cocycle span delta_report builds
     calls = []
     for name in ("compute_H0", "compute_H1"):
         builder = getattr(fd, name)
@@ -573,7 +603,7 @@ def test_delta_report_builds_each_space_once(c1m2, monkeypatch):
 
         monkeypatch.setattr(f"freedim.cocycles.{name}", counted)
     fd.delta_report(c1m2)
-    assert sorted(calls) == ["compute_H0", "compute_H1"]
+    assert calls == ["compute_H0"]
 
 
 def test_delta_fraction_does_not_depend_on_the_center_seed():

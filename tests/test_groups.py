@@ -7,7 +7,7 @@ import pytest
 
 import freedim as fd
 from conftest import evaluate_word, generates
-from freedim.groups import left_regular_matrices, minimal_generating_set
+from freedim.groups import class_count, left_regular_matrices, minimal_generating_set
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +427,21 @@ def test_counterexample_norm_bound_past_float_range():
 def test_counterexample_per_k_constant():
     rep = fd.counterexample_report(k_values=[1, 2, 3, 4, 5])
     assert all(row["delta"] == 2.0 for row in rep["per_k"])
+
+
+_CLASS_COUNTS = {
+    "C1": (fd.cyclic_group(1), 1),
+    "C7": (fd.cyclic_group(7), 7),
+    "S3": (fd.symmetric_group(3), 3),
+    "S4": (fd.symmetric_group(4), 5),
+    "C2xS3": (fd.direct_product(fd.cyclic_group(2), fd.symmetric_group(3)), 6),
+    "C3xS3": (fd.direct_product(fd.cyclic_group(3), fd.symmetric_group(3)), 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_COUNTS))
+def test_class_count_is_the_number_of_conjugation_orbits(name):
+    table, classes = _CLASS_COUNTS[name]
+    orbits = {frozenset(table.mul(table.mul(h, g), table.inv(h)) for h in range(table.order))
+              for g in range(table.order)}
+    assert class_count(table) == len(orbits) == classes

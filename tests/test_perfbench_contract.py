@@ -70,5 +70,7 @@ def test_shipped_configs_call_every_traced_name(tmp_path):
     finally:
         tracer.uninstall()
     uncalled = {name for name, row in tracer.summary().items() if row["calls"] == 0}
-    # the dense certificates, which no shipped scenario needs
-    assert uncalled <= {"vndim.hs_subspace", "vndim.invariance_residual"}
+    # the dense certificates, which no shipped scenario needs, and the
+    # Hermitian span, which delta_report does not build (H1 is H0)
+    assert uncalled <= {"vndim.hs_subspace", "vndim.invariance_residual",
+                        "cocycles.compute_H1"}
