@@ -247,10 +247,13 @@ def _flag(section: dict, key: str, where: str) -> bool:
     return value
 
 
-# Caps on D = sum n_i^2 of the declared algebra.  delta's dense cocycle span
-# grows about as D^6 (4.4 s and 584 MB at D = 41 for 2 generators, more for each
-# further one); dual_system on one 10 x 10 block (D = 100) takes 0.8 s and 146 MB
-# (inner) to 1.5 s and 153 MB (fisher), as peak RSS (2 vCPU, 2 OpenBLAS threads).
+# Caps on D = sum n_i^2 of the declared algebra.  delta's cocycle span takes one
+# SVD per pair of blocks, about sum_ik n (n_i n_k)^6 work for n generators, and
+# its self-gap n D^6 in matrix products, so a 6 x 6 block is the worst shape under
+# the cap (2.7 s and 384 MB for [1, 2, 6] at D = 41 with 2 generators, more for
+# each further one); dual_system on one 10 x 10 block (D = 100) takes 0.8 s and
+# 146 MB (inner) to 1.5 s and 153 MB (fisher), as peak RSS (2 vCPU, 2 OpenBLAS
+# threads).
 _DELTA_MAX_DIM = 41
 _DUAL_MAX_DIM = 100
 

@@ -7,12 +7,15 @@ span of the image over self-adjoint Y (H1), and the weak-limit closure of
 the image over Hilbert-Schmidt Y (H2).  In finite dimensions the three are
 one space, so `delta_report` builds H0 alone: H1 is H0, since the Hermitian
 family spans the matrix units over C, and H2 is H0, since every operator on
-L2 is Hilbert-Schmidt and every subspace weakly closed.  `compute_H1` builds
-the Hermitian span on its own, as library API and as the tests' oracle.
+L2 is Hilbert-Schmidt and every subspace weakly closed.  H0 is spanned one
+pair of central blocks at a time, since each matrix unit's cocycle lives in
+its pair's sub-block.  `compute_H1` builds the Hermitian span on its own, in
+one piece, as library API and as the tests' oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .algebra import GnsStructure, TracialAlgebra, gns_structure, span_with_spectrum
 from .errors import ChainViolation
-from .tolerances import INVARIANCE_TOL, SUBSPACE_TOL
+from .tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
 from .vndim import (
     HsSubspace,
     central_decomposition,
@@ -31,14 +34,23 @@ from .vndim import (
 )
 
 
-def _unit_commutators(Ls: np.ndarray) -> np.ndarray:
-    """Cocycle tuples of all matrix units E_pq, as (D*D, n, D, D)."""
-    n, D, _ = Ls.shape
-    rows = np.zeros((D, D, n, D, D), dtype=complex)
-    p, q = np.ogrid[:D, :D]
-    rows[p, q, :, p, :] += Ls.transpose(1, 0, 2)[None]     # E_pq L_j: row p is L_j[q]
-    rows[p, q, :, :, q] -= Ls.transpose(2, 0, 1)[:, None]  # L_j E_pq: column q is L_j[:, p]
-    return rows.reshape(D * D, n, D, D)
+def _unit_commutators(Li: np.ndarray, Lk: np.ndarray) -> np.ndarray:
+    """Cocycle tuples of the matrix units E_pq, p a coordinate of Li's block
+    and q of Lk's, as (..., di*dk, n, di, dk) for Li (..., n, di, di) and Lk
+    (..., n, dk, dk), stacked over the leading axes.
+
+    With L_j block-diagonal, [E_pq, L_j] lives in the (i, k) sub-block; with
+    Li = Lk = Ls the full (D, D) blocks give all D*D units.
+    """
+    *batch, n, di, _ = Li.shape
+    dk = Lk.shape[-1]
+    pairs = math.prod(batch)
+    Li, Lk = Li.reshape(pairs, n, di, di), Lk.reshape(pairs, n, dk, dk)
+    rows = np.zeros((pairs, di, dk, n, di, dk), dtype=complex)
+    b, p, q = np.arange(pairs)[:, None, None], np.arange(di)[:, None], np.arange(dk)
+    rows[b, p, q, :, p, :] += Lk.transpose(0, 2, 1, 3)[:, None]     # E_pq L_j: row p is Lk_j[q]
+    rows[b, p, q, :, :, q] -= Li.transpose(0, 3, 1, 2)[:, :, None]  # L_j E_pq: col q is Li_j[:, p]
+    return rows.reshape(*batch, di * dk, n, di, dk)
 
 
 def _hermitian_family(units: np.ndarray) -> np.ndarray:
@@ -58,10 +70,11 @@ def commutator_bound(gns: GnsStructure, s: np.ndarray, r: int, kappa: float,
                      cells: int) -> float:
     """Bound on how far the commutant action moves the span of `cocycle_span`.
 
-    `s` is the spectrum of the spanning family (a `cells` = max(rows, cols)
-    matrix), of which the first r rows are kept.  See `cocycle_span`.  No
-    norm here takes an SVD: the commutators are measured in Frobenius norm,
-    and max_p ||R_p|| is max_i sqrt(n_i / alpha_i) in closed form.
+    `s` is the descending spectrum of the spanning family, of which the
+    first r rows are kept, and `cells` = n D^2 its column count, the larger
+    side.  See `cocycle_span`.  No norm here takes an SVD: the commutators
+    are measured in Frobenius norm, and max_p ||R_p|| is
+    max_i sqrt(n_i / alpha_i) in closed form.
     """
     if r == 0:
         return 0.0
@@ -78,6 +91,42 @@ def commutator_bound(gns: GnsStructure, s: np.ndarray, r: int, kappa: float,
     return float(kappa * (comm_max + (s_next + eps_fp) * R_max) / s[r - 1])
 
 
+def _pair_spans(gns: GnsStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Kept rows of the matrix-unit family, one SVD per ordered block pair.
+
+    Returns the (r, n, D, D) basis, each pair's kept rows on its (i, k)
+    sub-block, pairs in order, and the union of the pair spectra, sorted
+    descending.  Pairs of one shape share one stacked SVD call; the rank rule
+    of `numerical_span` is applied to the union (s > RANK_TOL max s).
+    """
+    Ls = gns.generator_left_mult
+    n, D = Ls.shape[0], gns.dim
+    ranges = [(S, T) for _, _, S, T, _, _ in gns.blocks]
+    diag = [Ls[:, S:T, S:T] for S, T in ranges]
+    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, (Si, Ti) in enumerate(ranges):
+        for k, (Sk, Tk) in enumerate(ranges):
+            by_shape.setdefault((Ti - Si, Tk - Sk), []).append((i, k))
+    spans = []
+    for (di, dk), pairs in by_shape.items():
+        family = _unit_commutators(np.array([diag[i] for i, _ in pairs]),
+                                   np.array([diag[k] for _, k in pairs]))
+        _, s, vh = np.linalg.svd(family.reshape(len(pairs), di * dk, n * di * dk),
+                                 full_matrices=False)
+        spans.append((pairs, s, vh))
+    s = np.sort(np.concatenate([sp.ravel() for _, sp, _ in spans]))[::-1]
+    cut = RANK_TOL * s[0] if s.size else 0.0
+    kept = {pair: v[:c] for pairs, sp, vh in spans
+            for pair, v, c in zip(pairs, vh, (sp > cut).sum(axis=1).tolist())}
+    basis = np.zeros((sum(map(len, kept.values())), n, D, D), dtype=complex)
+    r = 0
+    for (i, k), v in sorted(kept.items()):
+        (Si, Ti), (Sk, Tk) = ranges[i], ranges[k]
+        basis[r:r + len(v), :, Si:Ti, Sk:Tk] = v.reshape(len(v), n, Ti - Si, Tk - Sk)
+        r += len(v)
+    return basis, s
+
+
 def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
     """Span of the cocycle tuples Phi(Y) = ([Y, L_j])_j, with a commutator certificate.
 
@@ -89,6 +138,16 @@ def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
     units, sqrt 2 for the Hermitian family).  Its SVD A = U S V* uses the
     rank rule of `numerical_span`; each kept row v_k = Phi(Y'_k) has
     ||Y'_k||_HS <= kappa / s_k.
+
+    The units' family is block-diagonal up to a permutation of its rows and
+    columns: every L_j is block-diagonal (see `_verify_gns`), so Phi(E_pq),
+    p in block i and q in block k, lives in the (i, k) sub-block.  So it is
+    spanned one ordered block pair at a time (`_pair_spans`), one SVD of a
+    (d_i d_k, n d_i d_k) family per pair (d_i = n_i^2), which costs
+    sum_ik n (d_i d_k)^3 in place of n D^6; the rank rule and the bound below
+    read the union of the pair spectra, which is the spectrum of the whole
+    family.  The Hermitian family mixes the pairs (i, k) and (k, i) and is
+    spanned whole, by one SVD.
 
     Each commutant action generator R = R_p satisfies
     R Phi(Y) = Phi(RY) + ([L_j, R] Y)_j and Phi(Y) R = Phi(YR) + (Y [L_j, R])_j,
@@ -103,10 +162,14 @@ def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
     R_p = L_{b_p}^T has the operator norm of b_p, which is its largest
     entry: sqrt(n/alpha) for the diagonal units of a block of size n and
     weight alpha and sqrt(n/(2 alpha)) for the pairs (see `_block_basis`),
-    so max_p ||R_p|| = max_i sqrt(n_i/alpha_i) exactly.  The computed
-    SVD is the exact SVD of some A + E; with ||E|| taken as max(rows, cols)
-    u s_1 (u the unit roundoff, the noise level numpy's matrix_rank assumes),
-    E enters twice, once in v_k and once in Phi(RY), so eps_fp = 2 ||E||.
+    so max_p ||R_p|| = max_i sqrt(n_i/alpha_i) exactly.  A computed SVD is
+    the exact SVD of some A + E; with ||E|| taken as max(rows, cols) u s_1
+    (u the unit roundoff, the noise level numpy's matrix_rank assumes), E
+    enters twice, once in v_k and once in Phi(RY), so eps_fp = 2 ||E||.
+    Per block pair the computed SVD is exact for A_ik + E_ik, and permuting
+    rows and columns is exact, so the assembled one is exact for A + E with
+    E = (+)_ik E_ik and ||E|| = max ||E_ik|| <= n d_i d_k u s_1(A_ik) <=
+    n D^2 u s_1(A): the same eps_fp as for one SVD of the whole family.
     Rounding in the commutator products, each formed on R_p's block, is
     measured rather than bounded.  The bound costs at most O(n D^4) and is
     stored as `invariance_residual`, which `vn_dimension_report` gates.
@@ -121,15 +184,13 @@ def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
     """
     Ls = gns.generator_left_mult
     n, D = Ls.shape[0], gns.dim
-    family = _unit_commutators(Ls)
-    kappa = 1.0
     if hermitian:
-        family, kappa = _hermitian_family(family), np.sqrt(2.0)
-    A = family.reshape(family.shape[0], -1)
-    kept, s = span_with_spectrum(A)
-    r = kept.shape[0]
-    basis = kept.reshape(r, n, D, D)
-    residual = commutator_bound(gns, s, r, kappa, max(A.shape))
+        kept, s = span_with_spectrum(
+            _hermitian_family(_unit_commutators(Ls, Ls)).reshape(D * D, n * D * D))
+        basis, kappa = kept.reshape(len(kept), n, D, D), np.sqrt(2.0)
+    else:
+        (basis, s), kappa = _pair_spans(gns), 1.0
+    residual = commutator_bound(gns, s, basis.shape[0], kappa, n * D * D)
     if residual > INVARIANCE_TOL:
         residual = invariance_residual(basis, gns)
     return HsSubspace(basis, residual)
@@ -138,9 +199,9 @@ def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
 def compute_H0(gns: GnsStructure) -> HsSubspace:
     """Image of the cocycle map over all bounded operators on L2.
 
-    Spanned by the images of the D^2 matrix units; its invariance under the
-    commutant bimodule action is certified by the commutator bound of
-    `cocycle_span` (kappa = 1).
+    Spanned by the images of the D^2 matrix units, one block pair at a
+    time; its invariance under the commutant bimodule action is certified
+    by the commutator bound of `cocycle_span` (kappa = 1).
     """
     return cocycle_span(gns)
 

@@ -15,10 +15,10 @@ from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2,
                       random_hermitian, section_algebra, svd_block_ranks)
 from freedim.algebra import _rowspace_residual, span_with_spectrum
 from freedim.cli import _delta_results, main
-from freedim.cocycles import (_hermitian_family, _unit_commutators, cocycle_span,
+from freedim.cocycles import (_hermitian_family, _pair_spans, _unit_commutators, cocycle_span,
                               commutator_bound)
 from freedim.tolerances import INVARIANCE_TOL, SUBSPACE_TOL
-from freedim.vndim import invariance_residual
+from freedim.vndim import HsSubspace, invariance_residual
 from freedim.wedderburn import commutant_basis
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -136,11 +136,15 @@ def _worked_algebra(name):
     return fd.regular_rep_algebra(table)
 
 
+# every shipped delta and group_finite algebra (group_finite_s3 is S3), S4,
+# and random pairs up to D = 25, some with pairs of blocks of one shape
+CROSS_CHECKED = WORKED + ["S4", "random3x4", "random5", "random1x2x2x4", "random1x1x2x3x3",
+                          "random1x1x1", "random2x2", "random1x2x2"]
+
+
 # delta_report builds H0 alone, H1 being H0 by theorem; the Hermitian span
-# stays as the cross-check: every shipped delta and group_finite algebra
-# (group_finite_s3 is S3), S4, and random pairs up to D = 25
-@pytest.mark.parametrize("name", WORKED + ["S4", "random3x4", "random5", "random1x2x2x4",
-                                           "random1x1x2x3x3"])
+# stays as the cross-check
+@pytest.mark.parametrize("name", CROSS_CHECKED)
 def test_hermitian_span_is_h0(name):
     alg = _worked_algebra(name)
     gns = fd.gns_structure(alg)
@@ -149,6 +153,45 @@ def test_hermitian_span_is_h0(name):
     assert r1.fraction == r0.fraction
     np.testing.assert_array_equal(r1.multiplicities, r0.multiplicities)
     assert fd.subspace_distance(H0, H1) <= SUBSPACE_TOL
+
+
+def dense_H0(gns):
+    """H0 from one SVD of the whole (D^2, n D^2) matrix-unit family, the
+    construction that the per-block-pair spans replaced, with the same
+    certificate; and the family's spectrum."""
+    Ls = gns.generator_left_mult
+    n, D = Ls.shape[0], gns.dim
+    kept, s = span_with_spectrum(_unit_commutators(Ls, Ls).reshape(D * D, n * D * D))
+    basis = kept.reshape(len(kept), n, D, D)
+    residual = commutator_bound(gns, s, len(kept), 1.0, n * D * D)
+    if residual > INVARIANCE_TOL:
+        residual = invariance_residual(basis, gns)
+    return HsSubspace(basis, residual), s
+
+
+@pytest.mark.parametrize("name", CROSS_CHECKED)
+def test_pair_spans_are_the_dense_h0(name):
+    alg = _worked_algebra(name)
+    gns = fd.gns_structure(alg)
+    H0, (dense, s_dense) = fd.compute_H0(gns), dense_H0(gns)
+    r0, rd = fd.vn_dimension_report(H0, alg), fd.vn_dimension_report(dense, alg)
+    assert r0.fraction == rd.fraction
+    np.testing.assert_array_equal(r0.multiplicities, rd.multiplicities)
+    assert fd.subspace_distance(H0, dense) <= SUBSPACE_TOL
+    s = _pair_spans(gns)[1]
+    assert s.shape == s_dense.shape
+    assert np.abs(s - s_dense).max() <= 1e-12 * s_dense[0]
+
+
+def test_s4_h0_takes_no_svd_above_its_largest_block_pair(monkeypatch):
+    # S4's largest blocks are 3 x 3, so its largest pair family has
+    # 9 * 9 = 81 rows, where one SVD of the whole family would have D^2 = 576
+    gns = fd.gns_structure(_worked_algebra("S4"))
+    rows, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: rows.append(np.shape(a)[-2]) or svd(a, *args, **kw))
+    fd.compute_H0(gns)
+    assert rows and max(rows) == 81
 
 
 @pytest.mark.parametrize("name", WORKED + ["random2x3", "random1x1x3", "random1x2x2"])
@@ -362,19 +405,23 @@ def test_invariant_closure_reads_one_tuple_as_a_family_of_one(m2):
     assert one.invariance_residual == family.invariance_residual
 
 
-def test_commutator_bound_rejects_non_commuting_operator(m2):
+def test_commutator_bound_rejects_non_commuting_operator(m2, monkeypatch):
     # a Hermitian "L" outside the algebra does not commute with the action
     gns = fd.gns_structure(m2)
     Ls = random_hermitian(np.random.default_rng(3), gns.dim)[None]
     faulty = dataclasses.replace(gns, generator_left_mult=Ls)
-    A = _unit_commutators(Ls).reshape(gns.dim ** 2, -1)
+    A = _unit_commutators(Ls, Ls).reshape(gns.dim ** 2, -1)
     kept, s = span_with_spectrum(A)
     assert commutator_bound(faulty, s, kept.shape[0], 1.0, max(A.shape)) > INVARIANCE_TOL
-    for hermitian in (False, True):
+    calls, dense = [], cocycles_module.invariance_residual
+    monkeypatch.setattr(cocycles_module, "invariance_residual",
+                        lambda basis, gns: calls.append(1) or dense(basis, gns))
+    for hermitian in (False, True):  # the pair spans, then the Hermitian family
         K = cocycle_span(faulty, hermitian=hermitian)
         assert K.invariance_residual > INVARIANCE_TOL
         with pytest.raises(fd.NotInvariant):
             fd.vn_dimension_report(K, gns.algebra)
+    assert len(calls) == 2  # the bound failed its gate, so each took the dense residual
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +441,15 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _unit_commutators_loop(Ls):
-    n, D, _ = Ls.shape
-    rows = np.zeros((D, D, n, D, D), dtype=complex)
-    for p in range(D):
-        for q in range(D):
-            rows[p, q, :, p, :] += Ls[:, q, :]
-            rows[p, q, :, :, q] -= Ls[:, :, p]
-    return rows.reshape(D * D, n, D, D)
+def _unit_commutators_loop(Li, Lk):
+    n, di, _ = Li.shape
+    dk = Lk.shape[-1]
+    rows = np.zeros((di, dk, n, di, dk), dtype=complex)
+    for p in range(di):
+        for q in range(dk):
+            rows[p, q, :, p, :] += Lk[:, q, :]
+            rows[p, q, :, :, q] -= Li[:, :, p]
+    return rows.reshape(di * dk, n, di, dk)
 
 
 def _hermitian_family_loop(units):
@@ -432,10 +480,16 @@ def _commutator_stack_loop(mats, within, N):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("D", [3, 6, 9])
 def test_cocycle_families_match_reference_loops_bitwise(n, D):
-    Ls = _with_negative_zeros(np.random.default_rng(10 * n + D), (n, D, D))
-    units = _unit_commutators(Ls)
-    assert _bitwise_equal(units, _unit_commutators_loop(Ls))
+    rng = np.random.default_rng(10 * n + D)
+    Ls = _with_negative_zeros(rng, (n, D, D))
+    units = _unit_commutators(Ls, Ls)  # the full form: every D x D unit
+    assert _bitwise_equal(units, _unit_commutators_loop(Ls, Ls))
     assert _bitwise_equal(_hermitian_family(units), _hermitian_family_loop(units))
+    # the pair form, stacked over three pairs of one shape (D and 4 coordinates)
+    Li, Lk = _with_negative_zeros(rng, (3, n, D, D)), _with_negative_zeros(rng, (3, n, 4, 4))
+    for a, b in ((Li, Lk), (Lk, Li)):
+        assert _bitwise_equal(_unit_commutators(a, b),
+                              np.stack([_unit_commutators_loop(x, y) for x, y in zip(a, b)]))
 
 
 @pytest.mark.parametrize("n, N, r", [(1, 1, 1), (1, 2, 4), (2, 3, 5), (3, 4, 16),
