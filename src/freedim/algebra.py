@@ -28,21 +28,14 @@ from .tolerances import OPERATOR_TOL, RANK_TOL, SCALAR_TOL
 
 
 def numerical_span(vectors) -> np.ndarray:
-    """Orthonormal basis (rows) of the row span of a 2-D array, with relative
-    SVD cutoff RANK_TOL; a (0, cols) array for an empty family."""
-    return span_with_spectrum(np.asarray(vectors, dtype=complex))[0]
-
-
-def span_with_spectrum(A: np.ndarray):
-    """Kept rows vh[:r] (s > RANK_TOL * s[0]) of a 2-D array's SVD, and all of s.
-
-    The rank rule of `numerical_span`; the singular values are returned for
-    callers that certify properties of the span from its spectrum.
-    """
+    """Orthonormal basis (rows) of the row span of a 2-D array: the rows
+    vh[:r] of its SVD with s > RANK_TOL * s[0]; a (0, cols) array for an
+    empty family."""
+    A = np.asarray(vectors, dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, A.shape[1]), dtype=complex), s
-    return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
+        return np.zeros((0, A.shape[1]), dtype=complex)
+    return vh[: int(np.sum(s > RANK_TOL * s[0]))]
 
 
 def _rowspace_residual(rows: np.ndarray, basis_flat: np.ndarray) -> float:

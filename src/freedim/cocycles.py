@@ -9,8 +9,7 @@ one space, so `delta_report` builds H0 alone: H1 is H0, since the Hermitian
 family spans the matrix units over C, and H2 is H0, since every operator on
 L2 is Hilbert-Schmidt and every subspace weakly closed.  H0 is spanned one
 pair of central blocks at a time, since each matrix unit's cocycle lives in
-its pair's sub-block.  `compute_H1` builds the Hermitian span on its own, in
-one piece, as library API and as the tests' oracle.
+its pair's sub-block.  `compute_H1` returns H0, by that theorem.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GnsStructure, TracialAlgebra, gns_structure, span_with_spectrum
+from .algebra import GnsStructure, TracialAlgebra, gns_structure
 from .errors import ChainViolation
 from .tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
 from .vndim import (
@@ -53,28 +52,14 @@ def _unit_commutators(Li: np.ndarray, Lk: np.ndarray) -> np.ndarray:
     return rows.reshape(*batch, di * dk, n, di, dk)
 
 
-def _hermitian_family(units: np.ndarray) -> np.ndarray:
-    """Cocycles of E_pp, E_pq + E_qp and i(E_pq - E_qp), p < q, from unit cocycles."""
-    D = units.shape[-1]
-    units = units.reshape(D, D, *units.shape[1:])
-    rows = np.empty((D * D, *units.shape[2:]), dtype=complex)
-    for p in range(D):
-        k = p * (2 * D - p)  # rows of the earlier p: 1 + 2 (D - 1 - p') each
-        rows[k] = units[p, p]
-        np.add(units[p, p + 1:], units[p + 1:, p], out=rows[k + 1:k + 2 * (D - p) - 1:2])
-        rows[k + 2:k + 2 * (D - p):2] = 1j * (units[p, p + 1:] - units[p + 1:, p])
-    return rows
-
-
-def commutator_bound(gns: GnsStructure, s: np.ndarray, r: int, kappa: float,
-                     cells: int) -> float:
-    """Bound on how far the commutant action moves the span of `cocycle_span`.
+def commutator_bound(gns: GnsStructure, s: np.ndarray, r: int) -> float:
+    """Bound on how far the commutant action moves the span of `compute_H0`.
 
     `s` is the descending spectrum of the spanning family, of which the
-    first r rows are kept, and `cells` = n D^2 its column count, the larger
-    side.  See `cocycle_span`.  No norm here takes an SVD: the commutators
-    are measured in Frobenius norm, and max_p ||R_p|| is
-    max_i sqrt(n_i / alpha_i) in closed form.
+    first r rows are kept; its larger side is its n D^2 columns.  See
+    `compute_H0`.  No norm here takes an SVD: the commutators are measured
+    in Frobenius norm, and max_p ||R_p|| is max_i sqrt(n_i / alpha_i) in
+    closed form.
     """
     if r == 0:
         return 0.0
@@ -87,8 +72,9 @@ def commutator_bound(gns: GnsStructure, s: np.ndarray, r: int, kappa: float,
     alg = gns.algebra
     R_max = max(np.sqrt(n / a) for n, a in zip(alg.block_sizes, alg.trace_weights))
     s_next = s[r] if r < s.size else 0.0
+    cells = gns.generator_left_mult.shape[0] * gns.dim * gns.dim
     eps_fp = 2.0 * cells * np.finfo(float).eps * s[0]
-    return float(kappa * (comm_max + (s_next + eps_fp) * R_max) / s[r - 1])
+    return float((comm_max + (s_next + eps_fp) * R_max) / s[r - 1])
 
 
 def _pair_spans(gns: GnsStructure) -> tuple[np.ndarray, np.ndarray]:
@@ -127,38 +113,37 @@ def _pair_spans(gns: GnsStructure) -> tuple[np.ndarray, np.ndarray]:
     return basis, s
 
 
-def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
-    """Span of the cocycle tuples Phi(Y) = ([Y, L_j])_j, with a commutator certificate.
+def compute_H0(gns: GnsStructure) -> HsSubspace:
+    """Image of the cocycle map Phi(Y) = ([Y, L_j])_j over all bounded
+    operators on L2, with a commutator certificate.
 
     L_j are the left multiplications by the generators of `gns`.
 
-    The spanning family is Phi(Y_m) over the matrix units Y_m (or, with
-    `hermitian`, over E_pp, E_pq + E_qp and i(E_pq - E_qp)): an orthogonal
-    family of operators with norms between 1 and kappa (kappa = 1 for the
-    units, sqrt 2 for the Hermitian family).  Its SVD A = U S V* uses the
-    rank rule of `numerical_span`; each kept row v_k = Phi(Y'_k) has
-    ||Y'_k||_HS <= kappa / s_k.
+    The spanning family is Phi(Y_m) over the matrix units Y_m, an
+    orthonormal family of operators.  Its SVD A = U S V* uses the rank rule
+    of `numerical_span`; each kept row v_k = Phi(Y'_k) has
+    ||Y'_k||_HS <= 1 / s_k.
 
-    The units' family is block-diagonal up to a permutation of its rows and
+    The family is block-diagonal up to a permutation of its rows and
     columns: every L_j is block-diagonal (see `_verify_gns`), so Phi(E_pq),
     p in block i and q in block k, lives in the (i, k) sub-block.  So it is
     spanned one ordered block pair at a time (`_pair_spans`), one SVD of a
     (d_i d_k, n d_i d_k) family per pair (d_i = n_i^2), which costs
     sum_ik n (d_i d_k)^3 in place of n D^6; the rank rule and the bound below
     read the union of the pair spectra, which is the spectrum of the whole
-    family.  The Hermitian family mixes the pairs (i, k) and (k, i) and is
-    spanned whole, by one SVD.
+    family.
 
     Each commutant action generator R = R_p satisfies
     R Phi(Y) = Phi(RY) + ([L_j, R] Y)_j and Phi(Y) R = Phi(YR) + (Y [L_j, R])_j,
     and Phi(RY) lies within s_{r+1} ||RY||_HS of the kept span.  So both
     actions move every basis row at most
 
-        kappa * (max_p (sum_j ||[L_j, R_p]||_F^2)^(1/2)
-                 + (s_{r+1} + eps_fp) * max_p ||R_p||) / s_r
+        (max_p (sum_j ||[L_j, R_p]||_F^2)^(1/2)
+         + (s_{r+1} + eps_fp) * max_p ||R_p||) / s_r
 
-    from the span (s_{r+1} = 0 at full rank).  The commutator term is a
-    Frobenius norm, which is at least the operator norm the argument needs.
+    from the span (s_{r+1} = 0 at full rank); `commutator_bound` computes
+    it.  The commutator term is a Frobenius norm, which is at least the
+    operator norm the argument needs.
     R_p = L_{b_p}^T has the operator norm of b_p, which is its largest
     entry: sqrt(n/alpha) for the diagonal units of a block of size n and
     weight alpha and sqrt(n/(2 alpha)) for the pairs (see `_block_basis`),
@@ -182,41 +167,22 @@ def cocycle_span(gns: GnsStructure, hermitian: bool = False) -> HsSubspace:
     instead, so such inputs are accepted exactly when the dense certificate
     accepts them.
     """
-    Ls = gns.generator_left_mult
-    n, D = Ls.shape[0], gns.dim
-    if hermitian:
-        kept, s = span_with_spectrum(
-            _hermitian_family(_unit_commutators(Ls, Ls)).reshape(D * D, n * D * D))
-        basis, kappa = kept.reshape(len(kept), n, D, D), np.sqrt(2.0)
-    else:
-        (basis, s), kappa = _pair_spans(gns), 1.0
-    residual = commutator_bound(gns, s, basis.shape[0], kappa, n * D * D)
+    basis, s = _pair_spans(gns)
+    residual = commutator_bound(gns, s, basis.shape[0])
     if residual > INVARIANCE_TOL:
         residual = invariance_residual(basis, gns)
     return HsSubspace(basis, residual)
 
 
-def compute_H0(gns: GnsStructure) -> HsSubspace:
-    """Image of the cocycle map over all bounded operators on L2.
-
-    Spanned by the images of the D^2 matrix units, one block pair at a
-    time; its invariance under the commutant bimodule action is certified
-    by the commutator bound of `cocycle_span` (kappa = 1).
-    """
-    return cocycle_span(gns)
-
-
 def compute_H1(gns: GnsStructure) -> HsSubspace:
-    """Span of the cocycle images of self-adjoint operators.
+    """Span of the cocycle images of self-adjoint operators, which is H0.
 
-    Built on its own from a Hermitian basis of the operators on L2.  That
-    basis is an invertible transform of the matrix units (E_pq = (H - iK)/2
-    and E_qp = (H + iK)/2 for H = E_pq + E_qp, K = i(E_pq - E_qp)), so over
-    C this is the span `compute_H0` builds, and `delta_report` does not call
-    it; the tests compare the two.  Invariance is certified by the
-    commutator bound of `cocycle_span` (kappa = sqrt 2).
+    The Hermitian family E_pp, H = E_pq + E_qp and K = i(E_pq - E_qp),
+    p < q, is an invertible transform of the matrix units: E_pq = (H - iK)/2
+    and E_qp = (H + iK)/2.  So over C both families span the same operators,
+    and the cocycle map, being linear, has the same image on both.
     """
-    return cocycle_span(gns, hermitian=True)
+    return compute_H0(gns)
 
 
 @dataclass

@@ -79,7 +79,7 @@ class HsSubspace:
 
     `invariance_residual` bounds the distance from R.v and v.R to the span,
     over the basis rows v and the commutant action generators R: measured by
-    `invariance_residual`, or the commutator bound of `cocycles.cocycle_span`.
+    `invariance_residual`, or the commutator bound of `cocycles.compute_H0`.
     """
 
     basis: np.ndarray            # (r, n, D, D)

@@ -13,11 +13,10 @@ import freedim.cocycles as cocycles_module
 from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2,
                       generated_dim, left_mults, make_c1m2, make_c2, make_m2, random_block_algebra,
                       random_hermitian, section_algebra, svd_block_ranks)
-from freedim.algebra import _rowspace_residual, span_with_spectrum
+from freedim.algebra import _rowspace_residual
 from freedim.cli import _delta_results, main
-from freedim.cocycles import (_hermitian_family, _pair_spans, _unit_commutators, cocycle_span,
-                              commutator_bound)
-from freedim.tolerances import INVARIANCE_TOL, SUBSPACE_TOL
+from freedim.cocycles import _pair_spans, _unit_commutators, commutator_bound
+from freedim.tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
 from freedim.vndim import HsSubspace, invariance_residual
 from freedim.wedderburn import commutant_basis
 
@@ -108,7 +107,7 @@ def test_h1_empty_generator_tuple():
 
 def test_h_spaces_invariance_certificates(c1m2):
     gns = fd.gns_structure(c1m2)
-    for builder in (fd.compute_H0, fd.compute_H1):
+    for builder in (fd.compute_H0, hermitian_H1):
         K = builder(gns)
         assert K.invariance_residual <= 1e-8
 
@@ -142,17 +141,29 @@ CROSS_CHECKED = WORKED + ["S4", "random3x4", "random5", "random1x2x2x4", "random
                           "random1x1x1", "random2x2", "random1x2x2"]
 
 
-# delta_report builds H0 alone, H1 being H0 by theorem; the Hermitian span
-# stays as the cross-check
+# compute_H1 returns H0, by theorem; the Hermitian span, built whole by the
+# oracle below, checks the theorem
 @pytest.mark.parametrize("name", CROSS_CHECKED)
 def test_hermitian_span_is_h0(name):
     alg = _worked_algebra(name)
     gns = fd.gns_structure(alg)
-    H0, H1 = fd.compute_H0(gns), fd.compute_H1(gns)
+    H0, H1 = fd.compute_H0(gns), hermitian_H1(gns)
     r0, r1 = fd.vn_dimension_report(H0, alg), fd.vn_dimension_report(H1, alg)
     assert r1.fraction == r0.fraction
     np.testing.assert_array_equal(r1.multiplicities, r0.multiplicities)
     assert fd.subspace_distance(H0, H1) <= SUBSPACE_TOL
+    library = fd.compute_H1(gns)
+    assert _bitwise_equal(library.basis, H0.basis)
+    assert library.invariance_residual == H0.invariance_residual
+
+
+def _span_with_spectrum(A):
+    """Kept rows vh[:r] (s > RANK_TOL * s[0]) of a 2-D array's SVD, the
+    rank rule of `numerical_span`, and all of s."""
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((0, A.shape[1]), dtype=complex), s
+    return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
 
 
 def dense_H0(gns):
@@ -161,12 +172,44 @@ def dense_H0(gns):
     certificate; and the family's spectrum."""
     Ls = gns.generator_left_mult
     n, D = Ls.shape[0], gns.dim
-    kept, s = span_with_spectrum(_unit_commutators(Ls, Ls).reshape(D * D, n * D * D))
+    kept, s = _span_with_spectrum(_unit_commutators(Ls, Ls).reshape(D * D, n * D * D))
     basis = kept.reshape(len(kept), n, D, D)
-    residual = commutator_bound(gns, s, len(kept), 1.0, n * D * D)
+    residual = commutator_bound(gns, s, len(kept))
     if residual > INVARIANCE_TOL:
         residual = invariance_residual(basis, gns)
     return HsSubspace(basis, residual), s
+
+
+def _hermitian_family_loop(units):
+    """Cocycles of E_pp, E_pq + E_qp and i(E_pq - E_qp), p < q, from the
+    (D^2, ...) unit cocycles."""
+    D = units.shape[-1]
+    units = units.reshape(D, D, *units.shape[1:])
+    rows = np.empty((D * D, *units.shape[2:]), dtype=complex)
+    k = 0
+    for p in range(D):
+        rows[k] = units[p, p]
+        k += 1
+        for q in range(p + 1, D):
+            np.add(units[p, q], units[q, p], out=rows[k])
+            rows[k + 1] = 1j * (units[p, q] - units[q, p])
+            k += 2
+    return rows
+
+
+def hermitian_H1(gns):
+    """H1 from one SVD of the cocycles of the Hermitian family, the
+    construction that H1 = H0 replaced.  The family's operators have HS norm
+    1 or sqrt 2, not 1, so the commutator bound carries a factor sqrt 2."""
+    Ls = gns.generator_left_mult
+    n, D = Ls.shape[0], gns.dim
+    family = _hermitian_family_loop(_unit_commutators(Ls, Ls))
+    kept, s = _span_with_spectrum(family.reshape(D * D, n * D * D))
+    basis = kept.reshape(len(kept), n, D, D)
+    residual = np.sqrt(2.0) * commutator_bound(gns, s, len(kept))
+    if residual > INVARIANCE_TOL:
+        residual = invariance_residual(basis, gns)
+    return HsSubspace(basis, residual)
 
 
 @pytest.mark.parametrize("name", CROSS_CHECKED)
@@ -199,7 +242,7 @@ def test_commutator_bound_dominates_dense_residual(name):
     alg = _worked_algebra(name)
     gns = fd.gns_structure(alg)
     assert gns.dim <= 13
-    for builder in (fd.compute_H0, fd.compute_H1):
+    for builder in (fd.compute_H0, hermitian_H1):
         K = builder(gns)
         dense = invariance_residual(K.basis, gns)
         assert K.complex_dim > 0
@@ -214,8 +257,8 @@ def test_block_multiplicities_match_svd_rank_oracle(name):
     alg = _worked_algebra(name)
     gns = fd.gns_structure(alg)
     sizes = np.array(gns.algebra.block_sizes)
-    for hermitian in (False, True):  # H0, H1
-        K = cocycle_span(gns, hermitian=hermitian)
+    for builder in (fd.compute_H0, hermitian_H1):
+        K = builder(gns)
         rep = fd.vn_dimension_report(K, gns.algebra)
         np.testing.assert_array_equal(
             rep.multiplicities * np.outer(sizes, sizes), svd_block_ranks(K, gns.algebra)
@@ -244,7 +287,7 @@ def _c_m2(weight):
 def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
     gns = fd.gns_structure(alg)
     fd.central_decomposition(gns)  # the center certificate holds here too
-    for builder in (fd.compute_H0, fd.compute_H1):
+    for builder in (fd.compute_H0, hermitian_H1):
         K = builder(gns)
         dense = invariance_residual(K.basis, gns)
         assert K.invariance_residual <= INVARIANCE_TOL
@@ -290,25 +333,29 @@ def test_s4_bounds_stay_far_below_the_gate(monkeypatch):
 
     def dense(basis, gns):
         raise AssertionError("S4 took the dense fallback")
-    monkeypatch.setattr(cocycles_module, "invariance_residual", dense)
-    for builder in (fd.compute_H0, fd.compute_H1):
+    for module in (cocycles_module, sys.modules[__name__]):  # compute_H0's, the oracle's
+        monkeypatch.setattr(module, "invariance_residual", dense)
+    for builder in (fd.compute_H0, hermitian_H1):
         assert 0.0 < builder(gns).invariance_residual <= 1e-10
 
 
 def test_commutator_bound_takes_no_svd(monkeypatch, capsys):
     # ||R_p|| has a closed form and the commutators are measured in
-    # Frobenius norm, so the bound factors nothing; the spans' SVDs do
+    # Frobenius norm, so the bound factors nothing; the spans' SVDs do.  Each
+    # stack is read from the SVD's immediate caller up, so a direct call and
+    # a call through np.linalg.norm both show
     callers = []
     for module in (np.linalg, np.linalg._linalg):  # norm(., 2) calls the latter's svd
         svd = module.svd
 
         def spied(*args, _svd=svd, **kwargs):
-            callers.append([f.f_code.co_name for f, _ in traceback.walk_stack(None)])
+            caller = sys._getframe(1)
+            callers.append([f.f_code.co_name for f, _ in traceback.walk_stack(caller)])
             return _svd(*args, **kwargs)
         monkeypatch.setattr(module, "svd", spied)
     assert main(["delta", "--config", str(CONFIG_DIR / "delta_full_2x2.json")]) == 0
     capsys.readouterr()
-    assert any("cocycle_span" in names for names in callers)
+    assert any(names[0] == "_pair_spans" for names in callers)
     assert not any("commutator_bound" in names for names in callers)
 
 
@@ -347,11 +394,14 @@ def _dense_commutator_maxima(gns):
 @pytest.mark.parametrize("shape", [(1,), (1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3, 3),
                                    (4, 5), (1, 2, 6), (3, 4, 4)], ids=str)
 def test_per_block_commutator_maxima_match_dense_oracle(shape):
-    # up to D = 41; with s = (1, 2^60), r = 1 and no rounding term the bound
-    # is the commutator maximum plus 2^60 times the largest ||R_p||
+    # up to D = 41; with s = (1,) and r = 1 the bound is the commutator maximum
+    # plus eps_fp = 2 n D^2 u times the largest ||R_p||, and s = (1, 2^60)
+    # adds 2^60 times ||R_p||
     gns = fd.gns_structure(random_block_algebra(shape, seed=sum(shape)))
-    comm = commutator_bound(gns, np.array([1.0]), 1, 1.0, 0)
-    R_max = (commutator_bound(gns, np.array([1.0, 2.0**60]), 1, 1.0, 0) - comm) / 2.0**60
+    bound = commutator_bound(gns, np.array([1.0]), 1)
+    R_max = (commutator_bound(gns, np.array([1.0, 2.0**60]), 1) - bound) / 2.0**60
+    n = gns.generator_left_mult.shape[0]
+    comm = bound - 2 * n * gns.dim**2 * np.finfo(float).eps * R_max
     dense_comm, dense_R = _dense_commutator_maxima(gns)
     tol = 4 * gns.dim * np.finfo(float).eps / 2 * dense_R
     assert abs(comm - dense_comm) <= tol
@@ -411,13 +461,14 @@ def test_commutator_bound_rejects_non_commuting_operator(m2, monkeypatch):
     Ls = random_hermitian(np.random.default_rng(3), gns.dim)[None]
     faulty = dataclasses.replace(gns, generator_left_mult=Ls)
     A = _unit_commutators(Ls, Ls).reshape(gns.dim ** 2, -1)
-    kept, s = span_with_spectrum(A)
-    assert commutator_bound(faulty, s, kept.shape[0], 1.0, max(A.shape)) > INVARIANCE_TOL
-    calls, dense = [], cocycles_module.invariance_residual
-    monkeypatch.setattr(cocycles_module, "invariance_residual",
-                        lambda basis, gns: calls.append(1) or dense(basis, gns))
-    for hermitian in (False, True):  # the pair spans, then the Hermitian family
-        K = cocycle_span(faulty, hermitian=hermitian)
+    kept, s = _span_with_spectrum(A)
+    assert commutator_bound(faulty, s, kept.shape[0]) > INVARIANCE_TOL
+    calls, dense = [], invariance_residual
+    for module in (cocycles_module, sys.modules[__name__]):  # compute_H0's, the oracle's
+        monkeypatch.setattr(module, "invariance_residual",
+                            lambda basis, gns: calls.append(1) or dense(basis, gns))
+    for builder in (fd.compute_H0, hermitian_H1):  # the pair spans, then the Hermitian family
+        K = builder(faulty)
         assert K.invariance_residual > INVARIANCE_TOL
         with pytest.raises(fd.NotInvariant):
             fd.vn_dimension_report(K, gns.algebra)
@@ -452,21 +503,6 @@ def _unit_commutators_loop(Li, Lk):
     return rows.reshape(di * dk, n, di, dk)
 
 
-def _hermitian_family_loop(units):
-    D = units.shape[-1]
-    units = units.reshape(D, D, *units.shape[1:])
-    rows = np.empty((D * D, *units.shape[2:]), dtype=complex)
-    k = 0
-    for p in range(D):
-        rows[k] = units[p, p]
-        k += 1
-        for q in range(p + 1, D):
-            np.add(units[p, q], units[q, p], out=rows[k])
-            rows[k + 1] = 1j * (units[p, q] - units[q, p])
-            k += 2
-    return rows
-
-
 def _commutator_stack_loop(mats, within, N):
     r = within.shape[0]
     stacked = np.empty((len(mats), N * N, r), dtype=complex)
@@ -484,7 +520,6 @@ def test_cocycle_families_match_reference_loops_bitwise(n, D):
     Ls = _with_negative_zeros(rng, (n, D, D))
     units = _unit_commutators(Ls, Ls)  # the full form: every D x D unit
     assert _bitwise_equal(units, _unit_commutators_loop(Ls, Ls))
-    assert _bitwise_equal(_hermitian_family(units), _hermitian_family_loop(units))
     # the pair form, stacked over three pairs of one shape (D and 4 coordinates)
     Li, Lk = _with_negative_zeros(rng, (3, n, D, D)), _with_negative_zeros(rng, (3, n, 4, 4))
     for a, b in ((Li, Lk), (Lk, Li)):

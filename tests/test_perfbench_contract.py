@@ -48,6 +48,8 @@ def test_tracer_install_uninstall_restores_bindings():
     t = tracer.Tracer().install()
     try:
         patched = t.bindings()
+        # each binding is wrapped once: no two traced names are one function
+        assert len(patched) == len(set(patched))
         # every traced function is wrapped at least at its home module
         assert {f"freedim.{name}" for name in tracer.NAMES} <= set(patched)
         assert _bindings() != before
@@ -70,7 +72,8 @@ def test_shipped_configs_call_every_traced_name(tmp_path):
     finally:
         tracer.uninstall()
     uncalled = {name for name, row in tracer.summary().items() if row["calls"] == 0}
-    # the dense certificates, which no shipped scenario needs, and the
-    # Hermitian span, which delta_report does not build (H1 is H0)
+    # the dense certificates, which no shipped scenario needs, and H1, which
+    # returns H0 (H1 is H0 by theorem) and which delta_report does not call;
+    # it stays as README library API, and the tracer wraps it
     assert uncalled <= {"vndim.hs_subspace", "vndim.invariance_residual",
                         "cocycles.compute_H1"}

@@ -39,12 +39,10 @@ NEVER_ENTERED = {
     "cutoff.CutoffFamily.fprime",
     "cutoff.CutoffFamily.g",
     "cutoff._phi_prime",
-    # the Hermitian cocycle span: delta_report builds H0 alone, since H1 is
-    # H0 by theorem, and this second construction is README library API and
-    # the tests' cross-check of that theorem (test_cocycles.py)
+    # H1, which is H0 by theorem and returns it: delta_report calls
+    # compute_H0 directly, README names compute_H1 as library API, and the
+    # benchmark's tracer wraps it
     "cocycles.compute_H1",
-    # the Hermitian family, reached only through compute_H1
-    "cocycles._hermitian_family",
     # Free Fisher information of an algebra, named by README
     "derivations.phi_star",
     # the checked constructor of an outside table; the CLI checks a `table`
