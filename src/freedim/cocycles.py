@@ -5,11 +5,11 @@ sends an operator on L2 to a tuple of Hilbert-Schmidt operators.  Three
 subspaces of HS^n are built from it: the image over all bounded Y (H0), the
 span of the image over self-adjoint Y (H1), and the weak-limit closure of
 the image over Hilbert-Schmidt Y (H2).  In finite dimensions the three are
-one space, so `delta_report` builds H0 alone: H1 is H0, since the Hermitian
-family spans the matrix units over C, and H2 is H0, since every operator on
-L2 is Hilbert-Schmidt and every subspace weakly closed.  H0 is spanned one
+one space: H1 = H0, since the Hermitian family is an invertible transform of
+the matrix units, and H2 = H0, since every operator on L2 is Hilbert-Schmidt
+and every subspace weakly closed.  So `delta_report` builds H0 alone, one
 pair of central blocks at a time, since each matrix unit's cocycle lives in
-its pair's sub-block.  `compute_H1` returns H0, by that theorem.
+its pair's sub-block.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .vndim import (
     HsSubspace,
     central_decomposition,
     invariance_residual,
-    subspace_distance,
     to_fraction,
     vn_dimension_report,
 )
@@ -192,28 +191,22 @@ class DeltaReport:
     The chain dim H0 <= delta* <= delta# <= Delta collapses because its
     endpoints coincide in finite dimensions, and H1 and H2 are H0: the CLI
     report derives those values, beta0 = 1 - Delta and every float from
-    Delta.  The three distances are H0's measured self-gap, printed once per
-    pair of spaces.
+    Delta.
     """
 
     Delta: Fraction
     closed_form_beta0: Fraction
     multiplicities: np.ndarray
     weights: tuple[float, ...]
-    distances: dict[str, float]
-    agreement: dict[str, bool]
+    closed_form_matches: bool
 
 
 def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     """Assemble dim H0 = dim H1 = dim H2 = Delta and beta0 = 1 - Delta.
 
-    One span is built, H0.  H1 is H0 by theorem: the Hermitian family E_pp,
-    E_pq + E_qp, i(E_pq - E_qp) is an invertible transform of the matrix
-    units (see `compute_H1`), so both families have one complex span and
-    one cocycle image.  H2 is H0, since every operator on the
-    finite-dimensional L2 is Hilbert-Schmidt and every subspace weakly
-    closed.  The measured distance is subspace_distance(H0, H0), the gap of
-    H0's computed basis to its own span, and each pair of spaces prints it.
+    One span is built, H0.  H1 = H0: the Hermitian family E_pp, E_pq + E_qp,
+    i(E_pq - E_qp) is an invertible transform of the matrix units (see
+    `compute_H1`).  H2 = H0 in finite dimensions.
 
     The second witness is exact.  The algebra is the one its tuple generates
     (the TracialAlgebra constructors check it), the direct sum of the
@@ -242,17 +235,10 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
          for w, n in zip(algebra.trace_weights, algebra.block_sizes)),
         Fraction(0),
     )
-    gap = subspace_distance(H0, H0)
-    distances = {"H0_H1": gap, "H0_H2": gap, "H1_H2": gap}  # H1 and H2 are H0
-    agreement = {
-        "spaces_coincide": gap <= SUBSPACE_TOL,
-        "closed_form_matches": abs(float(1 - r0.fraction) - float(closed)) <= SUBSPACE_TOL,
-    }
     return DeltaReport(
         Delta=r0.fraction,
         closed_form_beta0=closed,
         multiplicities=r0.multiplicities,
         weights=weights,
-        distances=distances,
-        agreement=agreement,
+        closed_form_matches=abs(float(1 - r0.fraction) - float(closed)) <= SUBSPACE_TOL,
     )

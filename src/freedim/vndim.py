@@ -217,6 +217,4 @@ def vn_dimension_report(K: HsSubspace, algebra: TracialAlgebra) -> VnDimensionRe
 
 def subspace_distance(a: HsSubspace, b: HsSubspace) -> float:
     """Symmetric gap between two subspaces given by orthonormal spanning rows."""
-    forward = _rowspace_residual(a.flat(), b.flat())
-    # the gap of a space to itself is one residual, not two
-    return forward if b is a else max(forward, _rowspace_residual(b.flat(), a.flat()))
+    return max(_rowspace_residual(a.flat(), b.flat()), _rowspace_residual(b.flat(), a.flat()))

@@ -8,7 +8,10 @@ import pytest
 import freedim as fd
 from freedim.algebra import (_block_ranges, _diag_weights, _frame, _orthonormal_selfadjoint_basis,
                              _unit_map, unit_scaled, word_span)
+from freedim.cocycles import _unit_commutators, commutator_bound
 from freedim.derivations import _xi, derivation_well_defined
+from freedim.tolerances import INVARIANCE_TOL, RANK_TOL
+from freedim.vndim import HsSubspace, invariance_residual
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -58,7 +61,6 @@ def svd_block_ranks(K, algebra):
     slice of the basis rows, with the relative cutoff RANK_TOL floored at the
     ambient scale, so that an all-noise block has rank zero."""
     from freedim.algebra import block_offsets
-    from freedim.tolerances import RANK_TOL
 
     ranges = block_offsets([n * n for n in algebra.block_sizes])
     r = K.complex_dim
@@ -142,6 +144,61 @@ def basis_left_mults(gns):
 def cocycle_map(gns, generators, Y):
     """([Y, L_{X_1}], ..., [Y, L_{X_n}]) as an (n, D, D) array."""
     return np.array([Y @ L - L @ Y for L in left_mults(gns, generators)])
+
+
+def _span_with_spectrum(A):
+    """Kept rows vh[:r] (s > RANK_TOL * s[0]) of a 2-D array's SVD, the
+    rank rule of `numerical_span`, and all of s."""
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((0, A.shape[1]), dtype=complex), s
+    return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
+
+
+def dense_H0(gns):
+    """H0 from one SVD of the whole (D^2, n D^2) matrix-unit family, the
+    construction that the per-block-pair spans replaced, with the same
+    certificate; and the family's spectrum."""
+    Ls = gns.generator_left_mult
+    n, D = Ls.shape[0], gns.dim
+    kept, s = _span_with_spectrum(_unit_commutators(Ls, Ls).reshape(D * D, n * D * D))
+    basis = kept.reshape(len(kept), n, D, D)
+    residual = commutator_bound(gns, s, len(kept))
+    if residual > INVARIANCE_TOL:
+        residual = invariance_residual(basis, gns)
+    return HsSubspace(basis, residual), s
+
+
+def _hermitian_family_loop(units):
+    """Cocycles of E_pp, E_pq + E_qp and i(E_pq - E_qp), p < q, from the
+    (D^2, ...) unit cocycles."""
+    D = units.shape[-1]
+    units = units.reshape(D, D, *units.shape[1:])
+    rows = np.empty((D * D, *units.shape[2:]), dtype=complex)
+    k = 0
+    for p in range(D):
+        rows[k] = units[p, p]
+        k += 1
+        for q in range(p + 1, D):
+            np.add(units[p, q], units[q, p], out=rows[k])
+            rows[k + 1] = 1j * (units[p, q] - units[q, p])
+            k += 2
+    return rows
+
+
+def hermitian_H1(gns):
+    """H1 from one SVD of the cocycles of the Hermitian family, the
+    construction that H1 = H0 replaced.  The family's operators have HS norm
+    1 or sqrt 2, not 1, so the commutator bound carries a factor sqrt 2."""
+    Ls = gns.generator_left_mult
+    n, D = Ls.shape[0], gns.dim
+    family = _hermitian_family_loop(_unit_commutators(Ls, Ls))
+    kept, s = _span_with_spectrum(family.reshape(D * D, n * D * D))
+    basis = kept.reshape(len(kept), n, D, D)
+    residual = np.sqrt(2.0) * commutator_bound(gns, s, len(kept))
+    if residual > INVARIANCE_TOL:
+        residual = invariance_residual(basis, gns)
+    return HsSubspace(basis, residual)
 
 
 def conjugate_variable(gns, targets):

@@ -12,7 +12,8 @@ import numpy as np
 import freedim as fd
 from freedim.cli import main as cli_main
 from conftest import SX, SY, SZ, basis_left_mults, conjugate_variable, embed_c_m2, \
-    evaluate_word, invariant_complement, make_c1m2, make_c2, make_m2, random_hermitian
+    evaluate_word, hermitian_H1, invariant_complement, make_c1m2, make_c2, make_m2, \
+    random_hermitian
 
 
 def record(number: int, description: str, ok: bool):
@@ -80,8 +81,10 @@ def test_criterion_2_generator_independence():
 def test_criterion_3_cutoff_and_space_coincidence():
     ok = True
     for alg in (make_c2(), make_m2(), make_c1m2()):
-        rep = fd.delta_report(alg)
-        ok &= max(rep.distances.values()) <= 1e-9
+        gns = fd.gns_structure(alg)
+        H0 = fd.compute_H0(gns)
+        ok &= fd.subspace_distance(H0, hermitian_H1(gns)) <= 1e-9
+        ok &= fd.subspace_distance(H0, H0) <= 1e-9
 
     rng = np.random.default_rng(2024)
     for _ in range(20):

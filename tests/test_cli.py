@@ -170,16 +170,17 @@ def test_group_finite_cross_check(tmp_path, capsys):
 
 def _assert_derived_fields(results):
     """The fields `_delta_results` derives equal their sources: each float is
-    float() of its fraction, and every pinned field is Delta."""
+    float() of its fraction, every pinned field is Delta, and the agreement
+    flags are true."""
     delta = results["Delta"]
     assert delta == float(Fraction(results["Delta_fraction"]))
     assert results["beta0"] == float(Fraction(results["beta0_fraction"]))
     pinned = results["pinned"]
     assert (results["dim_H0"] == results["dim_H1"] == results["dim_H2"]
             == pinned["delta_star"] == pinned["delta_blackstar"] == delta)
-    distances = results["subspace_distances"]
-    assert distances["H1_H2"] == distances["H0_H1"]
-    assert results["agreement"]["weak_equals_norm"] is True
+    assert "subspace_distances" not in results
+    assert results["agreement"] == {"spaces_coincide": True, "closed_form_matches": True,
+                                    "weak_equals_norm": True}
 
 
 _S3_CONFIG = str(CONFIG_DIR / "group_finite_s3.json")

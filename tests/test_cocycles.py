@@ -8,16 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
 import freedim as fd
 import freedim.cocycles as cocycles_module
-from conftest import (SX, SY, SZ, basis_left_mults, cocycle_map, embed_c_m2,
-                      generated_dim, left_mults, make_c1m2, make_c2, make_m2, random_block_algebra,
-                      random_hermitian, section_algebra, svd_block_ranks)
+from conftest import (SX, SY, SZ, _span_with_spectrum, basis_left_mults, cocycle_map, dense_H0,
+                      embed_c_m2, generated_dim, hermitian_H1, left_mults, make_c1m2, make_c2,
+                      make_m2, random_block_algebra, random_hermitian, section_algebra,
+                      svd_block_ranks)
 from freedim.algebra import _rowspace_residual
 from freedim.cli import _delta_results, main
 from freedim.cocycles import _pair_spans, _unit_commutators, commutator_bound
-from freedim.tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
-from freedim.vndim import HsSubspace, invariance_residual
+from freedim.tolerances import INVARIANCE_TOL, SUBSPACE_TOL
+from freedim.vndim import invariance_residual
 from freedim.wedderburn import commutant_basis
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -142,7 +144,7 @@ CROSS_CHECKED = WORKED + ["S4", "random3x4", "random5", "random1x2x2x4", "random
 
 
 # compute_H1 returns H0, by theorem; the Hermitian span, built whole by the
-# oracle below, checks the theorem
+# oracle hermitian_H1, checks the theorem
 @pytest.mark.parametrize("name", CROSS_CHECKED)
 def test_hermitian_span_is_h0(name):
     alg = _worked_algebra(name)
@@ -157,61 +159,6 @@ def test_hermitian_span_is_h0(name):
     assert library.invariance_residual == H0.invariance_residual
 
 
-def _span_with_spectrum(A):
-    """Kept rows vh[:r] (s > RANK_TOL * s[0]) of a 2-D array's SVD, the
-    rank rule of `numerical_span`, and all of s."""
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, A.shape[1]), dtype=complex), s
-    return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
-
-
-def dense_H0(gns):
-    """H0 from one SVD of the whole (D^2, n D^2) matrix-unit family, the
-    construction that the per-block-pair spans replaced, with the same
-    certificate; and the family's spectrum."""
-    Ls = gns.generator_left_mult
-    n, D = Ls.shape[0], gns.dim
-    kept, s = _span_with_spectrum(_unit_commutators(Ls, Ls).reshape(D * D, n * D * D))
-    basis = kept.reshape(len(kept), n, D, D)
-    residual = commutator_bound(gns, s, len(kept))
-    if residual > INVARIANCE_TOL:
-        residual = invariance_residual(basis, gns)
-    return HsSubspace(basis, residual), s
-
-
-def _hermitian_family_loop(units):
-    """Cocycles of E_pp, E_pq + E_qp and i(E_pq - E_qp), p < q, from the
-    (D^2, ...) unit cocycles."""
-    D = units.shape[-1]
-    units = units.reshape(D, D, *units.shape[1:])
-    rows = np.empty((D * D, *units.shape[2:]), dtype=complex)
-    k = 0
-    for p in range(D):
-        rows[k] = units[p, p]
-        k += 1
-        for q in range(p + 1, D):
-            np.add(units[p, q], units[q, p], out=rows[k])
-            rows[k + 1] = 1j * (units[p, q] - units[q, p])
-            k += 2
-    return rows
-
-
-def hermitian_H1(gns):
-    """H1 from one SVD of the cocycles of the Hermitian family, the
-    construction that H1 = H0 replaced.  The family's operators have HS norm
-    1 or sqrt 2, not 1, so the commutator bound carries a factor sqrt 2."""
-    Ls = gns.generator_left_mult
-    n, D = Ls.shape[0], gns.dim
-    family = _hermitian_family_loop(_unit_commutators(Ls, Ls))
-    kept, s = _span_with_spectrum(family.reshape(D * D, n * D * D))
-    basis = kept.reshape(len(kept), n, D, D)
-    residual = np.sqrt(2.0) * commutator_bound(gns, s, len(kept))
-    if residual > INVARIANCE_TOL:
-        residual = invariance_residual(basis, gns)
-    return HsSubspace(basis, residual)
-
-
 @pytest.mark.parametrize("name", CROSS_CHECKED)
 def test_pair_spans_are_the_dense_h0(name):
     alg = _worked_algebra(name)
@@ -221,6 +168,7 @@ def test_pair_spans_are_the_dense_h0(name):
     assert r0.fraction == rd.fraction
     np.testing.assert_array_equal(r0.multiplicities, rd.multiplicities)
     assert fd.subspace_distance(H0, dense) <= SUBSPACE_TOL
+    assert fd.subspace_distance(H0, H0) <= SUBSPACE_TOL  # the self-gap that left the report
     s = _pair_spans(gns)[1]
     assert s.shape == s_dense.shape
     assert np.abs(s - s_dense).max() <= 1e-12 * s_dense[0]
@@ -333,7 +281,7 @@ def test_s4_bounds_stay_far_below_the_gate(monkeypatch):
 
     def dense(basis, gns):
         raise AssertionError("S4 took the dense fallback")
-    for module in (cocycles_module, sys.modules[__name__]):  # compute_H0's, the oracle's
+    for module in (cocycles_module, conftest):  # compute_H0's, the oracles'
         monkeypatch.setattr(module, "invariance_residual", dense)
     for builder in (fd.compute_H0, hermitian_H1):
         assert 0.0 < builder(gns).invariance_residual <= 1e-10
@@ -464,7 +412,7 @@ def test_commutator_bound_rejects_non_commuting_operator(m2, monkeypatch):
     kept, s = _span_with_spectrum(A)
     assert commutator_bound(faulty, s, kept.shape[0]) > INVARIANCE_TOL
     calls, dense = [], invariance_residual
-    for module in (cocycles_module, sys.modules[__name__]):  # compute_H0's, the oracle's
+    for module in (cocycles_module, conftest):  # compute_H0's, the oracles'
         monkeypatch.setattr(module, "invariance_residual",
                             lambda basis, gns: calls.append(1) or dense(basis, gns))
     for builder in (fd.compute_H0, hermitian_H1):  # the pair spans, then the Hermitian family
@@ -582,9 +530,8 @@ def test_delta_chain_and_pinning(c1m2):
     pinned = results["pinned"]
     assert pinned["delta_star"] == float(rep.Delta) == pinned["delta_blackstar"]
     assert results["dim_H0"] <= results["dim_H2"] + 1e-9
-    assert rep.agreement["spaces_coincide"]
-    assert rep.agreement["closed_form_matches"]
-    assert results["agreement"]["weak_equals_norm"]
+    assert rep.closed_form_matches
+    assert results["agreement"]["spaces_coincide"] and results["agreement"]["weak_equals_norm"]
 
 
 def _perturb_multiplicities(monkeypatch):
@@ -677,11 +624,13 @@ def test_delta_report_extreme_weights():
     rep = fd.delta_report(alg)
     expected = 1.0 - (0.999**2 + 0.001**2 / 4.0)
     assert abs(rep.Delta - expected) <= 1e-9
-    assert rep.agreement["closed_form_matches"]
+    assert rep.closed_form_matches
 
 
 def test_delta_report_builds_each_space_once(c1m2, monkeypatch):
-    # H1 and H2 are H0, so compute_H0 is the one cocycle span delta_report builds
+    # H1 and H2 are H0, so compute_H0 is the one cocycle span delta_report
+    # builds, and no distance between the spaces is measured; the distance
+    # is counted by its code object, whatever name binds it
     calls = []
     for name in ("compute_H0", "compute_H1"):
         builder = getattr(fd, name)
@@ -691,7 +640,17 @@ def test_delta_report_builds_each_space_once(c1m2, monkeypatch):
             return _builder(gns)
 
         monkeypatch.setattr(f"freedim.cocycles.{name}", counted)
-    fd.delta_report(c1m2)
+    distance = fd.subspace_distance.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is distance:
+            calls.append("subspace_distance")
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fd.delta_report(c1m2)
+    finally:
+        sys.setprofile(previous)
     assert calls == ["compute_H0"]
 
 

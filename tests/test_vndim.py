@@ -345,7 +345,7 @@ def test_small_weight_block_center_is_accepted():
                            [embed_c_m2(1.0, SX), embed_c_m2(0.0, SZ)])
     rep = fd.delta_report(alg)
     np.testing.assert_array_equal(rep.multiplicities, [[0, 2], [2, 3]])
-    assert all(rep.agreement.values())
+    assert rep.closed_form_matches
 
 
 # ---------------------------------------------------------------------------
