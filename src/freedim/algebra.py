@@ -160,6 +160,24 @@ def word_span(
     return basis
 
 
+def block_pair_operator(algebra: TracialAlgebra, i: int, k: int) -> np.ndarray:
+    """The Sylvester operator phi_ik(z) = (z X_j^(k) - X_j^(i) z)_j on n_i x n_k
+    matrices z, as an (n n_i n_k, n_i n_k) matrix: generator-major rows, z
+    flattened row-major; (0, n_i n_k) when there are no generators.
+
+    In the matrix-unit frame every L_j is X_j (x) 1 on each block, so the
+    cocycle map restricted to block pair (i, k) is phi_ik (x) 1.
+    """
+    spans = block_offsets(algebra.block_sizes)
+    Xi, Xk = (np.array([g[s:t, s:t] for g in algebra.generators], dtype=complex)
+              .reshape(-1, t - s, t - s) for s, t in (spans[i], spans[k]))
+    n_i, n_k = Xi.shape[-1], Xk.shape[-1]
+    # 1 (x) X^(k)T - X^(i) (x) 1 per generator, each as the product np.kron forms
+    phi = (np.eye(n_i)[:, None, :, None] * Xk.swapaxes(1, 2)[:, None, :, None, :]
+           - Xi[:, :, None, :, None] * np.eye(n_k)[:, None, :])
+    return phi.reshape(-1, n_i * n_k)
+
+
 def _validated(block_sizes: Sequence[int], trace_weights: Sequence[float],
                generators: Sequence[np.ndarray], labels: Optional[Sequence[str]]):
     """The declared block sizes, weights, generators and labels as tuples,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import GnsStructure, TracialAlgebra, gns_structure
+from .algebra import GnsStructure, TracialAlgebra, block_pair_operator, gns_structure
 from .errors import IllDefined, ResidualTooLarge
 from .tolerances import RESIDUAL_TOL, WELLDEF_TOL, WORD_GROWTH_TOL
 
@@ -124,14 +124,10 @@ def _sylvester_residual(gns: GnsStructure, targets: Sequence[np.ndarray]) -> flo
     norm = float(np.sqrt(sum(np.vdot(Tj, Tj).real for Tj in targets)))
     if norm == 0.0:
         return 0.0
-    blocks = gns.blocks
     sq = 0.0
-    for s_i, t_i, S_i, T_i, n_i, U_i in blocks:
-        for s_k, t_k, S_k, T_k, n_k, U_k in blocks:
-            # 1 (x) X^(k)T - X^(i) (x) 1, each as the product np.kron forms
-            phi = np.vstack([(np.eye(n_i)[:, None, :, None] * X[s_k:t_k, s_k:t_k].T[:, None]
-                              - X[s_i:t_i, None, s_i:t_i, None] * np.eye(n_k)[:, None, :]
-                              ).reshape(n_i * n_k, -1) for X in gns.algebra.generators])
+    for i, (_, _, S_i, T_i, n_i, U_i) in enumerate(gns.blocks):
+        for k, (_, _, S_k, T_k, n_k, U_k) in enumerate(gns.blocks):
+            phi = block_pair_operator(gns.algebra, i, k)
             rhs = np.vstack([(U_i.T @ Tj[S_i:T_i, S_k:T_k] @ np.conj(U_k))
                              .reshape(n_i, n_i, n_k, n_k).transpose(0, 2, 1, 3)
                              .reshape(n_i * n_k, -1) for Tj in targets])

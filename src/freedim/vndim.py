@@ -37,7 +37,7 @@ def to_fraction(x: float) -> Fraction:
     return fr
 
 
-def central_decomposition(gns: GnsStructure, seed: int = 0) -> tuple[float, ...]:
+def central_decomposition(algebra: TracialAlgebra, seed: int = 0) -> tuple[float, ...]:
     """Numerically resolve the center, certify it and return the measured
     weights tau(z_i) of its minimal projections, in declared block order.
 
@@ -50,7 +50,6 @@ def central_decomposition(gns: GnsStructure, seed: int = 0) -> tuple[float, ...]
     declared sizes and weights, which vn_dimension_report reads from the
     algebra, are certified.
     """
-    algebra = gns.algebra
     N = algebra.matrix_size
     # the matrix units of the blocks, in GNS coordinate order
     units = _unflatten(np.eye(algebra.dim), algebra.block_sizes)
@@ -79,7 +78,7 @@ class HsSubspace:
 
     `invariance_residual` bounds the distance from R.v and v.R to the span,
     over the basis rows v and the commutant action generators R: measured by
-    `invariance_residual`, or the commutator bound of `cocycles.compute_H0`.
+    `invariance_residual`, or the rounding bound of `cocycles.compute_H0`.
     """
 
     basis: np.ndarray            # (r, n, D, D)
@@ -190,7 +189,6 @@ def vn_dimension_report(K: HsSubspace, algebra: TracialAlgebra) -> VnDimensionRe
         raise NotInvariant(f"subspace has invariance residual {rho:.3e} "
                            f"(threshold {INVARIANCE_TOL:.0e})")
     sizes = algebra.block_sizes
-    wfr = [to_fraction(w) for w in algebra.trace_weights]
     r = K.complex_dim
     blocks = [slice(*span) for span in block_offsets([n * n for n in sizes])]
     mass = (np.abs(K.basis) ** 2).sum(axis=(0, 1))
@@ -207,6 +205,15 @@ def vn_dimension_report(K: HsSubspace, algebra: TracialAlgebra) -> VnDimensionRe
                 raise IntegralityError(f"block ({i},{j}) has mass {mu!r}, not a "
                                        f"certified multiple of {ni * nj}")
             mult[i, j] = rank // (ni * nj)
+    return weighted_dimension(mult, algebra)
+
+
+def weighted_dimension(mult: np.ndarray, algebra: TracialAlgebra) -> VnDimensionReport:
+    """sum_ij alpha_i alpha_j m_ij / (n_i n_j) for the (b, b) multiplicities
+    m_ij, exactly, over the algebra's declared blocks and the exact weights
+    `to_fraction` of its declared ones."""
+    sizes = algebra.block_sizes
+    wfr = [to_fraction(w) for w in algebra.trace_weights]
     # sum_ij m_ij u_i u_j, u_i = alpha_i / n_i, exactly over one denominator of the u_i
     den = math.lcm(*(w.denominator * n for w, n in zip(wfr, sizes)))
     u = [w.numerator * (den // (w.denominator * n)) for w, n in zip(wfr, sizes)]

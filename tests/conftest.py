@@ -1,4 +1,5 @@
 import contextlib
+import math
 import re
 import sys
 
@@ -8,7 +9,6 @@ import pytest
 import freedim as fd
 from freedim.algebra import (_block_ranges, _diag_weights, _frame, _orthonormal_selfadjoint_basis,
                              _unit_map, unit_scaled, word_span)
-from freedim.cocycles import _unit_commutators, commutator_bound
 from freedim.derivations import _xi, derivation_well_defined
 from freedim.tolerances import INVARIANCE_TOL, RANK_TOL
 from freedim.vndim import HsSubspace, invariance_residual
@@ -153,6 +153,60 @@ def _span_with_spectrum(A):
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, A.shape[1]), dtype=complex), s
     return vh[: int(np.sum(s > RANK_TOL * s[0]))], s
+
+
+def _unit_commutators(Li, Lk):
+    """Cocycle tuples of the matrix units E_pq, p a coordinate of Li's block
+    and q of Lk's, as (..., di*dk, n, di, dk) for Li (..., n, di, di) and Lk
+    (..., n, dk, dk), stacked over the leading axes.
+
+    With L_j block-diagonal, [E_pq, L_j] lives in the (i, k) sub-block; with
+    Li = Lk = Ls the full (D, D) blocks give all D*D units.
+    """
+    *batch, n, di, _ = Li.shape
+    dk = Lk.shape[-1]
+    pairs = math.prod(batch)
+    Li, Lk = Li.reshape(pairs, n, di, di), Lk.reshape(pairs, n, dk, dk)
+    rows = np.zeros((pairs, di, dk, n, di, dk), dtype=complex)
+    b, p, q = np.arange(pairs)[:, None, None], np.arange(di)[:, None], np.arange(dk)
+    rows[b, p, q, :, p, :] += Lk.transpose(0, 2, 1, 3)[:, None]     # E_pq L_j: row p is Lk_j[q]
+    rows[b, p, q, :, :, q] -= Li.transpose(0, 3, 1, 2)[:, :, None]  # L_j E_pq: col q is Li_j[:, p]
+    return rows.reshape(*batch, di * dk, n, di, dk)
+
+
+def commutator_bound(gns, s, r):
+    """Bound on how far the commutant action moves the span of the first r
+    rows of a matrix-unit cocycle family's SVD, `s` its descending spectrum;
+    the certificate of `dense_H0` and `hermitian_H1`.
+
+    Each action generator R = R_p satisfies R Phi(Y) = Phi(RY) + ([L_j, R] Y)_j
+    and Phi(Y) R = Phi(YR) + (Y [L_j, R])_j, each kept row v_k = Phi(Y'_k)
+    has ||Y'_k||_HS <= 1 / s_k, and Phi(RY) lies within s_{r+1} ||RY||_HS of
+    the kept span.  So both actions move every row at most
+
+        (max_p (sum_j ||[L_j, R_p]||_F^2)^(1/2)
+         + (s_{r+1} + eps_fp) * max_p ||R_p||) / s_r
+
+    (s_{r+1} = 0 at full rank).  The Frobenius norm bounds the operator norm
+    the argument needs, max_p ||R_p|| = max_i sqrt(n_i/alpha_i) exactly
+    (`_block_basis`), and a computed SVD is the exact SVD of some A + E with
+    ||E|| taken as max(rows, cols) u s_1 (n D^2 u s_1 here), which enters
+    twice, so eps_fp = 2 ||E||.  No norm here takes an SVD.
+    """
+    if r == 0:
+        return 0.0
+    comm_max = 0.0
+    # R_p is zero off its block and L_j block-diagonal (see _verify_gns): so is [L_j, R_p]
+    for S, T, R in gns.commutant_actions:
+        Ls = gns.generator_left_mult[:, S:T, S:T]
+        comm = Ls[None] @ R[:, None] - R[:, None] @ Ls[None]    # (p, j, n^2, n^2)
+        comm_max = max(comm_max, np.linalg.norm(comm.reshape(len(R), -1), axis=1).max())
+    alg = gns.algebra
+    R_max = max(np.sqrt(n / a) for n, a in zip(alg.block_sizes, alg.trace_weights))
+    s_next = s[r] if r < s.size else 0.0
+    cells = gns.generator_left_mult.shape[0] * gns.dim * gns.dim
+    eps_fp = 2.0 * cells * np.finfo(float).eps * s[0]
+    return float((comm_max + (s_next + eps_fp) * R_max) / s[r - 1])
 
 
 def dense_H0(gns):

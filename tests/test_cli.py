@@ -630,6 +630,21 @@ def _small_weight_run(tmp_path, capsys, weight):
     return results
 
 
+@pytest.mark.parametrize("weight", [1e-15, 1e-16, 1e-300])
+def test_tiny_weight_scalar_block_is_accepted(tmp_path, capsys, weight):
+    # Delta reads the ranks of the block pairs' Sylvester operators; a gate
+    # on the rounding of H0's span, which grows as sqrt(n / alpha), would
+    # refuse these valid inputs with NotInvariant
+    cfg = json.loads((CONFIG_DIR / "delta_direct_sum.json").read_text())
+    cfg["algebra"]["weights"] = [weight, 1 - weight]
+    code = main(["delta", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    results = json.loads(captured.out)["results"]
+    assert [b["multiplicity"] for b in results["blocks"]] == [0, 2, 2, 3]
+    assert results["agreement"]["closed_form_matches"]
+
+
 def test_small_weight_matrix_block_is_accepted(tmp_path, capsys):
     # the GNS identity gaps grow as n / alpha, so an absolute gate on them
     # would refuse this valid input

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import traceback
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,14 +12,14 @@ import pytest
 import conftest
 import freedim as fd
 import freedim.cocycles as cocycles_module
-from conftest import (SX, SY, SZ, _span_with_spectrum, basis_left_mults, cocycle_map, dense_H0,
-                      embed_c_m2, generated_dim, hermitian_H1, left_mults, make_c1m2, make_c2,
-                      make_m2, random_block_algebra, random_hermitian, section_algebra,
-                      svd_block_ranks)
-from freedim.algebra import _rowspace_residual
+from conftest import (SX, SY, SZ, _span_with_spectrum, _unit_commutators, basis_left_mults,
+                      cocycle_map, commutator_bound, dense_H0, embed_c_m2, generated_dim,
+                      hermitian_H1, left_mults, make_c1m2, make_c2, make_m2,
+                      random_block_algebra, random_hermitian, section_algebra, svd_block_ranks)
+from freedim.algebra import _rowspace_residual, block_offsets, block_pair_operator
 from freedim.cli import _delta_results, main
-from freedim.cocycles import _pair_spans, _unit_commutators, commutator_bound
-from freedim.tolerances import INVARIANCE_TOL, SUBSPACE_TOL
+from freedim.cocycles import _pair_ranges
+from freedim.tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
 from freedim.vndim import invariance_residual
 from freedim.wedderburn import commutant_basis
 
@@ -167,22 +168,49 @@ def test_pair_spans_are_the_dense_h0(name):
     r0, rd = fd.vn_dimension_report(H0, alg), fd.vn_dimension_report(dense, alg)
     assert r0.fraction == rd.fraction
     np.testing.assert_array_equal(r0.multiplicities, rd.multiplicities)
-    assert fd.subspace_distance(H0, dense) <= SUBSPACE_TOL
+    assert fd.subspace_distance(H0, dense) <= SUBSPACE_TOL  # the lift spans the dense H0
     assert fd.subspace_distance(H0, H0) <= SUBSPACE_TOL  # the self-gap that left the report
-    s = _pair_spans(gns)[1]
+    # the phi_ik spectra, each value repeated n_i n_k times, are the family's
+    s = _pair_ranges(alg)[1]
     assert s.shape == s_dense.shape
     assert np.abs(s - s_dense).max() <= 1e-12 * s_dense[0]
+    # delta_report, which builds no span, certifies what the dense H0 does
+    rep = fd.delta_report(alg)
+    assert rep.Delta == rd.fraction
+    np.testing.assert_array_equal(rep.multiplicities, rd.multiplicities)
+
+
+@pytest.mark.parametrize("name", CROSS_CHECKED + ["random4x5", "random1x2x6"])
+def test_weyl_perturbation_stays_below_the_rank_cut(name):
+    # the computed SVD of phi_ik is exact for phi_ik + E, ||E|| <= n n_i n_k u
+    # s_1, and forming phi_ik adds at most sqrt(n_i n_k) u s_1: far below the
+    # cut RANK_TOL s_max, up to D = 41 (random4x5, random1x2x6)
+    alg = _worked_algebra(name)
+    n, sizes, u = len(alg.generators), alg.block_sizes, np.finfo(float).eps / 2
+    tops = {(i, k): np.linalg.svd(block_pair_operator(alg, i, k), compute_uv=False)[0]
+            for i in range(len(sizes)) for k in range(len(sizes))}
+    s_max = max(tops.values())
+    for (i, k), s_1 in tops.items():
+        m = sizes[i] * sizes[k]
+        assert (n * m + np.sqrt(m)) * u * s_1 < RANK_TOL * s_max
 
 
 def test_s4_h0_takes_no_svd_above_its_largest_block_pair(monkeypatch):
-    # S4's largest blocks are 3 x 3, so its largest pair family has
-    # 9 * 9 = 81 rows, where one SVD of the whole family would have D^2 = 576
-    gns = fd.gns_structure(_worked_algebra("S4"))
-    rows, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda a, *args, **kw: rows.append(np.shape(a)[-2]) or svd(a, *args, **kw))
-    fd.compute_H0(gns)
-    assert rows and max(rows) == 81
+    # S4's largest blocks are 3 x 3, so its largest Sylvester operator has
+    # 3 * 3 = 9 columns, where that pair's matrix-unit family has 81 rows
+    # and the whole family D^2 = 576; the center certificate's SVDs, inside
+    # the algebra, are counted apart
+    alg, cols, svd = _worked_algebra("S4"), [], np.linalg.svd
+
+    def spied(a, *args, **kw):
+        names = [f.f_code.co_name for f, _ in traceback.walk_stack(sys._getframe(1))]
+        if "central_decomposition" not in names:
+            cols.append((names[0], np.shape(a)[-1]))
+        return svd(a, *args, **kw)
+    monkeypatch.setattr(np.linalg, "svd", spied)
+    fd.delta_report(alg)
+    assert {name for name, _ in cols} == {"_pair_ranges"}
+    assert max(c for _, c in cols) == 9
 
 
 @pytest.mark.parametrize("name", WORKED + ["random2x3", "random1x1x3", "random1x2x2"])
@@ -227,33 +255,38 @@ def _c_m2(weight):
                             [embed_c_m2(1.0, SX), embed_c_m2(0.0, SZ)])
 
 
+# expect_bound: whether the oracles' commutator bound, which grows as 1/s_r,
+# passes the gate; the bound of compute_H0 does not read the spectrum, so it
+# passes on all three
 @pytest.mark.parametrize("alg, expect_bound", [
     (_c_m2(1e-6), True),      # small trace weight: ||R|| ~ weight^(-1/2)
     (_c_c_m2(1e-4), True),    # close eigenvalues: s_r ~ gap
-    (_c_c_m2(1e-6), False),   # bound above the gate: the dense value is stored
+    (_c_c_m2(1e-6), False),   # commutator bound above the gate: the dense value is stored
 ], ids=["weight_1e-6", "gap_1e-4", "gap_1e-6"])
 def test_ill_conditioned_spans_keep_passing_the_gate(alg, expect_bound):
     gns = fd.gns_structure(alg)
-    fd.central_decomposition(gns)  # the center certificate holds here too
-    for builder in (fd.compute_H0, hermitian_H1):
+    fd.central_decomposition(alg)  # the center certificate holds here too
+    for builder, bound in ((fd.compute_H0, True), (hermitian_H1, expect_bound)):
         K = builder(gns)
         dense = invariance_residual(K.basis, gns)
         assert K.invariance_residual <= INVARIANCE_TOL
-        if expect_bound:
+        if bound:
             assert K.invariance_residual >= dense - 1e-13
             assert K.invariance_residual != dense
         else:
             assert K.invariance_residual == dense
         fd.vn_dimension_report(K, gns.algebra)
+    H0 = fd.compute_H0(gns)
+    assert H0.invariance_residual >= invariance_residual(H0.basis, gns)  # no slack
 
 
 def _spans_on_dense_fallback(monkeypatch, alg):
-    """Whether delta_report's one span, H0, stored the dense residual in
-    place of the bound (1) or not (0)."""
+    """Whether compute_H0 stored the dense residual in place of its bound
+    (1) or not (0)."""
     calls, dense = [], cocycles_module.invariance_residual
     monkeypatch.setattr(cocycles_module, "invariance_residual",
                         lambda basis, gns: calls.append(1) or dense(basis, gns))
-    fd.delta_report(alg)
+    fd.compute_H0(fd.gns_structure(alg))
     return len(calls)
 
 
@@ -263,15 +296,20 @@ def _d11(weight):
 
 # the weights at which each input leaves the bound for the dense certificate:
 # the bound grows as ||R_p|| = sqrt(n / alpha) while the dense residual stays
-# at rounding level
+# at rounding level, below the bound
 @pytest.mark.parametrize("make, weight, expect_bound",
-                         [(_c_m2, 10.0 ** -k, k <= 10) for k in range(6, 14)]
-                         + [(_d11, 10.0 ** -k, True) for k in range(6, 14)],
+                         [(_c_m2, 10.0 ** -k, k <= 12) for k in range(6, 14)]
+                         + [(_d11, 10.0 ** -k, k <= 12) for k in range(6, 14)],
                          ids=[f"c_m2_1e-{k}" for k in range(6, 14)]
                          + [f"d11_1e-{k}" for k in range(6, 14)])
 def test_small_weight_ladder_keeps_its_certificate_path(monkeypatch, make, weight,
                                                         expect_bound):
-    assert _spans_on_dense_fallback(monkeypatch, make(weight)) == (0 if expect_bound else 1)
+    alg = make(weight)
+    assert _spans_on_dense_fallback(monkeypatch, alg) == (0 if expect_bound else 1)
+    if expect_bound:
+        gns = fd.gns_structure(alg)
+        H0 = fd.compute_H0(gns)
+        assert H0.invariance_residual >= cocycles_module.invariance_residual(H0.basis, gns)
 
 
 def test_s4_bounds_stay_far_below_the_gate(monkeypatch):
@@ -285,13 +323,18 @@ def test_s4_bounds_stay_far_below_the_gate(monkeypatch):
         monkeypatch.setattr(module, "invariance_residual", dense)
     for builder in (fd.compute_H0, hermitian_H1):
         assert 0.0 < builder(gns).invariance_residual <= 1e-10
+    monkeypatch.undo()
+    H0 = fd.compute_H0(gns)
+    assert H0.invariance_residual >= invariance_residual(H0.basis, gns)
 
 
 def test_commutator_bound_takes_no_svd(monkeypatch, capsys):
     # ||R_p|| has a closed form and the commutators are measured in
-    # Frobenius norm, so the bound factors nothing; the spans' SVDs do.  Each
-    # stack is read from the SVD's immediate caller up, so a direct call and
-    # a call through np.linalg.norm both show
+    # Frobenius norm, so the oracles' bound factors nothing, and compute_H0's
+    # bound reads only the block sizes and weights; the Sylvester operators'
+    # SVDs and the oracle family's do.  Each stack is read from the SVD's
+    # immediate caller up, so a direct call and a call through
+    # np.linalg.norm both show
     callers = []
     for module in (np.linalg, np.linalg._linalg):  # norm(., 2) calls the latter's svd
         svd = module.svd
@@ -303,7 +346,13 @@ def test_commutator_bound_takes_no_svd(monkeypatch, capsys):
         monkeypatch.setattr(module, "svd", spied)
     assert main(["delta", "--config", str(CONFIG_DIR / "delta_full_2x2.json")]) == 0
     capsys.readouterr()
-    assert any(names[0] == "_pair_spans" for names in callers)
+    assert any(names[0] == "_pair_ranges" for names in callers)
+    gns = fd.gns_structure(make_m2())
+    callers.clear()
+    fd.compute_H0(gns)
+    assert callers and all(names[0] == "_pair_ranges" for names in callers)
+    dense_H0(gns)
+    assert any(names[0] == "_span_with_spectrum" for names in callers)
     assert not any("commutator_bound" in names for names in callers)
 
 
@@ -317,7 +366,7 @@ def test_dense_fallback_searches_no_einsum_path(monkeypatch):
             optimize.append(kwargs.get("optimize", False))
         return einsum(*operands, **kwargs)
     monkeypatch.setattr(np, "einsum", spied)
-    for alg in (_c_m2(1e-11), _c_c_m2(1e-6)):
+    for alg in (_c_m2(1e-13), _d11(1e-13)):
         assert _spans_on_dense_fallback(monkeypatch, alg) == 1
     assert optimize and all(isinstance(p, list) for p in optimize)
 
@@ -412,10 +461,12 @@ def test_commutator_bound_rejects_non_commuting_operator(m2, monkeypatch):
     kept, s = _span_with_spectrum(A)
     assert commutator_bound(faulty, s, kept.shape[0]) > INVARIANCE_TOL
     calls, dense = [], invariance_residual
-    for module in (cocycles_module, conftest):  # compute_H0's, the oracles'
-        monkeypatch.setattr(module, "invariance_residual",
-                            lambda basis, gns: calls.append(1) or dense(basis, gns))
-    for builder in (fd.compute_H0, hermitian_H1):  # the pair spans, then the Hermitian family
+    monkeypatch.setattr(conftest, "invariance_residual",
+                        lambda basis, gns: calls.append(1) or dense(basis, gns))
+    # the dense unit family, then the Hermitian family; compute_H0 forms its
+    # span from the algebra's generators, not from these left multiplications,
+    # so only the oracles see the fault
+    for builder in (lambda g: dense_H0(g)[0], hermitian_H1):
         K = builder(faulty)
         assert K.invariance_residual > INVARIANCE_TOL
         with pytest.raises(fd.NotInvariant):
@@ -449,6 +500,37 @@ def _unit_commutators_loop(Li, Lk):
             rows[p, q, :, p, :] += Lk[:, q, :]
             rows[p, q, :, :, q] -= Li[:, :, p]
     return rows.reshape(di * dk, n, di, dk)
+
+
+def _block_pair_operator_inline(algebra, i, k):
+    """phi_ik as the Sylvester residual formed it inline, one generator at a time."""
+    (s_i, t_i), (s_k, t_k) = (block_offsets(algebra.block_sizes)[b] for b in (i, k))
+    n_i, n_k = t_i - s_i, t_k - s_k
+    return np.vstack([(np.eye(n_i)[:, None, :, None] * X[s_k:t_k, s_k:t_k].T[:, None]
+                       - X[s_i:t_i, None, s_i:t_i, None] * np.eye(n_k)[:, None, :]
+                       ).reshape(n_i * n_k, -1) for X in algebra.generators])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("shape", [(1,), (2, 3), (1, 2, 6), (3, 1, 3)], ids=str)
+def test_block_pair_operator_matches_the_inline_expression_bitwise(n, shape):
+    # the operator reads only the block sizes and the generators, so a
+    # stand-in carries random block-diagonal entries, a third of them -0.0
+    rng = np.random.default_rng(10 * n + sum(shape))
+    N = sum(shape)
+    gens = []
+    for _ in range(n):
+        g = np.zeros((N, N), dtype=complex)
+        for s, t in block_offsets(shape):
+            g[s:t, s:t] = _with_negative_zeros(rng, (t - s, t - s))
+        gens.append(g)
+    algebra = types.SimpleNamespace(block_sizes=shape, generators=tuple(gens))
+    for i in range(len(shape)):
+        for k in range(len(shape)):
+            assert _bitwise_equal(block_pair_operator(algebra, i, k),
+                                  _block_pair_operator_inline(algebra, i, k))
+    empty = types.SimpleNamespace(block_sizes=shape, generators=())
+    assert block_pair_operator(empty, 0, len(shape) - 1).shape == (0, shape[0] * shape[-1])
 
 
 def _commutator_stack_loop(mats, within, N):
@@ -535,17 +617,17 @@ def test_delta_chain_and_pinning(c1m2):
 
 
 def _perturb_multiplicities(monkeypatch):
-    """Make delta_report's dimension report of H0 add 1 to m_01, or to m_00
-    on one block, leaving the fraction as measured."""
-    measure = fd.vn_dimension_report
+    """Make delta_report's pair ranges keep one more vector on pair (0, b - 1),
+    which adds 1 to m_01, or to m_00 on one block."""
+    ranges = cocycles_module._pair_ranges
 
-    def perturbed(K, algebra):
-        rep = measure(K, algebra)
-        mult = rep.multiplicities.copy()
-        mult[0, -1] += 1
-        return dataclasses.replace(rep, multiplicities=mult)
+    def perturbed(algebra):
+        kept, family = ranges(algebra)
+        pair = (0, len(algebra.block_sizes) - 1)
+        kept[pair] = np.concatenate([kept[pair], np.zeros((1, *kept[pair].shape[1:]))])
+        return kept, family
 
-    monkeypatch.setattr("freedim.cocycles.vn_dimension_report", perturbed)
+    monkeypatch.setattr(cocycles_module, "_pair_ranges", perturbed)
 
 
 def test_chain_violation_when_multiplicities_are_not_schur(c1m2, monkeypatch):
@@ -627,31 +709,26 @@ def test_delta_report_extreme_weights():
     assert rep.closed_form_matches
 
 
-def test_delta_report_builds_each_space_once(c1m2, monkeypatch):
-    # H1 and H2 are H0, so compute_H0 is the one cocycle span delta_report
-    # builds, and no distance between the spaces is measured; the distance
-    # is counted by its code object, whatever name binds it
+def test_delta_report_builds_each_space_once(c1m2):
+    # H1 and H2 are H0, whose multiplicities are the ranks of the pairs'
+    # Sylvester operators: delta_report factors them once and builds no GNS
+    # structure, no span and no dimension report of one, and measures no
+    # distance; each is counted by its code object, whatever name binds it
+    watched = {f.__code__: f.__name__ for f in (
+        fd.gns_structure, fd.compute_H0, fd.compute_H1, fd.vn_dimension_report,
+        fd.subspace_distance, _pair_ranges)}
     calls = []
-    for name in ("compute_H0", "compute_H1"):
-        builder = getattr(fd, name)
-
-        def counted(gns, _name=name, _builder=builder):
-            calls.append(_name)
-            return _builder(gns)
-
-        monkeypatch.setattr(f"freedim.cocycles.{name}", counted)
-    distance = fd.subspace_distance.__code__
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is distance:
-            calls.append("subspace_distance")
+        if event == "call" and frame.f_code in watched:
+            calls.append(watched[frame.f_code])
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         fd.delta_report(c1m2)
     finally:
         sys.setprofile(previous)
-    assert calls == ["compute_H0"]
+    assert calls == ["_pair_ranges"]
 
 
 def test_delta_fraction_does_not_depend_on_the_center_seed():

@@ -74,8 +74,10 @@ def test_shipped_configs_call_every_traced_name(tmp_path):
     uncalled = {name for name, row in tracer.summary().items() if row["calls"] == 0}
     # the dense certificates, which no shipped scenario needs; H1, which
     # returns H0 (H1 is H0 by theorem) and which delta_report does not call;
-    # and the subspace distance, which no scenario measures, since H1 and H2
-    # are H0.  The last two stay as README library API, and the tracer wraps
-    # them
+    # the subspace distance, which no scenario measures, since H1 and H2 are
+    # H0; and H0's span and its dimension report, since delta_report reads
+    # H0's multiplicities from the block pairs' Sylvester ranks.  The last
+    # four stay as README library API, and the tracer wraps them
     assert uncalled <= {"vndim.hs_subspace", "vndim.invariance_residual",
-                        "cocycles.compute_H1", "vndim.subspace_distance"}
+                        "cocycles.compute_H1", "vndim.subspace_distance",
+                        "cocycles.compute_H0", "vndim.vn_dimension_report"}

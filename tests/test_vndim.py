@@ -128,12 +128,12 @@ def test_center_certificate_matches_d_coordinate_oracle(build):
     gns = fd.gns_structure(build())
     for seed in range(4):
         _, weights, _ = d_coordinate_center(gns, seed)
-        assert fd.central_decomposition(gns, seed=seed) == weights  # bitwise
+        assert fd.central_decomposition(gns.algebra, seed=seed) == weights  # bitwise
 
 
 def test_central_decomposition_two_point(c2):
     gns = fd.gns_structure(c2)
-    weights = fd.central_decomposition(gns)
+    weights = fd.central_decomposition(c2)
     sizes, _, Zs = d_coordinate_center(gns)
     assert sizes == (1, 1)
     np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
@@ -143,7 +143,7 @@ def test_central_decomposition_two_point(c2):
 
 def test_central_decomposition_factor(m2):
     gns = fd.gns_structure(m2)
-    weights = fd.central_decomposition(gns)
+    weights = fd.central_decomposition(m2)
     sizes, _, Zs = d_coordinate_center(gns)
     assert sizes == (2,)
     np.testing.assert_allclose(weights, [1.0], atol=1e-12)
@@ -154,7 +154,7 @@ def test_central_decomposition_s3_regular():
     table = fd.symmetric_group(3)
     alg = fd.regular_rep_algebra(table)
     gns = fd.gns_structure(alg)
-    weights = fd.central_decomposition(gns)
+    weights = fd.central_decomposition(alg)
     sizes = d_coordinate_center(gns)[0]
     assert sorted(sizes) == [1, 1, 2]
     assert abs(sum(weights) - 1.0) < 1e-12
@@ -164,7 +164,7 @@ def test_central_decomposition_s3_regular():
 
 def test_recovered_matches_declared(c1m2):
     gns = fd.gns_structure(c1m2)
-    weights = fd.central_decomposition(gns)
+    weights = fd.central_decomposition(c1m2)
     assert d_coordinate_center(gns)[0] == c1m2.block_sizes
     np.testing.assert_allclose(weights, c1m2.trace_weights, atol=1e-9)
 
@@ -333,7 +333,7 @@ def test_center_certificate_refuses_wrong_projections(monkeypatch, make, change)
     monkeypatch.setattr(vndim, "minimal_central_projections",
                         lambda *args: change(list(original(*args))))
     with pytest.raises(fd.CenterResolutionError):
-        fd.central_decomposition(gns)
+        fd.central_decomposition(gns.algebra)
 
 
 def test_small_weight_block_center_is_accepted():
