@@ -9,8 +9,9 @@ validated TracialAlgebra in block-diagonal coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,13 @@ def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarra
     The search runs inside the row span of `within`, a nonempty orthonormal
     family of flattened matrices (the identity of size N^2 searches all of
     M_N): every caller searches an algebra, which holds the identity, or M_N.
+
+    A family with at least twice as many rows as columns is replaced by the R
+    of its QR factorisation first (Chan's R-SVD).  A = QR with orthonormal Q,
+    so both have the same singular values and right singular vectors, and
+    here bit for bit: for rows >= int(17 cols / 9), which the 2x bound
+    clears, LAPACK's zgesdd itself runs zgeqrf and then bidiagonalises R, as
+    it does a square R.  The tall left factor is never formed.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     N = math.isqrt(within.shape[1])
@@ -35,10 +43,12 @@ def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarra
     # column k of block i is [B_k, m_i]: coefficient vectors c with
     # sum_k c_k [B_k, m] = 0 for every m span the null space
     Bs = within.reshape(r, N, N)
-    stacked = np.array([(Bs @ m - m @ Bs).reshape(r, N * N).T for m in mats])
+    family = np.array([(Bs @ m - m @ Bs).reshape(r, N * N).T for m in mats]).reshape(-1, r)
+    if family.shape[0] >= 2 * r:
+        family = np.linalg.qr(family, mode="r")
     # at least N^2 >= r rows, so the thin vh is square; the commutators scale
     # with the mats, and so does the cutoff below which all of them are zero
-    _, s, vh = np.linalg.svd(stacked.reshape(-1, r), full_matrices=False)
+    _, s, vh = np.linalg.svd(family, full_matrices=False)
     if s.size == 0 or s[0] <= COMMUTANT_ZERO_TOL * max(float(np.abs(m).max()) for m in mats):
         coeffs = np.eye(r, dtype=complex)
     else:
@@ -156,7 +166,10 @@ def blockify(
     center = commutant_basis(commuting_set, within=flat)
     zs = minimal_central_projections(alg_basis, center, rng)
 
-    commutant = commutant_basis(commuting_set, within=np.eye(N * N, dtype=complex))
+    # the full commutant, searched at most once and only for a block of
+    # multiplicity above one; the search draws nothing from rng
+    commutant = functools.cache(
+        lambda: commutant_basis(commuting_set, within=np.eye(N * N, dtype=complex)))
 
     sizes, weights, isometries = [], [], []
     for z in zs:
@@ -186,13 +199,14 @@ def blockify(
 
 
 def _irreducible_isometry(
-    z: np.ndarray, commutant: np.ndarray, n: int, rng: np.random.Generator
+    z: np.ndarray, commutant: Callable[[], np.ndarray], n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Isometry onto one irreducible invariant subspace inside range(z).
 
     A random self-adjoint element of the compressed commutant z A' z splits
     range(z) into eigenspaces of dimension n each; any single eigenspace is
-    an irreducible module for the block.
+    an irreducible module for the block.  `commutant()` returns the (s, N, N)
+    basis of A', and is called only when the block's multiplicity is above one.
     """
     lam, vec = np.linalg.eigh(z)
     W = vec[:, lam > PROJECTION_SPLIT]
@@ -205,7 +219,7 @@ def _irreducible_isometry(
     if mult == 1:
         return W
 
-    comp = np.array([W.conj().T @ C @ W for C in commutant])
+    comp = np.array([W.conj().T @ C @ W for C in commutant()])
     for _ in range(CENTER_RETRIES):
         vec_b, clusters = _random_split(comp, rng)
         if len(clusters) == mult and all(hi - lo == n for lo, hi in clusters):

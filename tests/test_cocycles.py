@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 import traceback
 import types
@@ -12,6 +13,8 @@ import pytest
 import conftest
 import freedim as fd
 import freedim.cocycles as cocycles_module
+import freedim.vndim as vndim
+import freedim.wedderburn as wedderburn
 from conftest import (SX, SY, SZ, _span_with_spectrum, _unit_commutators, basis_left_mults,
                       cocycle_map, commutator_bound, dense_H0, embed_c_m2, generated_dim,
                       hermitian_H1, left_mults, make_c1m2, make_c2, make_m2,
@@ -19,6 +22,7 @@ from conftest import (SX, SY, SZ, _span_with_spectrum, _unit_commutators, basis_
 from freedim.algebra import _rowspace_residual, block_offsets, block_pair_operator
 from freedim.cli import _delta_results, main
 from freedim.cocycles import _pair_ranges
+from freedim.groups import left_regular_matrices, minimal_generating_set
 from freedim.tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
 from freedim.vndim import invariance_residual
 from freedim.wedderburn import commutant_basis
@@ -560,14 +564,95 @@ def test_cocycle_families_match_reference_loops_bitwise(n, D):
 @pytest.mark.parametrize("n, N, r", [(1, 1, 1), (1, 2, 4), (2, 3, 5), (3, 4, 16),
                                      (2, 24, 576)])
 def test_commutant_stack_matches_reference_loop_bitwise(n, N, r, monkeypatch):
-    # the stack is the matrix commutant_basis hands to its first SVD
+    # the stack is the matrix commutant_basis hands to its first QR (a family
+    # of at least 2r rows) or else to its first SVD
     rng = np.random.default_rng(N * r)
     mats = [_with_negative_zeros(rng, (N, N)) for _ in range(n)]
     within = _with_negative_zeros(rng, (r, N * N))
-    seen, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
+    seen, qr, svd = [], np.linalg.qr, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "qr", lambda a, **kw: seen.append(("qr", a)) or qr(a, **kw))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kw: seen.append(("svd", a)) or svd(a, **kw))
     commutant_basis(mats, within)
-    assert _bitwise_equal(seen[0], _commutator_stack_loop(mats, within, N))
+    assert seen[0][0] == ("qr" if n * N * N >= 2 * r else "svd")
+    assert _bitwise_equal(seen[0][1], _commutator_stack_loop(mats, within, N))
+
+
+def _commutant_searches(monkeypatch, run):
+    """The (mats, within) of every commutant_basis call that run() makes."""
+    seen = []
+
+    def spy(mats, within):
+        seen.append((mats, within))
+        return commutant_basis(mats, within)
+
+    monkeypatch.setattr(wedderburn, "commutant_basis", spy)
+    monkeypatch.setattr(vndim, "commutant_basis", spy)
+    run()
+    return seen
+
+
+def _group_families(monkeypatch):
+    """Each commutant family of the group and block algebras named below,
+    built by the reference loop, which the test above holds bitwise equal
+    to the family commutant_basis factors."""
+    s3, s4 = fd.symmetric_group(3), fd.symmetric_group(4)
+    c2s3 = fd.direct_product(fd.cyclic_group(2), s3)
+    s4_blocks = fd.regular_rep_algebra(s4)  # unspied: each spy records until the test ends
+    searches = {name: _commutant_searches(monkeypatch, lambda g=g: fd.regular_rep_algebra(g))
+                for name, g in (("S3", s3), ("S4", s4), ("C2xS3", c2s3))}
+    searches["S4 blocks"] = _commutant_searches(
+        monkeypatch, lambda: fd.central_decomposition(s4_blocks, seed=0))
+    return {f"{name} #{k}": _commutator_stack_loop(mats, within, math.isqrt(within.shape[1]))
+            for name, seen in searches.items() for k, (mats, within) in enumerate(seen)}
+
+
+def test_r_svd_of_each_tall_commutant_family_is_its_svd_bitwise(monkeypatch):
+    # A = QR with orthonormal Q: the same singular values and right singular
+    # vectors, and zgesdd factors A by QR itself at 17/9 as many rows as columns
+    families = _group_families(monkeypatch)
+    assert sorted(families) == ["C2xS3 #0", "C2xS3 #1", "S3 #0", "S3 #1", "S4 #0", "S4 #1",
+                                "S4 blocks #0"]
+    assert families["S4 #1"].shape == (2 * 576, 576)  # the full commutant in M_24
+    rng = np.random.default_rng(7)
+    for cols in (3, 16, 40):
+        for ratio in (2, 3, 4):
+            families[f"random {ratio}x{cols}"] = _with_negative_zeros(rng, (ratio * cols, cols))
+    for name, family in families.items():
+        assert family.shape[0] >= 2 * family.shape[1], name
+        _, s, vh = np.linalg.svd(family, full_matrices=False)
+        _, s_r, vh_r = np.linalg.svd(np.linalg.qr(family, mode="r"), full_matrices=False)
+        assert _bitwise_equal(s_r, s) and _bitwise_equal(vh_r, vh), name
+
+
+def test_commutant_family_below_twice_its_columns_keeps_the_plain_svd(monkeypatch):
+    # C12 with one generator: its full commutant family is 144 x 144
+    qrs, svds, svd = [], [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "qr", lambda a, **kw: qrs.append(a))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(a) or svd(a, **kw))
+    c12 = fd.cyclic_group(12)
+    mats = [left_regular_matrices(c12)[g] for g in minimal_generating_set(c12)]
+    within = np.eye(144, dtype=complex)
+    commutant_basis(mats, within)
+    assert qrs == []
+    assert _bitwise_equal(svds[0], _commutator_stack_loop(mats, within, 12))
+    assert svds[0].shape == (144, 144)
+
+
+@pytest.mark.parametrize("group, searches", [
+    (fd.cyclic_group(12), 1),
+    (fd.direct_product(fd.cyclic_group(4), fd.cyclic_group(6)), 1),
+    (fd.symmetric_group(3), 2),
+], ids=["C12", "C4xC6", "S3"])
+def test_blockify_searches_the_full_commutant_only_for_a_repeated_block(group, searches,
+                                                                        monkeypatch):
+    # an abelian group has only 1 x 1 blocks, each of multiplicity one, so its
+    # one search is the center's; S3's 2 x 2 block has multiplicity two
+    seen = _commutant_searches(monkeypatch, lambda: fd.regular_rep_algebra(group))
+    assert len(seen) == searches
+    assert seen[0][1].shape[0] == group.order  # the center, inside the group algebra
+    if searches == 2:
+        assert _bitwise_equal(seen[1][1], np.eye(group.order ** 2, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -207,20 +207,47 @@ def _two_thread_env():
     return env
 
 
-def test_s4_report_matches_golden_at_two_blas_threads(tmp_path):
-    # the shipped configs (D <= 6) never depend on BLAS partitioning; S4
-    # (D = 24) does, and its goldens were recorded at 2 BLAS threads
-    config = _s4_config(tmp_path)
+def _seed1_digest_at_two_blas_threads(config, tmp_path):
+    """sha256 of the group_finite report of `config` at seed 1, run in a
+    subprocess at 2 BLAS threads."""
     out = tmp_path / "report.json"
-    env = _two_thread_env()
     argv = ["group_finite", "--config", str(config), "--seed", "1",
             "--output", str(out)]
     subprocess.run([sys.executable, "-c",
                     "import sys; from freedim.cli import main; "
-                    f"sys.exit(main({argv!r}))"], env=env, check=True,
+                    f"sys.exit(main({argv!r}))"], env=_two_thread_env(), check=True,
                    capture_output=True)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_s4_report_matches_golden_at_two_blas_threads(tmp_path):
+    # the shipped configs (D <= 6) never depend on BLAS partitioning; S4
+    # (D = 24) does, and its goldens were recorded at 2 BLAS threads
+    config = _s4_config(tmp_path)
     want = _golden(f"group_finite:{_digest(config)}:1")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+    assert _seed1_digest_at_two_blas_threads(config, tmp_path) == want
+
+
+# sha256 of the seed-1 group_finite reports of two products at 2 BLAS
+# threads, recorded before the full commutant search ran only for a block of
+# multiplicity above one and factored its tall family by QR: C4 x C6 has only
+# 1 x 1 blocks and searches the center alone, C2 x S3 searches both
+PRODUCT_GOLDENS = {
+    "C4xC6": ([{"kind": "cyclic", "n": 4}, {"kind": "cyclic", "n": 6}],
+              "417d3638f9e4b08e765374bd76179e36be6be657bdad60a7c00f62faa2f94cab"),
+    "C2xS3": ([{"kind": "cyclic", "n": 2}, {"kind": "symmetric", "n": 3}],
+              "6044f3c02db94190135c3799ff4845a7b3d76f6721ef67182a30c9f07cc75a9a"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PRODUCT_GOLDENS))
+def test_product_group_reports_match_goldens_at_two_blas_threads(label, tmp_path):
+    factors, want = PRODUCT_GOLDENS[label]
+    config = tmp_path / f"{label}.json"
+    with open(config, "w") as fh:
+        json.dump({"scenario": "group_finite",
+                   "group": {"kind": "product", "factors": factors}}, fh)
+    assert _seed1_digest_at_two_blas_threads(config, tmp_path) == want
 
 
 def test_repinned_reports_print_no_distance(tmp_path, capsys):

@@ -258,14 +258,14 @@ def test_central_block_size_refuses_a_non_square_dimension():
 
 def test_irreducible_isometry_refuses_a_range_off_the_block_size():
     assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(3),
-                              _diagonal_units(3), 2, np.random.default_rng(0))
+                              lambda: _diagonal_units(3), 2, np.random.default_rng(0))
             == "central range has dimension 3, not a multiple of block size 2")
 
 
 def test_irreducible_isometry_fails_without_a_splitting_commutant():
     # a commutant of scalars leaves range(z) one eigenvalue cluster at every draw
     assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(4),
-                              np.eye(4)[None], 2, np.random.default_rng(0))
+                              lambda: np.eye(4)[None], 2, np.random.default_rng(0))
             == "could not isolate an irreducible subspace of dimension 2")
 
 
