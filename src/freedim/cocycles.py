@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import GnsStructure, TracialAlgebra, block_pair_operator
 from .errors import ChainViolation
-from .tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
+from .tolerances import INVARIANCE_TOL, RANK_TOL
 from .vndim import (
     HsSubspace,
     central_decomposition,
@@ -33,15 +33,11 @@ from .vndim import (
 )
 
 
-def _pair_ranges(algebra: TracialAlgebra) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
+def _pair_ranges(algebra: TracialAlgebra) -> dict[tuple[int, int], np.ndarray]:
     """Kept left singular vectors of each block pair's Sylvester operator
-    phi_ik, and the spectrum of the whole matrix-unit family.
-
-    Returns {(i, k): the (m_ik, n, n_i, n_k) kept vectors} and the union of
-    the pair spectra, each value repeated n_i n_k times (the spectrum of
-    phi_ik (x) 1), sorted descending.  Pairs of one shape share one stacked
-    SVD call; the rank rule of `numerical_span` is applied to the union
-    (s > RANK_TOL max s).
+    phi_ik, as {(i, k): the (m_ik, n, n_i, n_k) kept vectors}.  Pairs of one
+    shape share one stacked SVD call; the rank rule of `numerical_span` cuts
+    at RANK_TOL times the largest value over all pair spectra.
     """
     sizes, n = algebra.block_sizes, len(algebra.generators)
     by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -52,12 +48,9 @@ def _pair_ranges(algebra: TracialAlgebra) -> tuple[dict[tuple[int, int], np.ndar
         u, s, _ = np.linalg.svd(np.array([block_pair_operator(algebra, i, k) for i, k in pairs]),
                                 full_matrices=False)
         spans.append((pairs, shape, u, s))
-    family = np.sort(np.concatenate([np.repeat(s, n_i * n_k)
-                                     for _, (n_i, n_k), _, s in spans]))[::-1]
-    cut = RANK_TOL * family[0] if family.size else 0.0
-    kept = {pair: v[:, :c].T.reshape(c, n, *shape) for pairs, shape, u, s in spans
+    cut = RANK_TOL * max(s.max(initial=0.0) for *_, s in spans)
+    return {pair: v[:, :c].T.reshape(c, n, *shape) for pairs, shape, u, s in spans
             for pair, v, c in zip(pairs, u, (s > cut).sum(axis=1).tolist())}
-    return kept, family
 
 
 def compute_H0(gns: GnsStructure) -> HsSubspace:
@@ -87,7 +80,7 @@ def compute_H0(gns: GnsStructure) -> HsSubspace:
     `invariance_residual` is measured and stored instead.
     """
     alg = gns.algebra
-    kept, _ = _pair_ranges(alg)
+    kept = _pair_ranges(alg)
     n, D = len(alg.generators), gns.dim
     sizes = alg.block_sizes
     basis = np.zeros((sum(len(w) * sizes[i] * sizes[k] for (i, k), w in kept.items()), n, D, D),
@@ -126,14 +119,14 @@ class DeltaReport:
     The chain dim H0 <= delta* <= delta# <= Delta collapses because its
     endpoints coincide in finite dimensions, and H1 and H2 are H0: the CLI
     report derives those values, beta0 = 1 - Delta and every float from
-    Delta.
+    Delta, and writes the agreement flags true, each by theorem (the closed
+    form's in `delta_report`).
     """
 
     Delta: Fraction
     closed_form_beta0: Fraction
     multiplicities: np.ndarray
     weights: tuple[float, ...]
-    closed_form_matches: bool
 
 
 def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
@@ -150,17 +143,22 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     numpy's matrix_rank assumes), and forming phi_ik rounds only diagonal
     entries, once each, adding at most sqrt(n_i n_k) u s_1.  Up to D = 41,
     for fewer than 10^5 generators, both are far below RANK_TOL s_max, so
-    each value the rank rule keeps (s > RANK_TOL s_max over the union of the
-    pair spectra) proves rank >= m.  Schur: the algebra is the one its tuple
-    generates (the TracialAlgebra constructors check it), a direct sum of
-    pairwise inequivalent blocks, so the kernel of phi_ik, the intertwiners
-    of blocks k and i, has dimension delta_ik: rank <= n_i n_k - delta_ik.
-    A count equal to that value proves the multiplicity; ChainViolation
-    signals a count that differs.  The closed form sum_i alpha_i^2 / n_i^2
-    for beta0 cross-checks the pipeline.
+    each value the rank rule keeps (s > RANK_TOL s_max, s_max the largest
+    value over the pair spectra) proves rank >= m.  Schur: the algebra is
+    the one its tuple generates (the TracialAlgebra constructors check it),
+    a direct sum of pairwise inequivalent blocks, so the kernel of phi_ik,
+    the intertwiners of blocks k and i, has dimension delta_ik: rank <=
+    n_i n_k - delta_ik.  A count equal to that value proves the
+    multiplicity; ChainViolation signals a count that differs.
+
+    Closed form: at the Schur values Delta = (sum a_i)^2 - sum a_i^2 / n_i^2
+    exactly (a_i the exact weights), so 1 - Delta - closed_form_beta0 =
+    1 - (sum a_i)^2.  `_validated`'s weight-sum check (SCALAR_TOL) and
+    `to_fraction` (FRACTION_TOL) give |sum a_i - 1| <= 2e-12 + b u over b
+    blocks: the gap is at most 4.1e-12 for b <= 41, far below SUBSPACE_TOL.
     """
     weights = central_decomposition(algebra, seed=seed)
-    kept, _ = _pair_ranges(algebra)
+    kept = _pair_ranges(algebra)
     blocks = range(len(algebra.block_sizes))
     mult = np.array([[len(kept[i, k]) for k in blocks] for i in blocks], dtype=int)
 
@@ -178,5 +176,4 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
         closed_form_beta0=closed,
         multiplicities=r0.multiplicities,
         weights=weights,
-        closed_form_matches=abs(float(1 - r0.fraction) - float(closed)) <= SUBSPACE_TOL,
     )

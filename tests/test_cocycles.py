@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from freedim.cli import _delta_results, main
 from freedim.cocycles import _pair_ranges
 from freedim.groups import left_regular_matrices, minimal_generating_set
 from freedim.tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
-from freedim.vndim import invariance_residual
+from freedim.vndim import invariance_residual, to_fraction
 from freedim.wedderburn import commutant_basis
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -164,6 +165,34 @@ def test_hermitian_span_is_h0(name):
     assert library.invariance_residual == H0.invariance_residual
 
 
+def _union_spectrum(alg):
+    """The spectrum of the whole matrix-unit family, sorted descending: each
+    value of each phi_ik, repeated n_i n_k times (phi_ik (x) 1)."""
+    sizes = alg.block_sizes
+    return np.sort(np.concatenate([
+        np.repeat(np.linalg.svd(block_pair_operator(alg, i, k), compute_uv=False),
+                  sizes[i] * sizes[k])
+        for i, k in itertools.product(range(len(sizes)), repeat=2)]))[::-1]
+
+
+def _union_rule_counts(alg):
+    """Each pair's kept count under the rule `_pair_ranges` used before it
+    cut at the largest pair value: the stacked SVDs by shape, their union
+    with each value repeated n_i n_k times, sorted, and the cut RANK_TOL
+    times its first entry."""
+    sizes = alg.block_sizes
+    by_shape = {}
+    for i, k in itertools.product(range(len(sizes)), repeat=2):
+        by_shape.setdefault((sizes[i], sizes[k]), []).append((i, k))
+    spans = [(pairs, shape, np.linalg.svd(np.array([block_pair_operator(alg, i, k)
+                                                    for i, k in pairs]), full_matrices=False)[1])
+             for shape, pairs in by_shape.items()]
+    family = np.sort(np.concatenate([np.repeat(s, n_i * n_k)
+                                     for _, (n_i, n_k), s in spans]))[::-1]
+    cut = RANK_TOL * family[0] if family.size else 0.0
+    return {pair: int(c) for pairs, _, s in spans for pair, c in zip(pairs, (s > cut).sum(axis=1))}
+
+
 @pytest.mark.parametrize("name", CROSS_CHECKED)
 def test_pair_spans_are_the_dense_h0(name):
     alg = _worked_algebra(name)
@@ -175,7 +204,7 @@ def test_pair_spans_are_the_dense_h0(name):
     assert fd.subspace_distance(H0, dense) <= SUBSPACE_TOL  # the lift spans the dense H0
     assert fd.subspace_distance(H0, H0) <= SUBSPACE_TOL  # the self-gap that left the report
     # the phi_ik spectra, each value repeated n_i n_k times, are the family's
-    s = _pair_ranges(alg)[1]
+    s = _union_spectrum(alg)
     assert s.shape == s_dense.shape
     assert np.abs(s - s_dense).max() <= 1e-12 * s_dense[0]
     # delta_report, which builds no span, certifies what the dense H0 does
@@ -197,6 +226,19 @@ def test_weyl_perturbation_stays_below_the_rank_cut(name):
     for (i, k), s_1 in tops.items():
         m = sizes[i] * sizes[k]
         assert (n * m + np.sqrt(m)) * u * s_1 < RANK_TOL * s_max
+
+
+@pytest.mark.parametrize("name", CROSS_CHECKED + ["random4x5", "random1x2x6", "scalar_phi",
+                                  "no_generators", "random" + "x".join(["1"] * 41)])
+def test_pair_ranges_cut_at_the_largest_pair_value_is_the_union_rule(name):
+    # the largest value over the stacked pair spectra is the union's first
+    # entry, so every pair keeps what the sorted union kept; phi = 0 for a
+    # scalar generator on one 1 x 1 block, and phi has no rows without one
+    alg = {"scalar_phi": lambda: fd.build_algebra([1], [1.0], [np.array([[0.7]])]),
+           "no_generators": lambda: fd.build_algebra([1], [1.0], [])}.get(
+        name, lambda: _worked_algebra(name))()
+    counts = {pair: len(w) for pair, w in _pair_ranges(alg).items()}
+    assert counts == _union_rule_counts(alg)
 
 
 def test_s4_h0_takes_no_svd_above_its_largest_block_pair(monkeypatch):
@@ -697,7 +739,7 @@ def test_delta_chain_and_pinning(c1m2):
     pinned = results["pinned"]
     assert pinned["delta_star"] == float(rep.Delta) == pinned["delta_blackstar"]
     assert results["dim_H0"] <= results["dim_H2"] + 1e-9
-    assert rep.closed_form_matches
+    assert abs(float(1 - rep.Delta) - float(rep.closed_form_beta0)) <= SUBSPACE_TOL
     assert results["agreement"]["spaces_coincide"] and results["agreement"]["weak_equals_norm"]
 
 
@@ -707,10 +749,10 @@ def _perturb_multiplicities(monkeypatch):
     ranges = cocycles_module._pair_ranges
 
     def perturbed(algebra):
-        kept, family = ranges(algebra)
+        kept = ranges(algebra)
         pair = (0, len(algebra.block_sizes) - 1)
         kept[pair] = np.concatenate([kept[pair], np.zeros((1, *kept[pair].shape[1:]))])
-        return kept, family
+        return kept
 
     monkeypatch.setattr(cocycles_module, "_pair_ranges", perturbed)
 
@@ -791,7 +833,55 @@ def test_delta_report_extreme_weights():
     rep = fd.delta_report(alg)
     expected = 1.0 - (0.999**2 + 0.001**2 / 4.0)
     assert abs(rep.Delta - expected) <= 1e-9
-    assert rep.closed_form_matches
+    assert abs(float(1 - rep.Delta) - float(rep.closed_form_beta0)) <= SUBSPACE_TOL
+
+
+def _delta_config(blocks, weights):
+    """A delta config with weights `weights` on the generic pair of
+    `random_block_algebra`."""
+    gens = random_block_algebra(tuple(blocks), seed=sum(blocks)).generators
+    return {"scenario": "delta", "algebra": {
+        "blocks": blocks, "weights": weights,
+        "generators": [np.stack([g.real, g.imag], axis=-1).tolist() for g in gens]}}
+
+
+# weight sums at the edge of _validated's check, a weight of 1e-300, 41
+# blocks, and group weights that to_fraction keeps as binary fractions
+CLOSED_FORM_EDGES = {
+    "sum_above": (lambda: _delta_config([1, 2], [0.5, 0.5 + 9.9e-13]), 0),
+    "sum_below": (lambda: _delta_config([1, 2], [0.5 - 9.9e-13, 0.5]), 0),
+    "thirds": (lambda: _delta_config([1, 1, 2], [1 / 3, 1 / 3, 1 / 3 + 9e-13]), 0),
+    "tiny": (lambda: _delta_config([1, 2], [1e-300, 1 - 1e-300]), 0),
+    "41_above": (lambda: _delta_config([1] * 41, [1 / 41 + 1e-14] * 41), 0),
+    "41_below": (lambda: _delta_config([1] * 41, [1 / 41 - 1e-14] * 41), 0),
+    "C3xC2xC3": (lambda: {"scenario": "group_finite", "group": {"kind": "product", "factors": [
+        {"kind": "cyclic", "n": 3}, {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]}}, 0),
+    "C16": (lambda: {"scenario": "group_finite", "group": {"kind": "cyclic", "n": 16}}, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_EDGES))
+def test_closed_form_gap_stays_within_the_schur_bound(name, tmp_path, capsys):
+    # at the Schur multiplicities 1 - Delta - closed_form_beta0 = 1 - (sum a_i)^2,
+    # at most 4.1e-12 over up to 41 blocks (delta_report), so the CLI writes
+    # closed_form_matches true without measuring the gap
+    make, seed = CLOSED_FORM_EDGES[name]
+    config = make()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([config["scenario"], "--config", str(path), "--seed", str(seed)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["agreement"]["closed_form_matches"] is True
+    assert abs(results["beta0"] - results["closed_form_beta0"]) <= 4.1e-12
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CLOSED_FORM_EDGES) if n[0] != "C"])
+def test_closed_form_gap_is_one_minus_the_squared_weight_sum(name):
+    # the identity behind the bound, in exact arithmetic
+    alg = section_algebra(CLOSED_FORM_EDGES[name][0]()["algebra"])
+    rep = fd.delta_report(alg)
+    total = sum(map(to_fraction, alg.trace_weights))
+    assert 1 - rep.Delta - rep.closed_form_beta0 == 1 - total * total
 
 
 def test_delta_report_builds_each_space_once(c1m2):
