@@ -11,6 +11,7 @@ product <a, b> = tau(b* a); its completion is a D-dimensional Hilbert space
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
@@ -160,22 +161,30 @@ def word_span(
     return basis
 
 
-def block_pair_operator(algebra: TracialAlgebra, i: int, k: int) -> np.ndarray:
-    """The Sylvester operator phi_ik(z) = (z X_j^(k) - X_j^(i) z)_j on n_i x n_k
-    matrices z, as an (n n_i n_k, n_i n_k) matrix: generator-major rows, z
-    flattened row-major; (0, n_i n_k) when there are no generators.
+def block_pair_operators(algebra: TracialAlgebra) -> dict[tuple[int, int], tuple[list, np.ndarray]]:
+    """The Sylvester operators phi_ik(z) = (z X_j^(k) - X_j^(i) z)_j on n_i x n_k
+    matrices z, stacked by block shape: {(n_i, n_k): (pairs, stack)}, pairs the
+    (i, k) of that shape in row-major order and stack[p] the (n n_i n_k, n_i n_k)
+    operator of pairs[p], generator-major rows, z flattened row-major; the
+    stack is (p, 0, n_i n_k) when there are no generators.
 
     In the matrix-unit frame every L_j is X_j (x) 1 on each block, so the
     cocycle map restricted to block pair (i, k) is phi_ik (x) 1.
     """
-    spans = block_offsets(algebra.block_sizes)
-    Xi, Xk = (np.array([g[s:t, s:t] for g in algebra.generators], dtype=complex)
-              .reshape(-1, t - s, t - s) for s, t in (spans[i], spans[k]))
-    n_i, n_k = Xi.shape[-1], Xk.shape[-1]
-    # 1 (x) X^(k)T - X^(i) (x) 1 per generator, each as the product np.kron forms
-    phi = (np.eye(n_i)[:, None, :, None] * Xk.swapaxes(1, 2)[:, None, :, None, :]
-           - Xi[:, :, None, :, None] * np.eye(n_k)[:, None, :])
-    return phi.reshape(-1, n_i * n_k)
+    sizes = algebra.block_sizes
+    X = [np.array([g[s:t, s:t] for g in algebra.generators], dtype=complex)
+         .reshape(-1, t - s, t - s) for s, t in block_offsets(sizes)]
+    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, k in itertools.product(range(len(sizes)), repeat=2):
+        by_shape.setdefault((sizes[i], sizes[k]), []).append((i, k))
+    ops = {}
+    for (n_i, n_k), pairs in by_shape.items():
+        Xi, Xk = (np.array([X[b] for b in side]) for side in zip(*pairs))
+        # 1 (x) X^(k)T - X^(i) (x) 1 per pair and generator, each as the product np.kron forms
+        phi = (np.eye(n_i)[:, None, :, None] * Xk.swapaxes(-1, -2)[..., None, :, None, :]
+               - Xi[..., :, None, :, None] * np.eye(n_k)[:, None, :])
+        ops[n_i, n_k] = pairs, phi.reshape(len(pairs), -1, n_i * n_k)
+    return ops
 
 
 def _validated(block_sizes: Sequence[int], trace_weights: Sequence[float],

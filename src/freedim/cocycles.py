@@ -9,45 +9,33 @@ one space: H1 = H0, since the Hermitian family is an invertible transform of
 the matrix units, and H2 = H0, since every operator on L2 is Hilbert-Schmidt
 and every subspace weakly closed.  In the matrix-unit frame every L_j is
 X_j (x) 1 on each block, so the map on the (i, k) pair of central blocks is
-phi_ik (x) 1, phi_ik the Sylvester operator of `algebra.block_pair_operator`:
-H0 is read off one SVD of phi_ik per pair.
+phi_ik (x) 1, phi_ik the Sylvester operator that `algebra.block_pair_operators`
+stacks by block shape: H0 is read off one SVD of phi_ik per pair.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GnsStructure, TracialAlgebra, block_pair_operator
+from .algebra import GnsStructure, TracialAlgebra, block_pair_operators
 from .errors import ChainViolation
 from .tolerances import INVARIANCE_TOL, RANK_TOL
-from .vndim import (
-    HsSubspace,
-    central_decomposition,
-    invariance_residual,
-    to_fraction,
-    weighted_dimension,
-)
+from .vndim import HsSubspace, central_decomposition, invariance_residual, weighted_dimension
 
 
 def _pair_ranges(algebra: TracialAlgebra) -> dict[tuple[int, int], np.ndarray]:
     """Kept left singular vectors of each block pair's Sylvester operator
-    phi_ik, as {(i, k): the (m_ik, n, n_i, n_k) kept vectors}.  Pairs of one
-    shape share one stacked SVD call; the rank rule of `numerical_span` cuts
-    at RANK_TOL times the largest value over all pair spectra.
+    phi_ik, as {(i, k): the (m_ik, n, n_i, n_k) kept vectors}: one stacked
+    SVD per block shape of `block_pair_operators`, cut by the rank rule of
+    `numerical_span` at RANK_TOL times the largest value over all pair spectra.
     """
-    sizes, n = algebra.block_sizes, len(algebra.generators)
-    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, k in itertools.product(range(len(sizes)), repeat=2):
-        by_shape.setdefault((sizes[i], sizes[k]), []).append((i, k))
+    n = len(algebra.generators)
     spans = []
-    for shape, pairs in by_shape.items():
-        u, s, _ = np.linalg.svd(np.array([block_pair_operator(algebra, i, k) for i, k in pairs]),
-                                full_matrices=False)
-        spans.append((pairs, shape, u, s))
+    for shape, (pairs, stack) in block_pair_operators(algebra).items():
+        spans.append((pairs, shape, *np.linalg.svd(stack, full_matrices=False)[:2]))
     cut = RANK_TOL * max(s.max(initial=0.0) for *_, s in spans)
     return {pair: v[:, :c].T.reshape(c, n, *shape) for pairs, shape, u, s in spans
             for pair, v, c in zip(pairs, u, (s > cut).sum(axis=1).tolist())}
@@ -151,11 +139,12 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     n_i n_k - delta_ik.  A count equal to that value proves the
     multiplicity; ChainViolation signals a count that differs.
 
-    Closed form: at the Schur values Delta = (sum a_i)^2 - sum a_i^2 / n_i^2
-    exactly (a_i the exact weights), so 1 - Delta - closed_form_beta0 =
-    1 - (sum a_i)^2.  `_validated`'s weight-sum check (SCALAR_TOL) and
-    `to_fraction` (FRACTION_TOL) give |sum a_i - 1| <= 2e-12 + b u over b
-    blocks: the gap is at most 4.1e-12 for b <= 41, far below SUBSPACE_TOL.
+    Closed form: Delta and closed_form_beta0 are one exact weighted sum,
+    sum_ik a_i a_k m_ik / (n_i n_k) (a_i the exact weights), at m = n n^T - I
+    and at m = I, so 1 - Delta - closed_form_beta0 = 1 - (sum a_i)^2.
+    `_validated`'s weight-sum check (SCALAR_TOL) and `to_fraction`
+    (FRACTION_TOL) give |sum a_i - 1| <= 2e-12 + b u over b blocks: the gap
+    is at most 4.1e-12 for b <= 41, far below SUBSPACE_TOL.
     """
     weights = central_decomposition(algebra, seed=seed)
     kept = _pair_ranges(algebra)
@@ -168,12 +157,9 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
         raise ChainViolation(f"H0 has multiplicities {mult.tolist()}, not the Schur values "
                              f"{schur.tolist()} of blocks {list(algebra.block_sizes)}")
 
-    r0 = weighted_dimension(mult, algebra)
-    closed = sum((to_fraction(w) ** 2 / (n * n)
-                  for w, n in zip(algebra.trace_weights, algebra.block_sizes)), Fraction(0))
     return DeltaReport(
-        Delta=r0.fraction,
-        closed_form_beta0=closed,
-        multiplicities=r0.multiplicities,
+        Delta=weighted_dimension(mult, algebra).fraction,
+        closed_form_beta0=weighted_dimension(np.eye(len(sizes), dtype=int), algebra).fraction,
+        multiplicities=mult,
         weights=weights,
     )

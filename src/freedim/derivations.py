@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import GnsStructure, TracialAlgebra, block_pair_operator, gns_structure
+from .algebra import GnsStructure, TracialAlgebra, block_pair_operators, gns_structure
 from .errors import IllDefined, ResidualTooLarge
 from .tolerances import RESIDUAL_TOL, WELLDEF_TOL, WORD_GROWTH_TOL
 
@@ -113,8 +113,9 @@ def _sylvester_residual(gns: GnsStructure, targets: Sequence[np.ndarray]) -> flo
     In the matrix-unit frame W = (+)_i conj(U_i), U_i from `gns.blocks`,
     L_j = W ((+)_i X_j^(i) (x) 1) W*, so block (i, k) of W* T_j W, that is
     U_i^T T_j[S_i:T_i, S_k:T_k] conj(U_k), holds n_i n_k right-hand sides of
-    phi_ik(z) = (z X_j^(k) - X_j^(i) z)_j on n_i x n_k matrices z: one lstsq
-    per block pair, whose residuals add in squares since W is unitary.
+    phi_ik(z) = (z X_j^(k) - X_j^(i) z)_j on n_i x n_k matrices z, read from
+    `block_pair_operators`: one lstsq per block pair, in (i, k) order, whose
+    residuals add in squares since W is unitary.
     Rounding (u the unit roundoff, m the largest n_i n_k, z the solutions):
     the frame moves each right-hand side by at most 4 u ||T|| and phi z - rhs
     is formed explicitly, so the exact value is at most the computed one plus
@@ -124,10 +125,12 @@ def _sylvester_residual(gns: GnsStructure, targets: Sequence[np.ndarray]) -> flo
     norm = float(np.sqrt(sum(np.vdot(Tj, Tj).real for Tj in targets)))
     if norm == 0.0:
         return 0.0
+    phis = {pair: phi for pairs, stack in block_pair_operators(gns.algebra).values()
+            for pair, phi in zip(pairs, stack)}
     sq = 0.0
     for i, (_, _, S_i, T_i, n_i, U_i) in enumerate(gns.blocks):
         for k, (_, _, S_k, T_k, n_k, U_k) in enumerate(gns.blocks):
-            phi = block_pair_operator(gns.algebra, i, k)
+            phi = phis[i, k]
             rhs = np.vstack([(U_i.T @ Tj[S_i:T_i, S_k:T_k] @ np.conj(U_k))
                              .reshape(n_i, n_i, n_k, n_k).transpose(0, 2, 1, 3)
                              .reshape(n_i * n_k, -1) for Tj in targets])

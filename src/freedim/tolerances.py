@@ -7,7 +7,8 @@ to the largest entry of the commuting matrices, OPERATOR_TOL's frame gap in
 WELLDEF_TOL verdict and the commutator gate of RESIDUAL_TOL to ||T||,
 RESIDUAL_TOL's other two gates to ||Y||, WORD_GROWTH_TOL to max(1, |v|),
 CLUSTER_GAP to max(1, eigenvalue spread) and FRACTION_TOL to the float
-read.  Matrices are exact complex doubles throughout.
+read.  Matrices are exact complex doubles throughout.  SUBSPACE_TOL and
+CLAMP_SLACK are read only by the tests.
 """
 
 SCALAR_TOL = 1e-12        # scalar identities (weights, traciality)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
-from conftest import late_config_errors, random_block_algebra
+from conftest import late_config_errors, random_block_algebra, random_hermitian
 import freedim.algebra as algebra_module
 import freedim.cli as cli_module
 from freedim.cli import emit_report, load_config, main, run_scenario
@@ -120,6 +120,41 @@ def test_dual_system_inner_residuals_and_verbose(tmp_path, capsys):
     verbose = json.loads(capsys.readouterr().out)
     assert "Y" in verbose["results"]
     assert len(verbose["results"]["Y"]) == 4
+
+
+@pytest.mark.parametrize("scale", [1e-8, pytest.param(1e-9, marks=pytest.mark.xfail(
+    strict=True, reason="the center search cuts relative to the whole family, so the small "
+                        "block's clusters merge: CenterResolutionError (ROADMAP item 9)"))])
+def test_delta_accepts_blocks_of_unequal_scale(tmp_path, capsys, scale):
+    # blocks [2, 2], two random Hermitian generators supported on each block,
+    # block 0's scaled down; the tuple generates at either scale
+    rng = np.random.default_rng(0)
+    gens = []
+    for s, t, c in ((0, 2, scale), (0, 2, scale), (2, 4, 1.0), (2, 4, 1.0)):
+        g = np.zeros((4, 4), dtype=complex)
+        g[s:t, s:t] = c * random_hermitian(rng, 2)
+        gens.append(mat_pairs(g))
+    path = write_config(tmp_path, {"scenario": "delta", "algebra": {
+        "blocks": [2, 2], "weights": [0.5, 0.5], "generators": gens}})
+    assert main(["delta", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["Delta_fraction"] == "7/8"
+
+
+@pytest.mark.parametrize("n", [8, pytest.param(16, marks=pytest.mark.xfail(
+    strict=True, reason="the word fit's Vandermonde basis stops growing before it spans L2, "
+                        "so its Y fails the commutator gate: ResidualTooLarge (ROADMAP item 7)"))])
+def test_dual_inner_on_a_diagonal_ladder_is_well_defined(tmp_path, capsys, n):
+    # n one-by-one blocks, one standard-normal diagonal generator, a random B
+    rng = np.random.default_rng(0)
+    g = np.diag(rng.standard_normal(n))
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    path = write_config(tmp_path, {
+        "scenario": "dual_system",
+        "algebra": {"blocks": [1] * n, "weights": [1.0 / n] * n, "generators": [mat_pairs(g)]},
+        "parameters": {"dual": {"type": "inner", "matrix": mat_pairs(B)}},
+    })
+    assert main(["dual_system", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["well_defined"] is True
 
 
 def test_fisher_mode_inf_serialized(tmp_path, capsys):

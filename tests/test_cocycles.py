@@ -20,7 +20,8 @@ from conftest import (SX, SY, SZ, _span_with_spectrum, _unit_commutators, basis_
                       cocycle_map, commutator_bound, dense_H0, embed_c_m2, generated_dim,
                       hermitian_H1, left_mults, make_c1m2, make_c2, make_m2,
                       random_block_algebra, random_hermitian, section_algebra, svd_block_ranks)
-from freedim.algebra import _rowspace_residual, block_offsets, block_pair_operator
+import freedim.algebra as algebra_module
+from freedim.algebra import _rowspace_residual, block_offsets, block_pair_operators
 from freedim.cli import _delta_results, main
 from freedim.cocycles import _pair_ranges
 from freedim.groups import left_regular_matrices, minimal_generating_set
@@ -170,7 +171,7 @@ def _union_spectrum(alg):
     value of each phi_ik, repeated n_i n_k times (phi_ik (x) 1)."""
     sizes = alg.block_sizes
     return np.sort(np.concatenate([
-        np.repeat(np.linalg.svd(block_pair_operator(alg, i, k), compute_uv=False),
+        np.repeat(np.linalg.svd(_block_pair_operator_inline(alg, i, k), compute_uv=False),
                   sizes[i] * sizes[k])
         for i, k in itertools.product(range(len(sizes)), repeat=2)]))[::-1]
 
@@ -184,7 +185,7 @@ def _union_rule_counts(alg):
     by_shape = {}
     for i, k in itertools.product(range(len(sizes)), repeat=2):
         by_shape.setdefault((sizes[i], sizes[k]), []).append((i, k))
-    spans = [(pairs, shape, np.linalg.svd(np.array([block_pair_operator(alg, i, k)
+    spans = [(pairs, shape, np.linalg.svd(np.array([_block_pair_operator_inline(alg, i, k)
                                                     for i, k in pairs]), full_matrices=False)[1])
              for shape, pairs in by_shape.items()]
     family = np.sort(np.concatenate([np.repeat(s, n_i * n_k)
@@ -220,7 +221,7 @@ def test_weyl_perturbation_stays_below_the_rank_cut(name):
     # cut RANK_TOL s_max, up to D = 41 (random4x5, random1x2x6)
     alg = _worked_algebra(name)
     n, sizes, u = len(alg.generators), alg.block_sizes, np.finfo(float).eps / 2
-    tops = {(i, k): np.linalg.svd(block_pair_operator(alg, i, k), compute_uv=False)[0]
+    tops = {(i, k): np.linalg.svd(_block_pair_operator_inline(alg, i, k), compute_uv=False)[0]
             for i in range(len(sizes)) for k in range(len(sizes))}
     s_max = max(tops.values())
     for (i, k), s_1 in tops.items():
@@ -549,21 +550,24 @@ def _unit_commutators_loop(Li, Lk):
 
 
 def _block_pair_operator_inline(algebra, i, k):
-    """phi_ik as the Sylvester residual formed it inline, one generator at a time."""
+    """phi_ik as the Sylvester residual formed it inline, one generator at a
+    time, its rows stacked onto an empty start: no generators give no rows."""
     (s_i, t_i), (s_k, t_k) = (block_offsets(algebra.block_sizes)[b] for b in (i, k))
     n_i, n_k = t_i - s_i, t_k - s_k
-    return np.vstack([(np.eye(n_i)[:, None, :, None] * X[s_k:t_k, s_k:t_k].T[:, None]
-                       - X[s_i:t_i, None, s_i:t_i, None] * np.eye(n_k)[:, None, :]
-                       ).reshape(n_i * n_k, -1) for X in algebra.generators])
+    return np.vstack([np.zeros((0, n_i * n_k), dtype=complex)] + [
+        (np.eye(n_i)[:, None, :, None] * X[s_k:t_k, s_k:t_k].T[:, None]
+         - X[s_i:t_i, None, s_i:t_i, None] * np.eye(n_k)[:, None, :]).reshape(n_i * n_k, -1)
+        for X in algebra.generators])
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("shape", [(1,), (2, 3), (1, 2, 6), (3, 1, 3)], ids=str)
+@pytest.mark.parametrize("shape", [(1,), (2, 3), (1, 2, 6), (3, 1, 3), (1,) * 41], ids=str)
 def test_block_pair_operator_matches_the_inline_expression_bitwise(n, shape):
-    # the operator reads only the block sizes and the generators, so a
-    # stand-in carries random block-diagonal entries, a third of them -0.0
+    # the operators read only the block sizes and the generators, so a
+    # stand-in carries random block-diagonal entries, a third of them -0.0;
+    # each shape's pairs come in row-major order, every pair once
     rng = np.random.default_rng(10 * n + sum(shape))
-    N = sum(shape)
+    N, b = sum(shape), len(shape)
     gens = []
     for _ in range(n):
         g = np.zeros((N, N), dtype=complex)
@@ -571,12 +575,29 @@ def test_block_pair_operator_matches_the_inline_expression_bitwise(n, shape):
             g[s:t, s:t] = _with_negative_zeros(rng, (t - s, t - s))
         gens.append(g)
     algebra = types.SimpleNamespace(block_sizes=shape, generators=tuple(gens))
-    for i in range(len(shape)):
-        for k in range(len(shape)):
-            assert _bitwise_equal(block_pair_operator(algebra, i, k),
-                                  _block_pair_operator_inline(algebra, i, k))
     empty = types.SimpleNamespace(block_sizes=shape, generators=())
-    assert block_pair_operator(empty, 0, len(shape) - 1).shape == (0, shape[0] * shape[-1])
+    seen = []
+    for (n_i, n_k), (pairs, stack) in block_pair_operators(algebra).items():
+        assert pairs == [(i, k) for i, k in itertools.product(range(b), repeat=2)
+                         if (shape[i], shape[k]) == (n_i, n_k)]
+        assert stack.shape == (len(pairs), n * n_i * n_k, n_i * n_k)
+        for (i, k), phi in zip(pairs, stack):
+            assert _bitwise_equal(phi, _block_pair_operator_inline(algebra, i, k))
+        seen += pairs
+        pairs_empty, stack_empty = block_pair_operators(empty)[n_i, n_k]
+        assert pairs_empty == pairs and stack_empty.shape == (len(pairs), 0, n_i * n_k)
+    assert sorted(seen) == list(itertools.product(range(b), repeat=2))
+
+
+def test_pair_ranges_slice_the_blocks_once(monkeypatch):
+    # one block_offsets call builds every phi_ik: on 41 one-by-one blocks a
+    # builder per pair made 41^2 = 1681 calls
+    alg, calls = _worked_algebra("random" + "x".join(["1"] * 41)), []
+    offsets = algebra_module.block_offsets
+    monkeypatch.setattr(algebra_module, "block_offsets",
+                        lambda sizes: calls.append(1) or offsets(sizes))
+    assert len(_pair_ranges(alg)) == 41 ** 2
+    assert len(calls) <= 1
 
 
 def _commutator_stack_loop(mats, within, N):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import freedim as fd
+import freedim.algebra as algebra_module
 import freedim.derivations as derivations_module
 from conftest import (conjugate_variable, left_mults, make_c1m2, make_c2, make_m2,
                       random_block_algebra, random_hermitian, section_algebra)
@@ -492,3 +493,32 @@ def test_sylvester_operands_match_kron_bitwise(sizes, monkeypatch):
     assert len(operands) == len(seen) == len(sizes) ** 2
     for (phi, rhs), (phi_kron, rhs_kron) in zip(operands, seen):
         assert _bitwise_equal(phi, phi_kron) and _bitwise_equal(rhs, rhs_kron)
+
+
+# the solve against its per-pair loop, which adds the pairs in (i, k) order:
+# [1, 2, 1] and [2, 1, 2, 1] interleave their block shapes, so a sum grouped
+# by shape would add them in another order; then the dual-ladder shapes and
+# 100 one-by-one blocks, the dual_system cap
+@pytest.mark.parametrize("sizes", [(1, 2, 1), (2, 1, 2, 1), (3,), (6,), (4, 5), (7,), (8,),
+                                   (1,) * 100],
+                         ids=["1x2x1", "2x1x2x1", "3", "6", "4x5", "7", "8", "1x100"])
+def test_sylvester_residual_matches_the_per_pair_loop_bitwise(sizes):
+    gns = fd.gns_structure(random_block_algebra(sizes, seed=len(sizes)))
+    rng = np.random.default_rng(sum(sizes))
+    B = rng.standard_normal((gns.dim, gns.dim)) + 1j * rng.standard_normal((gns.dim, gns.dim))
+    for targets in (fd.inner_spec(gns, B), fd.fdq_targets(gns, 0)):
+        relative = derivations_module._sylvester_residual(gns, targets)
+        assert np.float64(relative).tobytes() == np.float64(
+            _sylvester_residual_kron(gns, targets)).tobytes()
+
+
+def test_sylvester_residual_slices_the_blocks_once(monkeypatch):
+    # one block_offsets call builds every phi_ik: on 100 one-by-one blocks a
+    # builder per pair made 100^2 = 10 000 calls
+    gns, calls = fd.gns_structure(random_block_algebra((1,) * 100, seed=0)), []
+    targets = fd.fdq_targets(gns, 0)
+    offsets = algebra_module.block_offsets
+    monkeypatch.setattr(algebra_module, "block_offsets",
+                        lambda sizes: calls.append(1) or offsets(sizes))
+    derivations_module._sylvester_residual(gns, targets)
+    assert len(calls) <= 1
