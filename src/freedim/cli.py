@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -664,17 +664,17 @@ def _run_group_finite(config: ScenarioConfig) -> Outcome:
                                   seed=config.seed)
     rep = delta_report(algebra, seed=config.seed)
     order = values["order"]
-    # exact checks: one block per irreducible representation, so one per
-    # conjugacy class; and the certified multiplicities m give Delta =
-    # sum_ik m_ik n_i n_k / |G|^2 = 1 - 1/|G| at the canonical weights n_i^2/|G|
+    # exact check: one block per irreducible representation, so one per
+    # conjugacy class.  Delta and the closed form are the sums at the exact
+    # weights n_i^2/|G|: Schur's m = n n^T - I (delta_report) and sum n_i^2 = |G|
+    # (blockify) make them 1 - 1/|G| and 1/|G|, so no check of them could fail
     sizes = np.array(algebra.block_sizes)
     classes = class_count(table)
     if len(sizes) != classes:
         raise ChainViolation(f"{len(sizes)} blocks for a group with {classes} "
                              f"conjugacy classes")
-    exact = Fraction(int(sizes @ rep.multiplicities @ sizes), order * order)
-    if exact != 1 - Fraction(1, order):
-        raise ChainViolation(f"Delta = {exact} at the weights n_i^2/|G|, not 1 - 1/{order}")
+    rep = replace(rep, Delta=Fraction(int(sizes @ rep.multiplicities @ sizes), order * order),
+                  closed_form_beta0=Fraction(int(sizes @ sizes), order * order))
     formula = betti_delta_formula(BettiInput.finite_group(order))
     results = _delta_results(rep, algebra.block_sizes)
     results.update({

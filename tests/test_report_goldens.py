@@ -231,10 +231,12 @@ def test_s4_report_matches_golden_at_two_blas_threads(tmp_path):
 # sha256 of the seed-1 group_finite reports of two products at 2 BLAS
 # threads, recorded before the full commutant search ran only for a block of
 # multiplicity above one and factored its tall family by QR: C4 x C6 has only
-# 1 x 1 blocks and searches the center alone, C2 x S3 searches both
+# 1 x 1 blocks and searches the center alone, C2 x S3 searches both.  C4 x C6
+# was re-recorded when Delta became the sum at the exact weights n_i^2/|G|:
+# its measured weights miss to_fraction's window, and it now prints 23/24
 PRODUCT_GOLDENS = {
     "C4xC6": ([{"kind": "cyclic", "n": 4}, {"kind": "cyclic", "n": 6}],
-              "417d3638f9e4b08e765374bd76179e36be6be657bdad60a7c00f62faa2f94cab"),
+              "ce11aef166a2d8d5314ffed0bb864a01c323bc0cde2ae9077eaf005282d9d83d"),
     "C2xS3": ([{"kind": "cyclic", "n": 2}, {"kind": "symmetric", "n": 3}],
               "6044f3c02db94190135c3799ff4845a7b3d76f6721ef67182a30c9f07cc75a9a"),
 }
