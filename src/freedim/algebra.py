@@ -161,18 +161,19 @@ def word_span(
     return basis
 
 
-def block_pair_operators(algebra: TracialAlgebra) -> dict[tuple[int, int], tuple[list, np.ndarray]]:
+def block_pair_operators(block_sizes: Sequence[int], generators: Sequence[np.ndarray]
+                         ) -> dict[tuple[int, int], tuple[list, np.ndarray]]:
     """The Sylvester operators phi_ik(z) = (z X_j^(k) - X_j^(i) z)_j on n_i x n_k
     matrices z, stacked by block shape: {(n_i, n_k): (pairs, stack)}, pairs the
     (i, k) of that shape in row-major order and stack[p] the (n n_i n_k, n_i n_k)
     operator of pairs[p], generator-major rows, z flattened row-major; the
-    stack is (p, 0, n_i n_k) when there are no generators.
-
-    In the matrix-unit frame every L_j is X_j (x) 1 on each block, so the
-    cocycle map restricted to block pair (i, k) is phi_ik (x) 1.
+    stack is (p, 0, n_i n_k) when there are no generators.  For an algebra's
+    generators (not their `unit_scaled` copies) the cocycle map restricted to
+    block pair (i, k) is phi_ik (x) 1, as every L_j is X_j (x) 1 on each block
+    in the matrix-unit frame.
     """
-    sizes = algebra.block_sizes
-    X = [np.array([g[s:t, s:t] for g in algebra.generators], dtype=complex)
+    sizes = tuple(block_sizes)
+    X = [np.array([g[s:t, s:t] for g in generators], dtype=complex)
          .reshape(-1, t - s, t - s) for s, t in block_offsets(sizes)]
     by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, k in itertools.product(range(len(sizes)), repeat=2):
@@ -185,6 +186,26 @@ def block_pair_operators(algebra: TracialAlgebra) -> dict[tuple[int, int], tuple
                - Xi[..., :, None, :, None] * np.eye(n_k)[:, None, :])
         ops[n_i, n_k] = pairs, phi.reshape(len(pairs), -1, n_i * n_k)
     return ops
+
+
+def _pair_ranges(block_sizes: Sequence[int], generators: Sequence[np.ndarray]
+                 ) -> dict[tuple[int, int], np.ndarray]:
+    """Kept left singular vectors of each block pair's Sylvester operator
+    phi_ik, as {(i, k): the (m_ik, n, n_i, n_k) kept vectors}: one stacked
+    SVD per block shape of `block_pair_operators`, each pair cut by the rank
+    rule of `numerical_span`, at RANK_TOL times its own largest value."""
+    n, kept = len(generators), {}
+    for shape, (pairs, stack) in block_pair_operators(block_sizes, generators).items():
+        u, s = np.linalg.svd(stack, full_matrices=False)[:2]
+        for pair, v, c in zip(pairs, u, (s > RANK_TOL * s[:, :1]).sum(axis=1).tolist()):
+            kept[pair] = v[:, :c].T.reshape(c, n, *shape)
+    return kept
+
+
+def _generates(block_sizes: Sequence[int], generators: Sequence[np.ndarray]) -> bool:
+    """Whether each phi_ik has its Schur rank, a proof of generation (`build_algebra`)."""
+    return all(len(w) == block_sizes[i] * block_sizes[k] - (i == k)
+               for (i, k), w in _pair_ranges(block_sizes, generators).items())
 
 
 def _validated(block_sizes: Sequence[int], trace_weights: Sequence[float],
@@ -247,13 +268,27 @@ def build_algebra(
     """Validate the block data and the generating tuple, and package them.
 
     Raises WeightError / ShapeMismatch / NotSelfAdjoint on malformed input,
-    and NotGenerating when the tuple does not generate the declared algebra
-    (`wedderburn.blockify_subalgebra` builds the algebra it does generate).
+    and NotGenerating, naming `word_span`'s dimension, unless the ranks of
+    the Sylvester operators phi_ik on the `unit_scaled` generators prove that
+    the tuple generates the declared algebra (`wedderburn.blockify_subalgebra`
+    builds the algebra it does generate).  Schur: the tuple's commutant in
+    M_N is the sum of the ker phi_ik and holds the block identities, so
+    rank phi_ik <= n_i n_k - delta_ik, with equality at every pair exactly
+    when that commutant is the declared algebra's, that is, by the double
+    commutant theorem, when the tuple generates it; the ranks are then the
+    multiplicities that `cocycles.delta_report` reads.  Weyl: the computed
+    SVD of phi_ik is exact for phi_ik + E, ||E|| <= n n_i n_k u s_1 (its rows
+    times u, the unit roundoff, as numpy's matrix_rank assumes), and forming
+    phi_ik rounds only diagonal entries, adding at most sqrt(n_i n_k) u s_1.
+    As n_i n_k <= D, up to D = 100 and 9 10^4 generators both stay below the
+    per-pair cut RANK_TOL s_1: each kept value proves rank >= m, and the
+    kernel stays below the cut.  Dividing by a power of two scales a
+    generator's rows exactly and keeps every rank.
     """
     sizes, weights, mats, labels = _validated(block_sizes, trace_weights, generators, labels)
-    generated = word_span(sizes, unit_scaled(mats)).shape[0]
-    dim = sum(n * n for n in sizes)
-    if generated != dim:
+    unit = unit_scaled(mats)
+    if not _generates(sizes, unit):
+        generated, dim = word_span(sizes, unit).shape[0], sum(n * n for n in sizes)
         raise NotGenerating(
             f"generators span a {generated}-dimensional subalgebra of the "
             f"{dim}-dimensional declared algebra; set algebra.subalgebra_mode, or "

@@ -247,12 +247,12 @@ def _flag(section: dict, key: str, where: str) -> bool:
     return value
 
 
-# Caps on D = sum n_i^2 of the declared algebra.  delta takes one SVD of the
-# n n_i n_k x n_i n_k Sylvester operator phi_ik per pair of blocks, for n
-# generators, so a run at the cap takes milliseconds (0.016-0.024 s and 40 MB
-# for a random [1, 2, 6] algebra at D = 41 with 2 generators); dual_system on
-# one 10 x 10 block (D = 100) takes 0.8 s and 146 MB (inner) to 1.5 s and
-# 153 MB (fisher), as peak RSS (2 vCPU, 2 OpenBLAS threads).
+# Caps on D = sum n_i^2 of the declared algebra.  The generation check takes
+# one SVD of the n n_i n_k x n_i n_k Sylvester operator phi_ik per pair of
+# blocks for n generators, and delta no other but the center's, so a run at
+# the cap takes milliseconds (0.016-0.024 s and 40 MB, random [1, 2, 6] at
+# D = 41, 2 generators); dual_system on one 10 x 10 block (D = 100) takes 0.8 s
+# and 146 MB (inner) to 1.5 s and 153 MB (fisher), peak RSS (2 vCPU, 2 OpenBLAS threads).
 _DELTA_MAX_DIM = 41
 _DUAL_MAX_DIM = 100
 

@@ -10,7 +10,8 @@ the matrix units, and H2 = H0, since every operator on L2 is Hilbert-Schmidt
 and every subspace weakly closed.  In the matrix-unit frame every L_j is
 X_j (x) 1 on each block, so the map on the (i, k) pair of central blocks is
 phi_ik (x) 1, phi_ik the Sylvester operator that `algebra.block_pair_operators`
-stacks by block shape: H0 is read off one SVD of phi_ik per pair.
+stacks by block shape: `compute_H0` takes one SVD of phi_ik per pair, and
+`delta_report` reads H0's multiplicities as the Schur values those ranks proved.
 """
 
 from __future__ import annotations
@@ -20,25 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GnsStructure, TracialAlgebra, block_pair_operators
-from .errors import ChainViolation
-from .tolerances import INVARIANCE_TOL, RANK_TOL
+from .algebra import GnsStructure, TracialAlgebra, _pair_ranges
+from .tolerances import INVARIANCE_TOL
 from .vndim import HsSubspace, central_decomposition, invariance_residual, weighted_dimension
-
-
-def _pair_ranges(algebra: TracialAlgebra) -> dict[tuple[int, int], np.ndarray]:
-    """Kept left singular vectors of each block pair's Sylvester operator
-    phi_ik, as {(i, k): the (m_ik, n, n_i, n_k) kept vectors}: one stacked
-    SVD per block shape of `block_pair_operators`, cut by the rank rule of
-    `numerical_span` at RANK_TOL times the largest value over all pair spectra.
-    """
-    n = len(algebra.generators)
-    spans = []
-    for shape, (pairs, stack) in block_pair_operators(algebra).items():
-        spans.append((pairs, shape, *np.linalg.svd(stack, full_matrices=False)[:2]))
-    cut = RANK_TOL * max(s.max(initial=0.0) for *_, s in spans)
-    return {pair: v[:, :c].T.reshape(c, n, *shape) for pairs, shape, u, s in spans
-            for pair, v, c in zip(pairs, u, (s > cut).sum(axis=1).tolist())}
 
 
 def compute_H0(gns: GnsStructure) -> HsSubspace:
@@ -68,7 +53,7 @@ def compute_H0(gns: GnsStructure) -> HsSubspace:
     `invariance_residual` is measured and stored instead.
     """
     alg = gns.algebra
-    kept = _pair_ranges(alg)
+    kept = _pair_ranges(alg.block_sizes, alg.generators)
     n, D = len(alg.generators), gns.dim
     sizes = alg.block_sizes
     basis = np.zeros((sum(len(w) * sizes[i] * sizes[k] for (i, k), w in kept.items()), n, D, D),
@@ -124,20 +109,10 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     block pair (i, k) in the range of phi_ik (x) 1 (see `compute_H0`), of
     dimension m_ik n_i n_k, m_ik = rank phi_ik; so Delta is the
     trace-weighted sum of the m_ik (`weighted_dimension`), and no span is
-    built.  Two certificates fix each m_ik.
-
-    Weyl: the computed SVD of phi_ik is exact for phi_ik + E, ||E|| <=
-    n n_i n_k u s_1 (its rows times u, the unit roundoff, the noise level
-    numpy's matrix_rank assumes), and forming phi_ik rounds only diagonal
-    entries, once each, adding at most sqrt(n_i n_k) u s_1.  Up to D = 41,
-    for fewer than 10^5 generators, both are far below RANK_TOL s_max, so
-    each value the rank rule keeps (s > RANK_TOL s_max, s_max the largest
-    value over the pair spectra) proves rank >= m.  Schur: the algebra is
-    the one its tuple generates (the TracialAlgebra constructors check it),
-    a direct sum of pairwise inequivalent blocks, so the kernel of phi_ik,
-    the intertwiners of blocks k and i, has dimension delta_ik: rank <=
-    n_i n_k - delta_ik.  A count equal to that value proves the
-    multiplicity; ChainViolation signals a count that differs.
+    built.  The TracialAlgebra constructors proved m_ik = n_i n_k - delta_ik,
+    the Schur value, when they certified that the tuple generates the
+    algebra (see `build_algebra`), so the multiplicities are read from the
+    block sizes, and the only SVDs here certify the center.
 
     Closed form: Delta and closed_form_beta0 are one exact weighted sum,
     sum_ik a_i a_k m_ik / (n_i n_k) (a_i the exact weights), at m = n n^T - I
@@ -147,16 +122,8 @@ def delta_report(algebra: TracialAlgebra, seed: int = 0) -> DeltaReport:
     is at most 4.1e-12 for b <= 41, far below SUBSPACE_TOL.
     """
     weights = central_decomposition(algebra, seed=seed)
-    kept = _pair_ranges(algebra)
-    blocks = range(len(algebra.block_sizes))
-    mult = np.array([[len(kept[i, k]) for k in blocks] for i in blocks], dtype=int)
-
     sizes = np.array(algebra.block_sizes)
-    schur = np.outer(sizes, sizes) - np.eye(len(sizes), dtype=int)
-    if not np.array_equal(mult, schur):
-        raise ChainViolation(f"H0 has multiplicities {mult.tolist()}, not the Schur values "
-                             f"{schur.tolist()} of blocks {list(algebra.block_sizes)}")
-
+    mult = np.outer(sizes, sizes) - np.eye(len(sizes), dtype=int)
     return DeltaReport(
         Delta=weighted_dimension(mult, algebra).fraction,
         closed_form_beta0=weighted_dimension(np.eye(len(sizes), dtype=int), algebra).fraction,

@@ -125,8 +125,8 @@ def _sylvester_residual(gns: GnsStructure, targets: Sequence[np.ndarray]) -> flo
     norm = float(np.sqrt(sum(np.vdot(Tj, Tj).real for Tj in targets)))
     if norm == 0.0:
         return 0.0
-    phis = {pair: phi for pairs, stack in block_pair_operators(gns.algebra).values()
-            for pair, phi in zip(pairs, stack)}
+    ops = block_pair_operators(gns.algebra.block_sizes, gns.algebra.generators).values()
+    phis = {pair: phi for pairs, stack in ops for pair, phi in zip(pairs, stack)}
     sq = 0.0
     for i, (_, _, S_i, T_i, n_i, U_i) in enumerate(gns.blocks):
         for k, (_, _, S_k, T_k, n_k, U_k) in enumerate(gns.blocks):

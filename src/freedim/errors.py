@@ -37,14 +37,6 @@ class IntegralityError(FreedimError):
     """A compressed block dimension is not a multiple of the block size product."""
 
 
-# -- cocycle spaces -----------------------------------------------------------
-
-class ChainViolation(FreedimError):
-    """The certified block multiplicities of H0 are not the Schur values
-    n_i n_k - delta_ik of the generated algebra, or a group's Delta or block
-    count is not its exact value; signals a numerical or action-convention bug."""
-
-
 # -- dual operators -----------------------------------------------------------
 
 class IllDefined(FreedimError):
@@ -56,6 +48,11 @@ class ResidualTooLarge(FreedimError):
 
 
 # -- group tools --------------------------------------------------------------
+
+class ChainViolation(FreedimError):
+    """A group algebra's block count is not its number of conjugacy classes;
+    signals a numerical or action-convention bug."""
+
 
 class TooLarge(FreedimError):
     """A group order or an algebra dimension D exceeds its configured cap."""

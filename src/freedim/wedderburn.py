@@ -15,9 +15,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (_GENERATED, TracialAlgebra, _diag_weights, _rowspace_residual,
-                      _unflatten, _validated, block_offsets, build_algebra, numerical_span,
-                      unit_scaled, word_span)
+from .algebra import (_GENERATED, TracialAlgebra, _diag_weights, _generates,
+                      _rowspace_residual, _unflatten, _validated, block_offsets, build_algebra,
+                      numerical_span, unit_scaled, word_span)
 from .errors import CenterResolutionError
 from .tolerances import (CENTER_RETRIES, CLUSTER_GAP, COMMUTANT_ZERO_TOL, INVARIANCE_TOL,
                          PROJECTION_DIGITS, PROJECTION_SPLIT, RANK_TOL, SUPPORT_TOL)
@@ -234,15 +234,15 @@ def blockify_subalgebra(block_sizes: Sequence[int], trace_weights: Sequence[floa
                         generators: Sequence[np.ndarray],
                         labels: Optional[Sequence[str]] = None) -> TracialAlgebra:
     """The algebra that the tuple generates inside the declared blocks, with
-    the declared trace: the declared algebra when the tuple generates it,
-    else the block form of the generated *-subalgebra, found from the
-    unit-scaled generators, whose generators are the originals' images.
-    Validates as `build_algebra` does."""
+    the declared trace: the declared algebra when the ranks of `build_algebra`
+    prove that the tuple generates it, else the block form of the generated
+    *-subalgebra, found from the `word_span` of the unit-scaled generators,
+    whose generators are the originals' images.  Validates as
+    `build_algebra` does."""
     sizes, weights, mats, labels = _validated(block_sizes, trace_weights, generators, labels)
     unit = unit_scaled(mats)
-    span = word_span(sizes, unit)
-    if span.shape[0] == sum(n * n for n in sizes):
+    if _generates(sizes, unit):
         return TracialAlgebra(sizes, weights, mats, labels, _GENERATED)
-    return blockify(_unflatten(span, sizes), commuting_set=unit,
+    return blockify(_unflatten(word_span(sizes, unit), sizes), commuting_set=unit,
                     trace_diag=_diag_weights(sizes, weights), generators=mats, labels=labels,
                     rng=np.random.default_rng(0))

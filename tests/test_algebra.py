@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
@@ -165,7 +166,8 @@ def test_tracial_algebra_is_built_only_through_the_validated_path():
 @pytest.mark.parametrize("build", [fd.build_algebra, fd.blockify_subalgebra],
                          ids=["build_algebra", "blockify_subalgebra"])
 def test_generating_tuple_is_spanned_once(monkeypatch, build):
-    # the generation check and the construction share one word_span
+    # the block pairs' Sylvester ranks prove generation, so an accepted
+    # build spans no words: word_span runs only when the ranks fall short
     calls, span = [], algebra_module.word_span
 
     def spied(sizes, gens):
@@ -175,7 +177,93 @@ def test_generating_tuple_is_spanned_once(monkeypatch, build):
     for module in (algebra_module, wedderburn_module):
         monkeypatch.setattr(module, "word_span", spied)
     alg = build([1, 2], [0.4, 0.6], [embed_c_m2(1.0, SX), embed_c_m2(-1.0, SZ)])
-    assert (alg.block_sizes, calls) == ((1, 2), [(1, 2)])
+    assert (alg.block_sizes, calls) == ((1, 2), [])
+
+
+# the rank verdict against word_span, the oracle: seeded random tuples on
+# shapes up to D = 41, plus [10], [6, 8] and 100 x [1], with 1 to 4
+# generators, generator j scaled by 2^(60 (-1)^j) and every other block's
+# part by one of BLOCK_SCALES
+SWEEP_SHAPES = [(1,), (2,), (1, 1), (1, 2), (2, 2), (3,), (1, 1, 2), (2, 3), (3, 3), (4, 5),
+                (1, 2, 6), (6,), (2, 3, 4), (1,) * 41, (10,), (6, 8), (1,) * 100]
+BLOCK_SCALES = [1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15]
+
+
+def _generation_verdicts(sizes, gens):
+    """(the ranks' verdict, word_span's) on the unit-scaled tuple."""
+    unit = algebra_module.unit_scaled([np.asarray(g, dtype=complex) for g in gens])
+    span = algebra_module.word_span(tuple(sizes), unit).shape[0]
+    return algebra_module._generates(tuple(sizes), unit), span == sum(n * n for n in sizes)
+
+
+def _swept_tuple(shape, n, block_scale, rng):
+    N, gens = sum(shape), []
+    for j in range(n):
+        g = np.zeros((N, N), dtype=complex)
+        for b, (s, t) in enumerate(block_offsets(shape)):
+            g[s:t, s:t] = (block_scale if b % 2 == 0 else 1.0) * random_hermitian(rng, t - s)
+        gens.append(g * 2.0 ** (60 * (-1) ** j))
+    return gens
+
+
+@pytest.mark.parametrize("shape", SWEEP_SHAPES,
+                         ids=lambda s: f"{len(s)}x1" if len(s) > 6 else "x".join(map(str, s)))
+def test_rank_verdict_matches_word_span_but_on_unequal_block_scales(shape):
+    # random blocks are pairwise inequivalent, so the tuple generates exactly
+    # when each block's part does: always on 1 x 1 blocks, else with two or
+    # more generators.  The ranks give that verdict everywhere.  word_span
+    # gives it too, but for two families whose blocks differ in scale: it
+    # refuses the spanning tuples of blocks scaled by 1e-9 or less, and it
+    # accepts a single generator, which generates a commutative algebra
+    rng = np.random.default_rng(sum(shape))
+    for n, c in itertools.product(range(1, 5), BLOCK_SCALES if len(shape) > 1 else [1.0]):
+        truth = n >= 2 or max(shape) == 1
+        ranks, span = _generation_verdicts(shape, _swept_tuple(shape, n, c, rng))
+        assert ranks == truth, (n, c)
+        if not (truth and c <= 1e-9 or n == 1 and c < 1.0):
+            assert span == truth, (n, c)
+
+
+def _on_blocks(*parts):
+    out = np.zeros((sum(len(p) for p in parts),) * 2, dtype=complex)
+    for (s, t), p in zip(block_offsets([len(p) for p in parts]), parts):
+        out[s:t, s:t] = p
+    return out
+
+
+def _non_generating_tuples():
+    """Tuples that generate a proper subalgebra: commuting pairs, equivalent
+    and unitarily equivalent blocks, and reducible blocks."""
+    rng = np.random.default_rng(7)
+    h = [random_hermitian(rng, 3) for _ in range(3)]
+    U = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
+    red = [_on_blocks(random_hermitian(rng, 2), rng.standard_normal((1, 1))) for _ in range(2)]
+    return {
+        "commuting_3": ((3,), [np.diag(rng.standard_normal(3)) for _ in range(2)]),
+        "commuting_2x2": ((2, 2), [np.diag(rng.standard_normal(4)) for _ in range(3)]),
+        "equivalent_2x2": ((2, 2), [_on_blocks(a, a), _on_blocks(b, b)]),
+        "equivalent_3x3": ((3, 3), [_on_blocks(x, x) for x in h]),
+        "unitarily_equivalent_3x3": ((3, 3), [_on_blocks(x, U @ x @ U.conj().T) for x in h]),
+        "reducible_3": ((3,), red),
+        "reducible_2x3": ((2, 3), [_on_blocks(a, r) for r in red]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_non_generating_tuples()))
+@pytest.mark.parametrize("exponent", [0, 60, -60])
+def test_rank_verdict_refuses_what_word_span_refuses(name, exponent):
+    shape, gens = _non_generating_tuples()[name]
+    assert _generation_verdicts(shape, [g * 2.0 ** exponent for g in gens]) == (False, False)
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "C12", "C2xS3"])
+def test_rank_verdict_accepts_group_algebras_after_blockify(name):
+    table = {"S3": lambda: fd.symmetric_group(3), "S4": lambda: fd.symmetric_group(4),
+             "C12": lambda: fd.cyclic_group(12),
+             "C2xS3": lambda: fd.direct_product(fd.cyclic_group(2), fd.symmetric_group(3))}[name]()
+    alg = fd.regular_rep_algebra(table)
+    assert _generation_verdicts(alg.block_sizes, alg.generators) == (True, True)
 
 
 def test_non_finite_generator_entry_rejected():

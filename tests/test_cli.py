@@ -139,6 +139,97 @@ def test_delta_accepts_blocks_of_unequal_scale(tmp_path, capsys, scale):
     assert json.loads(capsys.readouterr().out)["results"]["Delta_fraction"] == "7/8"
 
 
+def _cli_results(tmp_path, capsys, cfg):
+    """The results of a run of cfg; a refusal raises the error that stderr
+    names, so that an xfail can name the one it expects."""
+    code = main([cfg["scenario"], "--config", write_config(tmp_path, cfg)])
+    out, err = capsys.readouterr()
+    if code:
+        assert code == 1 and out == "" and len(err.strip().splitlines()) == 1, err
+        raise getattr(fd, err.split(":")[1].strip())(err)
+    return json.loads(out)["results"]
+
+
+def _spanning_pair(scale, **extra):
+    """Blocks [2, 2] at weights [0.5, 0.5] with two generators scale h (+) h',
+    h and h' random Hermitian drawn in turn: the tuple generates M2 (+) M2 at
+    every scale, but word_span's relative cut refused it from 1e-9 down."""
+    rng, gens = np.random.default_rng(0), []
+    for _ in range(2):
+        g = np.zeros((4, 4), dtype=complex)
+        g[:2, :2] = scale * random_hermitian(rng, 2)
+        g[2:, 2:] = random_hermitian(rng, 2)
+        gens.append(mat_pairs(g))
+    return {"blocks": [2, 2], "weights": [0.5, 0.5], "generators": gens, **extra}
+
+
+SPANNING_SCALES = [1e-9, 1e-12, 1e-15, 1e-100]
+
+
+@pytest.mark.parametrize("scale", SPANNING_SCALES)
+@pytest.mark.parametrize("dual", [{"type": "fisher"},
+                                  {"type": "free_difference_quotient", "slot": 0}],
+                         ids=["fisher", "free_difference_quotient"])
+def test_dual_system_accepts_a_spanning_pair_of_unequal_scale(tmp_path, capsys, scale, dual):
+    # the block pairs' ranks prove generation where word_span refused it
+    results = _cli_results(tmp_path, capsys, {"scenario": "dual_system",
+                                              "algebra": _spanning_pair(scale),
+                                              "parameters": {"dual": dual}})
+    slots = results["slots"] if dual["type"] == "fisher" else [results]
+    assert slots and all(slot["well_defined"] is False for slot in slots)
+
+
+@pytest.mark.parametrize("scale", SPANNING_SCALES)
+def test_subalgebra_mode_prints_no_wrong_delta_on_a_spanning_pair(tmp_path, capsys, scale):
+    # word_span's span of the pair was 5-dimensional, whose block form [1, 2]
+    # printed Delta 11/16; the tuple generates M2 (+) M2, whose Delta is 7/8
+    cfg = {"scenario": "delta", "algebra": _spanning_pair(scale, subalgebra_mode=True)}
+    try:
+        results = _cli_results(tmp_path, capsys, cfg)
+    except fd.FreedimError:
+        return
+    assert (results["Delta_fraction"], results["block_sizes"]) == ("7/8", [2, 2])
+
+
+@pytest.mark.parametrize("subalgebra_mode", [False, True])
+@pytest.mark.parametrize("scale", [pytest.param(scale, marks=pytest.mark.xfail(
+    strict=True, raises=fd.CenterResolutionError,
+    reason="the center search cuts relative to the whole family, so the small block's "
+           "clusters merge (ROADMAP item 19)")) for scale in SPANNING_SCALES])
+def test_delta_reports_seven_eighths_on_a_spanning_pair(tmp_path, capsys, scale,
+                                                        subalgebra_mode):
+    cfg = {"scenario": "delta", "algebra": _spanning_pair(scale, subalgebra_mode=subalgebra_mode)}
+    results = _cli_results(tmp_path, capsys, cfg)
+    assert (results["Delta_fraction"], results["block_sizes"]) == ("7/8", [2, 2])
+
+
+@pytest.mark.parametrize("scale", [pytest.param(scale, marks=pytest.mark.xfail(
+    strict=True, raises=fd.ResidualTooLarge,
+    reason="the word fit's Y misses the commutators (ROADMAP item 7)"))
+    for scale in [1e-6] + SPANNING_SCALES])
+def test_inner_dual_on_a_spanning_pair_is_well_defined(tmp_path, capsys, scale):
+    # an inner derivation of a generating tuple always descends
+    rng = np.random.default_rng(1)
+    B = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    results = _cli_results(tmp_path, capsys, {
+        "scenario": "dual_system", "algebra": _spanning_pair(scale),
+        "parameters": {"dual": {"type": "inner", "matrix": mat_pairs(B)}}})
+    assert results["well_defined"] is True
+
+
+@pytest.mark.parametrize("scale", [1e-8] + [pytest.param(scale, marks=pytest.mark.xfail(
+    strict=True, raises=fd.CenterResolutionError,
+    reason="the center search cuts relative to the largest commutator, so the tiny "
+           "generator's fall below it and the diagonal splits (ROADMAP item 19)"))
+    for scale in [1e-10, 1e-14, 1e-30]])
+def test_delta_on_a_diagonal_and_a_tiny_pauli(tmp_path, capsys, scale):
+    # X1 = diag(1, 2) and X2 = scale sigma_x generate M2 at every scale
+    gens = [np.diag([1.0, 2.0]), scale * np.array([[0.0, 1.0], [1.0, 0.0]])]
+    results = _cli_results(tmp_path, capsys, {"scenario": "delta", "algebra": {
+        "blocks": [2], "weights": [1.0], "generators": [mat_pairs(g) for g in gens]}})
+    assert results["Delta_fraction"] == "3/4"
+
+
 @pytest.mark.parametrize("n", [8, pytest.param(16, marks=pytest.mark.xfail(
     strict=True, reason="the word fit's Vandermonde basis stops growing before it spans L2, "
                         "so its Y fails the commutator gate: ResidualTooLarge (ROADMAP item 7)"))])
@@ -1266,8 +1357,8 @@ def test_subalgebra_mode_is_scale_free(tmp_path, capsys, blocks, weights,
 
 
 def test_subalgebra_mode_counts_the_span_once(tmp_path, capsys, monkeypatch):
-    # the generation check and the subalgebra's span are one word_span call
-    # on the declared blocks; the second is build_algebra's on the block form
+    # the ranks fall short on the declared blocks, so word_span runs once
+    # there; build_algebra's ranks accept the block form with no span
     import freedim.wedderburn as wedderburn_module
 
     seen, span = [], algebra_module.word_span
@@ -1280,7 +1371,7 @@ def test_subalgebra_mode_counts_the_span_once(tmp_path, capsys, monkeypatch):
                                                                [[1, 0], [0, -1]])]}}
     assert main(["delta", "--config", write_config(tmp_path, cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["Delta_fraction"] == "3/4"
-    assert seen == [(2, 2), (2,)]
+    assert seen == [(2, 2)]
 
 
 @pytest.mark.parametrize("name", ["delta_full_2x2", "dual_inner"])

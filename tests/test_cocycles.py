@@ -21,9 +21,9 @@ from conftest import (SX, SY, SZ, _span_with_spectrum, _unit_commutators, basis_
                       hermitian_H1, left_mults, make_c1m2, make_c2, make_m2,
                       random_block_algebra, random_hermitian, section_algebra, svd_block_ranks)
 import freedim.algebra as algebra_module
-from freedim.algebra import _rowspace_residual, block_offsets, block_pair_operators
+from freedim.algebra import (_pair_ranges, _rowspace_residual, block_offsets,
+                             block_pair_operators, unit_scaled)
 from freedim.cli import _delta_results, main
-from freedim.cocycles import _pair_ranges
 from freedim.groups import left_regular_matrices, minimal_generating_set
 from freedim.tolerances import INVARIANCE_TOL, RANK_TOL, SUBSPACE_TOL
 from freedim.vndim import invariance_residual, to_fraction
@@ -214,50 +214,82 @@ def test_pair_spans_are_the_dense_h0(name):
     np.testing.assert_array_equal(rep.multiplicities, rd.multiplicities)
 
 
-@pytest.mark.parametrize("name", CROSS_CHECKED + ["random4x5", "random1x2x6"])
+def _scaled_tuple(shape, n, scale):
+    """build_algebra on n random Hermitian generators of the given blocks,
+    generator j scaled by scale, or by 2^60 and 2^-60 in turn for "mixed"."""
+    rng, N = np.random.default_rng(sum(shape) + n), sum(shape)
+    gens = []
+    for j in range(n):
+        g = np.zeros((N, N), dtype=complex)
+        for s, t in block_offsets(shape):
+            g[s:t, s:t] = random_hermitian(rng, t - s)
+        gens.append(g * (2.0 ** (60 * (-1) ** j) if scale == "mixed" else scale))
+    return fd.build_algebra(shape, [1 / len(shape)] * len(shape), gens)
+
+
+WEYL_SCALED = {f"{'x'.join(map(str, shape))}_{n}gens_{label}": (shape, n, scale)
+               for shape in [(10,), (6, 8), (1,) * 100] for n in (2, 8)
+               for label, scale in (("2^60", 2.0 ** 60), ("2^-60", 2.0 ** -60),
+                                    ("mixed", "mixed"))}
+
+
+@pytest.mark.parametrize("name", CROSS_CHECKED + ["random4x5", "random1x2x6"]
+                         + sorted(WEYL_SCALED))
 def test_weyl_perturbation_stays_below_the_rank_cut(name):
-    # the computed SVD of phi_ik is exact for phi_ik + E, ||E|| <= n n_i n_k u
-    # s_1, and forming phi_ik adds at most sqrt(n_i n_k) u s_1: far below the
-    # cut RANK_TOL s_max, up to D = 41 (random4x5, random1x2x6)
-    alg = _worked_algebra(name)
+    # the computed SVD of the unit-scaled phi_ik is exact for phi_ik + E,
+    # ||E|| <= n n_i n_k u s_1, and forming phi_ik adds at most sqrt(n_i n_k)
+    # u s_1 (build_algebra): every kept value clears that bound by 10^3, the
+    # dropped values (the kernel) stay below it, and the counts are Schur's,
+    # up to D = 100 (random [10], [6, 8] and 100 blocks of size 1, with 2 and
+    # 8 generators at scales 2^60 and 2^-60)
+    alg = _scaled_tuple(*WEYL_SCALED[name]) if name in WEYL_SCALED else _worked_algebra(name)
     n, sizes, u = len(alg.generators), alg.block_sizes, np.finfo(float).eps / 2
-    tops = {(i, k): np.linalg.svd(_block_pair_operator_inline(alg, i, k), compute_uv=False)[0]
-            for i in range(len(sizes)) for k in range(len(sizes))}
-    s_max = max(tops.values())
-    for (i, k), s_1 in tops.items():
-        m = sizes[i] * sizes[k]
-        assert (n * m + np.sqrt(m)) * u * s_1 < RANK_TOL * s_max
+    assert alg.dim <= 100
+    for pairs, stack in block_pair_operators(sizes, unit_scaled(alg.generators)).values():
+        for (i, k), s in zip(pairs, np.linalg.svd(stack, compute_uv=False)):
+            m = sizes[i] * sizes[k]
+            bound = (n * m + np.sqrt(m)) * u * s[0]
+            kept = s > RANK_TOL * s[0]
+            assert bound < RANK_TOL * s[0] or s[0] == 0.0
+            assert np.all(s[kept] >= 1e3 * bound) and np.all(s[~kept] <= bound)
+            assert kept.sum() == m - (i == k)
 
 
 @pytest.mark.parametrize("name", CROSS_CHECKED + ["random4x5", "random1x2x6", "scalar_phi",
                                   "no_generators", "random" + "x".join(["1"] * 41)])
 def test_pair_ranges_cut_at_the_largest_pair_value_is_the_union_rule(name):
-    # the largest value over the stacked pair spectra is the union's first
-    # entry, so every pair keeps what the sorted union kept; phi = 0 for a
-    # scalar generator on one 1 x 1 block, and phi has no rows without one
+    # the union rule, which cut every pair at the largest value over the
+    # pair spectra, stays the reference: on these algebras the per-pair cut
+    # keeps what it kept; phi = 0 for a scalar generator on one 1 x 1 block,
+    # and phi has no rows without one
     alg = {"scalar_phi": lambda: fd.build_algebra([1], [1.0], [np.array([[0.7]])]),
            "no_generators": lambda: fd.build_algebra([1], [1.0], [])}.get(
         name, lambda: _worked_algebra(name))()
-    counts = {pair: len(w) for pair, w in _pair_ranges(alg).items()}
+    counts = {pair: len(w) for pair, w in _pair_ranges(alg.block_sizes, alg.generators).items()}
     assert counts == _union_rule_counts(alg)
 
 
-def test_s4_h0_takes_no_svd_above_its_largest_block_pair(monkeypatch):
-    # S4's largest blocks are 3 x 3, so its largest Sylvester operator has
-    # 3 * 3 = 9 columns, where that pair's matrix-unit family has 81 rows
-    # and the whole family D^2 = 576; the center certificate's SVDs, inside
-    # the algebra, are counted apart
-    alg, cols, svd = _worked_algebra("S4"), [], np.linalg.svd
+def _svds_outside_the_center(monkeypatch, alg):
+    """The callers of each np.linalg.svd that delta_report takes outside
+    central_decomposition, read from the stack."""
+    callers, svd = [], np.linalg.svd
 
     def spied(a, *args, **kw):
         names = [f.f_code.co_name for f, _ in traceback.walk_stack(sys._getframe(1))]
         if "central_decomposition" not in names:
-            cols.append((names[0], np.shape(a)[-1]))
+            callers.append(names[0])
         return svd(a, *args, **kw)
     monkeypatch.setattr(np.linalg, "svd", spied)
     fd.delta_report(alg)
-    assert {name for name, _ in cols} == {"_pair_ranges"}
-    assert max(c for _, c in cols) == 9
+    monkeypatch.undo()
+    return callers
+
+
+def test_s4_h0_takes_no_svd_above_its_largest_block_pair(monkeypatch):
+    # the constructors proved S4's multiplicities by the Sylvester ranks, so
+    # delta_report takes no SVD, of a block pair or any other, but the center
+    # certificate's
+    assert _svds_outside_the_center(monkeypatch, _worked_algebra("S4")) == []
 
 
 @pytest.mark.parametrize("name", WORKED + ["random2x3", "random1x1x3", "random1x2x2"])
@@ -563,9 +595,10 @@ def _block_pair_operator_inline(algebra, i, k):
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("shape", [(1,), (2, 3), (1, 2, 6), (3, 1, 3), (1,) * 41], ids=str)
 def test_block_pair_operator_matches_the_inline_expression_bitwise(n, shape):
-    # the operators read only the block sizes and the generators, so a
-    # stand-in carries random block-diagonal entries, a third of them -0.0;
-    # each shape's pairs come in row-major order, every pair once
+    # the operators take block sizes and any tuple on the blocks, here
+    # random block-diagonal entries, a third of them -0.0, which need not
+    # make an algebra; each shape's pairs come in row-major order, every
+    # pair once
     rng = np.random.default_rng(10 * n + sum(shape))
     N, b = sum(shape), len(shape)
     gens = []
@@ -575,16 +608,15 @@ def test_block_pair_operator_matches_the_inline_expression_bitwise(n, shape):
             g[s:t, s:t] = _with_negative_zeros(rng, (t - s, t - s))
         gens.append(g)
     algebra = types.SimpleNamespace(block_sizes=shape, generators=tuple(gens))
-    empty = types.SimpleNamespace(block_sizes=shape, generators=())
     seen = []
-    for (n_i, n_k), (pairs, stack) in block_pair_operators(algebra).items():
+    for (n_i, n_k), (pairs, stack) in block_pair_operators(shape, tuple(gens)).items():
         assert pairs == [(i, k) for i, k in itertools.product(range(b), repeat=2)
                          if (shape[i], shape[k]) == (n_i, n_k)]
         assert stack.shape == (len(pairs), n * n_i * n_k, n_i * n_k)
         for (i, k), phi in zip(pairs, stack):
             assert _bitwise_equal(phi, _block_pair_operator_inline(algebra, i, k))
         seen += pairs
-        pairs_empty, stack_empty = block_pair_operators(empty)[n_i, n_k]
+        pairs_empty, stack_empty = block_pair_operators(shape, ())[n_i, n_k]
         assert pairs_empty == pairs and stack_empty.shape == (len(pairs), 0, n_i * n_k)
     assert sorted(seen) == list(itertools.product(range(b), repeat=2))
 
@@ -596,7 +628,7 @@ def test_pair_ranges_slice_the_blocks_once(monkeypatch):
     offsets = algebra_module.block_offsets
     monkeypatch.setattr(algebra_module, "block_offsets",
                         lambda sizes: calls.append(1) or offsets(sizes))
-    assert len(_pair_ranges(alg)) == 41 ** 2
+    assert len(_pair_ranges(alg.block_sizes, alg.generators)) == 41 ** 2
     assert len(calls) <= 1
 
 
@@ -764,36 +796,45 @@ def test_delta_chain_and_pinning(c1m2):
     assert results["agreement"]["spaces_coincide"] and results["agreement"]["weak_equals_norm"]
 
 
-def _perturb_multiplicities(monkeypatch):
-    """Make delta_report's pair ranges keep one more vector on pair (0, b - 1),
-    which adds 1 to m_01, or to m_00 on one block."""
-    ranges = cocycles_module._pair_ranges
+def _rank_shortfall(monkeypatch):
+    """Make `algebra._pair_ranges` keep one vector fewer on the last pair,
+    a rank one short of Schur's, which refutes generation."""
+    ranges = algebra_module._pair_ranges
 
-    def perturbed(algebra):
-        kept = ranges(algebra)
-        pair = (0, len(algebra.block_sizes) - 1)
-        kept[pair] = np.concatenate([kept[pair], np.zeros((1, *kept[pair].shape[1:]))])
+    def short(block_sizes, generators):
+        kept = ranges(block_sizes, generators)
+        pair = max(kept)
+        kept[pair] = kept[pair][1:]
         return kept
 
-    monkeypatch.setattr(cocycles_module, "_pair_ranges", perturbed)
+    monkeypatch.setattr(algebra_module, "_pair_ranges", short)
 
 
-def test_chain_violation_when_multiplicities_are_not_schur(c1m2, monkeypatch):
-    # the tuple generates C (+) M2, whose multiplicities are n_i n_k - delta_ik
-    # by Schur: a perturbed certified multiplicity must stop the report
-    assert fd.delta_report(c1m2).multiplicities.tolist() == [[0, 2], [2, 3]]
-    _perturb_multiplicities(monkeypatch)
-    with pytest.raises(fd.ChainViolation, match="not the Schur values"):
-        fd.delta_report(c1m2)
+@pytest.mark.parametrize("build", [fd.build_algebra, fd.blockify_subalgebra],
+                         ids=["build_algebra", "blockify_subalgebra"])
+def test_rank_shortfall_refuses_the_tuple(monkeypatch, build):
+    # the tuple generates C (+) M2, whose ranks are n_i n_k - delta_ik by
+    # Schur: a rank that falls short leaves generation unproved, and neither
+    # constructor builds the algebra
+    gens = [embed_c_m2(1.0, SX), embed_c_m2(0.0, SZ)]
+    assert fd.delta_report(build([1, 2], [1 / 3, 2 / 3], gens)).multiplicities.tolist() == [
+        [0, 2], [2, 3]]
+    _rank_shortfall(monkeypatch)
+    with pytest.raises(fd.NotGenerating):
+        build([1, 2], [1 / 3, 2 / 3], gens)
 
 
-def test_cli_chain_violation_is_one_stderr_line(monkeypatch, capsys):
-    _perturb_multiplicities(monkeypatch)
-    assert main(["delta", "--config", str(CONFIG_DIR / "delta_full_2x2.json")]) == 1
+@pytest.mark.parametrize("subalgebra_mode", [False, True])
+def test_cli_rank_shortfall_is_one_stderr_line(monkeypatch, capsys, tmp_path, subalgebra_mode):
+    _rank_shortfall(monkeypatch)
+    config = json.loads((CONFIG_DIR / "delta_full_2x2.json").read_text())
+    config["algebra"]["subalgebra_mode"] = subalgebra_mode
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["delta", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("computation error: ChainViolation: H0 has multiplicities")
-    assert "not the Schur values" in captured.err
+    assert captured.err.startswith("computation error: NotGenerating: generators span a ")
     assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
@@ -908,14 +949,16 @@ def test_closed_form_gap_is_one_minus_the_squared_weight_sum(name):
     assert 1 - rep.Delta - rep.closed_form_beta0 == 1 - total * total
 
 
-def test_delta_report_builds_each_space_once(c1m2):
+def test_delta_report_builds_each_space_once(c1m2, monkeypatch):
     # H1 and H2 are H0, whose multiplicities are the ranks of the pairs'
-    # Sylvester operators: delta_report factors them once and builds no GNS
-    # structure, no span and no dimension report of one, and measures no
-    # distance; each is counted by its code object, whatever name binds it
+    # Sylvester operators, which the constructors proved: delta_report
+    # factors none of them, builds no GNS structure, no span and no
+    # dimension report of one, measures no distance, and takes no SVD but
+    # the center certificate's; each is counted by its code object,
+    # whatever name binds it
     watched = {f.__code__: f.__name__ for f in (
         fd.gns_structure, fd.compute_H0, fd.compute_H1, fd.vn_dimension_report,
-        fd.subspace_distance, _pair_ranges)}
+        fd.subspace_distance, _pair_ranges, algebra_module.word_span)}
     calls = []
 
     def profile(frame, event, arg):
@@ -927,7 +970,8 @@ def test_delta_report_builds_each_space_once(c1m2):
         fd.delta_report(c1m2)
     finally:
         sys.setprofile(previous)
-    assert calls == ["_pair_ranges"]
+    assert calls == []
+    assert _svds_outside_the_center(monkeypatch, c1m2) == []
 
 
 def test_delta_fraction_does_not_depend_on_the_center_seed():

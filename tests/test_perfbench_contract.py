@@ -76,7 +76,8 @@ def test_shipped_configs_call_every_traced_name(tmp_path):
     # returns H0 (H1 is H0 by theorem) and which delta_report does not call;
     # the subspace distance, which no scenario measures, since H1 and H2 are
     # H0; and H0's span and its dimension report, since delta_report reads
-    # H0's multiplicities from the block pairs' Sylvester ranks.  The last
+    # H0's multiplicities as the Schur values that the block pairs'
+    # Sylvester ranks proved when the algebra was built.  The last
     # four stay as README library API, and the tracer wraps them
     assert uncalled <= {"vndim.hs_subspace", "vndim.invariance_residual",
                         "cocycles.compute_H1", "vndim.subspace_distance",

@@ -43,9 +43,10 @@ NEVER_ENTERED = {
     # library API, and the benchmark's tracer wraps it
     "cocycles.compute_H1",
     # the span of H0 and its dimension report: delta_report reads H0's
-    # multiplicities from the ranks of the block pairs' Sylvester operators
-    # and builds no span; README names both as library API, the tests check
-    # the ranks against them, and the benchmark's tracer wraps them
+    # multiplicities as the Schur values that the block pairs' Sylvester
+    # ranks proved when the algebra was built, and builds no span; README
+    # names both as library API, the tests check the ranks against them,
+    # and the benchmark's tracer wraps them
     "cocycles.compute_H0",
     "vndim.vn_dimension_report",
     # the dense invariance certificate, its per-block action and the action
