@@ -3,15 +3,14 @@
 Given a *-closed unital algebra A of N x N matrices together with a faithful
 tracial state on it, these routines locate the minimal central projections,
 read off the block sizes and trace weights, extract one irreducible
-invariant subspace per block through the commutant, and re-express A as a
-validated TracialAlgebra in block-diagonal coordinates.
+invariant subspace per block from a vector of the block's range, and
+re-express A as a validated TracialAlgebra in block-diagonal coordinates.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ def commutant_basis(mats: Sequence[np.ndarray], within: np.ndarray) -> np.ndarra
 
     The search runs inside the row span of `within`, a nonempty orthonormal
     family of flattened matrices (the identity of size N^2 searches all of
-    M_N): every caller searches an algebra, which holds the identity, or M_N.
+    M_N): each caller searches an algebra, which holds the identity, for its center.
 
     A family with at least twice as many rows as columns is replaced by the R
     of its QR factorisation first (Chan's R-SVD).  A = QR with orthonormal Q,
@@ -147,8 +146,8 @@ def blockify(
 ) -> TracialAlgebra:
     """Re-express the algebra spanned by `span_mats` as a TracialAlgebra.
 
-    `commuting_set` is any family generating the same algebra (used for the
-    cheaper commutant computation), `trace_diag` the diagonal weights w of
+    `commuting_set` is any family generating the same algebra (for the cheaper
+    center search and invariance gates), `trace_diag` the diagonal weights w of
     the faithful tracial state tau(x) = sum_a x[a, a] w[a], and `generators`
     the elements whose images become the generating tuple.
     The span must hold the identity, and both callers put it there exactly:
@@ -166,15 +165,10 @@ def blockify(
     center = commutant_basis(commuting_set, within=flat)
     zs = minimal_central_projections(alg_basis, center, rng)
 
-    # the full commutant, searched at most once and only for a block of
-    # multiplicity above one; the search draws nothing from rng
-    commutant = functools.cache(
-        lambda: commutant_basis(commuting_set, within=np.eye(N * N, dtype=complex)))
-
     sizes, weights, isometries = [], [], []
     for z in zs:
         n = central_block_size(z, alg_basis)
-        V = _irreducible_isometry(z, commutant, n, rng)
+        V = _irreducible_isometry(z, alg_basis, n, rng)
         for g in commuting_set:
             resid = np.linalg.norm(g @ V - V @ (V.conj().T @ g @ V))
             if resid > INVARIANCE_TOL:
@@ -199,14 +193,15 @@ def blockify(
 
 
 def _irreducible_isometry(
-    z: np.ndarray, commutant: Callable[[], np.ndarray], n: int, rng: np.random.Generator
+    z: np.ndarray, alg_basis: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Isometry onto one irreducible invariant subspace inside range(z).
 
-    A random self-adjoint element of the compressed commutant z A' z splits
-    range(z) into eigenspaces of dimension n each; any single eigenspace is
-    an irreducible module for the block.  `commutant()` returns the (s, N, N)
-    basis of A', and is called only when the block's multiplicity is above one.
+    On range(z) = C^n (x) C^mult, z A z is M_n (x) 1, so a random self-adjoint
+    element of it is h (x) 1 with n eigenvalues of multiplicity mult each, and
+    a vector w of the first eigenspace is e (x) u.  As z is central, A w =
+    z A z w = C^n (x) u: invariant, of dimension n, and irreducible.  The
+    (s, N, N) basis `alg_basis` of A is read only for a multiplicity above one.
     """
     lam, vec = np.linalg.eigh(z)
     W = vec[:, lam > PROJECTION_SPLIT]
@@ -219,12 +214,13 @@ def _irreducible_isometry(
     if mult == 1:
         return W
 
-    comp = np.array([W.conj().T @ C @ W for C in commutant()])
+    comp = np.array([W.conj().T @ B @ W for B in alg_basis])
     for _ in range(CENTER_RETRIES):
         vec_b, clusters = _random_split(comp, rng)
-        if len(clusters) == mult and all(hi - lo == n for lo, hi in clusters):
-            lo, hi = clusters[0]
-            return W @ vec_b[:, lo:hi]
+        if len(clusters) == n and all(hi - lo == mult for lo, hi in clusters):
+            span = numerical_span(comp @ vec_b[:, 0])
+            if span.shape[0] == n:
+                return W @ span.T
     raise CenterResolutionError(
         f"could not isolate an irreducible subspace of dimension {n}"
     )

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import math
 import re
 import sys
@@ -10,8 +11,10 @@ import freedim as fd
 from freedim.algebra import (_block_ranges, _diag_weights, _frame, _orthonormal_selfadjoint_basis,
                              _unit_map, unit_scaled, word_span)
 from freedim.derivations import _xi, derivation_well_defined
-from freedim.tolerances import INVARIANCE_TOL, RANK_TOL
+from freedim.errors import CenterResolutionError
+from freedim.tolerances import CENTER_RETRIES, INVARIANCE_TOL, PROJECTION_SPLIT, RANK_TOL
 from freedim.vndim import HsSubspace, invariance_residual
+from freedim.wedderburn import _random_split, commutant_basis
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -300,6 +303,39 @@ def m2():
 @pytest.fixture
 def c1m2():
     return make_c1m2()
+
+
+def full_commutant_isometry(z, commutant, n, rng):
+    """Oracle for `wedderburn._irreducible_isometry`: the search it replaced.
+
+    A random self-adjoint element of the compressed commutant z A' z splits
+    range(z) into mult eigenspaces of dimension n each, and any one of them is
+    an irreducible module for the block.  `commutant()` returns the (s, N, N)
+    basis of A' and is called only for a multiplicity above one."""
+    lam, vec = np.linalg.eigh(z)
+    W = vec[:, lam > PROJECTION_SPLIT]
+    mult = W.shape[1] // n
+    if mult == 1:
+        return W
+    comp = np.array([W.conj().T @ C @ W for C in commutant()])
+    for _ in range(CENTER_RETRIES):
+        vec_b, clusters = _random_split(comp, rng)
+        if len(clusters) == mult and all(hi - lo == n for lo, hi in clusters):
+            lo, hi = clusters[0]
+            return W @ vec_b[:, lo:hi]
+    raise CenterResolutionError(f"could not isolate an irreducible subspace of dimension {n}")
+
+
+def isometries_by_full_commutant(monkeypatch, commuting_set):
+    """Route `wedderburn._irreducible_isometry` through the oracle above,
+    with the commutant of `commuting_set` in M_N searched at most once."""
+    import freedim.wedderburn as wedderburn
+
+    N = commuting_set[0].shape[0]
+    commutant = functools.cache(
+        lambda: commutant_basis(commuting_set, within=np.eye(N * N, dtype=complex)))
+    monkeypatch.setattr(wedderburn, "_irreducible_isometry",
+                        lambda z, alg_basis, n, rng: full_commutant_isometry(z, commutant, n, rng))
 
 
 # The numerical builders that the CLI calls.  A config error raised after the

@@ -694,10 +694,13 @@ def _group_families(monkeypatch):
     s3, s4 = fd.symmetric_group(3), fd.symmetric_group(4)
     c2s3 = fd.direct_product(fd.cyclic_group(2), s3)
     s4_blocks = fd.regular_rep_algebra(s4)  # unspied: each spy records until the test ends
+    s4_mats = [left_regular_matrices(s4)[g] for g in minimal_generating_set(s4)]
     searches = {name: _commutant_searches(monkeypatch, lambda g=g: fd.regular_rep_algebra(g))
                 for name, g in (("S3", s3), ("S4", s4), ("C2xS3", c2s3))}
     searches["S4 blocks"] = _commutant_searches(
         monkeypatch, lambda: fd.central_decomposition(s4_blocks, seed=0))
+    searches["S4 in M_24"] = _commutant_searches(
+        monkeypatch, lambda: wedderburn.commutant_basis(s4_mats, np.eye(576, dtype=complex)))
     return {f"{name} #{k}": _commutator_stack_loop(mats, within, math.isqrt(within.shape[1]))
             for name, seen in searches.items() for k, (mats, within) in enumerate(seen)}
 
@@ -706,9 +709,8 @@ def test_r_svd_of_each_tall_commutant_family_is_its_svd_bitwise(monkeypatch):
     # A = QR with orthonormal Q: the same singular values and right singular
     # vectors, and zgesdd factors A by QR itself at 17/9 as many rows as columns
     families = _group_families(monkeypatch)
-    assert sorted(families) == ["C2xS3 #0", "C2xS3 #1", "S3 #0", "S3 #1", "S4 #0", "S4 #1",
-                                "S4 blocks #0"]
-    assert families["S4 #1"].shape == (2 * 576, 576)  # the full commutant in M_24
+    assert sorted(families) == ["C2xS3 #0", "S3 #0", "S4 #0", "S4 blocks #0", "S4 in M_24 #0"]
+    assert families["S4 in M_24 #0"].shape == (2 * 576, 576)  # the full commutant in M_24
     rng = np.random.default_rng(7)
     for cols in (3, 16, 40):
         for ratio in (2, 3, 4):
@@ -734,20 +736,20 @@ def test_commutant_family_below_twice_its_columns_keeps_the_plain_svd(monkeypatc
     assert svds[0].shape == (144, 144)
 
 
-@pytest.mark.parametrize("group, searches", [
-    (fd.cyclic_group(12), 1),
-    (fd.direct_product(fd.cyclic_group(4), fd.cyclic_group(6)), 1),
-    (fd.symmetric_group(3), 2),
-], ids=["C12", "C4xC6", "S3"])
-def test_blockify_searches_the_full_commutant_only_for_a_repeated_block(group, searches,
-                                                                        monkeypatch):
-    # an abelian group has only 1 x 1 blocks, each of multiplicity one, so its
-    # one search is the center's; S3's 2 x 2 block has multiplicity two
+@pytest.mark.parametrize("group", [
+    fd.cyclic_group(12),
+    fd.direct_product(fd.cyclic_group(4), fd.cyclic_group(6)),
+    fd.symmetric_group(3),
+    fd.symmetric_group(4),
+    fd.direct_product(fd.cyclic_group(2), fd.symmetric_group(3)),
+], ids=["C12", "C4xC6", "S3", "S4", "C2xS3"])
+def test_blockify_searches_only_the_center(group, monkeypatch):
+    # a block of multiplicity above one (S3's 2 x 2 block has two) finds its
+    # irreducible subspace from the algebra, so the one search is the
+    # center's, inside the group algebra, and none runs in all of M_N
     seen = _commutant_searches(monkeypatch, lambda: fd.regular_rep_algebra(group))
-    assert len(seen) == searches
-    assert seen[0][1].shape[0] == group.order  # the center, inside the group algebra
-    if searches == 2:
-        assert _bitwise_equal(seen[1][1], np.eye(group.order ** 2, dtype=complex))
+    assert len(seen) == 1
+    assert seen[0][1].shape == (group.order, group.order ** 2)
 
 
 # ---------------------------------------------------------------------------

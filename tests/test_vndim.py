@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +10,13 @@ import pytest
 import freedim as fd
 import freedim.vndim as vndim
 import freedim.wedderburn as wedderburn
-from conftest import (SX, SZ, basis_left_mults, embed_c_m2, invariant_complement, left_mults,
+from conftest import (SX, SZ, basis_left_mults, embed_c_m2, invariant_complement,
+                      isometries_by_full_commutant, left_mults,
                       make_c1m2, make_c2, make_m2, random_block_algebra, random_hermitian,
                       svd_block_ranks)
 from freedim.algebra import _unflatten, block_offsets
-from freedim.tolerances import OPERATOR_TOL, SUBSPACE_TOL
+from freedim.groups import left_regular_matrices, minimal_generating_set
+from freedim.tolerances import INVARIANCE_TOL, OPERATOR_TOL, SUBSPACE_TOL
 from freedim.vndim import to_fraction
 
 
@@ -258,14 +264,15 @@ def test_central_block_size_refuses_a_non_square_dimension():
 
 def test_irreducible_isometry_refuses_a_range_off_the_block_size():
     assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(3),
-                              lambda: _diagonal_units(3), 2, np.random.default_rng(0))
+                              _diagonal_units(3), 2, np.random.default_rng(0))
             == "central range has dimension 3, not a multiple of block size 2")
 
 
 def test_irreducible_isometry_fails_without_a_splitting_commutant():
-    # a commutant of scalars leaves range(z) one eigenvalue cluster at every draw
+    # an algebra of scalars leaves range(z) one eigenvalue cluster at every
+    # draw, not the two of a 2 x 2 block of multiplicity two
     assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(4),
-                              lambda: np.eye(4)[None], 2, np.random.default_rng(0))
+                              np.eye(4)[None], 2, np.random.default_rng(0))
             == "could not isolate an irreducible subspace of dimension 2")
 
 
@@ -298,6 +305,107 @@ def test_blockify_of_the_diagonal_algebra():
     # the inputs the tests above break: unbroken, they give C^2 at equal weights
     alg = _blockify_c2()
     assert (alg.block_sizes, alg.trace_weights) == ((1, 1), (0.5, 0.5))
+
+
+def _repeated_block_algebra(shape, seed):
+    """The span (identity first) and two random self-adjoint elements of
+    U (+)_i (M_{n_i} (x) 1_{m_i}) U*, for (n_i, m_i) in `shape` and a random
+    unitary U."""
+    rng = np.random.default_rng(seed)
+    N = sum(n * m for n, m in shape)
+    U, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    span, gens = [np.eye(N, dtype=complex)], np.zeros((2, N, N), dtype=complex)
+    for (n, m), (start, stop) in zip(shape, block_offsets([n * m for n, m in shape])):
+        for x in [np.outer(np.eye(n)[a], np.eye(n)[b]) for a in range(n) for b in range(n)]:
+            span.append(np.zeros((N, N), dtype=complex))
+            span[-1][start:stop, start:stop] = np.kron(x, np.eye(m))
+        for g in gens:
+            g[start:stop, start:stop] = np.kron(random_hermitian(rng, n), np.eye(m))
+    return [U @ x @ U.conj().T for x in span], [U @ g @ U.conj().T for g in gens]
+
+
+def _blockify_against_oracle(monkeypatch, build, commuting_set, acting):
+    """(algebra, largest invariance residual of its isometries under `acting`)
+    from `build()`, first as it runs, then with every isometry found by the
+    full-commutant oracle of `commuting_set`."""
+    runs = []
+    for oracle in (False, True):
+        found = []
+        with monkeypatch.context() as patch:
+            if oracle:
+                isometries_by_full_commutant(patch, commuting_set)
+            isometry = wedderburn._irreducible_isometry
+            patch.setattr(wedderburn, "_irreducible_isometry",
+                          lambda *args: found.append(isometry(*args)) or found[-1])
+            alg = build()
+        runs.append((alg, max(np.linalg.norm(g @ V - V @ (V.conj().T @ g @ V))
+                              for V in found for g in acting)))
+    return runs
+
+
+def _assert_matches_oracle(runs):
+    (alg, resid), (want, want_resid) = runs
+    assert alg.block_sizes == want.block_sizes
+    rep, want_rep = fd.delta_report(alg, seed=0), fd.delta_report(want, seed=0)
+    assert rep.Delta == want_rep.Delta
+    np.testing.assert_array_equal(rep.multiplicities, want_rep.multiplicities)
+    np.testing.assert_allclose(alg.trace_weights, want.trace_weights, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rep.weights, want_rep.weights, rtol=0, atol=1e-14)
+    assert max(resid, want_resid) <= INVARIANCE_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", [[(1, 3)], [(2, 2)], [(3, 2)], [(2, 1), (1, 2)]],
+                         ids=["1x3", "2x2", "3x2", "2x1+1x2"])
+def test_repeated_blocks_of_a_random_subalgebra_match_the_full_commutant_oracle(
+        shape, seed, monkeypatch):
+    span, gens = _repeated_block_algebra(shape, seed)
+    N = gens[0].shape[0]
+    runs = _blockify_against_oracle(
+        monkeypatch, lambda: wedderburn.blockify(span, gens, np.full(N, 1.0 / N), gens,
+                                                 ["X1", "X2"], np.random.default_rng(seed)),
+        gens, gens)
+    alg = runs[0][0]
+    assert sorted(alg.block_sizes) == sorted(n for n, _ in shape)
+    # tau(z_i) = n_i m_i / N at the normalised trace
+    assert sorted(alg.trace_weights) == pytest.approx(sorted(n * m / N for n, m in shape),
+                                                      abs=1e-14)
+    _assert_matches_oracle(runs)
+
+
+@pytest.mark.parametrize("group", [
+    fd.symmetric_group(3),
+    fd.symmetric_group(4),
+    fd.direct_product(fd.cyclic_group(2), fd.symmetric_group(3)),
+    fd.direct_product(fd.symmetric_group(3), fd.cyclic_group(4)),
+], ids=["S3", "S4", "C2xS3", "S3xC4"])
+def test_repeated_blocks_of_a_group_algebra_match_the_full_commutant_oracle(group, monkeypatch):
+    lam = left_regular_matrices(group)
+    runs = _blockify_against_oracle(
+        monkeypatch, lambda: fd.regular_rep_algebra(group, seed=1),
+        [lam[g] for g in minimal_generating_set(group)], lam)
+    _assert_matches_oracle(runs)
+
+
+def test_blockify_subalgebra_on_a_hundred_repeated_points_stays_small():
+    # one two-valued diagonal generator on 100 one-by-one blocks generates
+    # C (+) C, each of multiplicity 50: no search runs in all of M_100,
+    # whose commutant family would take gigabytes.  The peak is VmHWM, the
+    # child's own high-water mark: its ru_maxrss also holds the peak of the
+    # test process that spawned it, which the kernel records at exec
+    code = ("import numpy as np, freedim as fd; "
+            "g = np.diag(np.tile([1.0, -1.0], 50)); "
+            "alg = fd.blockify_subalgebra([1] * 100, [0.01] * 100, [g]); "
+            "print(alg.block_sizes, next(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    sizes, peak_kb = done.stdout.rsplit(maxsplit=1)
+    assert sizes == "(1, 1)"
+    assert int(peak_kb) < 150 * 1024
 
 
 def test_central_projections_partition_identity(c1m2):
