@@ -251,8 +251,9 @@ def _flag(section: dict, key: str, where: str) -> bool:
 # one SVD of the n n_i n_k x n_i n_k Sylvester operator phi_ik per pair of
 # blocks for n generators, and delta no other but the center's, so a run at
 # the cap takes milliseconds (0.016-0.024 s and 40 MB, random [1, 2, 6] at
-# D = 41, 2 generators); dual_system on one 10 x 10 block (D = 100) takes 0.8 s
-# and 146 MB (inner) to 1.5 s and 153 MB (fisher), peak RSS (2 vCPU, 2 OpenBLAS threads).
+# D = 41, 2 generators); dual_system at D = 100 takes 0.03-0.08 s and 44 MB on one
+# 10 x 10 block and 0.16-0.26 s and 89 MB on 100 blocks of size 1, peak RSS of
+# fresh processes (2 vCPU, 2 OpenBLAS threads).
 _DELTA_MAX_DIM = 41
 _DUAL_MAX_DIM = 100
 
@@ -613,17 +614,14 @@ def _run_dual_system(config: ScenarioConfig) -> Outcome:
     residuals = {"well_definedness_defect": fit.defect}
     if fit.well_defined:
         rep = construct_dual_operator(gns, fit)
-        residuals.update({
-            "Y1": rep.residual_Y1,
-            "commutators": rep.residual_commutators,
-            "adjoint": rep.residual_adjoint,
-        })
+        residuals.update(Y1=rep.residual_Y1, commutators=rep.residual_commutators,
+                         adjoint=rep.residual_adjoint)
         results["xi_norm"] = float(np.linalg.norm(rep.xi))
         if config.verbose:
             results["Y"] = rep.Y
             results["xi"] = rep.xi
-    return results, {"construction": "operator assembled on the cyclic basis "
-                                     "from the induced derivative map"}, residuals
+    return results, {"construction": "least-squares solve of the block-pair Sylvester "
+                                     "equations, with Y 1 = 0"}, residuals
 
 
 def _run_cutoff(config: ScenarioConfig) -> Outcome:

@@ -5,10 +5,9 @@ relative ones: RANK_TOL to the largest singular value, COMMUTANT_ZERO_TOL
 to the largest entry of the commuting matrices, OPERATOR_TOL's frame gap in
 `algebra._verify_gns` to a generator's largest entry above 1, the
 WELLDEF_TOL verdict and the commutator gate of RESIDUAL_TOL to ||T||,
-RESIDUAL_TOL's other two gates to ||Y||, WORD_GROWTH_TOL to max(1, |v|),
-CLUSTER_GAP to max(1, eigenvalue spread) and FRACTION_TOL to the float
-read.  Matrices are exact complex doubles throughout.  SUBSPACE_TOL and
-CLAMP_SLACK are read only by the tests.
+RESIDUAL_TOL's other two gates to ||Y||, CLUSTER_GAP to max(1, eigenvalue
+spread) and FRACTION_TOL to the float read.  Matrices are exact complex
+doubles throughout.  SUBSPACE_TOL and CLAMP_SLACK are read only by the tests.
 """
 
 SCALAR_TOL = 1e-12        # scalar identities (weights, traciality)
@@ -20,7 +19,6 @@ RESIDUAL_TOL = 1e-9       # dual-operator residual gate
 SUBSPACE_TOL = 1e-9       # subspace equality distance
 DIAG_SWITCH = 1e-8        # difference quotient switches to the derivative
 CENTER_RETRIES = 5        # random central element retries
-WORD_GROWTH_TOL = 1e-9    # a word's vector grows the derivation fit's span
 COMMUTANT_ZERO_TOL = 1e-12  # every commutator counts as zero (commutant search)
 CLUSTER_GAP = 1e-6        # eigenvalue gap between clusters of a random split
 SUPPORT_TOL = 1e-6        # diagonal entries of a projection that fix block order

@@ -3,6 +3,8 @@ import functools
 import math
 import re
 import sys
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ import pytest
 import freedim as fd
 from freedim.algebra import (_block_ranges, _diag_weights, _frame, _orthonormal_selfadjoint_basis,
                              _unit_map, unit_scaled, word_span)
-from freedim.derivations import _xi, derivation_well_defined
 from freedim.errors import CenterResolutionError
-from freedim.tolerances import CENTER_RETRIES, INVARIANCE_TOL, PROJECTION_SPLIT, RANK_TOL
+from freedim.tolerances import (CENTER_RETRIES, INVARIANCE_TOL, PROJECTION_SPLIT, RANK_TOL,
+                                RESIDUAL_TOL, WELLDEF_TOL)
 from freedim.vndim import HsSubspace, invariance_residual
 from freedim.wedderburn import _random_split, commutant_basis
 
@@ -258,11 +260,113 @@ def hermitian_H1(gns):
     return HsSubspace(basis, residual)
 
 
+# ---------------------------------------------------------------------------
+# the word fit: the engine that built the dual operator before the block-pair
+# Sylvester solve, kept as its oracle
+# ---------------------------------------------------------------------------
+
+WORD_GROWTH_TOL = 1e-9  # a word's vector grows the fit's span (relative to max(1, |v|))
+
+
+def word_system(gns, targets):
+    """The words in the generators that pin down the derivation with values
+    `targets`, in one breadth-first walk from the empty word: their vectors
+    L_w 1 and their free derivatives d(w).
+
+    Each child w X_j of an expanded word gets L_w L_j, its vector and
+    d(w X_j) = d(w) L_j + L_w T_j together.  A word is expanded only if its
+    vector grew the span, that is left the span of the earlier growing words
+    by more than WORD_GROWTH_TOL max(1, |v|); the span is kept as an
+    orthonormal basis that gains one row per growing word (Gram-Schmidt with
+    one re-orthogonalization) and stops growing when full, so at most D
+    words are expanded, the empty word first, and all n children of each are
+    evaluated: one full round past stabilization, so that every relation
+    among the retained words is in the system.
+    """
+    Ls = gns.generator_left_mult
+    D = gns.dim
+    t = gns.trace_vector.astype(complex)
+    size = 1 + len(Ls) * D
+    vecs = np.empty((size, D), dtype=complex)
+    vals = np.empty((size, D, D), dtype=complex)
+    vecs[0], vals[0] = t, 0.0
+    basis = np.empty((D, D), dtype=complex)  # rows [:r] orthonormal
+    basis[0] = t / np.linalg.norm(t)
+    r, k = 1, 1
+    parents = deque([(np.eye(D, dtype=complex), 0)])
+    while parents:
+        L_w, w = parents.popleft()
+        for L_j, T_j in zip(Ls, targets):
+            L_new = L_w @ L_j
+            v = vecs[k] = L_new @ t
+            vals[k] = vals[w] @ L_j
+            vals[k] += L_w @ T_j
+            resid = v - basis[:r].T @ (basis[:r].conj() @ v)
+            if r < D and (np.linalg.norm(resid)
+                          > WORD_GROWTH_TOL * max(1.0, np.linalg.norm(v))):
+                resid -= basis[:r].T @ (basis[:r].conj() @ resid)
+                basis[r] = resid / np.linalg.norm(resid)
+                r += 1
+                parents.append((L_new, k))
+            k += 1
+    return vecs[:k], vals[:k]
+
+
+@dataclass
+class WordFit:
+    """The least-squares fit of a prescribed derivation over its words: its
+    own verdict (defect <= WELLDEF_TOL), the worst residual over the
+    evaluated words, the (D*D, D) matrix of the induced map from L2 into HS,
+    and the values T_j on the generators."""
+
+    well_defined: bool
+    defect: float
+    map: np.ndarray
+    targets: tuple
+
+
+def word_fit(gns, targets):
+    """The least-squares fit over the words of `word_system`."""
+    targets = tuple(np.asarray(t, dtype=complex) for t in targets)
+    vecs, vals = word_system(gns, targets)
+    K, D = vecs.shape
+    Wm = vals.reshape(K, D * D).T   # (D^2, K)
+    dhat = np.linalg.lstsq(vecs, Wm.T, rcond=None)[0].T  # (D^2, D)
+    defect = float(np.linalg.norm(dhat @ vecs.T - Wm, axis=0).max())
+    return WordFit(defect <= WELLDEF_TOL, defect, dhat, targets)
+
+
+def word_fit_xi(gns, dhat):
+    """xi_m = <dhat(e_m), P1>_HS: the conjugate vector of the induced map."""
+    p1 = np.outer(gns.trace_vector, gns.trace_vector)  # P1, onto the trace vector
+    return np.array([np.vdot(dhat[:, m].reshape(p1.shape), p1) for m in range(gns.dim)])
+
+
+def word_fit_dual(gns, fit):
+    """(Y, xi, passes) of the fit: Y acts on the cyclic vector of a polynomial
+    by the derivative of that polynomial applied to the trace vector, and
+    `passes` is whether the fit's verdict and the three residual gates of
+    `construct_dual_operator` accept it."""
+    D = gns.dim
+    t = gns.trace_vector.astype(complex)
+    # the one path numpy can choose for two operands, without the search
+    Y = np.einsum("ijm,j->im", fit.map.reshape(D, D, D), t, optimize=["einsum_path", (0, 1)])
+    xi = word_fit_xi(gns, fit.map)
+    commutators = max((float(np.linalg.norm(Y @ L - L @ Y - T))
+                       for L, T in zip(gns.generator_left_mult, fit.targets)), default=0.0)
+    Y_norm = float(np.linalg.norm(Y))
+    passes = (fit.well_defined
+              and commutators <= RESIDUAL_TOL * float(np.linalg.norm(fit.targets))
+              and max(float(np.linalg.norm(Y @ t)), float(np.linalg.norm(Y.conj().T @ t - xi)))
+              <= RESIDUAL_TOL * Y_norm)
+    return Y, xi, passes
+
+
 def conjugate_variable(gns, targets):
-    """The vector xi with <xi, Q 1> = <P1, dT(Q)>_HS, or None when the
-    derivation does not descend."""
-    fit = derivation_well_defined(gns, targets)
-    return _xi(gns, fit.map) if fit.well_defined else None
+    """The vector xi with <xi, Q 1> = <P1, dT(Q)>_HS from the word fit, or
+    None when the fit finds that the derivation does not descend."""
+    fit = word_fit(gns, targets)
+    return word_fit_xi(gns, fit.map) if fit.well_defined else None
 
 
 def make_c2():

@@ -7,10 +7,10 @@ import pytest
 import freedim as fd
 import freedim.algebra as algebra_module
 import freedim.derivations as derivations_module
-from conftest import (conjugate_variable, left_mults, make_c1m2, make_c2, make_m2,
-                      random_block_algebra, random_hermitian, section_algebra)
+from conftest import (WordFit, conjugate_variable, left_mults, make_c1m2, make_c2, make_m2,
+                      random_block_algebra, random_hermitian, section_algebra, word_fit,
+                      word_fit_dual, word_system)
 from freedim.algebra import GnsStructure, _block_ranges, _unit_map
-from freedim.derivations import _word_system
 from test_algebra import BITWISE_SHAPES, _bare_gns
 from test_cocycles import CONFIG_DIR, WORKED, _bitwise_equal, _with_negative_zeros, _worked_algebra
 
@@ -106,7 +106,7 @@ def _case_id(case):
 def test_word_tree_matches_svd_oracle(case):
     gns = fd.gns_structure(_word_tree_algebra(case))
     vecs, expanded = svd_word_tree(gns)
-    walked, _ = _word_system(gns, fd.fdq_targets(gns, 0))
+    walked, _ = word_system(gns, fd.fdq_targets(gns, 0))
     # all n children of exactly the words the oracle expands
     assert len(walked) == 1 + len(gns.generator_left_mult) * int(expanded.sum())
     assert np.array_equal(walked, vecs)
@@ -125,7 +125,7 @@ def test_word_tree_replay_matches_oracle(name):
     for targets in [fd.inner_spec(gns, B)] + [fd.fdq_targets(gns, j)
                                               for j in range(len(Ls))]:
         vecs, vals = word_system_oracle(gns, Ls, targets)
-        walked, walked_vals = _word_system(gns, targets)
+        walked, walked_vals = word_system(gns, targets)
         assert np.array_equal(walked, vecs)
         assert np.array_equal(walked_vals, vals)
 
@@ -162,28 +162,25 @@ def test_two_point_free_difference_quotient_obstructed(c2):
 
 
 def test_well_defined_map_reproduces_targets(m2):
-    # the induced map sends each generator vector to its prescribed value
+    # the induced map Q -> [Y, L_Q] sends each generator to its prescribed value
     gns = fd.gns_structure(m2)
     rng = np.random.default_rng(13)
     B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     targets = fd.inner_spec(gns, B)
     fit = fd.derivation_well_defined(gns, targets)
-    ok, dhat = fit.well_defined, fit.map
-    assert ok
-    t = gns.trace_vector.astype(complex)
+    assert fit.well_defined
     for L, T in zip(left_mults(gns, m2.generators), targets):
-        xhat = L @ t
-        assert np.linalg.norm((dhat @ xhat).reshape(4, 4) - T) <= 1e-10
+        assert np.linalg.norm(fit.Y @ L - L @ fit.Y - T) <= 1e-10
 
 
 def test_zero_targets_give_zero_map(c2):
     gns = fd.gns_structure(c2)
     targets = ([np.zeros((2, 2))])
     fit = fd.derivation_well_defined(gns, targets)
-    ok, defect, dhat = fit.well_defined, fit.defect, fit.map
+    ok, defect, Y = fit.well_defined, fit.defect, fit.Y
     assert ok
     assert defect <= 1e-14
-    assert np.abs(dhat).max() <= 1e-14
+    assert np.abs(Y).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,7 @@ def test_free_difference_quotient_misses_by_the_trace_bound(alg):
     bound = np.sqrt(sum((a / n) ** 2 for a, n in zip(alg.trace_weights, alg.block_sizes)))
     assert bound >= 1.0 / np.sqrt(gns.dim) * (1 - 1e-12)
     for j in range(len(alg.generators)):
-        residual = derivations_module._sylvester_residual(gns, fd.fdq_targets(gns, j))
+        residual = derivations_module._sylvester_solve(gns, fd.fdq_targets(gns, j))[0]
         assert residual >= bound * (1 - 1e-12)
 
 
@@ -440,65 +437,76 @@ def test_adjoint_commutator_sign_rule():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
-def test_dual_operator_matches_searched_einsum_bitwise(sizes, monkeypatch):
-    # a random map with -0.0 entries; the gate is lifted so that Y is returned
-    monkeypatch.setattr(derivations_module, "RESIDUAL_TOL", 1e300)
+def test_dual_operator_matches_searched_einsum_bitwise(sizes):
+    # the word-fit oracle's Y from a random map with -0.0 entries
     gns, rng = _bare_gns(sizes, 5)
     D = gns.dim
-    fit = derivations_module.DerivationFit(True, 0.0, _with_negative_zeros(rng, (D * D, D)), ())
+    fit = WordFit(True, 0.0, _with_negative_zeros(rng, (D * D, D)), ())
     searched = np.einsum("ijm,j->im", fit.map.reshape(D, D, D),
                          gns.trace_vector.astype(complex), optimize=True)
-    assert _bitwise_equal(fd.construct_dual_operator(gns, fit).Y, searched)
+    assert _bitwise_equal(word_fit_dual(gns, fit)[0], searched)
 
 
-def _sylvester_residual_kron(gns, targets):
-    """`derivations._sylvester_residual` as it was, its operators from np.kron
-    one generator at a time."""
-    norm = float(np.sqrt(sum(np.vdot(Tj, Tj).real for Tj in targets)))
-    if norm == 0.0:
-        return 0.0
+def _kron_operands(gns, targets):
+    """{(i, k): (phi_ik, rhs)} of each block pair, its operator from np.kron
+    one generator at a time and its right-hand sides from the frame of that
+    pair, as `derivations._sylvester_solve` read them from a per-pair loop."""
     blocks = [(s, t, S, T, n, _unit_map(n))
               for (s, t), (S, T), n in _block_ranges(gns.algebra.block_sizes)]
-    sq = 0.0
-    for s_i, t_i, S_i, T_i, n_i, U_i in blocks:
-        for s_k, t_k, S_k, T_k, n_k, U_k in blocks:
+    out = {}
+    for i, (s_i, t_i, S_i, T_i, n_i, U_i) in enumerate(blocks):
+        for k, (s_k, t_k, S_k, T_k, n_k, U_k) in enumerate(blocks):
             phi = np.vstack([np.kron(np.eye(n_i), X[s_k:t_k, s_k:t_k].T)
                              - np.kron(X[s_i:t_i, s_i:t_i], np.eye(n_k))
                              for X in gns.algebra.generators])
             rhs = np.vstack([(U_i.T @ Tj[S_i:T_i, S_k:T_k] @ np.conj(U_k))
                              .reshape(n_i, n_i, n_k, n_k).transpose(0, 2, 1, 3)
                              .reshape(n_i * n_k, -1) for Tj in targets])
-            z = np.linalg.lstsq(phi, rhs, rcond=None)[0]
-            sq += float(np.linalg.norm(phi @ z - rhs)) ** 2
-    return float(np.sqrt(sq)) / norm
+            out[i, k] = phi, rhs
+    return out
+
+
+def _sylvester_residual_loop(gns, targets, solve):
+    """The relative residual from one `solve(phi, rhs)` per block pair, each
+    pair's norm taken as a stack of one and the squares added in (i, k) order."""
+    norm = float(np.linalg.norm(np.asarray(targets)))
+    if norm == 0.0:
+        return 0.0
+    operands = _kron_operands(gns, targets)
+    sq = np.zeros((len(gns.algebra.block_sizes),) * 2)
+    for (i, k), (phi, rhs) in operands.items():
+        sq[i, k] = np.linalg.norm((phi @ solve(phi, rhs) - rhs)[None], axis=(1, 2))[0] ** 2
+    return float(np.sqrt(sq.sum())) / norm
 
 
 @pytest.mark.parametrize("sizes", BITWISE_SHAPES, ids=str)
 def test_sylvester_operands_match_kron_bitwise(sizes, monkeypatch):
-    # every (operator, right-hand side) pair handed to lstsq, on generators
-    # and targets with -0.0 entries
+    # every (operator, right-hand side) pair handed to the stacked solve, on
+    # generators and targets with -0.0 entries
     rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
     N, D = sum(sizes), sum(n * n for n in sizes)
-    # the solve reads only the blocks and the generators of the structure
-    gns = GnsStructure(SimpleNamespace(block_sizes=sizes, generators=tuple(
-        _with_negative_zeros(rng, (3, N, N)))), None, None)
+    # the solve reads only the blocks, the generators and the trace vector
+    gns = GnsStructure(SimpleNamespace(block_sizes=sizes, dim=D, generators=tuple(
+        _with_negative_zeros(rng, (3, N, N)))),
+        fd.gns_structure(random_block_algebra(sizes, 0)).trace_vector, None)
     targets = tuple(_with_negative_zeros(rng, (3, D, D)))
-    seen, lstsq = [], np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq",
-                        lambda a, b, **kw: seen.append((a, b)) or lstsq(a, b, **kw))
-    relative = derivations_module._sylvester_residual(gns, targets)
-    operands = seen[:]
-    seen.clear()
-    assert relative == _sylvester_residual_kron(gns, targets)
-    assert len(operands) == len(seen) == len(sizes) ** 2
-    for (phi, rhs), (phi_kron, rhs_kron) in zip(operands, seen):
+    seen, solve = [], derivations_module._stacked_lstsq
+    monkeypatch.setattr(derivations_module, "_stacked_lstsq",
+                        lambda a, b: seen.append((a, b)) or solve(a, b))
+    derivations_module._sylvester_solve(gns, targets)
+    ops = algebra_module.block_pair_operators(sizes, gns.algebra.generators)
+    stacked = {pair: (a[p], b[p]) for (pairs, _), (a, b) in zip(ops.values(), seen)
+               for p, pair in enumerate(pairs)}
+    kron = _kron_operands(gns, targets)
+    assert len(seen) == len(ops) and stacked.keys() == kron.keys()
+    for pair, (phi_kron, rhs_kron) in kron.items():
+        phi, rhs = stacked[pair]
         assert _bitwise_equal(phi, phi_kron) and _bitwise_equal(rhs, rhs_kron)
 
 
-# the solve against its per-pair loop, which adds the pairs in (i, k) order:
-# [1, 2, 1] and [2, 1, 2, 1] interleave their block shapes, so a sum grouped
-# by shape would add them in another order; then the dual-ladder shapes and
-# 100 one-by-one blocks, the dual_system cap
+# the stacked solve against its per-pair loop, which adds the pairs in (i, k)
+# order: [1, 2, 1] and [2, 1, 2, 1] interleave their block shapes; then the
+# dual-ladder shapes and 100 one-by-one blocks, the dual_system cap
 @pytest.mark.parametrize("sizes", [(1, 2, 1), (2, 1, 2, 1), (3,), (6,), (4, 5), (7,), (8,),
                                    (1,) * 100],
                          ids=["1x2x1", "2x1x2x1", "3", "6", "4x5", "7", "8", "1x100"])
@@ -506,10 +514,15 @@ def test_sylvester_residual_matches_the_per_pair_loop_bitwise(sizes):
     gns = fd.gns_structure(random_block_algebra(sizes, seed=len(sizes)))
     rng = np.random.default_rng(sum(sizes))
     B = rng.standard_normal((gns.dim, gns.dim)) + 1j * rng.standard_normal((gns.dim, gns.dim))
+    one_pair = lambda phi, rhs: derivations_module._stacked_lstsq(phi[None], rhs[None])[0]
     for targets in (fd.inner_spec(gns, B), fd.fdq_targets(gns, 0)):
-        relative = derivations_module._sylvester_residual(gns, targets)
+        relative = derivations_module._sylvester_solve(gns, targets)[0]
         assert np.float64(relative).tobytes() == np.float64(
-            _sylvester_residual_kron(gns, targets)).tobytes()
+            _sylvester_residual_loop(gns, targets, one_pair)).tobytes()
+        # and within rounding of lstsq's own solve, the one it replaced
+        lstsq = _sylvester_residual_loop(gns, targets,
+                                         lambda phi, rhs: np.linalg.lstsq(phi, rhs)[0])
+        assert abs(relative - lstsq) <= 1e-12
 
 
 def test_sylvester_residual_slices_the_blocks_once(monkeypatch):
@@ -520,5 +533,77 @@ def test_sylvester_residual_slices_the_blocks_once(monkeypatch):
     offsets = algebra_module.block_offsets
     monkeypatch.setattr(algebra_module, "block_offsets",
                         lambda sizes: calls.append(1) or offsets(sizes))
-    derivations_module._sylvester_residual(gns, targets)
+    derivations_module._sylvester_solve(gns, targets)
     assert len(calls) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the block-pair solve against the word-fit oracle it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_algebras():
+    """(id, algebra): the shipped dual configs, the dual-ladder shapes
+    (D = 36, 41, 49, 64) and random block algebras up to D = 36."""
+    for name in ("dual_fisher", "dual_inner"):
+        config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        yield name, section_algebra(config["algebra"])
+    for shape in ((6,), (4, 5), (7,), (8,)):
+        yield f"ladder{shape}", random_block_algebra(shape, 1)
+    for shape in ((2,), (1, 2), (1, 1, 2), (2, 3), (1, 2, 3), (3, 4), (2, 2, 2, 2),
+                  (1, 1, 1, 1, 4), (1, 2, 3, 4), (3, 3, 3, 3)):
+        for seed in range(2):
+            yield f"random{shape}-{seed}", random_block_algebra(shape, seed)
+
+
+_ORACLE = list(_oracle_algebras())
+
+
+def _close(a, b):
+    return np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("alg", [a for _, a in _ORACLE], ids=[i for i, _ in _ORACLE])
+def test_block_pair_solve_agrees_with_the_word_fit_oracle(alg):
+    # wherever the word fit passes its own verdict and the three residual
+    # gates, the solve's verdict, Y and xi are the fit's; the free difference
+    # quotient fails both verdicts
+    gns = fd.gns_structure(alg)
+    rng = np.random.default_rng(gns.dim)
+    B = rng.standard_normal((gns.dim,) * 2) + 1j * rng.standard_normal((gns.dim,) * 2)
+    inner = fd.inner_spec(gns, B)
+    fit, oracle = fd.derivation_well_defined(gns, inner), word_fit(gns, inner)
+    Y, xi, passes = word_fit_dual(gns, oracle)
+    assert passes or gns.dim > 36  # the fit's defect meets WELLDEF_TOL up to D = 36 here
+    if passes:
+        dual = fd.construct_dual_operator(gns, fit)
+        assert fit.well_defined and _close(dual.Y, Y) and _close(dual.xi, xi)
+    for j in range(len(alg.generators)):
+        targets = fd.fdq_targets(gns, j)
+        assert not fd.derivation_well_defined(gns, targets).well_defined
+        assert not word_fit(gns, targets).well_defined
+
+
+@pytest.mark.parametrize("sizes", [(1, 2, 1), (4, 5), (8,), (1,) * 100], ids=str)
+def test_dual_system_solves_without_lstsq_and_with_one_svd_per_block_shape(sizes, monkeypatch):
+    gns = fd.gns_structure(random_block_algebra(sizes, 0))
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((gns.dim,) * 2) + 1j * rng.standard_normal((gns.dim,) * 2)
+    shapes = len(algebra_module.block_pair_operators(sizes, gns.algebra.generators))
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("lstsq called"))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for targets in (fd.inner_spec(gns, B), fd.fdq_targets(gns, 0)):
+        calls.clear()
+        fd.derivation_well_defined(gns, targets)
+        assert len(calls) == shapes
+    fd.construct_dual_operator(gns, fd.derivation_well_defined(gns, fd.inner_spec(gns, B)))
+    fd.fisher_report(gns)
+
+
+def test_inner_spec_is_the_commutator_with_b(m2):
+    # dropping B's central part changes T only by rounding
+    gns = fd.gns_structure(m2)
+    rng = np.random.default_rng(10)
+    B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for T, L in zip(fd.inner_spec(gns, B), gns.generator_left_mult):
+        assert np.linalg.norm(T - (B @ L - L @ B)) <= 1e-14 * np.linalg.norm(T)
