@@ -49,9 +49,11 @@ def _rowspace_residual(rows: np.ndarray, basis_flat: np.ndarray) -> float:
 def unit_scaled(generators: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Each nonzero generator divided (exactly) by the power of two nearest its
     largest entry: the algebra generated does not depend on the scale, but the
-    relative cutoffs of the span and commutant computations do."""
+    relative cutoffs of the span and commutant computations do.  ldexp scales
+    the real and imaginary parts: complex division by a subnormal overflows."""
     peaks = [float(np.abs(g).max()) for g in generators]
-    return [g / 2.0 ** round(math.log2(m)) if m else g
+    return [np.ldexp(np.ascontiguousarray(g, dtype=complex).view(np.float64),
+                     -round(math.log2(m))).view(complex) if m else g
             for g, m in zip(generators, peaks)]
 
 

@@ -1,10 +1,10 @@
 """Numerical block decomposition of *-closed matrix algebras.
 
 Given a *-closed unital algebra A of N x N matrices together with a faithful
-tracial state on it, these routines locate the minimal central projections,
-read off the block sizes and trace weights, extract one irreducible
-invariant subspace per block from a vector of the block's range, and
-re-express A as a validated TracialAlgebra in block-diagonal coordinates.
+tracial state on it, these routines locate the minimal central projections
+and their trace weights, read each block's size and one irreducible invariant
+subspace from A compressed to the block's range, and re-express A as a
+validated TracialAlgebra in block-diagonal coordinates.
 """
 
 from __future__ import annotations
@@ -123,19 +123,6 @@ def _block_image(x: np.ndarray, sizes, isometries) -> np.ndarray:
     return out
 
 
-def central_block_size(z: np.ndarray, algebra_basis: np.ndarray) -> int:
-    """n with dim_C(z A) = n^2, for a central projection z of the algebra A
-    spanned by the (s, N, N) basis; CenterResolutionError unless a square."""
-    compressed = np.array([(z @ B).ravel() for B in algebra_basis])
-    block_dim = numerical_span(compressed).shape[0]
-    n = int(round(np.sqrt(block_dim)))
-    if n * n != block_dim:
-        raise CenterResolutionError(
-            f"central block has dimension {block_dim}, not a perfect square"
-        )
-    return n
-
-
 def blockify(
     span_mats: Sequence[np.ndarray],
     commuting_set: Sequence[np.ndarray],
@@ -167,8 +154,7 @@ def blockify(
 
     sizes, weights, isometries = [], [], []
     for z in zs:
-        n = central_block_size(z, alg_basis)
-        V = _irreducible_isometry(z, alg_basis, n, rng)
+        n, V = _irreducible_isometry(z, alg_basis, rng)
         for g in commuting_set:
             resid = np.linalg.norm(g @ V - V @ (V.conj().T @ g @ V))
             if resid > INVARIANCE_TOL:
@@ -193,34 +179,45 @@ def blockify(
 
 
 def _irreducible_isometry(
-    z: np.ndarray, alg_basis: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Isometry onto one irreducible invariant subspace inside range(z).
+    z: np.ndarray, alg_basis: np.ndarray, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Block size n and an isometry onto one irreducible invariant subspace
+    inside range(z), for a minimal central projection z of the algebra A
+    spanned by the (s, N, N) basis `alg_basis`.
 
-    On range(z) = C^n (x) C^mult, z A z is M_n (x) 1, so a random self-adjoint
-    element of it is h (x) 1 with n eigenvalues of multiplicity mult each, and
-    a vector w of the first eigenspace is e (x) u.  As z is central, A w =
-    z A z w = C^n (x) u: invariant, of dimension n, and irreducible.  The
-    (s, N, N) basis `alg_basis` of A is read only for a multiplicity above one.
+    One eigh of z gives W with range(W) = range(z) = C^n (x) C^mult = C^r, and
+    comp = W* A W.  As z is central, zB = zBz, and x -> W* x W is a
+    Hilbert-Schmidt isometry of z M_N z onto M_r: comp's singular values are
+    those of zA up to the rounding of W, by Weyl's inequality within the norm
+    of the difference, a few ulps of the largest, so its rank is dim zA = n^2.
+    comp is M_n (x) 1, so a random self-adjoint element of it is h (x) 1 with
+    n eigenvalues of multiplicity mult each, and a vector w of the first
+    eigenspace is e (x) u.  As z is central, A w = z A z w = C^n (x) u:
+    invariant, of dimension n, and irreducible.
     """
     lam, vec = np.linalg.eigh(z)
     W = vec[:, lam > PROJECTION_SPLIT]
     r = W.shape[1]
+    comp = np.array([W.conj().T @ B @ W for B in alg_basis])
+    block_dim = numerical_span(comp.reshape(len(comp), r * r)).shape[0]
+    n = math.isqrt(block_dim)
+    if n * n != block_dim:
+        raise CenterResolutionError(
+            f"central block has dimension {block_dim}, not a perfect square"
+        )
     if r % n != 0:
         raise CenterResolutionError(
             f"central range has dimension {r}, not a multiple of block size {n}"
         )
-    mult = r // n
-    if mult == 1:
-        return W
+    if r == n:
+        return n, W
 
-    comp = np.array([W.conj().T @ B @ W for B in alg_basis])
     for _ in range(CENTER_RETRIES):
         vec_b, clusters = _random_split(comp, rng)
-        if len(clusters) == n and all(hi - lo == mult for lo, hi in clusters):
+        if len(clusters) == n and all(hi - lo == r // n for lo, hi in clusters):
             span = numerical_span(comp @ vec_b[:, 0])
             if span.shape[0] == n:
-                return W @ span.T
+                return n, W @ span.T
     raise CenterResolutionError(
         f"could not isolate an irreducible subspace of dimension {n}"
     )

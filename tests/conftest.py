@@ -409,6 +409,22 @@ def c1m2():
     return make_c1m2()
 
 
+def central_block_size(z, algebra_basis):
+    """Oracle for the block size that `wedderburn._irreducible_isometry`
+    reads from A compressed to range(z): n with dim_C(z A) = n^2, from the
+    rank of the (s, N^2) family zA, for a central projection z of the
+    algebra A spanned by the (s, N, N) basis; CenterResolutionError unless
+    a square."""
+    compressed = np.array([(z @ B).ravel() for B in algebra_basis])
+    block_dim = fd.numerical_span(compressed).shape[0]
+    n = int(round(np.sqrt(block_dim)))
+    if n * n != block_dim:
+        raise CenterResolutionError(
+            f"central block has dimension {block_dim}, not a perfect square"
+        )
+    return n
+
+
 def full_commutant_isometry(z, commutant, n, rng):
     """Oracle for `wedderburn._irreducible_isometry`: the search it replaced.
 
@@ -431,15 +447,18 @@ def full_commutant_isometry(z, commutant, n, rng):
 
 
 def isometries_by_full_commutant(monkeypatch, commuting_set):
-    """Route `wedderburn._irreducible_isometry` through the oracle above,
+    """Route `wedderburn._irreducible_isometry` through the oracles above,
     with the commutant of `commuting_set` in M_N searched at most once."""
     import freedim.wedderburn as wedderburn
 
     N = commuting_set[0].shape[0]
     commutant = functools.cache(
         lambda: commutant_basis(commuting_set, within=np.eye(N * N, dtype=complex)))
-    monkeypatch.setattr(wedderburn, "_irreducible_isometry",
-                        lambda z, alg_basis, n, rng: full_commutant_isometry(z, commutant, n, rng))
+    def isometry(z, alg_basis, rng):
+        n = central_block_size(z, alg_basis)
+        return n, full_commutant_isometry(z, commutant, n, rng)
+
+    monkeypatch.setattr(wedderburn, "_irreducible_isometry", isometry)
 
 
 # The numerical builders that the CLI calls.  A config error raised after the

@@ -123,7 +123,7 @@ def test_dual_system_inner_residuals_and_verbose(tmp_path, capsys):
 
 @pytest.mark.parametrize("scale", [1e-8, pytest.param(1e-9, marks=pytest.mark.xfail(
     strict=True, reason="the center search cuts relative to the whole family, so the small "
-                        "block's clusters merge: CenterResolutionError (ROADMAP item 9)"))])
+                        "block's clusters merge: CenterResolutionError (ROADMAP item 19)"))])
 def test_delta_accepts_blocks_of_unequal_scale(tmp_path, capsys, scale):
     # blocks [2, 2], two random Hermitian generators supported on each block,
     # block 0's scaled down; the tuple generates at either scale
@@ -226,6 +226,56 @@ def test_delta_on_a_diagonal_and_a_tiny_pauli(tmp_path, capsys, scale):
     results = _cli_results(tmp_path, capsys, {"scenario": "delta", "algebra": {
         "blocks": [2], "weights": [1.0], "generators": [mat_pairs(g) for g in gens]}})
     assert results["Delta_fraction"] == "3/4"
+
+
+def _subnormal_pair(scale, **extra):
+    """Block [3] at weight 1 with two generators scale h, h random Hermitian
+    drawn in turn: the pair generates M3 at every scale."""
+    rng = np.random.default_rng(0)
+    gens = [mat_pairs(scale * random_hermitian(rng, 3)) for _ in range(2)]
+    return {"blocks": [3], "weights": [1.0], "generators": gens, **extra}
+
+
+@pytest.mark.parametrize("scale", [1e-310, 5e-324])
+@pytest.mark.parametrize("scenario,extra,parameters", [
+    ("delta", {}, None),
+    ("dual_system", {}, {"dual": {"type": "fisher"}}),
+    ("delta", {"subalgebra_mode": True}, None),
+], ids=["delta", "fisher", "subalgebra_mode"])
+def test_subnormal_generators_exit_without_a_traceback(tmp_path, capsys, scale, scenario,
+                                                       extra, parameters):
+    # unit_scaled divided by a subnormal power of two, and numpy's complex
+    # division overflowed to inf and nan: every run ended in LinAlgError
+    cfg = {"scenario": scenario, "algebra": _subnormal_pair(scale, **extra)}
+    if parameters:
+        cfg["parameters"] = parameters
+    code = main([scenario, "--config", write_config(tmp_path, cfg)])
+    assert code == 0 if scale == 1e-310 else code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subalgebra_mode", [False, True])
+@pytest.mark.parametrize("scale", [1e-310, pytest.param(5e-324, marks=pytest.mark.xfail(
+    strict=True, raises=fd.CenterResolutionError,
+    reason="the center search cuts relative to the whole family, so the eigenvalue "
+           "clusters split (ROADMAP item 19)"))])
+def test_delta_reports_eight_ninths_on_subnormal_generators(tmp_path, capsys, scale,
+                                                            subalgebra_mode):
+    cfg = {"scenario": "delta", "algebra": _subnormal_pair(scale, subalgebra_mode=subalgebra_mode)}
+    assert _cli_results(tmp_path, capsys, cfg)["Delta_fraction"] == "8/9"
+
+
+@pytest.mark.xfail(strict=True, raises=fd.NotGenerating, reason=(
+    "word_span overcounts the powers of the diagonal: its 46-dimensional span is "
+    "not the generated C^30 (ROADMAP item 24 stage 2)"))
+def test_subalgebra_mode_fisher_on_sixty_points_of_thirty_values(tmp_path, capsys):
+    # diag(1, 1, 2, 2, ..., 30, 30) on 60 one-by-one blocks generates C^30,
+    # whose distribution has atoms: every slot fails to descend
+    g = np.diag(np.repeat(np.arange(1.0, 31.0), 2))
+    results = _cli_results(tmp_path, capsys, _dual_config([1] * 60, [g], {"type": "fisher"},
+                                                          subalgebra_mode=True))
+    assert results["value"] == "inf"
+    assert [slot["well_defined"] for slot in results["slots"]] == [False]
 
 
 @pytest.mark.parametrize("n", [2, 8, 16, 50, 100])

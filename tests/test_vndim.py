@@ -10,8 +10,8 @@ import pytest
 import freedim as fd
 import freedim.vndim as vndim
 import freedim.wedderburn as wedderburn
-from conftest import (SX, SZ, basis_left_mults, embed_c_m2, invariant_complement,
-                      isometries_by_full_commutant, left_mults,
+from conftest import (SX, SZ, basis_left_mults, central_block_size, embed_c_m2,
+                      invariant_complement, isometries_by_full_commutant, left_mults,
                       make_c1m2, make_c2, make_m2, random_block_algebra, random_hermitian,
                       svd_block_ranks)
 from freedim.algebra import _unflatten, block_offsets
@@ -94,7 +94,7 @@ def d_coordinate_center(gns, seed=0):
                                         within=units.reshape(-1, N * N))
     zs = wedderburn.minimal_central_projections(units, center,
                                                 np.random.default_rng(seed))
-    sizes = tuple(wedderburn.central_block_size(z, units) for z in zs)
+    sizes = tuple(central_block_size(z, units) for z in zs)
     weights = tuple(alg.trace(z).real for z in zs)
     assert sizes == alg.block_sizes
     assert all(abs(w - a) <= 1e-8 for w, a in zip(weights, alg.trace_weights))
@@ -256,23 +256,29 @@ def _resolution_error(call, *args):
     return str(info.value)
 
 
-def test_central_block_size_refuses_a_non_square_dimension():
+def test_irreducible_isometry_refuses_a_non_square_block_dimension():
     # the identity compresses the diagonal algebra of M_2 to dimension 2
-    assert (_resolution_error(wedderburn.central_block_size, np.eye(2), _diagonal_units(2))
+    assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(2),
+                              _diagonal_units(2), np.random.default_rng(0))
             == "central block has dimension 2, not a perfect square")
 
 
 def test_irreducible_isometry_refuses_a_range_off_the_block_size():
-    assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(3),
-                              _diagonal_units(3), 2, np.random.default_rng(0))
+    # the matrix units of the top-left 2 x 2 corner of M_3 span dimension 4
+    # = 2^2 inside a range of dimension 3
+    corner = np.zeros((4, 3, 3), dtype=complex)
+    corner[np.arange(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
+    assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(3), corner,
+                              np.random.default_rng(0))
             == "central range has dimension 3, not a multiple of block size 2")
 
 
 def test_irreducible_isometry_fails_without_a_splitting_commutant():
-    # an algebra of scalars leaves range(z) one eigenvalue cluster at every
-    # draw, not the two of a 2 x 2 block of multiplicity two
+    # the diagonal algebra of M_4 has dimension 4 = 2^2, but leaves range(z)
+    # four eigenvalue clusters at every draw, not the two of a 2 x 2 block of
+    # multiplicity two
     assert (_resolution_error(wedderburn._irreducible_isometry, np.eye(4),
-                              np.eye(4)[None], 2, np.random.default_rng(0))
+                              _diagonal_units(4), np.random.default_rng(0))
             == "could not isolate an irreducible subspace of dimension 2")
 
 
@@ -288,7 +294,7 @@ def _blockify_c2():
 def test_blockify_refuses_a_subspace_the_generators_move(monkeypatch):
     # (e_1 + e_2) / sqrt 2 is moved by diag(0, 1) with residual 1/2
     tilted = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
-    monkeypatch.setattr(wedderburn, "_irreducible_isometry", lambda z, c, n, rng: tilted)
+    monkeypatch.setattr(wedderburn, "_irreducible_isometry", lambda z, a, rng: (1, tilted))
     assert (_resolution_error(_blockify_c2)
             == "extracted subspace is not invariant (residual 5.00e-01)")
 
@@ -339,7 +345,7 @@ def _blockify_against_oracle(monkeypatch, build, commuting_set, acting):
                           lambda *args: found.append(isometry(*args)) or found[-1])
             alg = build()
         runs.append((alg, max(np.linalg.norm(g @ V - V @ (V.conj().T @ g @ V))
-                              for V in found for g in acting)))
+                              for _, V in found for g in acting)))
     return runs
 
 
@@ -385,6 +391,57 @@ def test_repeated_blocks_of_a_group_algebra_match_the_full_commutant_oracle(grou
         monkeypatch, lambda: fd.regular_rep_algebra(group, seed=1),
         [lam[g] for g in minimal_generating_set(group)], lam)
     _assert_matches_oracle(runs)
+
+
+def _block_sizes_against_oracle(monkeypatch, build):
+    """(size read from the compression to range(z), size `central_block_size`
+    reads from the (s, N^2) family zA) for each central projection z that
+    `build()` decomposes."""
+    isometry, sizes = wedderburn._irreducible_isometry, []
+
+    def spied(z, alg_basis, rng):
+        n, V = isometry(z, alg_basis, rng)
+        sizes.append((n, central_block_size(z, alg_basis)))
+        return n, V
+
+    monkeypatch.setattr(wedderburn, "_irreducible_isometry", spied)
+    build()
+    return sizes
+
+
+@pytest.mark.parametrize("group", [
+    fd.symmetric_group(3),
+    fd.symmetric_group(4),
+    fd.direct_product(fd.cyclic_group(2), fd.symmetric_group(3)),
+    fd.direct_product(fd.symmetric_group(3), fd.cyclic_group(4)),
+    fd.cyclic_group(24),
+], ids=["S3", "S4", "C2xS3", "S3xC4", "C24"])
+def test_group_block_sizes_match_the_full_family_oracle(group, monkeypatch):
+    sizes = _block_sizes_against_oracle(monkeypatch, lambda: fd.regular_rep_algebra(group))
+    assert sum(n * n for n, _ in sizes) == group.order
+    assert all(n == want for n, want in sizes)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", [[(1, 3)], [(2, 2)], [(3, 2)], [(2, 1), (1, 2)]],
+                         ids=["1x3", "2x2", "3x2", "2x1+1x2"])
+def test_repeated_block_sizes_match_the_full_family_oracle(shape, seed, monkeypatch):
+    span, gens = _repeated_block_algebra(shape, seed)
+    N = gens[0].shape[0]
+    sizes = _block_sizes_against_oracle(monkeypatch, lambda: wedderburn.blockify(
+        span, gens, np.full(N, 1.0 / N), gens, ["X1", "X2"], np.random.default_rng(seed)))
+    assert sorted(n for n, _ in sizes) == sorted(n for n, _ in shape)
+    assert all(n == want for n, want in sizes)
+
+
+def test_s4_regular_rep_algebra_takes_two_svds_across_all_of_m24(monkeypatch):
+    # the algebra span and the center; each block size comes from the
+    # compression to range(z), at most 9^2 columns, not from zA's 24^2
+    svd, widths = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kw: widths.append(np.shape(a)[-1]) or svd(a, **kw))
+    fd.regular_rep_algebra(fd.symmetric_group(4))
+    assert widths.count(24 * 24) == 2
 
 
 def test_blockify_subalgebra_on_a_hundred_repeated_points_stays_small():
